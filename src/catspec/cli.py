@@ -108,11 +108,14 @@ def cmd_verify_escape(cfg):
     return 0
 
 
+def _counts_csv(cfg, study):
+    rows = [_header(cfg).rstrip("\n"), "alpha,count"]
+    rows += [f"{a:.17g},{n}" for a, n in zip(study.alphas, study.counts)]
+    return "\n".join(rows) + "\n"
+
+
 def cmd_spectrum(cfg):
-    flow = cfg.flow()
-    res = hs.extract_resonances(flow, cfg.escape, cfg.truncation, h=cfg.h,
-                                residual_tol=cfg.residual_tol,
-                                cluster_radius=cfg.cluster_radius)
+    res = hs.CampaignContext(cfg.flow(), cfg).base
     path = _write(cfg, "spectrum.csv", _spectrum_csv(cfg, res))
     print(f"{len(res.entries)} entries (total multiplicity "
           f"{res.total_multiplicity()}); wrote {path}")
@@ -136,9 +139,7 @@ def cmd_campaign(cfg, threads=1):
                          default=_json_default) + "\n"
     path = _write(cfg, "campaign.json", payload)
     if study is not None:
-        rows = [_header(cfg).rstrip("\n"), "alpha,count"]
-        rows += [f"{a:.17g},{n}" for a, n in zip(study.alphas, study.counts)]
-        _write(cfg, "counts.csv", "\n".join(rows) + "\n")
+        _write(cfg, "counts.csv", _counts_csv(cfg, study))
     failures = sorted(k for k, v in report["verdicts"].items() if not v)
     print(f"wrote {path}")
     if failures:
@@ -150,15 +151,11 @@ def cmd_campaign(cfg, threads=1):
 
 def cmd_plotdata(cfg):
     flow = cfg.flow()
-    res = hs.extract_resonances(flow, cfg.escape, cfg.truncation, h=cfg.h,
-                                residual_tol=cfg.residual_tol,
-                                cluster_radius=cfg.cluster_radius)
-    _write(cfg, "spectrum.csv", _spectrum_csv(cfg, res))
+    _write(cfg, "spectrum.csv",
+           _spectrum_csv(cfg, hs.CampaignContext(flow, cfg).base))
     study = hs.scaling_study(flow, cfg.escape, cfg.truncation, cfg.E,
                              cfg.alpha_grid, cfg.beta)
-    rows = [_header(cfg).rstrip("\n"), "alpha,count"]
-    rows += [f"{a:.17g},{n}" for a, n in zip(study.alphas, study.counts)]
-    _write(cfg, "counts.csv", "\n".join(rows) + "\n")
+    _write(cfg, "counts.csv", _counts_csv(cfg, study))
     print(f"wrote spectrum.csv and counts.csv to {cfg.out_dir}")
     return 0
 

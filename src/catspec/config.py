@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .escape import OrderParams
+from .harness import CHECKS
 from .model import CatMap, MappingTorusFlow, TimeChange
 from .operator import Truncation
 
@@ -81,9 +82,6 @@ _SCHEMA = {
                  "coherent_h"},
     "output": {"out_dir"},
 }
-
-_KNOWN_CHECKS = {"escape", "upper_half", "symmetry", "intrinsic", "weyl",
-                 "ims", "garding", "coherent", "counting", "disk"}
 
 
 @dataclass
@@ -174,7 +172,9 @@ def parse_config(text: str) -> RunConfig:
 
         cp = merged["campaign"]
         checks = [c.strip() for c in cp["checks"].split(",") if c.strip()]
-        bad = set(checks) - _KNOWN_CHECKS
+        if not checks:
+            raise ConfigError("no checks enabled")
+        bad = set(checks) - set(CHECKS)
         if bad:
             raise ConfigError(f"unknown checks: {sorted(bad)}")
         band = _floats(cp["ims_band"])

@@ -83,10 +83,6 @@ def from_adapted(flow: MappingTorusFlow, base: BasePoint, triple) -> CotangentPo
     return CotangentPoint(base, (xi[0], xi[1]), et / flow.time_change(base.tau))
 
 
-def adapted_norm(flow: MappingTorusFlow, q: CotangentPoint) -> float:
-    return float(np.linalg.norm(adapted_components(flow, q)))
-
-
 def lifted_flow(flow: MappingTorusFlow, q: CotangentPoint, t: float) -> CotangentPoint:
     """Canonical lift: base moves by the flow, covector by (D phi_{-t})^T."""
     tau1, crossings = flow.flow_time(q.base, t)

@@ -305,15 +305,6 @@ class EscapeFunction:
         return lab if lab.shape else str(lab)
 
 
-def projective_flow_step(flow: MappingTorusFlow, direction, t):
-    """One step of the induced cosphere flow in equivariant coordinates."""
-    d = np.asarray(direction, dtype=float)
-    scaled = np.array([d[0] * np.exp(flow.theta * t),
-                       d[1] * np.exp(-flow.theta * t),
-                       d[2]])
-    return scaled / np.linalg.norm(scaled)
-
-
 @dataclass
 class EscapeReport:
     """Outcome of the sampled escape-estimate verification."""

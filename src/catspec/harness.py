@@ -11,13 +11,14 @@ order, so a fixed configuration reproduces byte-identical reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import operator as op
 from .errors import MultiplicityMismatch, UnmatchedEntry, UnresolvedWindow
-from .escape import EscapeFunction, OrderParams
+from .escape import EscapeFunction, OrderParams, verify_escape_estimates
 from .model import MappingTorusFlow
 
 
@@ -495,225 +496,230 @@ def coherent_symbol_study(flow: MappingTorusFlow, params: OrderParams,
 # campaign orchestration
 # ---------------------------------------------------------------------------
 
-def _escape_check(flow, cfg):
-    from .escape import verify_escape_estimates
+@dataclass
+class CampaignContext:
+    """What two or more campaign checks share, each built on first use."""
 
-    params = cfg.escape
-    doubled = replace(params, u=2.0 * params.u, s=2.0 * params.s)
-    out = {}
-    ok = True
-    try:
-        rep = verify_escape_estimates(EscapeFunction(flow, params),
-                                      sample_count=cfg.escape_samples,
-                                      seed=cfg.seed)
-        rep2 = verify_escape_estimates(EscapeFunction(flow, doubled),
-                                       sample_count=cfg.escape_samples,
-                                       seed=cfg.seed)
-        ratio = rep2.decay_bound / rep.decay_bound
-        out = {
-            "c_measured": rep.c_measured,
-            "decay_bound": rep.decay_bound,
-            "max_everywhere": rep.max_everywhere,
-            "violations": rep.violations,
-            "doubling_ratio": ratio,
-        }
-        ok = (rep.violations == 0 and rep2.violations == 0
-              and rep.c_measured > 0.0 and 1.8 <= ratio <= 2.2)
-    except Exception as exc:  # noqa: BLE001 - verdicts must not abort the run
-        out["error"] = f"{type(exc).__name__}: {exc}"
-        ok = False
-    return ok, out
+    flow: MappingTorusFlow
+    cfg: object                      # config.RunConfig
+    threads: int = 1
+    study: ScalingStudy = None       # set by the counting check
+
+    @cached_property
+    def escape(self):
+        return EscapeFunction(self.flow, self.cfg.escape)
+
+    def spectrum(self, params, truncation):
+        cfg = self.cfg
+        return extract_resonances(self.flow, params, truncation, h=cfg.h,
+                                  residual_tol=cfg.residual_tol,
+                                  cluster_radius=cfg.cluster_radius)
+
+    @cached_property
+    def base(self):
+        return self.spectrum(self.cfg.escape, self.cfg.truncation)
 
 
-def run_campaign(flow: MappingTorusFlow, cfg, progress=None, threads=1):
-    """Run the configured theorem checks and return a JSON-able report.
+def _check_escape(ctx):
+    cfg = ctx.cfg
+    doubled = replace(cfg.escape, u=2.0 * cfg.escape.u, s=2.0 * cfg.escape.s)
+    rep = verify_escape_estimates(ctx.escape, sample_count=cfg.escape_samples,
+                                  seed=cfg.seed)
+    rep2 = verify_escape_estimates(EscapeFunction(ctx.flow, doubled),
+                                   sample_count=cfg.escape_samples,
+                                   seed=cfg.seed)
+    ratio = rep2.decay_bound / rep.decay_bound
+    ok = (rep.violations == 0 and rep2.violations == 0
+          and rep.c_measured > 0.0 and 1.8 <= ratio <= 2.2)
+    return ok, {"c_measured": rep.c_measured,
+                "decay_bound": rep.decay_bound,
+                "max_everywhere": rep.max_everywhere,
+                "violations": rep.violations,
+                "doubling_ratio": ratio}
 
-    Sector-level work fans out over a thread pool when threads > 1 (the
-    dense kernels release the GIL); results are merged in sorted sector
-    order, so reports do not depend on the pool's schedule.
-    """
-    checks = {}
-    verdicts = {}
 
-    def note(name):
-        if progress:
-            progress(name)
+def _check_upper_half(ctx):
+    top = upper_half_check(ctx.base)
+    return top <= 1e-6, {"max_im": top,
+                         "entries": len(ctx.base.entries),
+                         "total_multiplicity": ctx.base.total_multiplicity()}
 
-    base_res = None
-    if {"upper_half", "symmetry", "intrinsic", "disk"} & set(cfg.checks):
-        base_res = extract_resonances(flow, cfg.escape, cfg.truncation,
-                                      h=cfg.h, residual_tol=cfg.residual_tol,
-                                      cluster_radius=cfg.cluster_radius)
 
-    if "escape" in cfg.checks:
-        note("escape")
-        verdicts["escape"], checks["escape"] = _escape_check(flow, cfg)
+def _check_symmetry(ctx):
+    sym = symmetry_check(ctx.base)
+    return sym.max_distance < 1e-6, {"max_distance": sym.max_distance,
+                                     "pairs": len(sym.pairs)}
 
-    if "upper_half" in cfg.checks:
-        note("upper_half")
-        top = upper_half_check(base_res)
-        checks["upper_half"] = {"max_im": top,
-                                "entries": len(base_res.entries),
-                                "total_multiplicity": base_res.total_multiplicity()}
-        verdicts["upper_half"] = top <= 1e-6
 
-    if "symmetry" in cfg.checks:
-        note("symmetry")
-        try:
-            sym = symmetry_check(base_res)
-            checks["symmetry"] = {"max_distance": sym.max_distance,
-                                  "pairs": len(sym.pairs)}
-            verdicts["symmetry"] = sym.max_distance < 1e-6
-        except UnmatchedEntry as exc:
-            checks["symmetry"] = {"error": str(exc)}
-            verdicts["symmetry"] = False
-
-    if "intrinsic" in cfg.checks:
-        note("intrinsic")
-        alt_res = extract_resonances(flow, cfg.escape_alt, cfg.truncation,
-                                     h=cfg.h, residual_tol=cfg.residual_tol,
-                                     cluster_radius=cfg.cluster_radius)
-        grown = replace(cfg.truncation, k_max=cfg.truncation.k_max + 4,
-                        p_max=cfg.truncation.p_max + 2)
-        grown_res = extract_resonances(flow, cfg.escape, grown, h=cfg.h,
-                                       residual_tol=cfg.residual_tol,
-                                       cluster_radius=cfg.cluster_radius)
-        try:
-            cross = intrinsic_check(base_res, alt_res, cfg.floor)
-            drift = intrinsic_check(base_res, grown_res, cfg.floor)
-            checks["intrinsic"] = {
-                "cross_distance": cross.max_distance,
+def _check_intrinsic(ctx):
+    cfg = ctx.cfg
+    grown = replace(cfg.truncation, k_max=cfg.truncation.k_max + 4,
+                    p_max=cfg.truncation.p_max + 2)
+    cross = intrinsic_check(ctx.base, ctx.spectrum(cfg.escape_alt, cfg.truncation),
+                            cfg.floor)
+    drift = intrinsic_check(ctx.base, ctx.spectrum(cfg.escape, grown), cfg.floor)
+    ok = (cross.max_distance < 1e-4 and not cross.unmatched
+          and drift.max_distance < 1e-4)
+    return ok, {"cross_distance": cross.max_distance,
                 "cross_pairs": len(cross.pairs),
                 "cross_unmatched": len(cross.unmatched),
                 "drift": drift.max_distance,
                 "drift_pairs": len(drift.pairs),
-                "floor": cfg.floor,
-            }
-            verdicts["intrinsic"] = (cross.max_distance < 1e-4
-                                     and not cross.unmatched
-                                     and drift.max_distance < 1e-4)
-        except MultiplicityMismatch as exc:
-            checks["intrinsic"] = {"error": str(exc)}
-            verdicts["intrinsic"] = False
+                "floor": cfg.floor}
 
-    if "weyl" in cfg.checks:
-        note("weyl")
-        escape = EscapeFunction(flow, cfg.escape)
-        z_e = complex(cfg.E, 1.0)
-        cell = op.orbit_cell_block(flow, cfg.truncation)
-        cell_vals = np.array([p.value for p in op.eigendecompose(cell)])
-        sectors = [op.NeutralSector()] + op.enumerate_orbits(
-            flow.cat, cfg.truncation.k_max, cfg.truncation.p_max)
 
-        def _audit_one(sector):
-            block = op.build_generator(flow, sector, cfg.truncation)
-            if block.dim > 500:
-                return None
-            wg = op.apply_weight(block, escape, cfg.h)
-            if isinstance(sector, op.NeutralSector):
-                evs = None
-            else:
-                evs = np.concatenate([cell_vals] * sector.n_cells) * cfg.h
-            audit = weyl_audit(wg.rescaled(), z_e, eigenvalues=evs)
-            return {"sector": sector.key, "dim": audit.n,
-                    "worst_margin": audit.worst_margin, "ok": audit.verdict}
+def _check_weyl(ctx):
+    """Weyl audits of every sector of dimension <= 500, plus 20 random
+    matrices against the mpmath oracle; no audited sector is a failure."""
+    cfg, flow = ctx.cfg, ctx.flow
+    escape = ctx.escape              # built here, not racing in the pool
+    z_e = complex(cfg.E, 1.0)
+    cell = op.orbit_cell_block(flow, cfg.truncation)
+    cell_vals = np.array([p.value for p in op.eigendecompose(cell)])
+    sectors = [op.NeutralSector()] + op.enumerate_orbits(
+        flow.cat, cfg.truncation.k_max, cfg.truncation.p_max)
 
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(_audit_one, sectors))
+    def audit_one(sector):
+        block = op.build_generator(flow, sector, cfg.truncation)
+        if block.dim > 500:
+            return None
+        wg = op.apply_weight(block, escape, cfg.h)
+        if isinstance(sector, op.NeutralSector):
+            evs = None
         else:
-            results = [_audit_one(s) for s in sectors]
-        audits = sorted((a for a in results if a is not None),
-                        key=lambda a: a["sector"])
-        ok = all(a["ok"] for a in audits)
-        rng = np.random.default_rng(cfg.seed + 1)
-        oracle_ok = True
-        for _ in range(20):
-            m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-            a = weyl_audit(m, z_e)
-            try:
-                o = weyl_oracle(m, z_e)
-            except ImportError:
-                o = a.verdict
-            oracle_ok = oracle_ok and a.verdict and o
-        checks["weyl"] = {"sectors_audited": len(audits),
-                          "worst_margin": min(a["worst_margin"] for a in audits),
-                          "random_oracle_ok": oracle_ok}
-        verdicts["weyl"] = ok and oracle_ok
+            evs = np.concatenate([cell_vals] * sector.n_cells) * cfg.h
+        audit = weyl_audit(wg.rescaled(), z_e, eigenvalues=evs)
+        return {"sector": sector.key, "worst_margin": audit.worst_margin,
+                "ok": audit.verdict}
 
-    if "ims" in cfg.checks:
-        note("ims")
-        tr = replace(cfg.truncation, j_max=cfg.ims_j_max, j_buffer=16)
-        block = op.build_generator(flow, op.NeutralSector(), tr)
-        escape = EscapeFunction(flow, cfg.escape)
-        h_list = [0.1, 0.05, 0.025, 0.0125]
-        res = op.partition_ims_check(block, escape, complex(cfg.E, 1.0),
-                                     h_list, trials=20, r0=cfg.ims_band[0],
-                                     r1=cfg.ims_band[1], seed=cfg.seed)
-        ratios = [res[h_list[i]] / res[h_list[i + 1]] for i in range(3)]
-        checks["ims"] = {"residuals": {str(k): v for k, v in res.items()},
-                         "ratios": ratios}
-        verdicts["ims"] = all(3.0 <= r <= 5.0 for r in ratios)
+    if ctx.threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
 
-    if "garding" in cfg.checks:
-        note("garding")
-        escape = EscapeFunction(flow, cfg.escape)
-        sweep = {}
-        for dk in (0, 2, 4):
-            k = cfg.truncation.k_max + dk
-            tr = replace(cfg.truncation, k_max=k)
-            sector = op.enumerate_orbits(flow.cat, k, tr.p_max)[0]
-            wg = op.apply_weight(op.build_generator(flow, sector, tr),
-                                 escape, cfg.h)
-            sweep[k] = op.garding_upper_check(wg, trials=200, seed=cfg.seed)
-        vals = list(sweep.values())
-        wg0 = op.apply_weight(
-            op.build_generator(
-                flow, op.enumerate_orbits(flow.cat, cfg.truncation.k_max,
-                                          cfg.truncation.p_max)[0],
-                cfg.truncation), escape, cfg.h)
-        g0 = op.garding_upper_check(wg0, trials=50, seed=cfg.seed)
-        g_shift = op.garding_upper_check(wg0, trials=50, seed=cfg.seed, shift=0.7)
-        checks["garding"] = {"sweep": {str(k): v for k, v in sweep.items()},
-                             "shift_defect": abs(g_shift - (g0 - 0.7))}
-        verdicts["garding"] = (max(vals) <= 1.0
-                               and abs(g_shift - (g0 - 0.7)) < 1e-10)
+        with ThreadPoolExecutor(max_workers=ctx.threads) as pool:
+            results = list(pool.map(audit_one, sectors))
+    else:
+        results = [audit_one(s) for s in sectors]
+    audits = sorted((a for a in results if a is not None),
+                    key=lambda a: a["sector"])
+    rng = np.random.default_rng(cfg.seed + 1)
+    oracle_ok = True
+    for _ in range(20):
+        m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        a = weyl_audit(m, z_e)
+        try:
+            o = weyl_oracle(m, z_e)
+        except ImportError:
+            o = a.verdict
+        oracle_ok = oracle_ok and a.verdict and o
+    ok = bool(audits) and all(a["ok"] for a in audits) and oracle_ok
+    return ok, {"sectors_audited": len(audits),
+                "worst_margin": min((a["worst_margin"] for a in audits),
+                                    default=None),
+                "random_oracle_ok": oracle_ok}
 
-    if "coherent" in cfg.checks:
-        note("coherent")
-        study = coherent_symbol_study(flow, cfg.escape,
-                                      default_symbol_points(flow),
-                                      cfg.coherent_h_list)
-        checks["coherent"] = {"powers": study.powers,
-                              "errors": [{str(k): v for k, v in e.items()}
-                                         for e in study.errors]}
-        verdicts["coherent"] = min(study.powers) >= 0.5
 
-    study = None
-    if "counting" in cfg.checks:
-        note("counting")
-        study = scaling_study(flow, cfg.escape, cfg.truncation, cfg.E,
-                              cfg.alpha_grid, cfg.beta)
-        control = synthetic_lattice_counts(cfg.E, cfg.alpha_grid, cfg.beta)
-        checks["counting"] = {
-            "table": list(zip(study.alphas, study.counts)),
-            "exponent": study.exponent,
-            "undefined": study.undefined,
-            "control_counts": control.counts,
-            "control_exponent": control.exponent,
-            "reference": study.reference,
-        }
-        verdicts["counting"] = ((study.undefined or study.exponent <= 3.0)
-                                and abs(control.exponent - 2.5) <= 0.1)
+def _check_ims(ctx):
+    cfg = ctx.cfg
+    tr = replace(cfg.truncation, j_max=cfg.ims_j_max, j_buffer=16)
+    block = op.build_generator(ctx.flow, op.NeutralSector(), tr)
+    h_list = [0.1, 0.05, 0.025, 0.0125]
+    res = op.partition_ims_check(block, ctx.escape, complex(cfg.E, 1.0),
+                                 h_list, trials=20, r0=cfg.ims_band[0],
+                                 r1=cfg.ims_band[1], seed=cfg.seed)
+    ratios = [res[h_list[i]] / res[h_list[i + 1]] for i in range(3)]
+    return all(3.0 <= r <= 5.0 for r in ratios), {
+        "residuals": {str(k): v for k, v in res.items()}, "ratios": ratios}
 
-    if "disk" in cfg.checks:
-        note("disk")
-        dc = disk_box_check(base_res, cfg.E, cfg.beta, cfg.disk_b, cfg.h)
-        checks["disk"] = {"ok": dc.ok, "precondition_ok": dc.precondition_ok,
-                          "n_in_box": dc.n_in_box, "radius": dc.radius}
-        verdicts["disk"] = dc.ok
+
+def _check_garding(ctx):
+    cfg, flow = ctx.cfg, ctx.flow
+    k0 = cfg.truncation.k_max
+    sweep = {}
+    for k in (k0, k0 + 2, k0 + 4):
+        tr = replace(cfg.truncation, k_max=k)
+        sector = op.enumerate_orbits(flow.cat, k, tr.p_max)[0]
+        wg = op.apply_weight(op.build_generator(flow, sector, tr),
+                             ctx.escape, cfg.h)
+        sweep[k] = op.garding_upper_check(wg, trials=200, seed=cfg.seed)
+        if k == k0:
+            g0 = op.garding_upper_check(wg, trials=50, seed=cfg.seed)
+            g_shift = op.garding_upper_check(wg, trials=50, seed=cfg.seed,
+                                             shift=0.7)
+    defect = abs(g_shift - (g0 - 0.7))
+    return max(sweep.values()) <= 1.0 and defect < 1e-10, {
+        "sweep": {str(k): v for k, v in sweep.items()}, "shift_defect": defect}
+
+
+def _check_coherent(ctx):
+    study = coherent_symbol_study(ctx.flow, ctx.cfg.escape,
+                                  default_symbol_points(ctx.flow),
+                                  ctx.cfg.coherent_h_list)
+    return min(study.powers) >= 0.5, {
+        "powers": study.powers,
+        "errors": [{str(k): v for k, v in e.items()} for e in study.errors]}
+
+
+def _check_counting(ctx):
+    cfg = ctx.cfg
+    study = scaling_study(ctx.flow, cfg.escape, cfg.truncation, cfg.E,
+                          cfg.alpha_grid, cfg.beta)
+    control = synthetic_lattice_counts(cfg.E, cfg.alpha_grid, cfg.beta)
+    ctx.study = study
+    ok = ((study.undefined or study.exponent <= 3.0)
+          and abs(control.exponent - 2.5) <= 0.1)
+    return ok, {"table": list(zip(study.alphas, study.counts)),
+                "exponent": study.exponent,
+                "undefined": study.undefined,
+                "control_counts": control.counts,
+                "control_exponent": control.exponent,
+                "reference": study.reference}
+
+
+def _check_disk(ctx):
+    cfg = ctx.cfg
+    dc = disk_box_check(ctx.base, cfg.E, cfg.beta, cfg.disk_b, cfg.h)
+    return dc.ok, {"ok": dc.ok, "precondition_ok": dc.precondition_ok,
+                   "n_in_box": dc.n_in_box, "radius": dc.radius}
+
+
+# The campaign checks in run order: name -> check(ctx) -> (verdict, payload).
+CHECKS = {
+    "escape": _check_escape,
+    "upper_half": _check_upper_half,
+    "symmetry": _check_symmetry,
+    "intrinsic": _check_intrinsic,
+    "weyl": _check_weyl,
+    "ims": _check_ims,
+    "garding": _check_garding,
+    "coherent": _check_coherent,
+    "counting": _check_counting,
+    "disk": _check_disk,
+}
+
+
+def run_campaign(flow: MappingTorusFlow, cfg, progress=None, threads=1):
+    """Run the configured checks; return a JSON-able report and the
+    counting study (None when counting is not enabled or fails).
+
+    A check that raises gets verdict False and an "error" payload instead
+    of aborting the run.  Sector-level work fans out over a thread pool
+    when threads > 1 (the dense kernels release the GIL); results are
+    merged in sorted sector order, so reports do not depend on the pool's
+    schedule.
+    """
+    ctx = CampaignContext(flow, cfg, threads)
+    checks = {}
+    verdicts = {}
+    for name, check in CHECKS.items():
+        if name not in cfg.checks:
+            continue
+        if progress:
+            progress(name)
+        try:
+            verdicts[name], checks[name] = check(ctx)
+        except Exception as exc:  # noqa: BLE001 - verdicts must not abort the run
+            verdicts[name] = False
+            checks[name] = {"error": f"{type(exc).__name__}: {exc}"}
 
     report = {
         "schema_version": 1,
@@ -734,6 +740,6 @@ def run_campaign(flow: MappingTorusFlow, cfg, progress=None, threads=1):
         },
         "checks": checks,
         "verdicts": verdicts,
-        "passed": all(verdicts.values()) if verdicts else False,
+        "passed": all(verdicts.values()),
     }
-    return report, study
+    return report, ctx.study

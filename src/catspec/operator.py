@@ -204,21 +204,16 @@ def build_generator(flow: MappingTorusFlow, sector, truncation: Truncation) -> S
         basis = [ModeIndex(sector.key, 0, int(j)) for j in js]
         return SectorBlock(sector, basis, h, flow)
 
-    tbar = flow.period
-    omega = 2.0 * np.pi / tbar
-    kappa = truncation.flux_penalty
-    jmax = truncation.j_max
-    js = np.arange(-jmax, jmax + 1)
+    cell = orbit_cell_block(flow, truncation)
+    js = np.arange(-truncation.j_max, truncation.j_max + 1)
     nj = js.size
     ncell = sector.n_cells
-    n = ncell * nj
-    h = np.zeros((n, n), dtype=complex)
-    ones = np.ones((nj, nj), dtype=complex)
-    self_flux = -1j * kappa / tbar * ones
-    hop_flux = 1j * kappa / tbar * ones
+    h = np.zeros((ncell * nj, ncell * nj), dtype=complex)
+    hop_flux = (1j * truncation.flux_penalty / flow.period
+                * np.ones((nj, nj), dtype=complex))
     for ell in range(ncell):
         sl = slice(ell * nj, (ell + 1) * nj)
-        h[sl, sl] = np.diag(omega * js) + self_flux
+        h[sl, sl] = cell
         if ell > 0:
             h[sl, slice((ell - 1) * nj, ell * nj)] = hop_flux
     basis = [ModeIndex(sector.key, sector.p_hi - ell, int(j))
@@ -498,15 +493,6 @@ def _gaussian_x_integral(freqs, x0, xi_x, h, gamma):
     q = xi_x[None, :] / h - 2.0 * np.pi * np.asarray(freqs, dtype=float)
     phase = np.exp(-2j * np.pi * (freqs @ x0))
     return (2.0 * np.pi / gamma) * phase * np.exp(-np.sum(q * q, axis=1) / (2.0 * gamma))
-
-
-def coherent_expectation(state: CoherentState, matrices):
-    """<e, M e> / ||e||^2 over the sector blocks in `matrices` (key -> array)."""
-    total = 0.0 + 0.0j
-    for key, vec in state.coeffs.items():
-        if key in matrices:
-            total += np.vdot(vec, matrices[key] @ vec)
-    return complex(total / state.norm2)
 
 
 # ---------------------------------------------------------------------------

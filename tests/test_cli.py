@@ -36,6 +36,8 @@ def test_config_rejects_bad_values():
         parse_config("[campaign]\nims_band = 5.0,1.0\n")
     with pytest.raises(ConfigError):
         parse_config("[model]\na11 = fish\n")
+    with pytest.raises(ConfigError):
+        parse_config("[campaign]\nchecks =\n")
 
 
 def test_config_hash_changes_with_text():
@@ -98,6 +100,28 @@ def test_cli_campaign_subset_and_failure_exit(tmp_path, capsys):
     assert code == 1
     out_text = capsys.readouterr().out
     assert '"failed_checks": ["disk"]' in out_text
+
+
+@pytest.mark.parametrize("name,text,payload", [
+    # every sector is over the 500-dim audit limit: nothing is audited
+    ("weyl", "[solver]\nk_max = 1\nj_max = 250\n[campaign]\nchecks = weyl\n",
+     {"sectors_audited": 0, "worst_margin": None}),
+    # E = 0 is the excluded counting box: the check raises inside
+    ("counting", "[campaign]\nchecks = counting\ne = 0\n",
+     {"error": "ValueError: E = 0 is excluded"}),
+], ids=["weyl_empty_audit", "counting_e0"])
+def test_cli_campaign_check_failure_is_reported(tmp_path, capsys, name, text,
+                                                payload):
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(text)
+    out = tmp_path / "o"
+    assert main(["--config", str(cfgfile), "--out", str(out), "campaign"]) == 1
+    report = json.loads((out / "campaign.json").read_text())
+    assert report["passed"] is False and report["verdicts"] == {name: False}
+    assert report["checks"][name].items() >= payload.items()
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert f'"failed_checks": ["{name}"]' in captured.out
 
 
 def test_cli_plotdata(tmp_path):

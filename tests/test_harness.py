@@ -297,3 +297,15 @@ def test_campaign_determinism(flow):
     r2, _ = hs.run_campaign(flow, cfg)
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
     assert r1["verdicts"] == {"upper_half": True, "symmetry": True, "disk": True}
+
+
+def test_campaign_guard_turns_a_raising_check_into_a_failure(flow, monkeypatch):
+    def broken(ctx):
+        raise RuntimeError("seeded defect")
+
+    monkeypatch.setitem(hs.CHECKS, "disk", broken)
+    cfg = parse_config("[campaign]\nchecks = upper_half,disk\n[solver]\nk_max = 3\n")
+    report, _ = hs.run_campaign(flow, cfg)
+    assert report["verdicts"] == {"upper_half": True, "disk": False}
+    assert report["checks"]["disk"] == {"error": "RuntimeError: seeded defect"}
+    assert report["passed"] is False
