@@ -21,14 +21,6 @@ class QuadratureFailure(CatspecError):
     """Adaptive quadrature did not converge to the requested tolerance."""
 
 
-class EstimateViolation(CatspecError):
-    """Escape-estimate verification found offending samples."""
-
-    def __init__(self, message, samples=None):
-        super().__init__(message)
-        self.samples = samples if samples is not None else []
-
-
 class TruncationTooSmall(CatspecError):
     """Requested truncation cannot support the discretization."""
 

@@ -4,7 +4,9 @@ The manifold is the mapping torus of an integer hyperbolic matrix ``A``,
 i.e. ``T^2 x [0,1)`` glued by ``(x, 1) ~ (A x, 0)``.  The flow moves only
 the suspension coordinate, ``tau' = c(tau)`` with a strictly positive
 1-periodic trigonometric polynomial ``c``, so horizontal coordinates jump
-by ``A`` exactly at upward seam crossings (``A^-1`` downward).
+by ``A`` exactly at upward seam crossings (``A^-1`` downward).  The time-t
+map is closed form: shift the rectified time ``s(tau) = int_0^tau dt/c``
+by ``t`` and invert it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from scipy.integrate import solve_ivp
 
 from .errors import DegenerateSeed, NonConvergence
 
@@ -167,8 +168,6 @@ class MappingTorusFlow:
 
     cat: CatMap = field(default_factory=CatMap)
     time_change: TimeChange = field(default_factory=TimeChange)
-    ode_atol: float = 1e-11
-    ode_rtol: float = 1e-12
 
     def __post_init__(self):
         self.period = self.time_change.period
@@ -194,28 +193,13 @@ class MappingTorusFlow:
 
     # -- flow maps -------------------------------------------------------
 
-    def _lifted_tau(self, tau0, t):
-        """Integrate tau' = c(tau) on the line (no reduction) via RK45."""
-        if not np.isfinite(t):
-            raise NonConvergence(f"flow time must be finite, got {t}")
-        if t == 0.0:
-            return float(tau0)
-        sol = solve_ivp(
-            lambda _, y: [self.time_change(y[0] % 1.0)],
-            (0.0, t),
-            [float(tau0)],
-            method="RK45",
-            rtol=self.ode_rtol,
-            atol=self.ode_atol,
-        )
-        if not sol.success:
-            raise NonConvergence(f"tau integration failed: {sol.message}")
-        return float(sol.y[0, -1])
-
     def flow_time(self, p: BasePoint, t: float):
         """Return (end tau in [0,1), signed seam-crossing count)."""
-        lifted = self._lifted_tau(p.tau, float(t))
-        # endpoints within integrator tolerance of the seam count as crossed
+        t = float(t)
+        if not np.isfinite(t):
+            raise NonConvergence(f"flow time must be finite, got {t}")
+        lifted = self.time_change.unrectify(self.time_change.rectified(p.tau) + t)
+        # endpoints within inversion tolerance of the seam count as crossed
         nearest = np.round(lifted)
         if abs(lifted - nearest) < 1e-9:
             lifted = float(nearest)
@@ -226,16 +210,6 @@ class MappingTorusFlow:
         tau1, crossings = self.flow_time(p, t)
         x = self.cat.power(crossings) @ np.array(p.x)
         return BasePoint((x[0], x[1]), tau1)
-
-    def flow_time_rectified(self, p: BasePoint, t: float):
-        """Quadrature-based counterpart of :meth:`flow_time` (no ODE solve)."""
-        s = self.time_change.rectified(p.tau) + float(t)
-        lifted = self.time_change.unrectify(s)
-        nearest = np.round(lifted)
-        if abs(lifted - nearest) < 1e-9:
-            lifted = float(nearest)
-        crossings = int(np.floor(lifted))
-        return lifted - crossings, crossings
 
     def differential(self, p: BasePoint, t: float):
         """3x3 derivative of the time-t flow map at p."""

@@ -6,6 +6,7 @@ import pytest
 from catspec.cli import main
 from catspec.config import DEFAULT_CONFIG, parse_config
 from catspec.errors import ConfigError
+from catspec.escape import EscapeFunction
 
 
 def test_default_config_parses():
@@ -70,7 +71,7 @@ def test_cli_spectrum_writes_csv(tmp_path, capsys):
     assert any(line.startswith("neutral,") for line in lines[2:])
 
 
-def test_cli_verify_escape(tmp_path, capsys):
+def test_cli_verify_escape(tmp_path, capsys, monkeypatch):
     cfgfile = tmp_path / "fast.ini"
     cfgfile.write_text("[campaign]\nescape_samples = 800\n")
     code = main(["--config", str(cfgfile), "--out", str(tmp_path / "o"),
@@ -78,6 +79,15 @@ def test_cli_verify_escape(tmp_path, capsys):
     assert code == 0
     header = (tmp_path / "o" / "escape.csv").read_text().splitlines()[0]
     assert header.startswith("# config_sha256=")
+
+    # violating samples: exit 1 with the count, and the CSV is still written
+    monkeypatch.setattr(EscapeFunction, "escape_derivative_adapted",
+                        lambda self, a, step=1e-4: np.ones(np.shape(a)[:-1]))
+    code = main(["--config", str(cfgfile), "--out", str(tmp_path / "bad"),
+                 "verify-escape"])
+    assert code == 1
+    assert "800 samples violate" in capsys.readouterr().err
+    assert (tmp_path / "bad" / "escape.csv").exists()
 
 
 def test_cli_campaign_subset_and_failure_exit(tmp_path, capsys):

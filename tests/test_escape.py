@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from catspec import cotangent as ct
-from catspec.errors import EstimateViolation
+from catspec import harness as hs
+from catspec.config import parse_config
 from catspec.escape import (EscapeFunction, OrderParams, smoothstep,
                             verify_escape_estimates)
 from catspec.model import BasePoint, default_flow
@@ -180,13 +181,39 @@ def test_verify_escape_estimates_two_parameter_sets(flow):
         assert rep.violations == 0 and rep.c_measured > 0
 
 
+def _increasing_everywhere(self, a, step=1e-4):
+    return np.ones(np.shape(a)[:-1])
+
+
+_true_derivative = EscapeFunction.escape_derivative_adapted
+
+
+def _increasing_on_neutral_cone(self, a, step=1e-4):
+    # correct outside the neutral cone, so only the violation count can fail
+    return np.where(self.cone_label(a) == "0", 1.0, _true_derivative(self, a, step))
+
+
 def test_verify_escape_estimates_detects_violations(flow, escape, monkeypatch):
     # sanity-check the violation path by corrupting the derivative
-    rep_cls = verify_escape_estimates
     monkeypatch.setattr(EscapeFunction, "escape_derivative_adapted",
-                        lambda self, a, step=1e-4: np.ones(np.shape(a)[:-1]))
-    with pytest.raises(EstimateViolation):
-        rep_cls(escape, sample_count=100, seed=0)
+                        _increasing_everywhere)
+    rep = verify_escape_estimates(escape, sample_count=100, seed=0)
+    assert rep.violations > 0
+
+
+@pytest.mark.parametrize("derivative", [_increasing_everywhere,
+                                        _increasing_on_neutral_cone])
+def test_escape_check_fails_on_violations(flow, monkeypatch, derivative):
+    # negative control: violating samples give verdict false, not an error
+    monkeypatch.setattr(EscapeFunction, "escape_derivative_adapted", derivative)
+    cfg = parse_config("[campaign]\nchecks = escape\nescape_samples = 2000\n")
+    report, _ = hs.run_campaign(flow, cfg)
+    out = report["checks"]["escape"]
+    assert "error" not in out
+    assert report["verdicts"]["escape"] is False
+    assert out["violations"] > 0
+    if derivative is _increasing_on_neutral_cone:
+        assert out["c_measured"] > 0 and 1.8 <= out["doubling_ratio"] <= 2.2
 
 
 def test_neutral_cone_only_nonpositivity(escape):
@@ -202,12 +229,23 @@ def test_neutral_cone_only_nonpositivity(escape):
     assert np.max(xg) <= 1e-9
 
 
+def sample_cotangent_points(escape, count, seed=0, radius_span=100.0):
+    """Random phase-space points matching the verification distribution."""
+    p = escape.params
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        nu = rng.normal(size=3)
+        nu /= np.linalg.norm(nu)
+        r = p.radius * radius_span ** rng.random()
+        base = BasePoint((rng.random(), rng.random()), rng.random())
+        out.append(ct.from_adapted(escape.flow, base, nu * r))
+    return out
+
+
 def test_sampled_points_agree_across_evaluation_routes(flow, escape):
     # phase-space samples evaluated through the lifted flow match the
     # closed-form equivariant-coordinate route used by the batch sweep
-    from catspec import cotangent as ct
-    from catspec.escape import sample_cotangent_points
-
     for q in sample_cotangent_points(escape, 12, seed=9):
         ad = ct.adapted_components(flow, q)
         assert escape.escape(q) == pytest.approx(float(escape.escape_value(ad)),

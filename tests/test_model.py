@@ -1,11 +1,24 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from catspec.errors import DegenerateSeed, NonConvergence
 from catspec.model import BasePoint, CatMap, MappingTorusFlow, TimeChange, default_flow
 
 GOLDEN_LU = (3.0 + np.sqrt(5.0)) / 2.0
+
+
+def rk45_flow_time(flow, p, t):
+    """Oracle for flow_time: integrate tau' = c(tau) on the line with RK45."""
+    sol = solve_ivp(lambda _, y: [flow.time_change(y[0] % 1.0)], (0.0, t),
+                    [p.tau], method="RK45", rtol=1e-12, atol=1e-11)
+    assert sol.success, sol.message
+    lifted = float(sol.y[0, -1])
+    nearest = np.round(lifted)
+    if abs(lifted - nearest) < 1e-9:
+        lifted = float(nearest)
+    crossings = int(np.floor(lifted))
+    return lifted - crossings, crossings
 
 
 @pytest.fixture(scope="module")
@@ -73,15 +86,22 @@ def test_flow_map_one_crossing_applies_matrix(flow_const):
 
 
 def test_flow_map_return_time_crossing(flow):
-    # integrating for exactly one rectified period crosses the seam once
+    # flowing for exactly one rectified period crosses the seam once
     tau1, crossings = flow.flow_time(BasePoint((0.1, 0.2), 0.0), flow.period)
     assert crossings == 1
     assert tau1 == pytest.approx(0.0, abs=1e-9)
-    # rectified quadrature route agrees with the ODE route
-    tau2, crossings2 = flow.flow_time_rectified(BasePoint((0.1, 0.2), 0.0),
-                                                flow.period)
-    assert crossings2 == 1
-    assert tau2 == pytest.approx(tau1, abs=1e-9)
+    # the closed-form rectified time agrees with the RK45 oracle
+    two_harmonics = MappingTorusFlow(
+        time_change=TimeChange(1.0, (0.25, -0.1), (0.15,)))
+    rng = np.random.default_rng(12)
+    for f in (flow, two_harmonics):
+        for _ in range(20):
+            p = BasePoint((rng.random(), rng.random()), rng.random())
+            t = rng.uniform(-30.0, 30.0)
+            tau, n = f.flow_time(p, t)
+            tau_ode, n_ode = rk45_flow_time(f, p, t)
+            assert n == n_ode
+            assert tau == pytest.approx(tau_ode, abs=1e-8)
 
 
 def test_flow_semigroup_property(flow):
@@ -204,5 +224,6 @@ def test_one_form_flow_invariance(flow):
 
 def test_flow_rejects_nonconvergent_setup():
     flow = MappingTorusFlow()
-    with pytest.raises(NonConvergence):
-        flow._lifted_tau(0.0, np.nan)
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonConvergence):
+            flow.flow_time(BasePoint((0.1, 0.2), 0.3), t)
