@@ -29,7 +29,7 @@ def _parser():
     p.add_argument("--out", default=os.environ.get("CATSPEC_OUT"),
                    help="output directory (overrides config)")
     p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("CATSPEC_THREADS", "1")))
+                   default=os.environ.get("CATSPEC_THREADS", "1"))
     p.add_argument("--seed", type=int,
                    default=os.environ.get("CATSPEC_SEED"))
     sub = p.add_subparsers(dest="command", required=True)

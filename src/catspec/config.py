@@ -165,6 +165,8 @@ def parse_config(text: str) -> RunConfig:
             j_max=int(sv["j_max"]), j_buffer=int(sv["j_buffer"]),
             flux_penalty=float(sv["flux_penalty"]),
             edge_guard=int(sv["edge_guard"]))
+        if trunc.k_max < 1:
+            raise ConfigError("k_max must be at least 1")
         residual_tol = float(sv["residual_tol"])
         cluster_radius = float(sv["cluster_radius"])
         if residual_tol <= 0 or cluster_radius <= 0:

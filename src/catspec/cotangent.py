@@ -50,11 +50,19 @@ def h0(flow: MappingTorusFlow, q: CotangentPoint) -> float:
 
 
 def horizontal_components(flow: MappingTorusFlow, xi_x):
-    """Coefficients (a, b) of xi_x in the (unstable, stable) coframe."""
+    """Coefficients (a, b) of xi_x in the (unstable, stable) coframe.
+
+    A single covector gives two floats; a (..., 2) batch gives a (..., 2)
+    array, solved matrix by matrix so each row equals the single call.
+    """
     cu, cs = flow.cat.coframe_u, flow.cat.coframe_s
     m = np.array([[cu[0], cs[0]], [cu[1], cs[1]]])
-    a, b = np.linalg.solve(m, np.asarray(xi_x, dtype=float))
-    return float(a), float(b)
+    xi = np.asarray(xi_x, dtype=float)
+    ab = np.linalg.solve(np.broadcast_to(m, xi.shape[:-1] + (2, 2)),
+                         xi[..., None])[..., 0]
+    if xi.ndim == 1:
+        return float(ab[0]), float(ab[1])
+    return ab
 
 
 def adapted_components(flow: MappingTorusFlow, q: CotangentPoint):

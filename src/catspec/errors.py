@@ -29,10 +29,6 @@ class WeightOverflow(CatspecError):
     """A diagonal weight entry would overflow double precision."""
 
 
-class ContourTooClose(CatspecError):
-    """Integration contour passes too close to the spectrum."""
-
-
 class UnresolvedState(CatspecError):
     """Wave packet is not resolved by the truncated mode basis."""
 

@@ -17,7 +17,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import operator as op
-from .errors import MultiplicityMismatch, UnmatchedEntry, UnresolvedWindow
+from .errors import (MultiplicityMismatch, UnmatchedEntry, UnresolvedState,
+                     UnresolvedWindow)
 from .escape import EscapeFunction, OrderParams, verify_escape_estimates
 from .model import MappingTorusFlow
 
@@ -467,7 +468,7 @@ def coherent_symbol_study(flow: MappingTorusFlow, params: OrderParams,
                 norms[i] += float(np.vdot(vec, vec).real)
         for i, prof in enumerate(profiles):
             if norms[i] < (1.0 - mass_tol) * prof.ref_norm2:
-                raise op.UnresolvedState(
+                raise UnresolvedState(
                     f"point {i}: captured mass {norms[i] / prof.ref_norm2:.4f} at h={h}")
             expv = acc[i] / norms[i]
             pred = preds[i].real + 1j * h * preds[i].imag

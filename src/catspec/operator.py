@@ -28,8 +28,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import cotangent
-from .errors import (ContourTooClose, NonConvergence, TruncationTooSmall,
-                     UnresolvedState, WeightOverflow)
+from .errors import NonConvergence, TruncationTooSmall, WeightOverflow
 from .escape import EscapeFunction, smoothstep
 from .model import MappingTorusFlow
 
@@ -68,13 +67,6 @@ class OrbitSector:
     @property
     def n_cells(self):
         return self.p_hi - self.p_lo + 1
-
-
-@dataclass(frozen=True)
-class ModeIndex:
-    sector_key: str
-    p: int          # orbit position (0 for the neutral sector)
-    j: int          # integer frequency in the sector discretization
 
 
 @dataclass(frozen=True)
@@ -167,8 +159,15 @@ def sector_frequencies(cat, sector):
 
 @dataclass
 class SectorBlock:
+    """One sector's generator matrix and its mode basis.
+
+    basis is an int64 array of shape (dim, 2): row i holds the orbit
+    position p (0 for the neutral sector) and the frequency j of mode i.
+    Orbit modes are cell-major with j ascending inside each cell.
+    """
+
     sector: object
-    basis: list
+    basis: np.ndarray
     matrix: np.ndarray
     flow: MappingTorusFlow = field(repr=False, default=None)
 
@@ -197,11 +196,9 @@ def build_generator(flow: MappingTorusFlow, sector, truncation: Truncation) -> S
             coef = flow.time_change.fourier_coefficient(d)
             if coef == 0:
                 continue
-            for col, j in enumerate(js):
-                row = col + d
-                if 0 <= row < n:
-                    h[row, col] += 2.0 * np.pi * j * coef
-        basis = [ModeIndex(sector.key, 0, int(j)) for j in js]
+            cols = np.arange(max(0, -d), min(n, n - d))
+            h[cols + d, cols] += 2.0 * np.pi * js[cols] * coef
+        basis = np.column_stack([np.zeros_like(js), js])
         return SectorBlock(sector, basis, h, flow)
 
     cell = orbit_cell_block(flow, truncation)
@@ -216,8 +213,8 @@ def build_generator(flow: MappingTorusFlow, sector, truncation: Truncation) -> S
         h[sl, sl] = cell
         if ell > 0:
             h[sl, slice((ell - 1) * nj, ell * nj)] = hop_flux
-    basis = [ModeIndex(sector.key, sector.p_hi - ell, int(j))
-             for ell in range(ncell) for j in js]
+    basis = np.column_stack([np.repeat(sector.p_hi - np.arange(ncell), nj),
+                             np.tile(js, ncell)])
     return SectorBlock(sector, basis, h, flow)
 
 
@@ -239,24 +236,21 @@ def orbit_cell_block(flow: MappingTorusFlow, truncation: Truncation):
     return block
 
 
-def mode_covector(flow: MappingTorusFlow, sector, mode: ModeIndex, h=1.0):
-    """Phase-space covector (xi_x, eta) assigned to a mode, scaled by h."""
+def _mode_adapted(block: SectorBlock, h):
+    """Equivariant frame components of every mode covector (rep. tau = 0).
+
+    Mode (p, j) of an orbit sector sits at the phase-space covector
+    2 pi h ((A^T)^p k0, j); neutral modes have zero horizontal part.
+    """
+    flow, sector = block.flow, block.sector
     if isinstance(sector, NeutralSector):
-        k = np.zeros(2)
+        k = np.zeros((block.dim, 2))
     else:
-        k = (flow.cat.power(mode.p).T @ np.asarray(sector.k0)).astype(float)
-    return 2.0 * np.pi * h * np.array([k[0], k[1], float(mode.j)])
-
-
-def _mode_adapted(flow, sector, block_basis, h):
-    """Equivariant frame components of every mode covector (rep. tau = 0)."""
-    out = np.empty((len(block_basis), 3))
+        k = np.repeat(np.asarray(sector_frequencies(flow.cat, sector), dtype=float),
+                      block.dim // sector.n_cells, axis=0)
+    ab = cotangent.horizontal_components(flow, 2.0 * np.pi * h * k)
     c0 = float(flow.time_change(0.0))
-    for i, mode in enumerate(block_basis):
-        xi = mode_covector(flow, sector, mode, h)
-        a, b = cotangent.horizontal_components(flow, xi[:2])
-        out[i] = (a, b, c0 * xi[2])
-    return out
+    return np.column_stack([ab, c0 * (2.0 * np.pi * h * block.basis[:, 1])])
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +262,9 @@ class WeightedGenerator:
     """Conjugated block P = W H W^{-1} with its weight metadata."""
 
     block: SectorBlock
-    escape: EscapeFunction = field(repr=False)
     h: float
     log_weight: np.ndarray = field(repr=False)
     matrix: np.ndarray = field(repr=False)
-
-    @property
-    def key(self):
-        return self.block.key
 
     @property
     def dim(self):
@@ -291,9 +280,7 @@ class WeightedGenerator:
 
     def mode_radii(self):
         """Adapted norm |h xi| of every mode covector."""
-        ad = _mode_adapted(self.block.flow, self.block.sector,
-                           self.block.basis, self.h)
-        return np.linalg.norm(ad, axis=1)
+        return np.linalg.norm(_mode_adapted(self.block, self.h), axis=1)
 
 
 def conjugate_by_diagonal(matrix, log_weight):
@@ -312,14 +299,13 @@ def apply_weight(block: SectorBlock, escape: EscapeFunction, h: float) -> Weight
     Entries are scaled by weight ratios, P_ij = w_i H_ij / w_j, so the
     diagonal of P equals the diagonal of H exactly.
     """
-    ad = _mode_adapted(block.flow, block.sector, block.basis, h)
+    ad = _mode_adapted(block, h)
     logw = np.asarray(escape.escape_value(ad), dtype=float)
     if np.any(np.abs(logw) > 700.0):
         raise WeightOverflow(
             f"max |log weight| = {np.abs(logw).max():.1f} exceeds 700; "
             "reduce |u|, s or the truncation")
-    return WeightedGenerator(block=block, escape=escape, h=h,
-                             log_weight=logw,
+    return WeightedGenerator(block=block, h=h, log_weight=logw,
                              matrix=conjugate_by_diagonal(block.matrix, logw))
 
 
@@ -362,65 +348,9 @@ def singular_values(p: np.ndarray, z_e=0.0):
     return np.sort(sla.svdvals(shifted))
 
 
-def singular_values_gram(p: np.ndarray, z_e=0.0):
-    """Cross-validation route: sqrt of Hermitian eigenvalues of A*A."""
-    p = np.asarray(p, dtype=complex)
-    a = p - complex(z_e) * np.eye(p.shape[0])
-    vals = sla.eigvalsh(a.conj().T @ a)
-    return np.sqrt(np.clip(vals, 0.0, None))
-
-
-def _projector_quadrature(p, center, radius, n_quad):
-    n = p.shape[0]
-    eye = np.eye(n)
-    acc = np.zeros_like(p)
-    scale = np.linalg.norm(p, np.inf) + abs(center) + radius
-    for m in range(n_quad):
-        th = 2.0 * np.pi * (m + 0.5) / n_quad
-        z = center + radius * np.exp(1j * th)
-        shifted = z * eye - p
-        if np.min(sla.svdvals(shifted)) < 1e-13 * scale:
-            raise ContourTooClose(f"contour point {z:.6g} is numerically "
-                                  "an eigenvalue")
-        acc += radius * np.exp(1j * th) * np.linalg.inv(shifted)
-    return acc / n_quad
-
-
-def spectral_projector_rank(p: np.ndarray, center, radius, n_quad=64):
-    """Algebraic eigenvalue count inside a circle via resolvent quadrature.
-
-    Trapezoid rule on the circle; rank read off by thresholding singular
-    values of the projector approximation at 1/2.  The quadrature error is
-    estimated by halving the node count; the call fails with
-    ContourTooClose when ten times that estimate could move a singular
-    value across the 1/2 threshold, i.e. when the contour passes too close
-    to the spectrum for the requested resolution.
-    """
-    p = np.asarray(p, dtype=complex)
-    proj = _projector_quadrature(p, center, radius, n_quad)
-    rough = _projector_quadrature(p, center, radius, max(4, n_quad // 2))
-    err = np.linalg.norm(proj - rough, 2)
-    svals = sla.svdvals(proj)
-    if err > 0.25 or np.any(np.abs(svals - 0.5) < 10.0 * max(err, 1e-14)):
-        raise ContourTooClose(
-            f"quadrature error estimate {err:.2e} cannot separate the "
-            "projector spectrum at threshold 1/2")
-    return int(np.sum(svals >= 0.5))
-
-
 # ---------------------------------------------------------------------------
 # coherent states
 # ---------------------------------------------------------------------------
-
-@dataclass
-class CoherentState:
-    alpha_x: tuple
-    alpha_xi: tuple
-    h: float
-    coeffs: dict                  # sector key -> coefficient vector
-    norm2: float                  # captured squared norm
-    ref_norm2: float              # quadrature norm of the continuum packet
-
 
 class PacketProfile:
     """Shared suspension-coordinate data for one Gaussian wave packet."""
@@ -447,7 +377,7 @@ class PacketProfile:
     def project(self, flow, block):
         """Coefficient vector of the packet on one sector block."""
         if isinstance(block.sector, NeutralSector):
-            js = np.array([m.j for m in block.basis])
+            js = block.basis[:, 1]
             tau_int = (np.exp(-2j * np.pi * np.outer(js, self.taus))
                        @ self.g_tau) * self.dtau
             x_int = _gaussian_x_integral(np.zeros((1, 2)), self.ax[:2],
@@ -456,36 +386,11 @@ class PacketProfile:
         freqs = np.asarray(sector_frequencies(flow.cat, block.sector), dtype=float)
         x_int = _gaussian_x_integral(freqs, self.ax[:2], self.xi[:2],
                                      self.h, self.gamma)
-        js = np.arange(-_sector_jmax(block), _sector_jmax(block) + 1)
+        j_max = block.basis[:, 1].max()
+        js = np.arange(-j_max, j_max + 1)
         phases = np.exp(-2j * np.pi * np.outer(js, self.phi) / self.tbar)
         tau_int = (phases @ (self.g_tau / self.c_vals)) * self.dtau / np.sqrt(self.tbar)
         return (x_int[:, None] * tau_int[None, :]).ravel()
-
-
-def coherent_state(flow: MappingTorusFlow, blocks, alpha_x, alpha_xi, h,
-                   mass_tol=0.01, tau_grid=4096):
-    """Project a Gaussian wave packet on the truncated mode basis.
-
-    alpha_x = (x1, x2, tau) is the center, alpha_xi the covector.  Raises
-    UnresolvedState when more than mass_tol of the packet's squared norm is
-    missing from the truncation window.
-    """
-    profile = PacketProfile(flow, alpha_x, alpha_xi, h, tau_grid)
-    coeffs = {}
-    captured = 0.0
-    for block in blocks:
-        vec = profile.project(flow, block)
-        coeffs[block.key] = vec
-        captured += float(np.vdot(vec, vec).real)
-    if captured < (1.0 - mass_tol) * profile.ref_norm2:
-        raise UnresolvedState(
-            f"truncation captures {captured / profile.ref_norm2:.4f} of the packet mass")
-    return CoherentState(tuple(profile.ax), tuple(profile.xi), h, coeffs,
-                         captured, profile.ref_norm2)
-
-
-def _sector_jmax(block):
-    return max(m.j for m in block.basis)
 
 
 def _gaussian_x_integral(freqs, x0, xi_x, h, gamma):
@@ -519,7 +424,7 @@ def partition_ims_check(block: SectorBlock, escape: EscapeFunction, z,
     """
     rng = np.random.default_rng(seed)
     n = block.dim
-    js = np.array([m.j for m in block.basis], dtype=float)
+    js = block.basis[:, 1].astype(float)
     c0 = float(block.flow.time_change(0.0))
     out = {}
     for h in h_list:

@@ -39,6 +39,8 @@ def test_config_rejects_bad_values():
         parse_config("[model]\na11 = fish\n")
     with pytest.raises(ConfigError):
         parse_config("[campaign]\nchecks =\n")
+    with pytest.raises(ConfigError):
+        parse_config("[solver]\nk_max = 0\n")
 
 
 def test_config_hash_changes_with_text():
@@ -150,6 +152,14 @@ def test_cli_env_overrides(tmp_path, monkeypatch):
     monkeypatch.setenv("CATSPEC_OUT", str(tmp_path / "envout"))
     assert main(["spectrum"]) == 0
     assert (tmp_path / "envout" / "spectrum.csv").exists()
+
+    # a malformed integer in the environment is a usage error (exit 2)
+    for name in ("CATSPEC_THREADS", "CATSPEC_SEED"):
+        with monkeypatch.context() as env:
+            env.setenv(name, "abc")
+            with pytest.raises(SystemExit) as exc:
+                main(["print-config"])
+            assert exc.value.code == 2
 
 
 def test_cli_idempotent_outputs(tmp_path):

@@ -10,6 +10,7 @@ from catspec.config import parse_config, DEFAULT_CONFIG
 from catspec.errors import MultiplicityMismatch, UnresolvedWindow
 from catspec.escape import OrderParams
 from catspec.model import default_flow
+from oracles import spectral_projector_rank
 
 
 @pytest.fixture(scope="module")
@@ -197,7 +198,7 @@ def test_extraction_orbit_multiplicity(flow, trunc):
     blk = op.build_generator(flow, sector, tr_small)
     cell_pairs = op.eigendecompose(op.orbit_cell_block(flow, tr_small))
     target = cell_pairs[len(cell_pairs) // 2].value
-    rank = op.spectral_projector_rank(blk.matrix, target, 1.0)
+    rank = spectral_projector_rank(blk.matrix, target, 1.0)
     assert rank == sector.n_cells
 
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from catspec import cotangent
 from catspec import operator as op
-from catspec.errors import (ContourTooClose, TruncationTooSmall,
-                            UnresolvedState, WeightOverflow)
+from catspec.errors import TruncationTooSmall, UnresolvedState, WeightOverflow
 from catspec.escape import EscapeFunction, OrderParams
 from catspec.model import BasePoint, default_flow
+from oracles import (ContourTooClose, coherent_state, singular_values_gram,
+                     spectral_projector_rank)
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +80,7 @@ def test_representative_is_minimal_norm(flow):
 def test_neutral_block_constant_time_change(flow_const):
     tr = op.Truncation(j_max=2, j_buffer=1)
     blk = op.build_generator(flow_const, op.NeutralSector(), tr)
-    js = np.array([m.j for m in blk.basis])
+    js = blk.basis[:, 1]
     assert np.allclose(blk.matrix, np.diag(2 * np.pi * js))
     inner = blk.matrix[1:-1, 1:-1]      # the unbuffered part
     assert np.allclose(np.sort(np.diag(inner).real),
@@ -91,7 +93,7 @@ def test_neutral_block_is_banded_by_cosine(flow):
     tr = op.Truncation(j_max=4, j_buffer=1)
     blk = op.build_generator(flow, op.NeutralSector(), tr)
     h = blk.matrix
-    js = np.array([m.j for m in blk.basis])
+    js = blk.basis[:, 1]
     for a, ja in enumerate(js):
         for b, jb in enumerate(js):
             if abs(ja - jb) > 1:
@@ -164,6 +166,64 @@ def test_orbit_line_eigenvalues_in_lower_half_plane(flow):
     cell_vals = np.linalg.eigvals(op.orbit_cell_block(flow, tr))
     for v in oracle:
         assert np.min(np.abs(cell_vals - v)) < 5e-3
+
+
+# ---------------------------------------------------------------------------
+# mode basis
+# ---------------------------------------------------------------------------
+
+def _mode_adapted_per_mode(block, h):
+    """Reference: one matrix power and one scalar coframe solve per mode."""
+    flow, sector = block.flow, block.sector
+    c0 = float(flow.time_change(0.0))
+    out = np.empty((block.dim, 3))
+    for i, (p, j) in enumerate(block.basis):
+        if isinstance(sector, op.NeutralSector):
+            k = np.zeros(2)
+        else:
+            k = (flow.cat.power(p).T @ np.asarray(sector.k0)).astype(float)
+        xi = 2.0 * np.pi * h * np.array([k[0], k[1], float(j)])
+        a, b = cotangent.horizontal_components(flow, xi[:2])
+        out[i] = (a, b, c0 * xi[2])
+    return out
+
+
+def test_mode_basis_layout_and_covectors_match_per_mode_loop(flow):
+    tr = op.Truncation(k_max=4, p_max=2, j_max=5, j_buffer=3)
+    orbits = {s.k0: s for s in op.enumerate_orbits(flow.cat, 4, 2)}
+    # a five-cell sector at the ball's edge and the eight-cell unit orbit
+    sectors = [op.NeutralSector(), orbits[(-3, 1)], orbits[(1, 0)]]
+    assert [s.n_cells for s in sectors[1:]] == [5, 8]
+    js = np.arange(-tr.j_max, tr.j_max + 1)
+    for sector in sectors:
+        blk = op.build_generator(flow, sector, tr)
+        assert blk.basis.shape == (blk.dim, 2)
+        assert blk.basis.dtype == np.int64
+        if isinstance(sector, op.NeutralSector):
+            jn = tr.j_max + tr.neutral_buffer()
+            assert np.array_equal(blk.basis[:, 0], np.zeros(blk.dim))
+            assert np.array_equal(blk.basis[:, 1], np.arange(-jn, jn + 1))
+        else:
+            nj = js.size
+            assert np.all(blk.basis[:nj, 0] == sector.p_hi)
+            assert np.array_equal(blk.basis[:, 0],
+                                  np.repeat(np.arange(sector.p_hi, sector.p_lo - 1, -1), nj))
+            assert np.array_equal(blk.basis[:, 1], np.tile(js, sector.n_cells))
+        for h in (0.05, 0.14):
+            assert np.array_equal(op._mode_adapted(blk, h),
+                                  _mode_adapted_per_mode(blk, h))
+
+
+def test_horizontal_components_batch_equals_scalar_calls(flow):
+    rng = np.random.default_rng(7)
+    xi = rng.normal(size=(3, 4, 2)) * 50.0
+    batch = cotangent.horizontal_components(flow, xi)
+    assert batch.shape == (3, 4, 2)
+    stacked = np.array([[cotangent.horizontal_components(flow, v) for v in row]
+                        for row in xi])
+    assert np.array_equal(batch, stacked)
+    single = cotangent.horizontal_components(flow, xi[0, 0])
+    assert isinstance(single, tuple) and all(type(v) is float for v in single)
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +323,15 @@ def test_singular_values_cases():
     m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     z = 0.3 - 0.7j
     assert np.allclose(op.singular_values(m, z),
-                       op.singular_values_gram(m, z), atol=1e-10)
+                       singular_values_gram(m, z), atol=1e-10)
 
 
 def test_spectral_projector_rank_cases():
-    assert op.spectral_projector_rank(np.diag([0.0, 5.0]), 0.0, 1.0) == 1
+    assert spectral_projector_rank(np.diag([0.0, 5.0]), 0.0, 1.0) == 1
     jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert op.spectral_projector_rank(jordan, 0.0, 1.0) == 2
+    assert spectral_projector_rank(jordan, 0.0, 1.0) == 2
     with pytest.raises(ContourTooClose):
-        op.spectral_projector_rank(np.diag([1.0, 3.0]), 0.0, 1.0)
+        spectral_projector_rank(np.diag([1.0, 3.0]), 0.0, 1.0)
 
 
 def test_spectral_projector_rank_on_cell_block(flow):
@@ -280,7 +340,7 @@ def test_spectral_projector_rank_on_cell_block(flow):
     pairs = op.eigendecompose(cell)
     center = pairs[len(pairs) // 2].value
     inside = sum(1 for p in pairs if abs(p.value - center) <= 1.5)
-    assert op.spectral_projector_rank(cell, center, 1.5) == inside
+    assert spectral_projector_rank(cell, center, 1.5) == inside
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +359,13 @@ def test_coherent_state_mass_and_overlap_decay(flow):
     h = 0.05
     blocks = _packet_blocks(flow, k_max=12)
     xi = 1.2 * np.array([flow.cat.coframe_u[0], flow.cat.coframe_u[1], 0.0])
-    s1 = op.coherent_state(flow, blocks, (0.5, 0.5, 0.5), xi, h)
+    s1 = coherent_state(flow, blocks, (0.5, 0.5, 0.5), xi, h)
     assert s1.norm2 >= 0.99 * s1.ref_norm2
     # overlaps of separated packets decay like a Gaussian in the separation
     seps = np.array([0.10, 0.15, 0.20])
     overlaps = []
     for dx in seps:
-        s2 = op.coherent_state(flow, blocks, (0.5 + dx, 0.5, 0.5), xi, h)
+        s2 = coherent_state(flow, blocks, (0.5 + dx, 0.5, 0.5), xi, h)
         num = sum(np.vdot(s1.coeffs[k], s2.coeffs[k]) for k in s1.coeffs)
         overlaps.append(abs(num) / np.sqrt(s1.norm2 * s2.norm2))
     slope = np.polyfit(seps ** 2, np.log(overlaps), 1)[0]
@@ -319,7 +379,7 @@ def test_coherent_state_symbol_expectation(flow):
     for h in (0.1, 0.05):
         blocks = _packet_blocks(flow, k_max=int(np.ceil(1.0 / h)) + 6)
         xi = np.array([0.9 * flow.cat.coframe_u[0], 0.9 * flow.cat.coframe_u[1], 0.7])
-        st = op.coherent_state(flow, blocks, (0.5, 0.5, 0.4), xi, h)
+        st = coherent_state(flow, blocks, (0.5, 0.5, 0.4), xi, h)
         num = 0.0
         for b in blocks:
             v = st.coeffs[b.key]
@@ -334,7 +394,7 @@ def test_coherent_state_unresolved(flow):
     blocks = _packet_blocks(flow, k_max=2)
     xi = 1.2 * np.array([flow.cat.coframe_u[0], flow.cat.coframe_u[1], 0.0])
     with pytest.raises(UnresolvedState):
-        op.coherent_state(flow, blocks, (0.5, 0.5, 0.5), xi, 0.05)
+        coherent_state(flow, blocks, (0.5, 0.5, 0.5), xi, 0.05)
 
 
 # ---------------------------------------------------------------------------
