@@ -1,14 +1,13 @@
 """Numerical resonance spectra for time-changed cat-map suspension flows."""
 
 from .model import BasePoint, CatMap, MappingTorusFlow, TimeChange, default_flow
-from .cotangent import CotangentPoint, EnergyShellSpec
+from .cotangent import CotangentPoint
 from .escape import EscapeFunction, OrderParams
 
 __all__ = [
     "BasePoint",
     "CatMap",
     "CotangentPoint",
-    "EnergyShellSpec",
     "EscapeFunction",
     "MappingTorusFlow",
     "OrderParams",

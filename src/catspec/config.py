@@ -11,7 +11,7 @@ import configparser
 import hashlib
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, TruncationTooSmall
 from .escape import OrderParams
 from .harness import CHECKS
 from .model import CatMap, MappingTorusFlow, TimeChange
@@ -165,8 +165,6 @@ def parse_config(text: str) -> RunConfig:
             j_max=int(sv["j_max"]), j_buffer=int(sv["j_buffer"]),
             flux_penalty=float(sv["flux_penalty"]),
             edge_guard=int(sv["edge_guard"]))
-        if trunc.k_max < 1:
-            raise ConfigError("k_max must be at least 1")
         residual_tol = float(sv["residual_tol"])
         cluster_radius = float(sv["cluster_radius"])
         if residual_tol <= 0 or cluster_radius <= 0:
@@ -197,12 +195,15 @@ def parse_config(text: str) -> RunConfig:
             out_dir=merged["output"]["out_dir"],
             model_ints=model_ints, c0=c0, c_cos=c_cos, c_sin=c_sin,
             text=text)
+        cfg.flow()                  # CatMap and TimeChange reject a bad model
     except ConfigError:
         raise
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TruncationTooSmall) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
     if cfg.beta <= 0 or cfg.h <= 0:
         raise ConfigError("beta and h must be positive")
+    if cfg.escape_samples < 1:
+        raise ConfigError("escape_samples must be at least 1")
     return cfg
 
 

@@ -9,7 +9,6 @@ flow-equivariant frame components returned by :func:`adapted_components`.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,17 +30,6 @@ class CotangentPoint:
 
     def covector(self):
         return np.array([self.xi_x[0], self.xi_x[1], self.eta])
-
-
-@dataclass(frozen=True)
-class EnergyShellSpec:
-    """A single energy value; E = 0 is the degenerate excluded case."""
-
-    E: float
-
-    @property
-    def degenerate(self):
-        return self.E == 0.0
 
 
 def h0(flow: MappingTorusFlow, q: CotangentPoint) -> float:
@@ -81,16 +69,6 @@ def adapted_components(flow: MappingTorusFlow, q: CotangentPoint):
                      flow.time_change(q.base.tau) * q.eta])
 
 
-def from_adapted(flow: MappingTorusFlow, base: BasePoint, triple) -> CotangentPoint:
-    """Inverse of :func:`adapted_components` over the given base point."""
-    at, bt, et = (float(v) for v in triple)
-    frac = flow.time_change.rectified(base.tau) / flow.period
-    lu = flow.cat.lambda_u
-    a, b = at * lu**(-frac), bt * lu**frac
-    xi = a * flow.cat.coframe_u + b * flow.cat.coframe_s
-    return CotangentPoint(base, (xi[0], xi[1]), et / flow.time_change(base.tau))
-
-
 def lifted_flow(flow: MappingTorusFlow, q: CotangentPoint, t: float) -> CotangentPoint:
     """Canonical lift: base moves by the flow, covector by (D phi_{-t})^T."""
     tau1, crossings = flow.flow_time(q.base, t)
@@ -120,14 +98,3 @@ def trapped_point(flow: MappingTorusFlow, p: BasePoint, E: float) -> CotangentPo
     alpha = flow.anosov_one_form(p)
     return CotangentPoint(p, (E * alpha[0], E * alpha[1]), E * alpha[2])
 
-
-def trajectory_csv(flow: MappingTorusFlow, q: CotangentPoint, times) -> str:
-    """CSV dump of a lifted trajectory: t, x1, x2, tau, xi1, xi2, eta, H0."""
-    buf = io.StringIO()
-    buf.write("t,x1,x2,tau,xi1,xi2,eta,h0\n")
-    for t in times:
-        qt = lifted_flow(flow, q, float(t))
-        row = [t, qt.base.x[0], qt.base.x[1], qt.base.tau,
-               qt.xi_x[0], qt.xi_x[1], qt.eta, h0(flow, qt)]
-        buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    return buf.getvalue()

@@ -13,14 +13,6 @@ class NonConvergence(CatspecError):
     """An iterative procedure failed to reach its tolerance."""
 
 
-class DegenerateSeed(CatspecError):
-    """Seed direction lies (numerically) in the excluded subspace."""
-
-
-class QuadratureFailure(CatspecError):
-    """Adaptive quadrature did not converge to the requested tolerance."""
-
-
 class TruncationTooSmall(CatspecError):
     """Requested truncation cannot support the discretization."""
 

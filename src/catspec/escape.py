@@ -22,7 +22,6 @@ import numpy as np
 
 from . import cotangent
 from .cotangent import CotangentPoint
-from .errors import QuadratureFailure
 from .model import MappingTorusFlow
 
 
@@ -89,7 +88,7 @@ class EscapeFunction:
         self._nodes, self._weights = composite_gauss_legendre(
             params.t_avg, panels, nodes_per_panel)
 
-    # -- cosphere geometry -------------------------------------------------
+    # -- covector flow -----------------------------------------------------
 
     def covector_flow(self, adapted, t):
         """Lifted flow on frame components: diag(e^{th}, e^{-th}, 1)."""
@@ -100,52 +99,6 @@ class EscapeFunction:
              d[..., 1] * np.exp(-self.theta * t),
              d[..., 2] * np.ones_like(t)], axis=-1)
 
-    def direction_flow(self, direction, t):
-        """Projective covector flow: :meth:`covector_flow`, normalized."""
-        scaled = self.covector_flow(direction, t)
-        return scaled / np.linalg.norm(scaled, axis=-1, keepdims=True)
-
-    def stable_bump(self, direction):
-        """Cosphere profile: 1 away from the stable cotangent points.
-
-        Equals 1 where the stable-coframe fraction is below the cone
-        threshold and 0 where the direction is within the aperture of the
-        stable axis, monotone in between.
-        """
-        d = np.asarray(direction, dtype=float)
-        b2 = d[..., 1] ** 2 / np.sum(d * d, axis=-1)
-        return 1.0 - smoothstep((b2 - self._cone2) / (1.0 - 2.0 * self._cone2))
-
-    def unstable_bump(self, direction):
-        """Cosphere profile: 1 only near the unstable cotangent points."""
-        d = np.asarray(direction, dtype=float)
-        a2 = d[..., 0] ** 2 / np.sum(d * d, axis=-1)
-        return smoothstep((a2 - self._cone2) / (1.0 - 2.0 * self._cone2))
-
-    def averaged_order(self, direction, bump=None, t_avg=None,
-                       rtol=1e-9, max_refine=4):
-        """Time average of a cosphere bump along the projective flow.
-
-        Adaptive in the panel count: refines until two successive composite
-        rules agree to rtol, raising QuadratureFailure otherwise.  Returns a
-        value in [0, 1].
-        """
-        bump = self.stable_bump if bump is None else bump
-        t_avg = self.params.t_avg if t_avg is None else float(t_avg)
-        d = np.asarray(direction, dtype=float)
-        panels = 16
-        prev = None
-        for _ in range(max_refine + 1):
-            nodes, weights = composite_gauss_legendre(t_avg, panels, 16)
-            vals = bump(self.direction_flow(d, nodes))
-            est = float(np.sum(weights * vals))
-            if prev is not None and abs(est - prev) <= rtol * max(1.0, abs(est)):
-                return min(max(est, 0.0), 1.0)
-            prev = est
-            panels *= 2
-        raise QuadratureFailure(
-            f"bump average did not settle to rtol={rtol} after {max_refine} refinements")
-
     # -- order function and escape function --------------------------------
 
     #: saturation level of the averaged profiles; the averaging time keeps
@@ -155,11 +108,6 @@ class EscapeFunction:
     def _saturate(self, m):
         eps = self.SATURATION
         return smoothstep((m - eps) / (1.0 - 2.0 * eps))
-
-    def _saturate_slope(self, m):
-        eps = self.SATURATION
-        x = np.clip((m - eps) / (1.0 - 2.0 * eps), 0.0, 1.0)
-        return 30.0 * x * x * (1.0 - x) ** 2 / (1.0 - 2.0 * eps)
 
     def _raw_profiles(self, adapted):
         """Time-averaged bump profiles for a batch of frame triples."""
@@ -197,25 +145,6 @@ class EscapeFunction:
         p = self.params
         m1, m2 = self._profiles(adapted)
         return p.s + (p.n0 - p.s) * m1 + (p.u - p.n0) * m2
-
-    def order_profile_flow_derivative(self, adapted):
-        """Exact flow derivative of the direction profile.
-
-        Uses the endpoint identity of the time average: the derivative of
-        each raw profile is the bump difference at +-t_avg over 2 t_avg,
-        which is nonnegative pointwise; the saturation contributes a
-        nonnegative chain factor, so the combination is nonpositive.
-        """
-        p = self.params
-        d = np.asarray(adapted, dtype=float)
-        nu = d / np.linalg.norm(d, axis=-1, keepdims=True)
-        plus = self.direction_flow(nu, p.t_avg)
-        minus = self.direction_flow(nu, -p.t_avg)
-        dm1 = (self.stable_bump(plus) - self.stable_bump(minus)) / (2.0 * p.t_avg)
-        dm2 = (self.unstable_bump(plus) - self.unstable_bump(minus)) / (2.0 * p.t_avg)
-        m1_raw, m2_raw = self._raw_profiles(d)
-        return ((p.n0 - p.s) * self._saturate_slope(m1_raw) * dm1
-                + (p.u - p.n0) * self._saturate_slope(m2_raw) * dm2)
 
     def _ramp(self, r):
         # radial cutoff: 0 below 1/2, 1 above 1, smooth in log r
@@ -272,12 +201,6 @@ class EscapeFunction:
 
     # -- CotangentPoint wrappers -------------------------------------------
 
-    def order(self, q: CotangentPoint) -> float:
-        return float(self.order_value(cotangent.adapted_components(self.flow, q)))
-
-    def interpolant(self, q: CotangentPoint) -> float:
-        return float(self.radial_interpolant(cotangent.adapted_components(self.flow, q)))
-
     def escape(self, q: CotangentPoint) -> float:
         return float(self.escape_value(cotangent.adapted_components(self.flow, q)))
 
@@ -309,13 +232,9 @@ class EscapeFunction:
 class EscapeReport:
     """Outcome of the sampled escape-estimate verification."""
 
-    params: OrderParams
-    n_samples: int
     c_measured: float
     decay_bound: float          # measured uniform decay outside the neutral cone
-    max_outside: float          # max X(G) over samples outside the neutral cone
     max_everywhere: float       # max X(G) over all samples
-    min_everywhere: float
     violations: int
     rows: list
 
@@ -348,7 +267,7 @@ def verify_escape_estimates(escape: EscapeFunction, sample_count=10000,
     m = escape.order_value(adapted)
     g = escape.escape_value(adapted)
     labels = escape.cone_label(adapted)
-    outside = np.array([lab != "0" for lab in labels])
+    outside = labels != "0"
 
     max_outside = float(np.max(xg[outside]))
     max_everywhere = float(np.max(xg))
@@ -359,7 +278,6 @@ def verify_escape_estimates(escape: EscapeFunction, sample_count=10000,
     rows = [(adapted[i, 0], adapted[i, 1], adapted[i, 2], m[i], g[i], xg[i], labels[i])
             for i in range(min(sample_count, keep_rows))]
     return EscapeReport(
-        params=p, n_samples=sample_count, c_measured=c_measured,
-        decay_bound=decay_bound, max_outside=max_outside,
-        max_everywhere=max_everywhere, min_everywhere=float(np.min(xg)),
+        c_measured=c_measured, decay_bound=decay_bound,
+        max_everywhere=max_everywhere,
         violations=int(np.count_nonzero(bad)), rows=rows)

@@ -36,10 +36,7 @@ class ResonanceSet:
     entries: list
     meta: dict = field(default_factory=dict)
 
-    def values(self, expand=False):
-        if expand:
-            return np.array([e.value for e in self.entries
-                             for _ in range(e.multiplicity)])
+    def values(self):
         return np.array([e.value for e in self.entries])
 
     def above(self, floor):
@@ -295,20 +292,14 @@ def upper_half_check(res: ResonanceSet) -> float:
 class WeylAudit:
     verdict: bool
     worst_margin: float          # min over N of log-prefix slack
-    n: int
-    sing_below: int              # singular values below the comparison radius
-    eigs_in_disk: int            # eigenvalues within the comparison disk
-    comparison_radius: float
 
 
-def weyl_audit(p: np.ndarray, z_e, eigenvalues=None, rel_slack=1e-10,
-               c_m=None, h=None) -> WeylAudit:
+def weyl_audit(p: np.ndarray, z_e, eigenvalues=None,
+               rel_slack=1e-10) -> WeylAudit:
     """Prefix products of singular values against eigenvalue distances.
 
     Checks prod_{j<=N} s_j <= prod_{j<=N} |lambda_j - z_e| for every N in
-    log space (relative slack rel_slack).  When c_m and h are given, also
-    reports the counts entering the disk-counting corollary at radius
-    1 + c_m h / 2.
+    log space (relative slack rel_slack).
     """
     p = np.asarray(p, dtype=complex)
     n = p.shape[0]
@@ -337,13 +328,7 @@ def weyl_audit(p: np.ndarray, z_e, eigenvalues=None, rel_slack=1e-10,
         worst = min(worst, margin)
         if margin < -rel_slack * max(1.0, abs(acc_d)):
             ok = False
-    radius = float("nan")
-    sing_below = eigs_in = 0
-    if c_m is not None and h is not None:
-        radius = 1.0 + 0.5 * c_m * h
-        sing_below = int(np.sum(s <= radius))
-        eigs_in = int(np.sum(d <= radius))
-    return WeylAudit(ok, float(worst), n, sing_below, eigs_in, radius)
+    return WeylAudit(ok, float(worst))
 
 
 def weyl_oracle(p: np.ndarray, z_e, dps=40):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .errors import DegenerateSeed, NonConvergence
+from .errors import NonConvergence
 
 _TAU_GRID = 4096
 
@@ -36,8 +36,6 @@ class TimeChange:
         cmin = float(np.min(self(grid)))
         if cmin <= 0.0:
             raise ValueError(f"time change must stay positive (min on grid {cmin:.3g})")
-        self.c_min = cmin
-        self.c_max = float(np.max(self(grid)))
         # Chebyshev antiderivative of 1/c gives the rectified-time map.
         interp = _cheb.Chebyshev.interpolate(lambda t: 1.0 / self(t), 96, domain=[0.0, 1.0])
         self._phi = interp.integ(lbnd=0.0)
@@ -54,15 +52,6 @@ class TimeChange:
             out = out + a * np.cos(2.0 * np.pi * d * tau)
         for d, b in enumerate(self.sin_coeffs, start=1):
             out = out + b * np.sin(2.0 * np.pi * d * tau)
-        return out if out.shape else float(out)
-
-    def derivative(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        out = np.zeros(tau.shape)
-        for d, a in enumerate(self.cos_coeffs, start=1):
-            out = out - 2.0 * np.pi * d * a * np.sin(2.0 * np.pi * d * tau)
-        for d, b in enumerate(self.sin_coeffs, start=1):
-            out = out + 2.0 * np.pi * d * b * np.cos(2.0 * np.pi * d * tau)
         return out if out.shape else float(out)
 
     def fourier_coefficient(self, d):
@@ -218,44 +207,6 @@ class MappingTorusFlow:
         d[:2, :2] = self.cat.power(crossings).astype(float)
         d[2, 2] = self.time_change(tau1) / self.time_change(p.tau)
         return d
-
-    # -- constructive splitting ------------------------------------------
-
-    def splitting_via_limit(self, p: BasePoint, v0, t_max: float,
-                            tol: float = 1e-8, seed_tol: float = 1e-8):
-        """Recover the unstable direction by pushing a seed forward.
-
-        Transports ``v0`` from ``phi_{-t_max}(p)`` to ``p`` with repeated
-        renormalization.  Fails with DegenerateSeed when v0 has no unstable
-        component, NonConvergence when t_max is too short for tol.
-        """
-        v0 = np.asarray(v0, dtype=float)
-        if np.linalg.norm(v0) == 0.0:
-            raise DegenerateSeed("zero seed vector")
-        v0 = v0 / np.linalg.norm(v0)
-        e_u, _, _ = self.anosov_splitting(p)
-        # component along e_u in the (e_u, e_s, E_0) frame
-        cof = self.cat.coframe_s
-        unstable_part = abs(v0[0] * cof[0] + v0[1] * cof[1]) / abs(
-            self.cat.e_u @ cof)
-        if unstable_part < seed_tol:
-            raise DegenerateSeed(
-                f"seed lies in E_0 + E_s up to {unstable_part:.2e}")
-        steps = max(1, int(np.ceil(abs(t_max))))
-        dt = float(t_max) / steps
-        q = self.flow_map(p, -float(t_max))
-        w = v0.copy()
-        for _ in range(steps):
-            w = self.differential(q, dt) @ w
-            w = w / np.linalg.norm(w)
-            q = self.flow_map(q, dt)
-        if w @ e_u < 0:
-            w = -w
-        angle = np.linalg.norm(w - e_u)
-        if angle > tol:
-            raise NonConvergence(
-                f"direction still {angle:.2e} from the unstable frame after t={t_max}")
-        return w
 
     # -- measured hyperbolicity ------------------------------------------
 

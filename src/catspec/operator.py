@@ -49,7 +49,8 @@ class OrbitSector:
     """One transpose-orbit of nonzero torus frequencies.
 
     k0 is the minimal-norm representative (ties broken lexicographically);
-    positions run over the kept powers p with frequency (A^T)^p k0.
+    the cells are the kept powers p_lo <= p <= p_hi, with frequency
+    (A^T)^p k0.
     """
 
     k0: tuple
@@ -59,10 +60,6 @@ class OrbitSector:
     @property
     def key(self):
         return f"orbit{self.k0[0]},{self.k0[1]}"
-
-    @property
-    def positions(self):
-        return range(self.p_lo, self.p_hi + 1)
 
     @property
     def n_cells(self):
@@ -77,6 +74,16 @@ class Truncation:
     j_buffer: int = 0           # 0 -> automatic buffer for the neutral sector
     flux_penalty: float = 1.6
     edge_guard: int = 6
+
+    def __post_init__(self):
+        if self.k_max < 1:
+            raise ValueError("k_max must be at least 1")
+        if self.j_max < 0:
+            raise ValueError("j_max must be at least 0")
+        if self.flux_penalty <= 0.0:
+            raise ValueError("flux penalty must be positive for a dissipative truncation")
+        if self.p_max < 2:
+            raise TruncationTooSmall(f"p_max must be >= 2, got {self.p_max}")
 
     def neutral_buffer(self):
         if self.j_buffer > 0:
@@ -110,8 +117,6 @@ def enumerate_orbits(cat, k_max, p_max=2):
     Positions p are kept while |(A^T)^p k0| stays below the cutoff
     k_max * lambda_u**p_max, so the window grows with both knobs.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
     cutoff = float(k_max) * cat.lambda_u ** p_max
     reps = {}
     rng_k = int(np.ceil(k_max))
@@ -182,10 +187,6 @@ class SectorBlock:
 
 def build_generator(flow: MappingTorusFlow, sector, truncation: Truncation) -> SectorBlock:
     """Matrix block of the generator -i c(tau) d/dtau for one sector."""
-    if truncation.p_max < 2:
-        raise TruncationTooSmall(f"p_max must be >= 2, got {truncation.p_max}")
-    if truncation.flux_penalty <= 0.0:
-        raise ValueError("flux penalty must be positive for a dissipative truncation")
     if isinstance(sector, NeutralSector):
         jmax = truncation.j_max + truncation.neutral_buffer()
         js = np.arange(-jmax, jmax + 1)
@@ -466,28 +467,3 @@ def numerical_range_top(matrix):
     m = np.asarray(matrix, dtype=complex)
     return float(np.max(sla.eigvalsh((m - m.conj().T) / 2j)))
 
-
-# ---------------------------------------------------------------------------
-# binary matrix dump (documented interchange layout)
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"CSPC"
-
-
-def dump_matrix(path, matrix):
-    """Dense binary dump: magic 'CSPC', int64 rows, int64 cols (little
-    endian), then row-major complex128 little-endian pairs."""
-    m = np.ascontiguousarray(np.asarray(matrix, dtype="<c16"))
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(np.array(m.shape, dtype="<i8").tobytes())
-        fh.write(m.tobytes())
-
-
-def load_matrix(path):
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not a catspec matrix dump")
-        rows, cols = np.frombuffer(fh.read(16), dtype="<i8")
-        data = np.frombuffer(fh.read(), dtype="<c16")
-    return data.reshape(int(rows), int(cols)).copy()

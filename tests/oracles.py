@@ -1,8 +1,12 @@
 """Cross-check oracles shared by the test modules.
 
 These routes are not used by the program: a Gram-matrix singular value
-solve, resolvent-quadrature projector ranks, and the coherent-state
-projection of a wave packet on a list of sector blocks.
+solve, resolvent-quadrature projector ranks, the coherent-state
+projection of a wave packet on a list of sector blocks, the unstable
+direction recovered by pushing a seed forward, the inverse of
+``cotangent.adapted_components``, and the escape function's averaged
+profiles rebuilt from cosphere bumps: an adaptive quadrature of the
+average and its exact flow derivative from the endpoint identity.
 """
 
 from __future__ import annotations
@@ -12,13 +16,23 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from catspec.errors import CatspecError, UnresolvedState
-from catspec.model import MappingTorusFlow
+from catspec.cotangent import CotangentPoint
+from catspec.errors import CatspecError, NonConvergence, UnresolvedState
+from catspec.escape import EscapeFunction, composite_gauss_legendre, smoothstep
+from catspec.model import BasePoint, MappingTorusFlow
 from catspec.operator import PacketProfile
 
 
 class ContourTooClose(CatspecError):
     """Integration contour passes too close to the spectrum."""
+
+
+class DegenerateSeed(CatspecError):
+    """Seed direction lies (numerically) in the excluded subspace."""
+
+
+class QuadratureFailure(CatspecError):
+    """Adaptive quadrature did not converge to the requested tolerance."""
 
 
 def singular_values_gram(p: np.ndarray, z_e=0.0):
@@ -97,3 +111,126 @@ def coherent_state(flow: MappingTorusFlow, blocks, alpha_x, alpha_xi, h,
             f"truncation captures {captured / profile.ref_norm2:.4f} of the packet mass")
     return CoherentState(tuple(profile.ax), tuple(profile.xi), h, coeffs,
                          captured, profile.ref_norm2)
+
+
+def splitting_via_limit(flow: MappingTorusFlow, p: BasePoint, v0, t_max: float,
+                        tol: float = 1e-8, seed_tol: float = 1e-8):
+    """Recover the unstable direction by pushing a seed forward.
+
+    Transports ``v0`` from ``phi_{-t_max}(p)`` to ``p`` with repeated
+    renormalization.  Fails with DegenerateSeed when v0 has no unstable
+    component, NonConvergence when t_max is too short for tol.
+    """
+    v0 = np.asarray(v0, dtype=float)
+    if np.linalg.norm(v0) == 0.0:
+        raise DegenerateSeed("zero seed vector")
+    v0 = v0 / np.linalg.norm(v0)
+    e_u, _, _ = flow.anosov_splitting(p)
+    # component along e_u in the (e_u, e_s, E_0) frame
+    cof = flow.cat.coframe_s
+    unstable_part = abs(v0[0] * cof[0] + v0[1] * cof[1]) / abs(
+        flow.cat.e_u @ cof)
+    if unstable_part < seed_tol:
+        raise DegenerateSeed(
+            f"seed lies in E_0 + E_s up to {unstable_part:.2e}")
+    steps = max(1, int(np.ceil(abs(t_max))))
+    dt = float(t_max) / steps
+    q = flow.flow_map(p, -float(t_max))
+    w = v0.copy()
+    for _ in range(steps):
+        w = flow.differential(q, dt) @ w
+        w = w / np.linalg.norm(w)
+        q = flow.flow_map(q, dt)
+    if w @ e_u < 0:
+        w = -w
+    angle = np.linalg.norm(w - e_u)
+    if angle > tol:
+        raise NonConvergence(
+            f"direction still {angle:.2e} from the unstable frame after t={t_max}")
+    return w
+
+
+def from_adapted(flow: MappingTorusFlow, base: BasePoint, triple) -> CotangentPoint:
+    """Inverse of ``cotangent.adapted_components`` over the given base point."""
+    at, bt, et = (float(v) for v in triple)
+    frac = flow.time_change.rectified(base.tau) / flow.period
+    lu = flow.cat.lambda_u
+    a, b = at * lu**(-frac), bt * lu**frac
+    xi = a * flow.cat.coframe_u + b * flow.cat.coframe_s
+    return CotangentPoint(base, (xi[0], xi[1]), et / flow.time_change(base.tau))
+
+
+def direction_flow(escape: EscapeFunction, direction, t):
+    """Projective covector flow: ``escape.covector_flow``, normalized."""
+    scaled = escape.covector_flow(direction, t)
+    return scaled / np.linalg.norm(scaled, axis=-1, keepdims=True)
+
+
+def stable_bump(escape: EscapeFunction, direction):
+    """Cosphere profile: 1 away from the stable cotangent points.
+
+    Equals 1 where the stable-coframe fraction is below the cone
+    threshold and 0 where the direction is within the aperture of the
+    stable axis, monotone in between.
+    """
+    d = np.asarray(direction, dtype=float)
+    b2 = d[..., 1] ** 2 / np.sum(d * d, axis=-1)
+    return 1.0 - smoothstep((b2 - escape._cone2) / (1.0 - 2.0 * escape._cone2))
+
+
+def unstable_bump(escape: EscapeFunction, direction):
+    """Cosphere profile: 1 only near the unstable cotangent points."""
+    d = np.asarray(direction, dtype=float)
+    a2 = d[..., 0] ** 2 / np.sum(d * d, axis=-1)
+    return smoothstep((a2 - escape._cone2) / (1.0 - 2.0 * escape._cone2))
+
+
+def averaged_order(escape: EscapeFunction, direction, bump=stable_bump,
+                   t_avg=None, rtol=1e-9, max_refine=4):
+    """Time average of a cosphere bump along the projective flow.
+
+    Adaptive in the panel count: refines until two successive composite
+    rules agree to rtol, raising QuadratureFailure otherwise.  Returns a
+    value in [0, 1].
+    """
+    t_avg = escape.params.t_avg if t_avg is None else float(t_avg)
+    d = np.asarray(direction, dtype=float)
+    panels = 16
+    prev = None
+    for _ in range(max_refine + 1):
+        nodes, weights = composite_gauss_legendre(t_avg, panels, 16)
+        vals = bump(escape, direction_flow(escape, d, nodes))
+        est = float(np.sum(weights * vals))
+        if prev is not None and abs(est - prev) <= rtol * max(1.0, abs(est)):
+            return min(max(est, 0.0), 1.0)
+        prev = est
+        panels *= 2
+    raise QuadratureFailure(
+        f"bump average did not settle to rtol={rtol} after {max_refine} refinements")
+
+
+def saturate_slope(escape: EscapeFunction, m):
+    """Derivative of the saturation ramp applied to the raw profiles."""
+    eps = escape.SATURATION
+    x = np.clip((m - eps) / (1.0 - 2.0 * eps), 0.0, 1.0)
+    return 30.0 * x * x * (1.0 - x) ** 2 / (1.0 - 2.0 * eps)
+
+
+def order_profile_flow_derivative(escape: EscapeFunction, adapted):
+    """Exact flow derivative of the direction profile.
+
+    Uses the endpoint identity of the time average: the derivative of
+    each raw profile is the bump difference at +-t_avg over 2 t_avg,
+    which is nonnegative pointwise; the saturation contributes a
+    nonnegative chain factor, so the combination is nonpositive.
+    """
+    p = escape.params
+    d = np.asarray(adapted, dtype=float)
+    nu = d / np.linalg.norm(d, axis=-1, keepdims=True)
+    plus = direction_flow(escape, nu, p.t_avg)
+    minus = direction_flow(escape, nu, -p.t_avg)
+    dm1 = (stable_bump(escape, plus) - stable_bump(escape, minus)) / (2.0 * p.t_avg)
+    dm2 = (unstable_bump(escape, plus) - unstable_bump(escape, minus)) / (2.0 * p.t_avg)
+    m1_raw, m2_raw = escape._raw_profiles(d)
+    return ((p.n0 - p.s) * saturate_slope(escape, m1_raw) * dm1
+            + (p.u - p.n0) * saturate_slope(escape, m2_raw) * dm2)

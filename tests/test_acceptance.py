@@ -16,22 +16,11 @@ from scipy.integrate import quad
 from catspec import harness as hs
 from catspec.config import DEFAULT_CONFIG, parse_config
 from catspec.escape import OrderParams
-from catspec.model import default_flow
 
 
 def _report(num, name, ok, detail):
     print(f"\nACCEPTANCE {num} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {num} {name}: {detail}"
-
-
-@pytest.fixture(scope="module")
-def flow():
-    return default_flow(0.2)
-
-
-@pytest.fixture(scope="module")
-def flow_const():
-    return default_flow(0.0)
 
 
 @pytest.fixture(scope="module")

@@ -56,10 +56,24 @@ def test_cli_model_info(capsys):
     assert "return time" in out
 
 
-def test_cli_bad_config_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["model-info", "spectrum", "verify-escape"])
+@pytest.mark.parametrize("text", [
+    "[solver]\nnope = 1\n",
+    "[model]\na11 = 1\na12 = 0\na21 = 0\na22 = 1\n",   # not hyperbolic
+    "[model]\nc0 = 0.1\nc_cos = 0.5\n",                # c(tau) < 0 somewhere
+    "[solver]\nflux_penalty = -1\n",
+    "[campaign]\nescape_samples = 0\n",
+    "[solver]\nk_max = 2\nj_max = -1\n",
+    "[solver]\np_max = 1\n",
+], ids=["unknown_key", "identity_matrix", "negative_time_change",
+        "negative_flux", "no_escape_samples", "negative_j_max", "p_max_1"])
+def test_cli_bad_config_exit_code(tmp_path, capsys, text, command):
     bad = tmp_path / "bad.ini"
-    bad.write_text("[solver]\nnope = 1\n")
-    assert main(["--config", str(bad), "model-info"]) == 2
+    bad.write_text(text)
+    assert main(["--config", str(bad), "--out", str(tmp_path / "o"),
+                 command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
 
 
 def test_cli_spectrum_writes_csv(tmp_path, capsys):

@@ -2,17 +2,8 @@ import numpy as np
 import pytest
 
 from catspec import cotangent as ct
-from catspec.model import BasePoint, default_flow
-
-
-@pytest.fixture(scope="module")
-def flow():
-    return default_flow(0.2)
-
-
-@pytest.fixture(scope="module")
-def flow_const():
-    return default_flow(0.0)
+from catspec.model import BasePoint
+from oracles import from_adapted
 
 
 def test_symbol_values(flow, flow_const):
@@ -120,7 +111,7 @@ def test_adapted_roundtrip(flow):
     for _ in range(10):
         base = BasePoint((rng.random(), rng.random()), rng.random())
         triple = rng.normal(size=3)
-        q = ct.from_adapted(flow, base, triple)
+        q = from_adapted(flow, base, triple)
         assert np.allclose(ct.adapted_components(flow, q), triple, atol=1e-12)
 
 
@@ -132,29 +123,14 @@ def test_cone_convergence_to_unstable_coframe(flow):
         triple = rng.normal(size=3)
         if abs(triple[0]) < 0.1:
             continue
-        q = ct.from_adapted(flow, base, triple)
+        q = from_adapted(flow, base, triple)
         qt = ct.lifted_flow(flow, q, 12.0)
         ad = ct.adapted_components(flow, qt)
         ad /= np.linalg.norm(ad)
         assert abs(abs(ad[0]) - 1.0) < 1e-6
 
 
-def test_energy_shell_spec():
-    assert ct.EnergyShellSpec(0.0).degenerate
-    assert not ct.EnergyShellSpec(2.0).degenerate
-
-
 def test_covector_must_be_finite(flow):
     with pytest.raises(ValueError):
         ct.CotangentPoint(BasePoint((0, 0), 0.0), (np.inf, 0.0), 0.0)
 
-
-def test_trajectory_csv(flow):
-    q = ct.trapped_point(flow, BasePoint((0.2, 0.4), 0.1), 1.0)
-    csv = ct.trajectory_csv(flow, q, [0.0, 0.5, 1.0])
-    lines = csv.strip().split("\n")
-    assert lines[0] == "t,x1,x2,tau,xi1,xi2,eta,h0"
-    assert len(lines) == 4
-    # symbol column stays at the energy value along the trapped section
-    for row in lines[1:]:
-        assert float(row.split(",")[-1]) == pytest.approx(1.0, abs=1e-12)

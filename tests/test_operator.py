@@ -5,24 +5,9 @@ from catspec import cotangent
 from catspec import operator as op
 from catspec.errors import TruncationTooSmall, UnresolvedState, WeightOverflow
 from catspec.escape import EscapeFunction, OrderParams
-from catspec.model import BasePoint, default_flow
+from catspec.model import default_flow
 from oracles import (ContourTooClose, coherent_state, singular_values_gram,
                      spectral_projector_rank)
-
-
-@pytest.fixture(scope="module")
-def flow():
-    return default_flow(0.2)
-
-
-@pytest.fixture(scope="module")
-def flow_const():
-    return default_flow(0.0)
-
-
-@pytest.fixture(scope="module")
-def escape(flow):
-    return EscapeFunction(flow, OrderParams())
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +89,12 @@ def test_neutral_block_is_banded_by_cosine(flow):
                 assert h[a, b] == pytest.approx(2 * np.pi * jb, abs=1e-14)
 
 
-def test_truncation_too_small(flow):
+def test_truncation_too_small():
     with pytest.raises(TruncationTooSmall):
-        op.build_generator(flow, op.NeutralSector(), op.Truncation(p_max=1))
+        op.Truncation(p_max=1)
+    for bad in ({"k_max": 0}, {"j_max": -1}, {"flux_penalty": 0.0}):
+        with pytest.raises(ValueError):
+            op.Truncation(**bad)
 
 
 def test_orbit_block_structure(flow):
@@ -438,17 +426,3 @@ def test_garding_hermitian_and_shift(flow_const, flow, escape):
     g1 = op.garding_upper_check(wg2, trials=40, seed=5, shift=0.3)
     assert g1 == pytest.approx(g0 - 0.3, abs=1e-12)
 
-
-# ---------------------------------------------------------------------------
-# binary dump
-# ---------------------------------------------------------------------------
-
-def test_matrix_dump_roundtrip(tmp_path):
-    rng = np.random.default_rng(3)
-    m = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
-    path = tmp_path / "m.cspc"
-    op.dump_matrix(path, m)
-    raw = path.read_bytes()
-    assert raw[:4] == b"CSPC"
-    assert np.frombuffer(raw[4:20], dtype="<i8").tolist() == [5, 7]
-    assert np.allclose(op.load_matrix(path), m)
