@@ -422,7 +422,12 @@ def coherent_symbol_study(flow: MappingTorusFlow, params: OrderParams,
                           mass_tol=0.02) -> CoherentStudy:
     """Error of packet expectations against the two-term symbol, per h.
 
-    Streams over sectors so only one weighted block is alive at a time.
+    The neutral sector is one small dense block: it is built, weighted and
+    applied to each packet's projection.  Orbit sectors are never built:
+    each sector's weight is computed once, each packet's coefficients are
+    a per-cell outer product with the packet's cached rectified-time
+    integrals, and `operator.orbit_expectation` sums the weighted
+    expectation cell by cell in O(n) per sector.
     """
     from . import cotangent
     from .model import BasePoint
@@ -440,17 +445,21 @@ def coherent_symbol_study(flow: MappingTorusFlow, params: OrderParams,
         spread = 4.0 * np.sqrt((1.0 + r_max ** 2) ** 0.5 / h) / (2.0 * np.pi)
         k_max = int(np.ceil(r_max / (2.0 * np.pi * h) + spread)) + 2
         tr = op.Truncation(k_max=k_max, p_max=p_max, j_max=j_max)
-        sectors = [op.NeutralSector()] + op.enumerate_orbits(flow.cat, k_max, p_max)
         profiles = [op.PacketProfile(flow, ax, xi, h) for ax, xi in points]
-        acc = np.zeros(len(points), dtype=complex)
-        norms = np.zeros(len(points))
-        for sector in sectors:
-            block = op.build_generator(flow, sector, tr)
-            mat = op.apply_weight(block, escape, h).rescaled()
-            for i, prof in enumerate(profiles):
-                vec = prof.project(flow, block)
-                acc[i] += np.vdot(vec, mat @ vec)
-                norms[i] += float(np.vdot(vec, vec).real)
+        neutral = op.build_generator(flow, op.NeutralSector(), tr)
+        mat = op.apply_weight(neutral, escape, h).rescaled()
+        vecs = [prof.project(flow, neutral) for prof in profiles]
+        acc = np.array([np.vdot(v, mat @ v) for v in vecs])
+        norms = np.array([float(np.vdot(v, v).real) for v in vecs])
+        for sector in op.enumerate_orbits(flow.cat, k_max, p_max):
+            basis = op.orbit_basis(sector, j_max)
+            logw = op.mode_log_weight(flow, sector, basis, escape, h)
+            freqs = op.sector_frequencies(flow.cat, sector)
+            coeffs = np.stack([prof.orbit_coefficients(freqs, j_max)
+                               for prof in profiles])
+            acc += h * op.orbit_expectation(flow, tr, logw.reshape(sector.n_cells, -1),
+                                            coeffs)
+            norms += np.sum(np.abs(coeffs) ** 2, axis=(1, 2))
         for i, prof in enumerate(profiles):
             if norms[i] < (1.0 - mass_tol) * prof.ref_norm2:
                 raise UnresolvedState(

@@ -12,12 +12,17 @@ the generator matrix is the frequency diagonal scaled by the time
 change's Fourier coefficients.
 
 The diagonal weight evaluates the escape-function exponential at one
-representative phase point per mode.  For a time change depending only on
-the suspension coordinate, the order function depends only on the
-covector, so this diagonal is the multiplier quantization of the weight.
-Matrices act on coefficient vectors; each sector's basis is orthonormal
-in its own inner product (plain for the neutral sector, time-rectified
-for orbit sectors).
+representative phase point per mode: the mode's covector with its frame
+components taken at tau = 0.  In an orbit sector this is not the
+multiplier quantization of the weight.  The frame components scale by
+lambda_u^(+-s(tau)/T) along the period, but the diagonal keeps each cell's
+value at tau = 0, so inside a cell the weight is constant in tau: it
+commutes with the in-cell transport, and only the interface flux between
+cells sees it.
+
+Matrices act on coefficient vectors; each sector's basis is orthonormal in
+its own inner product (plain for the neutral sector, time-rectified for
+orbit sectors).
 """
 
 from __future__ import annotations
@@ -203,8 +208,7 @@ def build_generator(flow: MappingTorusFlow, sector, truncation: Truncation) -> S
         return SectorBlock(sector, basis, h, flow)
 
     cell = orbit_cell_block(flow, truncation)
-    js = np.arange(-truncation.j_max, truncation.j_max + 1)
-    nj = js.size
+    nj = 2 * truncation.j_max + 1
     ncell = sector.n_cells
     h = np.zeros((ncell * nj, ncell * nj), dtype=complex)
     hop_flux = (1j * truncation.flux_penalty / flow.period
@@ -214,9 +218,14 @@ def build_generator(flow: MappingTorusFlow, sector, truncation: Truncation) -> S
         h[sl, sl] = cell
         if ell > 0:
             h[sl, slice((ell - 1) * nj, ell * nj)] = hop_flux
-    basis = np.column_stack([np.repeat(sector.p_hi - np.arange(ncell), nj),
-                             np.tile(js, ncell)])
-    return SectorBlock(sector, basis, h, flow)
+    return SectorBlock(sector, orbit_basis(sector, truncation.j_max), h, flow)
+
+
+def orbit_basis(sector: OrbitSector, j_max):
+    """(p, j) modes of an orbit sector: cell-major, j ascending per cell."""
+    js = np.arange(-j_max, j_max + 1)
+    return np.column_stack([np.repeat(sector.p_hi - np.arange(sector.n_cells), js.size),
+                            np.tile(js, sector.n_cells)])
 
 
 def orbit_cell_block(flow: MappingTorusFlow, truncation: Truncation):
@@ -237,21 +246,21 @@ def orbit_cell_block(flow: MappingTorusFlow, truncation: Truncation):
     return block
 
 
-def _mode_adapted(block: SectorBlock, h):
+def _mode_adapted(flow: MappingTorusFlow, sector, basis, h):
     """Equivariant frame components of every mode covector (rep. tau = 0).
 
     Mode (p, j) of an orbit sector sits at the phase-space covector
     2 pi h ((A^T)^p k0, j); neutral modes have zero horizontal part.
     """
-    flow, sector = block.flow, block.sector
+    dim = len(basis)
     if isinstance(sector, NeutralSector):
-        k = np.zeros((block.dim, 2))
+        k = np.zeros((dim, 2))
     else:
         k = np.repeat(np.asarray(sector_frequencies(flow.cat, sector), dtype=float),
-                      block.dim // sector.n_cells, axis=0)
+                      dim // sector.n_cells, axis=0)
     ab = cotangent.horizontal_components(flow, 2.0 * np.pi * h * k)
     c0 = float(flow.time_change(0.0))
-    return np.column_stack([ab, c0 * (2.0 * np.pi * h * block.basis[:, 1])])
+    return np.column_stack([ab, c0 * (2.0 * np.pi * h * basis[:, 1])])
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +290,8 @@ class WeightedGenerator:
 
     def mode_radii(self):
         """Adapted norm |h xi| of every mode covector."""
-        return np.linalg.norm(_mode_adapted(self.block, self.h), axis=1)
+        b = self.block
+        return np.linalg.norm(_mode_adapted(b.flow, b.sector, b.basis, self.h), axis=1)
 
 
 def conjugate_by_diagonal(matrix, log_weight):
@@ -294,20 +304,56 @@ def conjugate_by_diagonal(matrix, log_weight):
     return np.asarray(matrix) * np.exp(logw[:, None] - logw[None, :])
 
 
+def mode_log_weight(flow: MappingTorusFlow, sector, basis, escape: EscapeFunction, h):
+    """Log of the diagonal escape weight, one value per mode of `basis`.
+
+    Raises WeightOverflow when a weight or its inverse would leave the
+    double range.
+    """
+    logw = np.asarray(escape.escape_value(_mode_adapted(flow, sector, basis, h)),
+                      dtype=float)
+    if np.any(np.abs(logw) > 700.0):
+        raise WeightOverflow(
+            f"max |log weight| = {np.abs(logw).max():.1f} exceeds 700; "
+            "reduce |u|, s or the truncation")
+    return logw
+
+
 def apply_weight(block: SectorBlock, escape: EscapeFunction, h: float) -> WeightedGenerator:
     """Conjugate a sector block by the diagonal escape weight.
 
     Entries are scaled by weight ratios, P_ij = w_i H_ij / w_j, so the
     diagonal of P equals the diagonal of H exactly.
     """
-    ad = _mode_adapted(block, h)
-    logw = np.asarray(escape.escape_value(ad), dtype=float)
-    if np.any(np.abs(logw) > 700.0):
-        raise WeightOverflow(
-            f"max |log weight| = {np.abs(logw).max():.1f} exceeds 700; "
-            "reduce |u|, s or the truncation")
+    logw = mode_log_weight(block.flow, block.sector, block.basis, escape, h)
     return WeightedGenerator(block=block, h=h, log_weight=logw,
                              matrix=conjugate_by_diagonal(block.matrix, logw))
+
+
+def orbit_expectation(flow: MappingTorusFlow, truncation: Truncation, log_weight, coeffs):
+    """<v, W H W^{-1} v> on one orbit sector, in O(n) and without its matrix.
+
+    log_weight and coeffs have shape (n_cells, 2 j_max + 1), cells ordered
+    as in the sector basis; coeffs may carry leading batch axes (one row
+    set per packet).  The sector generator H is block lower bidiagonal:
+    diag(2 pi j / T) - i kappa/T 11^T on each cell and i kappa/T 11^T one
+    cell below, where kappa is the flux penalty.  With the cell weight
+    applied as y_l = W_l^H v_l and u_l = W_l^{-1} v_l, the expectation is
+    the sum over cells of sum_j conj(y_lj) (2 pi j / T) u_lj
+    - i kappa/T (sum conj y_l)(sum u_l) + i kappa/T (sum conj y_l)(sum u_{l-1}),
+    with no inflow into cell 0.
+    """
+    tbar = flow.period
+    omega = 2.0 * np.pi / tbar * np.arange(-truncation.j_max, truncation.j_max + 1)
+    w = np.exp(log_weight)
+    y_bar = np.conj(w * coeffs)     # conj(W_l^H v_l): the weight is real and diagonal
+    u = coeffs / w                  # W_l^{-1} v_l
+    y_sum = np.sum(y_bar, axis=-1)
+    u_sum = np.sum(u, axis=-1)
+    inflow = np.zeros_like(u_sum)
+    inflow[..., 1:] = u_sum[..., :-1]
+    flux = 1j * truncation.flux_penalty / tbar * np.sum(y_sum * (inflow - u_sum), axis=-1)
+    return np.sum(y_bar * u * omega, axis=(-2, -1)) + flux
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +420,26 @@ class PacketProfile:
         # on nonzero-frequency sectors, which use that measure)
         self.ref_norm2 = (np.pi / self.gamma) * float(
             np.sum(np.abs(self.g_tau) ** 2 / self.c_vals) * self.dtau)
+        self._orbit_tau = {}
+
+    def orbit_coefficients(self, freqs, j_max):
+        """Packet coefficients on the cells of an orbit sector.
+
+        freqs holds one torus frequency per cell (`sector_frequencies`);
+        the result has shape (n_cells, 2 j_max + 1): the closed-form torus
+        overlap of each cell times the rectified-time integral of each
+        mode, which depends only on the packet and j_max and is computed
+        once per j_max.
+        """
+        tau_int = self._orbit_tau.get(j_max)
+        if tau_int is None:
+            js = np.arange(-j_max, j_max + 1)
+            phases = np.exp(-2j * np.pi * np.outer(js, self.phi) / self.tbar)
+            tau_int = (phases @ (self.g_tau / self.c_vals)) * self.dtau / np.sqrt(self.tbar)
+            self._orbit_tau[j_max] = tau_int
+        x_int = _gaussian_x_integral(np.asarray(freqs, dtype=float), self.ax[:2],
+                                     self.xi[:2], self.h, self.gamma)
+        return x_int[:, None] * tau_int[None, :]
 
     def project(self, flow, block):
         """Coefficient vector of the packet on one sector block."""
@@ -384,14 +450,8 @@ class PacketProfile:
             x_int = _gaussian_x_integral(np.zeros((1, 2)), self.ax[:2],
                                          self.xi[:2], self.h, self.gamma)[0]
             return x_int * tau_int
-        freqs = np.asarray(sector_frequencies(flow.cat, block.sector), dtype=float)
-        x_int = _gaussian_x_integral(freqs, self.ax[:2], self.xi[:2],
-                                     self.h, self.gamma)
-        j_max = block.basis[:, 1].max()
-        js = np.arange(-j_max, j_max + 1)
-        phases = np.exp(-2j * np.pi * np.outer(js, self.phi) / self.tbar)
-        tau_int = (phases @ (self.g_tau / self.c_vals)) * self.dtau / np.sqrt(self.tbar)
-        return (x_int[:, None] * tau_int[None, :]).ravel()
+        return self.orbit_coefficients(sector_frequencies(flow.cat, block.sector),
+                                       int(block.basis[:, 1].max())).ravel()
 
 
 def _gaussian_x_integral(freqs, x0, xi_x, h, gamma):

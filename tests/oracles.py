@@ -2,7 +2,8 @@
 
 These routes are not used by the program: a Gram-matrix singular value
 solve, resolvent-quadrature projector ranks, the coherent-state
-projection of a wave packet on a list of sector blocks, the unstable
+projection of a wave packet on a list of sector blocks, the weighted
+expectation on an orbit sector through its dense matrix, the unstable
 direction recovered by pushing a seed forward, the inverse of
 ``cotangent.adapted_components``, and the escape function's averaged
 profiles rebuilt from cosphere bumps: an adaptive quadrature of the
@@ -20,7 +21,7 @@ from catspec.cotangent import CotangentPoint
 from catspec.errors import CatspecError, NonConvergence, UnresolvedState
 from catspec.escape import EscapeFunction, composite_gauss_legendre, smoothstep
 from catspec.model import BasePoint, MappingTorusFlow
-from catspec.operator import PacketProfile
+from catspec.operator import PacketProfile, SectorBlock, apply_weight
 
 
 class ContourTooClose(CatspecError):
@@ -111,6 +112,16 @@ def coherent_state(flow: MappingTorusFlow, blocks, alpha_x, alpha_xi, h,
             f"truncation captures {captured / profile.ref_norm2:.4f} of the packet mass")
     return CoherentState(tuple(profile.ax), tuple(profile.xi), h, coeffs,
                          captured, profile.ref_norm2)
+
+
+def dense_orbit_expectation(block: SectorBlock, escape: EscapeFunction, h, vec):
+    """<v, h W H W^{-1} v> on one sector block through its dense matrix.
+
+    The block from `build_generator` is conjugated entrywise by the
+    diagonal weight and multiplied; `operator.orbit_expectation` sums the
+    same form cell by cell without the matrix.
+    """
+    return np.vdot(vec, apply_weight(block, escape, h).rescaled() @ vec)
 
 
 def splitting_via_limit(flow: MappingTorusFlow, p: BasePoint, v0, t_max: float,

@@ -158,7 +158,7 @@ def test_criterion_10_counting_study(ctx):
 def test_full_campaign_passes_within_budget(campaign):
     report, study, elapsed = campaign
     failed = sorted(k for k, v in report["verdicts"].items() if not v)
-    ok = report["passed"] and elapsed < 1800.0 and study is not None
+    ok = report["passed"] and elapsed < 600.0 and study is not None
     _report("*", "full campaign", ok,
             f"verdicts all true: {report['passed']}, failed={failed}, "
-            f"{elapsed:.0f}s < 1800s")
+            f"{elapsed:.0f}s < 600s")

@@ -7,7 +7,8 @@ import pytest
 from catspec import harness as hs
 from catspec import operator as op
 from catspec.config import parse_config, DEFAULT_CONFIG
-from catspec.errors import MultiplicityMismatch, UnresolvedWindow
+from catspec.errors import (MultiplicityMismatch, UnresolvedState, UnresolvedWindow,
+                            WeightOverflow)
 from catspec.escape import OrderParams
 from oracles import spectral_projector_rank
 
@@ -277,6 +278,30 @@ def test_disk_box_check_cases():
     # violated hypothesis is reported, not silently accepted
     out = hs.disk_box_check(res, 1.0, 1.0, 2.0, h)
     assert not out.precondition_ok and not out.ok
+
+
+# ---------------------------------------------------------------------------
+# coherent-state symbol study
+# ---------------------------------------------------------------------------
+
+def test_coherent_study_unresolved_at_small_j_max(flow):
+    points = hs.default_symbol_points(flow)
+    # point 8 keeps 97.9% of its mass at j_max = 2, below the 98% floor
+    with pytest.raises(UnresolvedState, match="point 8"):
+        hs.coherent_symbol_study(flow, OrderParams(), points, [0.14], j_max=2)
+    study = hs.coherent_symbol_study(flow, OrderParams(), points, [0.14, 0.1], j_max=3)
+    assert len(study.powers) == len(points)
+
+
+def test_coherent_study_weight_overflow_on_orbit_sectors(flow, escape):
+    h = 1e100
+    points = hs.default_symbol_points(flow)[:1]
+    # the neutral weight is the identity here, so only an orbit sector's
+    # weight can overflow
+    neutral = op.build_generator(flow, op.NeutralSector(), op.Truncation(k_max=3, j_max=12))
+    assert np.all(op.apply_weight(neutral, escape, h).log_weight == 0.0)
+    with pytest.raises(WeightOverflow):
+        hs.coherent_symbol_study(flow, OrderParams(), points, [h])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from catspec import operator as op
 from catspec.errors import TruncationTooSmall, UnresolvedState, WeightOverflow
 from catspec.escape import EscapeFunction, OrderParams
 from catspec.model import default_flow
-from oracles import (ContourTooClose, coherent_state, singular_values_gram,
-                     spectral_projector_rank)
+from oracles import (ContourTooClose, coherent_state, dense_orbit_expectation,
+                     singular_values_gram, spectral_projector_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +200,7 @@ def test_mode_basis_layout_and_covectors_match_per_mode_loop(flow):
                                   np.repeat(np.arange(sector.p_hi, sector.p_lo - 1, -1), nj))
             assert np.array_equal(blk.basis[:, 1], np.tile(js, sector.n_cells))
         for h in (0.05, 0.14):
-            assert np.array_equal(op._mode_adapted(blk, h),
+            assert np.array_equal(op._mode_adapted(flow, sector, blk.basis, h),
                                   _mode_adapted_per_mode(blk, h))
 
 
@@ -383,6 +385,75 @@ def test_coherent_state_unresolved(flow):
     xi = 1.2 * np.array([flow.cat.coframe_u[0], flow.cat.coframe_u[1], 0.0])
     with pytest.raises(UnresolvedState):
         coherent_state(flow, blocks, (0.5, 0.5, 0.5), xi, 0.05)
+
+
+def _project_per_call(profile, flow, block):
+    """Reference: the orbit projection with its phase matrix rebuilt per call."""
+    freqs = np.asarray(op.sector_frequencies(flow.cat, block.sector), dtype=float)
+    x_int = op._gaussian_x_integral(freqs, profile.ax[:2], profile.xi[:2],
+                                    profile.h, profile.gamma)
+    j_max = block.basis[:, 1].max()
+    js = np.arange(-j_max, j_max + 1)
+    phases = np.exp(-2j * np.pi * np.outer(js, profile.phi) / profile.tbar)
+    tau_int = ((phases @ (profile.g_tau / profile.c_vals)) * profile.dtau
+               / np.sqrt(profile.tbar))
+    return (x_int[:, None] * tau_int[None, :]).ravel()
+
+
+def test_project_matches_per_call_phase_matrix(flow):
+    prof = op.PacketProfile(flow, (0.3, 0.6, 0.4), (1.1, -0.4, 0.3), 0.1)
+    for j_max in (3, 5, 3):         # the second j_max = 3 call reads the cache
+        tr = op.Truncation(k_max=4, p_max=2, j_max=j_max)
+        for sector in op.enumerate_orbits(flow.cat, 4, 2)[:4]:
+            blk = op.build_generator(flow, sector, tr)
+            assert np.array_equal(prof.project(flow, blk),
+                                  _project_per_call(prof, flow, blk))
+
+
+def _dense_hop_defect(block, nj, defect):
+    """The block with its cell-to-cell hop negated or moved one cell lower."""
+    m = block.matrix.copy()
+    hop = m[nj:2 * nj, :nj].copy()
+    for ell in range(1, block.sector.n_cells):
+        rows, cols = slice(ell * nj, (ell + 1) * nj), slice((ell - 1) * nj, ell * nj)
+        if defect == "sign":
+            m[rows, cols] = -hop
+        else:
+            m[rows, cols] = 0.0
+            if ell + 1 < block.sector.n_cells:
+                m[(ell + 1) * nj:(ell + 2) * nj, cols] = hop
+    return replace(block, matrix=m)
+
+
+@pytest.mark.parametrize("variation, flux", [(0.0, 1.6), (0.2, 1.6), (0.2, 0.7)])
+def test_orbit_expectation_matches_dense_oracle(variation, flux):
+    flow = default_flow(variation)
+    escape = EscapeFunction(flow, OrderParams())
+    tr = op.Truncation(k_max=4, p_max=2, j_max=3, flux_penalty=flux)
+    nj = 2 * tr.j_max + 1
+    # the sectors that carry the packet's mass, with five to eight cells
+    keep = {(1, 0), (0, -1), (2, -1), (2, 0), (3, -1)}
+    sectors = [s for s in op.enumerate_orbits(flow.cat, 4, 2) if s.k0 in keep]
+    assert len(sectors) == 5 and min(s.n_cells for s in sectors) >= 5
+    rng = np.random.default_rng(2)
+    for h in (0.14, 0.1):
+        prof = op.PacketProfile(flow, (0.3, 0.6, 0.4), (1.1, -0.4, 0.3), h)
+        for sector in sectors:
+            blk = op.build_generator(flow, sector, tr)
+            logw = op.mode_log_weight(flow, sector, blk.basis, escape, h)
+            packet = prof.orbit_coefficients(op.sector_frequencies(flow.cat, sector),
+                                             tr.j_max)
+            noise = rng.normal(size=packet.shape) + 1j * rng.normal(size=packet.shape)
+            got = h * op.orbit_expectation(flow, tr, logw.reshape(sector.n_cells, nj),
+                                           np.stack([packet, noise]))
+            for value, v in zip(got, (packet, noise)):
+                want = dense_orbit_expectation(blk, escape, h, v.ravel())
+                assert abs(value - want) <= 1e-13 * abs(want)
+            # negative control: the comparison catches a defective hop
+            for defect in ("sign", "shift"):
+                bad = dense_orbit_expectation(_dense_hop_defect(blk, nj, defect),
+                                              escape, h, noise.ravel())
+                assert abs(got[1] - bad) > 1e-6 * abs(bad)
 
 
 # ---------------------------------------------------------------------------
