@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: model-info, verify-escape, spectrum, campaign, plotdata.
-Flags --config/--out/--threads/--seed can also be set through the
-environment as CATSPEC_CONFIG, CATSPEC_OUT, CATSPEC_THREADS, CATSPEC_SEED.
+Flags --config/--out/--seed can also be set through the environment as
+CATSPEC_CONFIG, CATSPEC_OUT, CATSPEC_SEED.  --threads accepts only 1: the
+campaign runs on one thread, and the flag is kept so that existing
+command lines that pass --threads 1 still parse.
 Exit status: 0 all enabled checks pass, 1 check failures, 2 config errors.
 """
 
@@ -28,8 +30,8 @@ def _parser():
                    help="path to INI config (defaults to built-in config)")
     p.add_argument("--out", default=os.environ.get("CATSPEC_OUT"),
                    help="output directory (overrides config)")
-    p.add_argument("--threads", type=int,
-                   default=os.environ.get("CATSPEC_THREADS", "1"))
+    p.add_argument("--threads", type=int, choices=(1,), default=1,
+                   help="only 1: the campaign runs on one thread")
     p.add_argument("--seed", type=int,
                    default=os.environ.get("CATSPEC_SEED"))
     sub = p.add_subparsers(dest="command", required=True)
@@ -107,9 +109,9 @@ def cmd_verify_escape(cfg):
     return 0
 
 
-def _counts_csv(cfg, study):
+def _counts_csv(cfg, table):
     rows = [_header(cfg).rstrip("\n"), "alpha,count"]
-    rows += [f"{a:.17g},{n}" for a, n in zip(study.alphas, study.counts)]
+    rows += [f"{a:.17g},{n}" for a, n in table]
     return "\n".join(rows) + "\n"
 
 
@@ -129,16 +131,16 @@ def _json_default(obj):
     raise TypeError(f"not JSON-able: {type(obj)}")
 
 
-def cmd_campaign(cfg, threads=1):
-    flow = cfg.flow()
-    report, study = hs.run_campaign(flow, cfg, threads=max(1, threads),
-                                    progress=lambda n: print(f"check: {n}"))
+def cmd_campaign(cfg):
+    report = hs.run_campaign(cfg.flow(), cfg,
+                             progress=lambda n: print(f"check: {n}"))
     report["config_sha256"] = cfg.sha()
     payload = json.dumps(report, indent=2, sort_keys=True,
                          default=_json_default) + "\n"
     path = _write(cfg, "campaign.json", payload)
-    if study is not None:
-        _write(cfg, "counts.csv", _counts_csv(cfg, study))
+    counting = report["checks"].get("counting", {})
+    if "table" in counting:
+        _write(cfg, "counts.csv", _counts_csv(cfg, counting["table"]))
     failures = sorted(k for k, v in report["verdicts"].items() if not v)
     print(f"wrote {path}")
     if failures:
@@ -153,8 +155,10 @@ def cmd_plotdata(cfg):
     _write(cfg, "spectrum.csv",
            _spectrum_csv(cfg, hs.CampaignContext(flow, cfg).base))
     study = hs.scaling_study(flow, cfg.escape, cfg.truncation, cfg.E,
-                             cfg.alpha_grid, cfg.beta)
-    _write(cfg, "counts.csv", _counts_csv(cfg, study))
+                             cfg.alpha_grid, cfg.beta,
+                             residual_tol=cfg.residual_tol,
+                             cluster_radius=cfg.cluster_radius)
+    _write(cfg, "counts.csv", _counts_csv(cfg, zip(study.alphas, study.counts)))
     print(f"wrote spectrum.csv and counts.csv to {cfg.out_dir}")
     return 0
 
@@ -177,7 +181,7 @@ def main(argv=None):
         if args.command == "spectrum":
             return cmd_spectrum(cfg)
         if args.command == "campaign":
-            return cmd_campaign(cfg, threads=args.threads)
+            return cmd_campaign(cfg)
         if args.command == "plotdata":
             return cmd_plotdata(cfg)
     except CatspecError as exc:

@@ -104,17 +104,12 @@ class RunConfig:
     residual_tol: float = 1e-10
     cluster_radius: float = 1e-7
     out_dir: str = "out"
-    model_ints: tuple = (2, 1, 1, 1)
-    c0: float = 1.0
-    c_cos: tuple = (0.2,)
-    c_sin: tuple = ()
+    model: MappingTorusFlow = None
     text: str = ""
 
     def flow(self) -> MappingTorusFlow:
-        cat = CatMap(*self.model_ints)
-        return MappingTorusFlow(cat=cat,
-                                time_change=TimeChange(self.c0, self.c_cos,
-                                                       self.c_sin))
+        """The flow of the [model] section, built once by parse_config."""
+        return self.model
 
     def sha(self) -> str:
         return hashlib.sha256(self.text.encode()).hexdigest()
@@ -146,10 +141,11 @@ def parse_config(text: str) -> RunConfig:
 
     try:
         m = merged["model"]
-        model_ints = tuple(int(m[k]) for k in ("a11", "a12", "a21", "a22"))
-        c0 = float(m["c0"])
-        c_cos = _floats(m["c_cos"])
-        c_sin = _floats(m["c_sin"])
+        # CatMap and TimeChange reject a bad model
+        model = MappingTorusFlow(
+            cat=CatMap(*(int(m[k]) for k in ("a11", "a12", "a21", "a22"))),
+            time_change=TimeChange(float(m["c0"]), _floats(m["c_cos"]),
+                                   _floats(m["c_sin"])))
 
         def order(section):
             s = merged[section]
@@ -193,9 +189,7 @@ def parse_config(text: str) -> RunConfig:
             coherent_h_list=list(_floats(cp["coherent_h"])),
             residual_tol=residual_tol, cluster_radius=cluster_radius,
             out_dir=merged["output"]["out_dir"],
-            model_ints=model_ints, c0=c0, c_cos=c_cos, c_sin=c_sin,
-            text=text)
-        cfg.flow()                  # CatMap and TimeChange reject a bad model
+            model=model, text=text)
     except ConfigError:
         raise
     except (KeyError, ValueError, TruncationTooSmall) as exc:

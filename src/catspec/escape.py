@@ -264,8 +264,6 @@ def verify_escape_estimates(escape: EscapeFunction, sample_count=10000,
     adapted = nu * radii[:, None]
 
     xg = escape.escape_derivative_adapted(adapted)
-    m = escape.order_value(adapted)
-    g = escape.escape_value(adapted)
     labels = escape.cone_label(adapted)
     outside = labels != "0"
 
@@ -275,8 +273,11 @@ def verify_escape_estimates(escape: EscapeFunction, sample_count=10000,
     c_measured = decay_bound / min(abs(p.u), p.s)
 
     bad = (outside & (xg >= 0.0)) | (xg > nonpositive_tol)
-    rows = [(adapted[i, 0], adapted[i, 1], adapted[i, 2], m[i], g[i], xg[i], labels[i])
-            for i in range(min(sample_count, keep_rows))]
+    kept = adapted[:keep_rows]          # only these samples become CSV rows
+    m = escape.order_value(kept)
+    g = escape.escape_value(kept)
+    rows = [(kept[i, 0], kept[i, 1], kept[i, 2], m[i], g[i], xg[i], labels[i])
+            for i in range(len(kept))]
     return EscapeReport(
         c_measured=c_measured, decay_bound=decay_bound,
         max_everywhere=max_everywhere,

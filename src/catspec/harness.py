@@ -80,8 +80,7 @@ def extract_resonances(flow: MappingTorusFlow, params: OrderParams,
     entries = []
     dropped = 0
     neutral = op.build_generator(flow, op.NeutralSector(), truncation)
-    wn = op.apply_weight(neutral, escape, h)
-    for pair in op.eigendecompose(wn.matrix):
+    for pair in op.eigendecompose(op.apply_weight(neutral, escape, h)):
         if abs(pair.value.real) > win_neutral:
             continue
         if pair.residual > residual_tol:
@@ -167,8 +166,12 @@ class ScalingStudy:
 
 def scaling_study(flow: MappingTorusFlow, params: OrderParams,
                   truncation: op.Truncation, E, alpha_grid, beta,
-                  window_margin=4) -> ScalingStudy:
-    """Box counts N(alpha) across the grid with truncation adapted per alpha."""
+                  window_margin=4, residual_tol=1e-10,
+                  cluster_radius=1e-7) -> ScalingStudy:
+    """Box counts N(alpha) across the grid with truncation adapted per alpha.
+
+    residual_tol and cluster_radius are passed on to extract_resonances.
+    """
     omega = 2.0 * np.pi / flow.period
     counts = []
     for alpha in alpha_grid:
@@ -178,7 +181,9 @@ def scaling_study(flow: MappingTorusFlow, params: OrderParams,
         if omega * (tr.j_max + 0.5) < top:
             raise UnresolvedWindow(
                 f"resolved window {omega * (tr.j_max + 0.5):.3g} cannot cover {top:.3g}")
-        res = extract_resonances(flow, params, tr, h=1.0 / alpha)
+        res = extract_resonances(flow, params, tr, h=1.0 / alpha,
+                                 residual_tol=residual_tol,
+                                 cluster_radius=cluster_radius)
         counts.append(count_in_box(res, CountingBox(E, alpha, beta)))
     undefined = all(c == 0 for c in counts)
     exponent = None if undefined else fit_log_slope(alpha_grid, counts)
@@ -447,7 +452,7 @@ def coherent_symbol_study(flow: MappingTorusFlow, params: OrderParams,
         tr = op.Truncation(k_max=k_max, p_max=p_max, j_max=j_max)
         profiles = [op.PacketProfile(flow, ax, xi, h) for ax, xi in points]
         neutral = op.build_generator(flow, op.NeutralSector(), tr)
-        mat = op.apply_weight(neutral, escape, h).rescaled()
+        mat = h * op.apply_weight(neutral, escape, h)
         vecs = [prof.project(flow, neutral) for prof in profiles]
         acc = np.array([np.vdot(v, mat @ v) for v in vecs])
         norms = np.array([float(np.vdot(v, v).real) for v in vecs])
@@ -486,8 +491,6 @@ class CampaignContext:
 
     flow: MappingTorusFlow
     cfg: object                      # config.RunConfig
-    threads: int = 1
-    study: ScalingStudy = None       # set by the counting check
 
     @cached_property
     def escape(self):
@@ -557,7 +560,6 @@ def _check_weyl(ctx):
     matrices against the mpmath oracle; no audited sector is a failure.
     Without mpmath the oracle is reported as null, not as passed."""
     cfg, flow = ctx.cfg, ctx.flow
-    escape = ctx.escape              # built here, not racing in the pool
     z_e = complex(cfg.E, 1.0)
     cell = op.orbit_cell_block(flow, cfg.truncation)
     cell_vals = np.array([p.value for p in op.eigendecompose(cell)])
@@ -568,22 +570,16 @@ def _check_weyl(ctx):
         block = op.build_generator(flow, sector, cfg.truncation)
         if block.dim > 500:
             return None
-        wg = op.apply_weight(block, escape, cfg.h)
         if isinstance(sector, op.NeutralSector):
             evs = None
         else:
             evs = np.concatenate([cell_vals] * sector.n_cells) * cfg.h
-        audit = weyl_audit(wg.rescaled(), z_e, eigenvalues=evs)
+        audit = weyl_audit(cfg.h * op.apply_weight(block, ctx.escape, cfg.h), z_e,
+                           eigenvalues=evs)
         return {"sector": sector.key, "worst_margin": audit.worst_margin,
                 "ok": audit.verdict}
 
-    if ctx.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=ctx.threads) as pool:
-            results = list(pool.map(audit_one, sectors))
-    else:
-        results = [audit_one(s) for s in sectors]
+    results = [audit_one(s) for s in sectors]
     audits = sorted((a for a in results if a is not None),
                     key=lambda a: a["sector"])
     rng = np.random.default_rng(cfg.seed + 1)
@@ -623,12 +619,12 @@ def _check_garding(ctx):
     for k in (k0, k0 + 2, k0 + 4):
         tr = replace(cfg.truncation, k_max=k)
         sector = op.enumerate_orbits(flow.cat, k, tr.p_max)[0]
-        wg = op.apply_weight(op.build_generator(flow, sector, tr),
-                             ctx.escape, cfg.h)
-        sweep[k] = op.garding_upper_check(wg, trials=200, seed=cfg.seed)
+        hp = cfg.h * op.apply_weight(op.build_generator(flow, sector, tr),
+                                     ctx.escape, cfg.h)
+        sweep[k] = op.garding_upper_check(hp, trials=200, seed=cfg.seed)
         if k == k0:
-            g0 = op.garding_upper_check(wg, trials=50, seed=cfg.seed)
-            g_shift = op.garding_upper_check(wg, trials=50, seed=cfg.seed,
+            g0 = op.garding_upper_check(hp, trials=50, seed=cfg.seed)
+            g_shift = op.garding_upper_check(hp, trials=50, seed=cfg.seed,
                                              shift=0.7)
     defect = abs(g_shift - (g0 - 0.7))
     return max(sweep.values()) <= 1.0 and defect < 1e-10, {
@@ -647,9 +643,9 @@ def _check_coherent(ctx):
 def _check_counting(ctx):
     cfg = ctx.cfg
     study = scaling_study(ctx.flow, cfg.escape, cfg.truncation, cfg.E,
-                          cfg.alpha_grid, cfg.beta)
+                          cfg.alpha_grid, cfg.beta, residual_tol=cfg.residual_tol,
+                          cluster_radius=cfg.cluster_radius)
     control = synthetic_lattice_counts(cfg.E, cfg.alpha_grid, cfg.beta)
-    ctx.study = study
     ok = ((study.undefined or study.exponent <= 3.0)
           and abs(control.exponent - 2.5) <= 0.1)
     return ok, {"table": list(zip(study.alphas, study.counts)),
@@ -682,17 +678,13 @@ CHECKS = {
 }
 
 
-def run_campaign(flow: MappingTorusFlow, cfg, progress=None, threads=1):
-    """Run the configured checks; return a JSON-able report and the
-    counting study (None when counting is not enabled or fails).
+def run_campaign(flow: MappingTorusFlow, cfg, progress=None):
+    """Run the configured checks and return a JSON-able report.
 
     A check that raises gets verdict False and an "error" payload instead
-    of aborting the run.  Sector-level work fans out over a thread pool
-    when threads > 1 (the dense kernels release the GIL); results are
-    merged in sorted sector order, so reports do not depend on the pool's
-    schedule.
+    of aborting the run.
     """
-    ctx = CampaignContext(flow, cfg, threads)
+    ctx = CampaignContext(flow, cfg)
     checks = {}
     verdicts = {}
     for name, check in CHECKS.items():
@@ -727,4 +719,4 @@ def run_campaign(flow: MappingTorusFlow, cfg, progress=None, threads=1):
         "verdicts": verdicts,
         "passed": all(verdicts.values()),
     }
-    return report, ctx.study
+    return report

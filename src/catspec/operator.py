@@ -27,7 +27,7 @@ orbit sectors).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -179,7 +179,6 @@ class SectorBlock:
     sector: object
     basis: np.ndarray
     matrix: np.ndarray
-    flow: MappingTorusFlow = field(repr=False, default=None)
 
     @property
     def key(self):
@@ -205,7 +204,7 @@ def build_generator(flow: MappingTorusFlow, sector, truncation: Truncation) -> S
             cols = np.arange(max(0, -d), min(n, n - d))
             h[cols + d, cols] += 2.0 * np.pi * js[cols] * coef
         basis = np.column_stack([np.zeros_like(js), js])
-        return SectorBlock(sector, basis, h, flow)
+        return SectorBlock(sector, basis, h)
 
     cell = orbit_cell_block(flow, truncation)
     nj = 2 * truncation.j_max + 1
@@ -218,7 +217,7 @@ def build_generator(flow: MappingTorusFlow, sector, truncation: Truncation) -> S
         h[sl, sl] = cell
         if ell > 0:
             h[sl, slice((ell - 1) * nj, ell * nj)] = hop_flux
-    return SectorBlock(sector, orbit_basis(sector, truncation.j_max), h, flow)
+    return SectorBlock(sector, orbit_basis(sector, truncation.j_max), h)
 
 
 def orbit_basis(sector: OrbitSector, j_max):
@@ -267,33 +266,6 @@ def _mode_adapted(flow: MappingTorusFlow, sector, basis, h):
 # weighted generator
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WeightedGenerator:
-    """Conjugated block P = W H W^{-1} with its weight metadata."""
-
-    block: SectorBlock
-    h: float
-    log_weight: np.ndarray = field(repr=False)
-    matrix: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self):
-        return self.block.dim
-
-    @property
-    def weight_condition(self):
-        return float(np.exp(self.log_weight.max() - self.log_weight.min()))
-
-    def rescaled(self):
-        """h-rescaled matrix h*P (spectral variable z = h*lambda)."""
-        return self.h * self.matrix
-
-    def mode_radii(self):
-        """Adapted norm |h xi| of every mode covector."""
-        b = self.block
-        return np.linalg.norm(_mode_adapted(b.flow, b.sector, b.basis, self.h), axis=1)
-
-
 def conjugate_by_diagonal(matrix, log_weight):
     """W M W^{-1} for W = diag(exp(log_weight)), computed entrywise.
 
@@ -319,15 +291,15 @@ def mode_log_weight(flow: MappingTorusFlow, sector, basis, escape: EscapeFunctio
     return logw
 
 
-def apply_weight(block: SectorBlock, escape: EscapeFunction, h: float) -> WeightedGenerator:
-    """Conjugate a sector block by the diagonal escape weight.
+def apply_weight(block: SectorBlock, escape: EscapeFunction, h: float) -> np.ndarray:
+    """Conjugated block P = W H W^{-1} for the diagonal escape weight at h.
 
     Entries are scaled by weight ratios, P_ij = w_i H_ij / w_j, so the
-    diagonal of P equals the diagonal of H exactly.
+    diagonal of P equals the diagonal of H exactly.  The h-rescaled
+    operator, in the spectral variable z = h lambda, is h * P.
     """
-    logw = mode_log_weight(block.flow, block.sector, block.basis, escape, h)
-    return WeightedGenerator(block=block, h=h, log_weight=logw,
-                             matrix=conjugate_by_diagonal(block.matrix, logw))
+    logw = mode_log_weight(escape.flow, block.sector, block.basis, escape, h)
+    return conjugate_by_diagonal(block.matrix, logw)
 
 
 def orbit_expectation(flow: MappingTorusFlow, truncation: Truncation, log_weight, coeffs):
@@ -444,9 +416,12 @@ class PacketProfile:
     def project(self, flow, block):
         """Coefficient vector of the packet on one sector block."""
         if isinstance(block.sector, NeutralSector):
+            # midpoint sum of g_tau exp(-2 pi i j tau) over taus = (m + 1/2)/N,
+            # i.e. exp(-i pi j / N) times the DFT of g_tau at j mod N
             js = block.basis[:, 1]
-            tau_int = (np.exp(-2j * np.pi * np.outer(js, self.taus))
-                       @ self.g_tau) * self.dtau
+            n = self.taus.size
+            tau_int = (self.dtau * np.exp(-1j * np.pi * js / n)
+                       * np.fft.fft(self.g_tau)[js % n])
             x_int = _gaussian_x_integral(np.zeros((1, 2)), self.ax[:2],
                                          self.xi[:2], self.h, self.gamma)[0]
             return x_int * tau_int
@@ -483,15 +458,15 @@ def partition_ims_check(block: SectorBlock, escape: EscapeFunction, z,
     symbol-level O(h^2) localization defect, whereas white noise only sees
     its statistical fluctuations.
     """
-    rng = np.random.default_rng(seed)
+    flow = escape.flow
     n = block.dim
     js = block.basis[:, 1].astype(float)
-    c0 = float(block.flow.time_change(0.0))
+    c0 = float(flow.time_change(0.0))
     out = {}
     for h in h_list:
-        wg = apply_weight(block, escape, h)
-        a = wg.rescaled() - complex(z) * np.eye(n)
-        chi0, chi1 = quadratic_partition(wg.mode_radii(), r0, r1)
+        a = h * apply_weight(block, escape, h) - complex(z) * np.eye(n)
+        radii = np.linalg.norm(_mode_adapted(flow, block.sector, block.basis, h), axis=1)
+        chi0, chi1 = quadratic_partition(radii, r0, r1)
         rng = np.random.default_rng(seed)
         vals = []
         for _ in range(trials):
@@ -510,13 +485,17 @@ def partition_ims_check(block: SectorBlock, escape: EscapeFunction, z,
     return out
 
 
-def garding_upper_check(wg: WeightedGenerator, trials=200, seed=0, shift=0.0):
-    """Max over random vectors of Im <u, (h P - i shift) u> / ||u||^2."""
+def garding_upper_check(hp: np.ndarray, trials=200, seed=0, shift=0.0):
+    """Max over random vectors of Im <u, (h P - i shift) u> / ||u||^2.
+
+    hp is the h-rescaled weighted block h P.
+    """
     rng = np.random.default_rng(seed)
-    p = wg.rescaled() - 1j * shift * np.eye(wg.dim)
+    n = hp.shape[0]
+    p = hp - 1j * shift * np.eye(n)
     top = -np.inf
     for _ in range(trials):
-        u = rng.normal(size=wg.dim) + 1j * rng.normal(size=wg.dim)
+        u = rng.normal(size=n) + 1j * rng.normal(size=n)
         top = max(top, float(np.vdot(u, p @ u).imag / np.vdot(u, u).real))
     return top
 

@@ -121,7 +121,7 @@ def dense_orbit_expectation(block: SectorBlock, escape: EscapeFunction, h, vec):
     diagonal weight and multiplied; `operator.orbit_expectation` sums the
     same form cell by cell without the matrix.
     """
-    return np.vdot(vec, apply_weight(block, escape, h).rescaled() @ vec)
+    return np.vdot(vec, (h * apply_weight(block, escape, h)) @ vec)
 
 
 def splitting_via_limit(flow: MappingTorusFlow, p: BasePoint, v0, t_max: float,

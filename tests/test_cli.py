@@ -148,6 +148,22 @@ def test_cli_campaign_check_failure_is_reported(tmp_path, capsys, name, text,
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     assert f'"failed_checks": ["{name}"]' in captured.out
+    assert not (out / "counts.csv").exists()
+
+
+def test_cli_counting_uses_configured_tolerances(tmp_path):
+    # residual_tol = 1e-18 drops every neutral eigenpair but the exact zero
+    # mode; they carry all the box counts of the default config (1, 1, 2, 3, 5)
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text("[solver]\nresidual_tol = 1e-18\n"
+                       "[campaign]\nchecks = counting\n")
+    for command in ("campaign", "plotdata"):
+        out = tmp_path / command
+        main(["--config", str(cfgfile), "--out", str(out), command])
+        rows = (out / "counts.csv").read_text().splitlines()[2:]
+        assert [int(r.split(",")[1]) for r in rows] == [0, 0, 0, 0, 0]
+    spectrum = (tmp_path / "plotdata" / "spectrum.csv").read_text().splitlines()
+    assert [r for r in spectrum if r.startswith("neutral,")] == ["neutral,0,0,0,1"]
 
 
 def test_cli_plotdata(tmp_path):
@@ -168,12 +184,21 @@ def test_cli_env_overrides(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "spectrum.csv").exists()
 
     # a malformed integer in the environment is a usage error (exit 2)
-    for name in ("CATSPEC_THREADS", "CATSPEC_SEED"):
-        with monkeypatch.context() as env:
-            env.setenv(name, "abc")
-            with pytest.raises(SystemExit) as exc:
-                main(["print-config"])
-            assert exc.value.code == 2
+    monkeypatch.setenv("CATSPEC_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["print-config"])
+    assert exc.value.code == 2
+
+
+def test_cli_threads_accepts_only_one(capsys):
+    assert main(["--threads", "1", "print-config"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "campaign"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --threads: invalid choice: 2" in err
+    assert "Traceback" not in err
 
 
 def test_cli_idempotent_outputs(tmp_path):

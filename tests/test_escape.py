@@ -200,7 +200,7 @@ def test_escape_check_fails_on_violations(flow, monkeypatch, derivative):
     # negative control: violating samples give verdict false, not an error
     monkeypatch.setattr(EscapeFunction, "escape_derivative_adapted", derivative)
     cfg = parse_config("[campaign]\nchecks = escape\nescape_samples = 2000\n")
-    report, _ = hs.run_campaign(flow, cfg)
+    report = hs.run_campaign(flow, cfg)
     out = report["checks"]["escape"]
     assert "error" not in out
     assert report["verdicts"]["escape"] is False

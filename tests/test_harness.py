@@ -242,10 +242,10 @@ def test_weyl_audit_random_vs_oracle():
 def test_weyl_audit_counts_reported(flow, escape):
     sector = op.enumerate_orbits(flow.cat, 2, 2)[0]
     tr = op.Truncation(k_max=2, p_max=2, j_max=6)
-    wg = op.apply_weight(op.build_generator(flow, sector, tr), escape, 0.05)
+    hp = 0.05 * op.apply_weight(op.build_generator(flow, sector, tr), escape, 0.05)
     cell_vals = np.linalg.eigvals(op.orbit_cell_block(flow, tr))
     evs = np.concatenate([cell_vals] * sector.n_cells) * 0.05
-    audit = hs.weyl_audit(wg.rescaled(), 1 + 1j, eigenvalues=evs)
+    audit = hs.weyl_audit(hp, 1 + 1j, eigenvalues=evs)
     assert audit.verdict
 
 
@@ -299,7 +299,7 @@ def test_coherent_study_weight_overflow_on_orbit_sectors(flow, escape):
     # the neutral weight is the identity here, so only an orbit sector's
     # weight can overflow
     neutral = op.build_generator(flow, op.NeutralSector(), op.Truncation(k_max=3, j_max=12))
-    assert np.all(op.apply_weight(neutral, escape, h).log_weight == 0.0)
+    assert np.all(op.mode_log_weight(flow, neutral.sector, neutral.basis, escape, h) == 0.0)
     with pytest.raises(WeightOverflow):
         hs.coherent_symbol_study(flow, OrderParams(), points, [h])
 
@@ -313,8 +313,8 @@ def test_campaign_determinism(flow):
         "checks = escape,upper_half,symmetry,intrinsic,weyl,ims,garding,coherent,counting,disk",
         "checks = upper_half,symmetry,disk").replace("k_max = 6", "k_max = 3")
     cfg = parse_config(text)
-    r1, _ = hs.run_campaign(flow, cfg)
-    r2, _ = hs.run_campaign(flow, cfg)
+    r1 = hs.run_campaign(flow, cfg)
+    r2 = hs.run_campaign(flow, cfg)
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
     assert r1["verdicts"] == {"upper_half": True, "symmetry": True, "disk": True}
 
@@ -325,7 +325,7 @@ def test_campaign_guard_turns_a_raising_check_into_a_failure(flow, monkeypatch):
 
     monkeypatch.setitem(hs.CHECKS, "disk", broken)
     cfg = parse_config("[campaign]\nchecks = upper_half,disk\n[solver]\nk_max = 3\n")
-    report, _ = hs.run_campaign(flow, cfg)
+    report = hs.run_campaign(flow, cfg)
     assert report["verdicts"] == {"upper_half": True, "disk": False}
     assert report["checks"]["disk"] == {"error": "RuntimeError: seeded defect"}
     assert report["passed"] is False

@@ -141,12 +141,12 @@ def test_orbit_line_eigenvalues_in_lower_half_plane(flow):
     sector = op.enumerate_orbits(flow.cat, 3, 2)[0]
     blk = op.build_generator(flow, sector, tr)
     escape = EscapeFunction(flow, OrderParams(u=-2.0, s=2.0))
-    wg = op.apply_weight(blk, escape, h=0.05)
-    assert wg.dim <= 24
-    vals = np.linalg.eigvals(wg.matrix)
+    p = op.apply_weight(blk, escape, h=0.05)
+    assert p.shape[0] <= 24
+    vals = np.linalg.eigvals(p)
     assert np.max(vals.imag) < -1e-3
     with mp.workdps(40):
-        m = mp.matrix([[mp.mpc(v) for v in row] for row in wg.matrix])
+        m = mp.matrix([[mp.mpc(v) for v in row] for row in p])
         oracle = mp.eig(m, left=False, right=False)
     oracle = np.array([complex(v) for v in oracle])
     assert oracle.imag.max() < -1e-3
@@ -162,9 +162,9 @@ def test_orbit_line_eigenvalues_in_lower_half_plane(flow):
 # mode basis
 # ---------------------------------------------------------------------------
 
-def _mode_adapted_per_mode(block, h):
+def _mode_adapted_per_mode(flow, block, h):
     """Reference: one matrix power and one scalar coframe solve per mode."""
-    flow, sector = block.flow, block.sector
+    sector = block.sector
     c0 = float(flow.time_change(0.0))
     out = np.empty((block.dim, 3))
     for i, (p, j) in enumerate(block.basis):
@@ -201,7 +201,7 @@ def test_mode_basis_layout_and_covectors_match_per_mode_loop(flow):
             assert np.array_equal(blk.basis[:, 1], np.tile(js, sector.n_cells))
         for h in (0.05, 0.14):
             assert np.array_equal(op._mode_adapted(flow, sector, blk.basis, h),
-                                  _mode_adapted_per_mode(blk, h))
+                                  _mode_adapted_per_mode(flow, blk, h))
 
 
 def test_horizontal_components_batch_equals_scalar_calls(flow):
@@ -246,11 +246,12 @@ def test_apply_weight_diagonal_preserved(flow, escape):
     tr = op.Truncation(k_max=3, p_max=2, j_max=4)
     sector = op.enumerate_orbits(flow.cat, 3, 2)[0]
     blk = op.build_generator(flow, sector, tr)
-    wg = op.apply_weight(blk, escape, h=0.05)
-    assert np.allclose(np.diag(wg.matrix), np.diag(blk.matrix))
-    assert wg.weight_condition >= 1.0
+    p = op.apply_weight(blk, escape, h=0.05)
+    assert np.allclose(np.diag(p), np.diag(blk.matrix))
+    logw = op.mode_log_weight(flow, sector, blk.basis, escape, 0.05)
+    assert np.exp(logw.max() - logw.min()) >= 1.0
     # exact similarity: spectra agree on the same index set
-    a = np.sort_complex(np.round(np.linalg.eigvals(wg.matrix), 6))
+    a = np.sort_complex(np.round(np.linalg.eigvals(p), 6))
     b = np.sort_complex(np.round(np.linalg.eigvals(blk.matrix), 6))
     assert np.max(np.abs(a - b)) < 1e-2
 
@@ -266,9 +267,9 @@ def test_neutral_weight_trivial_at_zero_neutral_order(flow, escape):
     # n0 = 0 makes the neutral-sector weight the identity
     tr = op.Truncation(j_max=4, j_buffer=1)
     blk = op.build_generator(flow, op.NeutralSector(), tr)
-    wg = op.apply_weight(blk, escape, h=0.05)
-    assert np.allclose(wg.log_weight, 0.0, atol=1e-14)
-    assert np.allclose(wg.matrix, blk.matrix)
+    logw = op.mode_log_weight(flow, blk.sector, blk.basis, escape, 0.05)
+    assert np.allclose(logw, 0.0, atol=1e-14)
+    assert np.allclose(op.apply_weight(blk, escape, h=0.05), blk.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +389,14 @@ def test_coherent_state_unresolved(flow):
 
 
 def _project_per_call(profile, flow, block):
-    """Reference: the orbit projection with its phase matrix rebuilt per call."""
+    """Reference: the projection with its phase matrix rebuilt per call."""
+    if isinstance(block.sector, op.NeutralSector):
+        js = block.basis[:, 1]
+        tau_int = (np.exp(-2j * np.pi * np.outer(js, profile.taus))
+                   @ profile.g_tau) * profile.dtau
+        x_int = op._gaussian_x_integral(np.zeros((1, 2)), profile.ax[:2],
+                                        profile.xi[:2], profile.h, profile.gamma)[0]
+        return x_int * tau_int
     freqs = np.asarray(op.sector_frequencies(flow.cat, block.sector), dtype=float)
     x_int = op._gaussian_x_integral(freqs, profile.ax[:2], profile.xi[:2],
                                     profile.h, profile.gamma)
@@ -408,6 +416,11 @@ def test_project_matches_per_call_phase_matrix(flow):
             blk = op.build_generator(flow, sector, tr)
             assert np.array_equal(prof.project(flow, blk),
                                   _project_per_call(prof, flow, blk))
+    # the neutral projection is the same midpoint sum, taken by FFT
+    for j_max in (3, 24):
+        blk = op.build_generator(flow, op.NeutralSector(), op.Truncation(j_max=j_max))
+        got, want = prof.project(flow, blk), _project_per_call(prof, flow, blk)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _dense_hop_defect(block, nj, defect):
@@ -487,13 +500,13 @@ def test_garding_hermitian_and_shift(flow_const, flow, escape):
     tr = op.Truncation(j_max=10, j_buffer=2)
     blk = op.build_generator(flow_const, op.NeutralSector(), tr)
     ef0 = EscapeFunction(flow_const, OrderParams())
-    wg = op.apply_weight(blk, ef0, h=0.05)
-    assert abs(op.garding_upper_check(wg, trials=50)) < 1e-12
+    hp = 0.05 * op.apply_weight(blk, ef0, h=0.05)
+    assert abs(op.garding_upper_check(hp, trials=50)) < 1e-12
     sector = op.enumerate_orbits(flow.cat, 3, 2)[0]
-    wg2 = op.apply_weight(op.build_generator(flow, sector,
-                                             op.Truncation(k_max=3, j_max=8)),
-                          escape, h=0.05)
-    g0 = op.garding_upper_check(wg2, trials=40, seed=5)
-    g1 = op.garding_upper_check(wg2, trials=40, seed=5, shift=0.3)
+    hp2 = 0.05 * op.apply_weight(op.build_generator(flow, sector,
+                                                    op.Truncation(k_max=3, j_max=8)),
+                                 escape, h=0.05)
+    g0 = op.garding_upper_check(hp2, trials=40, seed=5)
+    g1 = op.garding_upper_check(hp2, trials=40, seed=5, shift=0.3)
     assert g1 == pytest.approx(g0 - 0.3, abs=1e-12)
 
