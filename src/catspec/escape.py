@@ -15,8 +15,9 @@ obtained by transporting covectors with the lifted flow itself.
 
 from __future__ import annotations
 
+import copy
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,6 +88,22 @@ class EscapeFunction:
         self._blend2 = np.sin(2.0 * params.aperture) ** 2
         self._nodes, self._weights = composite_gauss_legendre(
             params.t_avg, panels, nodes_per_panel)
+        self._memo = {}
+
+    def with_order(self, params: OrderParams):
+        """Evaluator for other exponents u, n0, s on the same profiles.
+
+        The averaged profiles do not depend on the exponents, so the sibling
+        shares the quadrature and the profile memo with this evaluator.
+        Raises ValueError if ``params`` also changes the geometry.
+        """
+        same = replace(params, u=self.params.u, n0=self.params.n0,
+                       s=self.params.s, symmetric=self.params.symmetric)
+        if same != self.params:
+            raise ValueError("with_order may change only u, n0, s and symmetric")
+        sibling = copy.copy(self)
+        sibling.params = params
+        return sibling
 
     # -- covector flow -----------------------------------------------------
 
@@ -109,24 +126,40 @@ class EscapeFunction:
         eps = self.SATURATION
         return smoothstep((m - eps) / (1.0 - 2.0 * eps))
 
+    #: rows per block of _raw_profiles: a block's rows x nodes temporaries
+    #: (32 x 384 x 8 B = 98 KB; 33 rows with a folded one-row tail) stay
+    #: below glibc's 128 KB mmap threshold, so they are reused from the heap
+    #: instead of mapped and page-faulted afresh on every call
+    BLOCK_ROWS = 32
+
     def _raw_profiles(self, adapted):
         """Time-averaged bump profiles for a batch of frame triples."""
         d = np.asarray(adapted, dtype=float)
         batch = d.reshape(-1, 3)
+        m1 = np.empty(len(batch))
+        m2 = np.empty(len(batch))
         # evolve squared components along the quadrature nodes; bumps only
         # need squared fractions, so normalization is never materialized
-        t = self._nodes
-        ga = np.exp(2.0 * self.theta * t)
-        a2 = batch[:, 0:1] ** 2 * ga[None, :]
-        b2 = batch[:, 1:2] ** 2 / ga[None, :]
-        e2 = batch[:, 2:3] ** 2 * np.ones_like(t)[None, :]
-        tot = a2 + b2 + e2
-        fa, fb = a2 / tot, b2 / tot
+        ga = np.exp(2.0 * self.theta * self._nodes)
         lo, span = self._cone2, 1.0 - 2.0 * self._cone2
-        m1 = (1.0 - smoothstep((fb - lo) / span)) @ self._weights
-        m2 = smoothstep((fa - lo) / span) @ self._weights
+        edges = list(range(0, len(batch), self.BLOCK_ROWS)) + [len(batch)]
+        if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+            # a one-row block would be reduced by numpy's dot instead of the
+            # gemv of the other rows, which rounds differently
+            del edges[-2]
+        for start, stop in zip(edges, edges[1:]):
+            rows = slice(start, stop)
+            block = batch[rows]
+            a2 = block[:, 0:1] ** 2 * ga
+            b2 = block[:, 1:2] ** 2 / ga
+            tot = a2 + b2 + block[:, 2:3] ** 2
+            m1[rows] = (1.0 - smoothstep((b2 / tot - lo) / span)) @ self._weights
+            m2[rows] = smoothstep((a2 / tot - lo) / span) @ self._weights
         shape = d.shape[:-1]
         return m1.reshape(shape), m2.reshape(shape)
+
+    #: batches whose saturated profiles are kept; the memo is cleared when full
+    MEMO_ENTRIES = 8
 
     def _profiles(self, adapted):
         """Saturated averaged profiles (m1, m2).
@@ -136,9 +169,19 @@ class EscapeFunction:
         saturates at the level the averaging time guarantees; this widens
         the constant-order plateaus to the declared cones while keeping the
         flow monotonicity exact (chain rule with nonnegative slope).
+        The result is memoised on the exact input triples, so the sibling
+        evaluators of :meth:`with_order` evaluate a batch only once; the
+        returned arrays are shared and must not be modified.
         """
-        m1, m2 = self._raw_profiles(adapted)
-        return self._saturate(m1), self._saturate(m2)
+        d = np.asarray(adapted, dtype=float)
+        key = (d.shape, d.tobytes())
+        hit = self._memo.get(key)
+        if hit is None:
+            if len(self._memo) >= self.MEMO_ENTRIES:
+                self._memo.clear()
+            m1, m2 = self._raw_profiles(d)
+            hit = self._memo[key] = (self._saturate(m1), self._saturate(m2))
+        return hit
 
     def order_profile(self, adapted):
         """Direction-only part of the order function, in [u, s]."""

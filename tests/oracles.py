@@ -7,7 +7,8 @@ expectation on an orbit sector through its dense matrix, the unstable
 direction recovered by pushing a seed forward, the inverse of
 ``cotangent.adapted_components``, and the escape function's averaged
 profiles rebuilt from cosphere bumps: an adaptive quadrature of the
-average and its exact flow derivative from the endpoint identity.
+average, its exact flow derivative from the endpoint identity, and the
+raw profiles of a whole batch in one unblocked pass.
 """
 
 from __future__ import annotations
@@ -218,6 +219,22 @@ def averaged_order(escape: EscapeFunction, direction, bump=stable_bump,
         panels *= 2
     raise QuadratureFailure(
         f"bump average did not settle to rtol={rtol} after {max_refine} refinements")
+
+
+def raw_profiles_one_shot(escape: EscapeFunction, adapted):
+    """``escape._raw_profiles`` with the batch as one block of rows."""
+    d = np.asarray(adapted, dtype=float)
+    batch = d.reshape(-1, 3)
+    t = escape._nodes
+    ga = np.exp(2.0 * escape.theta * t)
+    a2 = batch[:, 0:1] ** 2 * ga[None, :]
+    b2 = batch[:, 1:2] ** 2 / ga[None, :]
+    e2 = batch[:, 2:3] ** 2 * np.ones_like(t)[None, :]
+    tot = a2 + b2 + e2
+    lo, span = escape._cone2, 1.0 - 2.0 * escape._cone2
+    m1 = (1.0 - smoothstep((b2 / tot - lo) / span)) @ escape._weights
+    m2 = smoothstep((a2 / tot - lo) / span) @ escape._weights
+    return m1.reshape(d.shape[:-1]), m2.reshape(d.shape[:-1])
 
 
 def saturate_slope(escape: EscapeFunction, m):

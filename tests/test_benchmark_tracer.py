@@ -6,12 +6,14 @@ a benchmark run.  The traced run happens in a subprocess because the
 tracer replaces module attributes for the rest of the process.
 """
 
+import inspect
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import catspec
+from catspec.escape import verify_escape_estimates
 
 SRC = Path(catspec.__file__).resolve().parents[1]
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -37,14 +39,34 @@ op.PacketProfile(flow, (0.5, 0.5, 0.5), (1.0, 0.5, 0.3), 0.1).project(flow, bloc
 print(json.dumps({{"dim": block.dim, "metrics": tracer.metrics()}}))
 """
 
+ESCAPE_SCRIPT = """
+import json, sys
+sys.path[:0] = [{src!r}, {perfbench!r}]
+import catspec
+import catspec.cli                      # imports every traced module
+import spans
 
-def test_tracer_installs_and_counts_one_sector():
-    j_max = 4
-    script = SCRIPT.format(src=str(SRC), perfbench=str(PERFBENCH), j_max=j_max)
+tracer = spans.Tracer()
+tracer.install(catspec)
+from catspec.escape import EscapeFunction, OrderParams, verify_escape_estimates
+from catspec.model import default_flow
+
+escape = EscapeFunction(default_flow(0.2), OrderParams())
+verify_escape_estimates(escape, sample_count={samples})
+print(json.dumps(tracer.metrics()))
+"""
+
+
+def _traced(script):
     run = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    out = json.loads(run.stdout.splitlines()[-1])
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_tracer_installs_and_counts_one_sector():
+    j_max = 4
+    out = _traced(SCRIPT.format(src=str(SRC), perfbench=str(PERFBENCH), j_max=j_max))
     m = out["metrics"]
     assert m["operator.build_generator.calls"] == 1
     assert m["operator.build_generator.dim_sum"] == out["dim"]
@@ -53,3 +75,17 @@ def test_tracer_installs_and_counts_one_sector():
     assert m["cotangent.horizontal_components.calls"] == 1
     assert m["operator.PacketProfile.project.calls"] == 1
     assert m["operator.PacketProfile.project.phase_bytes"] == (2 * j_max + 1) * 4096 * 16
+
+
+def test_tracer_counts_escape_points():
+    # the hooks read the batch as the second positional argument of
+    # escape_value and escape_derivative_adapted
+    samples = 600
+    keep_rows = inspect.signature(verify_escape_estimates).parameters["keep_rows"].default
+    m = _traced(ESCAPE_SCRIPT.format(src=str(SRC), perfbench=str(PERFBENCH),
+                                     samples=samples))
+    assert m["escape.EscapeFunction.calls"] == 1
+    assert m["escape.escape_derivative_adapted.points"] == samples
+    # four Richardson-shifted passes, then the kept CSV rows
+    assert m["escape.escape_value.calls"] == 5
+    assert m["escape.escape_value.points"] == 4 * samples + min(samples, keep_rows)

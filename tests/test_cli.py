@@ -157,11 +157,18 @@ def test_cli_counting_uses_configured_tolerances(tmp_path):
     cfgfile = tmp_path / "c.ini"
     cfgfile.write_text("[solver]\nresidual_tol = 1e-18\n"
                        "[campaign]\nchecks = counting\n")
+    codes = {}
     for command in ("campaign", "plotdata"):
         out = tmp_path / command
-        main(["--config", str(cfgfile), "--out", str(out), command])
+        codes[command] = main(["--config", str(cfgfile), "--out", str(out), command])
         rows = (out / "counts.csv").read_text().splitlines()[2:]
         assert [int(r.split(",")[1]) for r in rows] == [0, 0, 0, 0, 0]
+    # with every count zero there is no exponent to bound: counting fails
+    assert codes == {"campaign": 1, "plotdata": 0}
+    report = json.loads((tmp_path / "campaign" / "campaign.json").read_text())
+    assert report["verdicts"] == {"counting": False}
+    assert report["checks"]["counting"]["undefined"] is True
+    assert report["checks"]["counting"]["exponent"] is None
     spectrum = (tmp_path / "plotdata" / "spectrum.csv").read_text().splitlines()
     assert [r for r in spectrum if r.startswith("neutral,")] == ["neutral,0,0,0,1"]
 

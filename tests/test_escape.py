@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,8 @@ from catspec.escape import (EscapeFunction, OrderParams, smoothstep,
                             verify_escape_estimates)
 from catspec.model import BasePoint
 from oracles import (averaged_order, direction_flow, from_adapted,
-                     order_profile_flow_derivative, stable_bump)
+                     order_profile_flow_derivative, raw_profiles_one_shot,
+                     stable_bump)
 
 
 def adapted_point(r, direction):
@@ -254,3 +258,85 @@ def test_quadrature_internal_consistency(escape):
     m1_fixed, _ = escape._raw_profiles(d)
     m1_adapt = averaged_order(escape, d, stable_bump)
     assert m1_fixed == pytest.approx(m1_adapt, abs=1e-9)
+
+
+# -- blocked profiles and the shared profile memo ----------------------------
+
+B = EscapeFunction.BLOCK_ROWS
+
+
+@pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 3 * B + 1, 3 * B + 5])
+def test_blocked_raw_profiles_match_one_shot(escape, rows):
+    pts = np.random.default_rng(rows).normal(size=(rows, 3)) * 30.0
+    for got, want in zip(escape._raw_profiles(pts), raw_profiles_one_shot(escape, pts)):
+        assert got.shape == (rows,)
+        assert np.array_equal(got, want)
+
+
+def test_blocked_raw_profiles_keep_the_batch_shape(escape):
+    single = np.array([0.4, -7.0, 2.5])
+    for got, want in zip(escape._raw_profiles(single),
+                         raw_profiles_one_shot(escape, single)):
+        assert np.shape(got) == () and got == want
+    grid = np.random.default_rng(11).normal(size=(7, 9, 3)) * 30.0
+    for got, want in zip(escape._raw_profiles(grid), raw_profiles_one_shot(escape, grid)):
+        assert got.shape == (7, 9)
+        assert np.array_equal(got, want)
+
+
+def _doubled(q):
+    return dataclasses.replace(q, u=2.0 * q.u, s=2.0 * q.s)
+
+
+@pytest.mark.parametrize("order", [OrderParams(), OrderParams(u=-8.0, n0=1.0, s=8.0)],
+                         ids=["default", "n0_1"])
+def test_with_order_reports_equal_a_fresh_evaluator(flow, monkeypatch, order):
+    calls = []
+    raw = EscapeFunction._raw_profiles
+    monkeypatch.setattr(EscapeFunction, "_raw_profiles",
+                        lambda self, a: calls.append(1) or raw(self, a))
+    base = EscapeFunction(flow, order)
+    verify_escape_estimates(base, sample_count=1500, seed=4)
+    before = len(calls)
+    shared = verify_escape_estimates(base.with_order(_doubled(order)),
+                                     sample_count=1500, seed=4)
+    # same seed, same samples: the sibling's four shifted passes and its
+    # kept rows all come from the memo the first report filled
+    assert before == 5 and len(calls) == before
+    fresh = verify_escape_estimates(EscapeFunction(flow, _doubled(order)),
+                                    sample_count=1500, seed=4)
+    for field in dataclasses.fields(fresh):
+        assert getattr(shared, field.name) == getattr(fresh, field.name), field.name
+    assert shared.to_csv() == fresh.to_csv()
+
+
+def test_with_order_rejects_other_geometry(escape):
+    p = escape.params
+    for change in ({"t_avg": 4.0}, {"aperture": 0.05}, {"radius": 20.0}):
+        with pytest.raises(ValueError):
+            escape.with_order(dataclasses.replace(p, **change))
+    sibling = escape.with_order(dataclasses.replace(p, u=-3.0, n0=0.5, s=5.0,
+                                                    symmetric=False))
+    assert sibling.params.u == -3.0 and escape.params.u == p.u
+    assert sibling._memo is escape._memo
+
+
+def test_profile_memo_is_bounded(flow):
+    escape = EscapeFunction(flow, OrderParams())
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        escape._profiles(rng.normal(size=(5, 3)))
+        assert len(escape._memo) <= EscapeFunction.MEMO_ENTRIES
+
+
+def test_escape_derivative_memory_stays_blocked(flow):
+    # unblocked, a 20,000-point derivative peaks at about 530 MB of temporaries
+    escape = EscapeFunction(flow, OrderParams())
+    pts = np.random.default_rng(13).normal(size=(20000, 3)) * 30.0
+    tracemalloc.start()
+    try:
+        escape.escape_derivative_adapted(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
