@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,20 @@ from . import harness as hs
 from .config import DEFAULT_CONFIG, RunConfig, load_config, parse_config
 from .errors import CatspecError, ConfigError
 from .escape import EscapeFunction, verify_escape_estimates
+
+
+class _StderrLog(logging.Handler):
+    """The package's log records on the current ``sys.stderr``.  A logged
+    exception shows its frames and message without the "Traceback" banner:
+    the run goes on, and the CLI promises to end without a traceback."""
+
+    def emit(self, record):
+        text = record.getMessage()
+        if record.exc_info:
+            _, exc, tb = record.exc_info
+            text += "\n" + "".join(traceback.format_tb(tb)
+                                   + traceback.format_exception_only(exc)).rstrip()
+        print(text, file=sys.stderr)
 
 
 def _parser():
@@ -165,6 +181,9 @@ def cmd_plotdata(cfg):
 
 def main(argv=None):
     args = _parser().parse_args(argv)
+    log = logging.getLogger("catspec")
+    if not log.handlers:
+        log.addHandler(_StderrLog())
     if args.command == "print-config":
         print(DEFAULT_CONFIG, end="")
         return 0

@@ -317,10 +317,12 @@ def verify_escape_estimates(escape: EscapeFunction, sample_count=10000,
 
     bad = (outside & (xg >= 0.0)) | (xg > nonpositive_tol)
     kept = adapted[:keep_rows]          # only these samples become CSV rows
-    m = escape.order_value(kept)
-    g = escape.escape_value(kept)
-    rows = [(kept[i, 0], kept[i, 1], kept[i, 2], m[i], g[i], xg[i], labels[i])
-            for i in range(len(kept))]
+    rows = []
+    if len(kept):
+        m = escape.order_value(kept)
+        g = escape.escape_value(kept)
+        rows = [(kept[i, 0], kept[i, 1], kept[i, 2], m[i], g[i], xg[i], labels[i])
+                for i in range(len(kept))]
     return EscapeReport(
         c_measured=c_measured, decay_bound=decay_bound,
         max_everywhere=max_everywhere,

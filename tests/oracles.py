@@ -1,7 +1,8 @@
 """Cross-check oracles shared by the test modules.
 
 These routes are not used by the program: a Gram-matrix singular value
-solve, resolvent-quadrature projector ranks, the coherent-state
+solve, the Weyl oracle's spectra from mpmath's dense SVD and QR
+eigensolver, resolvent-quadrature projector ranks, the coherent-state
 projection of a wave packet on a list of sector blocks, the weighted
 expectation on an orbit sector through its dense matrix, the unstable
 direction recovered by pushing a seed forward, the inverse of
@@ -21,6 +22,7 @@ import scipy.linalg as sla
 from catspec.cotangent import CotangentPoint
 from catspec.errors import CatspecError, NonConvergence, UnresolvedState
 from catspec.escape import EscapeFunction, composite_gauss_legendre, smoothstep
+from catspec.harness import weyl_prefix_ok
 from catspec.model import BasePoint, MappingTorusFlow
 from catspec.operator import PacketProfile, SectorBlock, apply_weight
 
@@ -43,6 +45,25 @@ def singular_values_gram(p: np.ndarray, z_e=0.0):
     a = p - complex(z_e) * np.eye(p.shape[0])
     vals = sla.eigvalsh(a.conj().T @ a)
     return np.sqrt(np.clip(vals, 0.0, None))
+
+
+def weyl_spectra_dense(p: np.ndarray, z_e, dps=40):
+    """The Weyl oracle's spectra the dense way: ascending ``mp.svd_c``
+    singular values of ``p - z_e`` and ``mp.eig`` distances to ``z_e``."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        m = mp.matrix([[mp.mpc(v) for v in row] for row in np.asarray(p, complex)])
+        z = mp.mpc(z_e)
+        s = mp.svd_c(m - z * mp.eye(m.rows), compute_uv=False)
+        svals = sorted(mp.mpf(s[i]) for i in range(m.rows))
+        evals = mp.eig(m, left=False, right=False)
+        return svals, sorted(abs(ev - z) for ev in evals)
+
+
+def weyl_oracle_dense(p: np.ndarray, z_e, dps=40):
+    """``harness.weyl_oracle`` on the dense high-precision spectra."""
+    return weyl_prefix_ok(*weyl_spectra_dense(p, z_e, dps), dps)
 
 
 def _projector_quadrature(p, center, radius, n_quad):

@@ -1,0 +1,102 @@
+from fractions import Fraction
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from catspec import charpoly
+from catspec.errors import NonConvergence
+
+
+def _poly_from_roots(roots):
+    """Monic Gaussian-integer polynomial with the given Gaussian-integer roots."""
+    poly = [(1, 0)]
+    for r in roots:
+        a, b = int(complex(r).real), int(complex(r).imag)
+        poly = [(x - (a * u - b * v), y - (a * v + b * u))
+                for (x, y), (u, v) in zip(poly + [(0, 0)], [(0, 0)] + poly)]
+    return poly
+
+
+def test_shifted_dyadic_is_exact():
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(4, 4)) * 1e3 + 1j * rng.normal(size=(4, 4)) * 1e-5
+    z = complex(0.1, -1e-7)
+    re, im, e = charpoly.shifted_dyadic(a, z)
+    for i in range(4):
+        for j in range(4):
+            shift = z if i == j else 0j
+            assert Fraction(re[i][j], 2 ** e) == Fraction(a[i, j].real) - Fraction(shift.real)
+            assert Fraction(im[i][j], 2 ** e) == Fraction(a[i, j].imag) - Fraction(shift.imag)
+
+
+def test_berkowitz_satisfies_cayley_hamilton_exactly():
+    rng = np.random.default_rng(1)
+    re = rng.integers(-2 ** 40, 2 ** 40, size=(7, 7)).tolist()
+    im = rng.integers(-2 ** 40, 2 ** 40, size=(7, 7)).tolist()
+    poly = charpoly.berkowitz(re, im)
+    assert len(poly) == 8 and poly[0] == (1, 0)
+    mr, mi = np.array(re, dtype=object), np.array(im, dtype=object)
+    # p(M) = 0 by Horner's rule in exact Gaussian-integer matrices
+    acc_r = np.zeros((7, 7), dtype=object)
+    acc_i = np.zeros((7, 7), dtype=object)
+    for cr, ci in poly:
+        acc_r, acc_i = acc_r.dot(mr) - acc_i.dot(mi), acc_r.dot(mi) + acc_i.dot(mr)
+        for k in range(7):
+            acc_r[k, k] += cr
+            acc_i[k, k] += ci
+    assert not acc_r.any() and not acc_i.any()
+    # the trace is minus the second coefficient
+    assert poly[1] == (-sum(re[k][k] for k in range(7)), -sum(im[k][k] for k in range(7)))
+
+
+def test_gram_is_the_hermitian_product():
+    rng = np.random.default_rng(2)
+    re = rng.integers(-99, 99, size=(5, 5))
+    im = rng.integers(-99, 99, size=(5, 5))
+    gr, gi = charpoly.gram(re.tolist(), im.tolist())
+    b = re + 1j * im
+    g = b.conj().T @ b
+    assert np.array_equal(np.array(gr), g.real) and np.array_equal(np.array(gi), g.imag)
+
+
+def test_squarefree_certificate():
+    assert charpoly._squarefree_mod_p(_poly_from_roots([1, 2j, -3 + 1j]))
+    assert not charpoly._squarefree_mod_p(_poly_from_roots([1, 2j, 2j]))
+
+
+def test_roots_read_zero_roots_off_the_coefficients():
+    found = sorted(charpoly.roots(_poly_from_roots([0, 0, 0, 2 + 1j]), 40), key=abs)
+    assert found[:3] == [0, 0, 0]
+    assert abs(found[3] - mp.mpc(2, 1)) < mp.mpf(10) ** -45
+    assert charpoly.roots(_poly_from_roots([0, 0]), 40) == [0, 0]
+
+
+def test_roots_split_repeated_roots_exactly():
+    # (x - 1)^3 (x - i)^2 (x + 2): the certificate fails, the split runs
+    roots = [1, 1, 1, 1j, 1j, -2]
+    poly = _poly_from_roots(roots)
+    assert not charpoly._squarefree_mod_p(poly)
+    found = charpoly.roots(poly, 40)
+    assert len(found) == 6
+    for r in set(roots):
+        near = [z for z in found if abs(z - r) < mp.mpf(10) ** -44]
+        assert len(near) == roots.count(r)
+
+
+def test_roots_of_a_tight_cluster_are_placed_within_tolerance():
+    # y^2 - 2 10^60 y + 10^120 - 2 has the distinct roots 10^60 +- sqrt(2),
+    # 1.4e-60 apart relative: their Gerschgorin disks overlap, and the one
+    # component of two disks places both within the 1e-45 tolerance
+    poly = [(1, 0), (-2 * 10 ** 60, 0), (10 ** 120 - 2, 0)]
+    assert charpoly._squarefree_mod_p(poly)
+    found = charpoly.roots(poly, 40)
+    assert len(found) == 2
+    for z in found:
+        assert abs(z / 10 ** 60 - 1) < mp.mpf(10) ** -44
+
+
+def test_roots_raise_instead_of_returning_unconverged_values(monkeypatch):
+    monkeypatch.setattr(charpoly, "MAX_STEPS", 1)
+    with pytest.raises(NonConvergence):
+        charpoly.roots(_poly_from_roots([3, -1 + 2j, 5j, 7 - 7j]), 40)

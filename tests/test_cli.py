@@ -151,6 +151,21 @@ def test_cli_campaign_check_failure_is_reported(tmp_path, capsys, name, text,
     assert not (out / "counts.csv").exists()
 
 
+def test_cli_campaign_logs_the_raising_frame(tmp_path, capsys):
+    # the guard keeps the run going and logs the frames to stderr only
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text("[campaign]\nchecks = counting\ne = 0\n")
+    assert main(["--config", str(cfgfile), "--out", str(tmp_path / "o"),
+                 "campaign"]) == 1
+    captured = capsys.readouterr()
+    assert "check counting raised" in captured.err
+    assert "in __post_init__" in captured.err
+    assert 'raise ValueError("E = 0 is excluded")' in captured.err
+    assert "__post_init__" not in captured.out
+    report = (tmp_path / "o" / "campaign.json").read_text()
+    assert "__post_init__" not in report
+
+
 def test_cli_counting_uses_configured_tolerances(tmp_path):
     # residual_tol = 1e-18 drops every neutral eigenpair but the exact zero
     # mode; they carry all the box counts of the default config (1, 1, 2, 3, 5)

@@ -171,6 +171,27 @@ def test_verify_escape_estimates_report(escape):
     assert len(csv.splitlines()) == 2001
 
 
+def test_verify_escape_estimates_skips_the_rows_it_does_not_keep(escape, monkeypatch):
+    batches = []
+    value = EscapeFunction.escape_value
+
+    def spy(self, adapted):
+        batches.append(len(np.reshape(adapted, (-1, 3))))
+        return value(self, adapted)
+
+    monkeypatch.setattr(EscapeFunction, "escape_value", spy)
+    none = verify_escape_estimates(escape, sample_count=300, seed=2, keep_rows=0)
+    # the four Richardson-shifted passes of the derivative, no empty row batch
+    assert batches == [300] * 4
+    batches.clear()
+    some = verify_escape_estimates(escape, sample_count=300, seed=2, keep_rows=50)
+    assert batches == [300] * 4 + [50]
+    assert none.rows == [] and none.to_csv() == "a,b,e,m,g,xg,cone\n"
+    assert len(some.rows) == 50
+    for name in ("c_measured", "decay_bound", "max_everywhere", "violations"):
+        assert getattr(none, name) == getattr(some, name)
+
+
 def test_verify_escape_estimates_two_parameter_sets(flow):
     for params in (OrderParams(u=-4.0, s=4.0), OrderParams(u=-6.0, s=12.0, aperture=0.08)):
         rep = verify_escape_estimates(EscapeFunction(flow, params),

@@ -1,6 +1,7 @@
 import json
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -10,7 +11,7 @@ from catspec.config import parse_config, DEFAULT_CONFIG
 from catspec.errors import (MultiplicityMismatch, UnresolvedState, UnresolvedWindow,
                             WeightOverflow)
 from catspec.escape import OrderParams
-from oracles import spectral_projector_rank
+from oracles import spectral_projector_rank, weyl_oracle_dense, weyl_spectra_dense
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +238,81 @@ def test_weyl_audit_random_vs_oracle():
         m = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
         assert hs.weyl_oracle(m, 0.2 + 0.1j)
         assert hs.weyl_audit(m, 0.2 + 0.1j).verdict
+
+
+# the weyl check's shift on the default config (E = 1)
+Z_E = complex(1.0, 1.0)
+
+
+def _relative_gap(a, b):
+    return max(abs(x - y) / y for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("seed", [1, 77])
+def test_weyl_spectra_match_the_dense_route(seed):
+    # exact characteristic polynomials against mpmath's dense SVD and QR
+    # eigensolver on the weyl check's 20 matrices of campaign seed `seed`
+    for m in hs.weyl_random_matrices(seed):
+        svals, dist = hs.weyl_spectra(m, Z_E)
+        dense_s, dense_d = weyl_spectra_dense(m, Z_E)
+        assert _relative_gap(svals, dense_s) <= 1e-30
+        assert _relative_gap(dist, dense_d) <= 1e-30
+        assert hs.weyl_prefix_ok(svals, dist) and hs.weyl_prefix_ok(dense_s, dense_d)
+
+
+def test_weyl_oracle_holds_on_the_campaign_seeds():
+    for seed in range(8):
+        assert all(hs.weyl_oracle(m, Z_E) for m in hs.weyl_random_matrices(seed))
+
+
+def test_weyl_oracle_exact_zero_and_repeated_roots():
+    rng = np.random.default_rng(3)
+    upper = np.triu(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    # z_e on the diagonal: a zero singular value and a zero distance
+    tri = upper.copy()
+    tri[0, 0] = Z_E
+    # a Jordan block at z_e: every distance 0, singular values 0, 1, 1, 1
+    jordan = Z_E * np.eye(4) + np.diag(np.ones(3), 1)
+    for m in (tri, jordan):
+        assert hs.weyl_oracle(m, Z_E) and weyl_oracle_dense(m, Z_E)
+    svals, dist = hs.weyl_spectra(jordan, Z_E)
+    assert svals == [0, 1, 1, 1] and dist == [0, 0, 0, 0]
+    # lower on the diagonal the dense SVD leaves s_min near 1e-41 against an
+    # exact zero distance, and its verdict is False; the exact route reads
+    # the zero roots off the trailing coefficients
+    for pos in range(6):
+        tri = upper.copy()
+        tri[pos, pos] = Z_E
+        svals, dist = hs.weyl_spectra(tri, Z_E)
+        assert svals[0] == 0 and dist[0] == 0 and hs.weyl_oracle(tri, Z_E)
+    # a Jordan block away from z_e and a repeated normal eigenvalue need the
+    # exact square-free split
+    shifted = (Z_E + 0.5) * np.eye(4) + np.diag(np.ones(3), 1)
+    normal = np.diag([1.0 + 1j, -2.0, 0.5j, 0.5j, 3.0])
+    for m in (shifted, normal):
+        assert hs.weyl_oracle(m, Z_E) and weyl_oracle_dense(m, Z_E)
+
+
+def test_weyl_oracle_negative_control():
+    # a normal matrix is the equality case: the oracle holds, and singular
+    # values raised by 1e-25 relative, beyond the 1e-30 slack, fail it
+    m = np.diag([1.0 + 1j, -2.0, 0.5j, 3.0])
+    svals, dist = hs.weyl_spectra(m, 0.3)
+    assert hs.weyl_oracle(m, 0.3) and hs.weyl_prefix_ok(svals, dist)
+    with mp.workdps(50):
+        raised = [s * (1 + mp.mpf(10) ** -25) for s in svals]
+    assert not hs.weyl_prefix_ok(raised, dist)
+
+
+def test_weyl_oracle_uses_no_lapack(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("LAPACK routine called")
+
+    for name in ("eig", "eigvals", "eigh", "eigvalsh", "svd", "qr", "solve",
+                 "det", "inv", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    monkeypatch.setattr(np, "roots", forbidden)
+    assert hs.weyl_oracle(hs.weyl_random_matrices(0)[0], Z_E)
 
 
 def test_weyl_audit_counts_reported(flow, escape):
