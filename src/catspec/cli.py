@@ -5,7 +5,8 @@ Flags --config/--out/--seed can also be set through the environment as
 CATSPEC_CONFIG, CATSPEC_OUT, CATSPEC_SEED.  --threads accepts only 1: the
 campaign runs on one thread, and the flag is kept so that existing
 command lines that pass --threads 1 still parse.
-Exit status: 0 all enabled checks pass, 1 check failures, 2 config errors.
+Exit status: 0 all enabled checks pass, 1 check failures or a command that
+raised, 2 config errors.
 """
 
 from __future__ import annotations
@@ -205,6 +206,9 @@ def main(argv=None):
             return cmd_plotdata(cfg)
     except CatspecError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except Exception:  # noqa: BLE001 - any parsed config ends in 0, 1 or 2
+        log.exception("%s raised", args.command)
         return 1
     return 2
 

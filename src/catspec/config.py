@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, TruncationTooSmall
@@ -115,11 +116,19 @@ class RunConfig:
         return hashlib.sha256(self.text.encode()).hexdigest()
 
 
+def _float(raw):
+    """A finite float: nan and inf would pass every comparison gate vacuously."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw.strip()!r} is not a finite number")
+    return value
+
+
 def _floats(raw):
     raw = raw.strip()
     if not raw:
         return ()
-    return tuple(float(v) for v in raw.split(","))
+    return tuple(_float(v) for v in raw.split(","))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -144,25 +153,25 @@ def parse_config(text: str) -> RunConfig:
         # CatMap and TimeChange reject a bad model
         model = MappingTorusFlow(
             cat=CatMap(*(int(m[k]) for k in ("a11", "a12", "a21", "a22"))),
-            time_change=TimeChange(float(m["c0"]), _floats(m["c_cos"]),
+            time_change=TimeChange(_float(m["c0"]), _floats(m["c_cos"]),
                                    _floats(m["c_sin"])))
 
         def order(section):
             s = merged[section]
             return OrderParams(
-                u=float(s["u"]), n0=float(s["n0"]), s=float(s["s"]),
-                t_avg=float(s["t_avg"]), aperture=float(s["aperture"]),
-                radius=float(s.get("radius", "10.0")),
+                u=_float(s["u"]), n0=_float(s["n0"]), s=_float(s["s"]),
+                t_avg=_float(s["t_avg"]), aperture=_float(s["aperture"]),
+                radius=_float(s.get("radius", "10.0")),
                 symmetric=s.get("symmetric", "true").lower() in ("1", "true", "yes"))
 
         sv = merged["solver"]
         trunc = Truncation(
             k_max=int(sv["k_max"]), p_max=int(sv["p_max"]),
             j_max=int(sv["j_max"]), j_buffer=int(sv["j_buffer"]),
-            flux_penalty=float(sv["flux_penalty"]),
+            flux_penalty=_float(sv["flux_penalty"]),
             edge_guard=int(sv["edge_guard"]))
-        residual_tol = float(sv["residual_tol"])
-        cluster_radius = float(sv["cluster_radius"])
+        residual_tol = _float(sv["residual_tol"])
+        cluster_radius = _float(sv["cluster_radius"])
         if residual_tol <= 0 or cluster_radius <= 0:
             raise ConfigError("tolerances must be positive")
 
@@ -180,10 +189,10 @@ def parse_config(text: str) -> RunConfig:
         cfg = RunConfig(
             escape=order("escape"), escape_alt=order("escape_alt"),
             truncation=trunc, checks=checks,
-            E=float(cp["e"]), beta=float(cp["beta"]),
-            disk_b=float(cp["disk_b"]),
+            E=_float(cp["e"]), beta=_float(cp["beta"]),
+            disk_b=_float(cp["disk_b"]),
             alpha_grid=list(_floats(cp["alpha_grid"])),
-            floor=float(cp["floor"]), h=float(cp["h"]),
+            floor=_float(cp["floor"]), h=_float(cp["h"]),
             seed=int(cp["seed"]), escape_samples=int(cp["escape_samples"]),
             ims_j_max=int(cp["ims_j_max"]), ims_band=(band[0], band[1]),
             coherent_h_list=list(_floats(cp["coherent_h"])),
@@ -196,6 +205,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"invalid config value: {exc}") from exc
     if cfg.beta <= 0 or cfg.h <= 0:
         raise ConfigError("beta and h must be positive")
+    if any(a <= 0 for a in cfg.alpha_grid):
+        raise ConfigError("alpha_grid entries must be positive")
     if cfg.escape_samples < 1:
         raise ConfigError("escape_samples must be at least 1")
     return cfg

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import charpoly, operator as op
 from .errors import (MultiplicityMismatch, UnmatchedEntry, UnresolvedState,
@@ -224,6 +223,63 @@ def synthetic_lattice_counts(E, alpha_grid, beta=1.0):
 # spectral set comparisons
 # ---------------------------------------------------------------------------
 
+def min_cost_matching(cost):
+    """Column matched to each row in a minimum-cost perfect matching of a
+    square cost matrix.
+
+    Shortest augmenting paths with dual potentials (Jonker-Volgenant, as
+    laid out by Crouse, IEEE TAES 52 (2016) 1679), one row at a time.  Ties
+    are broken as in scipy.optimize.linear_sum_assignment, so the two return
+    the same matching on the same costs.
+    """
+    cost = np.asarray(cost, dtype=float)
+    n = len(cost)
+    if cost.shape != (n, n):
+        raise ValueError(f"need a square cost matrix, got shape {cost.shape}")
+    if not np.isfinite(cost).all():
+        raise ValueError("cost matrix has non-finite entries")
+    u, v = np.zeros(n), np.zeros(n)
+    col4row, row4col, path = (np.full(n, -1) for _ in range(3))
+    for cur in range(n):
+        short = np.full(n, np.inf)      # shortest reduced path cost per column
+        seen_rows, seen_cols = np.zeros(n, bool), np.zeros(n, bool)
+        remaining = np.arange(n)[::-1]  # reversed: constant costs give the identity
+        i, low, sink = cur, 0.0, -1
+        while sink < 0:
+            seen_rows[i] = True
+            reduced = low + cost[i, remaining] - u[i] - v[remaining]
+            better = reduced < short[remaining]
+            path[remaining[better]] = i
+            short[remaining[better]] = reduced[better]
+            dist = short[remaining]
+            low = dist.min()
+            ties = np.flatnonzero(dist == low)
+            free = ties[row4col[remaining[ties]] < 0]
+            k = free[-1] if free.size else ties[0]   # prefer ending the path
+            j = remaining[k]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols[j] = True
+            remaining[k] = remaining[-1]
+            remaining = remaining[:-1]
+        # dual update keeps every reduced cost >= 0 and the matched ones at 0
+        u[cur] += low
+        rows = np.flatnonzero(seen_rows)
+        rows = rows[rows != cur]
+        u[rows] += low - short[col4row[rows]]
+        v[seen_cols] -= low - short[seen_cols]
+        j = sink
+        while True:                     # flip the path's matched edges
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 @dataclass
 class MatchResult:
     max_distance: float
@@ -240,9 +296,8 @@ def symmetry_check(res: ResonanceSet) -> MatchResult:
     mults = np.array([e.multiplicity for e in entries])
     target = -vals.conj()
     cost = np.abs(vals[:, None] - target[None, :])
-    rows, cols = linear_sum_assignment(cost)
     pairs, worst = [], 0.0
-    for r, c in zip(rows, cols):
+    for r, c in enumerate(min_cost_matching(cost)):
         if mults[r] != mults[c]:
             raise UnmatchedEntry(
                 f"multiplicity mismatch under reflection: {vals[r]:.6g} (x{mults[r]}) "
@@ -266,12 +321,12 @@ def intrinsic_check(res_a: ResonanceSet, res_b: ResonanceSet, floor,
     va = np.array([e.value for e in a])
     vb = np.array([e.value for e in b])
     cost = np.abs(va[:, None] - vb[None, :])
-    rows, cols = linear_sum_assignment(cost)
+    cols = min_cost_matching(cost)
     if cutoff is None:
         cutoff = max(1e-6, 1e4 * max(res_a.meta.get("cluster_radius", 1e-7),
                                      1e-7))
     pairs, unmatched, worst = [], [], 0.0
-    for r, c in zip(rows, cols):
+    for r, c in enumerate(cols):
         d = float(cost[r, c])
         if d > cutoff:
             unmatched.append((complex(va[r]), complex(vb[c]), d))

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import cotangent
 from .errors import NonConvergence, TruncationTooSmall, WeightOverflow
@@ -345,11 +344,11 @@ def eigendecompose(p: np.ndarray, norm=None):
     Returns EigenPair entries with relative residuals ||Pv - lv|| / ||P||.
     """
     p = np.asarray(p, dtype=complex)
-    if norm is None:
-        norm = np.linalg.norm(p, 2) if p.size else 0.0
     try:
-        vals, vecs = sla.eig(p)
-    except sla.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
+        if norm is None:
+            norm = np.linalg.norm(p, 2) if p.size else 0.0
+        vals, vecs = np.linalg.eig(p)
+    except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"dense eigensolver failed: {exc}") from exc
     order = np.argsort(-vals.imag, kind="stable")
     out = []
@@ -364,7 +363,7 @@ def singular_values(p: np.ndarray, z_e=0.0):
     """Ascending singular values of (P - z_e I)."""
     p = np.asarray(p, dtype=complex)
     shifted = p - complex(z_e) * np.eye(p.shape[0])
-    return np.sort(sla.svdvals(shifted))
+    return np.sort(np.linalg.svd(shifted, compute_uv=False))
 
 
 # ---------------------------------------------------------------------------
@@ -504,5 +503,5 @@ def numerical_range_top(matrix):
     """Largest eigenvalue of the Hermitian imaginary part (exact sup of
     Im of the numerical range)."""
     m = np.asarray(matrix, dtype=complex)
-    return float(np.max(sla.eigvalsh((m - m.conj().T) / 2j)))
+    return float(np.max(np.linalg.eigvalsh((m - m.conj().T) / 2j)))
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import catspec
 from catspec.cli import main
 from catspec.config import DEFAULT_CONFIG, parse_config
 from catspec.errors import ConfigError
@@ -41,6 +46,34 @@ def test_config_rejects_bad_values():
         parse_config("[campaign]\nchecks =\n")
     with pytest.raises(ConfigError):
         parse_config("[solver]\nk_max = 0\n")
+
+
+@pytest.mark.parametrize("section,key", [
+    ("campaign", "floor"), ("campaign", "h"), ("campaign", "beta"),
+    ("campaign", "e"), ("solver", "flux_penalty"), ("escape", "u"),
+    ("campaign", "alpha_grid"), ("model", "c_cos"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_config_rejects_non_finite_values(section, key, value):
+    with pytest.raises(ConfigError, match="not a finite number"):
+        parse_config(f"[{section}]\n{key} = {value}\n")
+
+
+def test_config_rejects_non_positive_alpha():
+    with pytest.raises(ConfigError, match="alpha_grid"):
+        parse_config("[campaign]\nalpha_grid = -1,10\n")
+    with pytest.raises(ConfigError, match="alpha_grid"):
+        parse_config("[campaign]\nalpha_grid = 0,10\n")
+
+
+def test_cli_non_finite_floor_is_a_config_error(tmp_path, capsys):
+    # at floor = nan the intrinsic check compared no entries and passed
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text("[campaign]\nchecks = intrinsic\nfloor = nan\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfgfile), "--out", str(out), "campaign"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
 
 
 def test_config_hash_changes_with_text():
@@ -164,6 +197,80 @@ def test_cli_campaign_logs_the_raising_frame(tmp_path, capsys):
     assert "__post_init__" not in captured.out
     report = (tmp_path / "o" / "campaign.json").read_text()
     assert "__post_init__" not in report
+
+
+@pytest.mark.parametrize("command,text,message", [
+    ("plotdata", "[campaign]\ne = 0\nalpha_grid = 10\n[solver]\nk_max = 3\n",
+     "ValueError: E = 0 is excluded"),
+    ("spectrum", "[campaign]\nh = 1e300\n[solver]\nk_max = 3\n",
+     "NonConvergence: dense eigensolver failed"),
+    ("plotdata", "[campaign]\nh = 1e300\n[solver]\nk_max = 3\n",
+     "NonConvergence: dense eigensolver failed"),
+], ids=["plotdata_e0", "spectrum_huge_h", "plotdata_huge_h"])
+def test_cli_subcommand_failure_exits_1_without_traceback(tmp_path, capsys, command,
+                                                          text, message):
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(text)
+    assert main(["--config", str(cfgfile), "--out", str(tmp_path / "o"),
+                 command]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_subcommand_exception_is_logged_with_its_frames(tmp_path, capsys):
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text("[campaign]\ne = 0\nalpha_grid = 10\n[solver]\nk_max = 3\n")
+    assert main(["--config", str(cfgfile), "--out", str(tmp_path / "o"),
+                 "plotdata"]) == 1
+    err = capsys.readouterr().err
+    assert "plotdata raised" in err
+    assert "in scaling_study" in err and "in __post_init__" in err
+
+
+_NO_SCIPY = """
+import importlib.abc
+import sys
+
+import numpy as np
+
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+from catspec import cli, operator
+
+code = cli.main(["--config", sys.argv[1], "--out", sys.argv[2], "campaign"])
+assert code == 0, code
+top = operator.numerical_range_top(np.array([[0.0, 2.0], [0.0, 0.0]]))
+assert abs(top - 1.0) < 1e-12, top
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert not loaded, loaded
+print("no scipy")
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # eig (symmetry, intrinsic), the matching and the SVD (weyl) with any
+    # import of scipy made to fail
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text("[campaign]\nchecks = symmetry,intrinsic,weyl\n"
+                       "[solver]\nk_max = 3\n")
+    src = str(Path(catspec.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY,
+                           str(cfgfile), str(tmp_path / "o")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "no scipy"
+    report = json.loads((tmp_path / "o" / "campaign.json").read_text())
+    assert report["verdicts"] == {"symmetry": True, "intrinsic": True, "weyl": True}
 
 
 def test_cli_counting_uses_configured_tolerances(tmp_path):

@@ -109,6 +109,37 @@ def test_symmetry_check_cases():
     assert hs.symmetry_check(askew).max_distance == pytest.approx(0.25)
 
 
+def test_min_cost_matching_equals_scipy():
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(5)
+    for n in range(41):
+        cost = rng.random((n, n))
+        rows, cols = linear_sum_assignment(cost)
+        assert np.array_equal(hs.min_cost_matching(cost), cols)
+
+
+def test_min_cost_matching_with_ties_is_optimal():
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(6)
+    for n in range(1, 41):
+        cost = rng.integers(0, 4, size=(n, n)).astype(float)
+        rows, cols = linear_sum_assignment(cost)
+        mine = hs.min_cost_matching(cost)
+        assert sorted(mine) == list(range(n))
+        assert cost[np.arange(n), mine].sum() == cost[rows, cols].sum()
+    # constant costs: the identity, as scipy gives
+    assert list(hs.min_cost_matching(np.ones((5, 5)))) == [0, 1, 2, 3, 4]
+
+
+def test_min_cost_matching_rejects_bad_costs():
+    with pytest.raises(ValueError, match="square"):
+        hs.min_cost_matching(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="non-finite"):
+        hs.min_cost_matching(np.array([[0.0, np.nan], [1.0, 0.0]]))
+
+
 def test_upper_half_check_cases():
     assert hs.upper_half_check(synthetic([2 * np.pi * j for j in range(3)])) == 0.0
     assert hs.upper_half_check(synthetic([0.1j])) == pytest.approx(0.1)

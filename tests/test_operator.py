@@ -5,7 +5,8 @@ import pytest
 
 from catspec import cotangent
 from catspec import operator as op
-from catspec.errors import TruncationTooSmall, UnresolvedState, WeightOverflow
+from catspec.errors import (NonConvergence, TruncationTooSmall, UnresolvedState,
+                            WeightOverflow)
 from catspec.escape import EscapeFunction, OrderParams
 from catspec.model import default_flow
 from oracles import (ContourTooClose, coherent_state, dense_orbit_expectation,
@@ -298,6 +299,15 @@ def test_eigendecompose_against_charpoly_oracle():
     roots = np.roots(np.poly(m))
     for v in vals:
         assert np.min(np.abs(roots - v)) < 1e-8
+
+
+def test_eigendecompose_raises_non_convergence_on_non_finite_input():
+    # the default norm is a LAPACK call too: its failure is NonConvergence
+    m = np.array([[np.inf, 1.0], [0.0, 1.0]])
+    with pytest.raises(NonConvergence):
+        op.eigendecompose(m)
+    with pytest.raises(NonConvergence):
+        op.eigendecompose(m, norm=1.0)
 
 
 def test_eigendecompose_sorted_by_imag():
