@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Subcommands: model-info, verify-escape, spectrum, campaign, plotdata.
-Flags --config/--out/--seed can also be set through the environment as
-CATSPEC_CONFIG, CATSPEC_OUT, CATSPEC_SEED.  --threads accepts only 1: the
-campaign runs on one thread, and the flag is kept so that existing
-command lines that pass --threads 1 still parse.
+Flags --config/--out/--seed go before or after the subcommand and can
+also be set through the environment as CATSPEC_CONFIG, CATSPEC_OUT,
+CATSPEC_SEED.  --threads accepts only 1: the campaign runs on one thread,
+and the flag is kept so that existing command lines that pass --threads 1
+still parse.
 Exit status: 0 all enabled checks pass, 1 check failures or a command that
 raised, 2 config errors.
 """
@@ -41,23 +42,35 @@ class _StderrLog(logging.Handler):
         print(text, file=sys.stderr)
 
 
-def _parser():
-    p = argparse.ArgumentParser(prog="catspec")
-    p.add_argument("--config", default=os.environ.get("CATSPEC_CONFIG"),
+def _common_flags(p, config, out, threads, seed):
+    p.add_argument("--config", default=config,
                    help="path to INI config (defaults to built-in config)")
-    p.add_argument("--out", default=os.environ.get("CATSPEC_OUT"),
+    p.add_argument("--out", default=out,
                    help="output directory (overrides config)")
-    p.add_argument("--threads", type=int, choices=(1,), default=1,
+    p.add_argument("--threads", type=int, choices=(1,), default=threads,
                    help="only 1: the campaign runs on one thread")
-    p.add_argument("--seed", type=int,
-                   default=os.environ.get("CATSPEC_SEED"))
+    p.add_argument("--seed", type=int, default=seed)
+
+
+def _parser():
+    """The common flags go before or after the subcommand.  The subcommands
+    share a parent parser whose defaults are suppressed, so a flag given
+    after the subcommand wins and one not given there keeps the top-level
+    value (environment or default)."""
+    p = argparse.ArgumentParser(prog="catspec")
+    _common_flags(p, os.environ.get("CATSPEC_CONFIG"), os.environ.get("CATSPEC_OUT"),
+                  1, os.environ.get("CATSPEC_SEED"))
+    common = argparse.ArgumentParser(add_help=False)
+    _common_flags(common, *[argparse.SUPPRESS] * 4)
     sub = p.add_subparsers(dest="command", required=True)
-    sub.add_parser("model-info", help="print eigen-data, return time, hyperbolicity fit")
-    sub.add_parser("verify-escape", help="run the escape estimate suite, write CSV")
-    sub.add_parser("spectrum", help="compute the resonance spectrum, write CSV")
-    sub.add_parser("campaign", help="run all enabled theorem checks, write JSON")
-    sub.add_parser("plotdata", help="write plot-ready spectrum and box-count CSV")
-    sub.add_parser("print-config", help="print the default config file")
+    for name, text in (
+            ("model-info", "print eigen-data, return time, hyperbolicity fit"),
+            ("verify-escape", "run the escape estimate suite, write CSV"),
+            ("spectrum", "compute the resonance spectrum, write CSV"),
+            ("campaign", "run all enabled theorem checks, write JSON"),
+            ("plotdata", "write plot-ready spectrum and box-count CSV"),
+            ("print-config", "print the default config file")):
+        sub.add_parser(name, help=text, parents=[common])
     return p
 
 

@@ -507,10 +507,14 @@ def coherent_symbol_study(flow: MappingTorusFlow, params: OrderParams,
 
     The neutral sector is one small dense block: it is built, weighted and
     applied to each packet's projection.  Orbit sectors are never built:
-    each sector's weight is computed once, each packet's coefficients are
-    a per-cell outer product with the packet's cached rectified-time
-    integrals, and `operator.orbit_expectation` sums the weighted
-    expectation cell by cell in O(n) per sector.
+    each sector's weight is computed once per h, and the sectors through
+    k0 and -k0 share it (`operator.mirror_key`).  Sharing is exact: the
+    two weights are equal bit for bit, as the escape function reads only
+    squares, norms and |e| of the frame components, and those of -k are
+    exactly -(a, b) and e.  Each packet's coefficients are a per-cell outer
+    product with the packet's cached rectified-time integrals, and
+    `operator.orbit_expectation` sums the weighted expectation cell by cell
+    in O(n) per sector.
     """
     from . import cotangent
     from .model import BasePoint
@@ -534,10 +538,15 @@ def coherent_symbol_study(flow: MappingTorusFlow, params: OrderParams,
         vecs = [prof.project(flow, neutral) for prof in profiles]
         acc = np.array([np.vdot(v, mat @ v) for v in vecs])
         norms = np.array([float(np.vdot(v, v).real) for v in vecs])
+        weights = {}
         for sector in op.enumerate_orbits(flow.cat, k_max, p_max):
-            basis = op.orbit_basis(sector, j_max)
-            logw = op.mode_log_weight(flow, sector, basis, escape, h)
             freqs = op.sector_frequencies(flow.cat, sector)
+            key = op.mirror_key(freqs)
+            if key not in weights:
+                weights[key] = op.mode_log_weight(flow, sector,
+                                                  op.orbit_basis(sector, j_max),
+                                                  escape, h)
+            logw = weights[key]
             coeffs = np.stack([prof.orbit_coefficients(freqs, j_max)
                                for prof in profiles])
             acc += h * op.orbit_expectation(flow, tr, logw.reshape(sector.n_cells, -1),
@@ -604,17 +613,21 @@ def _check_escape(ctx):
                 "doubling_ratio": ratio}
 
 
+# A check that compared nothing fails: an empty spectrum, no matched pair
+# or an empty box would otherwise pass vacuously.
+
 def _check_upper_half(ctx):
     top = upper_half_check(ctx.base)
-    return top <= 1e-6, {"max_im": top,
-                         "entries": len(ctx.base.entries),
-                         "total_multiplicity": ctx.base.total_multiplicity()}
+    ok = bool(ctx.base.entries) and top <= 1e-6
+    return ok, {"max_im": top,
+                "entries": len(ctx.base.entries),
+                "total_multiplicity": ctx.base.total_multiplicity()}
 
 
 def _check_symmetry(ctx):
     sym = symmetry_check(ctx.base)
-    return sym.max_distance < 1e-6, {"max_distance": sym.max_distance,
-                                     "pairs": len(sym.pairs)}
+    ok = bool(sym.pairs) and sym.max_distance < 1e-6
+    return ok, {"max_distance": sym.max_distance, "pairs": len(sym.pairs)}
 
 
 def _check_intrinsic(ctx):
@@ -624,7 +637,8 @@ def _check_intrinsic(ctx):
     cross = intrinsic_check(ctx.base, ctx.spectrum(cfg.escape_alt, cfg.truncation),
                             cfg.floor)
     drift = intrinsic_check(ctx.base, ctx.spectrum(cfg.escape, grown), cfg.floor)
-    ok = (cross.max_distance < 1e-4 and not cross.unmatched
+    ok = (bool(cross.pairs) and bool(drift.pairs)
+          and cross.max_distance < 1e-4 and not cross.unmatched
           and drift.max_distance < 1e-4)
     return ok, {"cross_distance": cross.max_distance,
                 "cross_pairs": len(cross.pairs),
@@ -645,7 +659,13 @@ def _check_weyl(ctx):
     """Weyl audits of every sector of dimension <= 500, plus 20 random
     matrices audited in float64 and cross-checked by ``weyl_oracle`` at 40
     digits from exact characteristic polynomials; no audited sector is a
-    failure.  Without mpmath the oracle is reported as null, not as passed."""
+    failure.  Without mpmath the oracle is reported as null, not as passed.
+
+    The orbit sectors through k0 and -k0 are audited once
+    (``operator.mirror_key``) and each keeps its own record.  This is
+    exact, not an approximation: the two generator blocks and eigenvalue
+    lists depend on the cell count alone and the two weights are equal bit
+    for bit, so the weighted matrices and their audits are identical."""
     cfg, flow = ctx.cfg, ctx.flow
     z_e = complex(cfg.E, 1.0)
     cell = op.orbit_cell_block(flow, cfg.truncation)
@@ -661,14 +681,21 @@ def _check_weyl(ctx):
             evs = None
         else:
             evs = np.concatenate([cell_vals] * sector.n_cells) * cfg.h
-        audit = weyl_audit(cfg.h * op.apply_weight(block, ctx.escape, cfg.h), z_e,
-                           eigenvalues=evs)
-        return {"sector": sector.key, "worst_margin": audit.worst_margin,
-                "ok": audit.verdict}
+        return weyl_audit(cfg.h * op.apply_weight(block, ctx.escape, cfg.h), z_e,
+                          eigenvalues=evs)
 
-    results = [audit_one(s) for s in sectors]
-    audits = sorted((a for a in results if a is not None),
-                    key=lambda a: a["sector"])
+    shared = {}
+    audits = []
+    for sector in sectors:
+        key = (sector.key if isinstance(sector, op.NeutralSector)
+               else op.mirror_key(op.sector_frequencies(flow.cat, sector)))
+        if key not in shared:
+            shared[key] = audit_one(sector)
+        if shared[key] is not None:
+            audits.append({"sector": sector.key,
+                           "worst_margin": shared[key].worst_margin,
+                           "ok": shared[key].verdict})
+    audits.sort(key=lambda a: a["sector"])
     randoms = weyl_random_matrices(cfg.seed)
     random_ok = all(weyl_audit(m, z_e).verdict for m in randoms)
     try:
@@ -745,8 +772,9 @@ def _check_counting(ctx):
 def _check_disk(ctx):
     cfg = ctx.cfg
     dc = disk_box_check(ctx.base, cfg.E, cfg.beta, cfg.disk_b, cfg.h)
-    return dc.ok, {"ok": dc.ok, "precondition_ok": dc.precondition_ok,
-                   "n_in_box": dc.n_in_box, "radius": dc.radius}
+    ok = dc.ok and dc.n_in_box > 0
+    return ok, {"ok": dc.ok, "precondition_ok": dc.precondition_ok,
+                "n_in_box": dc.n_in_box, "radius": dc.radius}
 
 
 # The campaign checks in run order: name -> check(ctx) -> (verdict, payload).

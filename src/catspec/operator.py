@@ -162,6 +162,19 @@ def sector_frequencies(cat, sector):
     return freqs
 
 
+def mirror_key(freqs):
+    """Sign-canonical form of an orbit sector's `sector_frequencies`.
+
+    The sectors through k0 and -k0 keep the same cells with opposite
+    frequencies; both get the larger of the two tuples.  Their weights are
+    equal bit for bit: the horizontal components of -k are exactly -(a, b)
+    (a linear solve), and the escape function reads only squares, norms and
+    |e| of the frame components.
+    """
+    freqs = tuple(freqs)
+    return max(freqs, tuple((-k1, -k2) for k1, k2 in freqs))
+
+
 # ---------------------------------------------------------------------------
 # generator blocks
 # ---------------------------------------------------------------------------
@@ -279,13 +292,20 @@ def mode_log_weight(flow: MappingTorusFlow, sector, basis, escape: EscapeFunctio
     """Log of the diagonal escape weight, one value per mode of `basis`.
 
     Raises WeightOverflow when a weight or its inverse would leave the
-    double range.
+    double range, or when a mode covector already overflows on the way.
     """
-    logw = np.asarray(escape.escape_value(_mode_adapted(flow, sector, basis, h)),
-                      dtype=float)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            logw = np.asarray(escape.escape_value(_mode_adapted(flow, sector, basis, h)),
+                              dtype=float)
+    except FloatingPointError as exc:
+        raise WeightOverflow(
+            f"escape weight at h = {h:g} overflows on sector {sector.key} "
+            f"({len(basis)} modes, |j| <= {int(np.abs(basis[:, 1]).max())}): {exc}; "
+            "reduce h or the truncation") from exc
     if np.any(np.abs(logw) > 700.0):
         raise WeightOverflow(
-            f"max |log weight| = {np.abs(logw).max():.1f} exceeds 700; "
+            f"max |log weight| = {np.abs(logw).max():.1f} exceeds 700 at h = {h:g}; "
             "reduce |u|, s or the truncation")
     return logw
 

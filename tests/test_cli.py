@@ -203,9 +203,9 @@ def test_cli_campaign_logs_the_raising_frame(tmp_path, capsys):
     ("plotdata", "[campaign]\ne = 0\nalpha_grid = 10\n[solver]\nk_max = 3\n",
      "ValueError: E = 0 is excluded"),
     ("spectrum", "[campaign]\nh = 1e300\n[solver]\nk_max = 3\n",
-     "NonConvergence: dense eigensolver failed"),
+     "WeightOverflow: escape weight at h = 1e+300 overflows"),
     ("plotdata", "[campaign]\nh = 1e300\n[solver]\nk_max = 3\n",
-     "NonConvergence: dense eigensolver failed"),
+     "WeightOverflow: escape weight at h = 1e+300 overflows"),
 ], ids=["plotdata_e0", "spectrum_huge_h", "plotdata_huge_h"])
 def test_cli_subcommand_failure_exits_1_without_traceback(tmp_path, capsys, command,
                                                           text, message):
@@ -317,6 +317,43 @@ def test_cli_env_overrides(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["print-config"])
     assert exc.value.code == 2
+
+
+def test_cli_campaign_that_compares_nothing_fails(tmp_path, capsys):
+    # residual_tol = 1e-18 keeps one spectrum entry (the zero mode), and no
+    # entry lies above floor = 10 or in the disk box: intrinsic matches no
+    # pair and disk counts no entry, so both fail instead of passing
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text("[solver]\nresidual_tol = 1e-18\n[campaign]\nfloor = 10\n"
+                       "checks = upper_half,symmetry,intrinsic,disk\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfgfile), "--out", str(out), "campaign"]) == 1
+    assert '"failed_checks": ["disk", "intrinsic"]' in capsys.readouterr().out
+    report = json.loads((out / "campaign.json").read_text())
+    assert report["verdicts"] == {"upper_half": True, "symmetry": True,
+                                  "intrinsic": False, "disk": False}
+    assert report["checks"]["upper_half"]["entries"] == 1
+    assert report["checks"]["intrinsic"]["cross_pairs"] == 0
+    assert report["checks"]["intrinsic"]["drift_pairs"] == 0
+    assert report["checks"]["disk"]["n_in_box"] == 0
+
+
+def test_cli_common_flags_before_or_after_the_subcommand(tmp_path):
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text("[campaign]\nchecks = upper_half,symmetry,disk\n"
+                       "[solver]\nk_max = 3\n")
+    runs = {"before": ["--config", str(cfgfile), "--out", str(tmp_path / "before"),
+                       "--seed", "3", "--threads", "1", "campaign"],
+            "after": ["campaign", "--config", str(cfgfile), "--out",
+                      str(tmp_path / "after"), "--seed", "3", "--threads", "1"],
+            "mixed": ["--config", str(cfgfile), "--seed", "3", "campaign",
+                      "--out", str(tmp_path / "mixed")]}
+    for argv in runs.values():
+        assert main(argv) == 0
+    first = (tmp_path / "before" / "campaign.json").read_bytes()
+    assert json.loads(first)["config_echo"]["seed"] == 3
+    for name in ("after", "mixed"):
+        assert (tmp_path / name / "campaign.json").read_bytes() == first
 
 
 def test_cli_threads_accepts_only_one(capsys):

@@ -356,6 +356,48 @@ def test_weyl_audit_counts_reported(flow, escape):
     assert audit.verdict
 
 
+def _weyl_on_k_max_3(monkeypatch):
+    """Run the weyl check on k_max = 3 and count the singular_values calls."""
+    cfg = parse_config("[campaign]\nchecks = weyl\n[solver]\nk_max = 3\n")
+    flow = cfg.flow()
+    calls = []
+    svals = op.singular_values
+
+    def counted(p, z_e=0.0):
+        calls.append(np.shape(p)[0])
+        return svals(p, z_e)
+
+    monkeypatch.setattr(op, "singular_values", counted)
+    ok, payload = hs.CHECKS["weyl"](hs.CampaignContext(flow, cfg))
+    n_orbit = len(op.enumerate_orbits(flow.cat, 3, cfg.truncation.p_max))
+    return ok, payload, len(calls), n_orbit
+
+
+def test_weyl_check_shares_mirror_audits_exactly(monkeypatch):
+    # each k0, -k0 pair is audited once: 1 neutral + half the orbit
+    # sectors + 20 random matrices, and the payload is the one of a run
+    # that audits every sector on its own (a key no two sectors share)
+    ok, shared, n_shared, n_orbit = _weyl_on_k_max_3(monkeypatch)
+    assert n_orbit % 2 == 0 and n_shared == 1 + n_orbit // 2 + 20
+    monkeypatch.setattr(op, "mirror_key", tuple)
+    ok_direct, direct, n_direct, _ = _weyl_on_k_max_3(monkeypatch)
+    assert n_direct == 1 + n_orbit + 20
+    assert ok is ok_direct is True
+    assert shared == direct
+    assert shared["sectors_audited"] == 1 + n_orbit
+
+
+def test_weyl_check_negative_control_inflated_singular_values(monkeypatch):
+    # singular values scaled by 1.5 break every audited prefix: the sector
+    # audits fail, not only the random matrices
+    svals = op.singular_values
+    monkeypatch.setattr(op, "singular_values", lambda p, z_e=0.0: 1.5 * svals(p, z_e))
+    cfg = parse_config("[campaign]\nchecks = weyl\n[solver]\nk_max = 3\n")
+    ok, payload = hs.CHECKS["weyl"](hs.CampaignContext(cfg.flow(), cfg))
+    assert ok is False
+    assert payload["worst_margin"] < -np.log(1.5)
+
+
 def test_min_singular_value_resolvent_bound():
     # sanity relation: smallest singular value of (P - z) is at least the
     # spectral distance over the eigenvector condition number
@@ -424,6 +466,20 @@ def test_campaign_determinism(flow):
     r2 = hs.run_campaign(flow, cfg)
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
     assert r1["verdicts"] == {"upper_half": True, "symmetry": True, "disk": True}
+
+
+def test_checks_that_compare_nothing_fail(flow):
+    # an empty spectrum passes none of the comparisons; the payloads keep
+    # the helpers' values
+    cfg = parse_config("[solver]\nk_max = 3\n")
+    ctx = hs.CampaignContext(flow, cfg)
+    ctx.base = hs.ResonanceSet([], {"cluster_radius": cfg.cluster_radius})
+    ok, payload = hs.CHECKS["upper_half"](ctx)
+    assert ok is False and payload["max_im"] == float("-inf")
+    ok, payload = hs.CHECKS["symmetry"](ctx)
+    assert ok is False and payload == {"max_distance": 0.0, "pairs": 0}
+    ok, payload = hs.CHECKS["disk"](ctx)
+    assert ok is False and payload["ok"] is True and payload["n_in_box"] == 0
 
 
 def test_campaign_guard_turns_a_raising_check_into_a_failure(flow, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from catspec import cotangent
 from catspec import operator as op
+from catspec.config import DEFAULT_CONFIG, parse_config
 from catspec.errors import (NonConvergence, TruncationTooSmall, UnresolvedState,
                             WeightOverflow)
 from catspec.escape import EscapeFunction, OrderParams
@@ -446,6 +447,38 @@ def _dense_hop_defect(block, nj, defect):
             if ell + 1 < block.sector.n_cells:
                 m[(ell + 1) * nj:(ell + 2) * nj, cols] = hop
     return replace(block, matrix=m)
+
+
+def test_mirror_sectors_have_bit_identical_weights():
+    # the default truncation's 60 orbit sectors pair up as k0, -k0 with
+    # opposite frequencies, and each pair's weights are equal bit for bit
+    # for both escape functions, at h and at every coherent-study h
+    cfg = parse_config(DEFAULT_CONFIG)
+    flow, tr = cfg.flow(), cfg.truncation
+    sectors = op.enumerate_orbits(flow.cat, tr.k_max, tr.p_max)
+    pairs = {}
+    for sector in sectors:
+        key = op.mirror_key(op.sector_frequencies(flow.cat, sector))
+        pairs.setdefault(key, []).append(sector)
+    assert len(sectors) == 60
+    assert sorted(len(pair) for pair in pairs.values()) == [2] * 30
+    for a, b in pairs.values():
+        assert op.sector_frequencies(flow.cat, b) == [
+            (-k1, -k2) for k1, k2 in op.sector_frequencies(flow.cat, a)]
+    for params in (cfg.escape, cfg.escape_alt):
+        escape = EscapeFunction(flow, params)
+        for h in [cfg.h, *cfg.coherent_h_list]:
+            for a, b in pairs.values():
+                wa, wb = (op.mode_log_weight(flow, s, op.orbit_basis(s, tr.j_max),
+                                             escape, h) for s in (a, b))
+                assert wa.tobytes() == wb.tobytes()
+
+
+def test_mirror_key_is_sign_canonical():
+    assert op.mirror_key([(1, 0), (2, 1)]) == ((1, 0), (2, 1))
+    assert op.mirror_key([(-1, 0), (-2, -1)]) == ((1, 0), (2, 1))
+    assert op.mirror_key([(0, -1), (-1, -1)]) == ((0, 1), (1, 1))
+    assert op.mirror_key([(1, 0)]) != op.mirror_key([(0, 1)])
 
 
 @pytest.mark.parametrize("variation, flux", [(0.0, 1.6), (0.2, 1.6), (0.2, 0.7)])
