@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import io
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,6 +89,13 @@ class EscapeFunction:
         self._blend2 = np.sin(2.0 * params.aperture) ** 2
         self._nodes, self._weights = composite_gauss_legendre(
             params.t_avg, panels, nodes_per_panel)
+        self._log_ga = 2.0 * self.theta * self._nodes
+        self._ga = np.exp(self._log_ga)
+        # rows whose largest square lies outside (_tiny, _huge) may overflow
+        # or lose bits to underflow along the nodes, so they keep every node
+        reach = np.exp(np.abs(self._log_ga).max())
+        self._tiny = 1e4 * np.finfo(float).tiny * reach
+        self._huge = np.finfo(float).max / (4.0 * reach)
         self._memo = {}
 
     def with_order(self, params: OrderParams):
@@ -126,37 +134,163 @@ class EscapeFunction:
         eps = self.SATURATION
         return smoothstep((m - eps) / (1.0 - 2.0 * eps))
 
-    #: rows per block of _raw_profiles: a block's rows x nodes temporaries
-    #: (32 x 384 x 8 B = 98 KB; 33 rows with a folded one-row tail) stay
-    #: below glibc's 128 KB mmap threshold, so they are reused from the heap
-    #: instead of mapped and page-faulted afresh on every call
+    #: rows per gemv of _raw_profiles, a multiple of 4 (see there); with a
+    #: 3-row tail a block over all nodes (35 x 384 x 8 B = 105 KB) stays
+    #: below glibc's 128 KB mmap threshold, and so do the work arrays of
+    #: _average, so they are reused from the heap instead of mapped and
+    #: page-faulted afresh on every call
     BLOCK_ROWS = 32
+    #: rows whose windows are computed and sorted together
+    SORT_ROWS = 2048
+    #: rows are sorted by their m1 window start in bands of this many
+    #: nodes, and by their m2 window start within a band
+    SORT_BAND = 16
+    #: nodes added on each side of a row's closed-form transition window
+    WINDOW_MARGIN = 2
 
     def _raw_profiles(self, adapted):
-        """Time-averaged bump profiles for a batch of frame triples."""
+        """Time-averaged bump profiles for a batch of frame triples.
+
+        Along the flow the squared components are ``(a^2 g, b^2 / g, e^2)``
+        with ``g = exp(2 theta t)``; the bumps only need squared fractions,
+        so normalization is never materialized.  The fraction of ``a^2``
+        increases with ``g`` and that of ``b^2`` decreases, so each bump is
+        exactly 0 before and exactly 1 after a window of nodes that
+        :meth:`_windows` finds in closed form (``smoothstep`` returns 0.0
+        and 1.0 there, and ``1 - 1`` is 0.0).  :meth:`_average` evaluates
+        the bumps on the union of the windows of a few sorted rows only,
+        fills the rest of each row with 0.0 and 1.0, and reduces every row
+        over all nodes with ``@ self._weights``.  The gemv thus sees the
+        values of the one-pass formula, and the profiles equal
+        ``tests/oracles.py`` ``raw_profiles_one_shot`` bit for bit, on one
+        BLAS thread or two.  This needs the blocking rule of OpenBLAS:
+        gemv reduces rows in groups of 4 and the last ``n mod 4`` rows in
+        a remainder kernel that rounds differently.  So blocks hold
+        multiples of 4 rows, only the first ``n - n mod 4`` rows are
+        sorted, and the last ``n mod 4`` rows end the last block in their
+        order (a batch of one row stays on numpy's dot).
+        """
         d = np.asarray(adapted, dtype=float)
         batch = d.reshape(-1, 3)
-        m1 = np.empty(len(batch))
-        m2 = np.empty(len(batch))
-        # evolve squared components along the quadrature nodes; bumps only
-        # need squared fractions, so normalization is never materialized
-        ga = np.exp(2.0 * self.theta * self._nodes)
-        lo, span = self._cone2, 1.0 - 2.0 * self._cone2
-        edges = list(range(0, len(batch), self.BLOCK_ROWS)) + [len(batch)]
-        if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-            # a one-row block would be reduced by numpy's dot instead of the
-            # gemv of the other rows, which rounds differently
-            del edges[-2]
-        for start, stop in zip(edges, edges[1:]):
-            rows = slice(start, stop)
-            block = batch[rows]
-            a2 = block[:, 0:1] ** 2 * ga
-            b2 = block[:, 1:2] ** 2 / ga
-            tot = a2 + b2 + block[:, 2:3] ** 2
-            m1[rows] = (1.0 - smoothstep((b2 / tot - lo) / span)) @ self._weights
-            m2[rows] = smoothstep((a2 / tot - lo) / span) @ self._weights
+        n = len(batch)
+        body = n - n % 4
+        m = (np.empty(n), np.empty(n))
+        for c0 in range(0, max(body, 1), self.SORT_ROWS):
+            c1 = c0 + self.SORT_ROWS if c0 + self.SORT_ROWS < body else n
+            self._average(batch[c0:c1] ** 2, (m[0][c0:c1], m[1][c0:c1]))
         shape = d.shape[:-1]
-        return m1.reshape(shape), m2.reshape(shape)
+        return m[0].reshape(shape), m[1].reshape(shape)
+
+    def _windows(self, sq):
+        """Nodes ``[start, stop)`` outside which the bumps of m1 (row 0)
+        and m2 (row 1) are exactly 0 (before) or 1 (after).
+
+        The fraction ``a^2 g^2 / (a^2 g^2 + e^2 g + b^2)`` equals ``c`` at
+        the positive root of ``(1 - c) a^2 g^2 - c e^2 g - c b^2``; the
+        fraction of ``b^2`` at ``g`` is that of ``a^2`` at ``1 / g`` with
+        ``a`` and ``b`` swapped.  The roots for ``c = lo`` and ``1 - lo``
+        are taken in ``log g`` from the squares divided by the row
+        maximum, so nothing overflows, and widened by WINDOW_MARGIN nodes.
+        A root that is 0/0 (a row on an axis) or a row whose largest square
+        could overflow or lose bits to underflow at some node opens the
+        window to every node.
+        """
+        n_nodes = len(self._nodes)
+        lo = self._cone2
+        top = np.maximum(np.maximum(sq[:, 0], sq[:, 1]), sq[:, 2])
+        with np.errstate(all="ignore"):
+            a, b, e = (sq / top[:, None]).T
+            log_a, log_b = np.log(a), np.log(b)
+            disc = 4.0 * lo * (1.0 - lo) * a * b
+            low, high = (np.log(c * e + np.sqrt((c * e) ** 2 + disc)) - math.log(2.0 * (1.0 - c))
+                         for c in (lo, 1.0 - lo))
+            # starts of m1 and m2, then their stops
+            ends = np.stack([log_b - high, low - log_a, log_b - low, high - log_a])
+        ends[:, ~((top > self._tiny) & (top < self._huge))] = np.nan
+        # a NaN edge opens the window to every node
+        np.fmax(ends[:2], -np.inf, out=ends[:2])
+        np.fmin(ends[2:], np.inf, out=ends[2:])
+        nodes = np.searchsorted(self._log_ga, ends)
+        start, stop = nodes[:2], nodes[2:]
+        start -= self.WINDOW_MARGIN
+        stop += self.WINDOW_MARGIN
+        np.maximum(start, 0, out=start)
+        np.minimum(stop, n_nodes, out=stop)
+        return start, stop
+
+    def _average(self, sq, m):
+        """Write the raw profiles of the rows ``sq`` of squared components
+        into ``m[0]`` and ``m[1]`` (see :meth:`_raw_profiles`)."""
+        n = len(sq)
+        if not n:
+            return
+        n_nodes = len(self._nodes)
+        body = n - n % 4
+        start, stop = self._windows(sq)
+        order = np.arange(n)
+        if body > self.BLOCK_ROWS:
+            key = start[0] // self.SORT_BAND * n_nodes + start[1]
+            order[:body] = np.argsort(key[:body], kind="stable")
+        # blocks of BLOCK_ROWS sorted rows, the last one with the tail
+        bounds = (list(range(0, body, self.BLOCK_ROWS)) or [0]) + [n]
+        first = np.minimum.reduceat(start[:, order], bounds[:-1], axis=1).T.tolist()
+        last = np.maximum.reduceat(stop[:, order], bounds[:-1], axis=1).T.tolist()
+        # runs of blocks share the elementwise work while its arrays are no
+        # larger than one block's over all nodes: [first block, last block
+        # + 1, m1 window start, m2 window start, m1 window stop, m2 stop]
+        cells = (self.BLOCK_ROWS + 3) * n_nodes
+        runs = []
+        for i, ((p0, q0), (p1, q1)) in enumerate(zip(first, last)):
+            if runs:
+                r = runs[-1]
+                merged = [r[0], i + 1, min(r[2], p0), min(r[3], q0), max(r[4], p1), max(r[5], q1)]
+                if (bounds[i + 1] - bounds[r[0]]) * (max(merged[4:]) - min(merged[2:4])) <= cells:
+                    runs[-1] = merged
+                    continue
+            runs.append([i, i + 1, p0, q0, p1, q1])
+        lo, span = self._cone2, 1.0 - 2.0 * self._cone2
+        work = [np.empty(min(n, self.BLOCK_ROWS + 3) * n_nodes) for _ in range(4)]
+
+        def view(k, shape):
+            return work[k][:shape[0] * shape[1]].reshape(shape)
+
+        for i0, i1, p0, q0, p1, q1 in runs:
+            rows = order[bounds[i0]:bounds[i1]]
+            blk = sq[rows]
+            u0, u1 = min(p0, q0), max(p1, q1)
+            g = self._ga[u0:u1]
+            a2, b2, tot = (view(k, (len(rows), u1 - u0)) for k in range(3))
+            np.multiply(blk[:, 0:1], g, out=a2)
+            np.divide(blk[:, 1:2], g, out=b2)
+            np.add(a2, b2, out=tot)
+            tot += blk[:, 2:3]
+            # the bumps' arguments, compacted to their windows
+            x1 = view(3, (len(rows), p1 - p0))
+            np.divide(b2[:, p0 - u0:p1 - u0], tot[:, p0 - u0:p1 - u0], out=x1)
+            x2 = view(1, (len(rows), q1 - q0))
+            np.divide(a2[:, q0 - u0:q1 - u0], tot[:, q0 - u0:q1 - u0], out=x2)
+            for profile, x, w0, w1 in ((0, x1, p0, p1), (1, x2, q0, q1)):
+                x -= lo
+                x /= span
+                # smoothstep in place, one rounded operation at a time in
+                # its order: x^3 (10 + x (6 x - 15)) on x clipped to [0, 1]
+                np.clip(x, 0.0, 1.0, out=x)
+                poly, bump = view(2, x.shape), view(0, x.shape)
+                np.multiply(x, 6.0, out=poly)
+                poly -= 15.0
+                poly *= x
+                poly += 10.0
+                np.multiply(x, x, out=bump)
+                bump *= x
+                bump *= poly
+                if profile == 0:
+                    np.subtract(1.0, bump, out=bump)
+                for b0, b1 in zip(bounds[i0:i1], bounds[i0 + 1:i1 + 1]):
+                    vals = view(2, (b1 - b0, n_nodes))
+                    vals[:, :w0] = 0.0
+                    vals[:, w0:w1] = bump[b0 - bounds[i0]:b1 - bounds[i0]]
+                    vals[:, w1:] = 1.0
+                    m[profile][order[b0:b1]] = vals @ self._weights
 
     #: batches whose saturated profiles are kept; the memo is cleared when full
     MEMO_ENTRIES = 8

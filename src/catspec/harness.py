@@ -149,19 +149,26 @@ def count_in_box(res: ResonanceSet, box: CountingBox) -> int:
     return sum(e.multiplicity for e in res.entries if box.contains(e.value))
 
 
+def fit_slope(x, y):
+    """Least-squares slope of y against x, or None when x has fewer than
+    two distinct values and no slope is defined."""
+    x = np.asarray(x, dtype=float)
+    if len(set(x.tolist())) < 2:        # np.unique would import numpy.ma (0.6 MB)
+        return None
+    return float(np.polyfit(x, np.asarray(y, dtype=float), 1)[0])
+
+
 def fit_log_slope(alphas, counts):
-    """Least-squares slope of log(N + 1) against log(alpha)."""
-    x = np.log(np.asarray(alphas, dtype=float))
-    y = np.log(np.asarray(counts, dtype=float) + 1.0)
-    slope = np.polyfit(x, y, 1)[0]
-    return float(slope)
+    """Least-squares slope of log(N + 1) against log(alpha), or None."""
+    return fit_slope(np.log(np.asarray(alphas, dtype=float)),
+                     np.log(np.asarray(counts, dtype=float) + 1.0))
 
 
 @dataclass
 class ScalingStudy:
     alphas: list
     counts: list
-    exponent: float      # None when every count is zero
+    exponent: float      # None when every count is zero or alpha takes one value
     reference: float     # dimensional bound n - 1/2
     undefined: bool
 
@@ -187,9 +194,8 @@ def scaling_study(flow: MappingTorusFlow, params: OrderParams,
                                  residual_tol=residual_tol,
                                  cluster_radius=cluster_radius)
         counts.append(count_in_box(res, CountingBox(E, alpha, beta)))
-    undefined = all(c == 0 for c in counts)
-    exponent = None if undefined else fit_log_slope(alpha_grid, counts)
-    return ScalingStudy(list(alpha_grid), counts, exponent, 2.5, undefined)
+    exponent = None if all(c == 0 for c in counts) else fit_log_slope(alpha_grid, counts)
+    return ScalingStudy(list(alpha_grid), counts, exponent, 2.5, exponent is None)
 
 
 def synthetic_lattice_counts(E, alpha_grid, beta=1.0):
@@ -216,7 +222,7 @@ def synthetic_lattice_counts(E, alpha_grid, beta=1.0):
                       2.0 * np.ceil(np.sqrt(np.clip(rem_lo, 0, None))) - 1.0, 0.0)
         counts.append(int(np.sum(hi - lo)))
     exponent = fit_log_slope(alpha_grid, counts)
-    return ScalingStudy(list(alpha_grid), counts, exponent, 2.5, False)
+    return ScalingStudy(list(alpha_grid), counts, exponent, 2.5, exponent is None)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +482,8 @@ class CoherentStudy:
     points: list
     h_list: list
     errors: list        # per point: {h: |<P> - two-term symbol|}
-    powers: list        # per point: fitted h-power of the error
+    powers: list        # per point: fitted h-power of the error, or None
+    undefined: bool     # h takes fewer than two values: no power is defined
 
 
 def default_symbol_points(flow: MappingTorusFlow, tau0=0.5):
@@ -498,6 +505,14 @@ def default_symbol_points(flow: MappingTorusFlow, tau0=0.5):
     pts.append(1.5 * cs - 0.35 * eta)
     x0 = (0.5, 0.5, tau0)
     return [(x0, tuple(p)) for p in pts]
+
+
+def coherent_k_max(points, h):
+    """Frequency cutoff of the truncation the coherent study uses at h: the
+    packets' centre frequency plus four widths, and a margin of 2."""
+    r_max = max(np.linalg.norm(np.asarray(xi)[:2]) for _, xi in points)
+    spread = 4.0 * np.sqrt((1.0 + r_max ** 2) ** 0.5 / h) / (2.0 * np.pi)
+    return int(np.ceil(r_max / (2.0 * np.pi * h) + spread)) + 2
 
 
 def coherent_symbol_study(flow: MappingTorusFlow, params: OrderParams,
@@ -528,9 +543,7 @@ def coherent_symbol_study(flow: MappingTorusFlow, params: OrderParams,
 
     errors = [dict() for _ in points]
     for h in h_list:
-        r_max = max(np.linalg.norm(np.asarray(xi)[:2]) for _, xi in points)
-        spread = 4.0 * np.sqrt((1.0 + r_max ** 2) ** 0.5 / h) / (2.0 * np.pi)
-        k_max = int(np.ceil(r_max / (2.0 * np.pi * h) + spread)) + 2
+        k_max = coherent_k_max(points, h)
         tr = op.Truncation(k_max=k_max, p_max=p_max, j_max=j_max)
         profiles = [op.PacketProfile(flow, ax, xi, h) for ax, xi in points]
         neutral = op.build_generator(flow, op.NeutralSector(), tr)
@@ -560,12 +573,9 @@ def coherent_symbol_study(flow: MappingTorusFlow, params: OrderParams,
             pred = preds[i].real + 1j * h * preds[i].imag
             errors[i][float(h)] = float(abs(expv - pred))
 
-    powers = []
     logh = np.log(np.asarray(h_list, dtype=float))
-    for err in errors:
-        vals = np.array([err[float(h)] for h in h_list])
-        powers.append(float(np.polyfit(logh, np.log(vals), 1)[0]))
-    return CoherentStudy(list(points), list(h_list), errors, powers)
+    powers = [fit_slope(logh, np.log([err[float(h)] for h in h_list])) for err in errors]
+    return CoherentStudy(list(points), list(h_list), errors, powers, None in powers)
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +757,8 @@ def _check_coherent(ctx):
     study = coherent_symbol_study(ctx.flow, ctx.cfg.escape,
                                   default_symbol_points(ctx.flow),
                                   ctx.cfg.coherent_h_list)
-    return min(study.powers) >= 0.5, {
+    # from a single h there is no power to bound: that fails
+    return not study.undefined and min(study.powers) >= 0.5, {
         "powers": study.powers,
         "errors": [{str(k): v for k, v in e.items()} for e in study.errors]}
 
@@ -758,9 +769,10 @@ def _check_counting(ctx):
                           cfg.alpha_grid, cfg.beta, residual_tol=cfg.residual_tol,
                           cluster_radius=cfg.cluster_radius)
     control = synthetic_lattice_counts(cfg.E, cfg.alpha_grid, cfg.beta)
-    # with every count zero there is no exponent to bound: that fails
+    # with every count zero or a single alpha there is no exponent to
+    # bound: that fails
     ok = (not study.undefined and study.exponent <= 3.0
-          and abs(control.exponent - 2.5) <= 0.1)
+          and not control.undefined and abs(control.exponent - 2.5) <= 0.1)
     return ok, {"table": list(zip(study.alphas, study.counts)),
                 "exponent": study.exponent,
                 "undefined": study.undefined,

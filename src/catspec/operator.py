@@ -155,10 +155,12 @@ def sector_frequencies(cat, sector):
     largest position p; the flow transports mass toward increasing cell
     index, i.e. toward the unstable-coframe end.
     """
+    k = cat.power(sector.p_hi).T @ np.asarray(sector.k0)
+    step = cat.power(-1).T                  # (A^T)^(p-1) k0 = (A^-1)^T (A^T)^p k0
     freqs = []
-    for ell in range(sector.n_cells):
-        p = sector.p_hi - ell
-        freqs.append(tuple((cat.power(p).T @ np.asarray(sector.k0)).tolist()))
+    for _ in range(sector.n_cells):
+        freqs.append(tuple(k.tolist()))
+        k = step @ k
     return freqs
 
 

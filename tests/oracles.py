@@ -9,7 +9,7 @@ direction recovered by pushing a seed forward, the inverse of
 ``cotangent.adapted_components``, and the escape function's averaged
 profiles rebuilt from cosphere bumps: an adaptive quadrature of the
 average, its exact flow derivative from the endpoint identity, and the
-raw profiles of a whole batch in one unblocked pass.
+raw profiles of a whole batch reduced by one gemv over all its rows.
 """
 
 from __future__ import annotations
@@ -242,20 +242,34 @@ def averaged_order(escape: EscapeFunction, direction, bump=stable_bump,
         f"bump average did not settle to rtol={rtol} after {max_refine} refinements")
 
 
-def raw_profiles_one_shot(escape: EscapeFunction, adapted):
-    """``escape._raw_profiles`` with the batch as one block of rows."""
+def raw_profiles_one_shot(escape: EscapeFunction, adapted, slab_rows=512):
+    """``escape._raw_profiles`` with each profile reduced by one gemv over
+    the whole batch.
+
+    Every bump is evaluated at every node; the rows are evaluated
+    ``slab_rows`` at a time into one rows x nodes matrix, which bounds the
+    temporaries and changes no value (the bumps are elementwise).
+    """
     d = np.asarray(adapted, dtype=float)
     batch = d.reshape(-1, 3)
     t = escape._nodes
     ga = np.exp(2.0 * escape.theta * t)
-    a2 = batch[:, 0:1] ** 2 * ga[None, :]
-    b2 = batch[:, 1:2] ** 2 / ga[None, :]
-    e2 = batch[:, 2:3] ** 2 * np.ones_like(t)[None, :]
-    tot = a2 + b2 + e2
     lo, span = escape._cone2, 1.0 - 2.0 * escape._cone2
-    m1 = (1.0 - smoothstep((b2 / tot - lo) / span)) @ escape._weights
-    m2 = smoothstep((a2 / tot - lo) / span) @ escape._weights
-    return m1.reshape(d.shape[:-1]), m2.reshape(d.shape[:-1])
+    bumps = np.empty((len(batch), len(t)))
+    profiles = []
+    for stable in (True, False):
+        for s in range(0, len(batch), slab_rows):
+            rows = batch[s:s + slab_rows]
+            a2 = rows[:, 0:1] ** 2 * ga[None, :]
+            b2 = rows[:, 1:2] ** 2 / ga[None, :]
+            e2 = rows[:, 2:3] ** 2 * np.ones_like(t)[None, :]
+            tot = a2 + b2 + e2
+            if stable:
+                bumps[s:s + slab_rows] = 1.0 - smoothstep((b2 / tot - lo) / span)
+            else:
+                bumps[s:s + slab_rows] = smoothstep((a2 / tot - lo) / span)
+        profiles.append((bumps @ escape._weights).reshape(d.shape[:-1]))
+    return tuple(profiles)
 
 
 def saturate_slope(escape: EscapeFunction, m):

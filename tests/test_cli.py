@@ -199,6 +199,22 @@ def test_cli_campaign_logs_the_raising_frame(tmp_path, capsys):
     assert "__post_init__" not in report
 
 
+@pytest.mark.parametrize("text,check,field", [
+    ("[campaign]\nchecks = coherent\ncoherent_h = 0.14\n", "coherent", "powers"),
+    ("[campaign]\nchecks = counting\nalpha_grid = 10\n[solver]\nk_max = 3\n",
+     "counting", "exponent"),
+], ids=["coherent_one_h", "counting_one_alpha"])
+def test_cli_fit_from_one_abscissa_fails_as_undefined(tmp_path, capsys, text, check, field):
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(text)
+    assert main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "campaign"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out.splitlines()[-1]) == {"failed_checks": [check]}
+    assert "Polyfit" not in captured.err
+    payload = json.loads((tmp_path / "o" / "campaign.json").read_text())["checks"][check]
+    assert payload[field] in (None, [None] * 10)
+
+
 @pytest.mark.parametrize("command,text,message", [
     ("plotdata", "[campaign]\ne = 0\nalpha_grid = 10\n[solver]\nk_max = 3\n",
      "ValueError: E = 0 is excluded"),

@@ -1,9 +1,14 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import catspec.escape
 from catspec import cotangent as ct
 from catspec import harness as hs
 from catspec.config import parse_config
@@ -281,17 +286,68 @@ def test_quadrature_internal_consistency(escape):
     assert m1_fixed == pytest.approx(m1_adapt, abs=1e-9)
 
 
-# -- blocked profiles and the shared profile memo ----------------------------
+# -- windowed profiles and the shared profile memo ---------------------------
 
-B = EscapeFunction.BLOCK_ROWS
+#: every n mod 4 within one block and a few
+SIZES = list(range(41)) + [97, 101]
+#: every n mod 4 across the chunk boundaries at 2,048 and 4,096 rows
+#: (EscapeFunction.SORT_ROWS), and many chunks
+CHUNKED = list(range(2047, 2054)) + list(range(4095, 4102)) + [20001]
+AXES = np.eye(3)
 
 
-@pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 3 * B + 1, 3 * B + 5])
+def _matches_one_shot(escape, pts):
+    got, want = escape._raw_profiles(pts), raw_profiles_one_shot(escape, pts)
+    return all(g.shape == w.shape == np.shape(pts)[:-1] and np.array_equal(g, w)
+               for g, w in zip(got, want))
+
+
+def _with_axes_last(pts):
+    # rows whose bumps are 0 or 1 at every node, also in the last n mod 4
+    # places, which the gemv reduces in its remainder kernel
+    pts = pts.copy()
+    n = len(pts)
+    pts[n - n % 4:] = AXES[:n % 4]
+    pts[:12] = np.tile(AXES, (4, 1))
+    return pts
+
+
+@pytest.mark.parametrize("rows", SIZES)
 def test_blocked_raw_profiles_match_one_shot(escape, rows):
     pts = np.random.default_rng(rows).normal(size=(rows, 3)) * 30.0
-    for got, want in zip(escape._raw_profiles(pts), raw_profiles_one_shot(escape, pts)):
-        assert got.shape == (rows,)
-        assert np.array_equal(got, want)
+    assert _matches_one_shot(escape, pts)
+
+
+@pytest.mark.parametrize("rows", [97, 98, 99, 101, 102, 103])
+def test_saturated_rows_in_the_gemv_tail(escape, rows):
+    assert _matches_one_shot(escape, _with_axes_last(
+        np.random.default_rng(rows).normal(size=(rows, 3))))
+
+
+_ONE_BLAS_THREAD = """
+import numpy as np
+from catspec.escape import EscapeFunction, OrderParams
+from catspec.model import default_flow
+from test_escape import CHUNKED, _matches_one_shot, _with_axes_last
+
+escape = EscapeFunction(default_flow(0.2), OrderParams())
+for rows in CHUNKED:
+    pts = np.random.default_rng(rows).normal(size=(rows, 3)) * 30.0
+    print(rows, _matches_one_shot(escape, pts), _matches_one_shot(escape, _with_axes_last(pts)))
+"""
+
+
+def test_raw_profiles_match_one_shot_across_chunks():
+    # with two BLAS threads OpenBLAS splits the oracle's gemv of a few
+    # thousand rows in halves, at a row that need not be a multiple of 4,
+    # which moves it there by 1e-16; on one thread it is the one-pass formula
+    src = str(Path(catspec.escape.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, str(Path(__file__).parent)]))
+    proc = subprocess.run([sys.executable, "-c", _ONE_BLAS_THREAD], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{rows} True True" for rows in CHUNKED]
 
 
 def test_blocked_raw_profiles_keep_the_batch_shape(escape):
@@ -300,9 +356,61 @@ def test_blocked_raw_profiles_keep_the_batch_shape(escape):
                          raw_profiles_one_shot(escape, single)):
         assert np.shape(got) == () and got == want
     grid = np.random.default_rng(11).normal(size=(7, 9, 3)) * 30.0
-    for got, want in zip(escape._raw_profiles(grid), raw_profiles_one_shot(escape, grid)):
-        assert got.shape == (7, 9)
-        assert np.array_equal(got, want)
+    assert _matches_one_shot(escape, grid)
+
+
+def test_rows_whose_ramp_argument_is_exactly_0_or_1_at_a_node(escape):
+    lo, span = escape._cone2, 1.0 - 2.0 * escape._cone2
+    ga = np.exp(2.0 * escape.theta * escape._nodes)
+    rows = []
+    for j in (40, 191, 300):
+        for c in (lo, 1.0 - lo):
+            # a^2 g / (a^2 g + 1) and (b^2 / g) / (b^2 / g + 1) equal c at
+            # node j up to rounding; ulp steps of a and b hit it exactly
+            for k in range(-8, 9):
+                step = 1.0 + k * 2.0 ** -52
+                rows.append((np.sqrt(c / (1.0 - c) / ga[j]) * step, 0.0, 1.0))
+                rows.append((0.0, np.sqrt(c / (1.0 - c) * ga[j]) * step, 1.0))
+    rows = np.array(rows)
+    sq = rows ** 2
+    a2, b2 = sq[:, 0:1] * ga, sq[:, 1:2] / ga
+    tot = a2 + b2 + sq[:, 2:3]
+    args = np.concatenate([(a2 / tot - lo) / span, (b2 / tot - lo) / span])
+    assert np.any(args == 0.0) and np.any(args == 1.0)
+    assert _matches_one_shot(escape, rows)
+
+
+def test_rows_with_zero_components(escape):
+    pts = np.random.default_rng(14).normal(size=(203, 3)) * 30.0
+    for col in range(3):
+        pts[col::7, col] = 0.0
+    pts[3::7, :2] = 0.0
+    pts[4::7, 1:] = 0.0
+    pts[5::7, ::2] = 0.0
+    assert _matches_one_shot(escape, pts)
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-100, 1e140, 1e-160])
+def test_raw_profiles_at_extreme_scales(escape, scale):
+    # the window arithmetic raises nothing that the one-pass formula does not
+    pts = np.random.default_rng(15).normal(size=(101, 3))
+    with np.errstate(over="raise", invalid="raise"):
+        assert _matches_one_shot(escape, pts * scale)
+        for col in range(3):
+            one = pts.copy()
+            one[:, col] *= scale
+            assert _matches_one_shot(escape, one)
+
+
+def test_narrowed_windows_break_the_equality(escape, monkeypatch):
+    # negative control: three nodes cut from each side of every window
+    # replace ramp values by 0 and 1; components of similar size keep the
+    # windows inside the node range
+    rng = np.random.default_rng(16)
+    pts = rng.choice([-1.0, 1.0], size=(97, 3)) * rng.uniform(0.3, 1.0, size=(97, 3))
+    assert _matches_one_shot(escape, pts)
+    monkeypatch.setattr(EscapeFunction, "WINDOW_MARGIN", -3)
+    assert not _matches_one_shot(escape, pts)
 
 
 def _doubled(q):

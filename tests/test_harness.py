@@ -85,6 +85,17 @@ def test_scaling_study_zero_counts_flagged(flow_const, trunc):
     assert study.undefined and study.exponent is None
 
 
+def test_fits_from_one_abscissa_are_undefined(flow_const, trunc, recwarn):
+    # a slope needs two distinct abscissae; no RankWarning, no number
+    assert hs.fit_slope([1.0, 1.0, 1.0], [0.0, 1.0, 2.0]) is None
+    assert hs.fit_slope([1.0, 2.0], [0.0, 1.0]) == pytest.approx(1.0)
+    study = hs.scaling_study(flow_const, OrderParams(), trunc, 1.0, [10], beta=1.0)
+    assert study.counts[0] > 0 and study.undefined and study.exponent is None
+    control = hs.synthetic_lattice_counts(1.0, [20, 20])
+    assert control.undefined and control.exponent is None
+    assert not recwarn.list
+
+
 def test_synthetic_lattice_exponent():
     study = hs.synthetic_lattice_counts(1.0, [10, 20, 40, 80, 160])
     assert abs(study.exponent - 2.5) <= 0.1
@@ -440,6 +451,16 @@ def test_coherent_study_unresolved_at_small_j_max(flow):
         hs.coherent_symbol_study(flow, OrderParams(), points, [0.14], j_max=2)
     study = hs.coherent_symbol_study(flow, OrderParams(), points, [0.14, 0.1], j_max=3)
     assert len(study.powers) == len(points)
+
+
+def test_coherent_study_from_one_h_is_undefined(flow, recwarn):
+    points = hs.default_symbol_points(flow)
+    study = hs.coherent_symbol_study(flow, OrderParams(), points, [0.14, 0.14], j_max=3)
+    assert study.undefined and study.powers == [None] * len(points)
+    assert all(len(e) == 1 for e in study.errors)
+    assert not recwarn.list
+    study = hs.coherent_symbol_study(flow, OrderParams(), points, [0.14, 0.1], j_max=3)
+    assert not study.undefined and None not in study.powers
 
 
 def test_coherent_study_weight_overflow_on_orbit_sectors(flow, escape):

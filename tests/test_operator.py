@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from catspec import cotangent
+from catspec import harness as hs
 from catspec import operator as op
 from catspec.config import DEFAULT_CONFIG, parse_config
 from catspec.errors import (NonConvergence, TruncationTooSmall, UnresolvedState,
@@ -26,6 +27,22 @@ def test_orbit_of_unit_frequency(flow):
     # (1,-1) maps to (1,0) under the transpose, hence shares its sector
     assert op.orbit_representative(flow.cat, (1, -1)) == (1, 0)
     assert (1, -1) in freqs
+
+
+def test_sector_frequencies_equal_the_per_cell_powers(flow):
+    # one power at the top cell and steps by (A^-1)^T give (A^T)^p k0 of
+    # every cell, at the default truncation and at the coherent study's
+    # largest cutoff (h = 0.0125)
+    cfg = parse_config(DEFAULT_CONFIG)
+    k_top = hs.coherent_k_max(hs.default_symbol_points(flow), min(cfg.coherent_h_list))
+    assert (cfg.truncation.k_max, k_top) == (6, 35)
+    for k_max in (cfg.truncation.k_max, k_top):
+        for sector in op.enumerate_orbits(flow.cat, k_max, cfg.truncation.p_max):
+            cells = [tuple((flow.cat.power(sector.p_hi - ell).T @ np.asarray(sector.k0)).tolist())
+                     for ell in range(sector.n_cells)]
+            got = op.sector_frequencies(flow.cat, sector)
+            assert got == cells
+            assert all(type(k) is int for f in got for k in f)
 
 
 def test_orbit_ball_partition(flow):
