@@ -207,6 +207,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("beta and h must be positive")
     if any(a <= 0 for a in cfg.alpha_grid):
         raise ConfigError("alpha_grid entries must be positive")
+    if any(h <= 0 for h in cfg.coherent_h_list):
+        raise ConfigError("coherent_h entries must be positive")
     if cfg.escape_samples < 1:
         raise ConfigError("escape_samples must be at least 1")
     return cfg

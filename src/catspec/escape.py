@@ -16,6 +16,7 @@ obtained by transporting covectors with the lifted flow itself.
 from __future__ import annotations
 
 import copy
+import hashlib
 import io
 import math
 from dataclasses import dataclass, replace
@@ -305,10 +306,12 @@ class EscapeFunction:
         flow monotonicity exact (chain rule with nonnegative slope).
         The result is memoised on the exact input triples, so the sibling
         evaluators of :meth:`with_order` evaluate a batch only once; the
-        returned arrays are shared and must not be modified.
+        returned arrays are shared and must not be modified.  The memo key
+        is the shape, the dtype and a BLAKE2b digest of the values, not a
+        copy of them.
         """
-        d = np.asarray(adapted, dtype=float)
-        key = (d.shape, d.tobytes())
+        d = np.ascontiguousarray(adapted, dtype=float)
+        key = (d.shape, d.dtype.str, hashlib.blake2b(d).digest())
         hit = self._memo.get(key)
         if hit is None:
             if len(self._memo) >= self.MEMO_ENTRIES:

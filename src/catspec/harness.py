@@ -520,16 +520,19 @@ def coherent_symbol_study(flow: MappingTorusFlow, params: OrderParams,
                           mass_tol=0.02) -> CoherentStudy:
     """Error of packet expectations against the two-term symbol, per h.
 
-    The neutral sector is one small dense block: it is built, weighted and
-    applied to each packet's projection.  Orbit sectors are never built:
-    each sector's weight is computed once per h, and the sectors through
-    k0 and -k0 share it (`operator.mirror_key`).  Sharing is exact: the
-    two weights are equal bit for bit, as the escape function reads only
-    squares, norms and |e| of the frame components, and those of -k are
-    exactly -(a, b) and e.  Each packet's coefficients are a per-cell outer
-    product with the packet's cached rectified-time integrals, and
+    Each h takes a few batched passes.  The packets share one
+    rectified-time phase table, dropped once their mode integrals are
+    taken.  Orbit sectors are never built.  Their weights come from
+    `operator.sector_log_weights`, one escape_value call per run of whole
+    sectors, with the neutral sector's weight in the last run.  The
+    sectors through k0 and -k0 share one weight (`operator.mirror_key`).
+    Sharing is exact: the two weights are equal bit for bit, as the escape
+    function reads only squares, norms and |e| of the frame components,
+    and those of -k are exactly -(a, b) and e.  Per run, each packet's
+    overlaps with all the run's cells are one call; a sector's coefficients
+    are a slice of them times the packet's mode integrals, and
     `operator.orbit_expectation` sums the weighted expectation cell by cell
-    in O(n) per sector.
+    in O(n) per sector.  The sector terms are added up in sector order.
     """
     from . import cotangent
     from .model import BasePoint
@@ -546,25 +549,46 @@ def coherent_symbol_study(flow: MappingTorusFlow, params: OrderParams,
         k_max = coherent_k_max(points, h)
         tr = op.Truncation(k_max=k_max, p_max=p_max, j_max=j_max)
         profiles = [op.PacketProfile(flow, ax, xi, h) for ax, xi in points]
+        phases = profiles[0].phase_table(j_max)
+        tau_ints = np.stack([prof.orbit_tau_integrals(phases) for prof in profiles])
+        del phases
         neutral = op.build_generator(flow, op.NeutralSector(), tr)
-        mat = h * op.apply_weight(neutral, escape, h)
         vecs = [prof.project(flow, neutral) for prof in profiles]
+
+        sectors = op.enumerate_orbits(flow.cat, k_max, p_max)
+        freqs = [op.sector_frequencies(flow.cat, sector) for sector in sectors]
+        shared = {}                     # mirror key -> its sectors' indices
+        for i, f in enumerate(freqs):
+            shared.setdefault(op.mirror_key(f), []).append(i)
+        groups = list(shared.values())
+        weighed = [(sectors[g[0]], op.orbit_basis(sectors[g[0]], j_max), freqs[g[0]])
+                   for g in groups] + [(neutral.sector, neutral.basis, None)]
+        owners = iter(groups + [None])  # None: the neutral sector
+        terms = np.empty((len(sectors), len(points)), dtype=complex)
+        masses = np.empty((len(sectors), len(points)))
+        for logws in op.sector_log_weights(flow, escape, h, weighed):
+            run = [(next(owners), logw) for logw in logws]
+            members = [i for g, _ in run if g is not None for i in g]
+            cells = np.reshape([k for i in members for k in freqs[i]], (-1, 2))
+            x_ints = np.stack([prof.torus_overlaps(cells) for prof in profiles])
+            start = 0
+            for g, logw in run:
+                if g is None:
+                    mat = h * op.conjugate_by_diagonal(neutral.matrix, logw)
+                    continue
+                for i in g:
+                    n = sectors[i].n_cells
+                    coeffs = x_ints[:, start:start + n, None] * tau_ints[:, None, :]
+                    start += n
+                    terms[i] = h * op.orbit_expectation(flow, tr, logw.reshape(n, -1),
+                                                        coeffs)
+                    masses[i] = np.sum(np.abs(coeffs) ** 2, axis=(1, 2))
+
         acc = np.array([np.vdot(v, mat @ v) for v in vecs])
         norms = np.array([float(np.vdot(v, v).real) for v in vecs])
-        weights = {}
-        for sector in op.enumerate_orbits(flow.cat, k_max, p_max):
-            freqs = op.sector_frequencies(flow.cat, sector)
-            key = op.mirror_key(freqs)
-            if key not in weights:
-                weights[key] = op.mode_log_weight(flow, sector,
-                                                  op.orbit_basis(sector, j_max),
-                                                  escape, h)
-            logw = weights[key]
-            coeffs = np.stack([prof.orbit_coefficients(freqs, j_max)
-                               for prof in profiles])
-            acc += h * op.orbit_expectation(flow, tr, logw.reshape(sector.n_cells, -1),
-                                            coeffs)
-            norms += np.sum(np.abs(coeffs) ** 2, axis=(1, 2))
+        for term, mass in zip(terms, masses):
+            acc += term
+            norms += mass
         for i, prof in enumerate(profiles):
             if norms[i] < (1.0 - mass_tol) * prof.ref_norm2:
                 raise UnresolvedState(

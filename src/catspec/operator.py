@@ -259,21 +259,30 @@ def orbit_cell_block(flow: MappingTorusFlow, truncation: Truncation):
     return block
 
 
-def _mode_adapted(flow: MappingTorusFlow, sector, basis, h):
+def _sector_modes(flow: MappingTorusFlow, sector, basis):
+    """The (sector, basis, freqs) triple of `sector_log_weights`; freqs is
+    the sector's `sector_frequencies`, or None for the neutral sector."""
+    if isinstance(sector, NeutralSector):
+        return sector, basis, None
+    return sector, basis, sector_frequencies(flow.cat, sector)
+
+
+def _mode_adapted(flow: MappingTorusFlow, h, sectors):
     """Equivariant frame components of every mode covector (rep. tau = 0).
 
-    Mode (p, j) of an orbit sector sits at the phase-space covector
-    2 pi h ((A^T)^p k0, j); neutral modes have zero horizontal part.
+    sectors holds (sector, basis, freqs) triples (`_sector_modes`); the
+    rows of their modes are stacked in order.  Mode (p, j) of an orbit
+    sector sits at the phase-space covector 2 pi h ((A^T)^p k0, j), the
+    frequency of its cell in freqs; neutral modes have zero horizontal part.
     """
-    dim = len(basis)
-    if isinstance(sector, NeutralSector):
-        k = np.zeros((dim, 2))
-    else:
-        k = np.repeat(np.asarray(sector_frequencies(flow.cat, sector), dtype=float),
-                      dim // sector.n_cells, axis=0)
+    k = np.concatenate([np.zeros((len(basis), 2)) if freqs is None
+                        else np.repeat(np.asarray(freqs, dtype=float),
+                                       len(basis) // len(freqs), axis=0)
+                        for _, basis, freqs in sectors])
+    js = np.concatenate([basis[:, 1] for _, basis, _ in sectors])
     ab = cotangent.horizontal_components(flow, 2.0 * np.pi * h * k)
     c0 = float(flow.time_change(0.0))
-    return np.column_stack([ab, c0 * (2.0 * np.pi * h * basis[:, 1])])
+    return np.column_stack([ab, c0 * (2.0 * np.pi * h * js)])
 
 
 # ---------------------------------------------------------------------------
@@ -290,26 +299,70 @@ def conjugate_by_diagonal(matrix, log_weight):
     return np.asarray(matrix) * np.exp(logw[:, None] - logw[None, :])
 
 
-def mode_log_weight(flow: MappingTorusFlow, sector, basis, escape: EscapeFunction, h):
-    """Log of the diagonal escape weight, one value per mode of `basis`.
+#: modes per escape_value call of `sector_log_weights`; a call holds whole
+#: sectors, so a sector with more modes gets a call of its own
+WEIGHT_ROWS = 4096
 
-    Raises WeightOverflow when a weight or its inverse would leave the
-    double range, or when a mode covector already overflows on the way.
+
+def sector_log_weights(flow: MappingTorusFlow, escape: EscapeFunction, h, sectors):
+    """Log of the diagonal escape weight on each of `sectors`, run by run.
+
+    sectors holds (sector, basis, freqs) triples (`_sector_modes`).  Runs
+    of whole sectors with at most WEIGHT_ROWS modes in all share one
+    escape_value call, and each run yields the list of its sectors' log
+    weights, one value per mode of each basis.  Only one run is evaluated
+    at a time, so the memory follows WEIGHT_ROWS, not the sector count.
+
+    Raises WeightOverflow, naming h and the sector, when a weight or its
+    inverse would leave the double range, or when a mode covector already
+    overflows on the way.
     """
+    run, rows = [], 0
+    for item in sectors:
+        if run and rows + len(item[1]) > WEIGHT_ROWS:
+            yield _run_log_weights(flow, escape, h, run)
+            run, rows = [], 0
+        run.append(item)
+        rows += len(item[1])
+    if run:
+        yield _run_log_weights(flow, escape, h, run)
+
+
+def _named(run):
+    """The sector or sectors of a run, their mode count and largest |j|."""
+    bases = [basis for _, basis, _ in run]
+    names = run[0][0].key if len(run) == 1 else f"{run[0][0].key} to {run[-1][0].key}"
+    return (f"sector {names} ({sum(map(len, bases))} modes, "
+            f"|j| <= {max(int(np.abs(b[:, 1]).max()) for b in bases)})")
+
+
+def _run_log_weights(flow, escape, h, run):
+    """One escape_value call for the sectors of a run, split per sector."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            logw = np.asarray(escape.escape_value(_mode_adapted(flow, sector, basis, h)),
+            logw = np.asarray(escape.escape_value(_mode_adapted(flow, h, run)),
                               dtype=float)
     except FloatingPointError as exc:
+        if len(run) > 1:
+            # the rows are independent: the sector's own call raises too
+            for item in run:
+                _run_log_weights(flow, escape, h, [item])
         raise WeightOverflow(
-            f"escape weight at h = {h:g} overflows on sector {sector.key} "
-            f"({len(basis)} modes, |j| <= {int(np.abs(basis[:, 1]).max())}): {exc}; "
+            f"escape weight at h = {h:g} overflows on {_named(run)}: {exc}; "
             "reduce h or the truncation") from exc
-    if np.any(np.abs(logw) > 700.0):
-        raise WeightOverflow(
-            f"max |log weight| = {np.abs(logw).max():.1f} exceeds 700 at h = {h:g}; "
-            "reduce |u|, s or the truncation")
-    return logw
+    parts = np.split(logw, np.cumsum([len(basis) for _, basis, _ in run])[:-1])
+    for item, part in zip(run, parts):
+        if np.any(np.abs(part) > 700.0):
+            raise WeightOverflow(
+                f"max |log weight| = {np.abs(part).max():.1f} exceeds 700 at h = {h:g} "
+                f"on {_named([item])}; reduce |u|, s or the truncation")
+    return parts
+
+
+def mode_log_weight(flow: MappingTorusFlow, sector, basis, escape: EscapeFunction, h):
+    """Log of the diagonal escape weight, one value per mode of `basis`:
+    `sector_log_weights` on this one sector."""
+    return next(sector_log_weights(flow, escape, h, [_sector_modes(flow, sector, basis)]))[0]
 
 
 def apply_weight(block: SectorBlock, escape: EscapeFunction, h: float) -> np.ndarray:
@@ -407,32 +460,33 @@ class PacketProfile:
         self.g_tau = np.exp(1j * self.xi[2] * dt / self.h
                             - 0.5 * self.gamma * dt * dt)
         self.c_vals = flow.time_change(self.taus)
-        self.phi = flow.time_change.rectified(self.taus)
+        self.time_change = flow.time_change
         self.tbar = flow.period
         # continuum packet norm in the rectified measure (the packet lives
         # on nonzero-frequency sectors, which use that measure)
         self.ref_norm2 = (np.pi / self.gamma) * float(
             np.sum(np.abs(self.g_tau) ** 2 / self.c_vals) * self.dtau)
-        self._orbit_tau = {}
 
-    def orbit_coefficients(self, freqs, j_max):
-        """Packet coefficients on the cells of an orbit sector.
+    def phase_table(self, j_max):
+        """Rectified-time phases exp(-2 pi i j phi(tau) / T), |j| <= j_max,
+        on the tau grid: shape (2 j_max + 1, tau_grid).  The table depends
+        on the grid only, so packets on one grid can share it."""
+        js = np.arange(-j_max, j_max + 1)
+        phi = self.time_change.rectified(self.taus)
+        return np.exp(-2j * np.pi * np.outer(js, phi) / self.tbar)
 
-        freqs holds one torus frequency per cell (`sector_frequencies`);
-        the result has shape (n_cells, 2 j_max + 1): the closed-form torus
-        overlap of each cell times the rectified-time integral of each
-        mode, which depends only on the packet and j_max and is computed
-        once per j_max.
-        """
-        tau_int = self._orbit_tau.get(j_max)
-        if tau_int is None:
-            js = np.arange(-j_max, j_max + 1)
-            phases = np.exp(-2j * np.pi * np.outer(js, self.phi) / self.tbar)
-            tau_int = (phases @ (self.g_tau / self.c_vals)) * self.dtau / np.sqrt(self.tbar)
-            self._orbit_tau[j_max] = tau_int
-        x_int = _gaussian_x_integral(np.asarray(freqs, dtype=float), self.ax[:2],
-                                     self.xi[:2], self.h, self.gamma)
-        return x_int[:, None] * tau_int[None, :]
+    def orbit_tau_integrals(self, phases):
+        """Rectified-time integral of each orbit mode against the packet,
+        for a `phase_table`: one value per row."""
+        return (phases @ (self.g_tau / self.c_vals)) * self.dtau / np.sqrt(self.tbar)
+
+    def torus_overlaps(self, freqs):
+        """Closed-form torus overlap of the packet with each row of the
+        (n, 2) frequencies freqs.  On an orbit sector the packet's
+        coefficients are the outer product of the overlaps of its cells
+        (`sector_frequencies`) with the `orbit_tau_integrals`."""
+        return _gaussian_x_integral(np.asarray(freqs, dtype=float), self.ax[:2],
+                                    self.xi[:2], self.h, self.gamma)
 
     def project(self, flow, block):
         """Coefficient vector of the packet on one sector block."""
@@ -443,11 +497,10 @@ class PacketProfile:
             n = self.taus.size
             tau_int = (self.dtau * np.exp(-1j * np.pi * js / n)
                        * np.fft.fft(self.g_tau)[js % n])
-            x_int = _gaussian_x_integral(np.zeros((1, 2)), self.ax[:2],
-                                         self.xi[:2], self.h, self.gamma)[0]
-            return x_int * tau_int
-        return self.orbit_coefficients(sector_frequencies(flow.cat, block.sector),
-                                       int(block.basis[:, 1].max())).ravel()
+            return self.torus_overlaps(np.zeros((1, 2)))[0] * tau_int
+        tau_int = self.orbit_tau_integrals(self.phase_table(int(block.basis[:, 1].max())))
+        x_int = self.torus_overlaps(sector_frequencies(flow.cat, block.sector))
+        return (x_int[:, None] * tau_int[None, :]).ravel()
 
 
 def _gaussian_x_integral(freqs, x0, xi_x, h, gamma):
@@ -486,7 +539,8 @@ def partition_ims_check(block: SectorBlock, escape: EscapeFunction, z,
     out = {}
     for h in h_list:
         a = h * apply_weight(block, escape, h) - complex(z) * np.eye(n)
-        radii = np.linalg.norm(_mode_adapted(flow, block.sector, block.basis, h), axis=1)
+        radii = np.linalg.norm(
+            _mode_adapted(flow, h, [_sector_modes(flow, block.sector, block.basis)]), axis=1)
         chi0, chi1 = quadratic_partition(radii, r0, r1)
         rng = np.random.default_rng(seed)
         vals = []

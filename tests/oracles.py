@@ -4,12 +4,13 @@ These routes are not used by the program: a Gram-matrix singular value
 solve, the Weyl oracle's spectra from mpmath's dense SVD and QR
 eigensolver, resolvent-quadrature projector ranks, the coherent-state
 projection of a wave packet on a list of sector blocks, the weighted
-expectation on an orbit sector through its dense matrix, the unstable
-direction recovered by pushing a seed forward, the inverse of
-``cotangent.adapted_components``, and the escape function's averaged
-profiles rebuilt from cosphere bumps: an adaptive quadrature of the
-average, its exact flow derivative from the endpoint identity, and the
-raw profiles of a whole batch reduced by one gemv over all its rows.
+expectation on an orbit sector through its dense matrix, the coherent
+symbol study sector by sector, the unstable direction recovered by
+pushing a seed forward, the inverse of ``cotangent.adapted_components``,
+and the escape function's averaged profiles rebuilt from cosphere bumps:
+an adaptive quadrature of the average, its exact flow derivative from the
+endpoint identity, and the raw profiles of a whole batch reduced by one
+gemv over all its rows.
 """
 
 from __future__ import annotations
@@ -144,6 +145,59 @@ def dense_orbit_expectation(block: SectorBlock, escape: EscapeFunction, h, vec):
     same form cell by cell without the matrix.
     """
     return np.vdot(vec, (h * apply_weight(block, escape, h)) @ vec)
+
+
+def coherent_study_per_sector(flow: MappingTorusFlow, params, points, h_list,
+                              j_max=12, p_max=2, mass_tol=0.02):
+    """``harness.coherent_symbol_study`` sector by sector: (errors, powers).
+
+    One escape_value call per sector (shared by the sectors through k0 and
+    -k0), one torus-overlap call per packet and sector, and each packet
+    builds its own rectified-time phase table.  The sector terms are added
+    in sector order, as the batched study adds them.
+    """
+    from catspec import harness as hs, operator as op
+    from catspec.cotangent import h0
+
+    escape = EscapeFunction(flow, params)
+    preds = []
+    for ax, xi in points:
+        q = CotangentPoint(BasePoint((ax[0], ax[1]), ax[2]), (xi[0], xi[1]), xi[2])
+        preds.append(h0(flow, q) + 1j * escape.escape_derivative(q))
+
+    errors = [dict() for _ in points]
+    for h in h_list:
+        k_max = hs.coherent_k_max(points, h)
+        tr = op.Truncation(k_max=k_max, p_max=p_max, j_max=j_max)
+        profiles = [PacketProfile(flow, ax, xi, h) for ax, xi in points]
+        tau_ints = [prof.orbit_tau_integrals(prof.phase_table(j_max)) for prof in profiles]
+        neutral = op.build_generator(flow, op.NeutralSector(), tr)
+        mat = h * apply_weight(neutral, escape, h)
+        vecs = [prof.project(flow, neutral) for prof in profiles]
+        acc = np.array([np.vdot(v, mat @ v) for v in vecs])
+        norms = np.array([float(np.vdot(v, v).real) for v in vecs])
+        weights = {}
+        for sector in op.enumerate_orbits(flow.cat, k_max, p_max):
+            freqs = op.sector_frequencies(flow.cat, sector)
+            key = op.mirror_key(freqs)
+            if key not in weights:
+                weights[key] = op.mode_log_weight(flow, sector, op.orbit_basis(sector, j_max),
+                                                  escape, h)
+            coeffs = np.stack([prof.torus_overlaps(freqs)[:, None] * t[None, :]
+                               for prof, t in zip(profiles, tau_ints)])
+            acc += h * op.orbit_expectation(flow, tr,
+                                            weights[key].reshape(sector.n_cells, -1), coeffs)
+            norms += np.sum(np.abs(coeffs) ** 2, axis=(1, 2))
+        for i, prof in enumerate(profiles):
+            if norms[i] < (1.0 - mass_tol) * prof.ref_norm2:
+                raise UnresolvedState(
+                    f"point {i}: captured mass {norms[i] / prof.ref_norm2:.4f} at h={h}")
+            pred = preds[i].real + 1j * h * preds[i].imag
+            errors[i][float(h)] = float(abs(acc[i] / norms[i] - pred))
+
+    logh = np.log(np.asarray(h_list, dtype=float))
+    powers = [hs.fit_slope(logh, np.log([err[float(h)] for h in h_list])) for err in errors]
+    return errors, powers
 
 
 def splitting_via_limit(flow: MappingTorusFlow, p: BasePoint, v0, t_max: float,

@@ -66,6 +66,20 @@ def test_config_rejects_non_positive_alpha():
         parse_config("[campaign]\nalpha_grid = 0,10\n")
 
 
+@pytest.mark.parametrize("value", ["0", "-0.1"])
+def test_cli_non_positive_coherent_h_is_a_config_error(tmp_path, capsys, value):
+    # the coherent check ended with an OverflowError (h = 0) or a
+    # ValueError (h < 0) from its frequency cutoff
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(f"[campaign]\nchecks = coherent\ncoherent_h = 0.1,{value}\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfgfile), "--out", str(out), "campaign"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "coherent_h" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_non_finite_floor_is_a_config_error(tmp_path, capsys):
     # at floor = nan the intrinsic check compared no entries and passed
     cfgfile = tmp_path / "c.ini"

@@ -458,6 +458,36 @@ def test_profile_memo_is_bounded(flow):
         assert len(escape._memo) <= EscapeFunction.MEMO_ENTRIES
 
 
+def test_profile_memo_keys_on_a_digest_of_the_values(flow):
+    escape = EscapeFunction(flow, OrderParams())
+    pts = np.random.default_rng(17).normal(size=(40, 3)) * 20.0
+    first = escape._profiles(pts)
+    # equal values in another array, in C or Fortran order, hit the memo
+    assert escape._profiles(pts.copy()) is first
+    assert escape._profiles(np.asfortranarray(pts)) is first
+    # the key holds a 64-byte digest, not a 960-byte copy of the batch
+    (shape, dtype, digest), = escape._memo
+    assert shape == pts.shape and dtype == "<f8" and len(digest) == 64
+    # one changed bit or another shape of the same values misses it
+    moved = pts.copy()
+    moved[17, 1] = np.nextafter(moved[17, 1], np.inf)
+    assert escape._profiles(moved) is not first
+    assert escape._profiles(pts.reshape(20, 2, 3))[0].shape == (20, 2)
+    assert len(escape._memo) == 3
+
+
+def test_escape_check_doubling_ratio_equals_fresh_evaluators():
+    # the doubled order reads the primary's profiles from the memo; its
+    # ratio is that of two evaluators that share nothing
+    cfg = parse_config("[campaign]\nchecks = escape\nescape_samples = 1500\n")
+    ok, payload = hs.CHECKS["escape"](hs.CampaignContext(cfg.flow(), cfg))
+    fresh = [verify_escape_estimates(EscapeFunction(cfg.flow(), params), sample_count=1500,
+                                     seed=cfg.seed, keep_rows=0)
+             for params in (cfg.escape, _doubled(cfg.escape))]
+    assert payload["doubling_ratio"] == fresh[1].decay_bound / fresh[0].decay_bound
+    assert ok
+
+
 def test_escape_derivative_memory_stays_blocked(flow):
     # unblocked, a 20,000-point derivative peaks at about 530 MB of temporaries
     escape = EscapeFunction(flow, OrderParams())

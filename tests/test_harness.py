@@ -10,8 +10,9 @@ from catspec import operator as op
 from catspec.config import parse_config, DEFAULT_CONFIG
 from catspec.errors import (MultiplicityMismatch, UnresolvedState, UnresolvedWindow,
                             WeightOverflow)
-from catspec.escape import OrderParams
-from oracles import spectral_projector_rank, weyl_oracle_dense, weyl_spectra_dense
+from catspec.escape import EscapeFunction, OrderParams
+from oracles import (coherent_study_per_sector, spectral_projector_rank, weyl_oracle_dense,
+                     weyl_spectra_dense)
 
 
 @pytest.fixture(scope="module")
@@ -472,6 +473,61 @@ def test_coherent_study_weight_overflow_on_orbit_sectors(flow, escape):
     assert np.all(op.mode_log_weight(flow, neutral.sector, neutral.basis, escape, h) == 0.0)
     with pytest.raises(WeightOverflow):
         hs.coherent_symbol_study(flow, OrderParams(), points, [h])
+
+
+def test_coherent_study_overflow_names_an_orbit_sector(flow):
+    # at h = 1e300 the neutral weight overflows too; the batched pass
+    # weighs the orbit sectors first and names the first that overflows
+    points = hs.default_symbol_points(flow)[:1]
+    with pytest.raises(WeightOverflow, match=r"at h = 1e\+300 overflows on sector "
+                       r"orbit-?\d+,-?\d+ \(\d+ modes, \|j\| <= 12\)") as info:
+        hs.coherent_symbol_study(flow, OrderParams(), points, [1e300])
+    assert "neutral" not in str(info.value)
+
+
+@pytest.mark.parametrize("params", [
+    OrderParams(), OrderParams(u=-6.0, s=12.0, t_avg=10.0, aperture=0.08),
+], ids=["escape", "escape_alt"])
+def test_coherent_study_matches_the_per_sector_loop(flow, params):
+    # bit for bit: a batch moves some log weights by up to 1e-13 (the gemv
+    # rows of OpenBLAS's remainder kernel are other rows), no error or
+    # power; with the second order, adding the sector terms in another
+    # order moves point 8's error at h = 0.1 in the last bit
+    points = hs.default_symbol_points(flow)
+    h_list = [0.14, 0.1]
+    study = hs.coherent_symbol_study(flow, params, points, h_list)
+    errors, powers = coherent_study_per_sector(flow, params, points, h_list)
+    assert study.errors == errors
+    assert study.powers == powers
+
+
+def test_coherent_study_weighs_each_h_in_runs(flow, monkeypatch):
+    calls = []
+    escape_value = EscapeFunction.escape_value
+
+    def counted(self, adapted):
+        calls.append(np.size(adapted) // 3)
+        return escape_value(self, adapted)
+
+    monkeypatch.setattr(EscapeFunction, "escape_value", counted)
+    points = hs.default_symbol_points(flow)
+    for h in (0.14, 0.1):
+        calls.clear()
+        hs.coherent_symbol_study(flow, OrderParams(), points, [h])
+        # four single points behind each packet's escape_derivative
+        assert calls[:40] == [1] * 40
+        runs = calls[40:]
+        # each mode weighed once: one sector per k0, -k0 pair, and the
+        # neutral sector
+        k_max = hs.coherent_k_max(points, h)
+        cells = {op.mirror_key(op.sector_frequencies(flow.cat, s)): s.n_cells
+                 for s in op.enumerate_orbits(flow.cat, k_max, 2)}
+        neutral = op.build_generator(flow, op.NeutralSector(),
+                                     op.Truncation(k_max=k_max, j_max=12))
+        assert sum(runs) == 25 * sum(cells.values()) + neutral.dim
+        # a run closes only when the next sector does not fit
+        assert max(runs) <= op.WEIGHT_ROWS
+        assert all(a + b > op.WEIGHT_ROWS for a, b in zip(runs, runs[1:]))
 
 
 # ---------------------------------------------------------------------------
