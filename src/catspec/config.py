@@ -12,9 +12,11 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError, TruncationTooSmall
 from .escape import OrderParams
-from .harness import CHECKS
+from .harness import CHECKS, COHERENT_K_CEILING, coherent_k_max, default_symbol_points
 from .model import CatMap, MappingTorusFlow, TimeChange
 from .operator import Truncation
 
@@ -209,6 +211,18 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("alpha_grid entries must be positive")
     if any(h <= 0 for h in cfg.coherent_h_list):
         raise ConfigError("coherent_h entries must be positive")
+    points = default_symbol_points(model)
+    for h in cfg.coherent_h_list:
+        # a cutoff that overflows on the way is over the ceiling too
+        try:
+            with np.errstate(over="raise"):
+                fine = coherent_k_max(points, h) <= COHERENT_K_CEILING
+        except (FloatingPointError, OverflowError):
+            fine = False
+        if not fine:
+            raise ConfigError(
+                f"coherent_h = {h:g} needs a frequency cutoff above {COHERENT_K_CEILING}; "
+                "use a larger coherent_h")
     if cfg.escape_samples < 1:
         raise ConfigError("escape_samples must be at least 1")
     return cfg

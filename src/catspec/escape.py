@@ -296,7 +296,7 @@ class EscapeFunction:
     #: batches whose saturated profiles are kept; the memo is cleared when full
     MEMO_ENTRIES = 8
 
-    def _profiles(self, adapted):
+    def _profiles(self, adapted, memo=True):
         """Saturated averaged profiles (m1, m2).
 
         The raw time averages approach their limit values only at rate
@@ -308,8 +308,12 @@ class EscapeFunction:
         evaluators of :meth:`with_order` evaluate a batch only once; the
         returned arrays are shared and must not be modified.  The memo key
         is the shape, the dtype and a BLAKE2b digest of the values, not a
-        copy of them.
+        copy of them.  ``memo=False`` neither looks up nor stores the batch,
+        for batches that do not recur.
         """
+        if not memo:
+            m1, m2 = self._raw_profiles(adapted)
+            return self._saturate(m1), self._saturate(m2)
         d = np.ascontiguousarray(adapted, dtype=float)
         key = (d.shape, d.dtype.str, hashlib.blake2b(d).digest())
         hit = self._memo.get(key)
@@ -320,10 +324,10 @@ class EscapeFunction:
             hit = self._memo[key] = (self._saturate(m1), self._saturate(m2))
         return hit
 
-    def order_profile(self, adapted):
+    def order_profile(self, adapted, memo=True):
         """Direction-only part of the order function, in [u, s]."""
         p = self.params
-        m1, m2 = self._profiles(adapted)
+        m1, m2 = self._profiles(adapted, memo)
         return p.s + (p.n0 - p.s) * m1 + (p.u - p.n0) * m2
 
     def _ramp(self, r):
@@ -334,15 +338,16 @@ class EscapeFunction:
         out[pos] = smoothstep(1.0 + np.log2(r[pos]))
         return out
 
-    def order_value(self, adapted):
-        """Full order function m: radial cutoff times the direction profile."""
+    def order_value(self, adapted, memo=True):
+        """Full order function m: radial cutoff times the direction profile;
+        ``memo`` as in :meth:`_profiles`."""
         d = np.asarray(adapted, dtype=float)
         r = np.linalg.norm(d, axis=-1)
         ramp = self._ramp(r)
         out = np.zeros_like(r)
         live = ramp > 0.0
         if np.any(live):
-            out[live] = ramp[live] * self.order_profile(d[live])
+            out[live] = ramp[live] * self.order_profile(d[live], memo)
         return out if out.shape else float(out)
 
     def radial_interpolant(self, adapted):
@@ -356,10 +361,10 @@ class EscapeFunction:
         f = np.where(r > 0.0, w0 * np.abs(d[..., 2]) + (1.0 - w0) * r, 0.0)
         return f if f.shape else float(f)
 
-    def escape_value(self, adapted):
-        """G = m * log sqrt(1 + f^2)."""
+    def escape_value(self, adapted, memo=True):
+        """G = m * log sqrt(1 + f^2); ``memo`` as in :meth:`_profiles`."""
         d = np.asarray(adapted, dtype=float)
-        m = self.order_value(d)
+        m = self.order_value(d, memo)
         f = self.radial_interpolant(d)
         g = m * 0.5 * np.log1p(np.asarray(f) ** 2)
         return g if np.ndim(g) else float(g)

@@ -507,6 +507,12 @@ def default_symbol_points(flow: MappingTorusFlow, tau0=0.5):
     return [(x0, tuple(p)) for p in pts]
 
 
+#: largest `coherent_k_max` a config may ask for (35 at the default's
+#: smallest h, 0.0125); the study's work grows like its square, and at the
+#: smallest h accepted (about 0.00366) it takes about 5 s
+COHERENT_K_CEILING = 100
+
+
 def coherent_k_max(points, h):
     """Frequency cutoff of the truncation the coherent study uses at h: the
     packets' centre frequency plus four widths, and a margin of 2."""

@@ -27,6 +27,7 @@ orbit sectors).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,8 @@ class OrbitSector:
     """One transpose-orbit of nonzero torus frequencies.
 
     k0 is the minimal-norm representative (ties broken lexicographically);
-    the cells are the kept powers p_lo <= p <= p_hi, with frequency
-    (A^T)^p k0.
+    the cells are the kept powers p_lo <= p <= p_hi, with p_lo <= 0 <= p_hi
+    and frequency (A^T)^p k0.
     """
 
     k0: tuple
@@ -95,56 +96,59 @@ class Truncation:
         return max(16, int(np.ceil(10 + 0.35 * self.j_max)))
 
 
-def orbit_representative(cat, k):
-    """Minimal-norm element of the A^T-orbit through k (lexicographic ties)."""
-    at = cat.matrix.T
-    at_inv = cat.power(-1).T
+def _transpose_steps(cat):
+    """The steps k -> A^T k and k -> (A^T)^-1 k on Python-int pairs (det A = 1)."""
+    (a11, a12), (a21, a22) = cat.matrix.tolist()
 
-    def norm2(v):
-        return int(v[0]) ** 2 + int(v[1]) ** 2
+    def up(k):
+        return a11 * k[0] + a21 * k[1], a12 * k[0] + a22 * k[1]
 
-    best = np.asarray(k, dtype=np.int64)
-    for step in (at, at_inv):
-        v = np.asarray(k, dtype=np.int64)
-        while True:
-            v = step @ v
-            if norm2(v) > norm2(best) and norm2(v) > norm2(k):
-                break
-            if (norm2(v), v[0], v[1]) < (norm2(best), best[0], best[1]):
-                best = v.copy()
-    return int(best[0]), int(best[1])
+    def down(k):
+        return a22 * k[0] - a21 * k[1], a11 * k[1] - a12 * k[0]
+
+    return up, down
 
 
 def enumerate_orbits(cat, k_max, p_max=2):
     """All orbit sectors meeting the ball |k| <= k_max, with kept positions.
 
-    Positions p are kept while |(A^T)^p k0| stays below the cutoff
-    k_max * lambda_u**p_max, so the window grows with both knobs.
+    One pass over the lattice points of the ball, in Python ints: each
+    point not yet seen walks its A^T-orbit forward and backward while it
+    stays in the ball, and marks every member seen.  The squared norm along
+    an orbit is c1 lambda_u^(2p) + c2 lambda_u^(-2p) + c3 with c1, c2 > 0,
+    so it is unimodal: the members in the ball are contiguous and hold the
+    orbit's minimal-norm element, the representative k0 (ties broken
+    lexicographically).  Positions p are kept while |(A^T)^p k0| stays
+    below the cutoff k_max * lambda_u**p_max, so the window grows with both
+    knobs.
     """
-    cutoff = float(k_max) * cat.lambda_u ** p_max
-    reps = {}
-    rng_k = int(np.ceil(k_max))
+    up, down = _transpose_steps(cat)
+    r2 = k_max * k_max
+    rng_k = math.ceil(k_max)
+    seen = set()
+    reps = []
     for k1 in range(-rng_k, rng_k + 1):
         for k2 in range(-rng_k, rng_k + 1):
-            if (k1, k2) == (0, 0) or k1 * k1 + k2 * k2 > k_max * k_max:
+            if (k1, k2) == (0, 0) or k1 * k1 + k2 * k2 > r2 or (k1, k2) in seen:
                 continue
-            reps[orbit_representative(cat, (k1, k2))] = None
+            members = [(k1, k2)]
+            for step in (up, down):
+                k = step((k1, k2))
+                while k[0] * k[0] + k[1] * k[1] <= r2:
+                    members.append(k)
+                    k = step(k)
+            seen.update(members)
+            reps.append(min(members, key=lambda k: (k[0] * k[0] + k[1] * k[1], k)))
+    cutoff = float(k_max) * cat.lambda_u ** p_max
     sectors = []
-    at = cat.matrix.T
-    at_inv = cat.power(-1).T
     for k0 in sorted(reps):
-        v = np.asarray(k0, dtype=np.int64)
-        p_hi = 0
-        w = v.copy()
-        while np.linalg.norm(at @ w) <= cutoff:
-            w = at @ w
-            p_hi += 1
-        p_lo = 0
-        w = v.copy()
-        while np.linalg.norm(at_inv @ w) <= cutoff:
-            w = at_inv @ w
-            p_lo -= 1
-        sectors.append(OrbitSector(k0=k0, p_lo=p_lo, p_hi=p_hi))
+        ends = []
+        for step in (up, down):
+            p, k = 0, step(k0)
+            while math.sqrt(k[0] * k[0] + k[1] * k[1]) <= cutoff:
+                p, k = p + 1, step(k)
+            ends.append(p)
+        sectors.append(OrbitSector(k0=k0, p_lo=-ends[1], p_hi=ends[0]))
     return sectors
 
 
@@ -153,14 +157,17 @@ def sector_frequencies(cat, sector):
 
     Cell 0 sits at the zero-inflow (stable-coframe) end, which carries the
     largest position p; the flow transports mass toward increasing cell
-    index, i.e. toward the unstable-coframe end.
+    index, i.e. toward the unstable-coframe end.  The frequencies are
+    pairs of Python ints.
     """
-    k = cat.power(sector.p_hi).T @ np.asarray(sector.k0)
-    step = cat.power(-1).T                  # (A^T)^(p-1) k0 = (A^-1)^T (A^T)^p k0
-    freqs = []
-    for _ in range(sector.n_cells):
-        freqs.append(tuple(k.tolist()))
-        k = step @ k
+    up, down = _transpose_steps(cat)
+    k = sector.k0
+    for _ in range(sector.p_hi):
+        k = up(k)
+    freqs = [k]
+    for _ in range(sector.n_cells - 1):
+        k = down(k)
+        freqs.append(k)
     return freqs
 
 
@@ -337,10 +344,24 @@ def _named(run):
 
 
 def _run_log_weights(flow, escape, h, run):
-    """One escape_value call for the sectors of a run, split per sector."""
+    """One escape_value call for the sectors of a run, split per sector.
+
+    The escape function reads a covector's frame components only through
+    a^2, b^2, e^2, |xi| and |e|, and the e of mode (p, -j) is exactly minus
+    that of (p, j), so the two weights are equal.  Only the modes with
+    j >= 0 are evaluated; the j of an orbit cell and of the neutral sector
+    run ascending and symmetric, so the mirror of a mode with j < 0 lies
+    2|j| rows further on (ValueError for a basis laid out otherwise).  The
+    call skips the profile memo: no weight batch recurs.
+    """
+    ps, js = np.concatenate([basis for _, basis, _ in run]).T
+    mirror = np.arange(len(js)) - 2 * np.minimum(js, 0)
+    if mirror.max() >= len(js) or np.any(js[mirror] != np.abs(js)) or np.any(ps[mirror] != ps):
+        raise ValueError("each cell's j must run ascending and symmetric")
+    halves = [(sector, basis[basis[:, 1] >= 0], freqs) for sector, basis, freqs in run]
     try:
         with np.errstate(over="raise", invalid="raise"):
-            logw = np.asarray(escape.escape_value(_mode_adapted(flow, h, run)),
+            half = np.asarray(escape.escape_value(_mode_adapted(flow, h, halves), memo=False),
                               dtype=float)
     except FloatingPointError as exc:
         if len(run) > 1:
@@ -350,6 +371,7 @@ def _run_log_weights(flow, escape, h, run):
         raise WeightOverflow(
             f"escape weight at h = {h:g} overflows on {_named(run)}: {exc}; "
             "reduce h or the truncation") from exc
+    logw = half[(np.cumsum(js >= 0) - 1)[mirror]]
     parts = np.split(logw, np.cumsum([len(basis) for _, basis, _ in run])[:-1])
     for item, part in zip(run, parts):
         if np.any(np.abs(part) > 700.0):

@@ -5,7 +5,9 @@ solve, the Weyl oracle's spectra from mpmath's dense SVD and QR
 eigensolver, resolvent-quadrature projector ranks, the coherent-state
 projection of a wave packet on a list of sector blocks, the weighted
 expectation on an orbit sector through its dense matrix, the coherent
-symbol study sector by sector, the unstable direction recovered by
+symbol study sector by sector, the orbit sectors found point by point,
+the weights of a run with every mode evaluated, the unstable direction
+recovered by
 pushing a seed forward, the inverse of ``cotangent.adapted_components``,
 and the escape function's averaged profiles rebuilt from cosphere bumps:
 an adaptive quadrature of the average, its exact flow derivative from the
@@ -25,7 +27,8 @@ from catspec.errors import CatspecError, NonConvergence, UnresolvedState
 from catspec.escape import EscapeFunction, composite_gauss_legendre, smoothstep
 from catspec.harness import weyl_prefix_ok
 from catspec.model import BasePoint, MappingTorusFlow
-from catspec.operator import PacketProfile, SectorBlock, apply_weight
+from catspec.operator import (OrbitSector, PacketProfile, SectorBlock, _mode_adapted,
+                              apply_weight)
 
 
 class ContourTooClose(CatspecError):
@@ -198,6 +201,65 @@ def coherent_study_per_sector(flow: MappingTorusFlow, params, points, h_list,
     logh = np.log(np.asarray(h_list, dtype=float))
     powers = [hs.fit_slope(logh, np.log([err[float(h)] for h in h_list])) for err in errors]
     return errors, powers
+
+
+def orbit_representative(cat, k):
+    """Minimal-norm element of the A^T-orbit through k (lexicographic ties)."""
+    at = cat.matrix.T
+    at_inv = cat.power(-1).T
+
+    def norm2(v):
+        return int(v[0]) ** 2 + int(v[1]) ** 2
+
+    best = np.asarray(k, dtype=np.int64)
+    for step in (at, at_inv):
+        v = np.asarray(k, dtype=np.int64)
+        while True:
+            v = step @ v
+            if norm2(v) > norm2(best) and norm2(v) > norm2(k):
+                break
+            if (norm2(v), v[0], v[1]) < (norm2(best), best[0], best[1]):
+                best = v.copy()
+    return int(best[0]), int(best[1])
+
+
+def enumerate_orbits_per_point(cat, k_max, p_max=2):
+    """``operator.enumerate_orbits`` point by point: the representative of
+    every lattice point of the ball, and the kept positions by int64
+    matrix products."""
+    cutoff = float(k_max) * cat.lambda_u ** p_max
+    reps = {}
+    rng_k = int(np.ceil(k_max))
+    for k1 in range(-rng_k, rng_k + 1):
+        for k2 in range(-rng_k, rng_k + 1):
+            if (k1, k2) == (0, 0) or k1 * k1 + k2 * k2 > k_max * k_max:
+                continue
+            reps[orbit_representative(cat, (k1, k2))] = None
+    sectors = []
+    at = cat.matrix.T
+    at_inv = cat.power(-1).T
+    for k0 in sorted(reps):
+        v = np.asarray(k0, dtype=np.int64)
+        p_hi = 0
+        w = v.copy()
+        while np.linalg.norm(at @ w) <= cutoff:
+            w = at @ w
+            p_hi += 1
+        p_lo = 0
+        w = v.copy()
+        while np.linalg.norm(at_inv @ w) <= cutoff:
+            w = at_inv @ w
+            p_lo -= 1
+        sectors.append(OrbitSector(k0=k0, p_lo=p_lo, p_hi=p_hi))
+    return sectors
+
+
+def log_weights_every_mode(flow: MappingTorusFlow, escape: EscapeFunction, h, run):
+    """``operator._run_log_weights`` without the +-j mirror: one
+    escape_value call on every mode of the run's (sector, basis, freqs)
+    triples, split per sector."""
+    logw = np.asarray(escape.escape_value(_mode_adapted(flow, h, run)), dtype=float)
+    return np.split(logw, np.cumsum([len(basis) for _, basis, _ in run])[:-1])
 
 
 def splitting_via_limit(flow: MappingTorusFlow, p: BasePoint, v0, t_max: float,

@@ -80,6 +80,33 @@ def test_cli_non_positive_coherent_h_is_a_config_error(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["1e-300", "5e-324", "0.0036"])
+def test_cli_too_fine_coherent_h_is_a_config_error(tmp_path, value):
+    # at coherent_h = 1e-300 the cutoff is about 3e299 and the campaign
+    # never finished enumerating its orbits; at 5e-324 the cutoff overflows
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(f"[campaign]\nchecks = coherent\ncoherent_h = 0.1,{value}\n")
+    src = str(Path(catspec.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-m", "catspec.cli", "--config", str(cfgfile),
+                           "--out", str(tmp_path / "o"), "campaign"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error:") and "coherent_h" in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_coherent_h_ceiling_is_on_the_cutoff():
+    from catspec import harness as hs
+    points = hs.default_symbol_points(parse_config(DEFAULT_CONFIG).flow())
+    assert hs.coherent_k_max(points, 0.0125) == 35
+    assert hs.coherent_k_max(points, 0.0037) <= hs.COHERENT_K_CEILING
+    assert hs.coherent_k_max(points, 0.0036) > hs.COHERENT_K_CEILING
+    assert parse_config("[campaign]\ncoherent_h = 0.1,0.0037\n").coherent_h_list == [0.1, 0.0037]
+
+
 def test_cli_non_finite_floor_is_a_config_error(tmp_path, capsys):
     # at floor = nan the intrinsic check compared no entries and passed
     cfgfile = tmp_path / "c.ini"

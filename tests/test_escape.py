@@ -73,6 +73,19 @@ def test_order_combination_formula(escape):
             p.s + (p.n0 - p.s) * m1 + (p.u - p.n0) * m2, abs=1e-14)
 
 
+def test_escape_value_is_even_in_e(escape):
+    # bit for bit, the weight of mode (p, -j) is that of (p, j): the
+    # escape function reads e only through e^2, |e| and the norm
+    rng = np.random.default_rng(21)
+    d = rng.normal(size=(600, 3))
+    d[::7, 2] = 0.0
+    d *= 10.0 ** rng.uniform(-150.0, 150.0, size=(600, 1))
+    d[-4:] = [[0.0, 0.0, 1e-300], [1e150, 0.0, -1e150], [0.0, 3.0, 0.0], [2.0, -1.0, 1e-200]]
+    g = escape.escape_value(d)
+    assert np.all(np.isfinite(g)) and np.count_nonzero(g)
+    assert np.array_equal(escape.escape_value(d * [1.0, 1.0, -1.0]), g)
+
+
 def test_order_values_in_designated_cones(escape):
     p = escape.params
     big = 40.0

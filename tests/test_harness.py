@@ -505,29 +505,38 @@ def test_coherent_study_weighs_each_h_in_runs(flow, monkeypatch):
     calls = []
     escape_value = EscapeFunction.escape_value
 
-    def counted(self, adapted):
+    def counted(self, adapted, memo=True):
         calls.append(np.size(adapted) // 3)
-        return escape_value(self, adapted)
+        return escape_value(self, adapted, memo)
 
     monkeypatch.setattr(EscapeFunction, "escape_value", counted)
+    modes = []
+    run_log_weights = op._run_log_weights
+
+    def run_modes(flow, escape, h, run):
+        modes.append(sum(len(basis) for _, basis, _ in run))
+        return run_log_weights(flow, escape, h, run)
+
+    monkeypatch.setattr(op, "_run_log_weights", run_modes)
     points = hs.default_symbol_points(flow)
     for h in (0.14, 0.1):
         calls.clear()
+        modes.clear()
         hs.coherent_symbol_study(flow, OrderParams(), points, [h])
         # four single points behind each packet's escape_derivative
         assert calls[:40] == [1] * 40
-        runs = calls[40:]
-        # each mode weighed once: one sector per k0, -k0 pair, and the
-        # neutral sector
+        # each (cell, |j|) weighed once: one sector per k0, -k0 pair, and
+        # the neutral sector, each at j = 0, ..., j_max
         k_max = hs.coherent_k_max(points, h)
         cells = {op.mirror_key(op.sector_frequencies(flow.cat, s)): s.n_cells
                  for s in op.enumerate_orbits(flow.cat, k_max, 2)}
         neutral = op.build_generator(flow, op.NeutralSector(),
                                      op.Truncation(k_max=k_max, j_max=12))
-        assert sum(runs) == 25 * sum(cells.values()) + neutral.dim
-        # a run closes only when the next sector does not fit
-        assert max(runs) <= op.WEIGHT_ROWS
-        assert all(a + b > op.WEIGHT_ROWS for a, b in zip(runs, runs[1:]))
+        assert sum(calls[40:]) == 13 * sum(cells.values()) + (neutral.dim + 1) // 2
+        # a run of at most WEIGHT_ROWS modes closes only when the next
+        # sector does not fit
+        assert len(modes) == len(calls) - 40 and max(modes) <= op.WEIGHT_ROWS
+        assert all(a + b > op.WEIGHT_ROWS for a, b in zip(modes, modes[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ from catspec.config import DEFAULT_CONFIG, parse_config
 from catspec.errors import (NonConvergence, TruncationTooSmall, UnresolvedState,
                             WeightOverflow)
 from catspec.escape import EscapeFunction, OrderParams
-from catspec.model import default_flow
+from catspec.model import CatMap, default_flow
 from oracles import (ContourTooClose, coherent_state, dense_orbit_expectation,
+                     enumerate_orbits_per_point, log_weights_every_mode, orbit_representative,
                      singular_values_gram, spectral_projector_rank)
 
 
@@ -25,7 +26,7 @@ def test_orbit_of_unit_frequency(flow):
     freqs = op.sector_frequencies(flow.cat, sector)
     assert (2, 1) in freqs and (5, 3) in freqs
     # (1,-1) maps to (1,0) under the transpose, hence shares its sector
-    assert op.orbit_representative(flow.cat, (1, -1)) == (1, 0)
+    assert orbit_representative(flow.cat, (1, -1)) == (1, 0)
     assert (1, -1) in freqs
 
 
@@ -67,7 +68,7 @@ def test_representative_is_minimal_norm(flow):
         k = tuple(rng.integers(-20, 21, size=2))
         if k == (0, 0):
             continue
-        rep = np.asarray(op.orbit_representative(flow.cat, k))
+        rep = np.asarray(orbit_representative(flow.cat, k))
         v = rep.copy()
         for _ in range(6):
             v = at @ v
@@ -77,6 +78,16 @@ def test_representative_is_minimal_norm(flow):
         for _ in range(6):
             v = ati @ v
             assert v @ v >= rep @ rep
+
+
+@pytest.mark.parametrize("cat", [CatMap(), CatMap(3, 2, 1, 1)], ids=["default", "3211"])
+def test_orbit_walk_equals_the_per_point_enumeration(cat):
+    # one pass over the ball with in-ball orbit walks finds the sectors,
+    # representatives and kept positions of the per-point oracle
+    for k_max in (0.5, *range(1, 41), 7.3):
+        sectors = op.enumerate_orbits(cat, k_max, 2)
+        assert sectors == enumerate_orbits_per_point(cat, k_max, 2), k_max
+        assert all(type(k) is int for s in sectors for k in s.k0)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +327,61 @@ def test_batched_weight_overflow_names_the_sector(flow, escape):
     with pytest.raises(WeightOverflow, match=r"at h = 1e\+150 overflows on sector "
                        r"orbit-2,0 \(54 modes, \|j\| <= 4\)"):
         list(op.sector_log_weights(flow, escape, 1e150, run))
+
+
+def _weight_items(flow, h, j_max=12):
+    """The coherent study's (sector, basis, freqs) triples at h: every
+    orbit sector, then the neutral sector."""
+    k_max = hs.coherent_k_max(hs.default_symbol_points(flow), h)
+    neutral = op.build_generator(flow, op.NeutralSector(),
+                                 op.Truncation(k_max=k_max, j_max=j_max))
+    return ([op._sector_modes(flow, s, op.orbit_basis(s, j_max))
+             for s in op.enumerate_orbits(flow.cat, k_max, 2)]
+            + [(neutral.sector, neutral.basis, None)])
+
+
+def test_mirrored_weights_equal_every_mode_evaluated(flow, escape):
+    # only the j >= 0 modes are evaluated, and each j < 0 mode takes its
+    # mirror's value.  Against a call on every mode, rows may move only in
+    # the last cell of a call at its three largest |j|: OpenBLAS's gemv
+    # reduces the last n mod 4 rows of each call in a kernel that rounds
+    # differently, and a mirror copies the value of such a row
+    items = _weight_items(flow, 0.05)
+    runs = [[item] for item in items] + [items[i:i + 7] for i in range(0, len(items), 7)]
+    moved = 0
+    for run in runs:
+        got = np.concatenate(op._run_log_weights(flow, escape, 0.05, run))
+        want = np.concatenate(log_weights_every_mode(flow, escape, 0.05, run))
+        js = run[-1][1][:, 1]
+        top = int(js.max())
+        tail = np.flatnonzero(got != want) - (len(got) - len(js))
+        assert np.all(tail >= len(js) - (2 * top + 1)), tail
+        assert np.all(np.abs(js[tail]) > top - 3), js[tail]
+        assert np.max(np.abs(got - want)) <= 1e-13
+        moved += tail.size
+    assert moved < 0.01 * sum(len(basis) for run in runs for _, basis, _ in run)
+
+
+def test_mirrored_weights_need_symmetric_cells(flow, escape):
+    sector = op.enumerate_orbits(flow.cat, 3, 2)[0]
+    basis = op.orbit_basis(sector, 4)
+    for bad in (basis[:-1], basis[::-1], basis[basis[:, 1] != 2]):
+        with pytest.raises(ValueError, match="ascending and symmetric"):
+            op.mode_log_weight(flow, sector, bad, escape, 0.05)
+
+
+def test_weight_path_does_no_memo_work(flow, monkeypatch):
+    import hashlib
+    digests = []
+    blake2b = hashlib.blake2b
+    monkeypatch.setattr(hashlib, "blake2b", lambda *a: digests.append(1) or blake2b(*a))
+    escape = EscapeFunction(flow, OrderParams())
+    for _ in op.sector_log_weights(flow, escape, 0.1, _weight_items(flow, 0.1)):
+        pass
+    assert digests == [] and escape._memo == {}
+    # the other escape_value callers still memoise
+    escape.escape_value(np.ones((3, 3)))
+    assert len(digests) == 1 and len(escape._memo) == 1
 
 
 def test_neutral_weight_trivial_at_zero_neutral_order(flow, escape):
