@@ -15,11 +15,9 @@ obtained by transporting covectors with the lifted flow itself.
 
 from __future__ import annotations
 
-import copy
-import hashlib
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,8 +78,10 @@ class EscapeFunction:
     :class:`OrderParams` holds automatically; the flag is kept as metadata.
     """
 
-    def __init__(self, flow: MappingTorusFlow, params: OrderParams,
-                 panels: int = 24, nodes_per_panel: int = 16):
+    #: panels on [-t_avg, t_avg] and nodes per panel of the time average
+    PANELS, NODES_PER_PANEL = 24, 16
+
+    def __init__(self, flow: MappingTorusFlow, params: OrderParams):
         self.flow = flow
         self.params = params
         self.theta = flow.theta
@@ -89,7 +89,7 @@ class EscapeFunction:
         self._cone2 = sa * sa                      # squared sine of cone half-angle
         self._blend2 = np.sin(2.0 * params.aperture) ** 2
         self._nodes, self._weights = composite_gauss_legendre(
-            params.t_avg, panels, nodes_per_panel)
+            params.t_avg, self.PANELS, self.NODES_PER_PANEL)
         self._log_ga = 2.0 * self.theta * self._nodes
         self._ga = np.exp(self._log_ga)
         # rows whose largest square lies outside (_tiny, _huge) may overflow
@@ -97,22 +97,19 @@ class EscapeFunction:
         reach = np.exp(np.abs(self._log_ga).max())
         self._tiny = 1e4 * np.finfo(float).tiny * reach
         self._huge = np.finfo(float).max / (4.0 * reach)
-        self._memo = {}
 
-    def with_order(self, params: OrderParams):
-        """Evaluator for other exponents u, n0, s on the same profiles.
-
-        The averaged profiles do not depend on the exponents, so the sibling
-        shares the quadrature and the profile memo with this evaluator.
-        Raises ValueError if ``params`` also changes the geometry.
-        """
-        same = replace(params, u=self.params.u, n0=self.params.n0,
-                       s=self.params.s, symmetric=self.params.symmetric)
-        if same != self.params:
-            raise ValueError("with_order may change only u, n0, s and symmetric")
-        sibling = copy.copy(self)
-        sibling.params = params
-        return sibling
+    def _orders(self, orders):
+        """The parameter sets to evaluate, ``[self.params]`` for None.  The
+        profiles do not depend on the exponents, so one pass serves every set
+        with this evaluator's ``t_avg``, ``aperture`` and ``radius``."""
+        if orders is None:
+            return [self.params]
+        p = self.params
+        for q in orders:
+            if (q.t_avg, q.aperture, q.radius) != (p.t_avg, p.aperture, p.radius):
+                raise ValueError("orders may differ from the evaluator only in u, n0, s "
+                                 "and symmetric")
+        return list(orders)
 
     # -- covector flow -----------------------------------------------------
 
@@ -131,9 +128,18 @@ class EscapeFunction:
     #: the raw profiles within this distance of {0, 1} on the aperture cones
     SATURATION = 0.2
 
-    def _saturate(self, m):
+    def _profiles(self, adapted):
+        """Saturated averaged profiles (m1, m2).
+
+        The raw time averages approach their limit values only at rate
+        exp(-theta t_avg), so they are passed through a monotone ramp that
+        saturates at the level the averaging time guarantees; this widens
+        the constant-order plateaus to the declared cones while keeping the
+        flow monotonicity exact (chain rule with nonnegative slope).
+        """
         eps = self.SATURATION
-        return smoothstep((m - eps) / (1.0 - 2.0 * eps))
+        return tuple(smoothstep((m - eps) / (1.0 - 2.0 * eps))
+                     for m in self._raw_profiles(adapted))
 
     #: rows per gemv of _raw_profiles, a multiple of 4 (see there); with a
     #: 3-row tail a block over all nodes (35 x 384 x 8 B = 105 KB) stays
@@ -293,43 +299,6 @@ class EscapeFunction:
                     vals[:, w1:] = 1.0
                     m[profile][order[b0:b1]] = vals @ self._weights
 
-    #: batches whose saturated profiles are kept; the memo is cleared when full
-    MEMO_ENTRIES = 8
-
-    def _profiles(self, adapted, memo=True):
-        """Saturated averaged profiles (m1, m2).
-
-        The raw time averages approach their limit values only at rate
-        exp(-theta t_avg), so they are passed through a monotone ramp that
-        saturates at the level the averaging time guarantees; this widens
-        the constant-order plateaus to the declared cones while keeping the
-        flow monotonicity exact (chain rule with nonnegative slope).
-        The result is memoised on the exact input triples, so the sibling
-        evaluators of :meth:`with_order` evaluate a batch only once; the
-        returned arrays are shared and must not be modified.  The memo key
-        is the shape, the dtype and a BLAKE2b digest of the values, not a
-        copy of them.  ``memo=False`` neither looks up nor stores the batch,
-        for batches that do not recur.
-        """
-        if not memo:
-            m1, m2 = self._raw_profiles(adapted)
-            return self._saturate(m1), self._saturate(m2)
-        d = np.ascontiguousarray(adapted, dtype=float)
-        key = (d.shape, d.dtype.str, hashlib.blake2b(d).digest())
-        hit = self._memo.get(key)
-        if hit is None:
-            if len(self._memo) >= self.MEMO_ENTRIES:
-                self._memo.clear()
-            m1, m2 = self._raw_profiles(d)
-            hit = self._memo[key] = (self._saturate(m1), self._saturate(m2))
-        return hit
-
-    def order_profile(self, adapted, memo=True):
-        """Direction-only part of the order function, in [u, s]."""
-        p = self.params
-        m1, m2 = self._profiles(adapted, memo)
-        return p.s + (p.n0 - p.s) * m1 + (p.u - p.n0) * m2
-
     def _ramp(self, r):
         # radial cutoff: 0 below 1/2, 1 above 1, smooth in log r
         r = np.asarray(r, dtype=float)
@@ -338,17 +307,11 @@ class EscapeFunction:
         out[pos] = smoothstep(1.0 + np.log2(r[pos]))
         return out
 
-    def order_value(self, adapted, memo=True):
-        """Full order function m: radial cutoff times the direction profile;
-        ``memo`` as in :meth:`_profiles`."""
-        d = np.asarray(adapted, dtype=float)
-        r = np.linalg.norm(d, axis=-1)
-        ramp = self._ramp(r)
-        out = np.zeros_like(r)
-        live = ramp > 0.0
-        if np.any(live):
-            out[live] = ramp[live] * self.order_profile(d[live], memo)
-        return out if out.shape else float(out)
+    def order_value(self, adapted):
+        """Full order function m: radial cutoff times the direction profile
+        ``s + (n0 - s) m1 + (u - n0) m2``, in [u, s]."""
+        m = self._order_and_escape(adapted, [self.params])[0][0]
+        return m if m.shape else float(m)
 
     def radial_interpolant(self, adapted):
         """One-homogeneous radius: |xi| in the hyperbolic cones, |symbol|
@@ -361,26 +324,42 @@ class EscapeFunction:
         f = np.where(r > 0.0, w0 * np.abs(d[..., 2]) + (1.0 - w0) * r, 0.0)
         return f if f.shape else float(f)
 
-    def escape_value(self, adapted, memo=True):
-        """G = m * log sqrt(1 + f^2); ``memo`` as in :meth:`_profiles`."""
+    def _order_and_escape(self, adapted, orders):
+        """Order function m and escape function G of each set in ``orders``,
+        stacked on a leading axis, from one profile pass."""
         d = np.asarray(adapted, dtype=float)
-        m = self.order_value(d, memo)
+        r = np.linalg.norm(d, axis=-1)
+        ramp = self._ramp(r)
+        m = np.zeros((len(orders),) + r.shape)
+        live = ramp > 0.0
+        if np.any(live):
+            m1, m2 = self._profiles(d[live])
+            for k, p in enumerate(orders):
+                m[k, live] = ramp[live] * (p.s + (p.n0 - p.s) * m1 + (p.u - p.n0) * m2)
         f = self.radial_interpolant(d)
-        g = m * 0.5 * np.log1p(np.asarray(f) ** 2)
-        return g if np.ndim(g) else float(g)
+        return m, m * 0.5 * np.log1p(np.asarray(f) ** 2)
 
-    def escape_derivative_adapted(self, adapted, step=1e-4):
+    def escape_value(self, adapted, orders=None):
+        """G = m * log sqrt(1 + f^2); for a list of ``orders`` (see
+        :meth:`_orders`), G of each set stacked, from one profile pass."""
+        g = self._order_and_escape(adapted, self._orders(orders))[1]
+        if orders is None:
+            g = g[0] if g[0].shape else float(g[0])
+        return g
+
+    def escape_derivative_adapted(self, adapted, step=1e-4, orders=None):
         """Flow derivative of G along the closed-form covector flow.
 
         Centered differences with one Richardson step; exact transport of
         the equivariant components makes this a derivative along the lifted
-        flow itself.
+        flow itself.  ``orders`` as in :meth:`escape_value`: four profile
+        passes serve all sets.
         """
         d = np.asarray(adapted, dtype=float)
 
         def diff(h):
-            return (self.escape_value(self.covector_flow(d, h))
-                    - self.escape_value(self.covector_flow(d, -h))) / (2.0 * h)
+            return (self.escape_value(self.covector_flow(d, h), orders)
+                    - self.escape_value(self.covector_flow(d, -h), orders)) / (2.0 * h)
 
         return (4.0 * diff(step / 2.0) - diff(step)) / 3.0
 
@@ -433,39 +412,34 @@ class EscapeReport:
 
 def verify_escape_estimates(escape: EscapeFunction, sample_count=10000,
                             seed=0, radius_span=100.0, keep_rows=2000,
-                            nonpositive_tol=1e-9):
+                            nonpositive_tol=1e-9, orders=None):
     """Sample the decay estimates over |xi| in [R, radius_span*R].
 
     Checks (a) strict uniform decay outside the neutral cone and (b) global
     nonpositivity at large radius, and reports the measured proportionality
     constant of the decay bound.  Failing samples are counted in
-    ``violations``; the caller decides the verdict.
+    ``violations``; the caller decides the verdict.  For a list of
+    ``orders`` (see :meth:`EscapeFunction._orders`), one report per set, all
+    from the same samples and profile passes (four, plus one for kept rows).
     """
-    p = escape.params
+    sets = escape._orders(orders)
     rng = np.random.default_rng(seed)
     nu = rng.normal(size=(sample_count, 3))
     nu /= np.linalg.norm(nu, axis=1, keepdims=True)
-    radii = p.radius * radius_span ** rng.random(sample_count)
+    radii = escape.params.radius * radius_span ** rng.random(sample_count)
     adapted = nu * radii[:, None]
 
-    xg = escape.escape_derivative_adapted(adapted)
+    xgs = escape.escape_derivative_adapted(adapted, orders=sets)
     labels = escape.cone_label(adapted)
     outside = labels != "0"
-
-    max_outside = float(np.max(xg[outside]))
-    max_everywhere = float(np.max(xg))
-    decay_bound = -max_outside
-    c_measured = decay_bound / min(abs(p.u), p.s)
-
-    bad = (outside & (xg >= 0.0)) | (xg > nonpositive_tol)
     kept = adapted[:keep_rows]          # only these samples become CSV rows
-    rows = []
-    if len(kept):
-        m = escape.order_value(kept)
-        g = escape.escape_value(kept)
-        rows = [(kept[i, 0], kept[i, 1], kept[i, 2], m[i], g[i], xg[i], labels[i])
-                for i in range(len(kept))]
-    return EscapeReport(
-        c_measured=c_measured, decay_bound=decay_bound,
-        max_everywhere=max_everywhere,
-        violations=int(np.count_nonzero(bad)), rows=rows)
+    ms, gs = escape._order_and_escape(kept, sets)
+    reports = []
+    for p, xg, m, g in zip(sets, xgs, ms, gs):
+        decay_bound = -float(np.max(xg[outside]))
+        bad = (outside & (xg >= 0.0)) | (xg > nonpositive_tol)
+        reports.append(EscapeReport(
+            c_measured=decay_bound / min(abs(p.u), p.s), decay_bound=decay_bound,
+            max_everywhere=float(np.max(xg)), violations=int(np.count_nonzero(bad)),
+            rows=list(zip(*kept.T, m, g, xg, labels))))
+    return reports if orders is not None else reports[0]

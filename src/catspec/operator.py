@@ -318,7 +318,7 @@ def sector_log_weights(flow: MappingTorusFlow, escape: EscapeFunction, h, sector
     of whole sectors with at most WEIGHT_ROWS modes in all share one
     escape_value call, and each run yields the list of its sectors' log
     weights, one value per mode of each basis.  Only one run is evaluated
-    at a time, so the memory follows WEIGHT_ROWS, not the sector count.
+    at a time, so the storage follows WEIGHT_ROWS, not the sector count.
 
     Raises WeightOverflow, naming h and the sector, when a weight or its
     inverse would leave the double range, or when a mode covector already
@@ -351,8 +351,7 @@ def _run_log_weights(flow, escape, h, run):
     that of (p, j), so the two weights are equal.  Only the modes with
     j >= 0 are evaluated; the j of an orbit cell and of the neutral sector
     run ascending and symmetric, so the mirror of a mode with j < 0 lies
-    2|j| rows further on (ValueError for a basis laid out otherwise).  The
-    call skips the profile memo: no weight batch recurs.
+    2|j| rows further on (ValueError for a basis laid out otherwise).
     """
     ps, js = np.concatenate([basis for _, basis, _ in run]).T
     mirror = np.arange(len(js)) - 2 * np.minimum(js, 0)
@@ -361,8 +360,7 @@ def _run_log_weights(flow, escape, h, run):
     halves = [(sector, basis[basis[:, 1] >= 0], freqs) for sector, basis, freqs in run]
     try:
         with np.errstate(over="raise", invalid="raise"):
-            half = np.asarray(escape.escape_value(_mode_adapted(flow, h, halves), memo=False),
-                              dtype=float)
+            half = np.asarray(escape.escape_value(_mode_adapted(flow, h, halves)), dtype=float)
     except FloatingPointError as exc:
         if len(run) > 1:
             # the rows are independent: the sector's own call raises too

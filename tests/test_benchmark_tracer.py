@@ -86,6 +86,8 @@ def test_tracer_counts_escape_points():
                                      samples=samples))
     assert m["escape.EscapeFunction.calls"] == 1
     assert m["escape.escape_derivative_adapted.points"] == samples
-    # four Richardson-shifted passes, then the kept CSV rows
-    assert m["escape.escape_value.calls"] == 5
-    assert m["escape.escape_value.points"] == 4 * samples + min(samples, keep_rows)
+    # four Richardson-shifted passes; the kept CSV rows take their m and G
+    # from one profile pass outside escape_value
+    assert keep_rows > 0
+    assert m["escape.escape_value.calls"] == 4
+    assert m["escape.escape_value.points"] == 4 * samples

@@ -172,7 +172,8 @@ def test_cli_verify_escape(tmp_path, capsys, monkeypatch):
 
     # violating samples: exit 1 with the count, and the CSV is still written
     monkeypatch.setattr(EscapeFunction, "escape_derivative_adapted",
-                        lambda self, a, step=1e-4: np.ones(np.shape(a)[:-1]))
+                        lambda self, a, step=1e-4, orders=None:
+                        np.ones((len(orders),) + np.shape(a)[:-1]))
     code = main(["--config", str(cfgfile), "--out", str(tmp_path / "bad"),
                  "verify-escape"])
     assert code == 1

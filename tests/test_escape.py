@@ -66,10 +66,11 @@ def test_averaged_order_attractor_values(escape):
 
 
 def test_order_combination_formula(escape):
+    # at |xi| >= 1 the radial cutoff is 1 and m is the direction profile
     p = escape.params
     for d in (np.array([0.3, -0.8, 0.52]), np.array([1.0, 0.01, 0.2])):
         m1, m2 = escape._profiles(d)
-        assert escape.order_profile(d) == pytest.approx(
+        assert escape.order_value(d) == pytest.approx(
             p.s + (p.n0 - p.s) * m1 + (p.u - p.n0) * m2, abs=1e-14)
 
 
@@ -191,15 +192,16 @@ def test_verify_escape_estimates_report(escape):
 
 def test_verify_escape_estimates_skips_the_rows_it_does_not_keep(escape, monkeypatch):
     batches = []
-    value = EscapeFunction.escape_value
+    raw = EscapeFunction._raw_profiles
 
     def spy(self, adapted):
         batches.append(len(np.reshape(adapted, (-1, 3))))
-        return value(self, adapted)
+        return raw(self, adapted)
 
-    monkeypatch.setattr(EscapeFunction, "escape_value", spy)
+    monkeypatch.setattr(EscapeFunction, "_raw_profiles", spy)
     none = verify_escape_estimates(escape, sample_count=300, seed=2, keep_rows=0)
-    # the four Richardson-shifted passes of the derivative, no empty row batch
+    # the four Richardson-shifted passes of the derivative, no empty row
+    # batch; the kept rows' m and G come from one more pass
     assert batches == [300] * 4
     batches.clear()
     some = verify_escape_estimates(escape, sample_count=300, seed=2, keep_rows=50)
@@ -217,16 +219,17 @@ def test_verify_escape_estimates_two_parameter_sets(flow):
         assert rep.violations == 0 and rep.c_measured > 0
 
 
-def _increasing_everywhere(self, a, step=1e-4):
-    return np.ones(np.shape(a)[:-1])
+def _increasing_everywhere(self, a, step=1e-4, orders=None):
+    shape = np.shape(a)[:-1]
+    return np.ones(shape if orders is None else (len(orders),) + shape)
 
 
 _true_derivative = EscapeFunction.escape_derivative_adapted
 
 
-def _increasing_on_neutral_cone(self, a, step=1e-4):
+def _increasing_on_neutral_cone(self, a, step=1e-4, orders=None):
     # correct outside the neutral cone, so only the violation count can fail
-    return np.where(self.cone_label(a) == "0", 1.0, _true_derivative(self, a, step))
+    return np.where(self.cone_label(a) == "0", 1.0, _true_derivative(self, a, step, orders))
 
 
 def test_verify_escape_estimates_detects_violations(flow, escape, monkeypatch):
@@ -299,7 +302,7 @@ def test_quadrature_internal_consistency(escape):
     assert m1_fixed == pytest.approx(m1_adapt, abs=1e-9)
 
 
-# -- windowed profiles and the shared profile memo ---------------------------
+# -- windowed profiles and shared profile passes ----------------------------
 
 #: every n mod 4 within one block and a few
 SIZES = list(range(41)) + [97, 101]
@@ -430,68 +433,63 @@ def _doubled(q):
     return dataclasses.replace(q, u=2.0 * q.u, s=2.0 * q.s)
 
 
-@pytest.mark.parametrize("order", [OrderParams(), OrderParams(u=-8.0, n0=1.0, s=8.0)],
-                         ids=["default", "n0_1"])
-def test_with_order_reports_equal_a_fresh_evaluator(flow, monkeypatch, order):
+def _counting_raw_profiles(monkeypatch):
     calls = []
     raw = EscapeFunction._raw_profiles
     monkeypatch.setattr(EscapeFunction, "_raw_profiles",
                         lambda self, a: calls.append(1) or raw(self, a))
+    return calls
+
+
+@pytest.mark.parametrize("order", [OrderParams(), OrderParams(u=-8.0, n0=1.0, s=8.0)],
+                         ids=["default", "n0_1"])
+def test_orders_reports_equal_a_fresh_evaluator(flow, monkeypatch, order):
+    calls = _counting_raw_profiles(monkeypatch)
     base = EscapeFunction(flow, order)
-    verify_escape_estimates(base, sample_count=1500, seed=4)
-    before = len(calls)
-    shared = verify_escape_estimates(base.with_order(_doubled(order)),
-                                     sample_count=1500, seed=4)
-    # same seed, same samples: the sibling's four shifted passes and its
-    # kept rows all come from the memo the first report filled
-    assert before == 5 and len(calls) == before
-    fresh = verify_escape_estimates(EscapeFunction(flow, _doubled(order)),
-                                    sample_count=1500, seed=4)
-    for field in dataclasses.fields(fresh):
-        assert getattr(shared, field.name) == getattr(fresh, field.name), field.name
-    assert shared.to_csv() == fresh.to_csv()
+    primary, shared = verify_escape_estimates(base, sample_count=1500, seed=4,
+                                              orders=[order, _doubled(order)])
+    # same seed, same samples: four shifted passes and the kept rows serve
+    # both sets
+    assert len(calls) == 5
+    for report, params in ((primary, order), (shared, _doubled(order))):
+        fresh = verify_escape_estimates(EscapeFunction(flow, params),
+                                        sample_count=1500, seed=4)
+        for field in dataclasses.fields(fresh):
+            assert getattr(report, field.name) == getattr(fresh, field.name), field.name
+        assert report.to_csv() == fresh.to_csv()
 
 
-def test_with_order_rejects_other_geometry(escape):
+def test_orders_reject_other_geometry(escape):
     p = escape.params
     for change in ({"t_avg": 4.0}, {"aperture": 0.05}, {"radius": 20.0}):
         with pytest.raises(ValueError):
-            escape.with_order(dataclasses.replace(p, **change))
-    sibling = escape.with_order(dataclasses.replace(p, u=-3.0, n0=0.5, s=5.0,
-                                                    symmetric=False))
-    assert sibling.params.u == -3.0 and escape.params.u == p.u
-    assert sibling._memo is escape._memo
+            escape.escape_value(np.ones(3), orders=[p, dataclasses.replace(p, **change)])
+        with pytest.raises(ValueError):
+            verify_escape_estimates(escape, sample_count=10,
+                                    orders=[dataclasses.replace(p, **change)])
+    other = dataclasses.replace(p, u=-3.0, n0=0.5, s=5.0, symmetric=False)
+    pts = np.random.default_rng(18).normal(size=(40, 3)) * 20.0
+    both = escape.escape_value(pts, orders=[p, other])
+    assert both.shape == (2, 40)
+    assert np.array_equal(both[0], escape.escape_value(pts))
+    assert np.array_equal(both[1], EscapeFunction(escape.flow, other).escape_value(pts))
+    assert escape.params is p
 
 
-def test_profile_memo_is_bounded(flow):
-    escape = EscapeFunction(flow, OrderParams())
-    rng = np.random.default_rng(12)
-    for _ in range(20):
-        escape._profiles(rng.normal(size=(5, 3)))
-        assert len(escape._memo) <= EscapeFunction.MEMO_ENTRIES
-
-
-def test_profile_memo_keys_on_a_digest_of_the_values(flow):
-    escape = EscapeFunction(flow, OrderParams())
-    pts = np.random.default_rng(17).normal(size=(40, 3)) * 20.0
-    first = escape._profiles(pts)
-    # equal values in another array, in C or Fortran order, hit the memo
-    assert escape._profiles(pts.copy()) is first
-    assert escape._profiles(np.asfortranarray(pts)) is first
-    # the key holds a 64-byte digest, not a 960-byte copy of the batch
-    (shape, dtype, digest), = escape._memo
-    assert shape == pts.shape and dtype == "<f8" and len(digest) == 64
-    # one changed bit or another shape of the same values misses it
-    moved = pts.copy()
-    moved[17, 1] = np.nextafter(moved[17, 1], np.inf)
-    assert escape._profiles(moved) is not first
-    assert escape._profiles(pts.reshape(20, 2, 3))[0].shape == (20, 2)
-    assert len(escape._memo) == 3
+def test_escape_check_passes_over_the_profiles_once(monkeypatch):
+    # both exponent sets of the doubling control share four profile passes
+    calls = _counting_raw_profiles(monkeypatch)
+    cfg = parse_config("[campaign]\nchecks = escape\nescape_samples = 500\n")
+    hs.CHECKS["escape"](hs.CampaignContext(cfg.flow(), cfg))
+    assert len(calls) == 4
+    calls.clear()
+    verify_escape_estimates(EscapeFunction(cfg.flow(), cfg.escape), sample_count=500)
+    assert len(calls) <= 5
 
 
 def test_escape_check_doubling_ratio_equals_fresh_evaluators():
-    # the doubled order reads the primary's profiles from the memo; its
-    # ratio is that of two evaluators that share nothing
+    # the doubled order shares the primary's profile passes; its ratio is
+    # that of two evaluators that share nothing
     cfg = parse_config("[campaign]\nchecks = escape\nescape_samples = 1500\n")
     ok, payload = hs.CHECKS["escape"](hs.CampaignContext(cfg.flow(), cfg))
     fresh = [verify_escape_estimates(EscapeFunction(cfg.flow(), params), sample_count=1500,
@@ -499,6 +497,21 @@ def test_escape_check_doubling_ratio_equals_fresh_evaluators():
              for params in (cfg.escape, _doubled(cfg.escape))]
     assert payload["doubling_ratio"] == fresh[1].decay_bound / fresh[0].decay_bound
     assert ok
+
+
+@pytest.mark.parametrize("n0, exact", [(0.0, True), (1.0, False)])
+def test_doubling_control_is_exact_at_zero_neutral_order(n0, exact):
+    # with n0 = 0 each term of the doubled order is twice the primary's,
+    # so the ratio is 2.0 by construction; n0 = 1 makes it empirical (2.14
+    # on these samples)
+    cfg = parse_config(f"[campaign]\nchecks = escape\nescape_samples = 1500\n"
+                       f"[escape]\nn0 = {n0}\n")
+    ok, payload = hs.CHECKS["escape"](hs.CampaignContext(cfg.flow(), cfg))
+    assert ok
+    if exact:
+        assert payload["doubling_ratio"] == 2.0
+    else:
+        assert 2.0 < payload["doubling_ratio"] <= 2.2
 
 
 def test_escape_derivative_memory_stays_blocked(flow):

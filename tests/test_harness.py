@@ -454,6 +454,21 @@ def test_coherent_study_unresolved_at_small_j_max(flow):
     assert len(study.powers) == len(points)
 
 
+def test_coherent_j_max_grows_below_the_default_h(flow):
+    points = hs.default_symbol_points(flow)
+    # the floor holds at every h of the default and benchmark configs
+    for h in (0.14, 0.1, 0.05, 0.025, 0.0125):
+        assert hs.coherent_j_max(flow, points, h) == hs.COHERENT_J_FLOOR == 12
+    assert hs.coherent_j_max(flow, points, 0.005) == 22
+
+
+def test_coherent_study_resolves_a_fine_h(flow):
+    # at j_max = 12 point 8 keeps only 97.3% of its mass at h = 0.005
+    points = hs.default_symbol_points(flow)
+    study = hs.coherent_symbol_study(flow, OrderParams(), points, [0.005])
+    assert all(np.isfinite(e[0.005]) for e in study.errors)
+
+
 def test_coherent_study_from_one_h_is_undefined(flow, recwarn):
     points = hs.default_symbol_points(flow)
     study = hs.coherent_symbol_study(flow, OrderParams(), points, [0.14, 0.14], j_max=3)
@@ -505,9 +520,9 @@ def test_coherent_study_weighs_each_h_in_runs(flow, monkeypatch):
     calls = []
     escape_value = EscapeFunction.escape_value
 
-    def counted(self, adapted, memo=True):
+    def counted(self, adapted, orders=None):
         calls.append(np.size(adapted) // 3)
-        return escape_value(self, adapted, memo)
+        return escape_value(self, adapted, orders)
 
     monkeypatch.setattr(EscapeFunction, "escape_value", counted)
     modes = []

@@ -370,20 +370,6 @@ def test_mirrored_weights_need_symmetric_cells(flow, escape):
             op.mode_log_weight(flow, sector, bad, escape, 0.05)
 
 
-def test_weight_path_does_no_memo_work(flow, monkeypatch):
-    import hashlib
-    digests = []
-    blake2b = hashlib.blake2b
-    monkeypatch.setattr(hashlib, "blake2b", lambda *a: digests.append(1) or blake2b(*a))
-    escape = EscapeFunction(flow, OrderParams())
-    for _ in op.sector_log_weights(flow, escape, 0.1, _weight_items(flow, 0.1)):
-        pass
-    assert digests == [] and escape._memo == {}
-    # the other escape_value callers still memoise
-    escape.escape_value(np.ones((3, 3)))
-    assert len(digests) == 1 and len(escape._memo) == 1
-
-
 def test_neutral_weight_trivial_at_zero_neutral_order(flow, escape):
     # n0 = 0 makes the neutral-sector weight the identity
     tr = op.Truncation(j_max=4, j_buffer=1)
