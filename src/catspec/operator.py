@@ -297,13 +297,16 @@ def _mode_adapted(flow: MappingTorusFlow, h, sectors):
 # ---------------------------------------------------------------------------
 
 def conjugate_by_diagonal(matrix, log_weight):
-    """W M W^{-1} for W = diag(exp(log_weight)), computed entrywise.
+    """W M W^{-1} for W = diag(exp(log_weight)), in place.
 
-    Scales entry (i, j) by exp(log_weight[i] - log_weight[j]); the diagonal
-    is untouched.
+    Scales entry (i, j) of the float or complex array `matrix` by
+    exp(log_weight[i] - log_weight[j]), with one real n x n temporary for
+    the ratios, and returns `matrix`; the diagonal is untouched.
     """
     logw = np.asarray(log_weight, dtype=float)
-    return np.asarray(matrix) * np.exp(logw[:, None] - logw[None, :])
+    ratio = np.subtract.outer(logw, logw)
+    matrix *= np.exp(ratio, out=ratio)
+    return matrix
 
 
 #: modes per escape_value call of `sector_log_weights`; a call holds whole
@@ -393,7 +396,7 @@ def apply_weight(block: SectorBlock, escape: EscapeFunction, h: float) -> np.nda
     operator, in the spectral variable z = h lambda, is h * P.
     """
     logw = mode_log_weight(escape.flow, block.sector, block.basis, escape, h)
-    return conjugate_by_diagonal(block.matrix, logw)
+    return conjugate_by_diagonal(block.matrix.copy(), logw)
 
 
 def orbit_expectation(flow: MappingTorusFlow, truncation: Truncation, log_weight, coeffs):
@@ -455,10 +458,17 @@ def eigendecompose(p: np.ndarray, norm=None):
 
 
 def singular_values(p: np.ndarray, z_e=0.0):
-    """Ascending singular values of (P - z_e I)."""
-    p = np.asarray(p, dtype=complex)
-    shifted = p - complex(z_e) * np.eye(p.shape[0])
-    return np.sort(np.linalg.svd(shifted, compute_uv=False))
+    """Ascending singular values of (P - z_e I).
+
+    P is shifted in a copy, or not at all when z_e is 0: a caller that owns
+    its matrix shifts it in place and passes z_e = 0.
+    """
+    if z_e == 0:
+        p = np.asarray(p, dtype=complex)
+    else:
+        p = np.array(p, dtype=complex)
+        p.flat[::p.shape[0] + 1] -= z_e
+    return np.sort(np.linalg.svd(p, compute_uv=False))
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +568,9 @@ def partition_ims_check(block: SectorBlock, escape: EscapeFunction, z,
     c0 = float(flow.time_change(0.0))
     out = {}
     for h in h_list:
-        a = h * apply_weight(block, escape, h) - complex(z) * np.eye(n)
+        a = apply_weight(block, escape, h)
+        a *= h
+        a.flat[::n + 1] -= complex(z)
         radii = np.linalg.norm(
             _mode_adapted(flow, h, [_sector_modes(flow, block.sector, block.basis)]), axis=1)
         chi0, chi1 = quadratic_partition(radii, r0, r1)

@@ -6,7 +6,8 @@ eigensolver, resolvent-quadrature projector ranks, the coherent-state
 projection of a wave packet on a list of sector blocks, the weighted
 expectation on an orbit sector through its dense matrix, the coherent
 symbol study sector by sector, the orbit sectors found point by point,
-the weights of a run with every mode evaluated, the unstable direction
+the weights of a run with every mode evaluated, the lattice-shell
+control counted on the full (v1, v2) meshgrid, the unstable direction
 recovered by
 pushing a seed forward, the inverse of ``cotangent.adapted_components``,
 and the escape function's averaged profiles rebuilt from cosphere bumps:
@@ -260,6 +261,25 @@ def log_weights_every_mode(flow: MappingTorusFlow, escape: EscapeFunction, h, ru
     triples, split per sector."""
     logw = np.asarray(escape.escape_value(_mode_adapted(flow, h, run)), dtype=float)
     return np.split(logw, np.cumsum([len(basis) for _, basis, _ in run])[:-1])
+
+
+def lattice_counts_meshgrid(E, alpha_grid):
+    """``harness.synthetic_lattice_counts``'s counts on the full (v1, v2)
+    meshgrid at once: O(alpha^2) memory (96 MB at alpha = 640)."""
+    counts = []
+    for alpha in alpha_grid:
+        r_hi = abs(E) * alpha + np.sqrt(alpha)
+        r_lo = max(abs(E) * alpha - np.sqrt(alpha), 0.0)
+        m = int(np.floor(r_hi))
+        g1, g2 = np.meshgrid(np.arange(-m, m + 1), np.arange(-m, m + 1), indexing="ij")
+        rem_hi = r_hi * r_hi - g1 * g1 - g2 * g2
+        rem_lo = r_lo * r_lo - g1 * g1 - g2 * g2
+        hi = np.where(rem_hi >= 0.0,
+                      2.0 * np.floor(np.sqrt(np.clip(rem_hi, 0, None))) + 1.0, 0.0)
+        lo = np.where(rem_lo > 0.0,
+                      2.0 * np.ceil(np.sqrt(np.clip(rem_lo, 0, None))) - 1.0, 0.0)
+        counts.append(int(np.sum(hi - lo)))
+    return counts
 
 
 def splitting_via_limit(flow: MappingTorusFlow, p: BasePoint, v0, t_max: float,

@@ -56,6 +56,25 @@ verify_escape_estimates(escape, sample_count={samples})
 print(json.dumps(tracer.metrics()))
 """
 
+CHECKS_SCRIPT = """
+import json, sys
+sys.path[:0] = [{src!r}, {perfbench!r}]
+import catspec
+import catspec.cli                      # imports every traced module
+import spans
+
+tracer = spans.Tracer()
+tracer.install(catspec)
+from catspec import harness as hs, operator as op
+from catspec.config import parse_config
+
+cfg = parse_config("[campaign]\\nchecks = weyl,ims\\n[solver]\\nk_max = 3\\n")
+ctx = hs.CampaignContext(cfg.flow(), cfg)
+verdicts = [hs.CHECKS[name](ctx)[0] for name in ("weyl", "ims")]
+n_orbit = len(op.enumerate_orbits(ctx.flow.cat, 3, cfg.truncation.p_max))
+print(json.dumps({{"verdicts": verdicts, "n_orbit": n_orbit, "metrics": tracer.metrics()}}))
+"""
+
 
 def _traced(script):
     run = subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -91,3 +110,16 @@ def test_tracer_counts_escape_points():
     assert keep_rows > 0
     assert m["escape.escape_value.calls"] == 4
     assert m["escape.escape_value.points"] == 4 * samples
+
+
+def test_tracer_counts_the_dense_checks():
+    # the Weyl sector audits weigh, scale and shift their blocks in place
+    # and hand them to singular_values as its first argument: one call for
+    # the neutral sector, one per k0, -k0 pair and one per random matrix;
+    # only the ims check weighs through apply_weight, once per h
+    out = _traced(CHECKS_SCRIPT.format(src=str(SRC), perfbench=str(PERFBENCH)))
+    m = out["metrics"]
+    assert out["verdicts"] == [True, True]
+    assert m["operator.singular_values.calls"] == 1 + out["n_orbit"] // 2 + 20
+    assert m["harness.weyl_audit.calls"] == 20
+    assert m["operator.apply_weight.calls"] == 4

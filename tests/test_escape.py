@@ -514,6 +514,20 @@ def test_doubling_control_is_exact_at_zero_neutral_order(n0, exact):
         assert 2.0 < payload["doubling_ratio"] <= 2.2
 
 
+def test_escape_check_fails_without_an_escape_function(monkeypatch):
+    # G = 0 gives zero decay bounds: no doubling ratio, a failed verdict,
+    # not a ZeroDivisionError
+    def zero(self, adapted, orders=None):
+        rows = np.shape(adapted)[:-1]
+        return np.zeros(rows if orders is None else (len(orders),) + rows)
+
+    monkeypatch.setattr(EscapeFunction, "escape_value", zero)
+    cfg = parse_config("[campaign]\nchecks = escape\nescape_samples = 500\n")
+    ok, payload = hs.CHECKS["escape"](hs.CampaignContext(cfg.flow(), cfg))
+    assert ok is False
+    assert payload["decay_bound"] == 0.0 and payload["doubling_ratio"] is None
+
+
 def test_escape_derivative_memory_stays_blocked(flow):
     # unblocked, a 20,000-point derivative peaks at about 530 MB of temporaries
     escape = EscapeFunction(flow, OrderParams())

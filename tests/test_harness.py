@@ -1,5 +1,7 @@
 import json
+import logging
 import sys
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -11,8 +13,8 @@ from catspec.config import parse_config, DEFAULT_CONFIG
 from catspec.errors import (MultiplicityMismatch, UnresolvedState, UnresolvedWindow,
                             WeightOverflow)
 from catspec.escape import EscapeFunction, OrderParams
-from oracles import (coherent_study_per_sector, spectral_projector_rank, weyl_oracle_dense,
-                     weyl_spectra_dense)
+from oracles import (coherent_study_per_sector, lattice_counts_meshgrid,
+                     spectral_projector_rank, weyl_oracle_dense, weyl_spectra_dense)
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +114,24 @@ def test_synthetic_lattice_exponent():
 # ---------------------------------------------------------------------------
 # comparisons
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("E, grid", [(1.0, [10.0, 20.0, 40.0, 80.0, 160.0]),
+                                     (-0.7, [3.0, 7.5, 33.0]), (2.5, [1.0, 12.25])])
+def test_synthetic_lattice_counts_equal_the_meshgrid(E, grid):
+    assert hs.synthetic_lattice_counts(E, grid).counts == lattice_counts_meshgrid(E, grid)
+
+
+def test_synthetic_lattice_counts_memory_is_linear_in_alpha():
+    # the meshgrid form peaks at about 96 MB here
+    tracemalloc.start()
+    try:
+        study = hs.synthetic_lattice_counts(1.0, [640.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert study.counts == [260563962]          # the meshgrid form's count
+
 
 def test_symmetry_check_cases():
     assert hs.symmetry_check(synthetic([2 * np.pi * j for j in range(-4, 5)])
@@ -366,6 +386,93 @@ def test_weyl_audit_counts_reported(flow, escape):
     evs = np.concatenate([cell_vals] * sector.n_cells) * 0.05
     audit = hs.weyl_audit(hp, 1 + 1j, eigenvalues=evs)
     assert audit.verdict
+
+
+def _sector_chain_reference(flow, escape, sector, tr, h, z_e):
+    """A fresh block and the matrix h P - z_e I formed out of place."""
+    block = op.build_generator(flow, sector, tr)
+    ref = h * op.apply_weight(block, escape, h) - complex(z_e) * np.eye(block.dim)
+    return block, ref
+
+
+@pytest.mark.parametrize("orbit", [False, True])
+def test_sector_weyl_audit_chain_is_exact(flow, escape, orbit):
+    # weighing, scaling and shifting in the block's buffer repeat the
+    # out-of-place operations bit for bit, and so does the audit
+    tr = op.Truncation(k_max=3, p_max=2, j_max=8)
+    h, z_e = 0.05, 1 + 1j
+    if orbit:
+        sector = op.enumerate_orbits(flow.cat, 3, 2)[0]
+        cell_vals = np.array([p.value for p in op.eigendecompose(op.orbit_cell_block(flow, tr))])
+        evs = np.concatenate([cell_vals] * sector.n_cells) * h
+    else:
+        sector, evs = op.NeutralSector(), None
+    block, ref = _sector_chain_reference(flow, escape, sector, tr, h, z_e)
+    hp = h * op.apply_weight(block, escape, h)
+    audit = hs.sector_weyl_audit(block, escape, h, z_e, eigenvalues=evs)
+    assert np.array_equal(block.matrix, ref)
+    assert audit == hs.weyl_audit(hp, z_e, eigenvalues=evs)
+
+
+def test_sector_weyl_audit_memory_stays_in_its_block(flow, escape):
+    # beyond its block, one orbit-sector audit holds the real weight
+    # ratios (n^2 x 8 B); LAPACK's copy is not traced
+    tr = op.Truncation(k_max=3, p_max=2)
+    sector = next(s for s in op.enumerate_orbits(flow.cat, 3, 2) if s.n_cells == 5)
+    block = op.build_generator(flow, sector, tr)
+    n = block.dim
+    assert n == 245
+    cell_vals = np.array([p.value for p in op.eigendecompose(op.orbit_cell_block(flow, tr))])
+    evs = np.concatenate([cell_vals] * sector.n_cells) * 0.05
+    tracemalloc.start()
+    try:
+        audit = hs.sector_weyl_audit(block, escape, 0.05, 1 + 1j, eigenvalues=evs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert audit.verdict
+    assert peak <= 1.0 * n * n * 16
+
+
+def test_weyl_check_warns_about_skipped_sectors(caplog):
+    # at j_max = 50 every orbit sector of k_max = 3 has at least 5 x 101
+    # modes: only the neutral sector is audited, and one warning says so
+    cfg = parse_config("[campaign]\nchecks = weyl\n[solver]\nk_max = 3\nj_max = 50\n")
+    flow = cfg.flow()
+    sectors = op.enumerate_orbits(flow.cat, 3, cfg.truncation.p_max)
+    with caplog.at_level(logging.WARNING, logger="catspec"):
+        _, payload = hs.CHECKS["weyl"](hs.CampaignContext(flow, cfg))
+    assert payload["sectors_audited"] == 1
+    records = [r for r in caplog.records if r.name == "catspec"]
+    assert len(records) == 1
+    largest = 101 * max(s.n_cells for s in sectors)
+    assert records[0].getMessage() == (
+        f"weyl: {len(sectors)} sectors above 500 modes not audited (largest {largest})")
+
+
+def test_weyl_check_warns_about_nothing_at_the_default_j_max(caplog, flow):
+    cfg = parse_config("[campaign]\nchecks = weyl\n[solver]\nk_max = 3\n")
+    with caplog.at_level(logging.WARNING, logger="catspec"):
+        hs.CHECKS["weyl"](hs.CampaignContext(flow, cfg))
+    assert not caplog.records
+
+
+def test_ims_check_negative_control_broken_partition(monkeypatch, flow):
+    # chi1 scaled by 1.05 breaks chi0^2 + chi1^2 = 1: the residual no
+    # longer falls like h^2 and the ratios drop to about 1
+    cfg = parse_config("[campaign]\nchecks = ims\n")
+    ok, payload = hs.CHECKS["ims"](hs.CampaignContext(flow, cfg))
+    assert ok and all(3.0 <= r <= 5.0 for r in payload["ratios"])
+    partition = op.quadratic_partition
+
+    def broken(radii, r0=1.0, r1=3.0):
+        chi0, chi1 = partition(radii, r0, r1)
+        return chi0, 1.05 * chi1
+
+    monkeypatch.setattr(op, "quadratic_partition", broken)
+    ok, payload = hs.CHECKS["ims"](hs.CampaignContext(flow, cfg))
+    assert ok is False
+    assert all(0.9 <= r <= 1.1 for r in payload["ratios"])
 
 
 def _weyl_on_k_max_3(monkeypatch):

@@ -252,12 +252,15 @@ def test_horizontal_components_batch_equals_scalar_calls(flow):
 # ---------------------------------------------------------------------------
 
 def test_conjugate_by_diagonal_shift():
+    # the matrix is scaled in place, so each call gets a copy
     shift = np.array([[0.0, 1.0], [0.0, 0.0]])
     logw = np.log([2.0, 4.0])
-    out = op.conjugate_by_diagonal(shift, logw)
+    buf = shift.copy()
+    out = op.conjugate_by_diagonal(buf, logw)
+    assert out is buf
     assert out[0, 1] == pytest.approx(0.5)      # w1 / w2
     diag = np.diag([1.0, 2.0, 3.0])
-    assert np.allclose(op.conjugate_by_diagonal(diag, [5.0, -1.0, 0.3]), diag)
+    assert np.allclose(op.conjugate_by_diagonal(diag.copy(), [5.0, -1.0, 0.3]), diag)
 
 
 def test_similarity_exact_on_nondegenerate_block(flow):
@@ -267,7 +270,7 @@ def test_similarity_exact_on_nondegenerate_block(flow):
     cell = op.orbit_cell_block(flow, tr)
     rng = np.random.default_rng(4)
     logw = rng.uniform(-3.0, 3.0, size=cell.shape[0])
-    conj = op.conjugate_by_diagonal(cell, logw)
+    conj = op.conjugate_by_diagonal(cell.copy(), logw)
     a = np.sort_complex(np.linalg.eigvals(cell))
     b = np.sort_complex(np.linalg.eigvals(conj))
     assert np.max(np.abs(a - b)) < 1e-10
@@ -279,6 +282,8 @@ def test_apply_weight_diagonal_preserved(flow, escape):
     blk = op.build_generator(flow, sector, tr)
     p = op.apply_weight(blk, escape, h=0.05)
     assert np.allclose(np.diag(p), np.diag(blk.matrix))
+    # the block keeps its matrix: the weight scales a copy
+    assert np.array_equal(blk.matrix, op.build_generator(flow, sector, tr).matrix)
     logw = op.mode_log_weight(flow, sector, blk.basis, escape, 0.05)
     assert np.exp(logw.max() - logw.min()) >= 1.0
     # exact similarity: spectra agree on the same index set
@@ -429,8 +434,10 @@ def test_singular_values_cases():
     rng = np.random.default_rng(2)
     m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     z = 0.3 - 0.7j
+    before = m.copy()
     assert np.allclose(op.singular_values(m, z),
                        singular_values_gram(m, z), atol=1e-10)
+    assert np.array_equal(m, before)            # the shift lands in a copy
 
 
 def test_spectral_projector_rank_cases():
