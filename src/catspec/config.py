@@ -10,7 +10,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,41 +74,44 @@ coherent_h = 0.1,0.05,0.025,0.0125
 out_dir = out
 """
 
-_SCHEMA = {
-    "model": {"a11", "a12", "a21", "a22", "c0", "c_cos", "c_sin"},
-    "escape": {"u", "n0", "s", "t_avg", "aperture", "radius", "symmetric"},
-    "escape_alt": {"u", "n0", "s", "t_avg", "aperture", "radius", "symmetric"},
-    "solver": {"k_max", "p_max", "j_max", "j_buffer", "flux_penalty",
-               "edge_guard", "residual_tol", "cluster_radius"},
-    "campaign": {"checks", "e", "beta", "disk_b", "alpha_grid", "floor", "h",
-                 "seed", "escape_samples", "ims_j_max", "ims_band",
-                 "coherent_h"},
-    "output": {"out_dir"},
-}
+
+def _schema():
+    """Allowed keys per section: those of DEFAULT_CONFIG, with [escape_alt]
+    taking the keys of [escape]."""
+    defaults = configparser.ConfigParser()
+    defaults.read_string(DEFAULT_CONFIG)
+    schema = {section: set(defaults[section]) for section in defaults.sections()}
+    schema["escape_alt"] = schema["escape"]
+    return schema
+
+
+_SCHEMA = _schema()
 
 
 @dataclass
 class RunConfig:
+    """A parsed configuration; `parse_config` fills every field."""
+
     escape: OrderParams
     escape_alt: OrderParams
     truncation: Truncation
     checks: list
-    E: float = 1.0
-    beta: float = 1.0
-    disk_b: float = 2.5
-    alpha_grid: list = field(default_factory=lambda: [10.0, 20.0, 40.0, 80.0, 160.0])
-    floor: float = -1.0
-    h: float = 0.05
-    seed: int = 1234
-    escape_samples: int = 10000
-    ims_j_max: int = 96
-    ims_band: tuple = (2.0, 10.0)
-    coherent_h_list: list = field(default_factory=lambda: [0.1, 0.05, 0.025, 0.0125])
-    residual_tol: float = 1e-10
-    cluster_radius: float = 1e-7
-    out_dir: str = "out"
-    model: MappingTorusFlow = None
-    text: str = ""
+    E: float
+    beta: float
+    disk_b: float
+    alpha_grid: list
+    floor: float
+    h: float
+    seed: int
+    escape_samples: int
+    ims_j_max: int
+    ims_band: tuple
+    coherent_h_list: list
+    residual_tol: float
+    cluster_radius: float
+    out_dir: str
+    model: MappingTorusFlow
+    text: str
 
     def flow(self) -> MappingTorusFlow:
         """The flow of the [model] section, built once by parse_config."""

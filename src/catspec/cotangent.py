@@ -79,22 +79,3 @@ def lifted_flow(flow: MappingTorusFlow, q: CotangentPoint, t: float) -> Cotangen
     xi1 = at_inv @ np.asarray(q.xi_x)
     eta1 = q.eta * flow.time_change(q.base.tau) / flow.time_change(tau1)
     return CotangentPoint(base1, (xi1[0], xi1[1]), eta1)
-
-
-def dual_splitting(flow: MappingTorusFlow, p: BasePoint):
-    """Unit coframes (E*_u, E*_s, E*_0) at p.
-
-    E*_0 annihilates E_u + E_s (so it is proportional to the invariant
-    one-form), E*_u annihilates E_u + E_0 and E*_s annihilates E_s + E_0.
-    """
-    cu = np.array([flow.cat.coframe_u[0], flow.cat.coframe_u[1], 0.0])
-    cs = np.array([flow.cat.coframe_s[0], flow.cat.coframe_s[1], 0.0])
-    c0 = np.array([0.0, 0.0, 1.0])
-    return cu, cs, c0
-
-
-def trapped_point(flow: MappingTorusFlow, p: BasePoint, E: float) -> CotangentPoint:
-    """The unique bounded-orbit covector over p on the energy-E shell."""
-    alpha = flow.anosov_one_form(p)
-    return CotangentPoint(p, (E * alpha[0], E * alpha[1]), E * alpha[2])
-

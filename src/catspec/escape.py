@@ -307,12 +307,6 @@ class EscapeFunction:
         out[pos] = smoothstep(1.0 + np.log2(r[pos]))
         return out
 
-    def order_value(self, adapted):
-        """Full order function m: radial cutoff times the direction profile
-        ``s + (n0 - s) m1 + (u - n0) m2``, in [u, s]."""
-        m = self._order_and_escape(adapted, [self.params])[0][0]
-        return m if m.shape else float(m)
-
     def radial_interpolant(self, adapted):
         """One-homogeneous radius: |xi| in the hyperbolic cones, |symbol|
         near the neutral cone, blended on the cosphere."""

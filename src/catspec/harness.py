@@ -583,7 +583,7 @@ def coherent_symbol_study(flow: MappingTorusFlow, params: OrderParams,
     taken.  Orbit sectors are never built.  Their weights come from
     `operator.sector_log_weights`, one escape_value call per run of whole
     sectors, with the neutral sector's weight in the last run.  The
-    sectors through k0 and -k0 share one weight (`operator.mirror_key`).
+    sectors through k0 and -k0 share one weight (`operator.mirror_groups`).
     Sharing is exact: the two weights are equal bit for bit, as the escape
     function reads only squares, norms and |e| of the frame components,
     and those of -k are exactly -(a, b) and e.  Per run, each packet's
@@ -615,29 +615,23 @@ def coherent_symbol_study(flow: MappingTorusFlow, params: OrderParams,
         vecs = [prof.project(flow, neutral) for prof in profiles]
 
         sectors = op.enumerate_orbits(flow.cat, k_max, p_max)
-        freqs = [op.sector_frequencies(flow.cat, sector) for sector in sectors]
-        shared = {}                     # mirror key -> its sectors' indices
-        for i, f in enumerate(freqs):
-            shared.setdefault(op.mirror_key(f), []).append(i)
-        groups = list(shared.values())
-        weighed = [(sectors[g[0]], op.orbit_basis(sectors[g[0]], j_cut), freqs[g[0]])
-                   for g in groups] + [(neutral.sector, neutral.basis, None)]
-        owners = iter(groups + [None])  # None: the neutral sector
+        groups = op.mirror_groups(sectors + [neutral.sector])
+        owners = iter(groups)           # the neutral sector is the last group
+        row = {s.key: i for i, s in enumerate(sectors)}
         terms = np.empty((len(sectors), len(points)), dtype=complex)
         masses = np.empty((len(sectors), len(points)))
-        for logws in op.sector_log_weights(flow, escape, h, weighed):
+        for logws in op.sector_log_weights(
+                flow, escape, h, ((g[0], op.sector_basis(g[0], tr)) for g in groups)):
             run = [(next(owners), logw) for logw in logws]
-            members = [i for g, _ in run if g is not None for i in g]
-            cells = np.reshape([k for i in members for k in freqs[i]], (-1, 2))
+            if run[-1][0] == [neutral.sector]:
+                mat = op.conjugate_by_diagonal(neutral.matrix, run.pop()[1])
+                mat *= h
+            cells = np.reshape([k for g, _ in run for s in g for k in s.freqs], (-1, 2))
             x_ints = np.stack([prof.torus_overlaps(cells) for prof in profiles])
             start = 0
             for g, logw in run:
-                if g is None:
-                    mat = op.conjugate_by_diagonal(neutral.matrix, logw)
-                    mat *= h
-                    continue
-                for i in g:
-                    n = sectors[i].n_cells
+                for s in g:
+                    i, n = row[s.key], s.n_cells
                     coeffs = x_ints[:, start:start + n, None] * tau_ints[:, None, :]
                     start += n
                     terms[i] = h * op.orbit_expectation(flow, tr, logw.reshape(n, -1),
@@ -764,8 +758,9 @@ def _check_weyl(ctx):
     digits from exact characteristic polynomials; no audited sector is a
     failure.  Without mpmath the oracle is reported as null, not as passed.
 
+    A sector's dimension is read off its basis before any block is built.
     The orbit sectors through k0 and -k0 are audited once
-    (``operator.mirror_key``) and each keeps its own record.  This is
+    (``operator.mirror_groups``) and each keeps its own record.  This is
     exact, not an approximation: the two generator blocks and eigenvalue
     lists depend on the cell count alone and the two weights are equal bit
     for bit, so the weighted matrices and their audits are identical."""
@@ -775,31 +770,21 @@ def _check_weyl(ctx):
     cell_vals = np.array([p.value for p in op.eigendecompose(cell)])
     sectors = [op.NeutralSector()] + op.enumerate_orbits(
         flow.cat, cfg.truncation.k_max, cfg.truncation.p_max)
-
-    def audit_one(sector):
-        """The sector's WeylAudit, or its dimension when it is too large."""
-        block = op.build_generator(flow, sector, cfg.truncation)
-        if block.dim > WEYL_DIM_LIMIT:
-            return block.dim
+    audits, skipped = [], []
+    for group in op.mirror_groups(sectors):
+        sector = group[0]
+        dim = len(op.sector_basis(sector, cfg.truncation))
+        if dim > WEYL_DIM_LIMIT:
+            skipped += [dim] * len(group)
+            continue
         if isinstance(sector, op.NeutralSector):
             evs = None
         else:
             evs = np.concatenate([cell_vals] * sector.n_cells) * cfg.h
-        return sector_weyl_audit(block, ctx.escape, cfg.h, z_e, eigenvalues=evs)
-
-    shared = {}
-    audits, skipped = [], []
-    for sector in sectors:
-        key = (sector.key if isinstance(sector, op.NeutralSector)
-               else op.mirror_key(op.sector_frequencies(flow.cat, sector)))
-        if key not in shared:
-            shared[key] = audit_one(sector)
-        if isinstance(shared[key], int):
-            skipped.append(shared[key])
-        else:
-            audits.append({"sector": sector.key,
-                           "worst_margin": shared[key].worst_margin,
-                           "ok": shared[key].verdict})
+        audit = sector_weyl_audit(op.build_generator(flow, sector, cfg.truncation),
+                                  ctx.escape, cfg.h, z_e, eigenvalues=evs)
+        audits += [{"sector": s.key, "worst_margin": audit.worst_margin, "ok": audit.verdict}
+                   for s in group]
     if skipped:
         LOG.warning("weyl: %d sectors above %d modes not audited (largest %d)",
                     len(skipped), WEYL_DIM_LIMIT, max(skipped))

@@ -147,9 +147,6 @@ class BasePoint:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "tau", float(self.tau) % 1.0)
 
-    def coords(self):
-        return np.array([self.x[0], self.x[1], self.tau])
-
 
 @dataclass
 class MappingTorusFlow:
@@ -164,17 +161,6 @@ class MappingTorusFlow:
         self.theta = np.log(self.cat.lambda_u) / self.period
 
     # -- basic geometry -------------------------------------------------
-
-    def vector_field(self, p: BasePoint):
-        """Generating vector field at p, components (x1, x2, tau)."""
-        return np.array([0.0, 0.0, self.time_change(p.tau)])
-
-    def anosov_splitting(self, p: BasePoint):
-        """Unit frames (E_u, E_s, E_0) at p; constant in this model."""
-        e_u = np.array([self.cat.e_u[0], self.cat.e_u[1], 0.0])
-        e_s = np.array([self.cat.e_s[0], self.cat.e_s[1], 0.0])
-        e_0 = np.array([0.0, 0.0, 1.0])
-        return e_u, e_s, e_0
 
     def anosov_one_form(self, p: BasePoint):
         """Covector with kernel E_u + E_s and value 1 on the vector field."""
@@ -194,11 +180,6 @@ class MappingTorusFlow:
             lifted = float(nearest)
         crossings = int(np.floor(lifted))
         return lifted - crossings, crossings
-
-    def flow_map(self, p: BasePoint, t: float) -> BasePoint:
-        tau1, crossings = self.flow_time(p, t)
-        x = self.cat.power(crossings) @ np.array(p.x)
-        return BasePoint((x[0], x[1]), tau1)
 
     def differential(self, p: BasePoint, t: float):
         """3x3 derivative of the time-t flow map at p."""

@@ -44,9 +44,10 @@ from .model import MappingTorusFlow
 
 @dataclass(frozen=True)
 class NeutralSector:
-    """The k = 0 frequency sector."""
+    """The k = 0 frequency sector: one cell, at frequency (0, 0)."""
 
     key: str = "neutral"
+    freqs: tuple = ((0, 0),)
 
 
 @dataclass(frozen=True)
@@ -54,13 +55,17 @@ class OrbitSector:
     """One transpose-orbit of nonzero torus frequencies.
 
     k0 is the minimal-norm representative (ties broken lexicographically);
-    the cells are the kept powers p_lo <= p <= p_hi, with p_lo <= 0 <= p_hi
-    and frequency (A^T)^p k0.
+    the cells are the kept powers p_lo <= p <= p_hi, with p_lo <= 0 <= p_hi.
+    freqs holds the frequency (A^T)^p k0 of each cell as a pair of Python
+    ints, ordered along the line: cell 0 sits at the zero-inflow
+    (stable-coframe) end, which carries the largest position p, and the
+    flow transports mass toward increasing cell index.
     """
 
     k0: tuple
     p_lo: int
     p_hi: int
+    freqs: tuple
 
     @property
     def key(self):
@@ -120,7 +125,7 @@ def enumerate_orbits(cat, k_max, p_max=2):
     orbit's minimal-norm element, the representative k0 (ties broken
     lexicographically).  Positions p are kept while |(A^T)^p k0| stays
     below the cutoff k_max * lambda_u**p_max, so the window grows with both
-    knobs.
+    knobs; the walk to the cutoff gives the sector's cell frequencies.
     """
     up, down = _transpose_steps(cat)
     r2 = k_max * k_max
@@ -142,46 +147,38 @@ def enumerate_orbits(cat, k_max, p_max=2):
     cutoff = float(k_max) * cat.lambda_u ** p_max
     sectors = []
     for k0 in sorted(reps):
-        ends = []
+        walks = []
         for step in (up, down):
-            p, k = 0, step(k0)
+            walk, k = [], step(k0)
             while math.sqrt(k[0] * k[0] + k[1] * k[1]) <= cutoff:
-                p, k = p + 1, step(k)
-            ends.append(p)
-        sectors.append(OrbitSector(k0=k0, p_lo=-ends[1], p_hi=ends[0]))
+                walk.append(k)
+                k = step(k)
+            walks.append(walk)
+        ups, downs = walks
+        sectors.append(OrbitSector(k0=k0, p_lo=-len(downs), p_hi=len(ups),
+                                   freqs=(*reversed(ups), k0, *downs)))
     return sectors
 
 
-def sector_frequencies(cat, sector):
-    """Torus frequency (A^T)^p k0 for each cell, ordered along the line.
+def mirror_key(sector):
+    """Sign-canonical form of a sector's cell frequencies.
 
-    Cell 0 sits at the zero-inflow (stable-coframe) end, which carries the
-    largest position p; the flow transports mass toward increasing cell
-    index, i.e. toward the unstable-coframe end.  The frequencies are
-    pairs of Python ints.
+    The orbit sectors through k0 and -k0 keep the same cells with opposite
+    frequencies; both get the larger of the two tuples, which no other
+    sector has.  Their weights are equal bit for bit: the horizontal
+    components of -k are exactly -(a, b) (a linear solve), and the escape
+    function reads only squares, norms and |e| of the frame components.
     """
-    up, down = _transpose_steps(cat)
-    k = sector.k0
-    for _ in range(sector.p_hi):
-        k = up(k)
-    freqs = [k]
-    for _ in range(sector.n_cells - 1):
-        k = down(k)
-        freqs.append(k)
-    return freqs
+    return max(sector.freqs, tuple((-k1, -k2) for k1, k2 in sector.freqs))
 
 
-def mirror_key(freqs):
-    """Sign-canonical form of an orbit sector's `sector_frequencies`.
-
-    The sectors through k0 and -k0 keep the same cells with opposite
-    frequencies; both get the larger of the two tuples.  Their weights are
-    equal bit for bit: the horizontal components of -k are exactly -(a, b)
-    (a linear solve), and the escape function reads only squares, norms and
-    |e| of the frame components.
-    """
-    freqs = tuple(freqs)
-    return max(freqs, tuple((-k1, -k2) for k1, k2 in freqs))
+def mirror_groups(sectors):
+    """The sectors grouped by `mirror_key`, in order of first appearance:
+    each k0, -k0 pair of orbit sectors together, the neutral sector alone."""
+    groups = {}
+    for sector in sectors:
+        groups.setdefault(mirror_key(sector), []).append(sector)
+    return list(groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +190,8 @@ class SectorBlock:
     """One sector's generator matrix and its mode basis.
 
     basis is an int64 array of shape (dim, 2): row i holds the orbit
-    position p (0 for the neutral sector) and the frequency j of mode i.
-    Orbit modes are cell-major with j ascending inside each cell.
+    position p (0 for the neutral sector) and the frequency j of mode i,
+    laid out by `sector_basis`.
     """
 
     sector: object
@@ -210,11 +207,23 @@ class SectorBlock:
         return self.matrix.shape[0]
 
 
+def sector_basis(sector, truncation: Truncation):
+    """(p, j) modes of a sector: cell-major from the cell of largest p, with
+    j ascending inside each cell.  The neutral sector is one cell at p = 0
+    over |j| <= j_max + neutral_buffer(); an orbit cell spans |j| <= j_max."""
+    if isinstance(sector, NeutralSector):
+        j_max, ps = truncation.j_max + truncation.neutral_buffer(), np.zeros(1, dtype=np.int64)
+    else:
+        j_max, ps = truncation.j_max, sector.p_hi - np.arange(sector.n_cells)
+    js = np.arange(-j_max, j_max + 1)
+    return np.column_stack([np.repeat(ps, js.size), np.tile(js, ps.size)])
+
+
 def build_generator(flow: MappingTorusFlow, sector, truncation: Truncation) -> SectorBlock:
     """Matrix block of the generator -i c(tau) d/dtau for one sector."""
+    basis = sector_basis(sector, truncation)
     if isinstance(sector, NeutralSector):
-        jmax = truncation.j_max + truncation.neutral_buffer()
-        js = np.arange(-jmax, jmax + 1)
+        js = basis[:, 1]
         n = js.size
         h = np.zeros((n, n), dtype=complex)
         degree = flow.time_change.degree
@@ -224,7 +233,6 @@ def build_generator(flow: MappingTorusFlow, sector, truncation: Truncation) -> S
                 continue
             cols = np.arange(max(0, -d), min(n, n - d))
             h[cols + d, cols] += 2.0 * np.pi * js[cols] * coef
-        basis = np.column_stack([np.zeros_like(js), js])
         return SectorBlock(sector, basis, h)
 
     cell = orbit_cell_block(flow, truncation)
@@ -238,14 +246,7 @@ def build_generator(flow: MappingTorusFlow, sector, truncation: Truncation) -> S
         h[sl, sl] = cell
         if ell > 0:
             h[sl, slice((ell - 1) * nj, ell * nj)] = hop_flux
-    return SectorBlock(sector, orbit_basis(sector, truncation.j_max), h)
-
-
-def orbit_basis(sector: OrbitSector, j_max):
-    """(p, j) modes of an orbit sector: cell-major, j ascending per cell."""
-    js = np.arange(-j_max, j_max + 1)
-    return np.column_stack([np.repeat(sector.p_hi - np.arange(sector.n_cells), js.size),
-                            np.tile(js, sector.n_cells)])
+    return SectorBlock(sector, basis, h)
 
 
 def orbit_cell_block(flow: MappingTorusFlow, truncation: Truncation):
@@ -266,27 +267,18 @@ def orbit_cell_block(flow: MappingTorusFlow, truncation: Truncation):
     return block
 
 
-def _sector_modes(flow: MappingTorusFlow, sector, basis):
-    """The (sector, basis, freqs) triple of `sector_log_weights`; freqs is
-    the sector's `sector_frequencies`, or None for the neutral sector."""
-    if isinstance(sector, NeutralSector):
-        return sector, basis, None
-    return sector, basis, sector_frequencies(flow.cat, sector)
-
-
 def _mode_adapted(flow: MappingTorusFlow, h, sectors):
     """Equivariant frame components of every mode covector (rep. tau = 0).
 
-    sectors holds (sector, basis, freqs) triples (`_sector_modes`); the
-    rows of their modes are stacked in order.  Mode (p, j) of an orbit
-    sector sits at the phase-space covector 2 pi h ((A^T)^p k0, j), the
-    frequency of its cell in freqs; neutral modes have zero horizontal part.
+    sectors holds (sector, basis) pairs; the rows of their modes are
+    stacked in order.  Mode (p, j) sits at the phase-space covector
+    2 pi h ((A^T)^p k0, j), the frequency of its cell in sector.freqs
+    ((0, 0) in the neutral sector).
     """
-    k = np.concatenate([np.zeros((len(basis), 2)) if freqs is None
-                        else np.repeat(np.asarray(freqs, dtype=float),
-                                       len(basis) // len(freqs), axis=0)
-                        for _, basis, freqs in sectors])
-    js = np.concatenate([basis[:, 1] for _, basis, _ in sectors])
+    k = np.concatenate([np.repeat(np.asarray(sector.freqs, dtype=float),
+                                  len(basis) // len(sector.freqs), axis=0)
+                        for sector, basis in sectors])
+    js = np.concatenate([basis[:, 1] for _, basis in sectors])
     ab = cotangent.horizontal_components(flow, 2.0 * np.pi * h * k)
     c0 = float(flow.time_change(0.0))
     return np.column_stack([ab, c0 * (2.0 * np.pi * h * js)])
@@ -317,11 +309,11 @@ WEIGHT_ROWS = 4096
 def sector_log_weights(flow: MappingTorusFlow, escape: EscapeFunction, h, sectors):
     """Log of the diagonal escape weight on each of `sectors`, run by run.
 
-    sectors holds (sector, basis, freqs) triples (`_sector_modes`).  Runs
-    of whole sectors with at most WEIGHT_ROWS modes in all share one
-    escape_value call, and each run yields the list of its sectors' log
-    weights, one value per mode of each basis.  Only one run is evaluated
-    at a time, so the storage follows WEIGHT_ROWS, not the sector count.
+    sectors holds (sector, basis) pairs.  Runs of whole sectors with at
+    most WEIGHT_ROWS modes in all share one escape_value call, and each run
+    yields the list of its sectors' log weights, one value per mode of each
+    basis.  Only one run is evaluated at a time, so the storage follows
+    WEIGHT_ROWS, not the sector count.
 
     Raises WeightOverflow, naming h and the sector, when a weight or its
     inverse would leave the double range, or when a mode covector already
@@ -340,7 +332,7 @@ def sector_log_weights(flow: MappingTorusFlow, escape: EscapeFunction, h, sector
 
 def _named(run):
     """The sector or sectors of a run, their mode count and largest |j|."""
-    bases = [basis for _, basis, _ in run]
+    bases = [basis for _, basis in run]
     names = run[0][0].key if len(run) == 1 else f"{run[0][0].key} to {run[-1][0].key}"
     return (f"sector {names} ({sum(map(len, bases))} modes, "
             f"|j| <= {max(int(np.abs(b[:, 1]).max()) for b in bases)})")
@@ -356,11 +348,11 @@ def _run_log_weights(flow, escape, h, run):
     run ascending and symmetric, so the mirror of a mode with j < 0 lies
     2|j| rows further on (ValueError for a basis laid out otherwise).
     """
-    ps, js = np.concatenate([basis for _, basis, _ in run]).T
+    ps, js = np.concatenate([basis for _, basis in run]).T
     mirror = np.arange(len(js)) - 2 * np.minimum(js, 0)
     if mirror.max() >= len(js) or np.any(js[mirror] != np.abs(js)) or np.any(ps[mirror] != ps):
         raise ValueError("each cell's j must run ascending and symmetric")
-    halves = [(sector, basis[basis[:, 1] >= 0], freqs) for sector, basis, freqs in run]
+    halves = [(sector, basis[basis[:, 1] >= 0]) for sector, basis in run]
     try:
         with np.errstate(over="raise", invalid="raise"):
             half = np.asarray(escape.escape_value(_mode_adapted(flow, h, halves)), dtype=float)
@@ -373,7 +365,7 @@ def _run_log_weights(flow, escape, h, run):
             f"escape weight at h = {h:g} overflows on {_named(run)}: {exc}; "
             "reduce h or the truncation") from exc
     logw = half[(np.cumsum(js >= 0) - 1)[mirror]]
-    parts = np.split(logw, np.cumsum([len(basis) for _, basis, _ in run])[:-1])
+    parts = np.split(logw, np.cumsum([len(basis) for _, basis in run])[:-1])
     for item, part in zip(run, parts):
         if np.any(np.abs(part) > 700.0):
             raise WeightOverflow(
@@ -385,7 +377,7 @@ def _run_log_weights(flow, escape, h, run):
 def mode_log_weight(flow: MappingTorusFlow, sector, basis, escape: EscapeFunction, h):
     """Log of the diagonal escape weight, one value per mode of `basis`:
     `sector_log_weights` on this one sector."""
-    return next(sector_log_weights(flow, escape, h, [_sector_modes(flow, sector, basis)]))[0]
+    return next(sector_log_weights(flow, escape, h, [(sector, basis)]))[0]
 
 
 def apply_weight(block: SectorBlock, escape: EscapeFunction, h: float) -> np.ndarray:
@@ -514,7 +506,7 @@ class PacketProfile:
         """Closed-form torus overlap of the packet with each row of the
         (n, 2) frequencies freqs.  On an orbit sector the packet's
         coefficients are the outer product of the overlaps of its cells
-        (`sector_frequencies`) with the `orbit_tau_integrals`."""
+        (the sector's freqs) with the `orbit_tau_integrals`."""
         return _gaussian_x_integral(np.asarray(freqs, dtype=float), self.ax[:2],
                                     self.xi[:2], self.h, self.gamma)
 
@@ -529,7 +521,7 @@ class PacketProfile:
                        * np.fft.fft(self.g_tau)[js % n])
             return self.torus_overlaps(np.zeros((1, 2)))[0] * tau_int
         tau_int = self.orbit_tau_integrals(self.phase_table(int(block.basis[:, 1].max())))
-        x_int = self.torus_overlaps(sector_frequencies(flow.cat, block.sector))
+        x_int = self.torus_overlaps(block.sector.freqs)
         return (x_int[:, None] * tau_int[None, :]).ravel()
 
 
@@ -572,7 +564,7 @@ def partition_ims_check(block: SectorBlock, escape: EscapeFunction, z,
         a *= h
         a.flat[::n + 1] -= complex(z)
         radii = np.linalg.norm(
-            _mode_adapted(flow, h, [_sector_modes(flow, block.sector, block.basis)]), axis=1)
+            _mode_adapted(flow, h, [(block.sector, block.basis)]), axis=1)
         chi0, chi1 = quadratic_partition(radii, r0, r1)
         rng = np.random.default_rng(seed)
         vals = []

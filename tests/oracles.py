@@ -7,10 +7,11 @@ projection of a wave packet on a list of sector blocks, the weighted
 expectation on an orbit sector through its dense matrix, the coherent
 symbol study sector by sector, the orbit sectors found point by point,
 the weights of a run with every mode evaluated, the lattice-shell
-control counted on the full (v1, v2) meshgrid, the unstable direction
-recovered by
-pushing a seed forward, the inverse of ``cotangent.adapted_components``,
-and the escape function's averaged profiles rebuilt from cosphere bumps:
+control counted on the full (v1, v2) meshgrid, the model's flow map,
+vector field and splittings, the dual coframes and the bounded-orbit
+covector, the unstable direction recovered by pushing a seed forward, the
+inverse of ``cotangent.adapted_components``, the escape function's order
+function, and its averaged profiles rebuilt from cosphere bumps:
 an adaptive quadrature of the average, its exact flow derivative from the
 endpoint identity, and the raw profiles of a whole batch reduced by one
 gemv over all its rows.
@@ -182,12 +183,11 @@ def coherent_study_per_sector(flow: MappingTorusFlow, params, points, h_list,
         norms = np.array([float(np.vdot(v, v).real) for v in vecs])
         weights = {}
         for sector in op.enumerate_orbits(flow.cat, k_max, p_max):
-            freqs = op.sector_frequencies(flow.cat, sector)
-            key = op.mirror_key(freqs)
+            key = op.mirror_key(sector)
             if key not in weights:
-                weights[key] = op.mode_log_weight(flow, sector, op.orbit_basis(sector, j_max),
+                weights[key] = op.mode_log_weight(flow, sector, op.sector_basis(sector, tr),
                                                   escape, h)
-            coeffs = np.stack([prof.torus_overlaps(freqs)[:, None] * t[None, :]
+            coeffs = np.stack([prof.torus_overlaps(sector.freqs)[:, None] * t[None, :]
                                for prof, t in zip(profiles, tau_ints)])
             acc += h * op.orbit_expectation(flow, tr,
                                             weights[key].reshape(sector.n_cells, -1), coeffs)
@@ -226,8 +226,8 @@ def orbit_representative(cat, k):
 
 def enumerate_orbits_per_point(cat, k_max, p_max=2):
     """``operator.enumerate_orbits`` point by point: the representative of
-    every lattice point of the ball, and the kept positions by int64
-    matrix products."""
+    every lattice point of the ball, and the kept positions and each cell's
+    frequency (A^T)^p k0 by int64 matrix products."""
     cutoff = float(k_max) * cat.lambda_u ** p_max
     reps = {}
     rng_k = int(np.ceil(k_max))
@@ -251,16 +251,17 @@ def enumerate_orbits_per_point(cat, k_max, p_max=2):
         while np.linalg.norm(at_inv @ w) <= cutoff:
             w = at_inv @ w
             p_lo -= 1
-        sectors.append(OrbitSector(k0=k0, p_lo=p_lo, p_hi=p_hi))
+        freqs = tuple(tuple((cat.power(p).T @ v).tolist()) for p in range(p_hi, p_lo - 1, -1))
+        sectors.append(OrbitSector(k0=k0, p_lo=p_lo, p_hi=p_hi, freqs=freqs))
     return sectors
 
 
 def log_weights_every_mode(flow: MappingTorusFlow, escape: EscapeFunction, h, run):
     """``operator._run_log_weights`` without the +-j mirror: one
-    escape_value call on every mode of the run's (sector, basis, freqs)
-    triples, split per sector."""
+    escape_value call on every mode of the run's (sector, basis) pairs,
+    split per sector."""
     logw = np.asarray(escape.escape_value(_mode_adapted(flow, h, run)), dtype=float)
-    return np.split(logw, np.cumsum([len(basis) for _, basis, _ in run])[:-1])
+    return np.split(logw, np.cumsum([len(basis) for _, basis in run])[:-1])
 
 
 def lattice_counts_meshgrid(E, alpha_grid):
@@ -282,6 +283,57 @@ def lattice_counts_meshgrid(E, alpha_grid):
     return counts
 
 
+def coords(p: BasePoint):
+    """Fundamental-domain coordinates (x1, x2, tau) of a base point."""
+    return np.array([p.x[0], p.x[1], p.tau])
+
+
+def vector_field(flow: MappingTorusFlow, p: BasePoint):
+    """Generating vector field at p, components (x1, x2, tau)."""
+    return np.array([0.0, 0.0, flow.time_change(p.tau)])
+
+
+def anosov_splitting(flow: MappingTorusFlow, p: BasePoint):
+    """Unit frames (E_u, E_s, E_0) at p; constant in this model."""
+    e_u = np.array([flow.cat.e_u[0], flow.cat.e_u[1], 0.0])
+    e_s = np.array([flow.cat.e_s[0], flow.cat.e_s[1], 0.0])
+    e_0 = np.array([0.0, 0.0, 1.0])
+    return e_u, e_s, e_0
+
+
+def flow_map(flow: MappingTorusFlow, p: BasePoint, t: float) -> BasePoint:
+    """Time-t map of the flow: the end of ``flow.flow_time`` and the matrix
+    power of its seam-crossing count."""
+    tau1, crossings = flow.flow_time(p, t)
+    x = flow.cat.power(crossings) @ np.array(p.x)
+    return BasePoint((x[0], x[1]), tau1)
+
+
+def dual_splitting(flow: MappingTorusFlow, p: BasePoint):
+    """Unit coframes (E*_u, E*_s, E*_0) at p.
+
+    E*_0 annihilates E_u + E_s (so it is proportional to the invariant
+    one-form), E*_u annihilates E_u + E_0 and E*_s annihilates E_s + E_0.
+    """
+    cu = np.array([flow.cat.coframe_u[0], flow.cat.coframe_u[1], 0.0])
+    cs = np.array([flow.cat.coframe_s[0], flow.cat.coframe_s[1], 0.0])
+    c0 = np.array([0.0, 0.0, 1.0])
+    return cu, cs, c0
+
+
+def trapped_point(flow: MappingTorusFlow, p: BasePoint, E: float) -> CotangentPoint:
+    """The unique bounded-orbit covector over p on the energy-E shell."""
+    alpha = flow.anosov_one_form(p)
+    return CotangentPoint(p, (E * alpha[0], E * alpha[1]), E * alpha[2])
+
+
+def order_value(escape: EscapeFunction, adapted):
+    """Full order function m of ``escape``: radial cutoff times the direction
+    profile ``s + (n0 - s) m1 + (u - n0) m2``, in [u, s]."""
+    m = escape._order_and_escape(adapted, [escape.params])[0][0]
+    return m if m.shape else float(m)
+
+
 def splitting_via_limit(flow: MappingTorusFlow, p: BasePoint, v0, t_max: float,
                         tol: float = 1e-8, seed_tol: float = 1e-8):
     """Recover the unstable direction by pushing a seed forward.
@@ -294,7 +346,7 @@ def splitting_via_limit(flow: MappingTorusFlow, p: BasePoint, v0, t_max: float,
     if np.linalg.norm(v0) == 0.0:
         raise DegenerateSeed("zero seed vector")
     v0 = v0 / np.linalg.norm(v0)
-    e_u, _, _ = flow.anosov_splitting(p)
+    e_u, _, _ = anosov_splitting(flow, p)
     # component along e_u in the (e_u, e_s, E_0) frame
     cof = flow.cat.coframe_s
     unstable_part = abs(v0[0] * cof[0] + v0[1] * cof[1]) / abs(
@@ -304,12 +356,12 @@ def splitting_via_limit(flow: MappingTorusFlow, p: BasePoint, v0, t_max: float,
             f"seed lies in E_0 + E_s up to {unstable_part:.2e}")
     steps = max(1, int(np.ceil(abs(t_max))))
     dt = float(t_max) / steps
-    q = flow.flow_map(p, -float(t_max))
+    q = flow_map(flow, p, -float(t_max))
     w = v0.copy()
     for _ in range(steps):
         w = flow.differential(q, dt) @ w
         w = w / np.linalg.norm(w)
-        q = flow.flow_map(q, dt)
+        q = flow_map(flow, q, dt)
     if w @ e_u < 0:
         w = -w
     angle = np.linalg.norm(w - e_u)

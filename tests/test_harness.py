@@ -450,6 +450,47 @@ def test_weyl_check_warns_about_skipped_sectors(caplog):
         f"weyl: {len(sectors)} sectors above 500 modes not audited (largest {largest})")
 
 
+def test_weyl_check_sizes_sectors_before_building_them(monkeypatch):
+    # at j_max = 50 only the 157-mode neutral sector is audited: the orbit
+    # sectors are skipped on their basis length, so one block is built and
+    # the check's peak stays below the 8.0 MB of one 707-mode block
+    cfg = parse_config("[campaign]\nchecks = weyl\n[solver]\nk_max = 3\nj_max = 50\n")
+    built = []
+    build_generator = op.build_generator
+
+    def counted(flow, sector, truncation):
+        block = build_generator(flow, sector, truncation)
+        built.append(block.dim)
+        return block
+
+    monkeypatch.setattr(op, "build_generator", counted)
+    ctx = hs.CampaignContext(cfg.flow(), cfg)
+    tracemalloc.start()
+    try:
+        ok, payload = hs.CHECKS["weyl"](ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok is True and payload["sectors_audited"] == 1
+    assert built == [157]
+    assert peak < 707 * 707 * 16
+
+
+def test_weyl_check_negative_control_negated_escape_function(monkeypatch):
+    # with G -> -G the sector audits fail on the default truncation (worst
+    # margin about -1.5e-4) while the random matrices still pass.  At
+    # k_max = 3 they pass (-4.8e-10), and under G = 0 they pass at both
+    # truncations, so neither is asserted
+    escape_value = EscapeFunction.escape_value
+    monkeypatch.setattr(EscapeFunction, "escape_value",
+                        lambda self, adapted, orders=None: -escape_value(self, adapted, orders))
+    cfg = parse_config("[campaign]\nchecks = weyl\n")
+    ok, payload = hs.CHECKS["weyl"](hs.CampaignContext(cfg.flow(), cfg))
+    assert ok is False
+    assert payload["random_oracle_ok"] is True
+    assert payload["worst_margin"] < -1e-5
+
+
 def test_weyl_check_warns_about_nothing_at_the_default_j_max(caplog, flow):
     cfg = parse_config("[campaign]\nchecks = weyl\n[solver]\nk_max = 3\n")
     with caplog.at_level(logging.WARNING, logger="catspec"):
@@ -498,7 +539,7 @@ def test_weyl_check_shares_mirror_audits_exactly(monkeypatch):
     # that audits every sector on its own (a key no two sectors share)
     ok, shared, n_shared, n_orbit = _weyl_on_k_max_3(monkeypatch)
     assert n_orbit % 2 == 0 and n_shared == 1 + n_orbit // 2 + 20
-    monkeypatch.setattr(op, "mirror_key", tuple)
+    monkeypatch.setattr(op, "mirror_key", lambda sector: sector.freqs)
     ok_direct, direct, n_direct, _ = _weyl_on_k_max_3(monkeypatch)
     assert n_direct == 1 + n_orbit + 20
     assert ok is ok_direct is True
@@ -636,7 +677,7 @@ def test_coherent_study_weighs_each_h_in_runs(flow, monkeypatch):
     run_log_weights = op._run_log_weights
 
     def run_modes(flow, escape, h, run):
-        modes.append(sum(len(basis) for _, basis, _ in run))
+        modes.append(sum(len(basis) for _, basis in run))
         return run_log_weights(flow, escape, h, run)
 
     monkeypatch.setattr(op, "_run_log_weights", run_modes)
@@ -650,7 +691,7 @@ def test_coherent_study_weighs_each_h_in_runs(flow, monkeypatch):
         # each (cell, |j|) weighed once: one sector per k0, -k0 pair, and
         # the neutral sector, each at j = 0, ..., j_max
         k_max = hs.coherent_k_max(points, h)
-        cells = {op.mirror_key(op.sector_frequencies(flow.cat, s)): s.n_cells
+        cells = {op.mirror_key(s): s.n_cells
                  for s in op.enumerate_orbits(flow.cat, k_max, 2)}
         neutral = op.build_generator(flow, op.NeutralSector(),
                                      op.Truncation(k_max=k_max, j_max=12))

@@ -23,27 +23,11 @@ from oracles import (ContourTooClose, coherent_state, dense_orbit_expectation,
 def test_orbit_of_unit_frequency(flow):
     sector = next(s for s in op.enumerate_orbits(flow.cat, 6, 2)
                   if s.k0 == (1, 0))
-    freqs = op.sector_frequencies(flow.cat, sector)
+    freqs = sector.freqs
     assert (2, 1) in freqs and (5, 3) in freqs
     # (1,-1) maps to (1,0) under the transpose, hence shares its sector
     assert orbit_representative(flow.cat, (1, -1)) == (1, 0)
     assert (1, -1) in freqs
-
-
-def test_sector_frequencies_equal_the_per_cell_powers(flow):
-    # one power at the top cell and steps by (A^-1)^T give (A^T)^p k0 of
-    # every cell, at the default truncation and at the coherent study's
-    # largest cutoff (h = 0.0125)
-    cfg = parse_config(DEFAULT_CONFIG)
-    k_top = hs.coherent_k_max(hs.default_symbol_points(flow), min(cfg.coherent_h_list))
-    assert (cfg.truncation.k_max, k_top) == (6, 35)
-    for k_max in (cfg.truncation.k_max, k_top):
-        for sector in op.enumerate_orbits(flow.cat, k_max, cfg.truncation.p_max):
-            cells = [tuple((flow.cat.power(sector.p_hi - ell).T @ np.asarray(sector.k0)).tolist())
-                     for ell in range(sector.n_cells)]
-            got = op.sector_frequencies(flow.cat, sector)
-            assert got == cells
-            assert all(type(k) is int for f in got for k in f)
 
 
 def test_orbit_ball_partition(flow):
@@ -51,7 +35,7 @@ def test_orbit_ball_partition(flow):
     sectors = op.enumerate_orbits(flow.cat, k_max, 2)
     seen = {}
     for s in sectors:
-        for f in op.sector_frequencies(flow.cat, s):
+        for f in s.freqs:
             assert f not in seen, f"frequency {f} in two sectors"
             seen[f] = s.key
     for k1 in range(-k_max, k_max + 1):
@@ -81,13 +65,20 @@ def test_representative_is_minimal_norm(flow):
 
 
 @pytest.mark.parametrize("cat", [CatMap(), CatMap(3, 2, 1, 1)], ids=["default", "3211"])
-def test_orbit_walk_equals_the_per_point_enumeration(cat):
+def test_orbit_walk_equals_the_per_point_enumeration(cat, flow):
     # one pass over the ball with in-ball orbit walks finds the sectors,
-    # representatives and kept positions of the per-point oracle
+    # representatives, kept positions and cell frequencies (A^T)^p k0 of
+    # the per-point oracle, which takes them from int64 matrix powers.  The
+    # cutoffs cover the default truncation and the coherent study's largest
+    # cutoff (h = 0.0125)
+    cfg = parse_config(DEFAULT_CONFIG)
+    k_top = hs.coherent_k_max(hs.default_symbol_points(flow), min(cfg.coherent_h_list))
+    assert (cfg.truncation.k_max, k_top) == (6, 35)
     for k_max in (0.5, *range(1, 41), 7.3):
         sectors = op.enumerate_orbits(cat, k_max, 2)
         assert sectors == enumerate_orbits_per_point(cat, k_max, 2), k_max
         assert all(type(k) is int for s in sectors for k in s.k0)
+        assert all(type(k) is int for s in sectors for f in s.freqs for k in f)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +221,7 @@ def test_mode_basis_layout_and_covectors_match_per_mode_loop(flow):
                                   np.repeat(np.arange(sector.p_hi, sector.p_lo - 1, -1), nj))
             assert np.array_equal(blk.basis[:, 1], np.tile(js, sector.n_cells))
         for h in (0.05, 0.14):
-            modes = op._sector_modes(flow, sector, blk.basis)
-            assert np.array_equal(op._mode_adapted(flow, h, [modes]),
+            assert np.array_equal(op._mode_adapted(flow, h, [(sector, blk.basis)]),
                                   _mode_adapted_per_mode(flow, blk, h))
 
 
@@ -306,15 +296,16 @@ def test_batched_weights_split_into_runs_of_whole_sectors(flow, escape):
     # a call in a kernel that rounds differently, and in a run a sector's
     # last rows need not be there
     h, j_max = 0.05, 12
-    sectors = op.enumerate_orbits(flow.cat, hs.coherent_k_max(hs.default_symbol_points(flow), h), 2)
-    items = [op._sector_modes(flow, s, op.orbit_basis(s, j_max)) for s in sectors]
+    k_max = hs.coherent_k_max(hs.default_symbol_points(flow), h)
+    tr = op.Truncation(k_max=k_max, j_max=j_max)
+    items = [(s, op.sector_basis(s, tr)) for s in op.enumerate_orbits(flow.cat, k_max, 2)]
     runs = list(op.sector_log_weights(flow, escape, h, items))
     sizes = [sum(map(len, run)) for run in runs]
     assert len(runs) > 1 and max(sizes) <= op.WEIGHT_ROWS
     assert all(a + b > op.WEIGHT_ROWS for a, b in zip(sizes, sizes[1:]))
     batched = [w for run in runs for w in run]
-    assert len(batched) == len(sectors)
-    for (sector, basis, _), w in zip(items, batched):
+    assert len(batched) == len(items)
+    for (sector, basis), w in zip(items, batched):
         one = op.mode_log_weight(flow, sector, basis, escape, h)
         assert w.shape == one.shape
         assert np.max(np.abs(w - one)) <= 1e-12
@@ -327,22 +318,19 @@ def test_batched_weight_overflow_names_the_sector(flow, escape):
     neutral = op.build_generator(flow, op.NeutralSector(), tr)
     assert np.all(op.mode_log_weight(flow, neutral.sector, neutral.basis, escape, 1e150) == 0.0)
     sector = op.enumerate_orbits(flow.cat, 3, 2)[1]
-    run = [op._sector_modes(flow, neutral.sector, neutral.basis),
-           op._sector_modes(flow, sector, op.orbit_basis(sector, tr.j_max))]
+    run = [(neutral.sector, neutral.basis), (sector, op.sector_basis(sector, tr))]
     with pytest.raises(WeightOverflow, match=r"at h = 1e\+150 overflows on sector "
                        r"orbit-2,0 \(54 modes, \|j\| <= 4\)"):
         list(op.sector_log_weights(flow, escape, 1e150, run))
 
 
 def _weight_items(flow, h, j_max=12):
-    """The coherent study's (sector, basis, freqs) triples at h: every
-    orbit sector, then the neutral sector."""
+    """The coherent study's (sector, basis) pairs at h: every orbit
+    sector, then the neutral sector."""
     k_max = hs.coherent_k_max(hs.default_symbol_points(flow), h)
-    neutral = op.build_generator(flow, op.NeutralSector(),
-                                 op.Truncation(k_max=k_max, j_max=j_max))
-    return ([op._sector_modes(flow, s, op.orbit_basis(s, j_max))
-             for s in op.enumerate_orbits(flow.cat, k_max, 2)]
-            + [(neutral.sector, neutral.basis, None)])
+    tr = op.Truncation(k_max=k_max, j_max=j_max)
+    return [(s, op.sector_basis(s, tr))
+            for s in op.enumerate_orbits(flow.cat, k_max, 2) + [op.NeutralSector()]]
 
 
 def test_mirrored_weights_equal_every_mode_evaluated(flow, escape):
@@ -364,12 +352,12 @@ def test_mirrored_weights_equal_every_mode_evaluated(flow, escape):
         assert np.all(np.abs(js[tail]) > top - 3), js[tail]
         assert np.max(np.abs(got - want)) <= 1e-13
         moved += tail.size
-    assert moved < 0.01 * sum(len(basis) for run in runs for _, basis, _ in run)
+    assert moved < 0.01 * sum(len(basis) for run in runs for _, basis in run)
 
 
 def test_mirrored_weights_need_symmetric_cells(flow, escape):
     sector = op.enumerate_orbits(flow.cat, 3, 2)[0]
-    basis = op.orbit_basis(sector, 4)
+    basis = op.sector_basis(sector, op.Truncation(j_max=4))
     for bad in (basis[:-1], basis[::-1], basis[basis[:, 1] != 2]):
         with pytest.raises(ValueError, match="ascending and symmetric"):
             op.mode_log_weight(flow, sector, bad, escape, 0.05)
@@ -520,7 +508,7 @@ def _project_per_call(profile, flow, block):
         x_int = op._gaussian_x_integral(np.zeros((1, 2)), profile.ax[:2],
                                         profile.xi[:2], profile.h, profile.gamma)[0]
         return x_int * tau_int
-    freqs = np.asarray(op.sector_frequencies(flow.cat, block.sector), dtype=float)
+    freqs = np.asarray(block.sector.freqs, dtype=float)
     x_int = op._gaussian_x_integral(freqs, profile.ax[:2], profile.xi[:2],
                                     profile.h, profile.gamma)
     j_max = block.basis[:, 1].max()
@@ -569,29 +557,32 @@ def test_mirror_sectors_have_bit_identical_weights():
     cfg = parse_config(DEFAULT_CONFIG)
     flow, tr = cfg.flow(), cfg.truncation
     sectors = op.enumerate_orbits(flow.cat, tr.k_max, tr.p_max)
-    pairs = {}
-    for sector in sectors:
-        key = op.mirror_key(op.sector_frequencies(flow.cat, sector))
-        pairs.setdefault(key, []).append(sector)
+    groups = op.mirror_groups([op.NeutralSector()] + sectors)
+    assert groups[0] == [op.NeutralSector()]
+    pairs = groups[1:]
     assert len(sectors) == 60
-    assert sorted(len(pair) for pair in pairs.values()) == [2] * 30
-    for a, b in pairs.values():
-        assert op.sector_frequencies(flow.cat, b) == [
-            (-k1, -k2) for k1, k2 in op.sector_frequencies(flow.cat, a)]
+    assert sorted(len(pair) for pair in pairs) == [2] * 30
+    for a, b in pairs:
+        assert b.freqs == tuple((-k1, -k2) for k1, k2 in a.freqs)
     for params in (cfg.escape, cfg.escape_alt):
         escape = EscapeFunction(flow, params)
         for h in [cfg.h, *cfg.coherent_h_list]:
-            for a, b in pairs.values():
-                wa, wb = (op.mode_log_weight(flow, s, op.orbit_basis(s, tr.j_max),
-                                             escape, h) for s in (a, b))
+            for a, b in pairs:
+                wa, wb = (op.mode_log_weight(flow, s, op.sector_basis(s, tr), escape, h)
+                          for s in (a, b))
                 assert wa.tobytes() == wb.tobytes()
 
 
+def _cells(*freqs):
+    """An orbit sector with the given cell frequencies."""
+    return op.OrbitSector(freqs[0], 0, len(freqs) - 1, freqs)
+
+
 def test_mirror_key_is_sign_canonical():
-    assert op.mirror_key([(1, 0), (2, 1)]) == ((1, 0), (2, 1))
-    assert op.mirror_key([(-1, 0), (-2, -1)]) == ((1, 0), (2, 1))
-    assert op.mirror_key([(0, -1), (-1, -1)]) == ((0, 1), (1, 1))
-    assert op.mirror_key([(1, 0)]) != op.mirror_key([(0, 1)])
+    assert op.mirror_key(_cells((1, 0), (2, 1))) == ((1, 0), (2, 1))
+    assert op.mirror_key(_cells((-1, 0), (-2, -1))) == ((1, 0), (2, 1))
+    assert op.mirror_key(_cells((0, -1), (-1, -1))) == ((0, 1), (1, 1))
+    assert op.mirror_key(_cells((1, 0))) != op.mirror_key(_cells((0, 1)))
 
 
 @pytest.mark.parametrize("variation, flux", [(0.0, 1.6), (0.2, 1.6), (0.2, 0.7)])
