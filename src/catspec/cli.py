@@ -75,14 +75,13 @@ def _parser():
 
 
 def _load(args) -> RunConfig:
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = parse_config(DEFAULT_CONFIG)
+    cfg = load_config(args.config) if args.config else parse_config(DEFAULT_CONFIG)
     if args.out:
         cfg.out_dir = args.out
-    if args.seed is not None:
+    if args.seed is not None and int(args.seed) != cfg.seed:
         cfg.seed = int(args.seed)
+        # in the hashed text, so the output headers tell the seeds apart
+        cfg.text += f"\n# seed override: {cfg.seed}\n"
     return cfg
 
 
@@ -146,7 +145,7 @@ def _counts_csv(cfg, table):
 
 
 def cmd_spectrum(cfg):
-    res = hs.CampaignContext(cfg.flow(), cfg).base
+    res = hs.CampaignContext(cfg).base
     path = _write(cfg, "spectrum.csv", _spectrum_csv(cfg, res))
     print(f"{len(res.entries)} entries (total multiplicity "
           f"{res.total_multiplicity()}); wrote {path}")
@@ -162,8 +161,7 @@ def _json_default(obj):
 
 
 def cmd_campaign(cfg):
-    report = hs.run_campaign(cfg.flow(), cfg,
-                             progress=lambda n: print(f"check: {n}"))
+    report = hs.run_campaign(cfg, progress=lambda n: print(f"check: {n}"))
     report["config_sha256"] = cfg.sha()
     payload = json.dumps(report, indent=2, sort_keys=True,
                          default=_json_default) + "\n"
@@ -181,10 +179,8 @@ def cmd_campaign(cfg):
 
 
 def cmd_plotdata(cfg):
-    flow = cfg.flow()
-    _write(cfg, "spectrum.csv",
-           _spectrum_csv(cfg, hs.CampaignContext(flow, cfg).base))
-    study = hs.scaling_study(flow, cfg.escape, cfg.truncation, cfg.E,
+    _write(cfg, "spectrum.csv", _spectrum_csv(cfg, hs.CampaignContext(cfg).base))
+    study = hs.scaling_study(cfg.flow(), cfg.escape, cfg.truncation, cfg.E,
                              cfg.alpha_grid, cfg.beta,
                              residual_tol=cfg.residual_tol,
                              cluster_radius=cfg.cluster_radius)

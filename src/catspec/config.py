@@ -2,7 +2,8 @@
 
 Sections and keys are whitelisted; unknown keys are rejected so a config
 file cannot silently misspell a knob.  The SHA-256 of the canonical file
-text is stamped into every output artifact.
+text, with the seed override the CLI appends to it, is stamped into every
+output artifact.
 """
 
 from __future__ import annotations

@@ -25,6 +25,12 @@ from . import cotangent
 from .cotangent import CotangentPoint
 from .model import MappingTorusFlow
 
+#: step of the Richardson-extrapolated flow derivatives of G
+DERIVATIVE_STEP = 1e-4
+#: samples of `verify_escape_estimates` have |xi| in [R, RADIUS_SPAN * R];
+#: one with X(G) > NONPOSITIVE_TOL anywhere is a violation
+RADIUS_SPAN, NONPOSITIVE_TOL = 100.0, 1e-9
+
 
 def smoothstep(x):
     """Quintic ramp: 0 below 0, 1 above 1, C^2 at both edges."""
@@ -341,7 +347,7 @@ class EscapeFunction:
             g = g[0] if g[0].shape else float(g[0])
         return g
 
-    def escape_derivative_adapted(self, adapted, step=1e-4, orders=None):
+    def escape_derivative_adapted(self, adapted, orders=None):
         """Flow derivative of G along the closed-form covector flow.
 
         Centered differences with one Richardson step; exact transport of
@@ -355,14 +361,14 @@ class EscapeFunction:
             return (self.escape_value(self.covector_flow(d, h), orders)
                     - self.escape_value(self.covector_flow(d, -h), orders)) / (2.0 * h)
 
-        return (4.0 * diff(step / 2.0) - diff(step)) / 3.0
+        return (4.0 * diff(DERIVATIVE_STEP / 2.0) - diff(DERIVATIVE_STEP)) / 3.0
 
     # -- CotangentPoint wrappers -------------------------------------------
 
     def escape(self, q: CotangentPoint) -> float:
         return float(self.escape_value(cotangent.adapted_components(self.flow, q)))
 
-    def escape_derivative(self, q: CotangentPoint, step=1e-4) -> float:
+    def escape_derivative(self, q: CotangentPoint) -> float:
         """d/dt G(M_t q) at t = 0 by Richardson-extrapolated differences
         along the lifted flow."""
 
@@ -372,7 +378,7 @@ class EscapeFunction:
         def diff(h):
             return (g_at(h) - g_at(-h)) / (2.0 * h)
 
-        return float((4.0 * diff(step / 2.0) - diff(step)) / 3.0)
+        return float((4.0 * diff(DERIVATIVE_STEP / 2.0) - diff(DERIVATIVE_STEP)) / 3.0)
 
     def cone_label(self, adapted):
         """'0' / 'u' / 's' inside the respective aperture cones, else 'mix'."""
@@ -405,9 +411,8 @@ class EscapeReport:
 
 
 def verify_escape_estimates(escape: EscapeFunction, sample_count=10000,
-                            seed=0, radius_span=100.0, keep_rows=2000,
-                            nonpositive_tol=1e-9, orders=None):
-    """Sample the decay estimates over |xi| in [R, radius_span*R].
+                            seed=0, keep_rows=2000, orders=None):
+    """Sample the decay estimates over |xi| in [R, RADIUS_SPAN * R].
 
     Checks (a) strict uniform decay outside the neutral cone and (b) global
     nonpositivity at large radius, and reports the measured proportionality
@@ -420,7 +425,7 @@ def verify_escape_estimates(escape: EscapeFunction, sample_count=10000,
     rng = np.random.default_rng(seed)
     nu = rng.normal(size=(sample_count, 3))
     nu /= np.linalg.norm(nu, axis=1, keepdims=True)
-    radii = escape.params.radius * radius_span ** rng.random(sample_count)
+    radii = escape.params.radius * RADIUS_SPAN ** rng.random(sample_count)
     adapted = nu * radii[:, None]
 
     xgs = escape.escape_derivative_adapted(adapted, orders=sets)
@@ -431,7 +436,7 @@ def verify_escape_estimates(escape: EscapeFunction, sample_count=10000,
     reports = []
     for p, xg, m, g in zip(sets, xgs, ms, gs):
         decay_bound = -float(np.max(xg[outside]))
-        bad = (outside & (xg >= 0.0)) | (xg > nonpositive_tol)
+        bad = (outside & (xg >= 0.0)) | (xg > NONPOSITIVE_TOL)
         reports.append(EscapeReport(
             c_measured=decay_bound / min(abs(p.u), p.s), decay_bound=decay_bound,
             max_everywhere=float(np.max(xg)), violations=int(np.count_nonzero(bad)),

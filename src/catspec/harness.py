@@ -11,8 +11,10 @@ order, so a fixed configuration reproduces byte-identical reports.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from statistics import NormalDist
 
 import numpy as np
 
@@ -65,8 +67,7 @@ def _cluster(entries, radius):
 
 
 def extract_resonances(flow: MappingTorusFlow, params: OrderParams,
-                       truncation: op.Truncation, h=0.05,
-                       include_orbit=True, residual_tol=1e-10,
+                       truncation: op.Truncation, h, residual_tol=1e-10,
                        cluster_radius=1e-7) -> ResonanceSet:
     """Windowed, clustered spectrum of the weighted generator.
 
@@ -90,17 +91,12 @@ def extract_resonances(flow: MappingTorusFlow, params: OrderParams,
             continue
         entries.append(ResonanceEntry(pair.value, 1, pair.residual, "neutral"))
 
-    n_sectors = 0
-    if include_orbit:
-        cell = op.orbit_cell_block(flow, truncation)
-        cell_pairs = [p for p in op.eigendecompose(cell)
-                      if abs(p.value.real) <= win_orbit and p.residual <= residual_tol]
-        for sector in op.enumerate_orbits(flow.cat, truncation.k_max,
-                                          truncation.p_max):
-            n_sectors += 1
-            for pair in cell_pairs:
-                entries.append(ResonanceEntry(pair.value, sector.n_cells,
-                                              pair.residual, sector.key))
+    cell = op.orbit_cell_block(flow, truncation)
+    cell_pairs = [p for p in op.eigendecompose(cell)
+                  if abs(p.value.real) <= win_orbit and p.residual <= residual_tol]
+    sectors = op.enumerate_orbits(flow.cat, truncation.k_max, truncation.p_max)
+    entries += [ResonanceEntry(pair.value, sector.n_cells, pair.residual, sector.key)
+                for sector in sectors for pair in cell_pairs]
 
     entries = _cluster(entries, cluster_radius)
     meta = {
@@ -110,7 +106,7 @@ def extract_resonances(flow: MappingTorusFlow, params: OrderParams,
         "window_orbit": win_orbit,
         "truncation": truncation,
         "escape_params": params,
-        "n_orbit_sectors": n_sectors,
+        "n_orbit_sectors": len(sectors),
         "dropped_residual": dropped,
         "cluster_radius": cluster_radius,
     }
@@ -202,7 +198,7 @@ def scaling_study(flow: MappingTorusFlow, params: OrderParams,
 LATTICE_ROWS = 4
 
 
-def synthetic_lattice_counts(E, alpha_grid, beta=1.0):
+def synthetic_lattice_counts(E, alpha_grid):
     """Control model: integer lattice points of Z^3 counted by radius shell.
 
     N(alpha) = #{v in Z^3 : | |v| - E alpha | <= sqrt(alpha)}, the
@@ -324,8 +320,7 @@ def symmetry_check(res: ResonanceSet) -> MatchResult:
     return MatchResult(worst, pairs, [])
 
 
-def intrinsic_check(res_a: ResonanceSet, res_b: ResonanceSet, floor,
-                    cutoff=None) -> MatchResult:
+def intrinsic_check(res_a: ResonanceSet, res_b: ResonanceSet, floor) -> MatchResult:
     """Match two spectra above a common floor, multiplicities included."""
     a = res_a.above(floor)
     b = res_b.above(floor)
@@ -338,9 +333,7 @@ def intrinsic_check(res_a: ResonanceSet, res_b: ResonanceSet, floor,
     vb = np.array([e.value for e in b])
     cost = np.abs(va[:, None] - vb[None, :])
     cols = min_cost_matching(cost)
-    if cutoff is None:
-        cutoff = max(1e-6, 1e4 * max(res_a.meta.get("cluster_radius", 1e-7),
-                                     1e-7))
+    cutoff = max(1e-6, 1e4 * max(res_a.meta.get("cluster_radius", 1e-7), 1e-7))
     pairs, unmatched, worst = [], [], 0.0
     for r, c in enumerate(cols):
         d = float(cost[r, c])
@@ -373,18 +366,19 @@ class WeylAudit:
     worst_margin: float          # min over N of log-prefix slack
 
 
-def weyl_audit(p: np.ndarray, z_e, eigenvalues=None,
-               rel_slack=1e-10) -> WeylAudit:
+#: relative slack of the float64 Weyl prefix comparison, in log space
+WEYL_REL_SLACK = 1e-10
+#: working digits of the high-precision Weyl oracle
+WEYL_DPS = 40
+
+
+def weyl_audit(p: np.ndarray, z_e, eigenvalues=None) -> WeylAudit:
     """Prefix products of singular values against eigenvalue distances.
 
     Checks prod_{j<=N} s_j <= prod_{j<=N} |lambda_j - z_e| for every N in
-    log space (relative slack rel_slack).
+    log space (relative slack WEYL_REL_SLACK), on a copy of p.
     """
-    p = np.asarray(p, dtype=complex)
-    s = op.singular_values(p, z_e)
-    if eigenvalues is None:
-        eigenvalues = [pair.value for pair in op.eigendecompose(p)]
-    return _weyl_prefixes(s, eigenvalues, z_e, rel_slack)
+    return _audit_in_place(np.array(p, dtype=complex), z_e, eigenvalues)
 
 
 def sector_weyl_audit(block: op.SectorBlock, escape: EscapeFunction, h, z_e,
@@ -392,20 +386,22 @@ def sector_weyl_audit(block: op.SectorBlock, escape: EscapeFunction, h, z_e,
     """`weyl_audit` of h P - z_e, P = W H W^{-1}, in the block's own buffer.
 
     block.matrix is weighted, multiplied by h and shifted by z_e in place,
-    so the block is spent.  Without eigenvalues those of h P are taken
-    before the shift, as `weyl_audit` takes them.
+    so the block is spent.
     """
     a = op.conjugate_by_diagonal(block.matrix, op.mode_log_weight(
-        escape.flow, block.sector, block.basis, escape, h))
+        block.sector, block.basis, escape, h))
     a *= h
+    return _audit_in_place(a, z_e, eigenvalues)
+
+
+def _audit_in_place(a, z_e, eigenvalues) -> WeylAudit:
+    """The prefix comparison of `weyl_audit` on the complex square array a,
+    which is spent: without eigenvalues those of a are taken first, then a
+    is shifted by z_e in place for its singular values."""
     if eigenvalues is None:
         eigenvalues = [pair.value for pair in op.eigendecompose(a)]
-    a.flat[::block.dim + 1] -= z_e
-    return _weyl_prefixes(op.singular_values(a), eigenvalues, z_e)
-
-
-def _weyl_prefixes(s, eigenvalues, z_e, rel_slack=1e-10) -> WeylAudit:
-    """The prefix comparison of `weyl_audit` on ascending singular values s."""
+    a.flat[::a.shape[0] + 1] -= z_e
+    s = op.singular_values(a)
     n = len(s)
     d = np.sort(np.abs(np.asarray(eigenvalues, dtype=complex) - complex(z_e)))
     if d.size != n:
@@ -427,14 +423,14 @@ def _weyl_prefixes(s, eigenvalues, z_e, rel_slack=1e-10) -> WeylAudit:
             break
         margin = acc_d - acc_s
         worst = min(worst, margin)
-        if margin < -rel_slack * max(1.0, abs(acc_d)):
+        if margin < -WEYL_REL_SLACK * max(1.0, abs(acc_d)):
             ok = False
     return WeylAudit(ok, float(worst))
 
 
-def weyl_spectra(p: np.ndarray, z_e, dps=40):
+def weyl_spectra(p: np.ndarray, z_e):
     """Ascending singular values of ``p - z_e`` and distances ``|lambda - z_e|``
-    at ``dps + 10`` digits, from exact characteristic polynomials.
+    at ``WEYL_DPS + 10`` digits, from exact characteristic polynomials.
 
     ``B = 2**e (p - z_e)`` is a Gaussian-integer matrix; the distances are
     ``|roots of det(x - B)| / 2**e`` and the squared singular values the
@@ -445,21 +441,22 @@ def weyl_spectra(p: np.ndarray, z_e, dps=40):
     import mpmath as mp
 
     re, im, e = charpoly.shifted_dyadic(p, z_e)
-    eig = charpoly.roots(charpoly.berkowitz(re, im), dps)
-    squares = charpoly.roots(charpoly.berkowitz(*charpoly.gram(re, im)), dps)
-    with mp.workdps(dps + 10):
+    eig = charpoly.roots(charpoly.berkowitz(re, im), WEYL_DPS)
+    squares = charpoly.roots(charpoly.berkowitz(*charpoly.gram(re, im)), WEYL_DPS)
+    with mp.workdps(WEYL_DPS + 10):
         dist = sorted(mp.ldexp(abs(r), -e) for r in eig)
         svals = sorted(mp.ldexp(mp.sqrt(abs(r)), -e) for r in squares)
     return svals, dist
 
 
-def weyl_prefix_ok(svals, dist, dps=40):
+def weyl_prefix_ok(svals, dist):
     """Whether every ascending prefix product of ``svals`` is at most that of
-    ``dist``, with relative slack ``10**(-dps + 10)``, at ``dps`` digits."""
+    ``dist``, with relative slack ``10**(-WEYL_DPS + 10)``, at ``WEYL_DPS``
+    digits."""
     import mpmath as mp
 
-    with mp.workdps(dps):
-        slack = 1 + mp.mpf(10) ** (-dps + 10)
+    with mp.workdps(WEYL_DPS):
+        slack = 1 + mp.mpf(10) ** (-WEYL_DPS + 10)
         acc_s = acc_d = mp.mpf(1)
         for s, d in zip(svals, dist):
             acc_s *= s
@@ -469,10 +466,10 @@ def weyl_prefix_ok(svals, dist, dps=40):
         return True
 
 
-def weyl_oracle(p: np.ndarray, z_e, dps=40):
+def weyl_oracle(p: np.ndarray, z_e):
     """High-precision check of the prefix-product inequality on the spectra
     of ``weyl_spectra``: the right verdict, or NonConvergence."""
-    return weyl_prefix_ok(*weyl_spectra(p, z_e, dps), dps)
+    return weyl_prefix_ok(*weyl_spectra(p, z_e))
 
 
 @dataclass
@@ -518,7 +515,27 @@ class CoherentStudy:
     undefined: bool     # h takes fewer than two values: no power is defined
 
 
-def default_symbol_points(flow: MappingTorusFlow, tau0=0.5):
+#: suspension coordinate tau of the `default_symbol_points`
+SYMBOL_TAU0 = 0.5
+#: largest `coherent_k_max` a config may ask for (35 at the default's
+#: smallest h, 0.0125); the study's work grows like its square times
+#: `coherent_j_max`, and at the smallest h accepted (about 0.00366, j_max
+#: 20) it takes about 6 s on one core of a 2-vCPU Xeon host
+COHERENT_K_CEILING = 100
+#: smallest `coherent_j_max`; it is the cutoff at every h >= 0.0125
+COHERENT_J_FLOOR = 12
+#: orbit positions kept beyond the ball in the coherent study's truncation
+COHERENT_P_MAX = 2
+#: largest share of a packet's squared norm the coherent study may miss
+COHERENT_MASS_TOL = 0.02
+#: widths past a packet's tau frequency that `coherent_j_max` keeps (1.645):
+#: the packet's mass in j is Gaussian with standard deviation width /
+#: sqrt(2), and half of COHERENT_MASS_TOL lies beyond this many widths; the
+#: other half is left to the frequency cutoff and the tau grid
+COHERENT_J_WIDTHS = NormalDist().inv_cdf(1.0 - COHERENT_MASS_TOL / 2.0) / math.sqrt(2.0)
+
+
+def default_symbol_points(flow: MappingTorusFlow):
     """Ten phase points away from the trapped set.
 
     Points sit on (or near) the hyperbolic coframe axes, where the escape
@@ -535,18 +552,8 @@ def default_symbol_points(flow: MappingTorusFlow, tau0=0.5):
             pts.append(sign * r * cs)
     pts.append(1.5 * cu + 0.35 * eta)
     pts.append(1.5 * cs - 0.35 * eta)
-    x0 = (0.5, 0.5, tau0)
+    x0 = (0.5, 0.5, SYMBOL_TAU0)
     return [(x0, tuple(p)) for p in pts]
-
-
-#: largest `coherent_k_max` a config may ask for (35 at the default's
-#: smallest h, 0.0125); the study's work grows like its square times
-#: `coherent_j_max`, and at the smallest h accepted (about 0.00366, j_max
-#: 27) it takes about 7.5 s and 110 MB
-COHERENT_K_CEILING = 100
-
-#: smallest `coherent_j_max`; it is the cutoff at every h >= 0.0125
-COHERENT_J_FLOOR = 12
 
 
 def coherent_k_max(points, h):
@@ -559,22 +566,21 @@ def coherent_k_max(points, h):
 
 def coherent_j_max(flow: MappingTorusFlow, points, h):
     """Orbit-mode cutoff |j| of the coherent study at h, at least
-    COHERENT_J_FLOOR: each packet's tau frequency plus four widths, and a
-    margin of 2.  At the packet's tau0, mode j oscillates at 2 pi j / (T
-    c(tau0)), the packet at xi_3 / h with width sqrt(|xi|_h) / sqrt(h),
-    |xi|_h = sqrt(1 + |xi|^2)."""
+    COHERENT_J_FLOOR: each packet's tau frequency plus COHERENT_J_WIDTHS
+    widths, and a margin of 2.  At the packet's tau0, mode j oscillates at
+    2 pi j / (T c(tau0)), the packet at xi_3 / h with width sqrt(|xi|_h) /
+    sqrt(h), |xi|_h = sqrt(1 + |xi|^2)."""
     need = 0.0
     for (_, _, tau0), xi in points:
         xi = np.asarray(xi, dtype=float)
         scale = flow.period * float(flow.time_change(tau0)) / (2.0 * np.pi)
         width = np.sqrt((1.0 + xi @ xi) ** 0.5 / h)
-        need = max(need, scale * (abs(xi[2]) / h + 4.0 * width))
+        need = max(need, scale * (abs(xi[2]) / h + COHERENT_J_WIDTHS * width))
     return max(COHERENT_J_FLOOR, int(np.ceil(need)) + 2)
 
 
 def coherent_symbol_study(flow: MappingTorusFlow, params: OrderParams,
-                          points, h_list, j_max=None, p_max=2,
-                          mass_tol=0.02) -> CoherentStudy:
+                          points, h_list, j_max=None) -> CoherentStudy:
     """Error of packet expectations against the two-term symbol, per h, on
     `coherent_k_max` and (unless ``j_max`` is given) `coherent_j_max`.
 
@@ -606,7 +612,7 @@ def coherent_symbol_study(flow: MappingTorusFlow, params: OrderParams,
     for h in h_list:
         k_max = coherent_k_max(points, h)
         j_cut = coherent_j_max(flow, points, h) if j_max is None else j_max
-        tr = op.Truncation(k_max=k_max, p_max=p_max, j_max=j_cut)
+        tr = op.Truncation(k_max=k_max, p_max=COHERENT_P_MAX, j_max=j_cut)
         profiles = [op.PacketProfile(flow, ax, xi, h) for ax, xi in points]
         phases = profiles[0].phase_table(j_cut)
         tau_ints = np.stack([prof.orbit_tau_integrals(phases) for prof in profiles])
@@ -614,14 +620,14 @@ def coherent_symbol_study(flow: MappingTorusFlow, params: OrderParams,
         neutral = op.build_generator(flow, op.NeutralSector(), tr)
         vecs = [prof.project(flow, neutral) for prof in profiles]
 
-        sectors = op.enumerate_orbits(flow.cat, k_max, p_max)
+        sectors = op.enumerate_orbits(flow.cat, k_max, COHERENT_P_MAX)
         groups = op.mirror_groups(sectors + [neutral.sector])
         owners = iter(groups)           # the neutral sector is the last group
         row = {s.key: i for i, s in enumerate(sectors)}
         terms = np.empty((len(sectors), len(points)), dtype=complex)
         masses = np.empty((len(sectors), len(points)))
         for logws in op.sector_log_weights(
-                flow, escape, h, ((g[0], op.sector_basis(g[0], tr)) for g in groups)):
+                escape, h, ((g[0], op.sector_basis(g[0], tr)) for g in groups)):
             run = [(next(owners), logw) for logw in logws]
             if run[-1][0] == [neutral.sector]:
                 mat = op.conjugate_by_diagonal(neutral.matrix, run.pop()[1])
@@ -644,7 +650,7 @@ def coherent_symbol_study(flow: MappingTorusFlow, params: OrderParams,
             acc += term
             norms += mass
         for i, prof in enumerate(profiles):
-            if norms[i] < (1.0 - mass_tol) * prof.ref_norm2:
+            if norms[i] < (1.0 - COHERENT_MASS_TOL) * prof.ref_norm2:
                 raise UnresolvedState(
                     f"point {i}: captured mass {norms[i] / prof.ref_norm2:.4f} at h={h}")
             expv = acc[i] / norms[i]
@@ -664,16 +670,15 @@ def coherent_symbol_study(flow: MappingTorusFlow, params: OrderParams,
 class CampaignContext:
     """What two or more campaign checks share, each built on first use."""
 
-    flow: MappingTorusFlow
     cfg: object                      # config.RunConfig
 
     @cached_property
     def escape(self):
-        return EscapeFunction(self.flow, self.cfg.escape)
+        return EscapeFunction(self.cfg.flow(), self.cfg.escape)
 
     def spectrum(self, params, truncation):
         cfg = self.cfg
-        return extract_resonances(self.flow, params, truncation, h=cfg.h,
+        return extract_resonances(cfg.flow(), params, truncation, h=cfg.h,
                                   residual_tol=cfg.residual_tol,
                                   cluster_radius=cfg.cluster_radius)
 
@@ -764,7 +769,7 @@ def _check_weyl(ctx):
     exact, not an approximation: the two generator blocks and eigenvalue
     lists depend on the cell count alone and the two weights are equal bit
     for bit, so the weighted matrices and their audits are identical."""
-    cfg, flow = ctx.cfg, ctx.flow
+    cfg, flow = ctx.cfg, ctx.cfg.flow()
     z_e = complex(cfg.E, 1.0)
     cell = op.orbit_cell_block(flow, cfg.truncation)
     cell_vals = np.array([p.value for p in op.eigendecompose(cell)])
@@ -807,7 +812,7 @@ def _check_weyl(ctx):
 def _check_ims(ctx):
     cfg = ctx.cfg
     tr = replace(cfg.truncation, j_max=cfg.ims_j_max, j_buffer=16)
-    block = op.build_generator(ctx.flow, op.NeutralSector(), tr)
+    block = op.build_generator(cfg.flow(), op.NeutralSector(), tr)
     h_list = [0.1, 0.05, 0.025, 0.0125]
     res = op.partition_ims_check(block, ctx.escape, complex(cfg.E, 1.0),
                                  h_list, trials=20, r0=cfg.ims_band[0],
@@ -818,7 +823,7 @@ def _check_ims(ctx):
 
 
 def _check_garding(ctx):
-    cfg, flow = ctx.cfg, ctx.flow
+    cfg, flow = ctx.cfg, ctx.cfg.flow()
     k0 = cfg.truncation.k_max
     sweep = {}
     for k in (k0, k0 + 2, k0 + 4):
@@ -837,8 +842,8 @@ def _check_garding(ctx):
 
 
 def _check_coherent(ctx):
-    study = coherent_symbol_study(ctx.flow, ctx.cfg.escape,
-                                  default_symbol_points(ctx.flow),
+    flow = ctx.cfg.flow()
+    study = coherent_symbol_study(flow, ctx.cfg.escape, default_symbol_points(flow),
                                   ctx.cfg.coherent_h_list)
     # from a single h there is no power to bound: that fails
     return not study.undefined and min(study.powers) >= 0.5, {
@@ -848,10 +853,10 @@ def _check_coherent(ctx):
 
 def _check_counting(ctx):
     cfg = ctx.cfg
-    study = scaling_study(ctx.flow, cfg.escape, cfg.truncation, cfg.E,
+    study = scaling_study(cfg.flow(), cfg.escape, cfg.truncation, cfg.E,
                           cfg.alpha_grid, cfg.beta, residual_tol=cfg.residual_tol,
                           cluster_radius=cfg.cluster_radius)
-    control = synthetic_lattice_counts(cfg.E, cfg.alpha_grid, cfg.beta)
+    control = synthetic_lattice_counts(cfg.E, cfg.alpha_grid)
     # with every count zero or a single alpha there is no exponent to
     # bound: that fails
     ok = (not study.undefined and study.exponent <= 3.0
@@ -887,13 +892,14 @@ CHECKS = {
 }
 
 
-def run_campaign(flow: MappingTorusFlow, cfg, progress=None):
-    """Run the configured checks and return a JSON-able report.
+def run_campaign(cfg, progress=None):
+    """Run the configured checks on the flow of ``cfg`` and return a
+    JSON-able report.
 
     A check that raises gets verdict False and an "error" payload instead
     of aborting the run; its traceback goes to the "catspec" logger.
     """
-    ctx = CampaignContext(flow, cfg)
+    ctx = CampaignContext(cfg)
     checks = {}
     verdicts = {}
     for name, check in CHECKS.items():
@@ -908,6 +914,7 @@ def run_campaign(flow: MappingTorusFlow, cfg, progress=None):
             verdicts[name] = False
             checks[name] = {"error": f"{type(exc).__name__}: {exc}"}
 
+    flow = cfg.flow()
     report = {
         "schema_version": 1,
         "model": {

@@ -19,6 +19,8 @@ from numpy.polynomial import chebyshev as _cheb
 from .errors import NonConvergence
 
 _TAU_GRID = 4096
+#: flow times of the fit in `MappingTorusFlow.measure_hyperbolicity`
+HYPERBOLICITY_TIMES = (0.5, 1.0, 2.0, 3.0, 5.0)
 
 
 class TimeChange:
@@ -160,12 +162,6 @@ class MappingTorusFlow:
         # per-unit-rectified-time expansion rate of the horizontal splitting
         self.theta = np.log(self.cat.lambda_u) / self.period
 
-    # -- basic geometry -------------------------------------------------
-
-    def anosov_one_form(self, p: BasePoint):
-        """Covector with kernel E_u + E_s and value 1 on the vector field."""
-        return np.array([0.0, 0.0, 1.0 / self.time_change(p.tau)])
-
     # -- flow maps -------------------------------------------------------
 
     def flow_time(self, p: BasePoint, t: float):
@@ -191,9 +187,9 @@ class MappingTorusFlow:
 
     # -- measured hyperbolicity ------------------------------------------
 
-    def measure_hyperbolicity(self, n_points=40, t_grid=(0.5, 1.0, 2.0, 3.0, 5.0),
-                              seed=0):
-        """Fit |D phi_t e_s| ~ c_hyp * exp(-theta t) over sampled orbits.
+    def measure_hyperbolicity(self, n_points=40, seed=0):
+        """Fit |D phi_t e_s| ~ c_hyp * exp(-theta t) over sampled orbits,
+        at the times HYPERBOLICITY_TIMES.
 
         Returns (c_hyp, theta_fit).  The fitted rate should match
         log(lambda_u)/period.
@@ -203,7 +199,7 @@ class MappingTorusFlow:
         ts, logs = [], []
         for _ in range(n_points):
             p = BasePoint((rng.random(), rng.random()), rng.random())
-            for t in t_grid:
+            for t in HYPERBOLICITY_TIMES:
                 g = np.linalg.norm(self.differential(p, t) @ e_s3)
                 ts.append(t)
                 logs.append(np.log(g))

@@ -114,7 +114,7 @@ def _transpose_steps(cat):
     return up, down
 
 
-def enumerate_orbits(cat, k_max, p_max=2):
+def enumerate_orbits(cat, k_max, p_max):
     """All orbit sectors meeting the ball |k| <= k_max, with kept positions.
 
     One pass over the lattice points of the ball, in Python ints: each
@@ -306,7 +306,7 @@ def conjugate_by_diagonal(matrix, log_weight):
 WEIGHT_ROWS = 4096
 
 
-def sector_log_weights(flow: MappingTorusFlow, escape: EscapeFunction, h, sectors):
+def sector_log_weights(escape: EscapeFunction, h, sectors):
     """Log of the diagonal escape weight on each of `sectors`, run by run.
 
     sectors holds (sector, basis) pairs.  Runs of whole sectors with at
@@ -322,12 +322,12 @@ def sector_log_weights(flow: MappingTorusFlow, escape: EscapeFunction, h, sector
     run, rows = [], 0
     for item in sectors:
         if run and rows + len(item[1]) > WEIGHT_ROWS:
-            yield _run_log_weights(flow, escape, h, run)
+            yield _run_log_weights(escape, h, run)
             run, rows = [], 0
         run.append(item)
         rows += len(item[1])
     if run:
-        yield _run_log_weights(flow, escape, h, run)
+        yield _run_log_weights(escape, h, run)
 
 
 def _named(run):
@@ -338,7 +338,7 @@ def _named(run):
             f"|j| <= {max(int(np.abs(b[:, 1]).max()) for b in bases)})")
 
 
-def _run_log_weights(flow, escape, h, run):
+def _run_log_weights(escape, h, run):
     """One escape_value call for the sectors of a run, split per sector.
 
     The escape function reads a covector's frame components only through
@@ -355,12 +355,13 @@ def _run_log_weights(flow, escape, h, run):
     halves = [(sector, basis[basis[:, 1] >= 0]) for sector, basis in run]
     try:
         with np.errstate(over="raise", invalid="raise"):
-            half = np.asarray(escape.escape_value(_mode_adapted(flow, h, halves)), dtype=float)
+            half = np.asarray(escape.escape_value(_mode_adapted(escape.flow, h, halves)),
+                              dtype=float)
     except FloatingPointError as exc:
         if len(run) > 1:
             # the rows are independent: the sector's own call raises too
             for item in run:
-                _run_log_weights(flow, escape, h, [item])
+                _run_log_weights(escape, h, [item])
         raise WeightOverflow(
             f"escape weight at h = {h:g} overflows on {_named(run)}: {exc}; "
             "reduce h or the truncation") from exc
@@ -374,10 +375,10 @@ def _run_log_weights(flow, escape, h, run):
     return parts
 
 
-def mode_log_weight(flow: MappingTorusFlow, sector, basis, escape: EscapeFunction, h):
+def mode_log_weight(sector, basis, escape: EscapeFunction, h):
     """Log of the diagonal escape weight, one value per mode of `basis`:
     `sector_log_weights` on this one sector."""
-    return next(sector_log_weights(flow, escape, h, [(sector, basis)]))[0]
+    return next(sector_log_weights(escape, h, [(sector, basis)]))[0]
 
 
 def apply_weight(block: SectorBlock, escape: EscapeFunction, h: float) -> np.ndarray:
@@ -387,7 +388,7 @@ def apply_weight(block: SectorBlock, escape: EscapeFunction, h: float) -> np.nda
     diagonal of P equals the diagonal of H exactly.  The h-rescaled
     operator, in the spectral variable z = h lambda, is h * P.
     """
-    logw = mode_log_weight(escape.flow, block.sector, block.basis, escape, h)
+    logw = mode_log_weight(block.sector, block.basis, escape, h)
     return conjugate_by_diagonal(block.matrix.copy(), logw)
 
 
@@ -428,15 +429,14 @@ class EigenPair:
     residual: float
 
 
-def eigendecompose(p: np.ndarray, norm=None):
+def eigendecompose(p: np.ndarray):
     """Dense non-Hermitian eigendecomposition, sorted by descending Im.
 
     Returns EigenPair entries with relative residuals ||Pv - lv|| / ||P||.
     """
     p = np.asarray(p, dtype=complex)
     try:
-        if norm is None:
-            norm = np.linalg.norm(p, 2) if p.size else 0.0
+        norm = np.linalg.norm(p, 2) if p.size else 0.0
         vals, vecs = np.linalg.eig(p)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"dense eigensolver failed: {exc}") from exc
@@ -449,35 +449,30 @@ def eigendecompose(p: np.ndarray, norm=None):
     return out
 
 
-def singular_values(p: np.ndarray, z_e=0.0):
-    """Ascending singular values of (P - z_e I).
-
-    P is shifted in a copy, or not at all when z_e is 0: a caller that owns
-    its matrix shifts it in place and passes z_e = 0.
-    """
-    if z_e == 0:
-        p = np.asarray(p, dtype=complex)
-    else:
-        p = np.array(p, dtype=complex)
-        p.flat[::p.shape[0] + 1] -= z_e
-    return np.sort(np.linalg.svd(p, compute_uv=False))
+def singular_values(p: np.ndarray):
+    """Ascending singular values of P; a caller that audits P - z_e shifts
+    its own copy of P first."""
+    return np.sort(np.linalg.svd(np.asarray(p, dtype=complex), compute_uv=False))
 
 
 # ---------------------------------------------------------------------------
 # coherent states
 # ---------------------------------------------------------------------------
 
+#: midpoints of the tau grid on which a `PacketProfile` samples its packet
+PACKET_TAU_GRID = 4096
+
+
 class PacketProfile:
     """Shared suspension-coordinate data for one Gaussian wave packet."""
 
-    def __init__(self, flow: MappingTorusFlow, alpha_x, alpha_xi, h,
-                 tau_grid=4096):
+    def __init__(self, flow: MappingTorusFlow, alpha_x, alpha_xi, h):
         self.ax = np.asarray(alpha_x, dtype=float)
         self.xi = np.asarray(alpha_xi, dtype=float)
         self.h = float(h)
         self.gamma = float(np.sqrt(1.0 + self.xi @ self.xi)) / self.h
-        self.taus = (np.arange(tau_grid) + 0.5) / tau_grid
-        self.dtau = 1.0 / tau_grid
+        self.taus = (np.arange(PACKET_TAU_GRID) + 0.5) / PACKET_TAU_GRID
+        self.dtau = 1.0 / PACKET_TAU_GRID
         dt = (self.taus - self.ax[2] + 0.5) % 1.0 - 0.5
         self.g_tau = np.exp(1j * self.xi[2] * dt / self.h
                             - 0.5 * self.gamma * dt * dt)
@@ -491,8 +486,8 @@ class PacketProfile:
 
     def phase_table(self, j_max):
         """Rectified-time phases exp(-2 pi i j phi(tau) / T), |j| <= j_max,
-        on the tau grid: shape (2 j_max + 1, tau_grid).  The table depends
-        on the grid only, so packets on one grid can share it."""
+        on the tau grid: shape (2 j_max + 1, PACKET_TAU_GRID).  The table
+        depends on the grid only, so packets on one grid can share it."""
         js = np.arange(-j_max, j_max + 1)
         phi = self.time_change.rectified(self.taus)
         return np.exp(-2j * np.pi * np.outer(js, phi) / self.tbar)
@@ -536,7 +531,7 @@ def _gaussian_x_integral(freqs, x0, xi_x, h, gamma):
 # appendix-level numeric checks
 # ---------------------------------------------------------------------------
 
-def quadratic_partition(radii, r0=1.0, r1=3.0):
+def quadratic_partition(radii, r0, r1):
     """Diagonal radial multipliers with chi0^2 + chi1^2 = 1 exactly."""
     s = smoothstep((np.asarray(radii) - r0) / (r1 - r0))
     return np.cos(0.5 * np.pi * s), np.sin(0.5 * np.pi * s)

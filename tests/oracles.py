@@ -2,19 +2,20 @@
 
 These routes are not used by the program: a Gram-matrix singular value
 solve, the Weyl oracle's spectra from mpmath's dense SVD and QR
-eigensolver, resolvent-quadrature projector ranks, the coherent-state
-projection of a wave packet on a list of sector blocks, the weighted
-expectation on an orbit sector through its dense matrix, the coherent
-symbol study sector by sector, the orbit sectors found point by point,
-the weights of a run with every mode evaluated, the lattice-shell
-control counted on the full (v1, v2) meshgrid, the model's flow map,
-vector field and splittings, the dual coframes and the bounded-orbit
-covector, the unstable direction recovered by pushing a seed forward, the
-inverse of ``cotangent.adapted_components``, the escape function's order
-function, and its averaged profiles rebuilt from cosphere bumps:
-an adaptive quadrature of the average, its exact flow derivative from the
-endpoint identity, and the raw profiles of a whole batch reduced by one
-gemv over all its rows.
+eigensolver, the neutral-sector part of a spectrum, resolvent-quadrature
+projector ranks, the coherent-state projection of a wave packet on a list
+of sector blocks, the weighted expectation on an orbit sector through its
+dense matrix, the coherent symbol study sector by sector, the orbit
+sectors found point by point, the weights of a run with every mode
+evaluated, the lattice-shell control counted on the full (v1, v2)
+meshgrid, the model's flow map, vector field, splittings and invariant
+one-form, the dual coframes and the bounded-orbit covector, the unstable
+direction recovered by pushing a seed forward, the inverse of
+``cotangent.adapted_components``, the escape function's order function,
+and its averaged profiles rebuilt from cosphere bumps: an adaptive
+quadrature of the average, its exact flow derivative from the endpoint
+identity, and the raw profiles of a whole batch reduced by one gemv over
+all its rows.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import scipy.linalg as sla
 from catspec.cotangent import CotangentPoint
 from catspec.errors import CatspecError, NonConvergence, UnresolvedState
 from catspec.escape import EscapeFunction, composite_gauss_legendre, smoothstep
-from catspec.harness import weyl_prefix_ok
+from catspec.harness import WEYL_DPS, ResonanceSet, weyl_prefix_ok
 from catspec.model import BasePoint, MappingTorusFlow
 from catspec.operator import (OrbitSector, PacketProfile, SectorBlock, _mode_adapted,
                               apply_weight)
@@ -53,12 +54,13 @@ def singular_values_gram(p: np.ndarray, z_e=0.0):
     return np.sqrt(np.clip(vals, 0.0, None))
 
 
-def weyl_spectra_dense(p: np.ndarray, z_e, dps=40):
+def weyl_spectra_dense(p: np.ndarray, z_e):
     """The Weyl oracle's spectra the dense way: ascending ``mp.svd_c``
-    singular values of ``p - z_e`` and ``mp.eig`` distances to ``z_e``."""
+    singular values of ``p - z_e`` and ``mp.eig`` distances to ``z_e``, at
+    ``harness.WEYL_DPS`` digits."""
     import mpmath as mp
 
-    with mp.workdps(dps):
+    with mp.workdps(WEYL_DPS):
         m = mp.matrix([[mp.mpc(v) for v in row] for row in np.asarray(p, complex)])
         z = mp.mpc(z_e)
         s = mp.svd_c(m - z * mp.eye(m.rows), compute_uv=False)
@@ -67,9 +69,15 @@ def weyl_spectra_dense(p: np.ndarray, z_e, dps=40):
         return svals, sorted(abs(ev - z) for ev in evals)
 
 
-def weyl_oracle_dense(p: np.ndarray, z_e, dps=40):
+def weyl_oracle_dense(p: np.ndarray, z_e):
     """``harness.weyl_oracle`` on the dense high-precision spectra."""
-    return weyl_prefix_ok(*weyl_spectra_dense(p, z_e, dps), dps)
+    return weyl_prefix_ok(*weyl_spectra_dense(p, z_e))
+
+
+def neutral_resonances(res: ResonanceSet) -> ResonanceSet:
+    """The neutral-sector entries of a spectrum from
+    ``harness.extract_resonances``, with its meta."""
+    return ResonanceSet([e for e in res.entries if e.sector_key == "neutral"], res.meta)
 
 
 def _projector_quadrature(p, center, radius, n_quad):
@@ -120,15 +128,14 @@ class CoherentState:
     ref_norm2: float              # quadrature norm of the continuum packet
 
 
-def coherent_state(flow: MappingTorusFlow, blocks, alpha_x, alpha_xi, h,
-                   mass_tol=0.01, tau_grid=4096):
+def coherent_state(flow: MappingTorusFlow, blocks, alpha_x, alpha_xi, h, mass_tol=0.01):
     """Project a Gaussian wave packet on the truncated mode basis.
 
     alpha_x = (x1, x2, tau) is the center, alpha_xi the covector.  Raises
     UnresolvedState when more than mass_tol of the packet's squared norm is
     missing from the truncation window.
     """
-    profile = PacketProfile(flow, alpha_x, alpha_xi, h, tau_grid)
+    profile = PacketProfile(flow, alpha_x, alpha_xi, h)
     coeffs = {}
     captured = 0.0
     for block in blocks:
@@ -152,8 +159,7 @@ def dense_orbit_expectation(block: SectorBlock, escape: EscapeFunction, h, vec):
     return np.vdot(vec, (h * apply_weight(block, escape, h)) @ vec)
 
 
-def coherent_study_per_sector(flow: MappingTorusFlow, params, points, h_list,
-                              j_max=12, p_max=2, mass_tol=0.02):
+def coherent_study_per_sector(flow: MappingTorusFlow, params, points, h_list, j_max=12):
     """``harness.coherent_symbol_study`` sector by sector: (errors, powers).
 
     One escape_value call per sector (shared by the sectors through k0 and
@@ -173,7 +179,7 @@ def coherent_study_per_sector(flow: MappingTorusFlow, params, points, h_list,
     errors = [dict() for _ in points]
     for h in h_list:
         k_max = hs.coherent_k_max(points, h)
-        tr = op.Truncation(k_max=k_max, p_max=p_max, j_max=j_max)
+        tr = op.Truncation(k_max=k_max, p_max=hs.COHERENT_P_MAX, j_max=j_max)
         profiles = [PacketProfile(flow, ax, xi, h) for ax, xi in points]
         tau_ints = [prof.orbit_tau_integrals(prof.phase_table(j_max)) for prof in profiles]
         neutral = op.build_generator(flow, op.NeutralSector(), tr)
@@ -182,10 +188,10 @@ def coherent_study_per_sector(flow: MappingTorusFlow, params, points, h_list,
         acc = np.array([np.vdot(v, mat @ v) for v in vecs])
         norms = np.array([float(np.vdot(v, v).real) for v in vecs])
         weights = {}
-        for sector in op.enumerate_orbits(flow.cat, k_max, p_max):
+        for sector in op.enumerate_orbits(flow.cat, k_max, hs.COHERENT_P_MAX):
             key = op.mirror_key(sector)
             if key not in weights:
-                weights[key] = op.mode_log_weight(flow, sector, op.sector_basis(sector, tr),
+                weights[key] = op.mode_log_weight(sector, op.sector_basis(sector, tr),
                                                   escape, h)
             coeffs = np.stack([prof.torus_overlaps(sector.freqs)[:, None] * t[None, :]
                                for prof, t in zip(profiles, tau_ints)])
@@ -193,7 +199,7 @@ def coherent_study_per_sector(flow: MappingTorusFlow, params, points, h_list,
                                             weights[key].reshape(sector.n_cells, -1), coeffs)
             norms += np.sum(np.abs(coeffs) ** 2, axis=(1, 2))
         for i, prof in enumerate(profiles):
-            if norms[i] < (1.0 - mass_tol) * prof.ref_norm2:
+            if norms[i] < (1.0 - hs.COHERENT_MASS_TOL) * prof.ref_norm2:
                 raise UnresolvedState(
                     f"point {i}: captured mass {norms[i] / prof.ref_norm2:.4f} at h={h}")
             pred = preds[i].real + 1j * h * preds[i].imag
@@ -256,11 +262,11 @@ def enumerate_orbits_per_point(cat, k_max, p_max=2):
     return sectors
 
 
-def log_weights_every_mode(flow: MappingTorusFlow, escape: EscapeFunction, h, run):
+def log_weights_every_mode(escape: EscapeFunction, h, run):
     """``operator._run_log_weights`` without the +-j mirror: one
     escape_value call on every mode of the run's (sector, basis) pairs,
     split per sector."""
-    logw = np.asarray(escape.escape_value(_mode_adapted(flow, h, run)), dtype=float)
+    logw = np.asarray(escape.escape_value(_mode_adapted(escape.flow, h, run)), dtype=float)
     return np.split(logw, np.cumsum([len(basis) for _, basis in run])[:-1])
 
 
@@ -321,9 +327,14 @@ def dual_splitting(flow: MappingTorusFlow, p: BasePoint):
     return cu, cs, c0
 
 
+def anosov_one_form(flow: MappingTorusFlow, p: BasePoint):
+    """Covector with kernel E_u + E_s and value 1 on the vector field."""
+    return np.array([0.0, 0.0, 1.0 / flow.time_change(p.tau)])
+
+
 def trapped_point(flow: MappingTorusFlow, p: BasePoint, E: float) -> CotangentPoint:
     """The unique bounded-orbit covector over p on the energy-E shell."""
-    alpha = flow.anosov_one_form(p)
+    alpha = anosov_one_form(flow, p)
     return CotangentPoint(p, (E * alpha[0], E * alpha[1]), E * alpha[2])
 
 

@@ -16,6 +16,7 @@ from scipy.integrate import quad
 from catspec import harness as hs
 from catspec.config import DEFAULT_CONFIG, parse_config
 from catspec.escape import OrderParams
+from oracles import neutral_resonances
 
 
 def _report(num, name, ok, detail):
@@ -34,22 +35,22 @@ def trunc(cfg):
 
 
 @pytest.fixture(scope="module")
-def ctx(flow, cfg):
-    return hs.CampaignContext(flow, cfg)
+def ctx(cfg):
+    return hs.CampaignContext(cfg)
 
 
 @pytest.fixture(scope="module")
-def campaign(flow, cfg):
+def campaign(cfg):
     """The full default campaign, run once for criterion 9 and the budget."""
     t0 = time.time()
-    report = hs.run_campaign(flow, cfg)
+    report = hs.run_campaign(cfg)
     return report, time.time() - t0
 
 
 def _check(ctx, name, **changes):
     """Verdict and payload of one campaign check; `changes` edit the config."""
     if changes:
-        ctx = hs.CampaignContext(ctx.flow, replace(ctx.cfg, **changes))
+        ctx = hs.CampaignContext(replace(ctx.cfg, **changes))
     return hs.CHECKS[name](ctx)
 
 
@@ -70,8 +71,7 @@ def test_criterion_2_constant_roof_oracle(flow_const, trunc):
     worst = -1.0
     for params in (OrderParams(), OrderParams(u=-6.0, s=12.0, t_avg=10.0,
                                               aperture=0.08)):
-        res = hs.extract_resonances(flow_const, params, trunc, h=0.05,
-                                    include_orbit=False)
+        res = neutral_resonances(hs.extract_resonances(flow_const, params, trunc, h=0.05))
         vals = np.sort_complex(res.values())
         if vals.size != targets.size:
             _report(2, "constant-roof spectrum", False,
@@ -85,8 +85,7 @@ def test_criterion_2_constant_roof_oracle(flow_const, trunc):
 
 def test_criterion_3_time_changed_oracle(flow, trunc):
     tbar = quad(lambda t: 1.0 / flow.time_change(t), 0.0, 1.0, epsabs=1e-13)[0]
-    res = hs.extract_resonances(flow, OrderParams(), trunc, h=0.05,
-                                include_orbit=False)
+    res = neutral_resonances(hs.extract_resonances(flow, OrderParams(), trunc, h=0.05))
     vals = res.values()
     targets = 2 * np.pi * np.arange(-trunc.j_max, trunc.j_max + 1) / tbar
     worst = 0.0

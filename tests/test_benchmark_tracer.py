@@ -69,9 +69,9 @@ from catspec import harness as hs, operator as op
 from catspec.config import parse_config
 
 cfg = parse_config("[campaign]\\nchecks = weyl,ims\\n[solver]\\nk_max = 3\\n")
-ctx = hs.CampaignContext(cfg.flow(), cfg)
+ctx = hs.CampaignContext(cfg)
 verdicts = [hs.CHECKS[name](ctx)[0] for name in ("weyl", "ims")]
-n_orbit = len(op.enumerate_orbits(ctx.flow.cat, 3, cfg.truncation.p_max))
+n_orbit = len(op.enumerate_orbits(cfg.flow().cat, 3, cfg.truncation.p_max))
 print(json.dumps({{"verdicts": verdicts, "n_orbit": n_orbit, "metrics": tracer.metrics()}}))
 """
 

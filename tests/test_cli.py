@@ -123,6 +123,32 @@ def test_config_hash_changes_with_text():
     assert a.sha() != b.sha()
 
 
+def test_cli_seed_override_changes_the_config_sha(tmp_path, monkeypatch):
+    # the header's SHA tells seeds apart, whether --seed or CATSPEC_SEED
+    # sets them; without an override, or with the config's own seed, it
+    # stays the SHA of the config text
+    cfgfile = tmp_path / "fast.ini"
+    text = "[campaign]\nescape_samples = 200\n"
+    cfgfile.write_text(text)
+
+    def header(*flags):
+        out = tmp_path / f"run{len(list(tmp_path.glob('run*')))}"
+        assert main(["--config", str(cfgfile), "--out", str(out), *flags,
+                     "verify-escape"]) == 0
+        return (out / "escape.csv").read_text().splitlines()[0]
+
+    plain = header()
+    assert plain == f"# config_sha256={parse_config(text).sha()}"
+    assert header("--seed", "1234") == plain
+    seven = header("--seed", "7")
+    assert seven != plain and header("--seed", "8") not in (plain, seven)
+    monkeypatch.setenv("CATSPEC_SEED", "7")
+    assert header() == seven
+    # the default config's SHA, in every default output header
+    assert parse_config(DEFAULT_CONFIG).sha() == (
+        "cdf4bdc3a6be4ba51bb99b6b04dc967dc16810d3920670701169a5fab63b3db1")
+
+
 def test_cli_model_info(capsys):
     assert main(["model-info"]) == 0
     out = capsys.readouterr().out
@@ -172,7 +198,7 @@ def test_cli_verify_escape(tmp_path, capsys, monkeypatch):
 
     # violating samples: exit 1 with the count, and the CSV is still written
     monkeypatch.setattr(EscapeFunction, "escape_derivative_adapted",
-                        lambda self, a, step=1e-4, orders=None:
+                        lambda self, a, orders=None:
                         np.ones((len(orders),) + np.shape(a)[:-1]))
     code = main(["--config", str(cfgfile), "--out", str(tmp_path / "bad"),
                  "verify-escape"])

@@ -218,7 +218,7 @@ def test_verify_escape_estimates_two_parameter_sets(flow):
         assert rep.violations == 0 and rep.c_measured > 0
 
 
-def _increasing_everywhere(self, a, step=1e-4, orders=None):
+def _increasing_everywhere(self, a, orders=None):
     shape = np.shape(a)[:-1]
     return np.ones(shape if orders is None else (len(orders),) + shape)
 
@@ -226,9 +226,9 @@ def _increasing_everywhere(self, a, step=1e-4, orders=None):
 _true_derivative = EscapeFunction.escape_derivative_adapted
 
 
-def _increasing_on_neutral_cone(self, a, step=1e-4, orders=None):
+def _increasing_on_neutral_cone(self, a, orders=None):
     # correct outside the neutral cone, so only the violation count can fail
-    return np.where(self.cone_label(a) == "0", 1.0, _true_derivative(self, a, step, orders))
+    return np.where(self.cone_label(a) == "0", 1.0, _true_derivative(self, a, orders))
 
 
 def test_verify_escape_estimates_detects_violations(flow, escape, monkeypatch):
@@ -241,11 +241,11 @@ def test_verify_escape_estimates_detects_violations(flow, escape, monkeypatch):
 
 @pytest.mark.parametrize("derivative", [_increasing_everywhere,
                                         _increasing_on_neutral_cone])
-def test_escape_check_fails_on_violations(flow, monkeypatch, derivative):
+def test_escape_check_fails_on_violations(monkeypatch, derivative):
     # negative control: violating samples give verdict false, not an error
     monkeypatch.setattr(EscapeFunction, "escape_derivative_adapted", derivative)
     cfg = parse_config("[campaign]\nchecks = escape\nescape_samples = 2000\n")
-    report = hs.run_campaign(flow, cfg)
+    report = hs.run_campaign(cfg)
     out = report["checks"]["escape"]
     assert "error" not in out
     assert report["verdicts"]["escape"] is False
@@ -479,7 +479,7 @@ def test_escape_check_passes_over_the_profiles_once(monkeypatch):
     # both exponent sets of the doubling control share four profile passes
     calls = _counting_raw_profiles(monkeypatch)
     cfg = parse_config("[campaign]\nchecks = escape\nescape_samples = 500\n")
-    hs.CHECKS["escape"](hs.CampaignContext(cfg.flow(), cfg))
+    hs.CHECKS["escape"](hs.CampaignContext(cfg))
     assert len(calls) == 4
     calls.clear()
     verify_escape_estimates(EscapeFunction(cfg.flow(), cfg.escape), sample_count=500)
@@ -490,7 +490,7 @@ def test_escape_check_doubling_ratio_equals_fresh_evaluators():
     # the doubled order shares the primary's profile passes; its ratio is
     # that of two evaluators that share nothing
     cfg = parse_config("[campaign]\nchecks = escape\nescape_samples = 1500\n")
-    ok, payload = hs.CHECKS["escape"](hs.CampaignContext(cfg.flow(), cfg))
+    ok, payload = hs.CHECKS["escape"](hs.CampaignContext(cfg))
     fresh = [verify_escape_estimates(EscapeFunction(cfg.flow(), params), sample_count=1500,
                                      seed=cfg.seed, keep_rows=0)
              for params in (cfg.escape, _doubled(cfg.escape))]
@@ -505,26 +505,12 @@ def test_doubling_control_is_exact_at_zero_neutral_order(n0, exact):
     # on these samples)
     cfg = parse_config(f"[campaign]\nchecks = escape\nescape_samples = 1500\n"
                        f"[escape]\nn0 = {n0}\n")
-    ok, payload = hs.CHECKS["escape"](hs.CampaignContext(cfg.flow(), cfg))
+    ok, payload = hs.CHECKS["escape"](hs.CampaignContext(cfg))
     assert ok
     if exact:
         assert payload["doubling_ratio"] == 2.0
     else:
         assert 2.0 < payload["doubling_ratio"] <= 2.2
-
-
-def test_escape_check_fails_without_an_escape_function(monkeypatch):
-    # G = 0 gives zero decay bounds: no doubling ratio, a failed verdict,
-    # not a ZeroDivisionError
-    def zero(self, adapted, orders=None):
-        rows = np.shape(adapted)[:-1]
-        return np.zeros(rows if orders is None else (len(orders),) + rows)
-
-    monkeypatch.setattr(EscapeFunction, "escape_value", zero)
-    cfg = parse_config("[campaign]\nchecks = escape\nescape_samples = 500\n")
-    ok, payload = hs.CHECKS["escape"](hs.CampaignContext(cfg.flow(), cfg))
-    assert ok is False
-    assert payload["decay_bound"] == 0.0 and payload["doubling_ratio"] is None
 
 
 def test_escape_derivative_memory_stays_blocked(flow):

@@ -13,7 +13,7 @@ from catspec.config import parse_config, DEFAULT_CONFIG
 from catspec.errors import (MultiplicityMismatch, UnresolvedState, UnresolvedWindow,
                             WeightOverflow)
 from catspec.escape import EscapeFunction, OrderParams
-from oracles import (coherent_study_per_sector, lattice_counts_meshgrid,
+from oracles import (coherent_study_per_sector, lattice_counts_meshgrid, neutral_resonances,
                      spectral_projector_rank, weyl_oracle_dense, weyl_spectra_dense)
 
 
@@ -184,11 +184,9 @@ def test_intrinsic_check_same_set(base_res):
 
 
 def test_intrinsic_check_constant_roof_exact(flow_const, trunc):
-    a = hs.extract_resonances(flow_const, OrderParams(), trunc, h=0.05,
-                              include_orbit=False)
-    b = hs.extract_resonances(flow_const, OrderParams(u=-6.0, s=12.0, t_avg=10.0,
-                                                      aperture=0.08),
-                              trunc, h=0.05, include_orbit=False)
+    a = neutral_resonances(hs.extract_resonances(flow_const, OrderParams(), trunc, h=0.05))
+    b = neutral_resonances(hs.extract_resonances(
+        flow_const, OrderParams(u=-6.0, s=12.0, t_avg=10.0, aperture=0.08), trunc, h=0.05))
     out = hs.intrinsic_check(a, b, floor=-1.0)
     assert out.max_distance < 1e-10
     targets = sorted(2 * np.pi * j for j in range(-trunc.j_max, trunc.j_max + 1))
@@ -441,7 +439,7 @@ def test_weyl_check_warns_about_skipped_sectors(caplog):
     flow = cfg.flow()
     sectors = op.enumerate_orbits(flow.cat, 3, cfg.truncation.p_max)
     with caplog.at_level(logging.WARNING, logger="catspec"):
-        _, payload = hs.CHECKS["weyl"](hs.CampaignContext(flow, cfg))
+        _, payload = hs.CHECKS["weyl"](hs.CampaignContext(cfg))
     assert payload["sectors_audited"] == 1
     records = [r for r in caplog.records if r.name == "catspec"]
     assert len(records) == 1
@@ -464,7 +462,7 @@ def test_weyl_check_sizes_sectors_before_building_them(monkeypatch):
         return block
 
     monkeypatch.setattr(op, "build_generator", counted)
-    ctx = hs.CampaignContext(cfg.flow(), cfg)
+    ctx = hs.CampaignContext(cfg)
     tracemalloc.start()
     try:
         ok, payload = hs.CHECKS["weyl"](ctx)
@@ -476,42 +474,27 @@ def test_weyl_check_sizes_sectors_before_building_them(monkeypatch):
     assert peak < 707 * 707 * 16
 
 
-def test_weyl_check_negative_control_negated_escape_function(monkeypatch):
-    # with G -> -G the sector audits fail on the default truncation (worst
-    # margin about -1.5e-4) while the random matrices still pass.  At
-    # k_max = 3 they pass (-4.8e-10), and under G = 0 they pass at both
-    # truncations, so neither is asserted
-    escape_value = EscapeFunction.escape_value
-    monkeypatch.setattr(EscapeFunction, "escape_value",
-                        lambda self, adapted, orders=None: -escape_value(self, adapted, orders))
-    cfg = parse_config("[campaign]\nchecks = weyl\n")
-    ok, payload = hs.CHECKS["weyl"](hs.CampaignContext(cfg.flow(), cfg))
-    assert ok is False
-    assert payload["random_oracle_ok"] is True
-    assert payload["worst_margin"] < -1e-5
-
-
-def test_weyl_check_warns_about_nothing_at_the_default_j_max(caplog, flow):
+def test_weyl_check_warns_about_nothing_at_the_default_j_max(caplog):
     cfg = parse_config("[campaign]\nchecks = weyl\n[solver]\nk_max = 3\n")
     with caplog.at_level(logging.WARNING, logger="catspec"):
-        hs.CHECKS["weyl"](hs.CampaignContext(flow, cfg))
+        hs.CHECKS["weyl"](hs.CampaignContext(cfg))
     assert not caplog.records
 
 
-def test_ims_check_negative_control_broken_partition(monkeypatch, flow):
+def test_ims_check_negative_control_broken_partition(monkeypatch):
     # chi1 scaled by 1.05 breaks chi0^2 + chi1^2 = 1: the residual no
     # longer falls like h^2 and the ratios drop to about 1
     cfg = parse_config("[campaign]\nchecks = ims\n")
-    ok, payload = hs.CHECKS["ims"](hs.CampaignContext(flow, cfg))
+    ok, payload = hs.CHECKS["ims"](hs.CampaignContext(cfg))
     assert ok and all(3.0 <= r <= 5.0 for r in payload["ratios"])
     partition = op.quadratic_partition
 
-    def broken(radii, r0=1.0, r1=3.0):
+    def broken(radii, r0, r1):
         chi0, chi1 = partition(radii, r0, r1)
         return chi0, 1.05 * chi1
 
     monkeypatch.setattr(op, "quadratic_partition", broken)
-    ok, payload = hs.CHECKS["ims"](hs.CampaignContext(flow, cfg))
+    ok, payload = hs.CHECKS["ims"](hs.CampaignContext(cfg))
     assert ok is False
     assert all(0.9 <= r <= 1.1 for r in payload["ratios"])
 
@@ -523,12 +506,12 @@ def _weyl_on_k_max_3(monkeypatch):
     calls = []
     svals = op.singular_values
 
-    def counted(p, z_e=0.0):
+    def counted(p):
         calls.append(np.shape(p)[0])
-        return svals(p, z_e)
+        return svals(p)
 
     monkeypatch.setattr(op, "singular_values", counted)
-    ok, payload = hs.CHECKS["weyl"](hs.CampaignContext(flow, cfg))
+    ok, payload = hs.CHECKS["weyl"](hs.CampaignContext(cfg))
     n_orbit = len(op.enumerate_orbits(flow.cat, 3, cfg.truncation.p_max))
     return ok, payload, len(calls), n_orbit
 
@@ -551,9 +534,9 @@ def test_weyl_check_negative_control_inflated_singular_values(monkeypatch):
     # singular values scaled by 1.5 break every audited prefix: the sector
     # audits fail, not only the random matrices
     svals = op.singular_values
-    monkeypatch.setattr(op, "singular_values", lambda p, z_e=0.0: 1.5 * svals(p, z_e))
+    monkeypatch.setattr(op, "singular_values", lambda p: 1.5 * svals(p))
     cfg = parse_config("[campaign]\nchecks = weyl\n[solver]\nk_max = 3\n")
-    ok, payload = hs.CHECKS["weyl"](hs.CampaignContext(cfg.flow(), cfg))
+    ok, payload = hs.CHECKS["weyl"](hs.CampaignContext(cfg))
     assert ok is False
     assert payload["worst_margin"] < -np.log(1.5)
 
@@ -566,7 +549,7 @@ def test_min_singular_value_resolvent_bound():
     vals, vecs = np.linalg.eig(m)
     kappa = np.linalg.cond(vecs)
     for z in (0.3 + 0.2j, -1.0 + 1j):
-        smin = op.singular_values(m, z)[0]
+        smin = op.singular_values(m - z * np.eye(8))[0]
         dist = np.min(np.abs(vals - z))
         assert smin >= dist / kappa - 1e-12
 
@@ -607,7 +590,8 @@ def test_coherent_j_max_grows_below_the_default_h(flow):
     # the floor holds at every h of the default and benchmark configs
     for h in (0.14, 0.1, 0.05, 0.025, 0.0125):
         assert hs.coherent_j_max(flow, points, h) == hs.COHERENT_J_FLOOR == 12
-    assert hs.coherent_j_max(flow, points, 0.005) == 22
+    # below it the mass budget sets the cutoff: 16 where four widths gave 22
+    assert hs.coherent_j_max(flow, points, 0.005) == 16
 
 
 def test_coherent_study_resolves_a_fine_h(flow):
@@ -633,7 +617,7 @@ def test_coherent_study_weight_overflow_on_orbit_sectors(flow, escape):
     # the neutral weight is the identity here, so only an orbit sector's
     # weight can overflow
     neutral = op.build_generator(flow, op.NeutralSector(), op.Truncation(k_max=3, j_max=12))
-    assert np.all(op.mode_log_weight(flow, neutral.sector, neutral.basis, escape, h) == 0.0)
+    assert np.all(op.mode_log_weight(neutral.sector, neutral.basis, escape, h) == 0.0)
     with pytest.raises(WeightOverflow):
         hs.coherent_symbol_study(flow, OrderParams(), points, [h])
 
@@ -676,9 +660,9 @@ def test_coherent_study_weighs_each_h_in_runs(flow, monkeypatch):
     modes = []
     run_log_weights = op._run_log_weights
 
-    def run_modes(flow, escape, h, run):
+    def run_modes(escape, h, run):
         modes.append(sum(len(basis) for _, basis in run))
-        return run_log_weights(flow, escape, h, run)
+        return run_log_weights(escape, h, run)
 
     monkeypatch.setattr(op, "_run_log_weights", run_modes)
     points = hs.default_symbol_points(flow)
@@ -706,22 +690,22 @@ def test_coherent_study_weighs_each_h_in_runs(flow, monkeypatch):
 # determinism
 # ---------------------------------------------------------------------------
 
-def test_campaign_determinism(flow):
+def test_campaign_determinism():
     text = DEFAULT_CONFIG.replace(
         "checks = escape,upper_half,symmetry,intrinsic,weyl,ims,garding,coherent,counting,disk",
         "checks = upper_half,symmetry,disk").replace("k_max = 6", "k_max = 3")
     cfg = parse_config(text)
-    r1 = hs.run_campaign(flow, cfg)
-    r2 = hs.run_campaign(flow, cfg)
+    r1 = hs.run_campaign(cfg)
+    r2 = hs.run_campaign(cfg)
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
     assert r1["verdicts"] == {"upper_half": True, "symmetry": True, "disk": True}
 
 
-def test_checks_that_compare_nothing_fail(flow):
+def test_checks_that_compare_nothing_fail():
     # an empty spectrum passes none of the comparisons; the payloads keep
     # the helpers' values
     cfg = parse_config("[solver]\nk_max = 3\n")
-    ctx = hs.CampaignContext(flow, cfg)
+    ctx = hs.CampaignContext(cfg)
     ctx.base = hs.ResonanceSet([], {"cluster_radius": cfg.cluster_radius})
     ok, payload = hs.CHECKS["upper_half"](ctx)
     assert ok is False and payload["max_im"] == float("-inf")
@@ -731,24 +715,53 @@ def test_checks_that_compare_nothing_fail(flow):
     assert ok is False and payload["ok"] is True and payload["n_in_box"] == 0
 
 
-def test_campaign_guard_turns_a_raising_check_into_a_failure(flow, monkeypatch):
+def test_campaign_guard_turns_a_raising_check_into_a_failure(monkeypatch):
     def broken(ctx):
         raise RuntimeError("seeded defect")
 
     monkeypatch.setitem(hs.CHECKS, "disk", broken)
     cfg = parse_config("[campaign]\nchecks = upper_half,disk\n[solver]\nk_max = 3\n")
-    report = hs.run_campaign(flow, cfg)
+    report = hs.run_campaign(cfg)
     assert report["verdicts"] == {"upper_half": True, "disk": False}
     assert report["checks"]["disk"] == {"error": "RuntimeError: seeded defect"}
     assert report["passed"] is False
 
 
-def test_weyl_check_without_mpmath_reports_no_oracle(flow, monkeypatch):
+@pytest.mark.parametrize("scale, failing", [
+    pytest.param(0.0, {"escape"}, id="zero"),
+    pytest.param(-1.0, {"escape", "garding", "weyl"}, id="negated"),
+])
+def test_campaign_defect_matrix(monkeypatch, scale, failing):
+    # the default campaign with the escape function seeded with a defect,
+    # G = 0 or G -> -G.  Only the verdicts that must fail are asserted: the
+    # README's "defect x check" table lists the checks that still pass and
+    # the ROADMAP item meant to make each of them fail
+    escape_value = EscapeFunction.escape_value
+    monkeypatch.setattr(EscapeFunction, "escape_value",
+                        lambda self, adapted, orders=None:
+                        scale * escape_value(self, adapted, orders))
+    report = hs.run_campaign(parse_config(DEFAULT_CONFIG))
+    checks = report["checks"]
+    assert {name for name, ok in report["verdicts"].items() if not ok} >= failing
+    # each fails on its own verdict, not through the campaign's guard
+    assert not any("error" in checks[name] for name in failing)
+    if scale == 0.0:
+        # zero decay bounds leave no doubling ratio
+        assert checks["escape"]["decay_bound"] == 0.0
+        assert checks["escape"]["doubling_ratio"] is None
+    else:
+        # the sector audits fail (worst margin about -1.5e-4) while the
+        # random matrices still pass.  At k_max = 3 they pass (-4.8e-10)
+        assert checks["weyl"]["random_oracle_ok"] is True
+        assert checks["weyl"]["worst_margin"] < -1e-5
+
+
+def test_weyl_check_without_mpmath_reports_no_oracle(monkeypatch):
     # the skipped cross-check reads null, not true; the verdict rests on
     # the sector audits and the random-matrix audits
     monkeypatch.setitem(sys.modules, "mpmath", None)
     cfg = parse_config("[campaign]\nchecks = weyl\n[solver]\nk_max = 1\nj_max = 8\n")
-    ok, out = hs.CHECKS["weyl"](hs.CampaignContext(flow, cfg))
+    ok, out = hs.CHECKS["weyl"](hs.CampaignContext(cfg))
     assert out["random_oracle_ok"] is None
     assert out["sectors_audited"] > 0
     assert ok is True
