@@ -96,24 +96,22 @@ def berkowitz(re, im):
 
 def roots(poly, dps):
     """Every root of the monic Gaussian-integer ``poly``, with multiplicity,
-    as mpc values at ``dps + 10`` digits.
+    as an exact triple ``(re, im, frac)`` meaning ``(re + i im) / 2**frac``;
+    zero roots are ``(0, 0, 0)``.
 
     Raises NonConvergence when the Weierstrass finish cannot place every
-    root within ``10**-(dps + 5)`` relative of its iterate.
+    root within ``10**-(dps + 5)`` relative of its triple.
     """
-    import mpmath as mp
-
     zeros = 0
     while len(poly) > 1 and poly[-1] == (0, 0):
         poly, zeros = poly[:-1], zeros + 1
     parts = []
     if len(poly) > 1:
         parts = [poly] if _squarefree_mod_p(poly) else _squarefree_parts(poly)
-    with mp.workdps(dps + 10):
-        found = [mp.mpc(0)] * zeros
-        for part in parts:
-            w, frac = _weierstrass(part, dps)
-            found += [mp.mpc(mp.ldexp(a, -frac), mp.ldexp(b, -frac)) for a, b in w]
+    found = [(0, 0, 0)] * zeros
+    for part in parts:
+        w, frac = _weierstrass(part, dps)
+        found += [(a, b, frac) for a, b in w]
     return found
 
 

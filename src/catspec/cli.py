@@ -78,8 +78,11 @@ def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else parse_config(DEFAULT_CONFIG)
     if args.out:
         cfg.out_dir = args.out
-    if args.seed is not None and int(args.seed) != cfg.seed:
-        cfg.seed = int(args.seed)
+    seed = cfg.seed if args.seed is None else int(args.seed)
+    if seed < 0:
+        raise ConfigError("seed must be non-negative")
+    if seed != cfg.seed:
+        cfg.seed = seed
         # in the hashed text, so the output headers tell the seeds apart
         cfg.text += f"\n# seed override: {cfg.seed}\n"
     return cfg

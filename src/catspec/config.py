@@ -229,6 +229,10 @@ def parse_config(text: str) -> RunConfig:
                 "use a larger coherent_h")
     if cfg.escape_samples < 1:
         raise ConfigError("escape_samples must be at least 1")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be non-negative")
+    if cfg.ims_j_max < 0:
+        raise ConfigError("ims_j_max must be at least 0")
     return cfg
 
 

@@ -435,7 +435,7 @@ def verify_escape_estimates(escape: EscapeFunction, sample_count=10000,
     ms, gs = escape._order_and_escape(kept, sets)
     reports = []
     for p, xg, m, g in zip(sets, xgs, ms, gs):
-        decay_bound = -float(np.max(xg[outside]))
+        decay_bound = 0.0 - float(np.max(xg[outside]))      # +0.0 when G = 0
         bad = (outside & (xg >= 0.0)) | (xg > NONPOSITIVE_TOL)
         reports.append(EscapeReport(
             c_measured=decay_bound / min(abs(p.u), p.s), decay_bound=decay_bound,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from functools import cached_property
 from statistics import NormalDist
 
@@ -368,7 +369,8 @@ class WeylAudit:
 
 #: relative slack of the float64 Weyl prefix comparison, in log space
 WEYL_REL_SLACK = 1e-10
-#: working digits of the high-precision Weyl oracle
+#: digits of the Weyl oracle: roots placed to 10**-(WEYL_DPS + 5) relative,
+#: prefix products compared with relative slack 10**(-WEYL_DPS + 10)
 WEYL_DPS = 40
 
 
@@ -429,46 +431,40 @@ def _audit_in_place(a, z_e, eigenvalues) -> WeylAudit:
 
 
 def weyl_spectra(p: np.ndarray, z_e):
-    """Ascending singular values of ``p - z_e`` and distances ``|lambda - z_e|``
-    at ``WEYL_DPS + 10`` digits, from exact characteristic polynomials.
+    """Ascending squared singular values of ``p - z_e`` and squared distances
+    ``|lambda - z_e|**2``, as exact dyadic Fractions from exact characteristic
+    polynomials.
 
     ``B = 2**e (p - z_e)`` is a Gaussian-integer matrix; the distances are
     ``|roots of det(x - B)| / 2**e`` and the squared singular values the
-    roots of ``det(x - Bᴴ B) / 4**e`` (``catspec.charpoly``).  No LAPACK
-    value enters.  Raises NonConvergence instead of returning inaccurate
-    values.
+    roots of ``det(x - Bᴴ B) / 4**e`` (``catspec.charpoly``), read off their
+    real parts since those roots are real and >= 0.  No LAPACK value enters.
+    Raises NonConvergence instead of returning inaccurate values.
     """
-    import mpmath as mp
-
     re, im, e = charpoly.shifted_dyadic(p, z_e)
     eig = charpoly.roots(charpoly.berkowitz(re, im), WEYL_DPS)
     squares = charpoly.roots(charpoly.berkowitz(*charpoly.gram(re, im)), WEYL_DPS)
-    with mp.workdps(WEYL_DPS + 10):
-        dist = sorted(mp.ldexp(abs(r), -e) for r in eig)
-        svals = sorted(mp.ldexp(mp.sqrt(abs(r)), -e) for r in squares)
-    return svals, dist
+    return (sorted(Fraction(a, 1 << (f + 2 * e)) for a, _, f in squares),
+            sorted(Fraction(a * a + b * b, 1 << 2 * (f + e)) for a, b, f in eig))
 
 
-def weyl_prefix_ok(svals, dist):
-    """Whether every ascending prefix product of ``svals`` is at most that of
-    ``dist``, with relative slack ``10**(-WEYL_DPS + 10)``, at ``WEYL_DPS``
-    digits."""
-    import mpmath as mp
-
-    with mp.workdps(WEYL_DPS):
-        slack = 1 + mp.mpf(10) ** (-WEYL_DPS + 10)
-        acc_s = acc_d = mp.mpf(1)
-        for s, d in zip(svals, dist):
-            acc_s *= s
-            acc_d *= d
-            if acc_s > acc_d * slack:
-                return False
-        return True
+def weyl_prefix_ok(squares, dist2):
+    """Whether every ascending prefix product of the squared singular values
+    ``squares`` is at most that of the squared distances ``dist2`` times the
+    squared slack ``(1 + 10**(-WEYL_DPS + 10))**2``, compared exactly."""
+    slack = (1 + Fraction(1, 10 ** (WEYL_DPS - 10))) ** 2
+    acc_s = acc_d = 1
+    for s, d in zip(squares, dist2):
+        acc_s *= s
+        acc_d *= d
+        if acc_s > acc_d * slack:
+            return False
+    return True
 
 
 def weyl_oracle(p: np.ndarray, z_e):
-    """High-precision check of the prefix-product inequality on the spectra
-    of ``weyl_spectra``: the right verdict, or NonConvergence."""
+    """Exact check of the prefix-product inequality on the spectra of
+    ``weyl_spectra``: the right verdict, or NonConvergence."""
     return weyl_prefix_ok(*weyl_spectra(p, z_e))
 
 
@@ -759,9 +755,8 @@ WEYL_DIM_LIMIT = 500
 
 def _check_weyl(ctx):
     """Weyl audits of every sector of dimension <= WEYL_DIM_LIMIT, plus 20 random
-    matrices audited in float64 and cross-checked by ``weyl_oracle`` at 40
-    digits from exact characteristic polynomials; no audited sector is a
-    failure.  Without mpmath the oracle is reported as null, not as passed.
+    matrices audited in float64 and cross-checked by ``weyl_oracle`` from
+    exact characteristic polynomials; no audited sector is a failure.
 
     A sector's dimension is read off its basis before any block is built.
     The orbit sectors through k0 and -k0 are audited once
@@ -795,18 +790,13 @@ def _check_weyl(ctx):
                     len(skipped), WEYL_DIM_LIMIT, max(skipped))
     audits.sort(key=lambda a: a["sector"])
     randoms = weyl_random_matrices(cfg.seed)
-    random_ok = all(weyl_audit(m, z_e).verdict for m in randoms)
-    try:
-        oracle_ok = all(weyl_oracle(m, z_e) for m in randoms)
-    except ImportError:              # no mpmath: the cross-check did not run
-        oracle_ok = None
-    ok = (bool(audits) and all(a["ok"] for a in audits) and random_ok
-          and oracle_ok is not False)
+    float_ok = all(weyl_audit(m, z_e).verdict for m in randoms)
+    random_ok = all(weyl_oracle(m, z_e) for m in randoms) and float_ok
+    ok = bool(audits) and all(a["ok"] for a in audits) and random_ok
     return ok, {"sectors_audited": len(audits),
                 "worst_margin": min((a["worst_margin"] for a in audits),
                                     default=None),
-                "random_oracle_ok": None if oracle_ok is None
-                else random_ok and oracle_ok}
+                "random_oracle_ok": random_ok}
 
 
 def _check_ims(ctx):

@@ -21,6 +21,7 @@ all its rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg as sla
@@ -55,18 +56,23 @@ def singular_values_gram(p: np.ndarray, z_e=0.0):
 
 
 def weyl_spectra_dense(p: np.ndarray, z_e):
-    """The Weyl oracle's spectra the dense way: ascending ``mp.svd_c``
-    singular values of ``p - z_e`` and ``mp.eig`` distances to ``z_e``, at
-    ``harness.WEYL_DPS`` digits."""
+    """The Weyl oracle's spectra the dense way: ascending squares of the
+    ``mp.svd_c`` singular values of ``p - z_e`` and of the ``mp.eig``
+    distances to ``z_e``, at ``harness.WEYL_DPS`` digits, each squared
+    exactly into a Fraction as ``harness.weyl_spectra`` returns them."""
     import mpmath as mp
+
+    def square(x):
+        man, exp = mp.mpf(x).man_exp
+        return Fraction(man) ** 2 * Fraction(2) ** (2 * exp)
 
     with mp.workdps(WEYL_DPS):
         m = mp.matrix([[mp.mpc(v) for v in row] for row in np.asarray(p, complex)])
         z = mp.mpc(z_e)
         s = mp.svd_c(m - z * mp.eye(m.rows), compute_uv=False)
-        svals = sorted(mp.mpf(s[i]) for i in range(m.rows))
         evals = mp.eig(m, left=False, right=False)
-        return svals, sorted(abs(ev - z) for ev in evals)
+        return (sorted(square(s[i]) for i in range(m.rows)),
+                sorted(square(abs(ev - z)) for ev in evals))
 
 
 def weyl_oracle_dense(p: np.ndarray, z_e):

@@ -118,8 +118,6 @@ def test_criterion_6_intrinsic_spectrum(ctx):
 
 
 def test_criterion_7_weyl_inequalities(ctx):
-    import mpmath  # noqa: F401 - without it the check skips the oracle
-
     ok, out = _check(ctx, "weyl", seed=76)      # random matrices: seed + 1
     _report(7, "Weyl inequalities", ok,
             f"{out['sectors_audited']} sector matrices, worst log-margin = "

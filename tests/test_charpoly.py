@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -16,6 +15,13 @@ def _poly_from_roots(roots):
         poly = [(x - (a * u - b * v), y - (a * v + b * u))
                 for (x, y), (u, v) in zip(poly + [(0, 0)], [(0, 0)] + poly)]
     return poly
+
+
+def _dist2(root, re, im=0):
+    """Exact squared distance from the root triple ``(re, im, frac)`` of
+    ``charpoly.roots`` to the Gaussian integer ``re + i im``."""
+    a, b, frac = root
+    return (Fraction(a, 2 ** frac) - re) ** 2 + (Fraction(b, 2 ** frac) - im) ** 2
 
 
 def test_shifted_dyadic_is_exact():
@@ -66,10 +72,11 @@ def test_squarefree_certificate():
 
 
 def test_roots_read_zero_roots_off_the_coefficients():
-    found = sorted(charpoly.roots(_poly_from_roots([0, 0, 0, 2 + 1j]), 40), key=abs)
-    assert found[:3] == [0, 0, 0]
-    assert abs(found[3] - mp.mpc(2, 1)) < mp.mpf(10) ** -45
-    assert charpoly.roots(_poly_from_roots([0, 0]), 40) == [0, 0]
+    found = sorted(charpoly.roots(_poly_from_roots([0, 0, 0, 2 + 1j]), 40),
+                   key=lambda t: _dist2(t, 0))
+    assert found[:3] == [(0, 0, 0)] * 3
+    assert _dist2(found[3], 2, 1) < Fraction(1, 10 ** 90)
+    assert charpoly.roots(_poly_from_roots([0, 0]), 40) == [(0, 0, 0)] * 2
 
 
 def test_roots_split_repeated_roots_exactly():
@@ -80,7 +87,9 @@ def test_roots_split_repeated_roots_exactly():
     found = charpoly.roots(poly, 40)
     assert len(found) == 6
     for r in set(roots):
-        near = [z for z in found if abs(z - r) < mp.mpf(10) ** -44]
+        c = complex(r)
+        near = [z for z in found
+                if _dist2(z, int(c.real), int(c.imag)) < Fraction(1, 10 ** 88)]
         assert len(near) == roots.count(r)
 
 
@@ -93,7 +102,8 @@ def test_roots_of_a_tight_cluster_are_placed_within_tolerance():
     found = charpoly.roots(poly, 40)
     assert len(found) == 2
     for z in found:
-        assert abs(z / 10 ** 60 - 1) < mp.mpf(10) ** -44
+        # |z / 10^60 - 1| < 1e-44
+        assert _dist2(z, 10 ** 60) < Fraction(10 ** 120, 10 ** 88)
 
 
 def test_roots_raise_instead_of_returning_unconverged_values(monkeypatch):

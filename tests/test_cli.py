@@ -165,8 +165,11 @@ def test_cli_model_info(capsys):
     "[campaign]\nescape_samples = 0\n",
     "[solver]\nk_max = 2\nj_max = -1\n",
     "[solver]\np_max = 1\n",
+    "[campaign]\nseed = -3\n",
+    "[campaign]\nims_j_max = -1\n",
 ], ids=["unknown_key", "identity_matrix", "negative_time_change",
-        "negative_flux", "no_escape_samples", "negative_j_max", "p_max_1"])
+        "negative_flux", "no_escape_samples", "negative_j_max", "p_max_1",
+        "negative_seed", "negative_ims_j_max"])
 def test_cli_bad_config_exit_code(tmp_path, capsys, text, command):
     bad = tmp_path / "bad.ini"
     bad.write_text(text)
@@ -174,6 +177,17 @@ def test_cli_bad_config_exit_code(tmp_path, capsys, text, command):
                  command]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_cli_negative_seed_override_exit_code(tmp_path, capsys, monkeypatch):
+    # a negative --seed or CATSPEC_SEED is a config error, not numpy's frames
+    out = str(tmp_path / "o")
+    assert main(["--out", out, "--seed", "-3", "verify-escape"]) == 2
+    monkeypatch.setenv("CATSPEC_SEED", "-3")
+    assert main(["--out", out, "verify-escape"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error: seed must be non-negative") == 2
+    assert "Traceback" not in err
 
 
 def test_cli_spectrum_writes_csv(tmp_path, capsys):
@@ -321,8 +335,8 @@ import numpy as np
 
 class NoScipy(importlib.abc.MetaPathFinder):
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
-            raise ImportError(f"scipy is blocked: {name}")
+        if name.split(".")[0] in ("scipy", "mpmath"):
+            raise ImportError(f"{name} is blocked")
         return None
 
 
@@ -333,15 +347,15 @@ code = cli.main(["--config", sys.argv[1], "--out", sys.argv[2], "campaign"])
 assert code == 0, code
 top = operator.numerical_range_top(np.array([[0.0, 2.0], [0.0, 0.0]]))
 assert abs(top - 1.0) < 1e-12, top
-loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+loaded = [m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath")]
 assert not loaded, loaded
 print("no scipy")
 """
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    # eig (symmetry, intrinsic), the matching and the SVD (weyl) with any
-    # import of scipy made to fail
+    # eig (symmetry, intrinsic), the matching, the SVD and the exact oracle
+    # (weyl) with any import of scipy or mpmath made to fail
     cfgfile = tmp_path / "c.ini"
     cfgfile.write_text("[campaign]\nchecks = symmetry,intrinsic,weyl\n"
                        "[solver]\nk_max = 3\n")
@@ -355,6 +369,7 @@ def test_cli_runs_without_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "no scipy"
     report = json.loads((tmp_path / "o" / "campaign.json").read_text())
     assert report["verdicts"] == {"symmetry": True, "intrinsic": True, "weyl": True}
+    assert report["checks"]["weyl"]["random_oracle_ok"] is True
 
 
 def test_cli_counting_uses_configured_tolerances(tmp_path):
