@@ -182,12 +182,9 @@ def cmd_campaign(cfg):
 
 
 def cmd_plotdata(cfg):
-    _write(cfg, "spectrum.csv", _spectrum_csv(cfg, hs.CampaignContext(cfg).base))
-    study = hs.scaling_study(cfg.flow(), cfg.escape, cfg.truncation, cfg.E,
-                             cfg.alpha_grid, cfg.beta,
-                             residual_tol=cfg.residual_tol,
-                             cluster_radius=cfg.cluster_radius)
-    _write(cfg, "counts.csv", _counts_csv(cfg, zip(study.alphas, study.counts)))
+    ctx = hs.CampaignContext(cfg)
+    _write(cfg, "spectrum.csv", _spectrum_csv(cfg, ctx.base))
+    _write(cfg, "counts.csv", _counts_csv(cfg, hs.CHECKS["counting"](ctx)[1]["table"]))
     print(f"wrote spectrum.csv and counts.csv to {cfg.out_dir}")
     return 0
 

@@ -38,6 +38,16 @@ def smoothstep(x):
     return x * x * x * (10.0 + x * (6.0 * x - 15.0))
 
 
+def _richardson(g_at):
+    """d/dt g_at(t) at t = 0: centered differences at DERIVATIVE_STEP / 2 and
+    DERIVATIVE_STEP, in that order, combined by one Richardson step."""
+
+    def diff(h):
+        return (g_at(h) - g_at(-h)) / (2.0 * h)
+
+    return (4.0 * diff(DERIVATIVE_STEP / 2.0) - diff(DERIVATIVE_STEP)) / 3.0
+
+
 def composite_gauss_legendre(t_avg, panels, nodes_per_panel):
     """Nodes on [-t_avg, t_avg] and weights of the time average over it."""
     x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
@@ -356,12 +366,7 @@ class EscapeFunction:
         passes serve all sets.
         """
         d = np.asarray(adapted, dtype=float)
-
-        def diff(h):
-            return (self.escape_value(self.covector_flow(d, h), orders)
-                    - self.escape_value(self.covector_flow(d, -h), orders)) / (2.0 * h)
-
-        return (4.0 * diff(DERIVATIVE_STEP / 2.0) - diff(DERIVATIVE_STEP)) / 3.0
+        return _richardson(lambda t: self.escape_value(self.covector_flow(d, t), orders))
 
     # -- CotangentPoint wrappers -------------------------------------------
 
@@ -371,14 +376,8 @@ class EscapeFunction:
     def escape_derivative(self, q: CotangentPoint) -> float:
         """d/dt G(M_t q) at t = 0 by Richardson-extrapolated differences
         along the lifted flow."""
-
-        def g_at(t):
-            return self.escape(cotangent.lifted_flow(self.flow, q, t))
-
-        def diff(h):
-            return (g_at(h) - g_at(-h)) / (2.0 * h)
-
-        return float((4.0 * diff(DERIVATIVE_STEP / 2.0) - diff(DERIVATIVE_STEP)) / 3.0)
+        return float(_richardson(
+            lambda t: self.escape(cotangent.lifted_flow(self.flow, q, t))))
 
     def cone_label(self, adapted):
         """'0' / 'u' / 's' inside the respective aperture cones, else 'mix'."""

@@ -95,23 +95,13 @@ def extract_resonances(flow: MappingTorusFlow, params: OrderParams,
     cell = op.orbit_cell_block(flow, truncation)
     cell_pairs = [p for p in op.eigendecompose(cell)
                   if abs(p.value.real) <= win_orbit and p.residual <= residual_tol]
-    sectors = op.enumerate_orbits(flow.cat, truncation.k_max, truncation.p_max)
     entries += [ResonanceEntry(pair.value, sector.n_cells, pair.residual, sector.key)
-                for sector in sectors for pair in cell_pairs]
+                for sector in op.enumerate_orbits(flow.cat, truncation.k_max,
+                                                  truncation.p_max)
+                for pair in cell_pairs]
 
-    entries = _cluster(entries, cluster_radius)
-    meta = {
-        "h": h,
-        "omega": omega,
-        "window_neutral": win_neutral,
-        "window_orbit": win_orbit,
-        "truncation": truncation,
-        "escape_params": params,
-        "n_orbit_sectors": len(sectors),
-        "dropped_residual": dropped,
-        "cluster_radius": cluster_radius,
-    }
-    return ResonanceSet(entries, meta)
+    return ResonanceSet(_cluster(entries, cluster_radius),
+                        {"dropped_residual": dropped, "cluster_radius": cluster_radius})
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +324,7 @@ def intrinsic_check(res_a: ResonanceSet, res_b: ResonanceSet, floor) -> MatchRes
     vb = np.array([e.value for e in b])
     cost = np.abs(va[:, None] - vb[None, :])
     cols = min_cost_matching(cost)
-    cutoff = max(1e-6, 1e4 * max(res_a.meta.get("cluster_radius", 1e-7), 1e-7))
+    cutoff = 1e4 * max(res_a.meta.get("cluster_radius", 1e-7), 1e-7)
     pairs, unmatched, worst = [], [], 0.0
     for r, c in enumerate(cols):
         d = float(cost[r, c])
@@ -381,19 +371,6 @@ def weyl_audit(p: np.ndarray, z_e, eigenvalues=None) -> WeylAudit:
     log space (relative slack WEYL_REL_SLACK), on a copy of p.
     """
     return _audit_in_place(np.array(p, dtype=complex), z_e, eigenvalues)
-
-
-def sector_weyl_audit(block: op.SectorBlock, escape: EscapeFunction, h, z_e,
-                      eigenvalues=None) -> WeylAudit:
-    """`weyl_audit` of h P - z_e, P = W H W^{-1}, in the block's own buffer.
-
-    block.matrix is weighted, multiplied by h and shifted by z_e in place,
-    so the block is spent.
-    """
-    a = op.conjugate_by_diagonal(block.matrix, op.mode_log_weight(
-        block.sector, block.basis, escape, h))
-    a *= h
-    return _audit_in_place(a, z_e, eigenvalues)
 
 
 def _audit_in_place(a, z_e, eigenvalues) -> WeylAudit:
@@ -504,8 +481,6 @@ def disk_box_check(res: ResonanceSet, E, beta, b, h) -> DiskBoxCheck:
 
 @dataclass
 class CoherentStudy:
-    points: list
-    h_list: list
     errors: list        # per point: {h: |<P> - two-term symbol|}
     powers: list        # per point: fitted h-power of the error, or None
     undefined: bool     # h takes fewer than two values: no power is defined
@@ -655,7 +630,7 @@ def coherent_symbol_study(flow: MappingTorusFlow, params: OrderParams,
 
     logh = np.log(np.asarray(h_list, dtype=float))
     powers = [fit_slope(logh, np.log([err[float(h)] for h in h_list])) for err in errors]
-    return CoherentStudy(list(points), list(h_list), errors, powers, None in powers)
+    return CoherentStudy(errors, powers, None in powers)
 
 
 # ---------------------------------------------------------------------------
@@ -759,18 +734,20 @@ def _check_weyl(ctx):
     exact characteristic polynomials; no audited sector is a failure.
 
     A sector's dimension is read off its basis before any block is built.
-    The orbit sectors through k0 and -k0 are audited once
-    (``operator.mirror_groups``) and each keeps its own record.  This is
-    exact, not an approximation: the two generator blocks and eigenvalue
-    lists depend on the cell count alone and the two weights are equal bit
-    for bit, so the weighted matrices and their audits are identical."""
+    Each audited block is weighted, multiplied by h and shifted by z_e in
+    its own buffer, h P - z_e with P = W H W^{-1}.  The orbit sectors
+    through k0 and -k0 are audited once (``operator.mirror_groups``) and
+    counted twice.  This is exact, not an approximation: the two generator
+    blocks and eigenvalue lists depend on the cell count alone and the two
+    weights are equal bit for bit, so the weighted matrices and their
+    audits are identical."""
     cfg, flow = ctx.cfg, ctx.cfg.flow()
     z_e = complex(cfg.E, 1.0)
     cell = op.orbit_cell_block(flow, cfg.truncation)
     cell_vals = np.array([p.value for p in op.eigendecompose(cell)])
     sectors = [op.NeutralSector()] + op.enumerate_orbits(
         flow.cat, cfg.truncation.k_max, cfg.truncation.p_max)
-    audits, skipped = [], []
+    audited, worst, sectors_ok, skipped = 0, None, True, []
     for group in op.mirror_groups(sectors):
         sector = group[0]
         dim = len(op.sector_basis(sector, cfg.truncation))
@@ -781,21 +758,24 @@ def _check_weyl(ctx):
             evs = None
         else:
             evs = np.concatenate([cell_vals] * sector.n_cells) * cfg.h
-        audit = sector_weyl_audit(op.build_generator(flow, sector, cfg.truncation),
-                                  ctx.escape, cfg.h, z_e, eigenvalues=evs)
-        audits += [{"sector": s.key, "worst_margin": audit.worst_margin, "ok": audit.verdict}
-                   for s in group]
+        block = op.build_generator(flow, sector, cfg.truncation)
+        a = op.conjugate_by_diagonal(block.matrix, op.mode_log_weight(
+            sector, block.basis, ctx.escape, cfg.h))
+        a *= cfg.h
+        audit = _audit_in_place(a, z_e, evs)
+        del block, a                    # spent: free it before the next block
+        audited += len(group)
+        worst = audit.worst_margin if worst is None else min(worst, audit.worst_margin)
+        sectors_ok = sectors_ok and audit.verdict
     if skipped:
         LOG.warning("weyl: %d sectors above %d modes not audited (largest %d)",
                     len(skipped), WEYL_DIM_LIMIT, max(skipped))
-    audits.sort(key=lambda a: a["sector"])
     randoms = weyl_random_matrices(cfg.seed)
     float_ok = all(weyl_audit(m, z_e).verdict for m in randoms)
     random_ok = all(weyl_oracle(m, z_e) for m in randoms) and float_ok
-    ok = bool(audits) and all(a["ok"] for a in audits) and random_ok
-    return ok, {"sectors_audited": len(audits),
-                "worst_margin": min((a["worst_margin"] for a in audits),
-                                    default=None),
+    ok = audited > 0 and sectors_ok and random_ok
+    return ok, {"sectors_audited": audited,
+                "worst_margin": worst,
                 "random_oracle_ok": random_ok}
 
 

@@ -425,7 +425,6 @@ def orbit_expectation(flow: MappingTorusFlow, truncation: Truncation, log_weight
 @dataclass
 class EigenPair:
     value: complex
-    vector: np.ndarray
     residual: float
 
 
@@ -445,7 +444,7 @@ def eigendecompose(p: np.ndarray):
     for idx in order:
         v = vecs[:, idx]
         res = np.linalg.norm(p @ v - vals[idx] * v) / max(norm, 1e-300)
-        out.append(EigenPair(complex(vals[idx]), v, float(res)))
+        out.append(EigenPair(complex(vals[idx]), float(res)))
     return out
 
 

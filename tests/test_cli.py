@@ -167,9 +167,13 @@ def test_cli_model_info(capsys):
     "[solver]\np_max = 1\n",
     "[campaign]\nseed = -3\n",
     "[campaign]\nims_j_max = -1\n",
+    "[solver]\nk_max = 3\nedge_guard = 40\n",       # the orbit window would be empty
+    "[solver]\nk_max = 3\nedge_guard = -3\n",       # it would hold the edge artefacts
+    "[solver]\nj_buffer = -5\n",                    # not "automatic", which is 0
 ], ids=["unknown_key", "identity_matrix", "negative_time_change",
         "negative_flux", "no_escape_samples", "negative_j_max", "p_max_1",
-        "negative_seed", "negative_ims_j_max"])
+        "negative_seed", "negative_ims_j_max", "edge_guard_above_j_max",
+        "negative_edge_guard", "negative_j_buffer"])
 def test_cli_bad_config_exit_code(tmp_path, capsys, text, command):
     bad = tmp_path / "bad.ini"
     bad.write_text(text)
@@ -406,6 +410,22 @@ def test_cli_plotdata(tmp_path):
     assert (out / "spectrum.csv").exists()
 
 
+def test_cli_plotdata_matches_spectrum_and_campaign(tmp_path):
+    # plotdata writes the bytes of spectrum's spectrum.csv and of a counting
+    # campaign's counts.csv, header included
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text("[solver]\nk_max = 3\n"
+                       "[campaign]\nalpha_grid = 10,20,40\nchecks = counting\n")
+    for command in ("plotdata", "spectrum", "campaign"):
+        assert main(["--config", str(cfgfile), "--out", str(tmp_path / command),
+                     command]) == 0
+    plot = tmp_path / "plotdata"
+    assert (plot / "spectrum.csv").read_bytes() == (
+        tmp_path / "spectrum" / "spectrum.csv").read_bytes()
+    assert (plot / "counts.csv").read_bytes() == (
+        tmp_path / "campaign" / "counts.csv").read_bytes()
+
+
 def test_cli_env_overrides(tmp_path, monkeypatch):
     monkeypatch.setenv("CATSPEC_OUT", str(tmp_path / "envout"))
     assert main(["spectrum"]) == 0
@@ -474,6 +494,26 @@ def test_cli_idempotent_outputs(tmp_path):
     first = (out / "spectrum.csv").read_bytes()
     main(["--config", str(cfgfile), "--out", str(out), "spectrum"])
     assert (out / "spectrum.csv").read_bytes() == first
+
+
+def test_cli_campaign_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # two processes with different str hashes (set and dict orders) write the
+    # same campaign.json and counts.csv; an in-process re-run cannot see this
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text("[solver]\nk_max = 3\n[campaign]\ncoherent_h = 0.1,0.05\n")
+    src = str(Path(catspec.__file__).parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"hash{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        proc = subprocess.run([sys.executable, "-m", "catspec.cli", "--config", str(cfgfile),
+                               "--out", str(out), "campaign"],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        outputs.append([(out / name).read_bytes() for name in ("campaign.json", "counts.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_print_config(capsys):

@@ -387,50 +387,53 @@ def test_weyl_audit_counts_reported(flow, escape):
     assert audit.verdict
 
 
-def _sector_chain_reference(flow, escape, sector, tr, h, z_e):
-    """A fresh block and the matrix h P - z_e I formed out of place."""
-    block = op.build_generator(flow, sector, tr)
-    ref = h * op.apply_weight(block, escape, h) - complex(z_e) * np.eye(block.dim)
-    return block, ref
-
-
-@pytest.mark.parametrize("orbit", [False, True])
-def test_sector_weyl_audit_chain_is_exact(flow, escape, orbit):
-    # weighing, scaling and shifting in the block's buffer repeat the
-    # out-of-place operations bit for bit, and so does the audit
-    tr = op.Truncation(k_max=3, p_max=2, j_max=8)
-    h, z_e = 0.05, 1 + 1j
-    if orbit:
-        sector = op.enumerate_orbits(flow.cat, 3, 2)[0]
-        cell_vals = np.array([p.value for p in op.eigendecompose(op.orbit_cell_block(flow, tr))])
-        evs = np.concatenate([cell_vals] * sector.n_cells) * h
-    else:
-        sector, evs = op.NeutralSector(), None
-    block, ref = _sector_chain_reference(flow, escape, sector, tr, h, z_e)
-    hp = h * op.apply_weight(block, escape, h)
-    audit = hs.sector_weyl_audit(block, escape, h, z_e, eigenvalues=evs)
-    assert np.array_equal(block.matrix, ref)
-    assert audit == hs.weyl_audit(hp, z_e, eigenvalues=evs)
-
-
-def test_sector_weyl_audit_memory_stays_in_its_block(flow, escape):
-    # beyond its block, one orbit-sector audit holds the real weight
-    # ratios (n^2 x 8 B); LAPACK's copy is not traced
-    tr = op.Truncation(k_max=3, p_max=2)
-    sector = next(s for s in op.enumerate_orbits(flow.cat, 3, 2) if s.n_cells == 5)
-    block = op.build_generator(flow, sector, tr)
-    n = block.dim
-    assert n == 245
+def _weyl_sectors(cfg):
+    """The sectors the weyl check audits on cfg, with their eigenvalue lists
+    (None for the neutral sector, whose audit takes its own)."""
+    flow, tr = cfg.flow(), cfg.truncation
     cell_vals = np.array([p.value for p in op.eigendecompose(op.orbit_cell_block(flow, tr))])
-    evs = np.concatenate([cell_vals] * sector.n_cells) * 0.05
+    out = [(op.NeutralSector(), None)]
+    for sector in op.enumerate_orbits(flow.cat, tr.k_max, tr.p_max):
+        out.append((sector, np.concatenate([cell_vals] * sector.n_cells) * cfg.h))
+    assert all(len(op.sector_basis(s, tr)) <= hs.WEYL_DIM_LIMIT for s, _ in out)
+    return out
+
+
+def test_weyl_check_matches_the_out_of_place_audits():
+    # the check weighs, scales and shifts each block in its own buffer and
+    # audits each k0, -k0 pair once; its payload is that of weyl_audit on
+    # h P formed out of place for every sector, bit for bit
+    cfg = parse_config("[campaign]\nchecks = weyl\n[solver]\nk_max = 3\n")
+    ctx = hs.CampaignContext(cfg)
+    h, z_e = cfg.h, complex(cfg.E, 1.0)
+    audits = []
+    for sector, evs in _weyl_sectors(cfg):
+        block = op.build_generator(cfg.flow(), sector, cfg.truncation)
+        audits.append(hs.weyl_audit(h * op.apply_weight(block, ctx.escape, h), z_e,
+                                    eigenvalues=evs))
+    ok, payload = hs.CHECKS["weyl"](ctx)
+    assert ok is all(a.verdict for a in audits) is True
+    assert payload["sectors_audited"] == len(audits)
+    assert payload["worst_margin"] == min(a.worst_margin for a in audits)
+
+
+def test_weyl_check_memory_stays_in_one_block():
+    # the check holds one sector block at a time; beyond it, the audit of
+    # the largest sector (343 modes) holds the real weight ratios (n^2 x 8 B)
+    # and the escape batch of its weights.  LAPACK's copies are not traced
+    cfg = parse_config("[campaign]\nchecks = weyl\n[solver]\nk_max = 3\n")
+    n = max(len(op.sector_basis(s, cfg.truncation)) for s, _ in _weyl_sectors(cfg))
+    assert n == 343
+    ctx = hs.CampaignContext(cfg)
+    ctx.escape                          # the checks' shared escape function, untraced
     tracemalloc.start()
     try:
-        audit = hs.sector_weyl_audit(block, escape, 0.05, 1 + 1j, eigenvalues=evs)
+        ok, _ = hs.CHECKS["weyl"](ctx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert audit.verdict
-    assert peak <= 1.0 * n * n * 16
+    assert ok is True
+    assert peak <= 2.0 * n * n * 16
 
 
 def test_weyl_check_warns_about_skipped_sectors(caplog):
@@ -728,32 +731,78 @@ def test_campaign_guard_turns_a_raising_check_into_a_failure(monkeypatch):
     assert report["passed"] is False
 
 
-@pytest.mark.parametrize("scale, failing", [
-    pytest.param(0.0, {"escape"}, id="zero"),
-    pytest.param(-1.0, {"escape", "garding", "weyl"}, id="negated"),
+#: the small campaign of the defect rows not run on the default config
+DEFECT_CONFIG = "[solver]\nk_max = 3\n[campaign]\ncoherent_h = 0.1,0.05\n"
+
+
+def _seeded_defect(monkeypatch, defect):
+    """The config of one defect-matrix row, with its defect patched in."""
+    if defect in ("zero", "negated"):
+        scale = 0.0 if defect == "zero" else -1.0
+        escape_value = EscapeFunction.escape_value
+        monkeypatch.setattr(EscapeFunction, "escape_value",
+                            lambda self, adapted, orders=None:
+                            scale * escape_value(self, adapted, orders))
+        return parse_config(DEFAULT_CONFIG)
+    cfg = parse_config(DEFECT_CONFIG)
+    if defect == "period":
+        # every reader of flow.period; theta and the time change's own
+        # rectified map keep the true T
+        cfg.flow().period *= 1.01
+    elif defect == "cell_shift":
+        cell_block = op.orbit_cell_block
+
+        def shifted(flow, truncation):
+            block = cell_block(flow, truncation)
+            block[truncation.j_max, truncation.j_max] += 0.5 / cfg.h     # the j = 0 entry
+            return block
+
+        monkeypatch.setattr(op, "orbit_cell_block", shifted)
+    else:
+        # W H W instead of W H W^-1 wherever a matrix is weighted; the
+        # coherent study's orbit sectors go through the matrix-free
+        # orbit_expectation, which this patch does not reach
+        def non_similar(matrix, log_weight):
+            logw = np.asarray(log_weight, dtype=float)
+            matrix *= np.exp(np.add.outer(logw, logw))
+            return matrix
+
+        monkeypatch.setattr(op, "conjugate_by_diagonal", non_similar)
+    return cfg
+
+
+@pytest.mark.parametrize("defect, failing, raising", [
+    pytest.param("zero", {"escape"}, {}, id="zero"),
+    pytest.param("negated", {"escape", "garding", "weyl"}, {}, id="negated"),
+    pytest.param("period", set(), {}, id="period"),
+    pytest.param("cell_shift", {"symmetry"}, {"intrinsic": "MultiplicityMismatch"},
+                 id="cell_shift"),
+    pytest.param("non_similar", {"weyl"}, {}, id="non_similar"),
 ])
-def test_campaign_defect_matrix(monkeypatch, scale, failing):
-    # the default campaign with the escape function seeded with a defect,
-    # G = 0 or G -> -G.  Only the verdicts that must fail are asserted: the
-    # README's "defect x check" table lists the checks that still pass and
-    # the ROADMAP item meant to make each of them fail
-    escape_value = EscapeFunction.escape_value
-    monkeypatch.setattr(EscapeFunction, "escape_value",
-                        lambda self, adapted, orders=None:
-                        scale * escape_value(self, adapted, orders))
-    report = hs.run_campaign(parse_config(DEFAULT_CONFIG))
+def test_campaign_defect_matrix(monkeypatch, defect, failing, raising):
+    # a campaign with a seeded defect: G = 0 and G -> -G on the default
+    # config; T x 1.01, one cell-block diagonal entry + 0.5/h and a weight
+    # that is not a similarity on DEFECT_CONFIG.  Only the verdicts that
+    # must fail are asserted: the README's "defect x check" table lists the
+    # checks that still pass and the ROADMAP item meant to make each fail
+    report = hs.run_campaign(_seeded_defect(monkeypatch, defect))
     checks = report["checks"]
-    assert {name for name, ok in report["verdicts"].items() if not ok} >= failing
-    # each fails on its own verdict, not through the campaign's guard
-    assert not any("error" in checks[name] for name in failing)
-    if scale == 0.0:
+    assert {name for name, ok in report["verdicts"].items() if not ok} >= failing | set(raising)
+    # every check ends on its own verdict, not through the campaign's
+    # guard, but for the intrinsic check's multiplicity mismatch, which it
+    # raises
+    assert {name for name, payload in checks.items() if "error" in payload} == set(raising)
+    for name, error in raising.items():
+        assert checks[name]["error"].startswith(f"{error}: ")
+    if defect == "zero":
         # zero decay bounds, positive zeros, leave no doubling ratio
         for key in ("decay_bound", "c_measured"):
             assert checks["escape"][key] == 0.0
             assert math.copysign(1.0, checks["escape"][key]) == 1.0
         assert checks["escape"]["doubling_ratio"] is None
-    else:
-        # the sector audits fail (worst margin about -1.5e-4) while the
-        # random matrices still pass.  At k_max = 3 they pass (-4.8e-10)
+    elif defect in ("negated", "non_similar"):
+        # the sector audits fail (worst margin about -1.5e-4 under -G, -1.4e3
+        # under W H W) while the random matrices still pass.  Under -G at
+        # k_max = 3 they pass (-4.8e-10)
         assert checks["weyl"]["random_oracle_ok"] is True
         assert checks["weyl"]["worst_margin"] < -1e-5
