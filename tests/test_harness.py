@@ -399,6 +399,29 @@ def _weyl_sectors(cfg):
     return out
 
 
+@pytest.mark.parametrize("orbit", [False, True])
+def test_sector_weyl_audit_chain_is_exact(flow, escape, orbit):
+    # the weyl check's chain on one block -- weigh, scale and shift in the
+    # block's buffer, then audit -- repeats the out-of-place operations
+    # h P - z_e I and weyl_audit(h P) bit for bit
+    tr = op.Truncation(k_max=3, p_max=2, j_max=8)
+    h, z_e = 0.05, 1 + 1j
+    if orbit:
+        sector = op.enumerate_orbits(flow.cat, 3, 2)[0]
+        cell_vals = np.array([p.value for p in op.eigendecompose(op.orbit_cell_block(flow, tr))])
+        evs = np.concatenate([cell_vals] * sector.n_cells) * h
+    else:
+        sector, evs = op.NeutralSector(), None
+    hp = h * op.apply_weight(op.build_generator(flow, sector, tr), escape, h)
+    ref = hp - z_e * np.eye(hp.shape[0])
+    block = op.build_generator(flow, sector, tr)
+    a = op.conjugate_by_diagonal(block.matrix, op.mode_log_weight(sector, block.basis, escape, h))
+    a *= h
+    audit = hs._audit_in_place(a, z_e, evs)
+    assert np.array_equal(a, ref)
+    assert audit == hs.weyl_audit(hp, z_e, eigenvalues=evs)
+
+
 def test_weyl_check_matches_the_out_of_place_audits():
     # the check weighs, scales and shifts each block in its own buffer and
     # audits each k0, -k0 pair once; its payload is that of weyl_audit on
