@@ -1,11 +1,11 @@
 """Command-line entry point.
 
-Subcommands: model-info, verify-escape, spectrum, campaign, plotdata.
-Flags --config/--out/--seed go before or after the subcommand and can
-also be set through the environment as CATSPEC_CONFIG, CATSPEC_OUT,
-CATSPEC_SEED.  --threads accepts only 1: the campaign runs on one thread,
-and the flag is kept so that existing command lines that pass --threads 1
-still parse.
+The commands are the keys of COMMANDS.  Flags --config/--out/--seed go
+before or after the command, a flag given twice keeps its later value, and
+they can also be set through the environment as CATSPEC_CONFIG,
+CATSPEC_OUT, CATSPEC_SEED.  --threads accepts only 1: the campaign runs on
+one thread, and the flag is kept so that existing command lines that pass
+--threads 1 still parse.
 Exit status: 0 all enabled checks pass, 1 check failures or a command that
 raised, 2 config errors.
 """
@@ -25,7 +25,7 @@ import numpy as np
 from . import harness as hs
 from .config import DEFAULT_CONFIG, RunConfig, load_config, parse_config
 from .errors import CatspecError, ConfigError
-from .escape import EscapeFunction, verify_escape_estimates
+from .escape import verify_escape_estimates
 
 
 class _StderrLog(logging.Handler):
@@ -40,38 +40,6 @@ class _StderrLog(logging.Handler):
             text += "\n" + "".join(traceback.format_tb(tb)
                                    + traceback.format_exception_only(exc)).rstrip()
         print(text, file=sys.stderr)
-
-
-def _common_flags(p, config, out, threads, seed):
-    p.add_argument("--config", default=config,
-                   help="path to INI config (defaults to built-in config)")
-    p.add_argument("--out", default=out,
-                   help="output directory (overrides config)")
-    p.add_argument("--threads", type=int, choices=(1,), default=threads,
-                   help="only 1: the campaign runs on one thread")
-    p.add_argument("--seed", type=int, default=seed)
-
-
-def _parser():
-    """The common flags go before or after the subcommand.  The subcommands
-    share a parent parser whose defaults are suppressed, so a flag given
-    after the subcommand wins and one not given there keeps the top-level
-    value (environment or default)."""
-    p = argparse.ArgumentParser(prog="catspec")
-    _common_flags(p, os.environ.get("CATSPEC_CONFIG"), os.environ.get("CATSPEC_OUT"),
-                  1, os.environ.get("CATSPEC_SEED"))
-    common = argparse.ArgumentParser(add_help=False)
-    _common_flags(common, *[argparse.SUPPRESS] * 4)
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, text in (
-            ("model-info", "print eigen-data, return time, hyperbolicity fit"),
-            ("verify-escape", "run the escape estimate suite, write CSV"),
-            ("spectrum", "compute the resonance spectrum, write CSV"),
-            ("campaign", "run all enabled theorem checks, write JSON"),
-            ("plotdata", "write plot-ready spectrum and box-count CSV"),
-            ("print-config", "print the default config file")):
-        sub.add_parser(name, help=text, parents=[common])
-    return p
 
 
 def _load(args) -> RunConfig:
@@ -126,9 +94,8 @@ def cmd_model_info(cfg):
 
 
 def cmd_verify_escape(cfg):
-    escape = EscapeFunction(cfg.flow(), cfg.escape)
-    rep = verify_escape_estimates(escape, sample_count=cfg.escape_samples,
-                                  seed=cfg.seed)
+    rep = verify_escape_estimates(hs.CampaignContext(cfg).escape,
+                                  sample_count=cfg.escape_samples, seed=cfg.seed)
     path = _write(cfg, "escape.csv", _header(cfg) + rep.to_csv())
     print(f"escape estimates: c={rep.c_measured:.6g} decay bound="
           f"{rep.decay_bound:.6g} max X(G)={rep.max_everywhere:.3e} "
@@ -181,12 +148,34 @@ def cmd_campaign(cfg):
     return 0
 
 
-def cmd_plotdata(cfg):
-    ctx = hs.CampaignContext(cfg)
-    _write(cfg, "spectrum.csv", _spectrum_csv(cfg, ctx.base))
-    _write(cfg, "counts.csv", _counts_csv(cfg, hs.CHECKS["counting"](ctx)[1]["table"]))
-    print(f"wrote spectrum.csv and counts.csv to {cfg.out_dir}")
-    return 0
+# The commands: name -> (help, command(cfg) -> exit status).  A command of
+# None needs no config: it prints the default one.
+COMMANDS = {
+    "model-info": ("print eigen-data, return time, hyperbolicity fit", cmd_model_info),
+    "verify-escape": ("run the escape estimate suite, write CSV", cmd_verify_escape),
+    "spectrum": ("compute the resonance spectrum, write CSV", cmd_spectrum),
+    "campaign": ("run all enabled theorem checks, write JSON", cmd_campaign),
+    "print-config": ("print the default config file", None),
+}
+
+
+def _parser():
+    """One parser: the command is a positional, so the flags go before or
+    after it, and a flag given twice keeps its later value."""
+    p = argparse.ArgumentParser(
+        prog="catspec", formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="commands:\n" + "\n".join(f"  {name:<15}{text}"
+                                          for name, (text, _) in COMMANDS.items()))
+    p.add_argument("command", choices=COMMANDS, metavar="command",
+                   help="one of the commands below")
+    p.add_argument("--config", default=os.environ.get("CATSPEC_CONFIG"),
+                   help="path to INI config (defaults to built-in config)")
+    p.add_argument("--out", default=os.environ.get("CATSPEC_OUT"),
+                   help="output directory (overrides config)")
+    p.add_argument("--threads", type=int, choices=(1,), default=1,
+                   help="only 1: the campaign runs on one thread")
+    p.add_argument("--seed", type=int, default=os.environ.get("CATSPEC_SEED"))
+    return p
 
 
 def main(argv=None):
@@ -194,7 +183,8 @@ def main(argv=None):
     log = logging.getLogger("catspec")
     if not log.handlers:
         log.addHandler(_StderrLog())
-    if args.command == "print-config":
+    command = COMMANDS[args.command][1]
+    if command is None:
         print(DEFAULT_CONFIG, end="")
         return 0
     try:
@@ -203,23 +193,13 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.command == "model-info":
-            return cmd_model_info(cfg)
-        if args.command == "verify-escape":
-            return cmd_verify_escape(cfg)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
-        if args.command == "campaign":
-            return cmd_campaign(cfg)
-        if args.command == "plotdata":
-            return cmd_plotdata(cfg)
+        return command(cfg)
     except CatspecError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except Exception:  # noqa: BLE001 - any parsed config ends in 0, 1 or 2
         log.exception("%s raised", args.command)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

@@ -578,18 +578,17 @@ def partition_ims_check(block: SectorBlock, escape: EscapeFunction, z,
     return out
 
 
-def garding_upper_check(hp: np.ndarray, trials=200, seed=0, shift=0.0):
-    """Max over random vectors of Im <u, (h P - i shift) u> / ||u||^2.
+def garding_upper_check(hp: np.ndarray, trials=200, seed=0):
+    """Max over random vectors of Im <u, h P u> / ||u||^2.
 
     hp is the h-rescaled weighted block h P.
     """
     rng = np.random.default_rng(seed)
     n = hp.shape[0]
-    p = hp - 1j * shift * np.eye(n)
     top = -np.inf
     for _ in range(trials):
         u = rng.normal(size=n) + 1j * rng.normal(size=n)
-        top = max(top, float(np.vdot(u, p @ u).imag / np.vdot(u, u).real))
+        top = max(top, float(np.vdot(u, hp @ u).imag / np.vdot(u, u).real))
     return top
 
 

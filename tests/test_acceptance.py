@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 from catspec import harness as hs
 from catspec.config import DEFAULT_CONFIG, parse_config
-from catspec.escape import OrderParams
+from catspec.escape import EscapeFunction, OrderParams
 from oracles import neutral_resonances
 
 
@@ -65,13 +65,15 @@ def test_criterion_1_escape_estimates(ctx):
             f"doubling={out['doubling_ratio']:.3f}, {elapsed:.1f}s")
 
 
-def test_criterion_2_constant_roof_oracle(flow_const, trunc):
+def test_criterion_2_constant_roof_oracle(cfg, flow_const, trunc):
     t0 = time.time()
     targets = np.sort(2 * np.pi * np.arange(-trunc.j_max, trunc.j_max + 1))
     worst = -1.0
     for params in (OrderParams(), OrderParams(u=-6.0, s=12.0, t_avg=10.0,
                                               aperture=0.08)):
-        res = neutral_resonances(hs.extract_resonances(flow_const, params, trunc, h=0.05))
+        res = neutral_resonances(hs.extract_resonances(
+            EscapeFunction(flow_const, params), trunc, 0.05, cfg.residual_tol,
+            cfg.cluster_radius))
         vals = np.sort_complex(res.values())
         if vals.size != targets.size:
             _report(2, "constant-roof spectrum", False,
@@ -83,9 +85,10 @@ def test_criterion_2_constant_roof_oracle(flow_const, trunc):
             f"max |lambda - 2 pi j| = {worst:.2e}, {elapsed:.1f}s")
 
 
-def test_criterion_3_time_changed_oracle(flow, trunc):
+def test_criterion_3_time_changed_oracle(cfg, flow, escape, trunc):
     tbar = quad(lambda t: 1.0 / flow.time_change(t), 0.0, 1.0, epsabs=1e-13)[0]
-    res = neutral_resonances(hs.extract_resonances(flow, OrderParams(), trunc, h=0.05))
+    res = neutral_resonances(hs.extract_resonances(escape, trunc, 0.05, cfg.residual_tol,
+                                                   cfg.cluster_radius))
     vals = res.values()
     targets = 2 * np.pi * np.arange(-trunc.j_max, trunc.j_max + 1) / tbar
     worst = 0.0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import catspec
+from catspec import harness as hs
 from catspec.cli import main
 from catspec.config import DEFAULT_CONFIG, parse_config
 from catspec.errors import ConfigError
@@ -99,7 +100,6 @@ def test_cli_too_fine_coherent_h_is_a_config_error(tmp_path, value):
 
 
 def test_coherent_h_ceiling_is_on_the_cutoff():
-    from catspec import harness as hs
     points = hs.default_symbol_points(parse_config(DEFAULT_CONFIG).flow())
     assert hs.coherent_k_max(points, 0.0125) == 35
     assert hs.coherent_k_max(points, 0.0037) <= hs.COHERENT_K_CEILING
@@ -302,13 +302,9 @@ def test_cli_fit_from_one_abscissa_fails_as_undefined(tmp_path, capsys, text, ch
 
 
 @pytest.mark.parametrize("command,text,message", [
-    ("plotdata", "[campaign]\ne = 0\nalpha_grid = 10\n[solver]\nk_max = 3\n",
-     "ValueError: E = 0 is excluded"),
     ("spectrum", "[campaign]\nh = 1e300\n[solver]\nk_max = 3\n",
      "WeightOverflow: escape weight at h = 1e+300 overflows"),
-    ("plotdata", "[campaign]\nh = 1e300\n[solver]\nk_max = 3\n",
-     "WeightOverflow: escape weight at h = 1e+300 overflows"),
-], ids=["plotdata_e0", "spectrum_huge_h", "plotdata_huge_h"])
+], ids=["spectrum_huge_h"])
 def test_cli_subcommand_failure_exits_1_without_traceback(tmp_path, capsys, command,
                                                           text, message):
     cfgfile = tmp_path / "c.ini"
@@ -320,14 +316,17 @@ def test_cli_subcommand_failure_exits_1_without_traceback(tmp_path, capsys, comm
     assert "Traceback" not in captured.out + captured.err
 
 
-def test_cli_subcommand_exception_is_logged_with_its_frames(tmp_path, capsys):
-    cfgfile = tmp_path / "c.ini"
-    cfgfile.write_text("[campaign]\ne = 0\nalpha_grid = 10\n[solver]\nk_max = 3\n")
-    assert main(["--config", str(cfgfile), "--out", str(tmp_path / "o"),
-                 "plotdata"]) == 1
-    err = capsys.readouterr().err
-    assert "plotdata raised" in err
-    assert "in scaling_study" in err and "in __post_init__" in err
+def test_cli_subcommand_exception_is_logged_with_its_frames(tmp_path, capsys, monkeypatch):
+    # an exception that is not a CatspecError: exit 1, its frames on stderr
+    def broken(*args):
+        raise ValueError("broken extraction")
+
+    monkeypatch.setattr(hs, "extract_resonances", broken)
+    assert main(["--out", str(tmp_path / "o"), "spectrum"]) == 1
+    captured = capsys.readouterr()
+    assert "spectrum raised" in captured.err
+    assert "in broken" in captured.err and "ValueError: broken extraction" in captured.err
+    assert "Traceback" not in captured.out + captured.err
 
 
 _NO_SCIPY = """
@@ -383,47 +382,19 @@ def test_cli_counting_uses_configured_tolerances(tmp_path):
     cfgfile.write_text("[solver]\nresidual_tol = 1e-18\n"
                        "[campaign]\nchecks = counting\n")
     codes = {}
-    for command in ("campaign", "plotdata"):
-        out = tmp_path / command
-        codes[command] = main(["--config", str(cfgfile), "--out", str(out), command])
-        rows = (out / "counts.csv").read_text().splitlines()[2:]
-        assert [int(r.split(",")[1]) for r in rows] == [0, 0, 0, 0, 0]
+    for command in ("campaign", "spectrum"):
+        codes[command] = main(["--config", str(cfgfile), "--out", str(tmp_path / command),
+                               command])
+    rows = (tmp_path / "campaign" / "counts.csv").read_text().splitlines()[2:]
+    assert [int(r.split(",")[1]) for r in rows] == [0, 0, 0, 0, 0]
     # with every count zero there is no exponent to bound: counting fails
-    assert codes == {"campaign": 1, "plotdata": 0}
+    assert codes == {"campaign": 1, "spectrum": 0}
     report = json.loads((tmp_path / "campaign" / "campaign.json").read_text())
     assert report["verdicts"] == {"counting": False}
     assert report["checks"]["counting"]["undefined"] is True
     assert report["checks"]["counting"]["exponent"] is None
-    spectrum = (tmp_path / "plotdata" / "spectrum.csv").read_text().splitlines()
+    spectrum = (tmp_path / "spectrum" / "spectrum.csv").read_text().splitlines()
     assert [r for r in spectrum if r.startswith("neutral,")] == ["neutral,0,0,0,1"]
-
-
-def test_cli_plotdata(tmp_path):
-    cfgfile = tmp_path / "c.ini"
-    cfgfile.write_text("[solver]\nk_max = 3\n"
-                       "[campaign]\nalpha_grid = 10,20,40\n")
-    out = tmp_path / "plots"
-    assert main(["--config", str(cfgfile), "--out", str(out), "plotdata"]) == 0
-    counts = (out / "counts.csv").read_text().splitlines()
-    assert counts[1] == "alpha,count"
-    assert len(counts) == 5
-    assert (out / "spectrum.csv").exists()
-
-
-def test_cli_plotdata_matches_spectrum_and_campaign(tmp_path):
-    # plotdata writes the bytes of spectrum's spectrum.csv and of a counting
-    # campaign's counts.csv, header included
-    cfgfile = tmp_path / "c.ini"
-    cfgfile.write_text("[solver]\nk_max = 3\n"
-                       "[campaign]\nalpha_grid = 10,20,40\nchecks = counting\n")
-    for command in ("plotdata", "spectrum", "campaign"):
-        assert main(["--config", str(cfgfile), "--out", str(tmp_path / command),
-                     command]) == 0
-    plot = tmp_path / "plotdata"
-    assert (plot / "spectrum.csv").read_bytes() == (
-        tmp_path / "spectrum" / "spectrum.csv").read_bytes()
-    assert (plot / "counts.csv").read_bytes() == (
-        tmp_path / "campaign" / "counts.csv").read_bytes()
 
 
 def test_cli_env_overrides(tmp_path, monkeypatch):
@@ -466,13 +437,26 @@ def test_cli_common_flags_before_or_after_the_subcommand(tmp_path):
             "after": ["campaign", "--config", str(cfgfile), "--out",
                       str(tmp_path / "after"), "--seed", "3", "--threads", "1"],
             "mixed": ["--config", str(cfgfile), "--seed", "3", "campaign",
-                      "--out", str(tmp_path / "mixed")]}
+                      "--out", str(tmp_path / "mixed")],
+            # given before and after the command, the later value wins
+            "twice": ["--config", str(cfgfile), "--out", str(tmp_path / "A"),
+                      "--seed", "9", "campaign", "--out", str(tmp_path / "twice"),
+                      "--seed", "3"]}
     for argv in runs.values():
         assert main(argv) == 0
     first = (tmp_path / "before" / "campaign.json").read_bytes()
     assert json.loads(first)["config_echo"]["seed"] == 3
-    for name in ("after", "mixed"):
+    for name in ("after", "mixed", "twice"):
         assert (tmp_path / name / "campaign.json").read_bytes() == first
+    assert not (tmp_path / "A").exists()
+
+
+def test_cli_plotdata_is_not_a_command(capsys):
+    # spectrum writes its spectrum.csv, a checks = counting campaign its counts.csv
+    with pytest.raises(SystemExit) as exc:
+        main(["plotdata"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'plotdata'" in capsys.readouterr().err
 
 
 def test_cli_threads_accepts_only_one(capsys):

@@ -17,14 +17,24 @@ from oracles import (coherent_study_per_sector, lattice_counts_meshgrid, neutral
                      spectral_projector_rank, weyl_oracle_dense, weyl_spectra_dense)
 
 
+_DEFAULT = parse_config(DEFAULT_CONFIG)
+#: the default config's residual_tol and cluster_radius
+TOLS = (_DEFAULT.residual_tol, _DEFAULT.cluster_radius)
+
+
 @pytest.fixture(scope="module")
 def trunc():
     return op.Truncation(k_max=4, p_max=2, j_max=16)
 
 
 @pytest.fixture(scope="module")
-def base_res(flow, trunc):
-    return hs.extract_resonances(flow, OrderParams(), trunc, h=0.05)
+def escape_const(flow_const):
+    return EscapeFunction(flow_const, OrderParams())
+
+
+@pytest.fixture(scope="module")
+def base_res(escape, trunc):
+    return hs.extract_resonances(escape, trunc, 0.05, *TOLS)
 
 
 def synthetic(values, mults=None, sector="synthetic"):
@@ -72,27 +82,26 @@ def test_counting_monotone_in_beta_and_width():
     assert c1 <= c2 <= c3
 
 
-def test_scaling_study_constant_roof_matches_lattice(flow_const, trunc):
+def test_scaling_study_constant_roof_matches_lattice(escape_const, trunc):
     grid = [10, 20, 40, 80, 160]
-    study = hs.scaling_study(flow_const, OrderParams(), trunc, 1.0, grid, 1.0)
+    study = hs.scaling_study(escape_const, trunc, 1.0, grid, 1.0, *TOLS)
     oracle = [sum(1 for j in range(-300, 301)
                   if abs(2 * np.pi * j - a) <= np.sqrt(a)) for a in grid]
     assert study.counts == oracle
     assert 0.2 <= study.exponent <= 0.7
 
 
-def test_scaling_study_zero_counts_flagged(flow_const, trunc):
-    study = hs.scaling_study(flow_const, OrderParams(), trunc, 1.0,
-                             [10, 20, 40], beta=-0.5)
+def test_scaling_study_zero_counts_flagged(escape_const, trunc):
+    study = hs.scaling_study(escape_const, trunc, 1.0, [10, 20, 40], -0.5, *TOLS)
     # a floor above the real axis removes every count
     assert study.undefined and study.exponent is None
 
 
-def test_fits_from_one_abscissa_are_undefined(flow_const, trunc, recwarn):
+def test_fits_from_one_abscissa_are_undefined(escape_const, trunc, recwarn):
     # a slope needs two distinct abscissae; no RankWarning, no number
     assert hs.fit_slope([1.0, 1.0, 1.0], [0.0, 1.0, 2.0]) is None
     assert hs.fit_slope([1.0, 2.0], [0.0, 1.0]) == pytest.approx(1.0)
-    study = hs.scaling_study(flow_const, OrderParams(), trunc, 1.0, [10], beta=1.0)
+    study = hs.scaling_study(escape_const, trunc, 1.0, [10], 1.0, *TOLS)
     assert study.counts[0] > 0 and study.undefined and study.exponent is None
     control = hs.synthetic_lattice_counts(1.0, [20, 20])
     assert control.undefined and control.exponent is None
@@ -183,10 +192,11 @@ def test_intrinsic_check_same_set(base_res):
     assert out.max_distance == 0.0 and not out.unmatched
 
 
-def test_intrinsic_check_constant_roof_exact(flow_const, trunc):
-    a = neutral_resonances(hs.extract_resonances(flow_const, OrderParams(), trunc, h=0.05))
-    b = neutral_resonances(hs.extract_resonances(
-        flow_const, OrderParams(u=-6.0, s=12.0, t_avg=10.0, aperture=0.08), trunc, h=0.05))
+def test_intrinsic_check_constant_roof_exact(flow_const, escape_const, trunc):
+    a = neutral_resonances(hs.extract_resonances(escape_const, trunc, 0.05, *TOLS))
+    b = neutral_resonances(hs.extract_resonances(EscapeFunction(
+        flow_const, OrderParams(u=-6.0, s=12.0, t_avg=10.0, aperture=0.08)), trunc, 0.05,
+        *TOLS))
     out = hs.intrinsic_check(a, b, floor=-1.0)
     assert out.max_distance < 1e-10
     targets = sorted(2 * np.pi * j for j in range(-trunc.j_max, trunc.j_max + 1))
@@ -197,9 +207,10 @@ def test_intrinsic_check_constant_roof_exact(flow_const, trunc):
 def intrinsic_trend(flow, params_a, params_b, truncations, floor, h=0.05):
     """Cross-parameter matching distance at increasing truncation levels."""
     out = []
+    escape_a, escape_b = EscapeFunction(flow, params_a), EscapeFunction(flow, params_b)
     for tr in truncations:
-        a = hs.extract_resonances(flow, params_a, tr, h=h)
-        b = hs.extract_resonances(flow, params_b, tr, h=h)
+        a = hs.extract_resonances(escape_a, tr, h, *TOLS)
+        b = hs.extract_resonances(escape_b, tr, h, *TOLS)
         out.append(hs.intrinsic_check(a, b, floor).max_distance)
     return out
 
@@ -235,10 +246,10 @@ def test_extracted_spectrum_only_in_window(flow, trunc, base_res):
     assert base_res.meta["dropped_residual"] == 0
 
 
-def test_extraction_orbit_multiplicity(flow, trunc):
+def test_extraction_orbit_multiplicity(flow, escape, trunc):
     # multiplicity of each orbit entry equals the summed cell counts, and
     # the quadrature projector confirms the per-sector algebraic count
-    res = hs.extract_resonances(flow, OrderParams(), trunc, h=0.05)
+    res = hs.extract_resonances(escape, trunc, 0.05, *TOLS)
     cells = {s.key: s.n_cells
              for s in op.enumerate_orbits(flow.cat, trunc.k_max, trunc.p_max)}
     total_cells = sum(cells.values())
@@ -263,11 +274,10 @@ def test_clustering_merges_close_values():
     assert out[0].multiplicity == 3
 
 
-def test_unresolved_window_raised(flow):
+def test_unresolved_window_raised(escape):
     tr = op.Truncation(k_max=2, p_max=2, j_max=4)
     with pytest.raises(UnresolvedWindow):
-        hs.scaling_study(flow, OrderParams(), tr, 1.0, [1000.0], 1.0,
-                         window_margin=-200)
+        hs.scaling_study(escape, tr, 1.0, [1000.0], 1.0, *TOLS, window_margin=-200)
 
 
 # ---------------------------------------------------------------------------
@@ -603,12 +613,12 @@ def test_disk_box_check_cases():
 # coherent-state symbol study
 # ---------------------------------------------------------------------------
 
-def test_coherent_study_unresolved_at_small_j_max(flow):
+def test_coherent_study_unresolved_at_small_j_max(flow, escape):
     points = hs.default_symbol_points(flow)
     # point 8 keeps 97.9% of its mass at j_max = 2, below the 98% floor
     with pytest.raises(UnresolvedState, match="point 8"):
-        hs.coherent_symbol_study(flow, OrderParams(), points, [0.14], j_max=2)
-    study = hs.coherent_symbol_study(flow, OrderParams(), points, [0.14, 0.1], j_max=3)
+        hs.coherent_symbol_study(escape, points, [0.14], j_max=2)
+    study = hs.coherent_symbol_study(escape, points, [0.14, 0.1], j_max=3)
     assert len(study.powers) == len(points)
 
 
@@ -621,20 +631,20 @@ def test_coherent_j_max_grows_below_the_default_h(flow):
     assert hs.coherent_j_max(flow, points, 0.005) == 16
 
 
-def test_coherent_study_resolves_a_fine_h(flow):
+def test_coherent_study_resolves_a_fine_h(flow, escape):
     # at j_max = 12 point 8 keeps only 97.3% of its mass at h = 0.005
     points = hs.default_symbol_points(flow)
-    study = hs.coherent_symbol_study(flow, OrderParams(), points, [0.005])
+    study = hs.coherent_symbol_study(escape, points, [0.005])
     assert all(np.isfinite(e[0.005]) for e in study.errors)
 
 
-def test_coherent_study_from_one_h_is_undefined(flow, recwarn):
+def test_coherent_study_from_one_h_is_undefined(flow, escape, recwarn):
     points = hs.default_symbol_points(flow)
-    study = hs.coherent_symbol_study(flow, OrderParams(), points, [0.14, 0.14], j_max=3)
+    study = hs.coherent_symbol_study(escape, points, [0.14, 0.14], j_max=3)
     assert study.undefined and study.powers == [None] * len(points)
     assert all(len(e) == 1 for e in study.errors)
     assert not recwarn.list
-    study = hs.coherent_symbol_study(flow, OrderParams(), points, [0.14, 0.1], j_max=3)
+    study = hs.coherent_symbol_study(escape, points, [0.14, 0.1], j_max=3)
     assert not study.undefined and None not in study.powers
 
 
@@ -646,16 +656,16 @@ def test_coherent_study_weight_overflow_on_orbit_sectors(flow, escape):
     neutral = op.build_generator(flow, op.NeutralSector(), op.Truncation(k_max=3, j_max=12))
     assert np.all(op.mode_log_weight(neutral.sector, neutral.basis, escape, h) == 0.0)
     with pytest.raises(WeightOverflow):
-        hs.coherent_symbol_study(flow, OrderParams(), points, [h])
+        hs.coherent_symbol_study(escape, points, [h])
 
 
-def test_coherent_study_overflow_names_an_orbit_sector(flow):
+def test_coherent_study_overflow_names_an_orbit_sector(flow, escape):
     # at h = 1e300 the neutral weight overflows too; the batched pass
     # weighs the orbit sectors first and names the first that overflows
     points = hs.default_symbol_points(flow)[:1]
     with pytest.raises(WeightOverflow, match=r"at h = 1e\+300 overflows on sector "
                        r"orbit-?\d+,-?\d+ \(\d+ modes, \|j\| <= 12\)") as info:
-        hs.coherent_symbol_study(flow, OrderParams(), points, [1e300])
+        hs.coherent_symbol_study(escape, points, [1e300])
     assert "neutral" not in str(info.value)
 
 
@@ -669,13 +679,13 @@ def test_coherent_study_matches_the_per_sector_loop(flow, params):
     # order moves point 8's error at h = 0.1 in the last bit
     points = hs.default_symbol_points(flow)
     h_list = [0.14, 0.1]
-    study = hs.coherent_symbol_study(flow, params, points, h_list)
+    study = hs.coherent_symbol_study(EscapeFunction(flow, params), points, h_list)
     errors, powers = coherent_study_per_sector(flow, params, points, h_list)
     assert study.errors == errors
     assert study.powers == powers
 
 
-def test_coherent_study_weighs_each_h_in_runs(flow, monkeypatch):
+def test_coherent_study_weighs_each_h_in_runs(flow, escape, monkeypatch):
     calls = []
     escape_value = EscapeFunction.escape_value
 
@@ -696,7 +706,7 @@ def test_coherent_study_weighs_each_h_in_runs(flow, monkeypatch):
     for h in (0.14, 0.1):
         calls.clear()
         modes.clear()
-        hs.coherent_symbol_study(flow, OrderParams(), points, [h])
+        hs.coherent_symbol_study(escape, points, [h])
         # four single points behind each packet's escape_derivative
         assert calls[:40] == [1] * 40
         # each (cell, |j|) weighed once: one sector per k0, -k0 pair, and
@@ -726,6 +736,23 @@ def test_campaign_determinism():
     r2 = hs.run_campaign(cfg)
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
     assert r1["verdicts"] == {"upper_half": True, "symmetry": True, "disk": True}
+
+
+def test_campaign_builds_one_escape_function_per_order_set(monkeypatch):
+    # escape and escape_alt, shared by every check and every spectrum
+    built = []
+    init = EscapeFunction.__init__
+
+    def counted(self, flow, params):
+        built.append(params)
+        init(self, flow, params)
+
+    monkeypatch.setattr(EscapeFunction, "__init__", counted)
+    cfg = parse_config("[solver]\nk_max = 3\n[campaign]\n"
+                       "checks = intrinsic,counting,coherent\ncoherent_h = 0.1,0.05\n")
+    report = hs.run_campaign(cfg)
+    assert report["passed"] is True
+    assert built == [cfg.escape, cfg.escape_alt]
 
 
 def test_checks_that_compare_nothing_fail():

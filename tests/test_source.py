@@ -1,0 +1,20 @@
+"""Budgets on the shape of the package source."""
+
+import ast
+from pathlib import Path
+
+import catspec
+
+#: defaulted parameters over every function of the package; new options go
+#: in the config, not in signatures
+DEFAULTED_PARAMETERS = 27
+
+
+def test_defaulted_parameter_budget():
+    count = 0
+    for path in Path(catspec.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                count += len(node.args.defaults)
+                count += sum(d is not None for d in node.args.kw_defaults)
+    assert count <= DEFAULTED_PARAMETERS
