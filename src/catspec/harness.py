@@ -308,7 +308,9 @@ def symmetry_check(res: ResonanceSet) -> MatchResult:
 
 
 def intrinsic_check(res_a: ResonanceSet, res_b: ResonanceSet, floor) -> MatchResult:
-    """Match two spectra above a common floor, multiplicities included."""
+    """Match two spectra above a common floor, multiplicities included: a
+    pair farther apart than the cutoff, or with unequal multiplicities, is
+    unmatched.  Unequal entry counts raise MultiplicityMismatch."""
     a = res_a.above(floor)
     b = res_b.above(floor)
     if len(a) != len(b):
@@ -324,13 +326,9 @@ def intrinsic_check(res_a: ResonanceSet, res_b: ResonanceSet, floor) -> MatchRes
     pairs, unmatched, worst = [], [], 0.0
     for r, c in enumerate(cols):
         d = float(cost[r, c])
-        if d > cutoff:
+        if d > cutoff or a[r].multiplicity != b[c].multiplicity:
             unmatched.append((complex(va[r]), complex(vb[c]), d))
             continue
-        if a[r].multiplicity != b[c].multiplicity:
-            raise MultiplicityMismatch(
-                f"matched values {va[r]:.6g} / {vb[c]:.6g} carry multiplicities "
-                f"{a[r].multiplicity} vs {b[c].multiplicity}")
         worst = max(worst, d)
         pairs.append((complex(va[r]), complex(vb[c]), d))
     return MatchResult(worst, pairs, unmatched)
@@ -358,6 +356,8 @@ WEYL_REL_SLACK = 1e-10
 #: digits of the Weyl oracle: roots placed to 10**-(WEYL_DPS + 5) relative,
 #: prefix products compared with relative slack 10**(-WEYL_DPS + 10)
 WEYL_DPS = 40
+#: digits of the oracle's filter: roots certified to 10**-(WEYL_FILTER_DPS + 5)
+WEYL_FILTER_DPS = 8
 
 
 def weyl_audit(p: np.ndarray, z_e, eigenvalues=None) -> WeylAudit:
@@ -377,30 +377,19 @@ def _audit_in_place(a, z_e, eigenvalues) -> WeylAudit:
         eigenvalues = [pair.value for pair in op.eigendecompose(a)]
     a.flat[::a.shape[0] + 1] -= z_e
     s = op.singular_values(a)
-    n = len(s)
     d = np.sort(np.abs(np.asarray(eigenvalues, dtype=complex) - complex(z_e)))
-    if d.size != n:
+    if d.size != s.size:
         raise ValueError("need as many eigenvalues as the dimension")
     with np.errstate(divide="ignore"):
-        log_s = np.log(s)
-        log_d = np.log(d)
-    worst = np.inf
-    ok = True
-    acc_s = acc_d = 0.0
-    for k in range(n):
-        acc_s += log_s[k]
-        acc_d += log_d[k]
-        if acc_s == -np.inf:
-            continue               # zero singular prefix bounds everything
-        if acc_d == -np.inf:
-            ok = False             # cannot happen for exact data
-            worst = -np.inf
-            break
-        margin = acc_d - acc_s
-        worst = min(worst, margin)
-        if margin < -WEYL_REL_SLACK * max(1.0, abs(acc_d)):
-            ok = False
-    return WeylAudit(ok, float(worst))
+        # add.accumulate adds in order: the running sums of a loop, bit for bit
+        acc_s = np.cumsum(np.log(s))
+        acc_d = np.cumsum(np.log(d))
+    live = acc_s != -np.inf            # a zero singular prefix bounds everything
+    if np.any(acc_d[live] == -np.inf):
+        return WeylAudit(False, float("-inf"))      # cannot happen for exact data
+    margin = acc_d[live] - acc_s[live]
+    ok = not np.any(margin < -WEYL_REL_SLACK * np.maximum(1.0, np.abs(acc_d[live])))
+    return WeylAudit(ok, float(margin.min(initial=np.inf)))
 
 
 def weyl_spectra(p: np.ndarray, z_e):
@@ -414,18 +403,21 @@ def weyl_spectra(p: np.ndarray, z_e):
     real parts since those roots are real and >= 0.  No LAPACK value enters.
     Raises NonConvergence instead of returning inaccurate values.
     """
-    re, im, e = charpoly.shifted_dyadic(p, z_e)
-    eig = charpoly.roots(charpoly.berkowitz(re, im), WEYL_DPS)
-    squares = charpoly.roots(charpoly.berkowitz(*charpoly.gram(re, im)), WEYL_DPS)
+    [(eig, gram, e)] = charpoly.polynomials(np.asarray(p, dtype=complex)[None], z_e)
+    eig, squares = charpoly.roots([eig, gram], WEYL_DPS)
     return (sorted(Fraction(a, 1 << (f + 2 * e)) for a, _, f in squares),
             sorted(Fraction(a * a + b * b, 1 << 2 * (f + e)) for a, b, f in eig))
+
+
+#: the squared slack (1 + 10**(10 - WEYL_DPS))**2 as (numerator, denominator)
+_SLACK = (10 ** (WEYL_DPS - 10) + 1) ** 2, 10 ** (2 * WEYL_DPS - 20)
 
 
 def weyl_prefix_ok(squares, dist2):
     """Whether every ascending prefix product of the squared singular values
     ``squares`` is at most that of the squared distances ``dist2`` times the
     squared slack ``(1 + 10**(-WEYL_DPS + 10))**2``, compared exactly."""
-    slack = (1 + Fraction(1, 10 ** (WEYL_DPS - 10))) ** 2
+    slack = Fraction(*_SLACK)
     acc_s = acc_d = 1
     for s, d in zip(squares, dist2):
         acc_s *= s
@@ -435,10 +427,77 @@ def weyl_prefix_ok(squares, dist2):
     return True
 
 
+def _filtered_prefixes(squares, eig):
+    """The verdict of ``weyl_prefix_ok`` on every prefix k < n, decided from
+    the root triples of ``charpoly.roots`` at WEYL_FILTER_DPS: True or False
+    when the certified bounds decide every prefix, None otherwise.
+
+    A triple w lies within ``|w| / tol`` of its root.  The squares are real,
+    so each lies within ``(|re| + |im|) / tol`` of ``re``; each distance lies
+    within a factor ``1 -+ 1 / tol`` of ``|w|``.  The sorted lower and upper
+    bounds bound the sorted values, so their prefix products bound the
+    prefix products.  The bounds are ints over a common unit per side
+    (both sides carry ``4**-e`` per factor, which cancels), and the
+    comparisons are exact.
+    """
+    tol = 10 ** (WEYL_FILTER_DPS + 5)
+    fs, fd = max(f for *_, f in squares), max(f for *_, f in eig)
+    s_lo, s_hi, d_lo, d_hi = [], [], [], []
+    for a, b, f in squares:                       # unit tol * 2**fs
+        r = abs(a) + abs(b)
+        s_lo.append(max(a * tol - r, 0) << fs - f)
+        s_hi.append(a * tol + r << fs - f)
+    for a, b, f in eig:                           # unit tol**2 * 4**fd
+        m2 = a * a + b * b << 2 * (fd - f)
+        d_lo.append(m2 * (tol - 1) ** 2)
+        d_hi.append(m2 * (tol + 1) ** 2)
+    num, den = _SLACK
+    verdict = True
+    acc = [1] * 4
+    unit_s = unit_d = 1
+    for factors in list(zip(*map(sorted, (s_lo, s_hi, d_lo, d_hi))))[:-1]:
+        s_lo_k, s_hi_k, d_lo_k, d_hi_k = acc = [x * y for x, y in zip(acc, factors)]
+        unit_s, unit_d = unit_s * (tol << fs), unit_d * (tol * tol << 2 * fd)
+        # S_k <= D_k * num / den, with both sides over their units
+        if s_lo_k * unit_d * den > d_hi_k * unit_s * num:
+            return False
+        if s_hi_k * unit_d * den > d_lo_k * unit_s * num:
+            verdict = None
+    return verdict
+
+
 def weyl_oracle(p: np.ndarray, z_e):
-    """Exact check of the prefix-product inequality on the spectra of
-    ``weyl_spectra``: the right verdict, or NonConvergence."""
-    return weyl_prefix_ok(*weyl_spectra(p, z_e))
+    """Exact check of the prefix-product inequality on one matrix p or on
+    each matrix of a stack: the verdict of ``weyl_prefix_ok`` on the spectra
+    of ``weyl_spectra``, or NonConvergence.
+
+    A filter decides it from the exact polynomials of every matrix
+    (``charpoly.polynomials``).  The prefix k = n is the identity
+    ``det(Bᴴ B) = |det B|**2``, checked exactly on the constant
+    coefficients.  The prefixes k < n are decided by
+    ``_filtered_prefixes`` from roots certified to ``10**-13``: one or two
+    Weierstrass sweeps from one float64 warm start for every polynomial.
+    Only a matrix with an undecided prefix runs ``weyl_spectra`` at
+    WEYL_DPS digits.
+    """
+    stack = np.asarray(p, dtype=complex)
+    stack = stack[None] if stack.ndim == 2 else stack
+    polys = charpoly.polynomials(stack, z_e)
+    n = stack.shape[-1]
+    for eig, gram, _ in polys:
+        (re, im), (det_g, _) = eig[-1], gram[-1]
+        if (-1) ** n * det_g != re * re + im * im:
+            return False
+    found = charpoly.roots([f for eig, gram, _ in polys for f in (gram, eig)],
+                           WEYL_FILTER_DPS)
+    undecided = []
+    for k in range(len(polys)):
+        verdict = _filtered_prefixes(found[2 * k], found[2 * k + 1])
+        if verdict is False:
+            return False
+        if verdict is None:
+            undecided.append(k)
+    return all(weyl_prefix_ok(*weyl_spectra(stack[k], z_e)) for k in undecided)
 
 
 @dataclass
@@ -706,7 +765,7 @@ def _check_intrinsic(ctx):
     drift = intrinsic_check(ctx.base, ctx.spectrum(ctx.escape, grown), cfg.floor)
     ok = (bool(cross.pairs) and bool(drift.pairs)
           and cross.max_distance < 1e-4 and not cross.unmatched
-          and drift.max_distance < 1e-4)
+          and drift.max_distance < 1e-4 and not drift.unmatched)
     return ok, {"cross_distance": cross.max_distance,
                 "cross_pairs": len(cross.pairs),
                 "cross_unmatched": len(cross.unmatched),
@@ -771,7 +830,7 @@ def _check_weyl(ctx):
                     len(skipped), WEYL_DIM_LIMIT, max(skipped))
     randoms = weyl_random_matrices(cfg.seed)
     float_ok = all(weyl_audit(m, z_e).verdict for m in randoms)
-    random_ok = all(weyl_oracle(m, z_e) for m in randoms) and float_ok
+    random_ok = weyl_oracle(np.array(randoms), z_e) and float_ok
     ok = audited > 0 and sectors_ok and random_ok
     return ok, {"sectors_audited": audited,
                 "worst_margin": worst,

@@ -2,7 +2,8 @@
 
 These routes are not used by the program: a Gram-matrix singular value
 solve, the Weyl oracle's spectra from mpmath's dense SVD and QR
-eigensolver, the neutral-sector part of a spectrum, resolvent-quadrature
+eigensolver, its exact polynomials from Berkowitz's recursion in Python
+ints, the Weyl audit's prefix comparison as a loop, the neutral-sector part of a spectrum, resolvent-quadrature
 projector ranks, the coherent-state projection of a wave packet on a list
 of sector blocks, the weighted expectation on an orbit sector through its
 dense matrix, the coherent symbol study sector by sector, the orbit
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import scipy.linalg as sla
@@ -29,10 +31,11 @@ import scipy.linalg as sla
 from catspec.cotangent import CotangentPoint
 from catspec.errors import CatspecError, NonConvergence, UnresolvedState
 from catspec.escape import EscapeFunction, composite_gauss_legendre, smoothstep
-from catspec.harness import WEYL_DPS, ResonanceSet, weyl_prefix_ok
+from catspec.harness import (WEYL_DPS, WEYL_REL_SLACK, ResonanceSet, WeylAudit,
+                             weyl_prefix_ok)
 from catspec.model import BasePoint, MappingTorusFlow
 from catspec.operator import (OrbitSector, PacketProfile, SectorBlock, _mode_adapted,
-                              apply_weight)
+                              apply_weight, eigendecompose, singular_values)
 
 
 class ContourTooClose(CatspecError):
@@ -78,6 +81,105 @@ def weyl_spectra_dense(p: np.ndarray, z_e):
 def weyl_oracle_dense(p: np.ndarray, z_e):
     """``harness.weyl_oracle`` on the dense high-precision spectra."""
     return weyl_prefix_ok(*weyl_spectra_dense(p, z_e))
+
+
+def _dot(a, b):
+    return sum(map(mul, a, b))
+
+
+def shifted_dyadic(a, z):
+    """``(re, im, e)`` with ``re + i im == 2**e (a - z I)`` exactly, in Python
+    ints, for the least ``e >= 0``."""
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[0]
+    z = complex(z)
+    ratios = [v.as_integer_ratio() for x in [*a.ravel().tolist(), z]
+              for v in (x.real, x.imag)]
+    e = max(d.bit_length() - 1 for _, d in ratios)
+    ints = [num << (e + 1 - d.bit_length()) for num, d in ratios]
+    zr, zi = ints[-2:]
+    re = [[ints[2 * (i * n + j)] - (zr if i == j else 0) for j in range(n)]
+          for i in range(n)]
+    im = [[ints[2 * (i * n + j) + 1] - (zi if i == j else 0) for j in range(n)]
+          for i in range(n)]
+    return re, im, e
+
+
+def gram(re, im):
+    """``Bᴴ B`` of the Gaussian-integer matrix ``B = re + i im``, in Python ints."""
+    cr, ci = list(zip(*re)), list(zip(*im))
+    n = len(cr)
+    return ([[_dot(cr[i], cr[j]) + _dot(ci[i], ci[j]) for j in range(n)]
+             for i in range(n)],
+            [[_dot(cr[i], ci[j]) - _dot(ci[i], cr[j]) for j in range(n)]
+             for i in range(n)])
+
+
+def berkowitz(re, im):
+    """``det(x - M)`` of the Gaussian-integer matrix ``M = re + i im`` by
+    Berkowitz's recursion in Python ints: the exact reference of
+    ``charpoly.polynomials``.
+
+    Leading block ``k + 1`` is ``[[M_k, C], [R, a]]``; its polynomial is
+    the Toeplitz product of ``(1, -a, -R C, -R M_k C, ...)`` with that of
+    ``M_k`` (Samuelson's formula).
+    """
+    poly = [(1, 0)]
+    for k in range(len(re)):
+        rows_r = [row[:k] for row in re[:k]]
+        rows_i = [row[:k] for row in im[:k]]
+        rr, ri = re[k][:k], im[k][:k]
+        xr, xi = [row[k] for row in re[:k]], [row[k] for row in im[:k]]
+        col = [(1, 0), (-re[k][k], -im[k][k])]
+        for j in range(k):
+            col.append((_dot(ri, xi) - _dot(rr, xr), -_dot(rr, xi) - _dot(ri, xr)))
+            if j + 1 < k:
+                xr, xi = ([_dot(a, xr) - _dot(b, xi) for a, b in zip(rows_r, rows_i)],
+                          [_dot(a, xi) + _dot(b, xr) for a, b in zip(rows_r, rows_i)])
+        poly = [(sum(col[t - i][0] * poly[i][0] - col[t - i][1] * poly[i][1]
+                     for i in range(min(t, k) + 1)),
+                 sum(col[t - i][0] * poly[i][1] + col[t - i][1] * poly[i][0]
+                     for i in range(min(t, k) + 1)))
+                for t in range(k + 2)]
+    return poly
+
+
+def reference_polynomials(a, z):
+    """``(det(x - B), det(x - Bᴴ B), e)`` of ``B = 2**e (a - z I)`` from the
+    Python-int reference: what ``charpoly.polynomials`` returns per matrix."""
+    re, im, e = shifted_dyadic(a, z)
+    return berkowitz(re, im), berkowitz(*gram(re, im)), e
+
+
+def weyl_audit_loop(p: np.ndarray, z_e, eigenvalues=None) -> WeylAudit:
+    """``harness.weyl_audit`` with its prefix comparison as a loop over k."""
+    a = np.array(p, dtype=complex)
+    if eigenvalues is None:
+        eigenvalues = [pair.value for pair in eigendecompose(a)]
+    a.flat[::a.shape[0] + 1] -= z_e
+    s = singular_values(a)
+    n = len(s)
+    d = np.sort(np.abs(np.asarray(eigenvalues, dtype=complex) - complex(z_e)))
+    with np.errstate(divide="ignore"):
+        log_s = np.log(s)
+        log_d = np.log(d)
+    worst = np.inf
+    ok = True
+    acc_s = acc_d = 0.0
+    for k in range(n):
+        acc_s += log_s[k]
+        acc_d += log_d[k]
+        if acc_s == -np.inf:
+            continue               # zero singular prefix bounds everything
+        if acc_d == -np.inf:
+            ok = False             # cannot happen for exact data
+            worst = -np.inf
+            break
+        margin = acc_d - acc_s
+        worst = min(worst, margin)
+        if margin < -WEYL_REL_SLACK * max(1.0, abs(acc_d)):
+            ok = False
+    return WeylAudit(ok, float(worst))
 
 
 def neutral_resonances(res: ResonanceSet) -> ResonanceSet:

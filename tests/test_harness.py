@@ -2,19 +2,22 @@ import json
 import logging
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from catspec import charpoly
 from catspec import harness as hs
 from catspec import operator as op
 from catspec.config import parse_config, DEFAULT_CONFIG
 from catspec.errors import (MultiplicityMismatch, UnresolvedState, UnresolvedWindow,
                             WeightOverflow)
 from catspec.escape import EscapeFunction, OrderParams
-from oracles import (coherent_study_per_sector, lattice_counts_meshgrid, neutral_resonances,
-                     spectral_projector_rank, weyl_oracle_dense, weyl_spectra_dense)
+from oracles import (berkowitz, coherent_study_per_sector, gram, lattice_counts_meshgrid,
+                     neutral_resonances, spectral_projector_rank, weyl_audit_loop,
+                     weyl_oracle_dense, weyl_spectra_dense)
 
 
 _DEFAULT = parse_config(DEFAULT_CONFIG)
@@ -231,6 +234,39 @@ def test_intrinsic_check_multiplicity_mismatch(base_res):
         hs.intrinsic_check(base_res, other, floor=-1e9)
 
 
+def test_intrinsic_check_unmatches_unequal_multiplicities(base_res):
+    # a pair at distance 0 with unequal multiplicities is unmatched, not raised
+    entries = list(base_res.entries)
+    entries[0] = replace(entries[0], multiplicity=entries[0].multiplicity + 1)
+    out = hs.intrinsic_check(base_res, hs.ResonanceSet(entries, base_res.meta), floor=-1e9)
+    assert len(out.unmatched) == 1 and out.unmatched[0][2] == 0.0
+    assert len(out.pairs) == len(entries) - 1
+
+
+def test_intrinsic_check_fails_on_a_drifted_pair(monkeypatch):
+    # one grown-truncation entry above the floor moved by 0.05, beyond the
+    # matching cutoff: its pair is unmatched, the drift distance stays 0.0
+    # and the check fails on the unmatched pair
+    cfg = parse_config("[campaign]\nchecks = intrinsic\n")
+    spectrum = hs.CampaignContext.spectrum
+
+    def drifted(self, escape, truncation):
+        res = spectrum(self, escape, truncation)
+        if truncation.k_max == cfg.truncation.k_max + 4:
+            entries = list(res.entries)
+            k = next(i for i, e in enumerate(entries) if e.value.imag > cfg.floor)
+            entries[k] = replace(entries[k], value=entries[k].value + 0.05)
+            res = hs.ResonanceSet(entries, res.meta)
+        return res
+
+    ok, payload = hs.CHECKS["intrinsic"](hs.CampaignContext(cfg))
+    assert ok is True and payload["drift"] == 0.0
+    monkeypatch.setattr(hs.CampaignContext, "spectrum", drifted)
+    ok, payload = hs.CHECKS["intrinsic"](hs.CampaignContext(cfg))
+    assert ok is False and payload["drift"] == 0.0
+    assert payload["drift_pairs"] == payload["cross_pairs"] - 1
+
+
 # ---------------------------------------------------------------------------
 # extraction
 # ---------------------------------------------------------------------------
@@ -385,6 +421,106 @@ def test_weyl_oracle_uses_no_lapack(monkeypatch):
         monkeypatch.setattr(np.linalg, name, forbidden)
     monkeypatch.setattr(np, "roots", forbidden)
     assert hs.weyl_oracle(hs.weyl_random_matrices(0)[0], Z_E)
+
+
+@pytest.fixture
+def escalations(monkeypatch):
+    """The matrices the oracle hands to its WEYL_DPS route, recorded."""
+    calls = []
+    spectra = hs.weyl_spectra
+
+    def counted(p, z_e):
+        calls.append(p)
+        return spectra(p, z_e)
+
+    monkeypatch.setattr(hs, "weyl_spectra", counted)
+    return calls
+
+
+def test_weyl_oracle_filter_decides_the_campaign_stacks(escalations):
+    # one call on a stack of 20 matrices; every prefix k < n clears its
+    # bound by far more than the 1e-13 certificate, so the filter alone
+    # decides and no matrix escalates
+    for seed in (0, 3):
+        matrices = hs.weyl_random_matrices(seed)
+        assert hs.weyl_oracle(np.array(matrices), Z_E) is True
+        for m in matrices[:4]:
+            eig, squares = charpoly.roots(charpoly.polynomials(m[None], Z_E)[0][:2],
+                                          hs.WEYL_FILTER_DPS)
+            assert hs._filtered_prefixes(squares, eig) is True
+    assert escalations == []
+
+
+def test_weyl_oracle_negative_control_stops_at_the_filter(monkeypatch, escalations):
+    # singular values raised by 1.5: the Gram lanes are those of 2.25 Bᴴ B.
+    # B = 2 (m - 1/2) has even entries, so 2.25 Bᴴ B = (3 (m - 1/2))ᴴ (3 (m - 1/2))
+    # is integral, and the kernel lifts its exact polynomial.  The k = n
+    # identity fails, and so do the certified bounds of a prefix k < n
+    m = np.diag([1.5, -2.5, 3.5 + 2j, -0.5 + 1j]) + np.diag([1.0, -2.0, 1j], 1)
+    assert hs.weyl_oracle(m, 0.5) is True
+    lanes = charpoly.gram
+
+    def raised(b, p):
+        q = p[:, None, None]
+        return lanes(b, p) * 9 % q * (((q + 1) // 2) ** 2 % q) % q     # times 9 / 4
+
+    monkeypatch.setattr(charpoly, "gram", raised)
+    [(eig, squares, e)] = charpoly.polynomials(m[None], 0.5)
+    b = 3 * (m - 0.5 * np.eye(4))
+    assert e == 1 and squares == berkowitz(*gram(b.real.astype(int).tolist(),
+                                                 b.imag.astype(int).tolist()))
+    assert hs.weyl_oracle(m, 0.5) is False
+    assert escalations == []
+    eig_roots, square_roots = charpoly.roots([eig, squares], hs.WEYL_FILTER_DPS)
+    assert hs._filtered_prefixes(square_roots, eig_roots) is False
+
+
+def test_weyl_oracle_escalates_on_equalities(escalations):
+    # a normal matrix: every prefix is an equality, so the certified bounds
+    # overlap and the WEYL_DPS route decides, once
+    m = np.diag([1.0 + 1j, -2.0, 0.5j, 3.0])
+    assert hs.weyl_oracle(m, 0.3) is True
+    assert len(escalations) == 1 and np.array_equal(escalations[0], m)
+
+
+def test_weyl_oracle_identity_catches_a_corrupted_lift(monkeypatch, escalations):
+    # a constant coefficient off by one fails det(Bᴴ B) = |det B|**2 before
+    # any root is taken
+    lift = charpoly.crt_lift
+
+    def corrupted(res, p):
+        out = lift(res, p)
+        out[:, -1] += 1
+        return out
+
+    def no_roots(polys, dps):
+        raise AssertionError("roots taken")
+
+    monkeypatch.setattr(charpoly, "crt_lift", corrupted)
+    monkeypatch.setattr(charpoly, "roots", no_roots)
+    assert hs.weyl_oracle(np.array(hs.weyl_random_matrices(0)), Z_E) is False
+    assert escalations == []
+
+
+def test_weyl_audit_prefix_sums_repeat_the_loop(flow, escape):
+    # the cumulative sums give the loop's audits bit for bit: the Jordan,
+    # zero-distance, normal and random cases, and every sector of k_max = 3
+    rng = np.random.default_rng(5)
+    cases = [(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0, [0.0, 0.0]),
+             (np.diag([2.0, 3.0]), 0.0, [0.0, 3.0]),
+             (np.diag([1.0 + 1j, -2.0, 0.5j]), 0.3, None)]
+    cases += [(rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20)), 0.2 + 0.1j, None)
+              for _ in range(5)]
+    cfg = parse_config("[solver]\nk_max = 3\n")
+    ctx = hs.CampaignContext(cfg)
+    for sector, evs in _weyl_sectors(cfg):
+        block = op.build_generator(cfg.flow(), sector, cfg.truncation)
+        cases.append((cfg.h * op.apply_weight(block, ctx.escape, cfg.h), complex(cfg.E, 1.0),
+                      evs))
+    audits = [hs.weyl_audit(p, z_e, evs) for p, z_e, evs in cases]
+    assert audits == [weyl_audit_loop(p, z_e, evs) for p, z_e, evs in cases]
+    assert audits[1] == hs.WeylAudit(False, float("-inf"))
+    assert all(a.verdict for a in audits[:1] + audits[2:])
 
 
 def test_weyl_audit_counts_reported(flow, escape):
@@ -821,15 +957,14 @@ def _seeded_defect(monkeypatch, defect):
     return cfg
 
 
-@pytest.mark.parametrize("defect, failing, raising", [
-    pytest.param("zero", {"escape"}, {}, id="zero"),
-    pytest.param("negated", {"escape", "garding", "weyl"}, {}, id="negated"),
-    pytest.param("period", set(), {}, id="period"),
-    pytest.param("cell_shift", {"symmetry"}, {"intrinsic": "MultiplicityMismatch"},
-                 id="cell_shift"),
-    pytest.param("non_similar", {"weyl"}, {}, id="non_similar"),
+@pytest.mark.parametrize("defect, failing", [
+    pytest.param("zero", {"escape"}, id="zero"),
+    pytest.param("negated", {"escape", "garding", "weyl"}, id="negated"),
+    pytest.param("period", set(), id="period"),
+    pytest.param("cell_shift", {"symmetry", "intrinsic"}, id="cell_shift"),
+    pytest.param("non_similar", {"weyl"}, id="non_similar"),
 ])
-def test_campaign_defect_matrix(monkeypatch, defect, failing, raising):
+def test_campaign_defect_matrix(monkeypatch, defect, failing):
     # a campaign with a seeded defect: G = 0 and G -> -G on the default
     # config; T x 1.01, one cell-block diagonal entry + 0.5/h and a weight
     # that is not a similarity on DEFECT_CONFIG.  Only the verdicts that
@@ -837,19 +972,21 @@ def test_campaign_defect_matrix(monkeypatch, defect, failing, raising):
     # checks that still pass and the ROADMAP item meant to make each fail
     report = hs.run_campaign(_seeded_defect(monkeypatch, defect))
     checks = report["checks"]
-    assert {name for name, ok in report["verdicts"].items() if not ok} >= failing | set(raising)
-    # every check ends on its own verdict, not through the campaign's
-    # guard, but for the intrinsic check's multiplicity mismatch, which it
-    # raises
-    assert {name for name, payload in checks.items() if "error" in payload} == set(raising)
-    for name, error in raising.items():
-        assert checks[name]["error"].startswith(f"{error}: ")
+    assert {name for name, ok in report["verdicts"].items() if not ok} >= failing
+    # every check ends on its own verdict, not through the campaign's guard
+    assert not [name for name, payload in checks.items() if "error" in payload]
     if defect == "zero":
         # zero decay bounds, positive zeros, leave no doubling ratio
         for key in ("decay_bound", "c_measured"):
             assert checks["escape"][key] == 0.0
             assert math.copysign(1.0, checks["escape"][key]) == 1.0
         assert checks["escape"]["doubling_ratio"] is None
+    elif defect == "cell_shift":
+        # the shifted cell eigenvalue carries a different multiplicity once
+        # the truncation grows: its drift pairs are unmatched at distance 0
+        intrinsic = checks["intrinsic"]
+        assert intrinsic["drift"] == 0.0 and intrinsic["cross_unmatched"] == 0
+        assert intrinsic["drift_pairs"] < intrinsic["cross_pairs"]
     elif defect in ("negated", "non_similar"):
         # the sector audits fail (worst margin about -1.5e-4 under -G, -1.4e3
         # under W H W) while the random matrices still pass.  Under -G at
