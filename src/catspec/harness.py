@@ -798,15 +798,29 @@ def _check_weyl(ctx):
     counted twice.  This is exact, not an approximation: the two generator
     blocks and eigenvalue lists depend on the cell count alone and the two
     weights are equal bit for bit, so the weighted matrices and their
-    audits are identical."""
+    audits are identical.
+
+    A group whose time reversal (``operator.reversal_key``) comes later
+    certifies it instead: with J the cell reversal, J H^T J = H, so the
+    partner's shifted matrix is D J (h P - z_e)^T J D^{-1} with D =
+    diag(exp(delta)), delta = logw_partner + J logw.  It has the same
+    eigenvalues, and each prefix margin at least the audited worst margin
+    less n spread(delta); when that clears -WEYL_REL_SLACK (so the audit
+    passed), the partner counts as audited, else it is audited in turn."""
     cfg, flow = ctx.cfg, ctx.cfg.flow()
     z_e = complex(cfg.E, 1.0)
     cell = op.orbit_cell_block(flow, cfg.truncation)
     cell_vals = np.array([p.value for p in op.eigendecompose(cell)])
     sectors = [op.NeutralSector()] + op.enumerate_orbits(
         flow.cat, cfg.truncation.k_max, cfg.truncation.p_max)
+    groups = {op.mirror_key(group[0]): group for group in op.mirror_groups(sectors)}
     audited, worst, sectors_ok, skipped = 0, None, True, []
-    for group in op.mirror_groups(sectors):
+    seen, certified, svds, bound_max = set(), set(), 0, 0.0
+    for key, group in groups.items():
+        seen.add(key)
+        if key in certified:
+            audited += len(group)
+            continue
         sector = group[0]
         dim = len(op.sector_basis(sector, cfg.truncation))
         if dim > WEYL_DIM_LIMIT:
@@ -817,14 +831,27 @@ def _check_weyl(ctx):
         else:
             evs = np.concatenate([cell_vals] * sector.n_cells) * cfg.h
         block = op.build_generator(flow, sector, cfg.truncation)
-        a = op.conjugate_by_diagonal(block.matrix, op.mode_log_weight(
-            sector, block.basis, ctx.escape, cfg.h))
+        logw = op.mode_log_weight(sector, block.basis, ctx.escape, cfg.h)
+        a = op.conjugate_by_diagonal(block.matrix, logw)
         a *= cfg.h
         audit = _audit_in_place(a, z_e, evs)
         del block, a                    # spent: free it before the next block
+        svds += 1
         audited += len(group)
         worst = audit.worst_margin if worst is None else min(worst, audit.worst_margin)
         sectors_ok = sectors_ok and audit.verdict
+        partner = op.reversal_key(sector)
+        if partner in groups and partner not in seen:
+            other = groups[partner][0]
+            delta = op.mode_log_weight(other, op.sector_basis(other, cfg.truncation),
+                                       ctx.escape, cfg.h)
+            delta += logw.reshape(sector.n_cells, -1)[::-1].ravel()
+            bound = dim * float(np.ptp(delta))
+            bound_max = max(bound_max, bound)
+            if audit.worst_margin - bound >= -WEYL_REL_SLACK:
+                certified.add(partner)
+    LOG.debug("weyl: %d sector SVDs, %d time-reversal pairs certified (largest n spread %.3g)",
+              svds, len(certified), bound_max)
     if skipped:
         LOG.warning("weyl: %d sectors above %d modes not audited (largest %d)",
                     len(skipped), WEYL_DIM_LIMIT, max(skipped))

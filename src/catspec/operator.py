@@ -172,6 +172,18 @@ def mirror_key(sector):
     return max(sector.freqs, tuple((-k1, -k2) for k1, k2 in sector.freqs))
 
 
+def reversal_key(sector):
+    """`mirror_key` of a sector's time reversal: R = [[0, -1], [1, 0]] on
+    its cell frequencies, in reverse cell order.
+
+    R A^T R^-1 is the inverse of A, so for a symmetric A, R maps the
+    A^T-orbit through k0 onto the one through R k0 with each position
+    negated, and keeps norms: this is the key of the sector through R k0.
+    For a non-symmetric A it is in general no sector's key."""
+    freqs = tuple((-k2, k1) for k1, k2 in reversed(sector.freqs))
+    return max(freqs, tuple((-k1, -k2) for k1, k2 in freqs))
+
+
 def mirror_groups(sectors):
     """The sectors grouped by `mirror_key`, in order of first appearance:
     each k0, -k0 pair of orbit sectors together, the neutral sector alone."""

@@ -115,11 +115,12 @@ def test_tracer_counts_escape_points():
 def test_tracer_counts_the_dense_checks():
     # the Weyl sector audits weigh, scale and shift their blocks in place
     # and hand them to singular_values as its first argument: one call for
-    # the neutral sector, one per k0, -k0 pair and one per random matrix;
-    # only the ims check weighs through apply_weight, once per h
+    # the neutral sector, one per time-reversal pair of k0, -k0 pairs (the
+    # other pair is certified) and one per random matrix; only the ims
+    # check weighs through apply_weight, once per h
     out = _traced(CHECKS_SCRIPT.format(src=str(SRC), perfbench=str(PERFBENCH)))
     m = out["metrics"]
     assert out["verdicts"] == [True, True]
-    assert m["operator.singular_values.calls"] == 1 + out["n_orbit"] // 2 + 20
+    assert m["operator.singular_values.calls"] == 1 + out["n_orbit"] // 4 + 20
     assert m["harness.weyl_audit.calls"] == 20
     assert m["operator.apply_weight.calls"] == 4

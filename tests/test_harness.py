@@ -568,10 +568,18 @@ def test_sector_weyl_audit_chain_is_exact(flow, escape, orbit):
     assert audit == hs.weyl_audit(hp, z_e, eigenvalues=evs)
 
 
-def test_weyl_check_matches_the_out_of_place_audits():
+def _without_reversal(monkeypatch):
+    """Disable only the weyl check's time-reversal lookup: no group finds a
+    partner to certify, so every k0, -k0 pair is audited on its own."""
+    monkeypatch.setattr(op, "reversal_key", lambda sector: None)
+
+
+def test_weyl_check_matches_the_out_of_place_audits(monkeypatch):
     # the check weighs, scales and shifts each block in its own buffer and
-    # audits each k0, -k0 pair once; its payload is that of weyl_audit on
-    # h P formed out of place for every sector, bit for bit
+    # audits each k0, -k0 pair once; without the time-reversal certificates
+    # its payload is that of weyl_audit on h P formed out of place for
+    # every sector, bit for bit
+    _without_reversal(monkeypatch)
     cfg = parse_config("[campaign]\nchecks = weyl\n[solver]\nk_max = 3\n")
     ctx = hs.CampaignContext(cfg)
     h, z_e = cfg.h, complex(cfg.E, 1.0)
@@ -672,9 +680,13 @@ def test_ims_check_negative_control_broken_partition(monkeypatch):
     assert all(0.9 <= r <= 1.1 for r in payload["ratios"])
 
 
-def _weyl_on_k_max_3(monkeypatch):
-    """Run the weyl check on k_max = 3 and count the singular_values calls."""
-    cfg = parse_config("[campaign]\nchecks = weyl\n[solver]\nk_max = 3\n")
+#: the small truncation of the weyl check tests
+K_MAX_3 = "[solver]\nk_max = 3\n"
+
+
+def _weyl_counted(monkeypatch, config=K_MAX_3):
+    """Run the weyl check on config and count the singular_values calls."""
+    cfg = parse_config("[campaign]\nchecks = weyl\n" + config)
     flow = cfg.flow()
     calls = []
     svals = op.singular_values
@@ -685,22 +697,134 @@ def _weyl_on_k_max_3(monkeypatch):
 
     monkeypatch.setattr(op, "singular_values", counted)
     ok, payload = hs.CHECKS["weyl"](hs.CampaignContext(cfg))
-    n_orbit = len(op.enumerate_orbits(flow.cat, 3, cfg.truncation.p_max))
+    n_orbit = len(op.enumerate_orbits(flow.cat, cfg.truncation.k_max, cfg.truncation.p_max))
     return ok, payload, len(calls), n_orbit
 
 
 def test_weyl_check_shares_mirror_audits_exactly(monkeypatch):
     # each k0, -k0 pair is audited once: 1 neutral + half the orbit
     # sectors + 20 random matrices, and the payload is the one of a run
-    # that audits every sector on its own (a key no two sectors share)
-    ok, shared, n_shared, n_orbit = _weyl_on_k_max_3(monkeypatch)
+    # that audits every sector on its own (a key no two sectors share);
+    # both runs leave the time-reversal certificates out
+    _without_reversal(monkeypatch)
+    ok, shared, n_shared, n_orbit = _weyl_counted(monkeypatch)
     assert n_orbit % 2 == 0 and n_shared == 1 + n_orbit // 2 + 20
     monkeypatch.setattr(op, "mirror_key", lambda sector: sector.freqs)
-    ok_direct, direct, n_direct, _ = _weyl_on_k_max_3(monkeypatch)
+    ok_direct, direct, n_direct, _ = _weyl_counted(monkeypatch)
     assert n_direct == 1 + n_orbit + 20
     assert ok is ok_direct is True
     assert shared == direct
     assert shared["sectors_audited"] == 1 + n_orbit
+
+
+def _reversal_pairs(cfg):
+    """The first sectors of the mirror groups that the weyl check pairs by
+    time reversal on cfg, as (representative, partner) in check order."""
+    flow, tr = cfg.flow(), cfg.truncation
+    firsts = [group[0] for group in op.mirror_groups(
+        [op.NeutralSector()] + op.enumerate_orbits(flow.cat, tr.k_max, tr.p_max))]
+    index = {op.mirror_key(sector): i for i, sector in enumerate(firsts)}
+    return [(sector, firsts[index[op.reversal_key(sector)]]) for i, sector in enumerate(firsts)
+            if index.get(op.reversal_key(sector), -1) > i]
+
+
+@pytest.mark.parametrize("config", [K_MAX_3, ""], ids=["k_max_3", "default"])
+def test_weyl_check_certifies_time_reversal_pairs(monkeypatch, config):
+    # on the symmetric cat matrix every mirror group pairs with its time
+    # reversal and one group of each pair is audited: 1 neutral + a quarter
+    # of the orbit sectors + 20 random matrices.  Each certified partner
+    # passes its own out-of-place audit, its singular values are those of
+    # its representative to 1e-10 relative, and its delta spreads by under
+    # 1e-13 (7.5e-14 at most), so n spread(delta) stays well below
+    # WEYL_REL_SLACK.  The worst margin is that of the audited matrices
+    ok, payload, n_svd, n_orbit = _weyl_counted(monkeypatch, config)
+    cfg = parse_config(config)
+    flow, tr, ctx = cfg.flow(), cfg.truncation, hs.CampaignContext(cfg)
+    h, z_e = cfg.h, complex(cfg.E, 1.0)
+    pairs = _reversal_pairs(cfg)
+    assert ok is True and payload["sectors_audited"] == 1 + n_orbit
+    assert n_orbit % 4 == 0 and len(pairs) == n_orbit // 4
+    assert n_svd == 1 + n_orbit // 4 + 20
+    cell_vals = np.array([p.value for p in op.eigendecompose(op.orbit_cell_block(flow, tr))])
+    neutral = h * op.apply_weight(op.build_generator(flow, op.NeutralSector(), tr),
+                                  ctx.escape, h)
+    margins = [hs.weyl_audit(neutral, z_e).worst_margin]
+    for rep, partner in pairs:
+        evs = np.concatenate([cell_vals] * rep.n_cells) * h
+        rep_p, partner_p = (h * op.apply_weight(op.build_generator(flow, s, tr), ctx.escape, h)
+                            for s in (rep, partner))
+        margins.append(hs.weyl_audit(rep_p, z_e, eigenvalues=evs).worst_margin)
+        assert hs.weyl_audit(partner_p, z_e, eigenvalues=evs).verdict
+        eye = np.eye(len(rep_p))
+        np.testing.assert_allclose(
+            np.linalg.svd(partner_p - z_e * eye, compute_uv=False),
+            np.linalg.svd(rep_p - z_e * eye, compute_uv=False), rtol=1e-10, atol=0.0)
+        rep_w, partner_w = (op.mode_log_weight(s, op.sector_basis(s, tr), ctx.escape, h)
+                            for s in (rep, partner))
+        delta = partner_w + rep_w.reshape(rep.n_cells, -1)[::-1].ravel()
+        assert np.ptp(delta) < 1e-13
+        assert len(delta) * np.ptp(delta) < hs.WEYL_REL_SLACK / 2
+    assert payload["worst_margin"] == min(margins)
+
+
+@pytest.mark.parametrize("control", ["weight_not_odd", "non_symmetric", "perturbed"])
+def test_weyl_check_audits_every_group_without_a_certificate(monkeypatch, control):
+    # no partner is certified when the weight is not odd under the reversal
+    # (u = -6, s = 12: n spread(delta) up to 6.7e3), when A is not symmetric
+    # (no group's reversal is a group) or when each partner's log weight is
+    # off by 1e-6 at one mode: the check audits every mirror group, and its
+    # payload is that of a run without the reversal lookup, bit for bit
+    config = K_MAX_3 + {"weight_not_odd": "[escape]\nu = -6.0\ns = 12.0\n",
+                        "non_symmetric": "[model]\na11 = 3\na12 = 2\na21 = 1\na22 = 1\n",
+                        "perturbed": ""}[control]
+    if control == "perturbed":
+        partners = {op.mirror_key(p) for _, p in _reversal_pairs(parse_config(config))}
+        assert partners
+        log_weight = op.mode_log_weight
+
+        def perturbed(sector, basis, escape, h):
+            logw = log_weight(sector, basis, escape, h)
+            if op.mirror_key(sector) in partners:
+                logw[0] += 1e-6
+            return logw
+
+        monkeypatch.setattr(op, "mode_log_weight", perturbed)
+    ok, payload, n_svd, n_orbit = _weyl_counted(monkeypatch, config)
+    _without_reversal(monkeypatch)
+    ok_audited, audited, n_audited, _ = _weyl_counted(monkeypatch, config)
+    assert n_orbit % 2 == 0 and n_svd == n_audited == 1 + n_orbit // 2 + 20
+    assert ok is ok_audited is True
+    assert payload == audited
+    assert payload["sectors_audited"] == 1 + n_orbit
+
+
+def test_weyl_check_negated_weight_audits_the_failing_pairs(monkeypatch):
+    # under G -> -G some representatives fail, and each failing one sends
+    # its partner down the audit path: the payload, worst margin included,
+    # is that of a run without the reversal lookup, bit for bit
+    cfg = _seeded_defect(monkeypatch, "negated")
+    built, verdicts = [], []
+    build_generator, audit_in_place = op.build_generator, hs._audit_in_place
+
+    def recorded_build(flow, sector, truncation):
+        built.append(sector)
+        return build_generator(flow, sector, truncation)
+
+    def recorded_audit(a, z_e, eigenvalues):
+        audit = audit_in_place(a, z_e, eigenvalues)
+        verdicts.append(audit.verdict)
+        return audit
+
+    monkeypatch.setattr(op, "build_generator", recorded_build)
+    monkeypatch.setattr(hs, "_audit_in_place", recorded_audit)
+    ok, payload = hs.CHECKS["weyl"](hs.CampaignContext(cfg))
+    verdict_of = dict(zip(built, verdicts))
+    failing = [partner for rep, partner in _reversal_pairs(cfg) if not verdict_of[rep]]
+    assert failing and all(partner in verdict_of for partner in failing)
+    _without_reversal(monkeypatch)
+    ok_audited, audited = hs.CHECKS["weyl"](hs.CampaignContext(cfg))
+    assert ok is ok_audited is False
+    assert payload == audited and payload["worst_margin"] < -1e-5
 
 
 def test_weyl_check_negative_control_inflated_singular_values(monkeypatch):
