@@ -799,9 +799,11 @@ def test_weyl_check_audits_every_group_without_a_certificate(monkeypatch, contro
 
 
 def test_weyl_check_negated_weight_audits_the_failing_pairs(monkeypatch):
-    # under G -> -G some representatives fail, and each failing one sends
-    # its partner down the audit path: the payload, worst margin included,
-    # is that of a run without the reversal lookup, bit for bit
+    # under G -> -G some representatives fail, so every partner goes down
+    # the audit path, certified or not (the float64 SVDs of an
+    # ill-conditioned pair differ far beyond the certificate's bound): the
+    # payload, worst margin included, is that of a run without the
+    # reversal lookup, bit for bit
     cfg = _seeded_defect(monkeypatch, "negated")
     built, verdicts = [], []
     build_generator, audit_in_place = op.build_generator, hs._audit_in_place
@@ -819,8 +821,9 @@ def test_weyl_check_negated_weight_audits_the_failing_pairs(monkeypatch):
     monkeypatch.setattr(hs, "_audit_in_place", recorded_audit)
     ok, payload = hs.CHECKS["weyl"](hs.CampaignContext(cfg))
     verdict_of = dict(zip(built, verdicts))
-    failing = [partner for rep, partner in _reversal_pairs(cfg) if not verdict_of[rep]]
-    assert failing and all(partner in verdict_of for partner in failing)
+    pairs = _reversal_pairs(cfg)
+    assert any(not verdict_of[rep] for rep, _ in pairs)
+    assert all(partner in verdict_of for _, partner in pairs)
     _without_reversal(monkeypatch)
     ok_audited, audited = hs.CHECKS["weyl"](hs.CampaignContext(cfg))
     assert ok is ok_audited is False
