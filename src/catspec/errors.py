@@ -29,9 +29,5 @@ class UnresolvedWindow(CatspecError):
     """Truncation cannot cover the requested spectral window."""
 
 
-class UnmatchedEntry(CatspecError):
-    """Spectral matching failed to pair all entries."""
-
-
 class MultiplicityMismatch(CatspecError):
     """Matched eigenvalues disagree in multiplicity."""

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import cotangent
 from .cotangent import CotangentPoint
+from .errors import WeightOverflow
 from .model import MappingTorusFlow
 
 #: step of the Richardson-extrapolated flow derivatives of G
@@ -107,10 +108,16 @@ class EscapeFunction:
         self._nodes, self._weights = composite_gauss_legendre(
             params.t_avg, self.PANELS, self.NODES_PER_PANEL)
         self._log_ga = 2.0 * self.theta * self._nodes
+        log_reach = np.abs(self._log_ga).max()
+        if log_reach > np.log(np.finfo(float).max):
+            raise WeightOverflow(
+                f"the time average's factor exp(2 theta t) reaches exp({log_reach:.4g}) "
+                f"at theta = {self.theta:.6g}, t_avg = {params.t_avg:g}; "
+                "reduce t_avg or the expansion rate")
         self._ga = np.exp(self._log_ga)
         # rows whose largest square lies outside (_tiny, _huge) may overflow
         # or lose bits to underflow along the nodes, so they keep every node
-        reach = np.exp(np.abs(self._log_ga).max())
+        reach = np.exp(log_reach)
         self._tiny = 1e4 * np.finfo(float).tiny * reach
         self._huge = np.finfo(float).max / (4.0 * reach)
 

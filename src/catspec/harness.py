@@ -13,14 +13,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
 
 from . import charpoly, operator as op
-from .errors import (MultiplicityMismatch, UnmatchedEntry, UnresolvedState,
+from .errors import (MultiplicityMismatch, NonConvergence, UnresolvedState,
                      UnresolvedWindow)
 from .escape import EscapeFunction, verify_escape_estimates
 from .model import MappingTorusFlow
@@ -287,7 +286,8 @@ class MatchResult:
 
 
 def symmetry_check(res: ResonanceSet) -> MatchResult:
-    """Optimal pairing of the spectrum with its reflection -conj(lambda)."""
+    """Optimal pairing of the spectrum with its reflection -conj(lambda); a
+    pair with unequal multiplicities is unmatched."""
     entries = res.entries
     if not entries:
         return MatchResult(0.0, [], [])
@@ -295,16 +295,15 @@ def symmetry_check(res: ResonanceSet) -> MatchResult:
     mults = np.array([e.multiplicity for e in entries])
     target = -vals.conj()
     cost = np.abs(vals[:, None] - target[None, :])
-    pairs, worst = [], 0.0
+    pairs, unmatched, worst = [], [], 0.0
     for r, c in enumerate(min_cost_matching(cost)):
-        if mults[r] != mults[c]:
-            raise UnmatchedEntry(
-                f"multiplicity mismatch under reflection: {vals[r]:.6g} (x{mults[r]}) "
-                f"vs {vals[c]:.6g} (x{mults[c]})")
         d = float(cost[r, c])
+        if mults[r] != mults[c]:
+            unmatched.append((complex(vals[r]), complex(target[c]), d))
+            continue
         worst = max(worst, d)
         pairs.append((complex(vals[r]), complex(target[c]), d))
-    return MatchResult(worst, pairs, [])
+    return MatchResult(worst, pairs, unmatched)
 
 
 def intrinsic_check(res_a: ResonanceSet, res_b: ResonanceSet, floor) -> MatchResult:
@@ -392,45 +391,16 @@ def _audit_in_place(a, z_e, eigenvalues) -> WeylAudit:
     return WeylAudit(ok, float(margin.min(initial=np.inf)))
 
 
-def weyl_spectra(p: np.ndarray, z_e):
-    """Ascending squared singular values of ``p - z_e`` and squared distances
-    ``|lambda - z_e|**2``, as exact dyadic Fractions from exact characteristic
-    polynomials.
-
-    ``B = 2**e (p - z_e)`` is a Gaussian-integer matrix; the distances are
-    ``|roots of det(x - B)| / 2**e`` and the squared singular values the
-    roots of ``det(x - Bᴴ B) / 4**e`` (``catspec.charpoly``), read off their
-    real parts since those roots are real and >= 0.  No LAPACK value enters.
-    Raises NonConvergence instead of returning inaccurate values.
-    """
-    [(eig, gram, e)] = charpoly.polynomials(np.asarray(p, dtype=complex)[None], z_e)
-    eig, squares = charpoly.roots([eig, gram], WEYL_DPS)
-    return (sorted(Fraction(a, 1 << (f + 2 * e)) for a, _, f in squares),
-            sorted(Fraction(a * a + b * b, 1 << 2 * (f + e)) for a, b, f in eig))
-
-
 #: the squared slack (1 + 10**(10 - WEYL_DPS))**2 as (numerator, denominator)
 _SLACK = (10 ** (WEYL_DPS - 10) + 1) ** 2, 10 ** (2 * WEYL_DPS - 20)
 
 
-def weyl_prefix_ok(squares, dist2):
-    """Whether every ascending prefix product of the squared singular values
-    ``squares`` is at most that of the squared distances ``dist2`` times the
-    squared slack ``(1 + 10**(-WEYL_DPS + 10))**2``, compared exactly."""
-    slack = Fraction(*_SLACK)
-    acc_s = acc_d = 1
-    for s, d in zip(squares, dist2):
-        acc_s *= s
-        acc_d *= d
-        if acc_s > acc_d * slack:
-            return False
-    return True
-
-
-def _filtered_prefixes(squares, eig):
-    """The verdict of ``weyl_prefix_ok`` on every prefix k < n, decided from
-    the root triples of ``charpoly.roots`` at WEYL_FILTER_DPS: True or False
-    when the certified bounds decide every prefix, None otherwise.
+def _filtered_prefixes(squares, eig, dps):
+    """Whether every ascending prefix product k < n of the squared singular
+    values is at most that of the squared distances times the squared slack
+    ``_SLACK``, decided from the root triples of ``charpoly.roots`` at
+    ``dps`` digits: True or False when the certified bounds decide every
+    prefix, None otherwise.
 
     A triple w lies within ``|w| / tol`` of its root.  The squares are real,
     so each lies within ``(|re| + |im|) / tol`` of ``re``; each distance lies
@@ -440,7 +410,7 @@ def _filtered_prefixes(squares, eig):
     (both sides carry ``4**-e`` per factor, which cancels), and the
     comparisons are exact.
     """
-    tol = 10 ** (WEYL_FILTER_DPS + 5)
+    tol = 10 ** (dps + 5)
     fs, fd = max(f for *_, f in squares), max(f for *_, f in eig)
     s_lo, s_hi, d_lo, d_hi = [], [], [], []
     for a, b, f in squares:                       # unit tol * 2**fs
@@ -468,17 +438,17 @@ def _filtered_prefixes(squares, eig):
 
 def weyl_oracle(p: np.ndarray, z_e):
     """Exact check of the prefix-product inequality on one matrix p or on
-    each matrix of a stack: the verdict of ``weyl_prefix_ok`` on the spectra
-    of ``weyl_spectra``, or NonConvergence.
+    each matrix of a stack: whether every ascending prefix product of the
+    squared singular values of ``p - z_e`` is at most that of the squared
+    distances ``|lambda - z_e|**2`` times the squared slack ``_SLACK``.
 
-    A filter decides it from the exact polynomials of every matrix
-    (``charpoly.polynomials``).  The prefix k = n is the identity
-    ``det(Bᴴ B) = |det B|**2``, checked exactly on the constant
-    coefficients.  The prefixes k < n are decided by
-    ``_filtered_prefixes`` from roots certified to ``10**-13``: one or two
-    Weierstrass sweeps from one float64 warm start for every polynomial.
-    Only a matrix with an undecided prefix runs ``weyl_spectra`` at
-    WEYL_DPS digits.
+    One ``charpoly.polynomials`` call gives the exact polynomials of every
+    matrix.  The prefix k = n is the identity ``det(Bᴴ B) = |det B|**2``,
+    checked exactly on the constant coefficients.  The prefixes k < n are
+    decided by the certified bounds of ``_filtered_prefixes``: from roots
+    at WEYL_FILTER_DPS digits for every matrix, then at WEYL_DPS digits for
+    the matrices left undecided.  A prefix still undecided at WEYL_DPS (its
+    true ratio within about 1e-44 of the slack) raises NonConvergence.
     """
     stack = np.asarray(p, dtype=complex)
     stack = stack[None] if stack.ndim == 2 else stack
@@ -488,16 +458,21 @@ def weyl_oracle(p: np.ndarray, z_e):
         (re, im), (det_g, _) = eig[-1], gram[-1]
         if (-1) ** n * det_g != re * re + im * im:
             return False
-    found = charpoly.roots([f for eig, gram, _ in polys for f in (gram, eig)],
-                           WEYL_FILTER_DPS)
-    undecided = []
-    for k in range(len(polys)):
-        verdict = _filtered_prefixes(found[2 * k], found[2 * k + 1])
-        if verdict is False:
-            return False
-        if verdict is None:
-            undecided.append(k)
-    return all(weyl_prefix_ok(*weyl_spectra(stack[k], z_e)) for k in undecided)
+    pending = [(gram, eig) for eig, gram, _ in polys]
+    for dps in (WEYL_FILTER_DPS, WEYL_DPS):
+        found = charpoly.roots([f for pair in pending for f in pair], dps)
+        undecided = []
+        for k, pair in enumerate(pending):
+            verdict = _filtered_prefixes(found[2 * k], found[2 * k + 1], dps)
+            if verdict is False:
+                return False
+            if verdict is None:
+                undecided.append(pair)
+        if not undecided:
+            return True
+        pending = undecided
+    raise NonConvergence(f"{len(pending)} matrices have a Weyl prefix undecided "
+                         f"at {WEYL_DPS} digits")
 
 
 @dataclass
@@ -752,7 +727,7 @@ def _check_upper_half(ctx):
 
 def _check_symmetry(ctx):
     sym = symmetry_check(ctx.base)
-    ok = bool(sym.pairs) and sym.max_distance < 1e-6
+    ok = bool(sym.pairs) and sym.max_distance < 1e-6 and not sym.unmatched
     return ok, {"max_distance": sym.max_distance, "pairs": len(sym.pairs)}
 
 

@@ -16,11 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .errors import NonConvergence
+from .errors import CatspecError, NonConvergence
 
 _TAU_GRID = 4096
-#: flow times of the fit in `MappingTorusFlow.measure_hyperbolicity`
-HYPERBOLICITY_TIMES = (0.5, 1.0, 2.0, 3.0, 5.0)
+#: flow times of the fit in `MappingTorusFlow.measure_hyperbolicity`, in
+#: units of the return time, so that a fit crosses at most 5 seams.  Just
+#: short of whole return times some orbits have not crossed their last seam,
+#: so c_hyp also bounds the slowest contraction between the sampled times
+HYPERBOLICITY_TIMES = (0.49, 0.98, 1.96, 2.94, 4.9)
 
 
 class TimeChange:
@@ -126,15 +129,27 @@ class CatMap:
         return w
 
     def power(self, p):
-        """Integer matrix A^p (p may be negative; det 1 keeps it integral)."""
+        """Integer matrix A^p (p may be negative; det 1 keeps it integral), by
+        repeated squaring in Python ints.  Raises CatspecError as soon as an
+        entry of a partial power A^k, |k| <= |p|, leaves int64."""
         p = int(p)
-        m = np.eye(2, dtype=np.int64)
-        a = self.matrix if p >= 0 else np.array(
-            [[self.matrix[1, 1], -self.matrix[0, 1]],
-             [-self.matrix[1, 0], self.matrix[0, 0]]], dtype=np.int64)
-        for _ in range(abs(p)):
-            m = a @ m
-        return m
+        (a, b), (c, d) = self.matrix.tolist()
+        step = (a, b, c, d) if p >= 0 else (d, -b, -c, a)
+        m = (1, 0, 0, 1)
+        for bit in bin(abs(p))[2:]:
+            m = _product(m, m)
+            if bit == "1":
+                m = _product(m, step)
+            if max(map(abs, m)) >= 1 << 63:
+                raise CatspecError(f"A^{p} leaves int64: {p} seam crossings are too many")
+        return np.array(m, dtype=np.int64).reshape(2, 2)
+
+
+def _product(x, y):
+    """The 2x2 product x y of row-major 4-tuples."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
 @dataclass(frozen=True)
@@ -189,7 +204,7 @@ class MappingTorusFlow:
 
     def measure_hyperbolicity(self, n_points=40, seed=0):
         """Fit |D phi_t e_s| ~ c_hyp * exp(-theta t) over sampled orbits,
-        at the times HYPERBOLICITY_TIMES.
+        at the times HYPERBOLICITY_TIMES times the return time.
 
         Returns (c_hyp, theta_fit).  The fitted rate should match
         log(lambda_u)/period.
@@ -200,15 +215,16 @@ class MappingTorusFlow:
         for _ in range(n_points):
             p = BasePoint((rng.random(), rng.random()), rng.random())
             for t in HYPERBOLICITY_TIMES:
-                g = np.linalg.norm(self.differential(p, t) @ e_s3)
+                g = np.linalg.norm(self.differential(p, t * self.period) @ e_s3)
                 ts.append(t)
                 logs.append(np.log(g))
+        # fitted in units of the return time, which may lie far from 1
         ts = np.asarray(ts)
         logs = np.asarray(logs)
         slope, intercept = np.polyfit(ts, logs, 1)
         resid = logs - (slope * ts + intercept)
         c_hyp = float(np.exp(intercept + np.max(resid)))
-        return c_hyp, -float(slope)
+        return c_hyp, -float(slope) / self.period
 
 
 def default_flow(perturbation=0.2):

@@ -451,12 +451,18 @@ def eigendecompose(p: np.ndarray):
         vals, vecs = np.linalg.eig(p)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"dense eigensolver failed: {exc}") from exc
+    if not np.isfinite(norm):
+        raise NonConvergence(f"matrix 2-norm {norm} is outside the double range")
     order = np.argsort(-vals.imag, kind="stable")
     out = []
-    for idx in order:
-        v = vecs[:, idx]
-        res = np.linalg.norm(p @ v - vals[idx] * v) / max(norm, 1e-300)
-        out.append(EigenPair(complex(vals[idx]), float(res)))
+    with np.errstate(over="ignore"):
+        for idx in order:
+            v = vecs[:, idx]
+            r = p @ v - vals[idx] * v
+            res = np.linalg.norm(r) / max(norm, 1e-300)
+            if math.isinf(res):     # |r|**2 overflows: scale before squaring
+                res = np.linalg.norm(r / norm)
+            out.append(EigenPair(complex(vals[idx]), float(res)))
     return out
 
 
@@ -549,7 +555,7 @@ def quadratic_partition(radii, r0, r1):
 
 
 def partition_ims_check(block: SectorBlock, escape: EscapeFunction, z,
-                        h_list, trials=20, r0=2.0, r1=10.0, seed=0):
+                        h_list, trials, r0, r1, seed):
     """Localization-defect residuals r(h) of the quadratic partition.
 
     For each h the weighted, h-rescaled block A = h P - z is split by the
@@ -590,7 +596,7 @@ def partition_ims_check(block: SectorBlock, escape: EscapeFunction, z,
     return out
 
 
-def garding_upper_check(hp: np.ndarray, trials=200, seed=0):
+def garding_upper_check(hp: np.ndarray, trials, seed):
     """Max over random vectors of Im <u, h P u> / ||u||^2.
 
     hp is the h-rescaled weighted block h P.
@@ -602,11 +608,3 @@ def garding_upper_check(hp: np.ndarray, trials=200, seed=0):
         u = rng.normal(size=n) + 1j * rng.normal(size=n)
         top = max(top, float(np.vdot(u, hp @ u).imag / np.vdot(u, u).real))
     return top
-
-
-def numerical_range_top(matrix):
-    """Largest eigenvalue of the Hermitian imaginary part (exact sup of
-    Im of the numerical range)."""
-    m = np.asarray(matrix, dtype=complex)
-    return float(np.max(np.linalg.eigvalsh((m - m.conj().T) / 2j)))
-

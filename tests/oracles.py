@@ -1,9 +1,11 @@
 """Cross-check oracles shared by the test modules.
 
 These routes are not used by the program: a Gram-matrix singular value
-solve, the Weyl oracle's spectra from mpmath's dense SVD and QR
-eigensolver, its exact polynomials from Berkowitz's recursion in Python
-ints, the Weyl audit's prefix comparison as a loop, the neutral-sector part of a spectrum, resolvent-quadrature
+solve, the exact top of the numerical range, the Weyl oracle's spectra as
+exact Fractions from its WEYL_DPS roots and from mpmath's dense SVD and
+QR eigensolver, their prefix products compared exactly, its exact
+polynomials from Berkowitz's recursion in Python ints, the Weyl audit's
+prefix comparison as a loop, the neutral-sector part of a spectrum, resolvent-quadrature
 projector ranks, the coherent-state projection of a wave packet on a list
 of sector blocks, the weighted expectation on an orbit sector through its
 dense matrix, the coherent symbol study sector by sector, the orbit
@@ -31,8 +33,8 @@ import scipy.linalg as sla
 from catspec.cotangent import CotangentPoint
 from catspec.errors import CatspecError, NonConvergence, UnresolvedState
 from catspec.escape import EscapeFunction, composite_gauss_legendre, smoothstep
-from catspec.harness import (WEYL_DPS, WEYL_REL_SLACK, ResonanceSet, WeylAudit,
-                             weyl_prefix_ok)
+from catspec import charpoly
+from catspec.harness import _SLACK, WEYL_DPS, WEYL_REL_SLACK, ResonanceSet, WeylAudit
 from catspec.model import BasePoint, MappingTorusFlow
 from catspec.operator import (OrbitSector, PacketProfile, SectorBlock, _mode_adapted,
                               apply_weight, eigendecompose, singular_values)
@@ -58,11 +60,48 @@ def singular_values_gram(p: np.ndarray, z_e=0.0):
     return np.sqrt(np.clip(vals, 0.0, None))
 
 
+def numerical_range_top(matrix):
+    """Largest eigenvalue of the Hermitian imaginary part (exact sup of
+    Im of the numerical range)."""
+    m = np.asarray(matrix, dtype=complex)
+    return float(np.max(np.linalg.eigvalsh((m - m.conj().T) / 2j)))
+
+
+def weyl_spectra(p: np.ndarray, z_e):
+    """Ascending squared singular values of ``p - z_e`` and squared distances
+    ``|lambda - z_e|**2``, as exact dyadic Fractions of the root triples
+    that ``harness.weyl_oracle`` takes at WEYL_DPS digits.
+
+    ``B = 2**e (p - z_e)`` is a Gaussian-integer matrix; the distances are
+    ``|roots of det(x - B)| / 2**e`` and the squared singular values the
+    roots of ``det(x - Bᴴ B) / 4**e`` (``catspec.charpoly``), read off their
+    real parts since those roots are real and >= 0.  No LAPACK value enters.
+    """
+    [(eig, gram, e)] = charpoly.polynomials(np.asarray(p, dtype=complex)[None], z_e)
+    eig, squares = charpoly.roots([eig, gram], WEYL_DPS)
+    return (sorted(Fraction(a, 1 << (f + 2 * e)) for a, _, f in squares),
+            sorted(Fraction(a * a + b * b, 1 << 2 * (f + e)) for a, b, f in eig))
+
+
+def weyl_prefix_ok(squares, dist2):
+    """Whether every ascending prefix product of the squared singular values
+    ``squares`` is at most that of the squared distances ``dist2`` times the
+    squared slack ``harness._SLACK``, compared exactly."""
+    slack = Fraction(*_SLACK)
+    acc_s = acc_d = 1
+    for s, d in zip(squares, dist2):
+        acc_s *= s
+        acc_d *= d
+        if acc_s > acc_d * slack:
+            return False
+    return True
+
+
 def weyl_spectra_dense(p: np.ndarray, z_e):
     """The Weyl oracle's spectra the dense way: ascending squares of the
     ``mp.svd_c`` singular values of ``p - z_e`` and of the ``mp.eig``
     distances to ``z_e``, at ``harness.WEYL_DPS`` digits, each squared
-    exactly into a Fraction as ``harness.weyl_spectra`` returns them."""
+    exactly into a Fraction as ``weyl_spectra`` returns them."""
     import mpmath as mp
 
     def square(x):
@@ -79,7 +118,7 @@ def weyl_spectra_dense(p: np.ndarray, z_e):
 
 
 def weyl_oracle_dense(p: np.ndarray, z_e):
-    """``harness.weyl_oracle`` on the dense high-precision spectra."""
+    """The Weyl prefix comparison on the dense high-precision spectra."""
     return weyl_prefix_ok(*weyl_spectra_dense(p, z_e))
 
 

@@ -12,12 +12,12 @@ from catspec import charpoly
 from catspec import harness as hs
 from catspec import operator as op
 from catspec.config import parse_config, DEFAULT_CONFIG
-from catspec.errors import (MultiplicityMismatch, UnresolvedState, UnresolvedWindow,
-                            WeightOverflow)
+from catspec.errors import (MultiplicityMismatch, NonConvergence, UnresolvedState,
+                            UnresolvedWindow, WeightOverflow)
 from catspec.escape import EscapeFunction, OrderParams
 from oracles import (berkowitz, coherent_study_per_sector, gram, lattice_counts_meshgrid,
                      neutral_resonances, spectral_projector_rank, weyl_audit_loop,
-                     weyl_oracle_dense, weyl_spectra_dense)
+                     weyl_oracle_dense, weyl_prefix_ok, weyl_spectra, weyl_spectra_dense)
 
 
 _DEFAULT = parse_config(DEFAULT_CONFIG)
@@ -151,6 +151,23 @@ def test_symmetry_check_cases():
     assert hs.symmetry_check(synthetic([1 - 1j, -1 - 1j])).max_distance == 0.0
     askew = synthetic([1 - 1j, -1.25 - 1j])
     assert hs.symmetry_check(askew).max_distance == pytest.approx(0.25)
+
+
+def test_symmetry_check_unequal_multiplicities_fail_by_verdict():
+    # one entry's multiplicity changed: it and its reflection are unmatched,
+    # the other pairs stay matched, and the check fails by its verdict with
+    # the payload keys of a pass
+    values = [1 - 1j, -1 - 1j, -0.5j, 2 - 0.25j, -2 - 0.25j]
+    assert not hs.symmetry_check(synthetic(values, [1, 1, 1, 3, 3])).unmatched
+    changed = synthetic(values, [1, 1, 1, 3, 2])
+    sym = hs.symmetry_check(changed)
+    assert [(a, b) for a, b, _ in sym.unmatched] == [(2 - 0.25j, 2 - 0.25j),
+                                                     (-2 - 0.25j, -2 - 0.25j)]
+    assert len(sym.pairs) == 3 and sym.max_distance == 0.0
+    ctx = hs.CampaignContext(parse_config("[solver]\nk_max = 3\n"))
+    ctx.base = changed
+    ok, payload = hs.CHECKS["symmetry"](ctx)
+    assert ok is False and payload == {"max_distance": 0.0, "pairs": 3}
 
 
 def test_min_cost_matching_equals_scipy():
@@ -363,10 +380,10 @@ def test_weyl_spectra_match_the_dense_route(seed):
     # eigensolver on the weyl check's 20 matrices of campaign seed `seed`:
     # singular values and distances agree to 1e-30 relative
     for m in hs.weyl_random_matrices(seed):
-        squares, dist2 = hs.weyl_spectra(m, Z_E)
+        squares, dist2 = weyl_spectra(m, Z_E)
         dense_s, dense_d = weyl_spectra_dense(m, Z_E)
         assert _roots_agree(squares, dense_s) and _roots_agree(dist2, dense_d)
-        assert hs.weyl_prefix_ok(squares, dist2) and hs.weyl_prefix_ok(dense_s, dense_d)
+        assert weyl_prefix_ok(squares, dist2) and weyl_prefix_ok(dense_s, dense_d)
 
 
 def test_weyl_oracle_holds_on_the_campaign_seeds():
@@ -384,7 +401,7 @@ def test_weyl_oracle_exact_zero_and_repeated_roots():
     jordan = Z_E * np.eye(4) + np.diag(np.ones(3), 1)
     for m in (tri, jordan):
         assert hs.weyl_oracle(m, Z_E) and weyl_oracle_dense(m, Z_E)
-    squares, dist2 = hs.weyl_spectra(jordan, Z_E)
+    squares, dist2 = weyl_spectra(jordan, Z_E)
     assert squares == [0, 1, 1, 1] and dist2 == [0, 0, 0, 0]
     # lower on the diagonal the dense SVD leaves s_min near 1e-41 against an
     # exact zero distance, and its verdict is False; the exact route reads
@@ -392,7 +409,7 @@ def test_weyl_oracle_exact_zero_and_repeated_roots():
     for pos in range(6):
         tri = upper.copy()
         tri[pos, pos] = Z_E
-        squares, dist2 = hs.weyl_spectra(tri, Z_E)
+        squares, dist2 = weyl_spectra(tri, Z_E)
         assert squares[0] == 0 and dist2[0] == 0 and hs.weyl_oracle(tri, Z_E)
     # a Jordan block away from z_e and a repeated normal eigenvalue need the
     # exact square-free split
@@ -404,12 +421,21 @@ def test_weyl_oracle_exact_zero_and_repeated_roots():
 
 def test_weyl_oracle_negative_control():
     # a normal matrix is the equality case: the oracle holds, and singular
-    # values raised by 1e-25 relative, beyond the 1e-30 slack, fail it
+    # values raised by 1e-25 relative, beyond the 1e-30 slack, fail it,
+    # compared exactly and by the certified bounds the oracle decides with
     m = np.diag([1.0 + 1j, -2.0, 0.5j, 3.0])
-    squares, dist2 = hs.weyl_spectra(m, 0.3)
-    assert hs.weyl_oracle(m, 0.3) and hs.weyl_prefix_ok(squares, dist2)
+    squares, dist2 = weyl_spectra(m, 0.3)
+    assert hs.weyl_oracle(m, 0.3) and weyl_prefix_ok(squares, dist2)
     raised = [s * (1 + Fraction(1, 10 ** 25)) ** 2 for s in squares]
-    assert not hs.weyl_prefix_ok(raised, dist2)
+    assert not weyl_prefix_ok(raised, dist2)
+    [(eig, gram, _)] = charpoly.polynomials(m[None], 0.3)
+    eig_roots, square_roots = charpoly.roots([eig, gram], hs.WEYL_DPS)
+    assert hs._filtered_prefixes(square_roots, eig_roots, hs.WEYL_DPS) is True
+    # each triple times (1 + 1e-25)**2, rounded down by far less than 1e-40
+    up = (10 ** 25 + 1) ** 2
+    raised = [(a * up // 10 ** 50, b * up // 10 ** 50, f) for a, b, f in square_roots]
+    assert all(abs(a) > 10 ** 45 for a, _, _ in raised)
+    assert hs._filtered_prefixes(raised, eig_roots, hs.WEYL_DPS) is False
 
 
 def test_weyl_oracle_uses_no_lapack(monkeypatch):
@@ -425,29 +451,47 @@ def test_weyl_oracle_uses_no_lapack(monkeypatch):
 
 @pytest.fixture
 def escalations(monkeypatch):
-    """The matrices the oracle hands to its WEYL_DPS route, recorded."""
+    """The polynomials handed to ``charpoly.roots`` at WEYL_DPS, one list per
+    call."""
     calls = []
-    spectra = hs.weyl_spectra
+    roots = charpoly.roots
 
-    def counted(p, z_e):
-        calls.append(p)
-        return spectra(p, z_e)
+    def counted(polys, dps):
+        if dps == hs.WEYL_DPS:
+            calls.append(polys)
+        return roots(polys, dps)
 
-    monkeypatch.setattr(hs, "weyl_spectra", counted)
+    monkeypatch.setattr(charpoly, "roots", counted)
     return calls
 
 
-def test_weyl_oracle_filter_decides_the_campaign_stacks(escalations):
+@pytest.fixture
+def lifts(monkeypatch):
+    """The number of ``charpoly.polynomials`` calls, in a one-item list."""
+    count = [0]
+    polynomials = charpoly.polynomials
+
+    def counted(a, z):
+        count[0] += 1
+        return polynomials(a, z)
+
+    monkeypatch.setattr(charpoly, "polynomials", counted)
+    return count
+
+
+def test_weyl_oracle_filter_decides_the_campaign_stacks(escalations, lifts):
     # one call on a stack of 20 matrices; every prefix k < n clears its
     # bound by far more than the 1e-13 certificate, so the filter alone
     # decides and no matrix escalates
     for seed in (0, 3):
         matrices = hs.weyl_random_matrices(seed)
+        lifts[0] = 0
         assert hs.weyl_oracle(np.array(matrices), Z_E) is True
+        assert lifts[0] == 1
         for m in matrices[:4]:
             eig, squares = charpoly.roots(charpoly.polynomials(m[None], Z_E)[0][:2],
                                           hs.WEYL_FILTER_DPS)
-            assert hs._filtered_prefixes(squares, eig) is True
+            assert hs._filtered_prefixes(squares, eig, hs.WEYL_FILTER_DPS) is True
     assert escalations == []
 
 
@@ -472,15 +516,33 @@ def test_weyl_oracle_negative_control_stops_at_the_filter(monkeypatch, escalatio
     assert hs.weyl_oracle(m, 0.5) is False
     assert escalations == []
     eig_roots, square_roots = charpoly.roots([eig, squares], hs.WEYL_FILTER_DPS)
-    assert hs._filtered_prefixes(square_roots, eig_roots) is False
+    assert hs._filtered_prefixes(square_roots, eig_roots, hs.WEYL_FILTER_DPS) is False
 
 
-def test_weyl_oracle_escalates_on_equalities(escalations):
-    # a normal matrix: every prefix is an equality, so the certified bounds
-    # overlap and the WEYL_DPS route decides, once
+def test_weyl_oracle_escalates_on_equalities(escalations, lifts):
+    # a normal matrix: every prefix is an equality, so the bounds certified
+    # at WEYL_FILTER_DPS overlap and those at WEYL_DPS decide, once, on the
+    # polynomials of the oracle's one charpoly.polynomials call
     m = np.diag([1.0 + 1j, -2.0, 0.5j, 3.0])
     assert hs.weyl_oracle(m, 0.3) is True
-    assert len(escalations) == 1 and np.array_equal(escalations[0], m)
+    assert lifts[0] == 1
+    [(eig, gram, _)] = charpoly.polynomials(m[None], 0.3)
+    assert len(escalations) == 1 and escalations[0] == [gram, eig]
+
+
+def test_weyl_oracle_raises_on_a_prefix_undecided_at_weyl_dps(monkeypatch):
+    # bounds at WEYL_DPS that still straddle the slack decide nothing: the
+    # oracle raises instead of guessing.  A campaign stack is decided at
+    # WEYL_FILTER_DPS and never reaches them
+    decide = hs._filtered_prefixes
+
+    def undecided(squares, eig, dps):
+        return None if dps == hs.WEYL_DPS else decide(squares, eig, dps)
+
+    monkeypatch.setattr(hs, "_filtered_prefixes", undecided)
+    with pytest.raises(NonConvergence, match="undecided at 40 digits"):
+        hs.weyl_oracle(np.diag([1.0 + 1j, -2.0, 0.5j, 3.0]), 0.3)
+    assert hs.weyl_oracle(np.array(hs.weyl_random_matrices(0)), Z_E) is True
 
 
 def test_weyl_oracle_identity_catches_a_corrupted_lift(monkeypatch, escalations):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from catspec.errors import NonConvergence
+from catspec.errors import CatspecError, NonConvergence
 from catspec.model import BasePoint, CatMap, MappingTorusFlow, TimeChange
 from oracles import (DegenerateSeed, anosov_one_form, anosov_splitting, coords, flow_map,
                      splitting_via_limit, vector_field)
@@ -37,6 +37,25 @@ def test_cat_map_rejects_bad_matrices():
         CatMap(2, 1, 1, 2)          # det 3
     with pytest.raises(ValueError):
         CatMap(1, 1, 0, 1)          # parabolic
+
+
+def test_cat_map_power_is_exact_or_raises():
+    # Python-int powers: A^45 = [[F91, F90], [F90, F89]] still fits int64,
+    # A^46 (F93 ~ 1.2e19) does not; a power of any size fails at once
+    cat = CatMap()
+    fib = [0, 1]
+    while len(fib) < 94:
+        fib.append(fib[-1] + fib[-2])
+    for p in range(46):
+        expected = np.array([[fib[2 * p + 1], fib[2 * p]], [fib[2 * p], fib[2 * p - 1]]]
+                            if p else [[1, 0], [0, 1]], dtype=object)
+        inverse = np.array([[expected[1, 1], -expected[0, 1]],
+                            [-expected[1, 0], expected[0, 0]]])
+        assert cat.power(p).dtype == np.int64
+        assert (cat.power(p) == expected).all() and (cat.power(-p) == inverse).all()
+    for p in (46, -46, 10 ** 300):
+        with pytest.raises(CatspecError, match="seam crossings"):
+            cat.power(p)
 
 
 def test_time_change_positive_and_periodic():

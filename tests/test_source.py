@@ -7,7 +7,7 @@ import catspec
 
 #: defaulted parameters over every function of the package; new options go
 #: in the config, not in signatures
-DEFAULTED_PARAMETERS = 27
+DEFAULTED_PARAMETERS = 21
 
 
 def test_defaulted_parameter_budget():
