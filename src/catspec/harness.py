@@ -1,11 +1,12 @@
 """Verification campaigns over computed resonance spectra.
 
-Spectra are extracted per sector inside a resolved frequency window: the
-neutral sector from the dense solve of its (buffered) matrix, orbit
-sectors from the shared cell block, whose spectrum is exact for the block
-lower-bidiagonal sector matrices and carries algebraic multiplicity equal
-to the cell count.  All campaign reductions iterate sectors in sorted key
-order, so a fixed configuration reproduces byte-identical reports.
+Spectra are extracted inside a resolved frequency window: the neutral
+sector from the dense solve of its (buffered) matrix, the orbit sectors
+from the shared cell block, whose spectrum is exact for the block
+lower-bidiagonal sector matrices: one entry per cell eigenvalue, with
+algebraic multiplicity the total cell count.  All campaign reductions
+iterate sectors in sorted key order, so a fixed configuration reproduces
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -80,24 +81,17 @@ def extract_resonances(escape: EscapeFunction, truncation: op.Truncation, h,
     win_neutral = omega * (truncation.j_max + 0.5)
     win_orbit = omega * (truncation.j_max - truncation.edge_guard + 0.5)
 
-    entries = []
-    dropped = 0
     neutral = op.build_generator(flow, op.NeutralSector(), truncation)
-    for pair in op.eigendecompose(op.apply_weight(neutral, escape, h)):
-        if abs(pair.value.real) > win_neutral:
-            continue
-        if pair.residual > residual_tol:
-            dropped += 1
-            continue
-        entries.append(ResonanceEntry(pair.value, 1, pair.residual, "neutral"))
-
-    cell = op.orbit_cell_block(flow, truncation)
-    cell_pairs = [p for p in op.eigendecompose(cell)
-                  if abs(p.value.real) <= win_orbit and p.residual <= residual_tol]
-    entries += [ResonanceEntry(pair.value, sector.n_cells, pair.residual, sector.key)
-                for sector in op.enumerate_orbits(flow.cat, truncation.k_max,
-                                                  truncation.p_max)
-                for pair in cell_pairs]
+    in_window = [pair for pair in op.eigendecompose(op.apply_weight(neutral, escape, h))
+                 if abs(pair.value.real) <= win_neutral]
+    entries = [ResonanceEntry(pair.value, 1, pair.residual, "neutral")
+               for pair in in_window if pair.residual <= residual_tol]
+    dropped = len(in_window) - len(entries)
+    cells = sum(s.n_cells for s in op.enumerate_orbits(flow.cat, truncation.k_max,
+                                                       truncation.p_max))
+    entries += [ResonanceEntry(pair.value, cells, pair.residual, "orbit")
+                for pair in op.eigendecompose(op.orbit_cell_block(flow, truncation))
+                if abs(pair.value.real) <= win_orbit and pair.residual <= residual_tol]
 
     return ResonanceSet(_cluster(entries, cluster_radius),
                         {"dropped_residual": dropped, "cluster_radius": cluster_radius})
@@ -285,59 +279,39 @@ class MatchResult:
     unmatched: list
 
 
-def symmetry_check(res: ResonanceSet) -> MatchResult:
-    """Optimal pairing of the spectrum with its reflection -conj(lambda); a
-    pair with unequal multiplicities is unmatched."""
-    entries = res.entries
-    if not entries:
-        return MatchResult(0.0, [], [])
-    vals = np.array([e.value for e in entries])
-    mults = np.array([e.multiplicity for e in entries])
-    target = -vals.conj()
-    cost = np.abs(vals[:, None] - target[None, :])
-    pairs, unmatched, worst = [], [], 0.0
+def _match(a, b, cutoff):
+    """Optimal pairing of the entries a with as many entries b: a pair
+    farther apart than cutoff, or with unequal multiplicities, is
+    unmatched."""
+    cost = np.abs(np.array([e.value for e in a])[:, None] - np.array([e.value for e in b]))
+    pairs, unmatched = [], []
     for r, c in enumerate(min_cost_matching(cost)):
-        d = float(cost[r, c])
-        if mults[r] != mults[c]:
-            unmatched.append((complex(vals[r]), complex(target[c]), d))
-            continue
-        worst = max(worst, d)
-        pairs.append((complex(vals[r]), complex(target[c]), d))
-    return MatchResult(worst, pairs, unmatched)
+        pair = (complex(a[r].value), complex(b[c].value), float(cost[r, c]))
+        matched = pair[2] <= cutoff and a[r].multiplicity == b[c].multiplicity
+        (pairs if matched else unmatched).append(pair)
+    return MatchResult(max((d for *_, d in pairs), default=0.0), pairs, unmatched)
+
+
+def symmetry_check(res: ResonanceSet) -> MatchResult:
+    """`_match` of the spectrum with its reflection -conj(lambda), with no
+    distance cutoff."""
+    mirror = [replace(e, value=-e.value.conjugate()) for e in res.entries]
+    return _match(res.entries, mirror, math.inf)
 
 
 def intrinsic_check(res_a: ResonanceSet, res_b: ResonanceSet, floor) -> MatchResult:
-    """Match two spectra above a common floor, multiplicities included: a
-    pair farther apart than the cutoff, or with unequal multiplicities, is
-    unmatched.  Unequal entry counts raise MultiplicityMismatch."""
-    a = res_a.above(floor)
-    b = res_b.above(floor)
+    """`_match` of two spectra above a common floor, with the cutoff
+    1e4 max(cluster_radius, 1e-7).  Unequal entry counts raise
+    MultiplicityMismatch."""
+    a, b = res_a.above(floor), res_b.above(floor)
     if len(a) != len(b):
-        raise MultiplicityMismatch(
-            f"{len(a)} vs {len(b)} entries above floor {floor}")
-    if not a:
-        return MatchResult(0.0, [], [])
-    va = np.array([e.value for e in a])
-    vb = np.array([e.value for e in b])
-    cost = np.abs(va[:, None] - vb[None, :])
-    cols = min_cost_matching(cost)
-    cutoff = 1e4 * max(res_a.meta["cluster_radius"], 1e-7)
-    pairs, unmatched, worst = [], [], 0.0
-    for r, c in enumerate(cols):
-        d = float(cost[r, c])
-        if d > cutoff or a[r].multiplicity != b[c].multiplicity:
-            unmatched.append((complex(va[r]), complex(vb[c]), d))
-            continue
-        worst = max(worst, d)
-        pairs.append((complex(va[r]), complex(vb[c]), d))
-    return MatchResult(worst, pairs, unmatched)
+        raise MultiplicityMismatch(f"{len(a)} vs {len(b)} entries above floor {floor}")
+    return _match(a, b, 1e4 * max(res_a.meta["cluster_radius"], 1e-7))
 
 
 def upper_half_check(res: ResonanceSet) -> float:
     """Largest imaginary part over the reported spectrum."""
-    if not res.entries:
-        return float("-inf")
-    return max(e.value.imag for e in res.entries)
+    return max((e.value.imag for e in res.entries), default=float("-inf"))
 
 
 # ---------------------------------------------------------------------------
@@ -494,15 +468,10 @@ def disk_box_check(res: ResonanceSet, E, beta, b, h) -> DiskBoxCheck:
     center = complex(E, 1.0)
     radius = 1.0 + b * h
     half = np.sqrt(beta * h)
-    n_in = 0
-    ok = True
-    for e in res.entries:
-        z = e.value * h
-        if abs(z.real - E) <= half and z.imag >= -beta * h:
-            n_in += 1
-            if abs(z - center) > radius:
-                ok = False
-    return DiskBoxCheck(ok and pre, pre, n_in, radius)
+    box = [z for z in (e.value * h for e in res.entries)
+           if abs(z.real - E) <= half and z.imag >= -beta * h]
+    ok = not any(abs(z - center) > radius for z in box)
+    return DiskBoxCheck(ok and pre, pre, len(box), radius)
 
 
 # ---------------------------------------------------------------------------
@@ -667,17 +636,33 @@ def coherent_symbol_study(escape: EscapeFunction, points, h_list,
 # campaign orchestration
 # ---------------------------------------------------------------------------
 
+class _built_once(cached_property):
+    """A cached_property that also keeps a failed build's exception and
+    re-raises it on every later read instead of building again."""
+
+    def __get__(self, ctx, owner):
+        if ctx is not None and self.attrname in ctx.failures:
+            raise ctx.failures[self.attrname]
+        try:
+            return super().__get__(ctx, owner)
+        except Exception as exc:
+            ctx.failures[self.attrname] = exc
+            raise
+
+
 @dataclass
 class CampaignContext:
-    """What two or more campaign checks share, each built on first use."""
+    """What two or more campaign checks share, each built on first use and
+    at most once: a failed build is remembered and re-raised."""
 
     cfg: object                      # config.RunConfig
+    failures: dict = field(default_factory=dict, init=False, repr=False)
 
-    @cached_property
+    @_built_once
     def escape(self):
         return EscapeFunction(self.cfg.flow(), self.cfg.escape)
 
-    @cached_property
+    @_built_once
     def escape_alt(self):
         return EscapeFunction(self.cfg.flow(), self.cfg.escape_alt)
 
@@ -686,7 +671,7 @@ class CampaignContext:
         return extract_resonances(escape, truncation, cfg.h, cfg.residual_tol,
                                   cfg.cluster_radius)
 
-    @cached_property
+    @_built_once
     def base(self):
         return self.spectrum(self.escape, self.cfg.truncation)
 
@@ -929,11 +914,13 @@ def run_campaign(cfg, progress=None):
     JSON-able report.
 
     A check that raises gets verdict False and an "error" payload instead
-    of aborting the run; its traceback goes to the "catspec" logger.
+    of aborting the run; its frames go to the "catspec" logger once, with
+    the first check that raises it (a failed shared build re-raises).
     """
     ctx = CampaignContext(cfg)
     checks = {}
     verdicts = {}
+    logged = []
     for name, check in CHECKS.items():
         if name not in cfg.checks:
             continue
@@ -942,7 +929,9 @@ def run_campaign(cfg, progress=None):
         try:
             verdicts[name], checks[name] = check(ctx)
         except Exception as exc:  # noqa: BLE001 - verdicts must not abort the run
-            LOG.exception("check %s raised", name)
+            again = exc in logged       # a failed shared build, re-raised
+            LOG.error("check %s raised%s", name, " as above" if again else "", exc_info=not again)
+            logged.append(exc)
             verdicts[name] = False
             checks[name] = {"error": f"{type(exc).__name__}: {exc}"}
 

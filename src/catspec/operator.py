@@ -305,11 +305,16 @@ def conjugate_by_diagonal(matrix, log_weight):
 
     Scales entry (i, j) of the float or complex array `matrix` by
     exp(log_weight[i] - log_weight[j]), with one real n x n temporary for
-    the ratios, and returns `matrix`; the diagonal is untouched.
+    the ratios, and returns `matrix`; the diagonal is untouched.  Raises
+    WeightOverflow when a scaled entry leaves the double range.
     """
     logw = np.asarray(log_weight, dtype=float)
     ratio = np.subtract.outer(logw, logw)
-    matrix *= np.exp(ratio, out=ratio)
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            matrix *= np.exp(ratio, out=ratio)
+        except FloatingPointError as exc:
+            raise WeightOverflow(f"a weighted entry leaves the double range: {exc}") from exc
     return matrix
 
 
@@ -599,12 +604,14 @@ def partition_ims_check(block: SectorBlock, escape: EscapeFunction, z,
 def garding_upper_check(hp: np.ndarray, trials, seed):
     """Max over random vectors of Im <u, h P u> / ||u||^2.
 
-    hp is the h-rescaled weighted block h P.
+    hp is the h-rescaled weighted block h P.  A sample that is not finite
+    (an entry or a product outside the double range) raises NonConvergence.
     """
     rng = np.random.default_rng(seed)
     n = hp.shape[0]
-    top = -np.inf
-    for _ in range(trials):
-        u = rng.normal(size=n) + 1j * rng.normal(size=n)
-        top = max(top, float(np.vdot(u, hp @ u).imag / np.vdot(u, u).real))
-    return top
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = [float(np.vdot(u, hp @ u).imag / np.vdot(u, u).real) for u in
+                   (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(trials))]
+    if not all(map(math.isfinite, samples)):
+        raise NonConvergence("a sample of Im <u, h P u> / |u|^2 is outside the double range")
+    return max(samples, default=-np.inf)

@@ -183,6 +183,24 @@ def test_cli_bad_config_exit_code(tmp_path, capsys, text, command):
     assert err.startswith("config error:") and "Traceback" not in err
 
 
+def _run_keeping_the_exit_promise(tmp_path, text, command):
+    """`command` run on the config `text` in a subprocess, which has ended
+    with 0, 1 or 2 within 20 s (2 exactly on a config error) and has
+    printed no traceback and no RuntimeWarning."""
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(text)
+    src = str(Path(catspec.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-m", "catspec.cli", "--config", str(cfgfile),
+                           "--out", str(tmp_path / "o"), command],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    assert (proc.returncode == 2) == proc.stderr.startswith("config error:")
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr
+    return proc
+
+
 @pytest.mark.parametrize("text", [
     "[model]\nc0 = 5\n",
     "[model]\nc0 = 10\n",
@@ -197,24 +215,41 @@ def test_cli_large_values_keep_the_exit_promise(tmp_path, text):
     # large values of three keys: model-info and spectrum each end with 0, 1
     # or 2 within 20 s, with no traceback and no RuntimeWarning, and the
     # hyperbolicity fit stays within 5% of its target
-    cfgfile = tmp_path / "c.ini"
-    cfgfile.write_text(text)
-    src = str(Path(catspec.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    runs = {}
-    for command in ("model-info", "spectrum"):
-        proc = subprocess.run([sys.executable, "-m", "catspec.cli", "--config", str(cfgfile),
-                               "--out", str(tmp_path / "o"), command],
-                              capture_output=True, text=True, env=env, timeout=20)
-        assert proc.returncode in (0, 1, 2), proc.stderr
-        assert (proc.returncode == 2) == proc.stderr.startswith("config error:")
-        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr
-        runs[command] = proc
+    runs = {command: _run_keeping_the_exit_promise(tmp_path, text, command)
+            for command in ("model-info", "spectrum")}
     # model-info ends with "hyperbolicity fit c_hyp=... theta=FIT (target TARGET)"
     words = runs["model-info"].stdout.split()
     fit, target = float(words[-3].split("=")[1]), float(words[-1].rstrip(")"))
     assert runs["model-info"].returncode == 0 and abs(fit - target) <= 0.05 * target
+
+
+@pytest.mark.parametrize("value", ["1e306", "1e308"])
+def test_cli_campaign_at_a_huge_flux_penalty_keeps_the_exit_promise(tmp_path, value):
+    # the weighted blocks leave the double range: the checks that build them
+    # fail (garding by its verdict at 1e306, by WeightOverflow at 1e308)
+    # and the campaign exits 1, with no RuntimeWarning on the way
+    proc = _run_keeping_the_exit_promise(
+        tmp_path, f"[solver]\nk_max = 4\nflux_penalty = {value}\n", "campaign")
+    assert proc.returncode == 1
+    report = json.loads((tmp_path / "o" / "campaign.json").read_text())
+    assert report["verdicts"]["garding"] is False and report["verdicts"]["weyl"] is False
+
+
+def test_cli_campaign_logs_a_failed_shared_build_once(tmp_path, capsys):
+    # c0 = 1e6: the escape function every check needs overflows.  It is
+    # built once, each of the ten checks fails with the same error payload,
+    # and the frames of the failure are on stderr once
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text("[model]\nc0 = 1e6\n")
+    assert main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "campaign"]) == 1
+    err = capsys.readouterr().err
+    report = json.loads((tmp_path / "o" / "campaign.json").read_text())
+    assert len(report["verdicts"]) == 10 and not any(report["verdicts"].values())
+    errors = {payload["error"] for payload in report["checks"].values()}
+    assert len(errors) == 1 and errors.pop().startswith("WeightOverflow:")
+    assert err.count("raise WeightOverflow(") == 1
+    assert err.count("in __init__") == 1
+    assert err.count(" raised") == 10 and err.count("raised as above") == 9
 
 
 def test_cli_negative_seed_override_exit_code(tmp_path, capsys, monkeypatch):

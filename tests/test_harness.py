@@ -318,6 +318,32 @@ def test_extraction_orbit_multiplicity(flow, escape, trunc):
     assert rank == sector.n_cells
 
 
+def test_extraction_lists_each_cell_eigenvalue_once():
+    # on the default config's base and grown truncations, the orbit entries
+    # are the in-window cell eigenvalues bit for bit, each once, keyed
+    # "orbit", with the total cell count (352 on the base) as multiplicity
+    flow = _DEFAULT.flow()
+    ctx = hs.CampaignContext(_DEFAULT)
+    base = _DEFAULT.truncation
+    grown = replace(base, k_max=base.k_max + 4, p_max=base.p_max + 2)
+    omega = 2 * np.pi / flow.period
+    key = lambda z: (z.real, z.imag)
+    sizes = []
+    for tr in (base, grown):
+        res = ctx.spectrum(ctx.escape, tr)
+        window = omega * (tr.j_max - tr.edge_guard + 0.5)
+        cell = [p for p in op.eigendecompose(op.orbit_cell_block(flow, tr))
+                if abs(p.value.real) <= window and p.residual <= _DEFAULT.residual_tol]
+        orbit = [e for e in res.entries if e.sector_key != "neutral"]
+        assert sorted((e.value for e in orbit), key=key) == sorted((p.value for p in cell),
+                                                                  key=key)
+        assert sorted(e.residual for e in orbit) == sorted(p.residual for p in cell)
+        cells = sum(s.n_cells for s in op.enumerate_orbits(flow.cat, tr.k_max, tr.p_max))
+        assert {(e.sector_key, e.multiplicity) for e in orbit} == {("orbit", cells)}
+        sizes.append((len(orbit), cells))
+    assert sizes[0] == (37, 352) and sizes[1][1] > 352
+
+
 def test_clustering_merges_close_values():
     entries = [hs.ResonanceEntry(1.0 + 0j, 1, 0.0, "a"),
                hs.ResonanceEntry(1.0 + 5e-8j, 2, 0.0, "b"),
@@ -1104,6 +1130,36 @@ def test_campaign_guard_turns_a_raising_check_into_a_failure(monkeypatch):
     assert report["verdicts"] == {"upper_half": True, "disk": False}
     assert report["checks"]["disk"] == {"error": "RuntimeError: seeded defect"}
     assert report["passed"] is False
+
+
+def test_campaign_extracts_a_failed_base_spectrum_once(monkeypatch, caplog):
+    # flux_penalty = 1e308: the base spectrum raises NonConvergence.  It is
+    # extracted once, every check that reads it fails with the same error
+    # payload, and the frames are logged with the first check only
+    calls = []
+    extract = hs.extract_resonances
+    monkeypatch.setattr(hs, "extract_resonances",
+                        lambda *args: calls.append(args) or extract(*args))
+    cfg = parse_config("[solver]\nk_max = 3\nflux_penalty = 1e308\n"
+                       "[campaign]\nchecks = upper_half,symmetry,intrinsic,disk\n")
+    with caplog.at_level(logging.ERROR, logger="catspec"):
+        report = hs.run_campaign(cfg)
+    assert len(calls) == 1 and not any(report["verdicts"].values())
+    errors = {payload["error"] for payload in report["checks"].values()}
+    assert len(errors) == 1 and errors.pop().startswith("NonConvergence:")
+    assert [bool(r.exc_info) for r in caplog.records] == [True, False, False, False]
+
+
+def test_garding_fails_when_its_blocks_leave_the_double_range(recwarn):
+    # flux_penalty = 1e308: the weighted Garding blocks overflow.  The check
+    # fails with an error payload, not with a passing sweep of -inf, and
+    # no RuntimeWarning is raised on the way
+    cfg = parse_config("[solver]\nk_max = 3\nflux_penalty = 1e308\n"
+                       "[campaign]\nchecks = garding\n")
+    report = hs.run_campaign(cfg)
+    assert not recwarn.list
+    assert report["verdicts"] == {"garding": False}
+    assert report["checks"]["garding"]["error"].startswith("WeightOverflow:")
 
 
 #: the small campaign of the defect rows not run on the default config

@@ -259,6 +259,21 @@ def test_conjugate_by_diagonal_shift():
     assert np.allclose(op.conjugate_by_diagonal(diag.copy(), [5.0, -1.0, 0.3]), diag)
 
 
+def test_conjugate_by_diagonal_raises_outside_the_double_range(recwarn):
+    # a finite result keeps the bits of the plain formula; an entry scaled
+    # past the double range raises WeightOverflow instead of warning
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    logw = rng.uniform(-300.0, 300.0, size=6)
+    want = m * np.exp(np.subtract.outer(logw, logw))
+    assert np.array_equal(op.conjugate_by_diagonal(m.copy(), logw), want)
+    for big, logw in ((np.array([[1.0, 1e306], [0.0, 1.0]]), [10.0, 0.0]),
+                      (np.eye(2, dtype=complex), [710.0, 0.0])):   # e^710 overflows
+        with pytest.raises(WeightOverflow, match="leaves the double range"):
+            op.conjugate_by_diagonal(big, logw)
+    assert not recwarn.list
+
+
 def test_similarity_exact_on_nondegenerate_block(flow):
     # the conjugation is an exact similarity: on a simple-spectrum matrix
     # the eigenvalues agree at solver precision
@@ -645,6 +660,15 @@ def test_partition_ims_trivial_cases(flow, escape):
     res1 = op.partition_ims_check(blk1, ef1, 1 + 1j, [0.05], trials=5,
                                   r0=2.0, r1=10.0, seed=0)
     assert res1[0.05] < 1e-12
+
+
+def test_garding_upper_check_raises_on_a_non_finite_sample(recwarn):
+    # a NaN entry, and finite entries whose products overflow: no sample is
+    # finite, so the check raises instead of returning -inf
+    for hp in (np.full((3, 3), np.nan), np.full((3, 3), 1e308 + 0j)):
+        with pytest.raises(NonConvergence, match="outside the double range"):
+            op.garding_upper_check(hp, trials=5, seed=0)
+    assert not recwarn.list
 
 
 def test_garding_hermitian_and_shift(flow_const):
