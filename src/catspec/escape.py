@@ -26,10 +26,12 @@ from .cotangent import CotangentPoint
 from .errors import WeightOverflow
 from .model import MappingTorusFlow
 
-#: step of the Richardson-extrapolated flow derivatives of G
+#: step of the Richardson-extrapolated flow derivative of G at single points
 DERIVATIVE_STEP = 1e-4
 #: samples of `verify_escape_estimates` have |xi| in [R, RADIUS_SPAN * R];
-#: one with X(G) > NONPOSITIVE_TOL anywhere is a violation
+#: one with X(G) > NONPOSITIVE_TOL anywhere is a violation.  The gate is the
+#: one the finite-difference X(G) had; the exact X(G) has no step noise for
+#: it to absorb, only rounding
 RADIUS_SPAN, NONPOSITIVE_TOL = 100.0, 1e-9
 
 
@@ -37,6 +39,13 @@ def smoothstep(x):
     """Quintic ramp: 0 below 0, 1 above 1, C^2 at both edges."""
     x = np.clip(x, 0.0, 1.0)
     return x * x * x * (10.0 + x * (6.0 * x - 15.0))
+
+
+def smoothstep_slope(x):
+    """Derivative of :func:`smoothstep`, 30 x^2 (1 - x)^2 on x clipped to
+    [0, 1]: exactly 0 wherever the ramp is constant."""
+    x = np.clip(x, 0.0, 1.0)
+    return 30.0 * (x * (1.0 - x)) ** 2
 
 
 def _richardson(g_at):
@@ -47,6 +56,14 @@ def _richardson(g_at):
         return (g_at(h) - g_at(-h)) / (2.0 * h)
 
     return (4.0 * diff(DERIVATIVE_STEP / 2.0) - diff(DERIVATIVE_STEP)) / 3.0
+
+
+def _first_set(values, orders):
+    """``values`` stacked per set of ``orders``; for None the first set's,
+    a float for one point."""
+    if orders is None:
+        values = values[0] if values[0].shape else float(values[0])
+    return values
 
 
 def composite_gauss_legendre(t_avg, panels, nodes_per_panel):
@@ -151,8 +168,9 @@ class EscapeFunction:
     #: the raw profiles within this distance of {0, 1} on the aperture cones
     SATURATION = 0.2
 
-    def _profiles(self, adapted):
-        """Saturated averaged profiles (m1, m2).
+    def _profiles(self, adapted, rates):
+        """Saturated averaged profiles (m1, m2), followed with ``rates`` by
+        their flow derivatives.
 
         The raw time averages approach their limit values only at rate
         exp(-theta t_avg), so they are passed through a monotone ramp that
@@ -161,8 +179,10 @@ class EscapeFunction:
         flow monotonicity exact (chain rule with nonnegative slope).
         """
         eps = self.SATURATION
-        return tuple(smoothstep((m - eps) / (1.0 - 2.0 * eps))
-                     for m in self._raw_profiles(adapted))
+        raw = self._averages(adapted, rates)
+        x = [(m - eps) / (1.0 - 2.0 * eps) for m in raw[:2]]
+        return (tuple(smoothstep(v) for v in x)
+                + tuple(smoothstep_slope(v) / (1.0 - 2.0 * eps) * dm for v, dm in zip(x, raw[2:])))
 
     #: rows per gemv of _raw_profiles, a multiple of 4 (see there); with a
     #: 3-row tail a block over all nodes (35 x 384 x 8 B = 105 KB) stays
@@ -200,16 +220,21 @@ class EscapeFunction:
         sorted, and the last ``n mod 4`` rows end the last block in their
         order (a batch of one row stays on numpy's dot).
         """
+        return self._averages(adapted, False)
+
+    def _averages(self, adapted, rates):
+        """The raw profiles (m1, m2) of :meth:`_raw_profiles`, followed with
+        ``rates`` by their flow derivatives (see :meth:`_average`), from one
+        pass over the batch."""
         d = np.asarray(adapted, dtype=float)
         batch = d.reshape(-1, 3)
         n = len(batch)
         body = n - n % 4
-        m = (np.empty(n), np.empty(n))
+        out = [np.empty(n) for _ in range(4 if rates else 2)]
         for c0 in range(0, max(body, 1), self.SORT_ROWS):
             c1 = c0 + self.SORT_ROWS if c0 + self.SORT_ROWS < body else n
-            self._average(batch[c0:c1] ** 2, (m[0][c0:c1], m[1][c0:c1]))
-        shape = d.shape[:-1]
-        return m[0].reshape(shape), m[1].reshape(shape)
+            self._average(batch[c0:c1] ** 2, [o[c0:c1] for o in out])
+        return tuple(o.reshape(d.shape[:-1]) for o in out)
 
     def _windows(self, sq):
         """Nodes ``[start, stop)`` outside which the bumps of m1 (row 0)
@@ -250,7 +275,17 @@ class EscapeFunction:
 
     def _average(self, sq, m):
         """Write the raw profiles of the rows ``sq`` of squared components
-        into ``m[0]`` and ``m[1]`` (see :meth:`_raw_profiles`)."""
+        into ``m[0]`` and ``m[1]`` (see :meth:`_raw_profiles`) and, when
+        ``m`` holds four arrays, their flow derivatives into ``m[2]`` and
+        ``m[3]``.
+
+        With ``A = a^2 g``, ``B = b^2 / g`` and ``T = A + B + e^2`` the
+        fractions move as ``d(A/T)/dt = 2 theta (A/T) (2B + e^2) / T`` and
+        ``d(B/T)/dt = -2 theta (B/T) (2A + e^2) / T``; each node's bump
+        moves as that times ``smoothstep_slope`` of its argument over the
+        ramp's span.  The slope is exactly 0 outside the windows, so each
+        derivative is reduced over the window alone, one block at a time.
+        """
         n = len(sq)
         if not n:
             return
@@ -279,7 +314,8 @@ class EscapeFunction:
                     continue
             runs.append([i, i + 1, p0, q0, p1, q1])
         lo, span = self._cone2, 1.0 - 2.0 * self._cone2
-        work = [np.empty(min(n, self.BLOCK_ROWS + 3) * n_nodes) for _ in range(4)]
+        rates = len(m) > 2
+        work = [np.empty(min(n, self.BLOCK_ROWS + 3) * n_nodes) for _ in range(6 if rates else 4)]
 
         def view(k, shape):
             return work[k][:shape[0] * shape[1]].reshape(shape)
@@ -295,10 +331,22 @@ class EscapeFunction:
             np.add(a2, b2, out=tot)
             tot += blk[:, 2:3]
             # the bumps' arguments, compacted to their windows
+            c1, c2 = slice(p0 - u0, p1 - u0), slice(q0 - u0, q1 - u0)
             x1 = view(3, (len(rows), p1 - p0))
-            np.divide(b2[:, p0 - u0:p1 - u0], tot[:, p0 - u0:p1 - u0], out=x1)
+            np.divide(b2[:, c1], tot[:, c1], out=x1)
+            if rates:
+                # (B/T) (2A + e^2) / T on m1's window, (2B + e^2) / T on
+                # m2's, times A/T once x2 holds it
+                dx1, dx2 = view(4, x1.shape), view(5, (len(rows), q1 - q0))
+                for dx, other, c in ((dx1, a2, c1), (dx2, b2, c2)):
+                    np.multiply(other[:, c], 2.0, out=dx)
+                    dx += blk[:, 2:3]
+                    dx /= tot[:, c]
+                dx1 *= x1
             x2 = view(1, (len(rows), q1 - q0))
-            np.divide(a2[:, q0 - u0:q1 - u0], tot[:, q0 - u0:q1 - u0], out=x2)
+            np.divide(a2[:, c2], tot[:, c2], out=x2)
+            if rates:
+                dx2 *= x2
             for profile, x, w0, w1 in ((0, x1, p0, p1), (1, x2, q0, q1)):
                 x -= lo
                 x /= span
@@ -315,12 +363,24 @@ class EscapeFunction:
                 bump *= poly
                 if profile == 0:
                     np.subtract(1.0, bump, out=bump)
+                if rates:
+                    # the slope up to its factor 30, x^2 (1 - x)^2
+                    dx = (dx1, dx2)[profile]
+                    np.subtract(1.0, x, out=poly)
+                    poly *= x
+                    poly *= poly
+                    dx *= poly
                 for b0, b1 in zip(bounds[i0:i1], bounds[i0 + 1:i1 + 1]):
                     vals = view(2, (b1 - b0, n_nodes))
                     vals[:, :w0] = 0.0
                     vals[:, w0:w1] = bump[b0 - bounds[i0]:b1 - bounds[i0]]
                     vals[:, w1:] = 1.0
                     m[profile][order[b0:b1]] = vals @ self._weights
+                    if rates:
+                        m[2 + profile][order[b0:b1]] = (dx[b0 - bounds[i0]:b1 - bounds[i0]]
+                                                        @ self._weights[w0:w1])
+        for dm in m[2:]:
+            dm *= 60.0 * self.theta / span
 
     def _ramp(self, r):
         # radial cutoff: 0 below 1/2, 1 above 1, smooth in log r
@@ -341,39 +401,63 @@ class EscapeFunction:
         f = np.where(r > 0.0, w0 * np.abs(d[..., 2]) + (1.0 - w0) * r, 0.0)
         return f if f.shape else float(f)
 
-    def _order_and_escape(self, adapted, orders):
+    def _order_and_escape(self, adapted, orders, rates):
         """Order function m and escape function G of each set in ``orders``,
-        stacked on a leading axis, from one profile pass."""
+        stacked on a leading axis, from one profile pass; with ``rates``,
+        also X(G) (see :meth:`escape_derivative_adapted`)."""
         d = np.asarray(adapted, dtype=float)
         r = np.linalg.norm(d, axis=-1)
         ramp = self._ramp(r)
         m = np.zeros((len(orders),) + r.shape)
         live = ramp > 0.0
+        if rates:
+            dm = np.zeros_like(m)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                fa, fb, fe = np.moveaxis(d * d, -1, 0) / (r * r)
+            rate = self.theta * (fa - fb)              # d log|xi| / dt
+            dramp = np.zeros_like(r)
+            dramp[live] = smoothstep_slope(1.0 + np.log2(r[live])) * rate[live] / math.log(2.0)
         if np.any(live):
-            m1, m2 = self._profiles(d[live])
+            m1, m2, *dm12 = self._profiles(d[live], rates)
             for k, p in enumerate(orders):
-                m[k, live] = ramp[live] * (p.s + (p.n0 - p.s) * m1 + (p.u - p.n0) * m2)
+                level = p.s + (p.n0 - p.s) * m1 + (p.u - p.n0) * m2
+                m[k, live] = ramp[live] * level
+                if rates:
+                    dm[k, live] = (dramp[live] * level
+                                   + ramp[live] * ((p.n0 - p.s) * dm12[0] + (p.u - p.n0) * dm12[1]))
         f = self.radial_interpolant(d)
-        return m, m * 0.5 * np.log1p(np.asarray(f) ** 2)
+        g = m * 0.5 * np.log1p(np.asarray(f) ** 2)
+        if not rates:
+            return m, g
+        # f = w0 |e| + (1 - w0) |xi| with 1 - w0 = smoothstep(y), y linear
+        # in rho^2, d rho^2 / dt = 2 rate e^2 / |xi|^2 and |e| conserved
+        y = (fa + fb - self._cone2) / (self._blend2 - self._cone2)
+        dy = 2.0 * rate * fe / (self._blend2 - self._cone2)
+        df = np.where(r > 0.0, smoothstep_slope(y) * dy * (r - np.abs(d[..., 2]))
+                      + smoothstep(y) * rate * r, 0.0)
+        # + 0.0: where G is 0 near the flow, X(G) is +0.0, as a difference
+        # quotient of G gives, not -0.0
+        return m, g, dm * (0.5 * np.log1p(f * f)) + m * (f * df / (1.0 + f * f)) + 0.0
 
     def escape_value(self, adapted, orders=None):
         """G = m * log sqrt(1 + f^2); for a list of ``orders`` (see
         :meth:`_orders`), G of each set stacked, from one profile pass."""
-        g = self._order_and_escape(adapted, self._orders(orders))[1]
-        if orders is None:
-            g = g[0] if g[0].shape else float(g[0])
-        return g
+        return _first_set(self._order_and_escape(adapted, self._orders(orders), False)[1], orders)
 
     def escape_derivative_adapted(self, adapted, orders=None):
-        """Flow derivative of G along the closed-form covector flow.
+        """X(G): the flow derivative of G along the closed-form covector
+        flow, exact for the implemented G.
 
-        Centered differences with one Richardson step; exact transport of
-        the equivariant components makes this a derivative along the lifted
-        flow itself.  ``orders`` as in :meth:`escape_value`: four profile
-        passes serve all sets.
+        The quadrature profiles are differentiated node by node (see
+        :meth:`_average`); the chain rule then runs through the saturation
+        ramp of :meth:`_profiles`, the radial cutoff with ``d|xi|/dt =
+        theta (a^2 - b^2) / |xi|``, the radial interpolant with ``d rho^2 /
+        dt = 2 theta (a^2 - b^2) e^2 / |xi|^4`` and ``G = m * log sqrt(1 +
+        f^2)``.  Exact transport of the equivariant components makes this a
+        derivative along the lifted flow itself.  ``orders`` as in
+        :meth:`escape_value`: one profile pass serves all sets.
         """
-        d = np.asarray(adapted, dtype=float)
-        return _richardson(lambda t: self.escape_value(self.covector_flow(d, t), orders))
+        return _first_set(self._order_and_escape(adapted, self._orders(orders), True)[2], orders)
 
     # -- CotangentPoint wrappers -------------------------------------------
 
@@ -425,7 +509,7 @@ def verify_escape_estimates(escape: EscapeFunction, sample_count=10000,
     constant of the decay bound.  Failing samples are counted in
     ``violations``; the caller decides the verdict.  For a list of
     ``orders`` (see :meth:`EscapeFunction._orders`), one report per set, all
-    from the same samples and profile passes (four, plus one for kept rows).
+    from the same samples and profile passes (one, plus one for kept rows).
     """
     sets = escape._orders(orders)
     rng = np.random.default_rng(seed)
@@ -438,7 +522,7 @@ def verify_escape_estimates(escape: EscapeFunction, sample_count=10000,
     labels = escape.cone_label(adapted)
     outside = labels != "0"
     kept = adapted[:keep_rows]          # only these samples become CSV rows
-    ms, gs = escape._order_and_escape(kept, sets)
+    ms, gs = escape._order_and_escape(kept, sets, False)
     reports = []
     for p, xg, m, g in zip(sets, xgs, ms, gs):
         decay_bound = 0.0 - float(np.max(xg[outside]))      # +0.0 when G = 0

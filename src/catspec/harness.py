@@ -82,16 +82,17 @@ def extract_resonances(escape: EscapeFunction, truncation: op.Truncation, h,
     win_orbit = omega * (truncation.j_max - truncation.edge_guard + 0.5)
 
     neutral = op.build_generator(flow, op.NeutralSector(), truncation)
-    in_window = [pair for pair in op.eigendecompose(op.apply_weight(neutral, escape, h))
+    in_window = [ResonanceEntry(pair.value, 1, pair.residual, "neutral")
+                 for pair in op.eigendecompose(op.apply_weight(neutral, escape, h))
                  if abs(pair.value.real) <= win_neutral]
-    entries = [ResonanceEntry(pair.value, 1, pair.residual, "neutral")
-               for pair in in_window if pair.residual <= residual_tol]
-    dropped = len(in_window) - len(entries)
     cells = sum(s.n_cells for s in op.enumerate_orbits(flow.cat, truncation.k_max,
                                                        truncation.p_max))
-    entries += [ResonanceEntry(pair.value, cells, pair.residual, "orbit")
-                for pair in op.eigendecompose(op.orbit_cell_block(flow, truncation))
-                if abs(pair.value.real) <= win_orbit and pair.residual <= residual_tol]
+    in_window += [ResonanceEntry(pair.value, cells, pair.residual, "orbit")
+                  for pair in op.eigendecompose(op.orbit_cell_block(flow, truncation))
+                  if abs(pair.value.real) <= win_orbit]
+    entries = [e for e in in_window if e.residual <= residual_tol]
+    # dropped eigenvalues count with their multiplicity
+    dropped = sum(e.multiplicity for e in in_window) - sum(e.multiplicity for e in entries)
 
     return ResonanceSet(_cluster(entries, cluster_radius),
                         {"dropped_residual": dropped, "cluster_radius": cluster_radius})

@@ -17,8 +17,9 @@ direction recovered by pushing a seed forward, the inverse of
 ``cotangent.adapted_components``, the escape function's order function,
 and its averaged profiles rebuilt from cosphere bumps: an adaptive
 quadrature of the average, its exact flow derivative from the endpoint
-identity, and the raw profiles of a whole batch reduced by one gemv over
-all its rows.
+identity, the raw profiles of a whole batch reduced by one gemv over
+all its rows, and the flow derivative X(G) with every quadrature node
+differentiated.
 """
 
 from __future__ import annotations
@@ -488,7 +489,7 @@ def trapped_point(flow: MappingTorusFlow, p: BasePoint, E: float) -> CotangentPo
 def order_value(escape: EscapeFunction, adapted):
     """Full order function m of ``escape``: radial cutoff times the direction
     profile ``s + (n0 - s) m1 + (u - n0) m2``, in [u, s]."""
-    m = escape._order_and_escape(adapted, [escape.params])[0][0]
+    m = escape._order_and_escape(adapted, [escape.params], False)[0][0]
     return m if m.shape else float(m)
 
 
@@ -643,3 +644,58 @@ def order_profile_flow_derivative(escape: EscapeFunction, adapted):
     m1_raw, m2_raw = escape._raw_profiles(d)
     return ((p.n0 - p.s) * saturate_slope(escape, m1_raw) * dm1
             + (p.u - p.n0) * saturate_slope(escape, m2_raw) * dm2)
+
+
+def escape_derivative_one_shot(escape: EscapeFunction, adapted):
+    """``escape.escape_derivative_adapted`` with every node of the profile
+    quadrature differentiated, no windows, and the chain rule written out
+    by the quotient rule.
+
+    Along the flow ``A = a^2 g``, ``B = b^2 / g`` with ``g = exp(2 theta
+    t)``, so ``A' = 2 theta A``, ``B' = -2 theta B`` and ``|e|`` is
+    conserved; the bump slopes are the quintic ramp's ``30 x^2 (1 - x)^2``.
+    """
+    d = np.asarray(adapted, dtype=float)
+    batch = d.reshape(-1, 3)
+    p, theta = escape.params, escape.theta
+    lo, span = escape._cone2, 1.0 - 2.0 * escape._cone2
+    ga = np.exp(2.0 * theta * escape._nodes)
+
+    def slope(x):
+        x = np.clip(x, 0.0, 1.0)
+        return 30.0 * x * x * (1.0 - x) ** 2
+
+    a2 = batch[:, 0:1] ** 2 * ga
+    b2 = batch[:, 1:2] ** 2 / ga
+    tot = a2 + b2 + batch[:, 2:3] ** 2
+    dtot = 2.0 * theta * (a2 - b2)
+    da = (2.0 * theta * a2 * tot - a2 * dtot) / tot ** 2
+    db = (-2.0 * theta * b2 * tot - b2 * dtot) / tot ** 2
+    dm1_raw = (-slope((b2 / tot - lo) / span) * db / span) @ escape._weights
+    dm2_raw = (slope((a2 / tot - lo) / span) * da / span) @ escape._weights
+    m1_raw, m2_raw = raw_profiles_one_shot(escape, batch)
+    eps = escape.SATURATION
+    m1, m2 = (smoothstep((m - eps) / (1.0 - 2.0 * eps)) for m in (m1_raw, m2_raw))
+    dm1 = saturate_slope(escape, m1_raw) * dm1_raw
+    dm2 = saturate_slope(escape, m2_raw) * dm2_raw
+
+    sq = batch ** 2
+    r = np.sqrt(sq.sum(axis=1))
+    dr = theta * (sq[:, 0] - sq[:, 1]) / r
+    ramp = smoothstep(1.0 + np.log2(r))
+    dramp = slope(1.0 + np.log2(r)) * dr / (r * np.log(2.0))
+    level = p.s + (p.n0 - p.s) * m1 + (p.u - p.n0) * m2
+    m = ramp * level
+    dm = dramp * level + ramp * ((p.n0 - p.s) * dm1 + (p.u - p.n0) * dm2)
+
+    rho2 = (sq[:, 0] + sq[:, 1]) / r ** 2
+    drho2 = (2.0 * theta * (sq[:, 0] - sq[:, 1]) * r ** 2
+             - (sq[:, 0] + sq[:, 1]) * 2.0 * r * dr) / r ** 4
+    y = (rho2 - escape._cone2) / (escape._blend2 - escape._cone2)
+    w0 = 1.0 - smoothstep(y)
+    dw0 = -slope(y) * drho2 / (escape._blend2 - escape._cone2)
+    e = np.abs(batch[:, 2])
+    f = w0 * e + (1.0 - w0) * r
+    df = dw0 * e - dw0 * r + (1.0 - w0) * dr
+    xg = dm * 0.5 * np.log1p(f * f) + m * f * df / (1.0 + f * f)
+    return xg.reshape(d.shape[:-1])

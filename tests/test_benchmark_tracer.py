@@ -105,11 +105,11 @@ def test_tracer_counts_escape_points():
                                      samples=samples))
     assert m["escape.EscapeFunction.calls"] == 1
     assert m["escape.escape_derivative_adapted.points"] == samples
-    # four Richardson-shifted passes; the kept CSV rows take their m and G
-    # from one profile pass outside escape_value
+    # the exact derivative calls no escape_value; the kept CSV rows take
+    # their m and G from one profile pass outside escape_value
     assert keep_rows > 0
-    assert m["escape.escape_value.calls"] == 4
-    assert m["escape.escape_value.points"] == 4 * samples
+    assert m["escape.escape_value.calls"] == 0
+    assert m["escape.escape_value.points"] == 0
 
 
 def test_tracer_counts_the_dense_checks():

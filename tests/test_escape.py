@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -12,11 +13,12 @@ import catspec.escape
 from catspec import cotangent as ct
 from catspec import harness as hs
 from catspec.config import parse_config
-from catspec.escape import (EscapeFunction, OrderParams, smoothstep,
-                            verify_escape_estimates)
+from catspec.escape import (RADIUS_SPAN, EscapeFunction, OrderParams, _richardson,
+                            smoothstep, verify_escape_estimates)
 from catspec.model import BasePoint
-from oracles import (averaged_order, direction_flow, from_adapted, order_profile_flow_derivative,
-                     order_value, raw_profiles_one_shot, stable_bump, trapped_point)
+from oracles import (averaged_order, direction_flow, escape_derivative_one_shot, from_adapted,
+                     order_profile_flow_derivative, order_value, raw_profiles_one_shot,
+                     stable_bump, trapped_point)
 
 
 def adapted_point(r, direction):
@@ -68,7 +70,7 @@ def test_order_combination_formula(escape):
     # at |xi| >= 1 the radial cutoff is 1 and m is the direction profile
     p = escape.params
     for d in (np.array([0.3, -0.8, 0.52]), np.array([1.0, 0.01, 0.2])):
-        m1, m2 = escape._profiles(d)
+        m1, m2 = escape._profiles(d, False)
         assert order_value(escape, d) == pytest.approx(
             p.s + (p.n0 - p.s) * m1 + (p.u - p.n0) * m2, abs=1e-14)
 
@@ -179,6 +181,114 @@ def test_profile_flow_derivative_nonpositive(escape):
     assert np.max(vals) <= 1e-12
 
 
+def _derivative_points(escape):
+    """Rows in all three aperture cones and between them, on and near the
+    axes, with zero components, and on the radial ramp's shell."""
+    rng = np.random.default_rng(19)
+    n = 200
+    ang = escape.params.aperture * np.sqrt(rng.random(n))
+    az = 2 * np.pi * rng.random(n)
+    # within the aperture of axis 0 (u), 1 (s) and 2 (neutral)
+    tilted = np.stack([np.cos(ang), np.sin(ang) * np.cos(az), np.sin(ang) * np.sin(az)], axis=-1)
+    cones = [np.roll(tilted, k, axis=1) * rng.choice([-1.0, 1.0], size=(n, 1)) for k in range(3)]
+    generic = rng.normal(size=(3 * n, 3))
+    for col in range(3):
+        generic[col::9, col] = 0.0
+    generic[3::9, :2] = 0.0
+    generic[4::9, 1:] = 0.0
+    generic[5::9, ::2] = 0.0
+    near_axis = np.array([[1.0, 1e-9, -2e-9], [1e-9, 1.0, 0.0], [1e-12, -1e-12, 1.0],
+                          [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+    nu = np.concatenate(cones + [generic, near_axis])
+    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
+    radii = escape.params.radius * RADIUS_SPAN ** rng.random(len(nu))
+    shell = nu[::4] * rng.uniform(0.5, 1.0, size=(len(nu[::4]), 1))
+    return np.concatenate([nu * radii[:, None], shell])
+
+
+def _finite_difference_error(escape, pts):
+    fd = _richardson(lambda t: escape.escape_value(escape.covector_flow(pts, t)))
+    return np.max(np.abs(escape.escape_derivative_adapted(pts) - fd))
+
+
+def test_escape_derivative_matches_every_node_oracle(escape):
+    pts = _derivative_points(escape)
+    assert set(escape.cone_label(pts)) == {"0", "u", "s", "mix"}
+    got, want = escape.escape_derivative_adapted(pts), escape_derivative_one_shot(escape, pts)
+    assert np.all(np.isfinite(want)) and np.count_nonzero(want) > len(pts) // 2
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    # one point gives a float, a grid keeps its shape
+    one = escape.escape_derivative_adapted(pts[7])
+    assert isinstance(one, float) and one == pytest.approx(float(want[7]), rel=1e-12)
+    grid = pts[:60].reshape(3, 20, 3)
+    assert np.array_equal(escape.escape_derivative_adapted(grid),
+                          escape.escape_derivative_adapted(pts[:60]).reshape(3, 20))
+
+
+def test_escape_derivative_matches_finite_differences(escape):
+    # the Richardson step's own error on these rows is up to 1.3e-9
+    assert _finite_difference_error(escape, _derivative_points(escape)) <= 1e-8
+
+
+def test_a_defect_in_the_fraction_rates_fails_the_cross_check(escape, monkeypatch):
+    # negative control: theta -> 1.01 theta in d(A/T)/dt and d(B/T)/dt,
+    # which scales the profiles' derivatives and nothing else
+    pts = _derivative_points(escape)
+    average = EscapeFunction._average
+
+    def defective(self, sq, m):
+        average(self, sq, m)
+        for dm in m[2:]:
+            dm *= 1.01
+
+    monkeypatch.setattr(EscapeFunction, "_average", defective)
+    assert _finite_difference_error(escape, pts) > 1e-8
+    got, want = escape.escape_derivative_adapted(pts), escape_derivative_one_shot(escape, pts)
+    assert not np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+_ESCAPE_PAYLOAD = """
+import hashlib, json
+import numpy as np
+from catspec import harness as hs
+from catspec.config import parse_config
+
+cfg = parse_config("[campaign]\\nchecks = escape\\nescape_samples = 4099\\n")
+ctx = hs.CampaignContext(cfg)
+ok, payload = hs.CHECKS["escape"](ctx)
+pts = np.random.default_rng(3).normal(size=(4099, 3)) * 30.0
+xg = ctx.escape.escape_derivative_adapted(pts)
+print(ok, json.dumps(payload), hashlib.sha256(xg.tobytes()).hexdigest())
+"""
+
+
+def test_escape_payload_is_independent_of_the_blas_thread_count():
+    # the derivative reduces its windows per block of at most 35 rows, as
+    # the profiles do, which OpenBLAS does not split between threads
+    src = str(Path(catspec.escape.__file__).parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _ESCAPE_PAYLOAD], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0].startswith("True ") and outs[0] == outs[1]
+
+
+def test_default_escape_check_keeps_its_finite_difference_values():
+    # the values the four-pass Richardson derivative gave on the default
+    # campaign; the exact derivative moves them by 1.3e-12 relative
+    ok, out = hs.CHECKS["escape"](hs.CampaignContext(parse_config("")))
+    assert ok
+    assert out["decay_bound"] == pytest.approx(2.86088370648289, rel=1e-9)
+    assert out["c_measured"] == pytest.approx(0.3576104633103612, rel=1e-9)
+    assert out["violations"] == 0
+    assert out["max_everywhere"] == 0.0 and math.copysign(1.0, out["max_everywhere"]) == 1.0
+    assert out["doubling_ratio"] == 2.0
+
+
 def test_verify_escape_estimates_report(escape):
     rep = verify_escape_estimates(escape, sample_count=2000, seed=5)
     assert rep.violations == 0
@@ -191,20 +301,20 @@ def test_verify_escape_estimates_report(escape):
 
 def test_verify_escape_estimates_skips_the_rows_it_does_not_keep(escape, monkeypatch):
     batches = []
-    raw = EscapeFunction._raw_profiles
+    averages = EscapeFunction._averages
 
-    def spy(self, adapted):
-        batches.append(len(np.reshape(adapted, (-1, 3))))
-        return raw(self, adapted)
+    def spy(self, adapted, rates):
+        batches.append((len(np.reshape(adapted, (-1, 3))), rates))
+        return averages(self, adapted, rates)
 
-    monkeypatch.setattr(EscapeFunction, "_raw_profiles", spy)
+    monkeypatch.setattr(EscapeFunction, "_averages", spy)
     none = verify_escape_estimates(escape, sample_count=300, seed=2, keep_rows=0)
-    # the four Richardson-shifted passes of the derivative, no empty row
-    # batch; the kept rows' m and G come from one more pass
-    assert batches == [300] * 4
+    # one pass with the profiles' flow derivatives, no empty row batch; the
+    # kept rows' m and G come from one more pass without them
+    assert batches == [(300, True)]
     batches.clear()
     some = verify_escape_estimates(escape, sample_count=300, seed=2, keep_rows=50)
-    assert batches == [300] * 4 + [50]
+    assert batches == [(300, True), (50, False)]
     assert none.rows == [] and none.to_csv() == "a,b,e,m,g,xg,cone\n"
     assert len(some.rows) == 50
     for name in ("c_measured", "decay_bound", "max_everywhere", "violations"):
@@ -432,24 +542,24 @@ def _doubled(q):
     return dataclasses.replace(q, u=2.0 * q.u, s=2.0 * q.s)
 
 
-def _counting_raw_profiles(monkeypatch):
+def _counting_passes(monkeypatch):
     calls = []
-    raw = EscapeFunction._raw_profiles
-    monkeypatch.setattr(EscapeFunction, "_raw_profiles",
-                        lambda self, a: calls.append(1) or raw(self, a))
+    averages = EscapeFunction._averages
+    monkeypatch.setattr(EscapeFunction, "_averages",
+                        lambda self, a, rates: calls.append(1) or averages(self, a, rates))
     return calls
 
 
 @pytest.mark.parametrize("order", [OrderParams(), OrderParams(u=-8.0, n0=1.0, s=8.0)],
                          ids=["default", "n0_1"])
 def test_orders_reports_equal_a_fresh_evaluator(flow, monkeypatch, order):
-    calls = _counting_raw_profiles(monkeypatch)
+    calls = _counting_passes(monkeypatch)
     base = EscapeFunction(flow, order)
     primary, shared = verify_escape_estimates(base, sample_count=1500, seed=4,
                                               orders=[order, _doubled(order)])
-    # same seed, same samples: four shifted passes and the kept rows serve
-    # both sets
-    assert len(calls) == 5
+    # same seed, same samples: the derivative's pass and the kept rows'
+    # serve both sets
+    assert len(calls) == 2
     for report, params in ((primary, order), (shared, _doubled(order))):
         fresh = verify_escape_estimates(EscapeFunction(flow, params),
                                         sample_count=1500, seed=4)
@@ -476,14 +586,14 @@ def test_orders_reject_other_geometry(escape):
 
 
 def test_escape_check_passes_over_the_profiles_once(monkeypatch):
-    # both exponent sets of the doubling control share four profile passes
-    calls = _counting_raw_profiles(monkeypatch)
+    # both exponent sets of the doubling control share one profile pass
+    calls = _counting_passes(monkeypatch)
     cfg = parse_config("[campaign]\nchecks = escape\nescape_samples = 500\n")
     hs.CHECKS["escape"](hs.CampaignContext(cfg))
-    assert len(calls) == 4
+    assert len(calls) == 1
     calls.clear()
     verify_escape_estimates(EscapeFunction(cfg.flow(), cfg.escape), sample_count=500)
-    assert len(calls) <= 5
+    assert len(calls) <= 2
 
 
 def test_escape_check_doubling_ratio_equals_fresh_evaluators():

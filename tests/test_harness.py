@@ -344,6 +344,26 @@ def test_extraction_lists_each_cell_eigenvalue_once():
     assert sizes[0] == (37, 352) and sizes[1][1] > 352
 
 
+def test_dropped_residual_counts_every_dropped_eigenvalue():
+    # at residual_tol = 1e-15 the base spectrum loses neutral eigenpairs and
+    # in-window cell eigenpairs; each cell eigenpair stands for all cells
+    cfg = replace(_DEFAULT, residual_tol=1e-15)
+    flow, tr = cfg.flow(), cfg.truncation
+    ctx = hs.CampaignContext(cfg)
+    omega = 2 * np.pi / flow.period
+    neutral = op.apply_weight(op.build_generator(flow, op.NeutralSector(), tr), ctx.escape,
+                              cfg.h)
+    neutral = [p for p in op.eigendecompose(neutral)
+               if abs(p.value.real) <= omega * (tr.j_max + 0.5)]
+    cell = [p for p in op.eigendecompose(op.orbit_cell_block(flow, tr))
+            if abs(p.value.real) <= omega * (tr.j_max - tr.edge_guard + 0.5)]
+    cells = sum(s.n_cells for s in op.enumerate_orbits(flow.cat, tr.k_max, tr.p_max))
+    drops = [sum(p.residual > cfg.residual_tol for p in pairs) for pairs in (neutral, cell)]
+    assert drops == [15, 26] and cells == 352
+    assert ctx.base.meta["dropped_residual"] == 15 + 26 * 352
+    assert sum(e.sector_key == "orbit" for e in ctx.base.entries) == len(cell) - 26
+
+
 def test_clustering_merges_close_values():
     entries = [hs.ResonanceEntry(1.0 + 0j, 1, 0.0, "a"),
                hs.ResonanceEntry(1.0 + 5e-8j, 2, 0.0, "b"),
@@ -1169,11 +1189,14 @@ DEFECT_CONFIG = "[solver]\nk_max = 3\n[campaign]\ncoherent_h = 0.1,0.05\n"
 def _seeded_defect(monkeypatch, defect):
     """The config of one defect-matrix row, with its defect patched in."""
     if defect in ("zero", "negated"):
+        # G and its batched flow derivative X(G), which does not go through
+        # escape_value
         scale = 0.0 if defect == "zero" else -1.0
-        escape_value = EscapeFunction.escape_value
-        monkeypatch.setattr(EscapeFunction, "escape_value",
-                            lambda self, adapted, orders=None:
-                            scale * escape_value(self, adapted, orders))
+        for name in ("escape_value", "escape_derivative_adapted"):
+            method = getattr(EscapeFunction, name)
+            monkeypatch.setattr(EscapeFunction, name,
+                                lambda self, adapted, orders=None, method=method:
+                                scale * method(self, adapted, orders))
         return parse_config(DEFAULT_CONFIG)
     cfg = parse_config(DEFECT_CONFIG)
     if defect == "period":
