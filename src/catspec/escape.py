@@ -33,6 +33,10 @@ DERIVATIVE_STEP = 1e-4
 #: one the finite-difference X(G) had; the exact X(G) has no step noise for
 #: it to absorb, only rounding
 RADIUS_SPAN, NONPOSITIVE_TOL = 100.0, 1e-9
+#: the first AUDIT_SAMPLES samples also take X(G) as a Richardson difference
+#: of escape_value; one farther than AUDIT_TOL (1 + |X(G)|) from the exact
+#: X(G) is a violation.  The step's own error is about 1e-9 there
+AUDIT_SAMPLES, AUDIT_TOL = 32, 1e-6
 
 
 def smoothstep(x):
@@ -507,9 +511,13 @@ def verify_escape_estimates(escape: EscapeFunction, sample_count=10000,
     Checks (a) strict uniform decay outside the neutral cone and (b) global
     nonpositivity at large radius, and reports the measured proportionality
     constant of the decay bound.  Failing samples are counted in
-    ``violations``; the caller decides the verdict.  For a list of
-    ``orders`` (see :meth:`EscapeFunction._orders`), one report per set, all
-    from the same samples and profile passes (one, plus one for kept rows).
+    ``violations``; so is each of the first AUDIT_SAMPLES samples whose
+    exact X(G) differs from a Richardson difference of
+    :meth:`EscapeFunction.escape_value` along the flow.  The caller decides
+    the verdict.  For a list of ``orders`` (see
+    :meth:`EscapeFunction._orders`), one report per set, all from the same
+    samples and profile passes (one over all samples, four over the audited
+    ones, plus one for kept rows).
     """
     sets = escape._orders(orders)
     rng = np.random.default_rng(seed)
@@ -521,12 +529,17 @@ def verify_escape_estimates(escape: EscapeFunction, sample_count=10000,
     xgs = escape.escape_derivative_adapted(adapted, orders=sets)
     labels = escape.cone_label(adapted)
     outside = labels != "0"
+    # X(G) is the derivative of the G that escape_value gives
+    audit = adapted[:AUDIT_SAMPLES]
+    fd = _richardson(lambda t: escape.escape_value(escape.covector_flow(audit, t), sets))
+    off = np.zeros(xgs.shape, dtype=bool)
+    off[:, :len(audit)] = np.abs(fd - xgs[:, :len(audit)]) > AUDIT_TOL * (1.0 + np.abs(fd))
     kept = adapted[:keep_rows]          # only these samples become CSV rows
     ms, gs = escape._order_and_escape(kept, sets, False)
     reports = []
-    for p, xg, m, g in zip(sets, xgs, ms, gs):
+    for p, xg, m, g, mismatch in zip(sets, xgs, ms, gs, off):
         decay_bound = 0.0 - float(np.max(xg[outside]))      # +0.0 when G = 0
-        bad = (outside & (xg >= 0.0)) | (xg > NONPOSITIVE_TOL)
+        bad = (outside & (xg >= 0.0)) | (xg > NONPOSITIVE_TOL) | mismatch
         reports.append(EscapeReport(
             c_measured=decay_bound / min(abs(p.u), p.s), decay_bound=decay_bound,
             max_everywhere=float(np.max(xg)), violations=int(np.count_nonzero(bad)),

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 import catspec
-from catspec.escape import verify_escape_estimates
+from catspec.escape import AUDIT_SAMPLES, verify_escape_estimates
 
 SRC = Path(catspec.__file__).resolve().parents[1]
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -105,11 +105,11 @@ def test_tracer_counts_escape_points():
                                      samples=samples))
     assert m["escape.EscapeFunction.calls"] == 1
     assert m["escape.escape_derivative_adapted.points"] == samples
-    # the exact derivative calls no escape_value; the kept CSV rows take
-    # their m and G from one profile pass outside escape_value
+    # escape_value serves only the audit's four shifted passes; the kept CSV
+    # rows take their m and G from one profile pass outside it
     assert keep_rows > 0
-    assert m["escape.escape_value.calls"] == 0
-    assert m["escape.escape_value.points"] == 0
+    assert m["escape.escape_value.calls"] == 4
+    assert m["escape.escape_value.points"] == 4 * AUDIT_SAMPLES
 
 
 def test_tracer_counts_the_dense_checks():

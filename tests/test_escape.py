@@ -13,7 +13,7 @@ import catspec.escape
 from catspec import cotangent as ct
 from catspec import harness as hs
 from catspec.config import parse_config
-from catspec.escape import (RADIUS_SPAN, EscapeFunction, OrderParams, _richardson,
+from catspec.escape import (AUDIT_SAMPLES, RADIUS_SPAN, EscapeFunction, OrderParams, _richardson,
                             smoothstep, verify_escape_estimates)
 from catspec.model import BasePoint
 from oracles import (averaged_order, direction_flow, escape_derivative_one_shot, from_adapted,
@@ -245,6 +245,28 @@ def test_a_defect_in_the_fraction_rates_fails_the_cross_check(escape, monkeypatc
     assert _finite_difference_error(escape, pts) > 1e-8
     got, want = escape.escape_derivative_adapted(pts), escape_derivative_one_shot(escape, pts)
     assert not np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    # the escape check's own audit sees it too
+    rep = verify_escape_estimates(escape, sample_count=300, seed=2, keep_rows=0)
+    assert rep.violations == AUDIT_SAMPLES
+
+
+def test_escape_check_fails_with_zero_bounds_when_g_vanishes(monkeypatch):
+    # m, G and X(G) all 0: zero decay bounds, positive zeros, no doubling
+    # ratio; the audit agrees (its difference of G is 0 too)
+    order_and_escape = EscapeFunction._order_and_escape
+    monkeypatch.setattr(EscapeFunction, "_order_and_escape",
+                        lambda self, adapted, orders, rates:
+                        tuple(0.0 * v for v in order_and_escape(self, adapted, orders, rates)))
+    cfg = parse_config("[campaign]\nchecks = escape\nescape_samples = 500\n")
+    ok, out = hs.CHECKS["escape"](hs.CampaignContext(cfg))
+    assert not ok
+    for key in ("decay_bound", "c_measured"):
+        assert out[key] == 0.0 and math.copysign(1.0, out[key]) == 1.0
+    assert out["doubling_ratio"] is None
+    # every sample outside the neutral cone fails X(G) < 0, no more
+    rep = verify_escape_estimates(EscapeFunction(cfg.flow(), cfg.escape), sample_count=500,
+                                  seed=cfg.seed, keep_rows=500)
+    assert out["violations"] == rep.violations == sum(row[6] != "0" for row in rep.rows) > 0
 
 
 _ESCAPE_PAYLOAD = """
@@ -309,12 +331,14 @@ def test_verify_escape_estimates_skips_the_rows_it_does_not_keep(escape, monkeyp
 
     monkeypatch.setattr(EscapeFunction, "_averages", spy)
     none = verify_escape_estimates(escape, sample_count=300, seed=2, keep_rows=0)
-    # one pass with the profiles' flow derivatives, no empty row batch; the
-    # kept rows' m and G come from one more pass without them
-    assert batches == [(300, True)]
+    # one pass with the profiles' flow derivatives, four shifted passes of
+    # the audited samples, no empty row batch; the kept rows' m and G come
+    # from one more pass
+    audit = [(AUDIT_SAMPLES, False)] * 4
+    assert batches == [(300, True)] + audit
     batches.clear()
     some = verify_escape_estimates(escape, sample_count=300, seed=2, keep_rows=50)
-    assert batches == [(300, True), (50, False)]
+    assert batches == [(300, True)] + audit + [(50, False)]
     assert none.rows == [] and none.to_csv() == "a,b,e,m,g,xg,cone\n"
     assert len(some.rows) == 50
     for name in ("c_measured", "decay_bound", "max_everywhere", "violations"):
@@ -546,7 +570,8 @@ def _counting_passes(monkeypatch):
     calls = []
     averages = EscapeFunction._averages
     monkeypatch.setattr(EscapeFunction, "_averages",
-                        lambda self, a, rates: calls.append(1) or averages(self, a, rates))
+                        lambda self, a, rates:
+                        calls.append(len(np.reshape(a, (-1, 3)))) or averages(self, a, rates))
     return calls
 
 
@@ -557,9 +582,9 @@ def test_orders_reports_equal_a_fresh_evaluator(flow, monkeypatch, order):
     base = EscapeFunction(flow, order)
     primary, shared = verify_escape_estimates(base, sample_count=1500, seed=4,
                                               orders=[order, _doubled(order)])
-    # same seed, same samples: the derivative's pass and the kept rows'
-    # serve both sets
-    assert len(calls) == 2
+    # same seed, same samples: the derivative's pass, the audit's four and
+    # the kept rows' serve both sets
+    assert calls == [1500] + [AUDIT_SAMPLES] * 4 + [1500]
     for report, params in ((primary, order), (shared, _doubled(order))):
         fresh = verify_escape_estimates(EscapeFunction(flow, params),
                                         sample_count=1500, seed=4)
@@ -590,10 +615,11 @@ def test_escape_check_passes_over_the_profiles_once(monkeypatch):
     calls = _counting_passes(monkeypatch)
     cfg = parse_config("[campaign]\nchecks = escape\nescape_samples = 500\n")
     hs.CHECKS["escape"](hs.CampaignContext(cfg))
-    assert len(calls) == 1
+    # one pass over all samples; the audit's four cover only its samples
+    assert calls == [500] + [AUDIT_SAMPLES] * 4
     calls.clear()
     verify_escape_estimates(EscapeFunction(cfg.flow(), cfg.escape), sample_count=500)
-    assert len(calls) <= 2
+    assert calls == [500] + [AUDIT_SAMPLES] * 4 + [500]
 
 
 def test_escape_check_doubling_ratio_equals_fresh_evaluators():
