@@ -67,28 +67,80 @@ def _cluster(entries, radius):
     return out
 
 
-def extract_resonances(escape: EscapeFunction, truncation: op.Truncation, h,
-                       residual_tol, cluster_radius) -> ResonanceSet:
-    """Windowed, clustered spectrum of the generator of ``escape.flow``,
-    weighted by ``escape``.
+class SolveStore:
+    """The dense eigenproblems and orbit enumerations of one flow, each
+    solved on first use and at most once: a failed solve is remembered and
+    re-raised.
+
+    Each entry is keyed by exactly what determines its matrix: the orbit
+    cell block by (j_max, flux_penalty), the weighted neutral block W H W^{-1}
+    by its mode count and the bytes of its log weight, the orbit
+    enumeration by (k_max, p_max).  At n0 = 0 the neutral log weight is
+    exactly 0 at every h, so spectra at different h share one neutral
+    solve.  Callers must not change the lists they are given.
+    """
+
+    def __init__(self, flow: MappingTorusFlow):
+        self.flow = flow
+        self.solved = {}
+
+    def _once(self, key, solve):
+        if key not in self.solved:
+            try:
+                self.solved[key] = solve()
+            except Exception as exc:  # noqa: BLE001 - re-raised on every read
+                self.solved[key] = exc
+        out = self.solved[key]
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    def orbits(self, k_max, p_max):
+        """`operator.enumerate_orbits` on the flow's cat map."""
+        return self._once(("orbits", k_max, p_max),
+                          lambda: op.enumerate_orbits(self.flow.cat, k_max, p_max))
+
+    def cell_pairs(self, truncation: op.Truncation):
+        """Eigenpairs of `operator.orbit_cell_block`."""
+        return self._once(("cell", truncation.j_max, truncation.flux_penalty),
+                          lambda: op.eigendecompose(op.orbit_cell_block(self.flow, truncation)))
+
+    def neutral_pairs(self, escape: EscapeFunction, truncation: op.Truncation, h):
+        """Eigenpairs of the neutral block weighted by ``escape`` at h; the
+        weight is evaluated on every call, the block built and solved on a
+        miss only."""
+        if escape.flow is not self.flow:
+            raise ValueError("the escape function is on another flow than the store")
+        sector = op.NeutralSector()
+        basis = op.sector_basis(sector, truncation)
+        logw = op.mode_log_weight(sector, basis, escape, h)
+
+        def solve():
+            block = op.build_generator(self.flow, sector, truncation)
+            return op.eigendecompose(op.conjugate_by_diagonal(block.matrix, logw))
+
+        return self._once(("neutral", len(basis), logw.tobytes()), solve)
+
+
+def extract_resonances(solves: SolveStore, escape: EscapeFunction, truncation: op.Truncation,
+                       h, residual_tol, cluster_radius) -> ResonanceSet:
+    """Windowed, clustered spectrum of the generator of ``solves.flow``,
+    weighted by ``escape``, from the eigenproblems of ``solves``.
 
     The report window keeps |Re| below the frequency the truncation
     resolves; orbit sectors get an extra edge guard because their
     truncation artifacts converge from the window edge inward.
     """
-    flow = escape.flow
-    omega = 2.0 * np.pi / flow.period
+    omega = 2.0 * np.pi / solves.flow.period
     win_neutral = omega * (truncation.j_max + 0.5)
     win_orbit = omega * (truncation.j_max - truncation.edge_guard + 0.5)
 
-    neutral = op.build_generator(flow, op.NeutralSector(), truncation)
     in_window = [ResonanceEntry(pair.value, 1, pair.residual, "neutral")
-                 for pair in op.eigendecompose(op.apply_weight(neutral, escape, h))
+                 for pair in solves.neutral_pairs(escape, truncation, h)
                  if abs(pair.value.real) <= win_neutral]
-    cells = sum(s.n_cells for s in op.enumerate_orbits(flow.cat, truncation.k_max,
-                                                       truncation.p_max))
+    cells = sum(s.n_cells for s in solves.orbits(truncation.k_max, truncation.p_max))
     in_window += [ResonanceEntry(pair.value, cells, pair.residual, "orbit")
-                  for pair in op.eigendecompose(op.orbit_cell_block(flow, truncation))
+                  for pair in solves.cell_pairs(truncation)
                   if abs(pair.value.real) <= win_orbit]
     entries = [e for e in in_window if e.residual <= residual_tol]
     # dropped eigenvalues count with their multiplicity
@@ -154,13 +206,16 @@ class ScalingStudy:
     undefined: bool
 
 
-def scaling_study(escape: EscapeFunction, truncation: op.Truncation, E, alpha_grid,
-                  beta, residual_tol, cluster_radius, window_margin=4) -> ScalingStudy:
+def scaling_study(solves: SolveStore, escape: EscapeFunction, truncation: op.Truncation, E,
+                  alpha_grid, beta, residual_tol, cluster_radius,
+                  window_margin=4) -> ScalingStudy:
     """Box counts N(alpha) across the grid with truncation adapted per alpha.
 
-    residual_tol and cluster_radius are passed on to extract_resonances.
+    solves, residual_tol and cluster_radius are passed on to
+    extract_resonances, so the alphas of one truncation share its cell
+    solve and its orbit enumeration.
     """
-    omega = 2.0 * np.pi / escape.flow.period
+    omega = 2.0 * np.pi / solves.flow.period
     counts = []
     for alpha in alpha_grid:
         top = abs(E) * alpha + np.sqrt(alpha)
@@ -169,7 +224,7 @@ def scaling_study(escape: EscapeFunction, truncation: op.Truncation, E, alpha_gr
         if omega * (tr.j_max + 0.5) < top:
             raise UnresolvedWindow(
                 f"resolved window {omega * (tr.j_max + 0.5):.3g} cannot cover {top:.3g}")
-        res = extract_resonances(escape, tr, 1.0 / alpha, residual_tol, cluster_radius)
+        res = extract_resonances(solves, escape, tr, 1.0 / alpha, residual_tol, cluster_radius)
         counts.append(count_in_box(res, CountingBox(E, alpha, beta)))
     exponent = None if all(c == 0 for c in counts) else fit_log_slope(alpha_grid, counts)
     return ScalingStudy(list(alpha_grid), counts, exponent, 2.5, exponent is None)
@@ -348,7 +403,7 @@ def _audit_in_place(a, z_e, eigenvalues) -> WeylAudit:
     which is spent: without eigenvalues those of a are taken first, then a
     is shifted by z_e in place for its singular values."""
     if eigenvalues is None:
-        eigenvalues = [pair.value for pair in op.eigendecompose(a)]
+        eigenvalues = op.eigenvalues(a)
     a.flat[::a.shape[0] + 1] -= z_e
     s = op.singular_values(a)
     d = np.sort(np.abs(np.asarray(eigenvalues, dtype=complex) - complex(z_e)))
@@ -654,7 +709,9 @@ class _built_once(cached_property):
 @dataclass
 class CampaignContext:
     """What two or more campaign checks share, each built on first use and
-    at most once: a failed build is remembered and re-raised."""
+    at most once: a failed build is remembered and re-raised.  The dense
+    eigenproblems and orbit enumerations of the spectra, the scaling study
+    and the weyl and garding checks are in ``solves``."""
 
     cfg: object                      # config.RunConfig
     failures: dict = field(default_factory=dict, init=False, repr=False)
@@ -667,9 +724,13 @@ class CampaignContext:
     def escape_alt(self):
         return EscapeFunction(self.cfg.flow(), self.cfg.escape_alt)
 
+    @_built_once
+    def solves(self):
+        return SolveStore(self.cfg.flow())
+
     def spectrum(self, escape, truncation):
         cfg = self.cfg
-        return extract_resonances(escape, truncation, cfg.h, cfg.residual_tol,
+        return extract_resonances(self.solves, escape, truncation, cfg.h, cfg.residual_tol,
                                   cfg.cluster_radius)
 
     @_built_once
@@ -774,10 +835,9 @@ def _check_weyl(ctx):
     the numbers of a full audit."""
     cfg, flow = ctx.cfg, ctx.cfg.flow()
     z_e = complex(cfg.E, 1.0)
-    cell = op.orbit_cell_block(flow, cfg.truncation)
-    cell_vals = np.array([p.value for p in op.eigendecompose(cell)])
-    sectors = [op.NeutralSector()] + op.enumerate_orbits(
-        flow.cat, cfg.truncation.k_max, cfg.truncation.p_max)
+    cell_vals = np.array([p.value for p in ctx.solves.cell_pairs(cfg.truncation)])
+    sectors = [op.NeutralSector()] + ctx.solves.orbits(cfg.truncation.k_max,
+                                                       cfg.truncation.p_max)
     groups = {op.mirror_key(group[0]): group for group in op.mirror_groups(sectors)}
 
     def audit_group(sector):
@@ -854,7 +914,7 @@ def _check_garding(ctx):
     sweep = {}
     for k in (k0, k0 + 2, k0 + 4):
         tr = replace(cfg.truncation, k_max=k)
-        sector = op.enumerate_orbits(flow.cat, k, tr.p_max)[0]
+        sector = ctx.solves.orbits(k, tr.p_max)[0]
         hp = cfg.h * op.apply_weight(op.build_generator(flow, sector, tr),
                                      ctx.escape, cfg.h)
         sweep[k] = op.garding_upper_check(hp, trials=200, seed=cfg.seed)
@@ -872,8 +932,8 @@ def _check_coherent(ctx):
 
 def _check_counting(ctx):
     cfg = ctx.cfg
-    study = scaling_study(ctx.escape, cfg.truncation, cfg.E, cfg.alpha_grid, cfg.beta,
-                          cfg.residual_tol, cfg.cluster_radius)
+    study = scaling_study(ctx.solves, ctx.escape, cfg.truncation, cfg.E, cfg.alpha_grid,
+                          cfg.beta, cfg.residual_tol, cfg.cluster_radius)
     control = synthetic_lattice_counts(cfg.E, cfg.alpha_grid)
     # with every count zero or a single alpha there is no exponent to
     # bound: that fails

@@ -471,6 +471,19 @@ def eigendecompose(p: np.ndarray):
     return out
 
 
+def eigenvalues(p: np.ndarray):
+    """Eigenvalues of P alone, unsorted, for a caller that reads no
+    eigenvector or residual.  A failed solve or a non-finite matrix or
+    eigenvalue raises NonConvergence, as in `eigendecompose`."""
+    try:
+        vals = np.linalg.eigvals(np.asarray(p, dtype=complex))
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"dense eigensolver failed: {exc}") from exc
+    if not np.isfinite(vals).all():
+        raise NonConvergence("an eigenvalue is outside the double range")
+    return vals
+
+
 def singular_values(p: np.ndarray):
     """Ascending singular values of P; a caller that audits P - z_e shifts
     its own copy of P first."""

@@ -34,11 +34,11 @@ import scipy.linalg as sla
 from catspec.cotangent import CotangentPoint
 from catspec.errors import CatspecError, NonConvergence, UnresolvedState
 from catspec.escape import EscapeFunction, composite_gauss_legendre, smoothstep
-from catspec import charpoly
+from catspec import charpoly, operator as op
 from catspec.harness import _SLACK, WEYL_DPS, WEYL_REL_SLACK, ResonanceSet, WeylAudit
 from catspec.model import BasePoint, MappingTorusFlow
 from catspec.operator import (OrbitSector, PacketProfile, SectorBlock, _mode_adapted,
-                              apply_weight, eigendecompose, singular_values)
+                              apply_weight, singular_values)
 
 
 class ContourTooClose(CatspecError):
@@ -195,7 +195,7 @@ def weyl_audit_loop(p: np.ndarray, z_e, eigenvalues=None) -> WeylAudit:
     """``harness.weyl_audit`` with its prefix comparison as a loop over k."""
     a = np.array(p, dtype=complex)
     if eigenvalues is None:
-        eigenvalues = [pair.value for pair in eigendecompose(a)]
+        eigenvalues = op.eigenvalues(a)
     a.flat[::a.shape[0] + 1] -= z_e
     s = singular_values(a)
     n = len(s)
@@ -315,7 +315,7 @@ def coherent_study_per_sector(flow: MappingTorusFlow, params, points, h_list, j_
     builds its own rectified-time phase table.  The sector terms are added
     in sector order, as the batched study adds them.
     """
-    from catspec import harness as hs, operator as op
+    from catspec import harness as hs
     from catspec.cotangent import h0
 
     escape = EscapeFunction(flow, params)

@@ -72,8 +72,8 @@ def test_criterion_2_constant_roof_oracle(cfg, flow_const, trunc):
     for params in (OrderParams(), OrderParams(u=-6.0, s=12.0, t_avg=10.0,
                                               aperture=0.08)):
         res = neutral_resonances(hs.extract_resonances(
-            EscapeFunction(flow_const, params), trunc, 0.05, cfg.residual_tol,
-            cfg.cluster_radius))
+            hs.SolveStore(flow_const), EscapeFunction(flow_const, params), trunc, 0.05,
+            cfg.residual_tol, cfg.cluster_radius))
         vals = np.sort_complex(res.values())
         if vals.size != targets.size:
             _report(2, "constant-roof spectrum", False,
@@ -87,8 +87,8 @@ def test_criterion_2_constant_roof_oracle(cfg, flow_const, trunc):
 
 def test_criterion_3_time_changed_oracle(cfg, flow, escape, trunc):
     tbar = quad(lambda t: 1.0 / flow.time_change(t), 0.0, 1.0, epsabs=1e-13)[0]
-    res = neutral_resonances(hs.extract_resonances(escape, trunc, 0.05, cfg.residual_tol,
-                                                   cfg.cluster_radius))
+    res = neutral_resonances(hs.extract_resonances(hs.SolveStore(flow), escape, trunc, 0.05,
+                                                   cfg.residual_tol, cfg.cluster_radius))
     vals = res.values()
     targets = 2 * np.pi * np.arange(-trunc.j_max, trunc.j_max + 1) / tbar
     worst = 0.0

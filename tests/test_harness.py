@@ -36,7 +36,7 @@ def escape_const(flow_const):
 
 @pytest.fixture(scope="module")
 def base_res(escape, trunc):
-    return hs.extract_resonances(escape, trunc, 0.05, *TOLS)
+    return hs.extract_resonances(hs.SolveStore(escape.flow), escape, trunc, 0.05, *TOLS)
 
 
 def synthetic(values, mults=None, sector="synthetic"):
@@ -86,7 +86,8 @@ def test_counting_monotone_in_beta_and_width():
 
 def test_scaling_study_constant_roof_matches_lattice(escape_const, trunc):
     grid = [10, 20, 40, 80, 160]
-    study = hs.scaling_study(escape_const, trunc, 1.0, grid, 1.0, *TOLS)
+    study = hs.scaling_study(hs.SolveStore(escape_const.flow), escape_const, trunc, 1.0, grid,
+                             1.0, *TOLS)
     oracle = [sum(1 for j in range(-300, 301)
                   if abs(2 * np.pi * j - a) <= np.sqrt(a)) for a in grid]
     assert study.counts == oracle
@@ -94,7 +95,8 @@ def test_scaling_study_constant_roof_matches_lattice(escape_const, trunc):
 
 
 def test_scaling_study_zero_counts_flagged(escape_const, trunc):
-    study = hs.scaling_study(escape_const, trunc, 1.0, [10, 20, 40], -0.5, *TOLS)
+    study = hs.scaling_study(hs.SolveStore(escape_const.flow), escape_const, trunc, 1.0,
+                             [10, 20, 40], -0.5, *TOLS)
     # a floor above the real axis removes every count
     assert study.undefined and study.exponent is None
 
@@ -103,7 +105,8 @@ def test_fits_from_one_abscissa_are_undefined(escape_const, trunc, recwarn):
     # a slope needs two distinct abscissae; no RankWarning, no number
     assert hs.fit_slope([1.0, 1.0, 1.0], [0.0, 1.0, 2.0]) is None
     assert hs.fit_slope([1.0, 2.0], [0.0, 1.0]) == pytest.approx(1.0)
-    study = hs.scaling_study(escape_const, trunc, 1.0, [10], 1.0, *TOLS)
+    study = hs.scaling_study(hs.SolveStore(escape_const.flow), escape_const, trunc, 1.0, [10],
+                             1.0, *TOLS)
     assert study.counts[0] > 0 and study.undefined and study.exponent is None
     control = hs.synthetic_lattice_counts(1.0, [20, 20])
     assert control.undefined and control.exponent is None
@@ -212,8 +215,9 @@ def test_intrinsic_check_same_set(base_res):
 
 
 def test_intrinsic_check_constant_roof_exact(flow_const, escape_const, trunc):
-    a = neutral_resonances(hs.extract_resonances(escape_const, trunc, 0.05, *TOLS))
-    b = neutral_resonances(hs.extract_resonances(EscapeFunction(
+    a = neutral_resonances(hs.extract_resonances(hs.SolveStore(flow_const), escape_const,
+                                                 trunc, 0.05, *TOLS))
+    b = neutral_resonances(hs.extract_resonances(hs.SolveStore(flow_const), EscapeFunction(
         flow_const, OrderParams(u=-6.0, s=12.0, t_avg=10.0, aperture=0.08)), trunc, 0.05,
         *TOLS))
     out = hs.intrinsic_check(a, b, floor=-1.0)
@@ -228,8 +232,8 @@ def intrinsic_trend(flow, params_a, params_b, truncations, floor, h=0.05):
     out = []
     escape_a, escape_b = EscapeFunction(flow, params_a), EscapeFunction(flow, params_b)
     for tr in truncations:
-        a = hs.extract_resonances(escape_a, tr, h, *TOLS)
-        b = hs.extract_resonances(escape_b, tr, h, *TOLS)
+        a = hs.extract_resonances(hs.SolveStore(flow), escape_a, tr, h, *TOLS)
+        b = hs.extract_resonances(hs.SolveStore(flow), escape_b, tr, h, *TOLS)
         out.append(hs.intrinsic_check(a, b, floor).max_distance)
     return out
 
@@ -301,7 +305,7 @@ def test_extracted_spectrum_only_in_window(flow, trunc, base_res):
 def test_extraction_orbit_multiplicity(flow, escape, trunc):
     # multiplicity of each orbit entry equals the summed cell counts, and
     # the quadrature projector confirms the per-sector algebraic count
-    res = hs.extract_resonances(escape, trunc, 0.05, *TOLS)
+    res = hs.extract_resonances(hs.SolveStore(escape.flow), escape, trunc, 0.05, *TOLS)
     cells = {s.key: s.n_cells
              for s in op.enumerate_orbits(flow.cat, trunc.k_max, trunc.p_max)}
     total_cells = sum(cells.values())
@@ -375,7 +379,8 @@ def test_clustering_merges_close_values():
 def test_unresolved_window_raised(escape):
     tr = op.Truncation(k_max=2, p_max=2, j_max=4)
     with pytest.raises(UnresolvedWindow):
-        hs.scaling_study(escape, tr, 1.0, [1000.0], 1.0, *TOLS, window_margin=-200)
+        hs.scaling_study(hs.SolveStore(escape.flow), escape, tr, 1.0, [1000.0], 1.0, *TOLS,
+                         window_margin=-200)
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +633,16 @@ def test_weyl_audit_prefix_sums_repeat_the_loop(flow, escape):
     assert audits == [weyl_audit_loop(p, z_e, evs) for p, z_e, evs in cases]
     assert audits[1] == hs.WeylAudit(False, float("-inf"))
     assert all(a.verdict for a in audits[:1] + audits[2:])
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_weyl_audit_raises_non_convergence_on_non_finite_input(bad):
+    # the audit takes eigenvalues alone, and keeps the error contract of a
+    # dense solve: NonConvergence (a CatspecError), not LinAlgError
+    m = np.eye(4, dtype=complex)
+    m[0, 3] = bad
+    with pytest.raises(NonConvergence):
+        hs.weyl_audit(m, 1 + 1j)
 
 
 def test_weyl_audit_counts_reported(flow, escape):
@@ -1123,6 +1138,118 @@ def test_campaign_builds_one_escape_function_per_order_set(monkeypatch):
     report = hs.run_campaign(cfg)
     assert report["passed"] is True
     assert built == [cfg.escape, cfg.escape_alt]
+
+
+def _counted_solves(monkeypatch):
+    """Record every eigendecompose matrix and every enumerate_orbits
+    (k_max, p_max); an eigendecompose call inside _audit_in_place fails."""
+    solved, walks, auditing = [], [], []
+    eigendecompose, enumerate_orbits = op.eigendecompose, op.enumerate_orbits
+    audit_in_place = hs._audit_in_place
+
+    def counted_solve(p):
+        assert not auditing, "an audit asked for eigenvectors"
+        solved.append(np.array(p, dtype=complex))
+        return eigendecompose(p)
+
+    def counted_walk(cat, k_max, p_max):
+        walks.append((k_max, p_max))
+        return enumerate_orbits(cat, k_max, p_max)
+
+    def marked_audit(a, z_e, eigenvalues):
+        auditing.append(True)
+        try:
+            return audit_in_place(a, z_e, eigenvalues)
+        finally:
+            auditing.pop()
+
+    monkeypatch.setattr(op, "eigendecompose", counted_solve)
+    monkeypatch.setattr(op, "enumerate_orbits", counted_walk)
+    monkeypatch.setattr(hs, "_audit_in_place", marked_audit)
+    return solved, walks
+
+
+def _recorded_spectra(monkeypatch):
+    """Record (escape, truncation, h, spectrum) of every extract_resonances
+    call; returns the list and the unpatched function."""
+    calls, extract = [], hs.extract_resonances
+
+    def recorded(solves, escape, truncation, h, residual_tol, cluster_radius):
+        res = extract(solves, escape, truncation, h, residual_tol, cluster_radius)
+        calls.append((escape, truncation, h, res))
+        return res
+
+    monkeypatch.setattr(hs, "extract_resonances", recorded)
+    return calls, extract
+
+
+def test_campaign_solves_each_dense_eigenproblem_once(monkeypatch):
+    # one eigendecompose per distinct cell j_max and per distinct (neutral
+    # size, log weight), one orbit walk per (k_max, p_max), and no
+    # eigenvectors in the Weyl audits; at n0 = 0 the neutral weight is 0 at
+    # every h, so the base and the counting alphas of one j_max share a solve
+    solved, walks = _counted_solves(monkeypatch)
+    calls, _ = _recorded_spectra(monkeypatch)
+    cfg = parse_config("[solver]\nk_max = 3\n[campaign]\n"
+                       "checks = upper_half,symmetry,weyl,counting,intrinsic\n")
+    report = hs.run_campaign(cfg)
+    assert report["passed"] is True
+    neutral = op.NeutralSector()
+    cells = {(tr.j_max, tr.flux_penalty) for _, tr, _, _ in calls}
+    weights = set()
+    for escape, tr, h, _ in calls:
+        basis = op.sector_basis(neutral, tr)
+        weights.add((len(basis), op.mode_log_weight(neutral, basis, escape, h).tobytes()))
+    assert len(calls) == 8 and len(cells) == len(weights) == 2
+    assert len(solved) == len(cells) + len(weights) == 4
+    assert len({(m.shape, m.tobytes()) for m in solved}) == len(solved)
+    assert sorted(walks) == [(3, 2), (7, 4)]
+
+
+def test_solve_store_keys_hold_when_the_neutral_weight_moves_with_h(monkeypatch):
+    # negative control for the store's keys: at n0 = 1 (and 0.5 for
+    # escape_alt) the neutral weight is nonzero and depends on h.  Every
+    # spectrum the campaign extracts equals one from a store of its own, bit
+    # for bit, and so do the base spectrum, the counting table and the
+    # intrinsic payload; the neutral solves are the distinct (order set,
+    # neutral size, h), fewer than the spectra
+    calls, extract = _recorded_spectra(monkeypatch)
+    cfg = parse_config("[escape]\nn0 = 1\n[escape_alt]\nn0 = 0.5\n[solver]\nk_max = 3\n"
+                       "[campaign]\nchecks = upper_half,intrinsic,counting\n")
+    ctx = hs.CampaignContext(cfg)
+    payloads = {name: hs.CHECKS[name](ctx)[1] for name in cfg.checks}
+    fresh = [extract(hs.SolveStore(cfg.flow()), escape, tr, h, *TOLS)
+             for escape, tr, h, _ in calls]
+    assert [res for *_, res in calls] == fresh
+    base, cross, drift, *counted = fresh
+    assert ctx.base == base and len(counted) == len(cfg.alpha_grid)
+    assert payloads["counting"]["table"] == [
+        (alpha, hs.count_in_box(res, hs.CountingBox(cfg.E, alpha, cfg.beta)))
+        for alpha, res in zip(cfg.alpha_grid, counted)]
+    cross, drift = (hs.intrinsic_check(base, res, cfg.floor) for res in (cross, drift))
+    assert (payloads["intrinsic"]["cross_distance"], payloads["intrinsic"]["drift"]) == (
+        cross.max_distance, drift.max_distance)
+    assert payloads["intrinsic"]["cross_distance"] > 0.0
+    distinct = {(escape.params, len(op.sector_basis(op.NeutralSector(), tr)), h)
+                for escape, tr, h, _ in calls}
+    neutral = [key for key in ctx.solves.solved if key[0] == "neutral"]
+    assert len(neutral) == len(distinct) < len(calls)
+
+
+def test_solve_store_remembers_a_failed_solve(monkeypatch, flow_const):
+    # flux_penalty = 1e308: the cell solve raises NonConvergence once, and
+    # every later read re-raises that exception without solving again
+    cfg = parse_config("[solver]\nk_max = 3\nflux_penalty = 1e308\n")
+    solved, _ = _counted_solves(monkeypatch)
+    solves = hs.SolveStore(cfg.flow())
+    errors = []
+    for _ in range(2):
+        with pytest.raises(NonConvergence) as info:
+            solves.cell_pairs(cfg.truncation)
+        errors.append(info.value)
+    assert len(solved) == 1 and errors[0] is errors[1]
+    with pytest.raises(ValueError, match="another flow"):
+        solves.neutral_pairs(EscapeFunction(flow_const, cfg.escape), cfg.truncation, cfg.h)
 
 
 def test_checks_that_compare_nothing_fail():

@@ -428,6 +428,25 @@ def test_eigendecompose_raises_non_convergence_on_non_finite_input():
         op.eigendecompose(m)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_eigenvalues_raise_non_convergence_on_non_finite_input(bad):
+    # the eigenvalue-only solve keeps eigendecompose's error contract: a
+    # CatspecError, never numpy's LinAlgError
+    m = np.eye(3, dtype=complex)
+    m[1, 2] = bad
+    for solve in (op.eigenvalues, op.eigendecompose):
+        with pytest.raises(NonConvergence):
+            solve(m)
+
+
+def test_eigenvalues_are_those_of_eigendecompose():
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    vals = np.sort_complex(op.eigenvalues(m))
+    pairs = np.sort_complex([p.value for p in op.eigendecompose(m)])
+    assert np.allclose(vals, pairs, rtol=0.0, atol=1e-12)
+
+
 def test_eigendecompose_sorted_by_imag():
     m = np.diag([1.0 + 0.5j, 2.0 - 1.0j, -1.0 + 0.1j])
     vals = [p.value.imag for p in op.eigendecompose(m)]
