@@ -486,8 +486,15 @@ def eigenvalues(p: np.ndarray):
 
 def singular_values(p: np.ndarray):
     """Ascending singular values of P; a caller that audits P - z_e shifts
-    its own copy of P first."""
-    return np.sort(np.linalg.svd(np.asarray(p, dtype=complex), compute_uv=False))
+    its own copy of P first.  A failed solve or a non-finite singular value
+    (LAPACK returns NaN for a non-finite matrix) raises NonConvergence."""
+    try:
+        s = np.linalg.svd(np.asarray(p, dtype=complex), compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"dense SVD failed: {exc}") from exc
+    if not np.isfinite(s).all():
+        raise NonConvergence("a singular value is outside the double range")
+    return np.sort(s)
 
 
 # ---------------------------------------------------------------------------

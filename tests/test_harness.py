@@ -638,11 +638,14 @@ def test_weyl_audit_prefix_sums_repeat_the_loop(flow, escape):
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_weyl_audit_raises_non_convergence_on_non_finite_input(bad):
     # the audit takes eigenvalues alone, and keeps the error contract of a
-    # dense solve: NonConvergence (a CatspecError), not LinAlgError
+    # dense solve: NonConvergence (a CatspecError), not LinAlgError; with the
+    # eigenvalues given, the NaN singular values LAPACK returns raise too
+    # instead of passing every prefix
     m = np.eye(4, dtype=complex)
     m[0, 3] = bad
-    with pytest.raises(NonConvergence):
-        hs.weyl_audit(m, 1 + 1j)
+    for evs in (None, np.ones(4)):
+        with pytest.raises(NonConvergence):
+            hs.weyl_audit(m, 1 + 1j, evs)
 
 
 def test_weyl_audit_counts_reported(flow, escape):
