@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,14 +38,9 @@ s = 8.0
 t_avg = 8.0
 aperture = 0.1
 radius = 10.0
-symmetric = true
 
 [escape_alt]
-u = -6.0
 n0 = 0.0
-s = 12.0
-t_avg = 10.0
-aperture = 0.08
 
 [solver]
 k_max = 6
@@ -77,13 +72,10 @@ out_dir = out
 
 
 def _schema():
-    """Allowed keys per section: those of DEFAULT_CONFIG, with [escape_alt]
-    taking the keys of [escape]."""
+    """Allowed keys per section: those of DEFAULT_CONFIG."""
     defaults = configparser.ConfigParser()
     defaults.read_string(DEFAULT_CONFIG)
-    schema = {section: set(defaults[section]) for section in defaults.sections()}
-    schema["escape_alt"] = schema["escape"]
-    return schema
+    return {section: set(defaults[section]) for section in defaults.sections()}
 
 
 _SCHEMA = _schema()
@@ -94,7 +86,7 @@ class RunConfig:
     """A parsed configuration; `parse_config` fills every field."""
 
     escape: OrderParams
-    escape_alt: OrderParams
+    escape_alt: OrderParams          # [escape] with the n0 of [escape_alt]
     truncation: Truncation
     checks: list
     E: float
@@ -162,13 +154,11 @@ def parse_config(text: str) -> RunConfig:
             time_change=TimeChange(_float(m["c0"]), _floats(m["c_cos"]),
                                    _floats(m["c_sin"])))
 
-        def order(section):
-            s = merged[section]
-            return OrderParams(
-                u=_float(s["u"]), n0=_float(s["n0"]), s=_float(s["s"]),
-                t_avg=_float(s["t_avg"]), aperture=_float(s["aperture"]),
-                radius=_float(s.get("radius", "10.0")),
-                symmetric=s.get("symmetric", "true").lower() in ("1", "true", "yes"))
+        es = merged["escape"]
+        escape = OrderParams(
+            u=_float(es["u"]), n0=_float(es["n0"]), s=_float(es["s"]),
+            t_avg=_float(es["t_avg"]), aperture=_float(es["aperture"]),
+            radius=_float(es["radius"]))
 
         sv = merged["solver"]
         trunc = Truncation(
@@ -193,7 +183,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("ims_band must be 'lo,hi' with lo < hi")
 
         cfg = RunConfig(
-            escape=order("escape"), escape_alt=order("escape_alt"),
+            escape=escape,
+            escape_alt=replace(escape, n0=_float(merged["escape_alt"]["n0"])),
             truncation=trunc, checks=checks,
             E=_float(cp["e"]), beta=_float(cp["beta"]),
             disk_b=_float(cp["disk_b"]),

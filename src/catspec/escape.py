@@ -91,7 +91,6 @@ class OrderParams:
     t_avg: float = 8.0
     aperture: float = 0.1
     radius: float = 10.0
-    symmetric: bool = True
 
     def __post_init__(self):
         if not (self.u < self.n0 < self.s):
@@ -112,8 +111,7 @@ class EscapeFunction:
     Values depend on phase-space points only through the equivariant frame
     components, so batch evaluation works directly on arrays of those
     triples; CotangentPoint wrappers are provided for single points.  The
-    construction is even in the covector, so the symmetric-order option of
-    :class:`OrderParams` holds automatically; the flag is kept as metadata.
+    construction is even in the covector, so the order is symmetric.
     """
 
     #: panels on [-t_avg, t_avg] and nodes per panel of the time average
@@ -151,8 +149,7 @@ class EscapeFunction:
         p = self.params
         for q in orders:
             if (q.t_avg, q.aperture, q.radius) != (p.t_avg, p.aperture, p.radius):
-                raise ValueError("orders may differ from the evaluator only in u, n0, s "
-                                 "and symmetric")
+                raise ValueError("orders may differ from the evaluator only in u, n0 and s")
         return list(orders)
 
     # -- covector flow -----------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -692,50 +691,31 @@ def coherent_symbol_study(escape: EscapeFunction, points, h_list,
 # campaign orchestration
 # ---------------------------------------------------------------------------
 
-class _built_once(cached_property):
-    """A cached_property that also keeps a failed build's exception and
-    re-raises it on every later read instead of building again."""
+class CampaignContext(SolveStore):
+    """The solve store of one campaign, which also holds what two or more
+    checks share: the escape functions of the two order sets and the base
+    spectrum, each built on first use and at most once."""
 
-    def __get__(self, ctx, owner):
-        if ctx is not None and self.attrname in ctx.failures:
-            raise ctx.failures[self.attrname]
-        try:
-            return super().__get__(ctx, owner)
-        except Exception as exc:
-            ctx.failures[self.attrname] = exc
-            raise
+    def __init__(self, cfg):
+        super().__init__(cfg.flow())
+        self.cfg = cfg                   # config.RunConfig
 
-
-@dataclass
-class CampaignContext:
-    """What two or more campaign checks share, each built on first use and
-    at most once: a failed build is remembered and re-raised.  The dense
-    eigenproblems and orbit enumerations of the spectra, the scaling study
-    and the weyl and garding checks are in ``solves``."""
-
-    cfg: object                      # config.RunConfig
-    failures: dict = field(default_factory=dict, init=False, repr=False)
-
-    @_built_once
+    @property
     def escape(self):
-        return EscapeFunction(self.cfg.flow(), self.cfg.escape)
+        return self._once("escape", lambda: EscapeFunction(self.flow, self.cfg.escape))
 
-    @_built_once
+    @property
     def escape_alt(self):
-        return EscapeFunction(self.cfg.flow(), self.cfg.escape_alt)
-
-    @_built_once
-    def solves(self):
-        return SolveStore(self.cfg.flow())
+        return self._once("escape_alt", lambda: EscapeFunction(self.flow, self.cfg.escape_alt))
 
     def spectrum(self, escape, truncation):
         cfg = self.cfg
-        return extract_resonances(self.solves, escape, truncation, cfg.h, cfg.residual_tol,
+        return extract_resonances(self, escape, truncation, cfg.h, cfg.residual_tol,
                                   cfg.cluster_radius)
 
-    @_built_once
+    @property
     def base(self):
-        return self.spectrum(self.escape, self.cfg.truncation)
+        return self._once("base", lambda: self.spectrum(self.escape, self.cfg.truncation))
 
 
 def _check_escape(ctx):
@@ -835,9 +815,8 @@ def _check_weyl(ctx):
     the numbers of a full audit."""
     cfg, flow = ctx.cfg, ctx.cfg.flow()
     z_e = complex(cfg.E, 1.0)
-    cell_vals = np.array([p.value for p in ctx.solves.cell_pairs(cfg.truncation)])
-    sectors = [op.NeutralSector()] + ctx.solves.orbits(cfg.truncation.k_max,
-                                                       cfg.truncation.p_max)
+    cell_vals = np.array([p.value for p in ctx.cell_pairs(cfg.truncation)])
+    sectors = [op.NeutralSector()] + ctx.orbits(cfg.truncation.k_max, cfg.truncation.p_max)
     groups = {op.mirror_key(group[0]): group for group in op.mirror_groups(sectors)}
 
     def audit_group(sector):
@@ -914,7 +893,7 @@ def _check_garding(ctx):
     sweep = {}
     for k in (k0, k0 + 2, k0 + 4):
         tr = replace(cfg.truncation, k_max=k)
-        sector = ctx.solves.orbits(k, tr.p_max)[0]
+        sector = ctx.orbits(k, tr.p_max)[0]
         hp = cfg.h * op.apply_weight(op.build_generator(flow, sector, tr),
                                      ctx.escape, cfg.h)
         sweep[k] = op.garding_upper_check(hp, trials=200, seed=cfg.seed)
@@ -932,7 +911,7 @@ def _check_coherent(ctx):
 
 def _check_counting(ctx):
     cfg = ctx.cfg
-    study = scaling_study(ctx.solves, ctx.escape, cfg.truncation, cfg.E, cfg.alpha_grid,
+    study = scaling_study(ctx, ctx.escape, cfg.truncation, cfg.E, cfg.alpha_grid,
                           cfg.beta, cfg.residual_tol, cfg.cluster_radius)
     control = synthetic_lattice_counts(cfg.E, cfg.alpha_grid)
     # with every count zero or a single alpha there is no exponent to

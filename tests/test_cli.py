@@ -146,7 +146,7 @@ def test_cli_seed_override_changes_the_config_sha(tmp_path, monkeypatch):
     assert header() == seven
     # the default config's SHA, in every default output header
     assert parse_config(DEFAULT_CONFIG).sha() == (
-        "cdf4bdc3a6be4ba51bb99b6b04dc967dc16810d3920670701169a5fab63b3db1")
+        "61ff078ebe153f05c2a691724c360d93f2a0d28bcc981248fcee6d6f269ef7d8")
 
 
 def test_cli_model_info(capsys):
@@ -170,10 +170,13 @@ def test_cli_model_info(capsys):
     "[solver]\nk_max = 3\nedge_guard = 40\n",       # the orbit window would be empty
     "[solver]\nk_max = 3\nedge_guard = -3\n",       # it would hold the edge artefacts
     "[solver]\nj_buffer = -5\n",                    # not "automatic", which is 0
+    "[escape]\nsymmetric = false\n",                # a flag that would move no output
+    "[escape_alt]\nu = -3\n",                       # only n0 of that set reaches a spectrum
 ], ids=["unknown_key", "identity_matrix", "negative_time_change",
         "negative_flux", "no_escape_samples", "negative_j_max", "p_max_1",
         "negative_seed", "negative_ims_j_max", "edge_guard_above_j_max",
-        "negative_edge_guard", "negative_j_buffer"])
+        "negative_edge_guard", "negative_j_buffer", "removed_symmetric",
+        "removed_escape_alt_u"])
 def test_cli_bad_config_exit_code(tmp_path, capsys, text, command):
     bad = tmp_path / "bad.ini"
     bad.write_text(text)

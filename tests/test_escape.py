@@ -601,7 +601,7 @@ def test_orders_reject_other_geometry(escape):
         with pytest.raises(ValueError):
             verify_escape_estimates(escape, sample_count=10,
                                     orders=[dataclasses.replace(p, **change)])
-    other = dataclasses.replace(p, u=-3.0, n0=0.5, s=5.0, symmetric=False)
+    other = dataclasses.replace(p, u=-3.0, n0=0.5, s=5.0)
     pts = np.random.default_rng(18).normal(size=(40, 3)) * 20.0
     both = escape.escape_value(pts, orders=[p, other])
     assert both.shape == (2, 40)

@@ -167,7 +167,7 @@ def test_symmetry_check_unequal_multiplicities_fail_by_verdict():
                                                      (-2 - 0.25j, -2 - 0.25j)]
     assert len(sym.pairs) == 3 and sym.max_distance == 0.0
     ctx = hs.CampaignContext(parse_config("[solver]\nk_max = 3\n"))
-    ctx.base = changed
+    ctx.solved["base"] = changed
     ok, payload = hs.CHECKS["symmetry"](ctx)
     assert ok is False and payload == {"max_distance": 0.0, "pairs": 3}
 
@@ -1235,7 +1235,7 @@ def test_solve_store_keys_hold_when_the_neutral_weight_moves_with_h(monkeypatch)
     assert payloads["intrinsic"]["cross_distance"] > 0.0
     distinct = {(escape.params, len(op.sector_basis(op.NeutralSector(), tr)), h)
                 for escape, tr, h, _ in calls}
-    neutral = [key for key in ctx.solves.solved if key[0] == "neutral"]
+    neutral = [key for key in ctx.solved if key[0] == "neutral"]
     assert len(neutral) == len(distinct) < len(calls)
 
 
@@ -1260,7 +1260,7 @@ def test_checks_that_compare_nothing_fail():
     # the helpers' values
     cfg = parse_config("[solver]\nk_max = 3\n")
     ctx = hs.CampaignContext(cfg)
-    ctx.base = hs.ResonanceSet([], {"cluster_radius": cfg.cluster_radius})
+    ctx.solved["base"] = hs.ResonanceSet([], {"cluster_radius": cfg.cluster_radius})
     ok, payload = hs.CHECKS["upper_half"](ctx)
     assert ok is False and payload["max_im"] == float("-inf")
     ok, payload = hs.CHECKS["symmetry"](ctx)

@@ -591,7 +591,8 @@ def _dense_hop_defect(block, nj, defect):
 def test_mirror_sectors_have_bit_identical_weights():
     # the default truncation's 60 orbit sectors pair up as k0, -k0 with
     # opposite frequencies, and each pair's weights are equal bit for bit
-    # for both escape functions, at h and at every coherent-study h
+    # for the configured order set and another one, at h and at every
+    # coherent-study h
     cfg = parse_config(DEFAULT_CONFIG)
     flow, tr = cfg.flow(), cfg.truncation
     sectors = op.enumerate_orbits(flow.cat, tr.k_max, tr.p_max)
@@ -602,7 +603,7 @@ def test_mirror_sectors_have_bit_identical_weights():
     assert sorted(len(pair) for pair in pairs) == [2] * 30
     for a, b in pairs:
         assert b.freqs == tuple((-k1, -k2) for k1, k2 in a.freqs)
-    for params in (cfg.escape, cfg.escape_alt):
+    for params in (cfg.escape, OrderParams(u=-6.0, s=12.0, t_avg=10.0, aperture=0.08)):
         escape = EscapeFunction(flow, params)
         for h in [cfg.h, *cfg.coherent_h_list]:
             for a, b in pairs:
