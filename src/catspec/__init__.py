@@ -1,6 +1,6 @@
 """Numerical resonance spectra for time-changed cat-map suspension flows."""
 
-from .model import BasePoint, CatMap, MappingTorusFlow, TimeChange, default_flow
+from .model import BasePoint, CatMap, MappingTorusFlow, TimeChange
 from .cotangent import CotangentPoint
 from .escape import EscapeFunction, OrderParams
 
@@ -12,7 +12,6 @@ __all__ = [
     "MappingTorusFlow",
     "OrderParams",
     "TimeChange",
-    "default_flow",
 ]
 
 __version__ = "0.1.0"

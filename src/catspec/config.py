@@ -225,8 +225,8 @@ def parse_config(text: str) -> RunConfig:
     if cfg.ims_j_max < 0:
         raise ConfigError("ims_j_max must be at least 0")
     # the orbit window keeps |j| <= j_max - edge_guard; the guard is checked
-    # here, not in Truncation, which also serves truncations below the default
-    # guard (the ims and coherent checks, the tests)
+    # here, not in Truncation, which also serves truncations whose j_max lies
+    # below the guard (the ims and coherent checks, the tests)
     if not 0 <= trunc.edge_guard <= trunc.j_max:
         raise ConfigError(f"edge_guard must lie in [0, j_max = {trunc.j_max}]")
     if trunc.j_buffer < 0:

@@ -25,9 +25,5 @@ class UnresolvedState(CatspecError):
     """Wave packet is not resolved by the truncated mode basis."""
 
 
-class UnresolvedWindow(CatspecError):
-    """Truncation cannot cover the requested spectral window."""
-
-
 class MultiplicityMismatch(CatspecError):
     """Matched eigenvalues disagree in multiplicity."""

@@ -83,14 +83,14 @@ def composite_gauss_legendre(t_avg, panels, nodes_per_panel):
 
 @dataclass(frozen=True)
 class OrderParams:
-    """Exponents and geometry of the order function."""
+    """Exponents and geometry of the order function ([escape] of the config)."""
 
-    u: float = -8.0
-    n0: float = 0.0
-    s: float = 8.0
-    t_avg: float = 8.0
-    aperture: float = 0.1
-    radius: float = 10.0
+    u: float
+    n0: float
+    s: float
+    t_avg: float
+    aperture: float
+    radius: float
 
     def __post_init__(self):
         if not (self.u < self.n0 < self.s):
@@ -501,8 +501,8 @@ class EscapeReport:
         return buf.getvalue()
 
 
-def verify_escape_estimates(escape: EscapeFunction, sample_count=10000,
-                            seed=0, keep_rows=2000, orders=None):
+def verify_escape_estimates(escape: EscapeFunction, sample_count, seed,
+                            keep_rows=2000, orders=None):
     """Sample the decay estimates over |xi| in [R, RADIUS_SPAN * R].
 
     Checks (a) strict uniform decay outside the neutral cone and (b) global

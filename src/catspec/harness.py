@@ -19,8 +19,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import charpoly, operator as op
-from .errors import (MultiplicityMismatch, NonConvergence, UnresolvedState,
-                     UnresolvedWindow)
+from .errors import MultiplicityMismatch, NonConvergence, UnresolvedState
 from .escape import EscapeFunction, verify_escape_estimates
 from .model import MappingTorusFlow
 
@@ -205,24 +204,25 @@ class ScalingStudy:
     undefined: bool
 
 
+#: tau modes that `scaling_study` keeps past the top of the counting box
+COUNT_WINDOW_MARGIN = 4
+
+
 def scaling_study(solves: SolveStore, escape: EscapeFunction, truncation: op.Truncation, E,
-                  alpha_grid, beta, residual_tol, cluster_radius,
-                  window_margin=4) -> ScalingStudy:
+                  alpha_grid, beta, residual_tol, cluster_radius) -> ScalingStudy:
     """Box counts N(alpha) across the grid with truncation adapted per alpha.
 
-    solves, residual_tol and cluster_radius are passed on to
-    extract_resonances, so the alphas of one truncation share its cell
-    solve and its orbit enumeration.
+    The tau modes reach COUNT_WINDOW_MARGIN past the box top, so the
+    resolved window omega (j_max + 1/2) covers it.  solves, residual_tol
+    and cluster_radius are passed on to extract_resonances, so the alphas
+    of one truncation share its cell solve and its orbit enumeration.
     """
     omega = 2.0 * np.pi / solves.flow.period
     counts = []
     for alpha in alpha_grid:
         top = abs(E) * alpha + np.sqrt(alpha)
-        j_need = int(np.ceil(top / omega)) + window_margin
+        j_need = int(np.ceil(top / omega)) + COUNT_WINDOW_MARGIN
         tr = replace(truncation, j_max=max(truncation.j_max, j_need))
-        if omega * (tr.j_max + 0.5) < top:
-            raise UnresolvedWindow(
-                f"resolved window {omega * (tr.j_max + 0.5):.3g} cannot cover {top:.3g}")
         res = extract_resonances(solves, escape, tr, 1.0 / alpha, residual_tol, cluster_radius)
         counts.append(count_in_box(res, CountingBox(E, alpha, beta)))
     exponent = None if all(c == 0 for c in counts) else fit_log_slope(alpha_grid, counts)
@@ -549,8 +549,6 @@ SYMBOL_TAU0 = 0.5
 COHERENT_K_CEILING = 100
 #: smallest `coherent_j_max`; it is the cutoff at every h >= 0.0125
 COHERENT_J_FLOOR = 12
-#: orbit positions kept beyond the ball in the coherent study's truncation
-COHERENT_P_MAX = 2
 #: largest share of a packet's squared norm the coherent study may miss
 COHERENT_MASS_TOL = 0.02
 #: widths past a packet's tau frequency that `coherent_j_max` keeps (1.645):
@@ -604,10 +602,11 @@ def coherent_j_max(flow: MappingTorusFlow, points, h):
     return max(COHERENT_J_FLOOR, int(np.ceil(need)) + 2)
 
 
-def coherent_symbol_study(escape: EscapeFunction, points, h_list,
+def coherent_symbol_study(escape: EscapeFunction, points, h_list, truncation: op.Truncation,
                           j_max=None) -> CoherentStudy:
     """Error of packet expectations against the two-term symbol, per h, on
-    `coherent_k_max` and (unless ``j_max`` is given) `coherent_j_max`.
+    ``truncation`` with `coherent_k_max` and (unless ``j_max`` is given)
+    `coherent_j_max` in place of its cutoffs.
 
     Each h takes a few batched passes.  The packets share one
     rectified-time phase table, dropped once their mode integrals are
@@ -637,7 +636,7 @@ def coherent_symbol_study(escape: EscapeFunction, points, h_list,
     for h in h_list:
         k_max = coherent_k_max(points, h)
         j_cut = coherent_j_max(flow, points, h) if j_max is None else j_max
-        tr = op.Truncation(k_max=k_max, p_max=COHERENT_P_MAX, j_max=j_cut)
+        tr = replace(truncation, k_max=k_max, j_max=j_cut)
         profiles = [op.PacketProfile(flow, ax, xi, h) for ax, xi in points]
         phases = profiles[0].phase_table(j_cut)
         tau_ints = np.stack([prof.orbit_tau_integrals(phases) for prof in profiles])
@@ -645,7 +644,7 @@ def coherent_symbol_study(escape: EscapeFunction, points, h_list,
         neutral = op.build_generator(flow, op.NeutralSector(), tr)
         vecs = [prof.project(flow, neutral) for prof in profiles]
 
-        sectors = op.enumerate_orbits(flow.cat, k_max, COHERENT_P_MAX)
+        sectors = op.enumerate_orbits(flow.cat, k_max, tr.p_max)
         groups = op.mirror_groups(sectors + [neutral.sector])
         owners = iter(groups)           # the neutral sector is the last group
         row = {s.key: i for i, s in enumerate(sectors)}
@@ -901,8 +900,9 @@ def _check_garding(ctx):
 
 
 def _check_coherent(ctx):
-    study = coherent_symbol_study(ctx.escape, default_symbol_points(ctx.cfg.flow()),
-                                  ctx.cfg.coherent_h_list)
+    cfg = ctx.cfg
+    study = coherent_symbol_study(ctx.escape, default_symbol_points(cfg.flow()),
+                                  cfg.coherent_h_list, cfg.truncation)
     # from a single h there is no power to bound: that fails
     return not study.undefined and min(study.powers) >= 0.5, {
         "powers": study.powers,

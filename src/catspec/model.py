@@ -11,7 +11,7 @@ by ``t`` and invert it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -33,7 +33,7 @@ class TimeChange:
                 + sum_d sin_coeffs[d-1]*sin(2 pi d tau)
     """
 
-    def __init__(self, c0=1.0, cos_coeffs=(), sin_coeffs=()):
+    def __init__(self, c0, cos_coeffs, sin_coeffs):
         self.c0 = float(c0)
         self.cos_coeffs = tuple(float(a) for a in cos_coeffs)
         self.sin_coeffs = tuple(float(b) for b in sin_coeffs)
@@ -94,7 +94,7 @@ class TimeChange:
 class CatMap:
     """Integer hyperbolic torus automorphism with its eigen-structure."""
 
-    def __init__(self, a11=2, a12=1, a21=1, a22=1):
+    def __init__(self, a11, a12, a21, a22):
         self.matrix = np.array([[a11, a12], [a21, a22]], dtype=np.int64)
         det = a11 * a22 - a12 * a21
         if det != 1:
@@ -169,8 +169,8 @@ class BasePoint:
 class MappingTorusFlow:
     """The suspension flow with all derived structure constants."""
 
-    cat: CatMap = field(default_factory=CatMap)
-    time_change: TimeChange = field(default_factory=TimeChange)
+    cat: CatMap
+    time_change: TimeChange
 
     def __post_init__(self):
         self.period = self.time_change.period
@@ -225,9 +225,3 @@ class MappingTorusFlow:
         resid = logs - (slope * ts + intercept)
         c_hyp = float(np.exp(intercept + np.max(resid)))
         return c_hyp, -float(slope) / self.period
-
-
-def default_flow(perturbation=0.2):
-    """The standard example: A = [[2,1],[1,1]] with c = 1 + perturbation*cos."""
-    tc = TimeChange(1.0, (perturbation,) if perturbation else ())
-    return MappingTorusFlow(cat=CatMap(), time_change=tc)

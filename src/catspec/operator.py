@@ -78,12 +78,14 @@ class OrbitSector:
 
 @dataclass(frozen=True)
 class Truncation:
-    k_max: int = 6
-    p_max: int = 2
-    j_max: int = 24
-    j_buffer: int = 0           # 0 -> automatic buffer for the neutral sector
-    flux_penalty: float = 1.6
-    edge_guard: int = 6
+    """Cutoffs and flux penalty of the mode truncation ([solver] of the config)."""
+
+    k_max: int
+    p_max: int
+    j_max: int
+    j_buffer: int               # 0 -> automatic buffer for the neutral sector
+    flux_penalty: float
+    edge_guard: int
 
     def __post_init__(self):
         if self.k_max < 1:

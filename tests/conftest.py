@@ -1,21 +1,27 @@
-"""Fixtures shared by the test modules, built once per module."""
+"""Fixtures shared by the test modules; every input comes from the parsed
+default configuration, the package's only source of default values."""
 
 import pytest
 
-from catspec.escape import EscapeFunction, OrderParams
-from catspec.model import default_flow
+from catspec.config import parse_config
+from catspec.escape import EscapeFunction
 
 
 @pytest.fixture(scope="module")
-def flow():
-    return default_flow(0.2)
+def defaults():
+    return parse_config("")
+
+
+@pytest.fixture(scope="module")
+def flow(defaults):
+    return defaults.flow()
 
 
 @pytest.fixture(scope="module")
 def flow_const():
-    return default_flow(0.0)
+    return parse_config("[model]\nc_cos =\n").flow()
 
 
 @pytest.fixture(scope="module")
-def escape(flow):
-    return EscapeFunction(flow, OrderParams())
+def escape(flow, defaults):
+    return EscapeFunction(flow, defaults.escape)

@@ -24,7 +24,7 @@ differentiated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
 
@@ -307,7 +307,8 @@ def dense_orbit_expectation(block: SectorBlock, escape: EscapeFunction, h, vec):
     return np.vdot(vec, (h * apply_weight(block, escape, h)) @ vec)
 
 
-def coherent_study_per_sector(flow: MappingTorusFlow, params, points, h_list, j_max=12):
+def coherent_study_per_sector(flow: MappingTorusFlow, params, points, h_list, truncation,
+                              j_max=12):
     """``harness.coherent_symbol_study`` sector by sector: (errors, powers).
 
     One escape_value call per sector (shared by the sectors through k0 and
@@ -327,7 +328,7 @@ def coherent_study_per_sector(flow: MappingTorusFlow, params, points, h_list, j_
     errors = [dict() for _ in points]
     for h in h_list:
         k_max = hs.coherent_k_max(points, h)
-        tr = op.Truncation(k_max=k_max, p_max=hs.COHERENT_P_MAX, j_max=j_max)
+        tr = replace(truncation, k_max=k_max, j_max=j_max)
         profiles = [PacketProfile(flow, ax, xi, h) for ax, xi in points]
         tau_ints = [prof.orbit_tau_integrals(prof.phase_table(j_max)) for prof in profiles]
         neutral = op.build_generator(flow, op.NeutralSector(), tr)
@@ -336,7 +337,7 @@ def coherent_study_per_sector(flow: MappingTorusFlow, params, points, h_list, j_
         acc = np.array([np.vdot(v, mat @ v) for v in vecs])
         norms = np.array([float(np.vdot(v, v).real) for v in vecs])
         weights = {}
-        for sector in op.enumerate_orbits(flow.cat, k_max, hs.COHERENT_P_MAX):
+        for sector in op.enumerate_orbits(flow.cat, k_max, tr.p_max):
             key = op.mirror_key(sector)
             if key not in weights:
                 weights[key] = op.mode_log_weight(sector, op.sector_basis(sector, tr),

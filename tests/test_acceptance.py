@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 from catspec import harness as hs
 from catspec.config import DEFAULT_CONFIG, parse_config
-from catspec.escape import EscapeFunction, OrderParams
+from catspec.escape import EscapeFunction
 from oracles import neutral_resonances
 
 
@@ -69,8 +69,7 @@ def test_criterion_2_constant_roof_oracle(cfg, flow_const, trunc):
     t0 = time.time()
     targets = np.sort(2 * np.pi * np.arange(-trunc.j_max, trunc.j_max + 1))
     worst = -1.0
-    for params in (OrderParams(), OrderParams(u=-6.0, s=12.0, t_avg=10.0,
-                                              aperture=0.08)):
+    for params in (cfg.escape, replace(cfg.escape, u=-6.0, s=12.0, t_avg=10.0, aperture=0.08)):
         res = neutral_resonances(hs.extract_resonances(
             hs.SolveStore(flow_const), EscapeFunction(flow_const, params), trunc, 0.05,
             cfg.residual_tol, cfg.cluster_radius))

@@ -27,14 +27,16 @@ import spans
 
 tracer = spans.Tracer()
 tracer.install(catspec)
+from dataclasses import replace
 from catspec import operator as op
-from catspec.escape import EscapeFunction, OrderParams
-from catspec.model import default_flow
+from catspec.config import parse_config
+from catspec.escape import EscapeFunction
 
-flow = default_flow(0.2)
-tr = op.Truncation(k_max=3, p_max=2, j_max={j_max})
+cfg = parse_config("")
+flow = cfg.flow()
+tr = replace(cfg.truncation, k_max=3, p_max=2, j_max={j_max})
 block = op.build_generator(flow, op.enumerate_orbits(flow.cat, 3, 2)[0], tr)
-op.apply_weight(block, EscapeFunction(flow, OrderParams()), 0.1)
+op.apply_weight(block, EscapeFunction(flow, cfg.escape), 0.1)
 op.PacketProfile(flow, (0.5, 0.5, 0.5), (1.0, 0.5, 0.3), 0.1).project(flow, block)
 print(json.dumps({{"dim": block.dim, "metrics": tracer.metrics()}}))
 """
@@ -48,11 +50,12 @@ import spans
 
 tracer = spans.Tracer()
 tracer.install(catspec)
-from catspec.escape import EscapeFunction, OrderParams, verify_escape_estimates
-from catspec.model import default_flow
+from catspec.config import parse_config
+from catspec.escape import EscapeFunction, verify_escape_estimates
 
-escape = EscapeFunction(default_flow(0.2), OrderParams())
-verify_escape_estimates(escape, sample_count={samples})
+cfg = parse_config("")
+escape = EscapeFunction(cfg.flow(), cfg.escape)
+verify_escape_estimates(escape, sample_count={samples}, seed=0)
 print(json.dumps(tracer.metrics()))
 """
 

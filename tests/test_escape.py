@@ -26,15 +26,13 @@ def adapted_point(r, direction):
     return r * d / np.linalg.norm(d)
 
 
-def test_order_params_validation():
-    with pytest.raises(ValueError):
-        OrderParams(u=1.0, n0=2.0, s=3.0)       # u not negative
-    with pytest.raises(ValueError):
-        OrderParams(u=-1.0, n0=-2.0, s=3.0)     # not ordered
-    with pytest.raises(ValueError):
-        OrderParams(aperture=1.0)               # aperture too wide
-    with pytest.raises(ValueError):
-        OrderParams(t_avg=0.0)
+def test_order_params_validation(defaults):
+    for bad in ({"u": 1.0, "n0": 2.0, "s": 3.0},        # u not negative
+                {"u": -1.0, "n0": -2.0, "s": 3.0},      # not ordered
+                {"aperture": 1.0},                      # aperture too wide
+                {"t_avg": 0.0}):
+        with pytest.raises(ValueError):
+            dataclasses.replace(defaults.escape, **bad)
 
 
 def test_smoothstep_is_a_c2_ramp():
@@ -345,8 +343,9 @@ def test_verify_escape_estimates_skips_the_rows_it_does_not_keep(escape, monkeyp
         assert getattr(none, name) == getattr(some, name)
 
 
-def test_verify_escape_estimates_two_parameter_sets(flow):
-    for params in (OrderParams(u=-4.0, s=4.0), OrderParams(u=-6.0, s=12.0, aperture=0.08)):
+def test_verify_escape_estimates_two_parameter_sets(flow, defaults):
+    for u, s, aperture in ((-4.0, 4.0, 0.1), (-6.0, 12.0, 0.08)):
+        params = dataclasses.replace(defaults.escape, u=u, s=s, aperture=aperture)
         rep = verify_escape_estimates(EscapeFunction(flow, params),
                                       sample_count=1500, seed=6)
         assert rep.violations == 0 and rep.c_measured > 0
@@ -475,11 +474,12 @@ def test_saturated_rows_in_the_gemv_tail(escape, rows):
 
 _ONE_BLAS_THREAD = """
 import numpy as np
-from catspec.escape import EscapeFunction, OrderParams
-from catspec.model import default_flow
+from catspec.config import parse_config
+from catspec.escape import EscapeFunction
 from test_escape import CHUNKED, _matches_one_shot, _with_axes_last
 
-escape = EscapeFunction(default_flow(0.2), OrderParams())
+cfg = parse_config("")
+escape = EscapeFunction(cfg.flow(), cfg.escape)
 for rows in CHUNKED:
     pts = np.random.default_rng(rows).normal(size=(rows, 3)) * 30.0
     print(rows, _matches_one_shot(escape, pts), _matches_one_shot(escape, _with_axes_last(pts)))
@@ -575,7 +575,8 @@ def _counting_passes(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("order", [OrderParams(), OrderParams(u=-8.0, n0=1.0, s=8.0)],
+@pytest.mark.parametrize("order", [parse_config("").escape,
+                                   parse_config("[escape]\nn0 = 1\n").escape],
                          ids=["default", "n0_1"])
 def test_orders_reports_equal_a_fresh_evaluator(flow, monkeypatch, order):
     calls = _counting_passes(monkeypatch)
@@ -599,7 +600,7 @@ def test_orders_reject_other_geometry(escape):
         with pytest.raises(ValueError):
             escape.escape_value(np.ones(3), orders=[p, dataclasses.replace(p, **change)])
         with pytest.raises(ValueError):
-            verify_escape_estimates(escape, sample_count=10,
+            verify_escape_estimates(escape, sample_count=10, seed=0,
                                     orders=[dataclasses.replace(p, **change)])
     other = dataclasses.replace(p, u=-3.0, n0=0.5, s=5.0)
     pts = np.random.default_rng(18).normal(size=(40, 3)) * 20.0
@@ -618,7 +619,7 @@ def test_escape_check_passes_over_the_profiles_once(monkeypatch):
     # one pass over all samples; the audit's four cover only its samples
     assert calls == [500] + [AUDIT_SAMPLES] * 4
     calls.clear()
-    verify_escape_estimates(EscapeFunction(cfg.flow(), cfg.escape), sample_count=500)
+    verify_escape_estimates(EscapeFunction(cfg.flow(), cfg.escape), sample_count=500, seed=0)
     assert calls == [500] + [AUDIT_SAMPLES] * 4 + [500]
 
 
@@ -649,9 +650,9 @@ def test_doubling_control_is_exact_at_zero_neutral_order(n0, exact):
         assert 2.0 < payload["doubling_ratio"] <= 2.2
 
 
-def test_escape_derivative_memory_stays_blocked(flow):
+def test_escape_derivative_memory_stays_blocked(flow, defaults):
     # unblocked, a 20,000-point derivative peaks at about 530 MB of temporaries
-    escape = EscapeFunction(flow, OrderParams())
+    escape = EscapeFunction(flow, defaults.escape)
     pts = np.random.default_rng(13).normal(size=(20000, 3)) * 30.0
     tracemalloc.start()
     try:

@@ -12,8 +12,8 @@ from catspec import harness as hs
 from catspec import operator as op
 from catspec.config import parse_config, DEFAULT_CONFIG
 from catspec.errors import (MultiplicityMismatch, NonConvergence, UnresolvedState,
-                            UnresolvedWindow, WeightOverflow)
-from catspec.escape import AUDIT_SAMPLES, EscapeFunction, OrderParams
+                            WeightOverflow)
+from catspec.escape import AUDIT_SAMPLES, EscapeFunction
 from oracles import (berkowitz, coherent_study_per_sector, gram, lattice_counts_meshgrid,
                      neutral_resonances, spectral_projector_rank, weyl_audit_loop,
                      weyl_oracle_dense, weyl_prefix_ok, weyl_spectra, weyl_spectra_dense)
@@ -22,16 +22,18 @@ from oracles import (berkowitz, coherent_study_per_sector, gram, lattice_counts_
 _DEFAULT = parse_config(DEFAULT_CONFIG)
 #: the default config's residual_tol and cluster_radius
 TOLS = (_DEFAULT.residual_tol, _DEFAULT.cluster_radius)
+#: a second order set
+ALT_ORDER = replace(_DEFAULT.escape, u=-6.0, s=12.0, t_avg=10.0, aperture=0.08)
 
 
 @pytest.fixture(scope="module")
 def trunc():
-    return op.Truncation(k_max=4, p_max=2, j_max=16)
+    return replace(_DEFAULT.truncation, k_max=4, p_max=2, j_max=16)
 
 
 @pytest.fixture(scope="module")
 def escape_const(flow_const):
-    return EscapeFunction(flow_const, OrderParams())
+    return EscapeFunction(flow_const, _DEFAULT.escape)
 
 
 @pytest.fixture(scope="module")
@@ -218,8 +220,7 @@ def test_intrinsic_check_constant_roof_exact(flow_const, escape_const, trunc):
     a = neutral_resonances(hs.extract_resonances(hs.SolveStore(flow_const), escape_const,
                                                  trunc, 0.05, *TOLS))
     b = neutral_resonances(hs.extract_resonances(hs.SolveStore(flow_const), EscapeFunction(
-        flow_const, OrderParams(u=-6.0, s=12.0, t_avg=10.0, aperture=0.08)), trunc, 0.05,
-        *TOLS))
+        flow_const, ALT_ORDER), trunc, 0.05, *TOLS))
     out = hs.intrinsic_check(a, b, floor=-1.0)
     assert out.max_distance < 1e-10
     targets = sorted(2 * np.pi * j for j in range(-trunc.j_max, trunc.j_max + 1))
@@ -239,11 +240,8 @@ def intrinsic_trend(flow, params_a, params_b, truncations, floor, h=0.05):
 
 
 def test_intrinsic_trend_over_truncation_levels(flow):
-    levels = [op.Truncation(k_max=k, p_max=2, j_max=12) for k in (2, 3, 4)]
-    trend = intrinsic_trend(flow, OrderParams(),
-                            OrderParams(u=-6.0, s=12.0, t_avg=10.0,
-                                        aperture=0.08),
-                            levels, floor=-1.0)
+    levels = [replace(_DEFAULT.truncation, k_max=k, p_max=2, j_max=12) for k in (2, 3, 4)]
+    trend = intrinsic_trend(flow, _DEFAULT.escape, ALT_ORDER, levels, floor=-1.0)
     assert len(trend) == 3
     assert all(d < 1e-6 for d in trend)
 
@@ -313,7 +311,7 @@ def test_extraction_orbit_multiplicity(flow, escape, trunc):
     assert orbit_entries
     assert all(e.multiplicity == total_cells for e in orbit_entries)
     sector = op.enumerate_orbits(flow.cat, 2, 2)[0]
-    tr_small = op.Truncation(k_max=2, p_max=2, j_max=2)
+    tr_small = replace(_DEFAULT.truncation, k_max=2, p_max=2, j_max=2)
     blk = op.build_generator(flow, sector, tr_small)
     cell_pairs = op.eigendecompose(op.orbit_cell_block(flow, tr_small))
     target = cell_pairs[len(cell_pairs) // 2].value
@@ -374,13 +372,6 @@ def test_clustering_merges_close_values():
     out = hs._cluster(entries, 1e-7)
     assert len(out) == 2
     assert out[0].multiplicity == 3
-
-
-def test_unresolved_window_raised(escape):
-    tr = op.Truncation(k_max=2, p_max=2, j_max=4)
-    with pytest.raises(UnresolvedWindow):
-        hs.scaling_study(hs.SolveStore(escape.flow), escape, tr, 1.0, [1000.0], 1.0, *TOLS,
-                         window_margin=-200)
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +641,7 @@ def test_weyl_audit_raises_non_convergence_on_non_finite_input(bad):
 
 def test_weyl_audit_counts_reported(flow, escape):
     sector = op.enumerate_orbits(flow.cat, 2, 2)[0]
-    tr = op.Truncation(k_max=2, p_max=2, j_max=6)
+    tr = replace(_DEFAULT.truncation, k_max=2, p_max=2, j_max=6)
     hp = 0.05 * op.apply_weight(op.build_generator(flow, sector, tr), escape, 0.05)
     cell_vals = np.linalg.eigvals(op.orbit_cell_block(flow, tr))
     evs = np.concatenate([cell_vals] * sector.n_cells) * 0.05
@@ -675,7 +666,7 @@ def test_sector_weyl_audit_chain_is_exact(flow, escape, orbit):
     # the weyl check's chain on one block -- weigh, scale and shift in the
     # block's buffer, then audit -- repeats the out-of-place operations
     # h P - z_e I and weyl_audit(h P) bit for bit
-    tr = op.Truncation(k_max=3, p_max=2, j_max=8)
+    tr = replace(_DEFAULT.truncation, k_max=3, p_max=2, j_max=8)
     h, z_e = 0.05, 1 + 1j
     if orbit:
         sector = op.enumerate_orbits(flow.cat, 3, 2)[0]
@@ -1005,8 +996,8 @@ def test_coherent_study_unresolved_at_small_j_max(flow, escape):
     points = hs.default_symbol_points(flow)
     # point 8 keeps 97.9% of its mass at j_max = 2, below the 98% floor
     with pytest.raises(UnresolvedState, match="point 8"):
-        hs.coherent_symbol_study(escape, points, [0.14], j_max=2)
-    study = hs.coherent_symbol_study(escape, points, [0.14, 0.1], j_max=3)
+        hs.coherent_symbol_study(escape, points, [0.14], _DEFAULT.truncation, j_max=2)
+    study = hs.coherent_symbol_study(escape, points, [0.14, 0.1], _DEFAULT.truncation, j_max=3)
     assert len(study.powers) == len(points)
 
 
@@ -1022,17 +1013,17 @@ def test_coherent_j_max_grows_below_the_default_h(flow):
 def test_coherent_study_resolves_a_fine_h(flow, escape):
     # at j_max = 12 point 8 keeps only 97.3% of its mass at h = 0.005
     points = hs.default_symbol_points(flow)
-    study = hs.coherent_symbol_study(escape, points, [0.005])
+    study = hs.coherent_symbol_study(escape, points, [0.005], _DEFAULT.truncation)
     assert all(np.isfinite(e[0.005]) for e in study.errors)
 
 
 def test_coherent_study_from_one_h_is_undefined(flow, escape, recwarn):
     points = hs.default_symbol_points(flow)
-    study = hs.coherent_symbol_study(escape, points, [0.14, 0.14], j_max=3)
+    study = hs.coherent_symbol_study(escape, points, [0.14, 0.14], _DEFAULT.truncation, j_max=3)
     assert study.undefined and study.powers == [None] * len(points)
     assert all(len(e) == 1 for e in study.errors)
     assert not recwarn.list
-    study = hs.coherent_symbol_study(escape, points, [0.14, 0.1], j_max=3)
+    study = hs.coherent_symbol_study(escape, points, [0.14, 0.1], _DEFAULT.truncation, j_max=3)
     assert not study.undefined and None not in study.powers
 
 
@@ -1041,10 +1032,11 @@ def test_coherent_study_weight_overflow_on_orbit_sectors(flow, escape):
     points = hs.default_symbol_points(flow)[:1]
     # the neutral weight is the identity here, so only an orbit sector's
     # weight can overflow
-    neutral = op.build_generator(flow, op.NeutralSector(), op.Truncation(k_max=3, j_max=12))
+    neutral = op.build_generator(flow, op.NeutralSector(),
+                                 replace(_DEFAULT.truncation, k_max=3, j_max=12))
     assert np.all(op.mode_log_weight(neutral.sector, neutral.basis, escape, h) == 0.0)
     with pytest.raises(WeightOverflow):
-        hs.coherent_symbol_study(escape, points, [h])
+        hs.coherent_symbol_study(escape, points, [h], _DEFAULT.truncation)
 
 
 def test_coherent_study_overflow_names_an_orbit_sector(flow, escape):
@@ -1053,12 +1045,12 @@ def test_coherent_study_overflow_names_an_orbit_sector(flow, escape):
     points = hs.default_symbol_points(flow)[:1]
     with pytest.raises(WeightOverflow, match=r"at h = 1e\+300 overflows on sector "
                        r"orbit-?\d+,-?\d+ \(\d+ modes, \|j\| <= 12\)") as info:
-        hs.coherent_symbol_study(escape, points, [1e300])
+        hs.coherent_symbol_study(escape, points, [1e300], _DEFAULT.truncation)
     assert "neutral" not in str(info.value)
 
 
 @pytest.mark.parametrize("params", [
-    OrderParams(), OrderParams(u=-6.0, s=12.0, t_avg=10.0, aperture=0.08),
+    _DEFAULT.escape, ALT_ORDER,
 ], ids=["escape", "escape_alt"])
 def test_coherent_study_matches_the_per_sector_loop(flow, params):
     # bit for bit: a batch moves some log weights by up to 1e-13 (the gemv
@@ -1067,8 +1059,9 @@ def test_coherent_study_matches_the_per_sector_loop(flow, params):
     # order moves point 8's error at h = 0.1 in the last bit
     points = hs.default_symbol_points(flow)
     h_list = [0.14, 0.1]
-    study = hs.coherent_symbol_study(EscapeFunction(flow, params), points, h_list)
-    errors, powers = coherent_study_per_sector(flow, params, points, h_list)
+    study = hs.coherent_symbol_study(EscapeFunction(flow, params), points, h_list,
+                                     _DEFAULT.truncation)
+    errors, powers = coherent_study_per_sector(flow, params, points, h_list, _DEFAULT.truncation)
     assert study.errors == errors
     assert study.powers == powers
 
@@ -1094,7 +1087,7 @@ def test_coherent_study_weighs_each_h_in_runs(flow, escape, monkeypatch):
     for h in (0.14, 0.1):
         calls.clear()
         modes.clear()
-        hs.coherent_symbol_study(escape, points, [h])
+        hs.coherent_symbol_study(escape, points, [h], _DEFAULT.truncation)
         # four single points behind each packet's escape_derivative
         assert calls[:40] == [1] * 40
         # each (cell, |j|) weighed once: one sector per k0, -k0 pair, and
@@ -1103,7 +1096,7 @@ def test_coherent_study_weighs_each_h_in_runs(flow, escape, monkeypatch):
         cells = {op.mirror_key(s): s.n_cells
                  for s in op.enumerate_orbits(flow.cat, k_max, 2)}
         neutral = op.build_generator(flow, op.NeutralSector(),
-                                     op.Truncation(k_max=k_max, j_max=12))
+                                     replace(_DEFAULT.truncation, k_max=k_max, j_max=12))
         assert sum(calls[40:]) == 13 * sum(cells.values()) + (neutral.dim + 1) // 2
         # a run of at most WEIGHT_ROWS modes closes only when the next
         # sector does not fit

@@ -23,8 +23,8 @@ def rk45_flow_time(flow, p, t):
     return lifted - crossings, crossings
 
 
-def test_cat_map_eigen_structure():
-    cat = CatMap()
+def test_cat_map_eigen_structure(flow):
+    cat = flow.cat
     assert cat.lambda_u == pytest.approx(GOLDEN_LU, abs=1e-14)
     assert cat.lambda_u * cat.lambda_s == pytest.approx(1.0, abs=1e-14)
     a = cat.matrix.astype(float)
@@ -39,10 +39,10 @@ def test_cat_map_rejects_bad_matrices():
         CatMap(1, 1, 0, 1)          # parabolic
 
 
-def test_cat_map_power_is_exact_or_raises():
+def test_cat_map_power_is_exact_or_raises(flow):
     # Python-int powers: A^45 = [[F91, F90], [F90, F89]] still fits int64,
     # A^46 (F93 ~ 1.2e19) does not; a power of any size fails at once
-    cat = CatMap()
+    cat = flow.cat
     fib = [0, 1]
     while len(fib) < 94:
         fib.append(fib[-1] + fib[-2])
@@ -60,8 +60,8 @@ def test_cat_map_power_is_exact_or_raises():
 
 def test_time_change_positive_and_periodic():
     with pytest.raises(ValueError):
-        TimeChange(1.0, (1.5,))
-    tc = TimeChange(1.0, (0.2,))
+        TimeChange(1.0, (1.5,), ())
+    tc = TimeChange(1.0, (0.2,), ())
     taus = np.linspace(0, 1, 7)
     assert np.allclose(tc(taus + 1.0), tc(taus), atol=1e-15)
     # model functions with tau-only dependence are twist invariant for free
@@ -103,7 +103,7 @@ def test_flow_map_return_time_crossing(flow):
     assert tau1 == pytest.approx(0.0, abs=1e-9)
     # the closed-form rectified time agrees with the RK45 oracle
     two_harmonics = MappingTorusFlow(
-        time_change=TimeChange(1.0, (0.25, -0.1), (0.15,)))
+        cat=flow.cat, time_change=TimeChange(1.0, (0.25, -0.1), (0.15,)))
     rng = np.random.default_rng(12)
     for f in (flow, two_harmonics):
         for _ in range(20):
@@ -233,8 +233,7 @@ def test_one_form_flow_invariance(flow):
             assert np.max(np.abs(pulled - anosov_one_form(flow, p))) < 1e-8
 
 
-def test_flow_rejects_nonconvergent_setup():
-    flow = MappingTorusFlow()
+def test_flow_rejects_nonconvergent_setup(flow):
     for t in (np.nan, np.inf, -np.inf):
         with pytest.raises(NonConvergence):
             flow.flow_time(BasePoint((0.1, 0.2), 0.3), t)

@@ -9,8 +9,8 @@ from catspec import operator as op
 from catspec.config import DEFAULT_CONFIG, parse_config
 from catspec.errors import (NonConvergence, TruncationTooSmall, UnresolvedState,
                             WeightOverflow)
-from catspec.escape import EscapeFunction, OrderParams
-from catspec.model import CatMap, default_flow
+from catspec.escape import EscapeFunction
+from catspec.model import CatMap
 from oracles import (ContourTooClose, coherent_state, dense_orbit_expectation,
                      enumerate_orbits_per_point, log_weights_every_mode, numerical_range_top,
                      orbit_representative, singular_values_gram, spectral_projector_rank)
@@ -64,7 +64,7 @@ def test_representative_is_minimal_norm(flow):
             assert v @ v >= rep @ rep
 
 
-@pytest.mark.parametrize("cat", [CatMap(), CatMap(3, 2, 1, 1)], ids=["default", "3211"])
+@pytest.mark.parametrize("cat", [CatMap(2, 1, 1, 1), CatMap(3, 2, 1, 1)], ids=["default", "3211"])
 def test_orbit_walk_equals_the_per_point_enumeration(cat, flow):
     # one pass over the ball with in-ball orbit walks finds the sectors,
     # representatives, kept positions and cell frequencies (A^T)^p k0 of
@@ -85,8 +85,8 @@ def test_orbit_walk_equals_the_per_point_enumeration(cat, flow):
 # generator blocks
 # ---------------------------------------------------------------------------
 
-def test_neutral_block_constant_time_change(flow_const):
-    tr = op.Truncation(j_max=2, j_buffer=1)
+def test_neutral_block_constant_time_change(flow_const, defaults):
+    tr = replace(defaults.truncation, j_max=2, j_buffer=1)
     blk = op.build_generator(flow_const, op.NeutralSector(), tr)
     js = blk.basis[:, 1]
     assert np.allclose(blk.matrix, np.diag(2 * np.pi * js))
@@ -97,8 +97,8 @@ def test_neutral_block_constant_time_change(flow_const):
     assert np.linalg.norm(blk.matrix - blk.matrix.conj().T) < 1e-12
 
 
-def test_neutral_block_is_banded_by_cosine(flow):
-    tr = op.Truncation(j_max=4, j_buffer=1)
+def test_neutral_block_is_banded_by_cosine(flow, defaults):
+    tr = replace(defaults.truncation, j_max=4, j_buffer=1)
     blk = op.build_generator(flow, op.NeutralSector(), tr)
     h = blk.matrix
     js = blk.basis[:, 1]
@@ -112,16 +112,16 @@ def test_neutral_block_is_banded_by_cosine(flow):
                 assert h[a, b] == pytest.approx(2 * np.pi * jb, abs=1e-14)
 
 
-def test_truncation_too_small():
+def test_truncation_too_small(defaults):
     with pytest.raises(TruncationTooSmall):
-        op.Truncation(p_max=1)
+        replace(defaults.truncation, p_max=1)
     for bad in ({"k_max": 0}, {"j_max": -1}, {"flux_penalty": 0.0}):
         with pytest.raises(ValueError):
-            op.Truncation(**bad)
+            replace(defaults.truncation, **bad)
 
 
-def test_orbit_block_structure(flow):
-    tr = op.Truncation(k_max=3, p_max=2, j_max=3)
+def test_orbit_block_structure(flow, defaults):
+    tr = replace(defaults.truncation, k_max=3, p_max=2, j_max=3)
     sector = op.enumerate_orbits(flow.cat, 3, 2)[0]
     blk = op.build_generator(flow, sector, tr)
     nj = 2 * tr.j_max + 1
@@ -142,8 +142,8 @@ def test_numerical_range_top_of_a_nilpotent_block():
     assert abs(top - 1.0) < 1e-12, top
 
 
-def test_orbit_block_spectrum_is_cell_spectrum(flow):
-    tr = op.Truncation(k_max=3, p_max=2, j_max=3)
+def test_orbit_block_spectrum_is_cell_spectrum(flow, defaults):
+    tr = replace(defaults.truncation, k_max=3, p_max=2, j_max=3)
     sector = op.enumerate_orbits(flow.cat, 3, 2)[0]
     blk = op.build_generator(flow, sector, tr)
     cell_vals = np.linalg.eigvals(op.orbit_cell_block(flow, tr))
@@ -153,7 +153,7 @@ def test_orbit_block_spectrum_is_cell_spectrum(flow):
     assert np.max(d) < 0.05
 
 
-def test_orbit_line_eigenvalues_in_lower_half_plane(flow):
+def test_orbit_line_eigenvalues_in_lower_half_plane(flow, defaults):
     """Truncated transport on the orbit line with geometric weight decay:
     eigenvalues sit in the lower half plane, against a high-precision dense
     solve of the same matrix.
@@ -164,10 +164,10 @@ def test_orbit_line_eigenvalues_in_lower_half_plane(flow):
     """
     import mpmath as mp
 
-    tr = op.Truncation(k_max=3, p_max=2, j_max=1)
+    tr = replace(defaults.truncation, k_max=3, p_max=2, j_max=1)
     sector = op.enumerate_orbits(flow.cat, 3, 2)[0]
     blk = op.build_generator(flow, sector, tr)
-    escape = EscapeFunction(flow, OrderParams(u=-2.0, s=2.0))
+    escape = EscapeFunction(flow, replace(defaults.escape, u=-2.0, s=2.0))
     p = op.apply_weight(blk, escape, h=0.05)
     assert p.shape[0] <= 24
     vals = np.linalg.eigvals(p)
@@ -205,8 +205,8 @@ def _mode_adapted_per_mode(flow, block, h):
     return out
 
 
-def test_mode_basis_layout_and_covectors_match_per_mode_loop(flow):
-    tr = op.Truncation(k_max=4, p_max=2, j_max=5, j_buffer=3)
+def test_mode_basis_layout_and_covectors_match_per_mode_loop(flow, defaults):
+    tr = replace(defaults.truncation, k_max=4, p_max=2, j_max=5, j_buffer=3)
     orbits = {s.k0: s for s in op.enumerate_orbits(flow.cat, 4, 2)}
     # a five-cell sector at the ball's edge and the eight-cell unit orbit
     sectors = [op.NeutralSector(), orbits[(-3, 1)], orbits[(1, 0)]]
@@ -274,10 +274,10 @@ def test_conjugate_by_diagonal_raises_outside_the_double_range(recwarn):
     assert not recwarn.list
 
 
-def test_similarity_exact_on_nondegenerate_block(flow):
+def test_similarity_exact_on_nondegenerate_block(flow, defaults):
     # the conjugation is an exact similarity: on a simple-spectrum matrix
     # the eigenvalues agree at solver precision
-    tr = op.Truncation(j_max=10)
+    tr = replace(defaults.truncation, j_max=10)
     cell = op.orbit_cell_block(flow, tr)
     rng = np.random.default_rng(4)
     logw = rng.uniform(-3.0, 3.0, size=cell.shape[0])
@@ -287,8 +287,8 @@ def test_similarity_exact_on_nondegenerate_block(flow):
     assert np.max(np.abs(a - b)) < 1e-10
 
 
-def test_apply_weight_diagonal_preserved(flow, escape):
-    tr = op.Truncation(k_max=3, p_max=2, j_max=4)
+def test_apply_weight_diagonal_preserved(flow, escape, defaults):
+    tr = replace(defaults.truncation, k_max=3, p_max=2, j_max=4)
     sector = op.enumerate_orbits(flow.cat, 3, 2)[0]
     blk = op.build_generator(flow, sector, tr)
     p = op.apply_weight(blk, escape, h=0.05)
@@ -303,14 +303,14 @@ def test_apply_weight_diagonal_preserved(flow, escape):
     assert np.max(np.abs(a - b)) < 1e-2
 
 
-def test_weight_overflow(flow, escape):
-    tr = op.Truncation(k_max=3, p_max=2, j_max=4)
+def test_weight_overflow(flow, escape, defaults):
+    tr = replace(defaults.truncation, k_max=3, p_max=2, j_max=4)
     blk = op.build_generator(flow, op.enumerate_orbits(flow.cat, 3, 2)[0], tr)
     with pytest.raises(WeightOverflow, match=r"exceeds 700 at h = 1e\+100 on sector orbit-3,0"):
         op.apply_weight(blk, escape, h=1e100)
 
 
-def test_batched_weights_split_into_runs_of_whole_sectors(flow, escape):
+def test_batched_weights_split_into_runs_of_whole_sectors(flow, escape, defaults):
     # the coherent study's sectors at h = 0.05: runs of at most WEIGHT_ROWS
     # modes, each sector in one run, and the values of one call per sector
     # up to the last bits: OpenBLAS's gemv reduces the last n mod 4 rows of
@@ -318,7 +318,7 @@ def test_batched_weights_split_into_runs_of_whole_sectors(flow, escape):
     # last rows need not be there
     h, j_max = 0.05, 12
     k_max = hs.coherent_k_max(hs.default_symbol_points(flow), h)
-    tr = op.Truncation(k_max=k_max, j_max=j_max)
+    tr = replace(defaults.truncation, k_max=k_max, j_max=j_max)
     items = [(s, op.sector_basis(s, tr)) for s in op.enumerate_orbits(flow.cat, k_max, 2)]
     runs = list(op.sector_log_weights(escape, h, items))
     sizes = [sum(map(len, run)) for run in runs]
@@ -332,10 +332,10 @@ def test_batched_weights_split_into_runs_of_whole_sectors(flow, escape):
         assert np.max(np.abs(w - one)) <= 1e-12
 
 
-def test_batched_weight_overflow_names_the_sector(flow, escape):
+def test_batched_weight_overflow_names_the_sector(flow, escape, defaults):
     # at h = 1e150 the neutral weight of a short basis is finite and the
     # orbit sector's covectors overflow: the run is searched for the sector
-    tr = op.Truncation(k_max=3, p_max=2, j_max=4, j_buffer=1)
+    tr = replace(defaults.truncation, k_max=3, p_max=2, j_max=4, j_buffer=1)
     neutral = op.build_generator(flow, op.NeutralSector(), tr)
     assert np.all(op.mode_log_weight(neutral.sector, neutral.basis, escape, 1e150) == 0.0)
     sector = op.enumerate_orbits(flow.cat, 3, 2)[1]
@@ -345,22 +345,22 @@ def test_batched_weight_overflow_names_the_sector(flow, escape):
         list(op.sector_log_weights(escape, 1e150, run))
 
 
-def _weight_items(flow, h, j_max=12):
+def _weight_items(flow, truncation, h, j_max=12):
     """The coherent study's (sector, basis) pairs at h: every orbit
     sector, then the neutral sector."""
     k_max = hs.coherent_k_max(hs.default_symbol_points(flow), h)
-    tr = op.Truncation(k_max=k_max, j_max=j_max)
+    tr = replace(truncation, k_max=k_max, j_max=j_max)
     return [(s, op.sector_basis(s, tr))
             for s in op.enumerate_orbits(flow.cat, k_max, 2) + [op.NeutralSector()]]
 
 
-def test_mirrored_weights_equal_every_mode_evaluated(flow, escape):
+def test_mirrored_weights_equal_every_mode_evaluated(flow, escape, defaults):
     # only the j >= 0 modes are evaluated, and each j < 0 mode takes its
     # mirror's value.  Against a call on every mode, rows may move only in
     # the last cell of a call at its three largest |j|: OpenBLAS's gemv
     # reduces the last n mod 4 rows of each call in a kernel that rounds
     # differently, and a mirror copies the value of such a row
-    items = _weight_items(flow, 0.05)
+    items = _weight_items(flow, defaults.truncation, 0.05)
     runs = [[item] for item in items] + [items[i:i + 7] for i in range(0, len(items), 7)]
     moved = 0
     for run in runs:
@@ -376,17 +376,17 @@ def test_mirrored_weights_equal_every_mode_evaluated(flow, escape):
     assert moved < 0.01 * sum(len(basis) for run in runs for _, basis in run)
 
 
-def test_mirrored_weights_need_symmetric_cells(flow, escape):
+def test_mirrored_weights_need_symmetric_cells(flow, escape, defaults):
     sector = op.enumerate_orbits(flow.cat, 3, 2)[0]
-    basis = op.sector_basis(sector, op.Truncation(j_max=4))
+    basis = op.sector_basis(sector, replace(defaults.truncation, j_max=4))
     for bad in (basis[:-1], basis[::-1], basis[basis[:, 1] != 2]):
         with pytest.raises(ValueError, match="ascending and symmetric"):
             op.mode_log_weight(sector, bad, escape, 0.05)
 
 
-def test_neutral_weight_trivial_at_zero_neutral_order(flow, escape):
+def test_neutral_weight_trivial_at_zero_neutral_order(flow, escape, defaults):
     # n0 = 0 makes the neutral-sector weight the identity
-    tr = op.Truncation(j_max=4, j_buffer=1)
+    tr = replace(defaults.truncation, j_max=4, j_buffer=1)
     blk = op.build_generator(flow, op.NeutralSector(), tr)
     logw = op.mode_log_weight(blk.sector, blk.basis, escape, 0.05)
     assert np.allclose(logw, 0.0, atol=1e-14)
@@ -474,8 +474,8 @@ def test_spectral_projector_rank_cases():
         spectral_projector_rank(np.diag([1.0, 3.0]), 0.0, 1.0)
 
 
-def test_spectral_projector_rank_on_cell_block(flow):
-    tr = op.Truncation(j_max=6)
+def test_spectral_projector_rank_on_cell_block(flow, defaults):
+    tr = replace(defaults.truncation, j_max=6)
     cell = op.orbit_cell_block(flow, tr)
     pairs = op.eigendecompose(cell)
     center = pairs[len(pairs) // 2].value
@@ -487,17 +487,17 @@ def test_spectral_projector_rank_on_cell_block(flow):
 # coherent states
 # ---------------------------------------------------------------------------
 
-def _packet_blocks(flow, k_max, j_max=8):
-    tr = op.Truncation(k_max=k_max, p_max=2, j_max=j_max)
+def _packet_blocks(flow, truncation, k_max, j_max=8):
+    tr = replace(truncation, k_max=k_max, p_max=2, j_max=j_max)
     blocks = [op.build_generator(flow, s, tr)
               for s in op.enumerate_orbits(flow.cat, k_max, 2)]
     blocks.append(op.build_generator(flow, op.NeutralSector(), tr))
     return blocks
 
 
-def test_coherent_state_mass_and_overlap_decay(flow):
+def test_coherent_state_mass_and_overlap_decay(flow, defaults):
     h = 0.05
-    blocks = _packet_blocks(flow, k_max=12)
+    blocks = _packet_blocks(flow, defaults.truncation, k_max=12)
     xi = 1.2 * np.array([flow.cat.coframe_u[0], flow.cat.coframe_u[1], 0.0])
     s1 = coherent_state(flow, blocks, (0.5, 0.5, 0.5), xi, h)
     assert s1.norm2 >= 0.99 * s1.ref_norm2
@@ -513,11 +513,11 @@ def test_coherent_state_mass_and_overlap_decay(flow):
     assert slope == pytest.approx(expected, rel=0.15)
 
 
-def test_coherent_state_symbol_expectation(flow):
+def test_coherent_state_symbol_expectation(flow, defaults):
     # <e, H e>/<e, e> approaches the symbol value c(tau) eta as h -> 0
     errs = []
     for h in (0.1, 0.05):
-        blocks = _packet_blocks(flow, k_max=int(np.ceil(1.0 / h)) + 6)
+        blocks = _packet_blocks(flow, defaults.truncation, k_max=int(np.ceil(1.0 / h)) + 6)
         xi = np.array([0.9 * flow.cat.coframe_u[0], 0.9 * flow.cat.coframe_u[1], 0.7])
         st = coherent_state(flow, blocks, (0.5, 0.5, 0.4), xi, h)
         num = 0.0
@@ -530,8 +530,8 @@ def test_coherent_state_symbol_expectation(flow):
     assert errs[1] < 0.05
 
 
-def test_coherent_state_unresolved(flow):
-    blocks = _packet_blocks(flow, k_max=2)
+def test_coherent_state_unresolved(flow, defaults):
+    blocks = _packet_blocks(flow, defaults.truncation, k_max=2)
     xi = 1.2 * np.array([flow.cat.coframe_u[0], flow.cat.coframe_u[1], 0.0])
     with pytest.raises(UnresolvedState):
         coherent_state(flow, blocks, (0.5, 0.5, 0.5), xi, 0.05)
@@ -558,17 +558,18 @@ def _project_per_call(profile, flow, block):
     return (x_int[:, None] * tau_int[None, :]).ravel()
 
 
-def test_project_matches_per_call_phase_matrix(flow):
+def test_project_matches_per_call_phase_matrix(flow, defaults):
     prof = op.PacketProfile(flow, (0.3, 0.6, 0.4), (1.1, -0.4, 0.3), 0.1)
     for j_max in (3, 5):
-        tr = op.Truncation(k_max=4, p_max=2, j_max=j_max)
+        tr = replace(defaults.truncation, k_max=4, p_max=2, j_max=j_max)
         for sector in op.enumerate_orbits(flow.cat, 4, 2)[:4]:
             blk = op.build_generator(flow, sector, tr)
             assert np.array_equal(prof.project(flow, blk),
                                   _project_per_call(prof, flow, blk))
     # the neutral projection is the same midpoint sum, taken by FFT
     for j_max in (3, 24):
-        blk = op.build_generator(flow, op.NeutralSector(), op.Truncation(j_max=j_max))
+        blk = op.build_generator(flow, op.NeutralSector(),
+                                 replace(defaults.truncation, j_max=j_max))
         got, want = prof.project(flow, blk), _project_per_call(prof, flow, blk)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -603,7 +604,7 @@ def test_mirror_sectors_have_bit_identical_weights():
     assert sorted(len(pair) for pair in pairs) == [2] * 30
     for a, b in pairs:
         assert b.freqs == tuple((-k1, -k2) for k1, k2 in a.freqs)
-    for params in (cfg.escape, OrderParams(u=-6.0, s=12.0, t_avg=10.0, aperture=0.08)):
+    for params in (cfg.escape, replace(cfg.escape, u=-6.0, s=12.0, t_avg=10.0, aperture=0.08)):
         escape = EscapeFunction(flow, params)
         for h in [cfg.h, *cfg.coherent_h_list]:
             for a, b in pairs:
@@ -625,10 +626,10 @@ def test_mirror_key_is_sign_canonical():
 
 
 @pytest.mark.parametrize("variation, flux", [(0.0, 1.6), (0.2, 1.6), (0.2, 0.7)])
-def test_orbit_expectation_matches_dense_oracle(variation, flux):
-    flow = default_flow(variation)
-    escape = EscapeFunction(flow, OrderParams())
-    tr = op.Truncation(k_max=4, p_max=2, j_max=3, flux_penalty=flux)
+def test_orbit_expectation_matches_dense_oracle(variation, flux, defaults):
+    flow = parse_config(f"[model]\nc_cos = {variation or ''}\n").flow()
+    escape = EscapeFunction(flow, defaults.escape)
+    tr = replace(defaults.truncation, k_max=4, p_max=2, j_max=3, flux_penalty=flux)
     nj = 2 * tr.j_max + 1
     # the sectors that carry the packet's mass, with five to eight cells
     keep = {(1, 0), (0, -1), (2, -1), (2, 0), (3, -1)}
@@ -666,17 +667,16 @@ def test_quadratic_partition_exact():
     assert chi0[-1] == pytest.approx(0.0, abs=1e-14)
 
 
-def test_partition_ims_trivial_cases(flow, escape):
-    tr = op.Truncation(j_max=12, j_buffer=4)
+def test_partition_ims_trivial_cases(flow, flow_const, escape, defaults):
+    tr = replace(defaults.truncation, j_max=12, j_buffer=4)
     blk = op.build_generator(flow, op.NeutralSector(), tr)
     # chi0 == 1 on the whole window: residual vanishes identically
     res = op.partition_ims_check(blk, escape, 1 + 1j, [0.05], trials=5,
                                  r0=1e6, r1=2e6, seed=0)
     assert res[0.05] < 1e-13
     # diagonal matrix commutes with the multipliers exactly
-    flow1 = default_flow(0.0)
-    blk1 = op.build_generator(flow1, op.NeutralSector(), tr)
-    ef1 = EscapeFunction(flow1, OrderParams())
+    blk1 = op.build_generator(flow_const, op.NeutralSector(), tr)
+    ef1 = EscapeFunction(flow_const, defaults.escape)
     res1 = op.partition_ims_check(blk1, ef1, 1 + 1j, [0.05], trials=5,
                                   r0=2.0, r1=10.0, seed=0)
     assert res1[0.05] < 1e-12
@@ -691,10 +691,10 @@ def test_garding_upper_check_raises_on_a_non_finite_sample(recwarn):
     assert not recwarn.list
 
 
-def test_garding_hermitian_and_shift(flow_const):
-    tr = op.Truncation(j_max=10, j_buffer=2)
+def test_garding_hermitian_and_shift(flow_const, defaults):
+    tr = replace(defaults.truncation, j_max=10, j_buffer=2)
     blk = op.build_generator(flow_const, op.NeutralSector(), tr)
-    ef0 = EscapeFunction(flow_const, OrderParams())
+    ef0 = EscapeFunction(flow_const, defaults.escape)
     hp = 0.05 * op.apply_weight(blk, ef0, h=0.05)
     assert abs(op.garding_upper_check(hp, trials=50, seed=0)) < 1e-12
 
