@@ -602,18 +602,19 @@ def coherent_j_max(flow: MappingTorusFlow, points, h):
     return max(COHERENT_J_FLOOR, int(np.ceil(need)) + 2)
 
 
-def coherent_symbol_study(escape: EscapeFunction, points, h_list, truncation: op.Truncation,
-                          j_max=None) -> CoherentStudy:
+def coherent_symbol_study(escape: EscapeFunction, points, h_list,
+                          truncation: op.Truncation) -> CoherentStudy:
     """Error of packet expectations against the two-term symbol, per h, on
-    ``truncation`` with `coherent_k_max` and (unless ``j_max`` is given)
-    `coherent_j_max` in place of its cutoffs.
+    ``truncation`` with `coherent_k_max` and `coherent_j_max` in place of
+    its cutoffs.
 
     Each h takes a few batched passes.  The packets share one
-    rectified-time phase table, dropped once their mode integrals are
-    taken.  Orbit sectors are never built.  Their weights come from
-    `operator.sector_log_weights`, one escape_value call per run of whole
-    sectors, with the neutral sector's weight in the last run.  The
-    sectors through k0 and -k0 share one weight (`operator.mirror_groups`).
+    rectified-time phase table, kept across h and rebuilt only when
+    `coherent_j_max` changes.  Orbit sectors are never built.  Their
+    weights come from `operator.sector_log_weights`, one escape_value call
+    per run of whole sectors, with the neutral sector's weight in the last
+    run.  The sectors through k0 and -k0 share one weight
+    (`operator.mirror_groups`).
     Sharing is exact: the two weights are equal bit for bit, as the escape
     function reads only squares, norms and |e| of the frame components,
     and those of -k are exactly -(a, b) and e.  Per run, each packet's
@@ -633,14 +634,16 @@ def coherent_symbol_study(escape: EscapeFunction, points, h_list, truncation: op
         preds.append(cotangent.h0(flow, q) + 1j * escape.escape_derivative(q))
 
     errors = [dict() for _ in points]
+    phases = None
     for h in h_list:
         k_max = coherent_k_max(points, h)
-        j_cut = coherent_j_max(flow, points, h) if j_max is None else j_max
+        j_cut = coherent_j_max(flow, points, h)
         tr = replace(truncation, k_max=k_max, j_max=j_cut)
         profiles = [op.PacketProfile(flow, ax, xi, h) for ax, xi in points]
-        phases = profiles[0].phase_table(j_cut)
+        if phases is None or len(phases) != 2 * j_cut + 1:
+            phases = None               # free the old table before the new one
+            phases = profiles[0].phase_table(j_cut)
         tau_ints = np.stack([prof.orbit_tau_integrals(phases) for prof in profiles])
-        del phases
         neutral = op.build_generator(flow, op.NeutralSector(), tr)
         vecs = [prof.project(flow, neutral) for prof in profiles]
 
@@ -692,20 +695,20 @@ def coherent_symbol_study(escape: EscapeFunction, points, h_list, truncation: op
 
 class CampaignContext(SolveStore):
     """The solve store of one campaign, which also holds what two or more
-    checks share: the escape functions of the two order sets and the base
-    spectrum, each built on first use and at most once."""
+    checks share: one escape function per distinct order set (the two sets
+    are equal on the default config) and the base spectrum, each built on
+    first use and at most once."""
 
     def __init__(self, cfg):
         super().__init__(cfg.flow())
         self.cfg = cfg                   # config.RunConfig
 
-    @property
-    def escape(self):
-        return self._once("escape", lambda: EscapeFunction(self.flow, self.cfg.escape))
+    def escape_function(self, params):
+        return self._once(("escape", params), lambda: EscapeFunction(self.flow, params))
 
     @property
-    def escape_alt(self):
-        return self._once("escape_alt", lambda: EscapeFunction(self.flow, self.cfg.escape_alt))
+    def escape(self):
+        return self.escape_function(self.cfg.escape)
 
     def spectrum(self, escape, truncation):
         cfg = self.cfg
@@ -761,7 +764,8 @@ def _check_intrinsic(ctx):
     cfg = ctx.cfg
     grown = replace(cfg.truncation, k_max=cfg.truncation.k_max + 4,
                     p_max=cfg.truncation.p_max + 2)
-    cross = intrinsic_check(ctx.base, ctx.spectrum(ctx.escape_alt, cfg.truncation),
+    cross = intrinsic_check(ctx.base,
+                            ctx.spectrum(ctx.escape_function(cfg.escape_alt), cfg.truncation),
                             cfg.floor)
     drift = intrinsic_check(ctx.base, ctx.spectrum(ctx.escape, grown), cfg.floor)
     ok = (bool(cross.pairs) and bool(drift.pairs)

@@ -531,10 +531,18 @@ class PacketProfile:
     def phase_table(self, j_max):
         """Rectified-time phases exp(-2 pi i j phi(tau) / T), |j| <= j_max,
         on the tau grid: shape (2 j_max + 1, PACKET_TAU_GRID).  The table
-        depends on the grid only, so packets on one grid can share it."""
-        js = np.arange(-j_max, j_max + 1)
+        depends on the grid only, so packets on one grid can share it.  Rows
+        j >= 0 are computed in place and row -j is their conjugate: bit for
+        bit the direct formula, as the phase of -j is exactly minus that of
+        j, cos is even and sin is odd."""
         phi = self.time_change.rectified(self.taus)
-        return np.exp(-2j * np.pi * np.outer(js, phi) / self.tbar)
+        table = np.empty((2 * j_max + 1, phi.size), dtype=complex)
+        half = table[j_max:]
+        np.multiply(-2j * np.pi, np.outer(np.arange(j_max + 1), phi), out=half)
+        np.divide(half, self.tbar, out=half)
+        np.exp(half, out=half)
+        np.conjugate(table[:j_max:-1], out=table[:j_max])
+        return table
 
     def orbit_tau_integrals(self, phases):
         """Rectified-time integral of each orbit mode against the packet,

@@ -312,9 +312,10 @@ def coherent_study_per_sector(flow: MappingTorusFlow, params, points, h_list, tr
     """``harness.coherent_symbol_study`` sector by sector: (errors, powers).
 
     One escape_value call per sector (shared by the sectors through k0 and
-    -k0), one torus-overlap call per packet and sector, and each packet
-    builds its own rectified-time phase table.  The sector terms are added
-    in sector order, as the batched study adds them.
+    -k0) and one torus-overlap call per packet and sector.  The
+    rectified-time phases come from the direct formula, not from
+    `PacketProfile.phase_table`.  The sector terms are added in sector
+    order, as the batched study adds them.
     """
     from catspec import harness as hs
     from catspec.cotangent import h0
@@ -330,7 +331,10 @@ def coherent_study_per_sector(flow: MappingTorusFlow, params, points, h_list, tr
         k_max = hs.coherent_k_max(points, h)
         tr = replace(truncation, k_max=k_max, j_max=j_max)
         profiles = [PacketProfile(flow, ax, xi, h) for ax, xi in points]
-        tau_ints = [prof.orbit_tau_integrals(prof.phase_table(j_max)) for prof in profiles]
+        phi = flow.time_change.rectified(profiles[0].taus)
+        phases = np.exp(-2j * np.pi * np.outer(np.arange(-j_max, j_max + 1), phi)
+                        / flow.period)
+        tau_ints = [prof.orbit_tau_integrals(phases) for prof in profiles]
         neutral = op.build_generator(flow, op.NeutralSector(), tr)
         mat = h * apply_weight(neutral, escape, h)
         vecs = [prof.project(flow, neutral) for prof in profiles]

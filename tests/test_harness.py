@@ -992,13 +992,38 @@ def test_disk_box_check_cases():
 # coherent-state symbol study
 # ---------------------------------------------------------------------------
 
-def test_coherent_study_unresolved_at_small_j_max(flow, escape):
+def _fixed_j_max(monkeypatch, j_max):
+    monkeypatch.setattr(hs, "coherent_j_max", lambda flow, points, h: j_max)
+
+
+def test_coherent_study_unresolved_at_small_j_max(flow, escape, monkeypatch):
     points = hs.default_symbol_points(flow)
     # point 8 keeps 97.9% of its mass at j_max = 2, below the 98% floor
+    _fixed_j_max(monkeypatch, 2)
     with pytest.raises(UnresolvedState, match="point 8"):
-        hs.coherent_symbol_study(escape, points, [0.14], _DEFAULT.truncation, j_max=2)
-    study = hs.coherent_symbol_study(escape, points, [0.14, 0.1], _DEFAULT.truncation, j_max=3)
+        hs.coherent_symbol_study(escape, points, [0.14], _DEFAULT.truncation)
+    _fixed_j_max(monkeypatch, 3)
+    study = hs.coherent_symbol_study(escape, points, [0.14, 0.1], _DEFAULT.truncation)
     assert len(study.powers) == len(points)
+
+
+def test_coherent_study_builds_one_phase_table_per_cutoff(flow, escape, monkeypatch):
+    built = []
+    phase_table = op.PacketProfile.phase_table
+
+    def counted(self, j_max):
+        built.append(j_max)
+        return phase_table(self, j_max)
+
+    monkeypatch.setattr(op.PacketProfile, "phase_table", counted)
+    points = hs.default_symbol_points(flow)
+    hs.coherent_symbol_study(escape, points, [0.14, 0.1], _DEFAULT.truncation)
+    assert built == [12]                # the cutoff is 12 at both h
+    built.clear()
+    cuts = iter([3, 4])
+    monkeypatch.setattr(hs, "coherent_j_max", lambda flow, points, h: next(cuts))
+    hs.coherent_symbol_study(escape, points, [0.14, 0.1], _DEFAULT.truncation)
+    assert built == [3, 4]
 
 
 def test_coherent_j_max_grows_below_the_default_h(flow):
@@ -1017,13 +1042,14 @@ def test_coherent_study_resolves_a_fine_h(flow, escape):
     assert all(np.isfinite(e[0.005]) for e in study.errors)
 
 
-def test_coherent_study_from_one_h_is_undefined(flow, escape, recwarn):
+def test_coherent_study_from_one_h_is_undefined(flow, escape, recwarn, monkeypatch):
     points = hs.default_symbol_points(flow)
-    study = hs.coherent_symbol_study(escape, points, [0.14, 0.14], _DEFAULT.truncation, j_max=3)
+    _fixed_j_max(monkeypatch, 3)
+    study = hs.coherent_symbol_study(escape, points, [0.14, 0.14], _DEFAULT.truncation)
     assert study.undefined and study.powers == [None] * len(points)
     assert all(len(e) == 1 for e in study.errors)
     assert not recwarn.list
-    study = hs.coherent_symbol_study(escape, points, [0.14, 0.1], _DEFAULT.truncation, j_max=3)
+    study = hs.coherent_symbol_study(escape, points, [0.14, 0.1], _DEFAULT.truncation)
     assert not study.undefined and None not in study.powers
 
 
@@ -1120,7 +1146,8 @@ def test_campaign_determinism():
 
 
 def test_campaign_builds_one_escape_function_per_order_set(monkeypatch):
-    # escape and escape_alt, shared by every check and every spectrum
+    # one per distinct order set, shared by every check and every spectrum:
+    # escape and escape_alt are equal on the default config (both n0 = 0)
     built = []
     init = EscapeFunction.__init__
 
@@ -1129,10 +1156,16 @@ def test_campaign_builds_one_escape_function_per_order_set(monkeypatch):
         init(self, flow, params)
 
     monkeypatch.setattr(EscapeFunction, "__init__", counted)
-    cfg = parse_config("[solver]\nk_max = 3\n[campaign]\n"
-                       "checks = intrinsic,counting,coherent\ncoherent_h = 0.1,0.05\n")
+    text = ("[solver]\nk_max = 3\n[campaign]\n"
+            "checks = intrinsic,counting,coherent\ncoherent_h = 0.1,0.05\n")
+    cfg = parse_config(text)
     report = hs.run_campaign(cfg)
     assert report["passed"] is True
+    assert report["checks"]["intrinsic"]["cross_distance"] == 0.0
+    assert cfg.escape == cfg.escape_alt and built == [cfg.escape]
+    built.clear()
+    cfg = parse_config(text + "[escape_alt]\nn0 = 0.5\n")
+    assert hs.run_campaign(cfg)["passed"] is True
     assert built == [cfg.escape, cfg.escape_alt]
 
 

@@ -558,6 +558,18 @@ def _project_per_call(profile, flow, block):
     return (x_int[:, None] * tau_int[None, :]).ravel()
 
 
+@pytest.mark.parametrize("j_max", [0, 1, 12, 20])
+def test_phase_table_equals_the_direct_formula(flow, j_max):
+    # rows -j are conjugates of rows j; bit for bit, signed zeros included
+    prof = op.PacketProfile(flow, (0.3, 0.6, 0.4), (1.1, -0.4, 0.3), 0.1)
+    js = np.arange(-j_max, j_max + 1)
+    phi = flow.time_change.rectified(prof.taus)
+    want = np.exp(-2j * np.pi * np.outer(js, phi) / flow.period)
+    got = prof.phase_table(j_max)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_project_matches_per_call_phase_matrix(flow, defaults):
     prof = op.PacketProfile(flow, (0.3, 0.6, 0.4), (1.1, -0.4, 0.3), 0.1)
     for j_max in (3, 5):
