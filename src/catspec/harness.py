@@ -544,8 +544,8 @@ class CoherentStudy:
 SYMBOL_TAU0 = 0.5
 #: largest `coherent_k_max` a config may ask for (35 at the default's
 #: smallest h, 0.0125); the study's work grows like its square times
-#: `coherent_j_max`, and at the smallest h accepted (about 0.00366, j_max
-#: 20) it takes about 6 s on one core of a 2-vCPU Xeon host
+#: `coherent_j_max`, and at the smallest h accepted (about 0.0037, j_max
+#: 20) it takes 5.6-6.2 s on one core of a 2-vCPU Xeon host
 COHERENT_K_CEILING = 100
 #: smallest `coherent_j_max`; it is the cutoff at every h >= 0.0125
 COHERENT_J_FLOOR = 12
@@ -617,11 +617,11 @@ def coherent_symbol_study(escape: EscapeFunction, points, h_list,
     (`operator.mirror_groups`).
     Sharing is exact: the two weights are equal bit for bit, as the escape
     function reads only squares, norms and |e| of the frame components,
-    and those of -k are exactly -(a, b) and e.  Per run, each packet's
-    overlaps with all the run's cells are one call; a sector's coefficients
-    are a slice of them times the packet's mode integrals, and
-    `operator.orbit_expectation` sums the weighted expectation cell by cell
-    in O(n) per sector.  The sector terms are added up in sector order.
+    and those of -k are exactly -(a, b) and e.  On an orbit sector a
+    packet's coefficients are rank one and never formed: per run, each
+    packet's overlaps with the run's cells are one call, and
+    `operator.orbit_expectation` reads them and the packet's mode integrals
+    for all the run's sectors at once.  The terms are added in sector order.
     """
     from . import cotangent
     from .model import BasePoint
@@ -659,17 +659,21 @@ def coherent_symbol_study(escape: EscapeFunction, points, h_list,
             if run[-1][0] == [neutral.sector]:
                 mat = op.conjugate_by_diagonal(neutral.matrix, run.pop()[1])
                 mat *= h
-            cells = np.reshape([k for g, _ in run for s in g for k in s.freqs], (-1, 2))
+            if not run:
+                continue
+            run_sectors = [s for g, _ in run for s in g]
+            starts = np.cumsum([0] + [s.n_cells for s in run_sectors[:-1]])
+            # a group's sectors weigh their cells with the group's rows of logw
+            logw = np.concatenate([lw for _, lw in run]).reshape(-1, 2 * j_cut + 1)
+            firsts = np.cumsum([0] + [g[0].n_cells for g, _ in run])
+            rows = np.concatenate([f + np.arange(s.n_cells) for (g, _), f in zip(run, firsts)
+                                   for s in g])
+            cells = np.reshape([k for s in run_sectors for k in s.freqs], (-1, 2))
             x_ints = np.stack([prof.torus_overlaps(cells) for prof in profiles])
-            start = 0
-            for g, logw in run:
-                for s in g:
-                    i, n = row[s.key], s.n_cells
-                    coeffs = x_ints[:, start:start + n, None] * tau_ints[:, None, :]
-                    start += n
-                    terms[i] = h * op.orbit_expectation(flow, tr, logw.reshape(n, -1),
-                                                        coeffs)
-                    masses[i] = np.sum(np.abs(coeffs) ** 2, axis=(1, 2))
+            idx = [row[s.key] for s in run_sectors]
+            terms[idx] = h * op.orbit_expectation(flow, tr, logw, rows, starts, x_ints, tau_ints)
+            masses[idx] = (np.add.reduceat(np.abs(x_ints) ** 2, starts, axis=1).T
+                           * np.sum(np.abs(tau_ints) ** 2, axis=1))
 
         acc = np.array([np.vdot(v, mat @ v) for v in vecs])
         norms = np.array([float(np.vdot(v, v).real) for v in vecs])

@@ -411,30 +411,36 @@ def apply_weight(block: SectorBlock, escape: EscapeFunction, h: float) -> np.nda
     return conjugate_by_diagonal(block.matrix.copy(), logw)
 
 
-def orbit_expectation(flow: MappingTorusFlow, truncation: Truncation, log_weight, coeffs):
-    """<v, W H W^{-1} v> on one orbit sector, in O(n) and without its matrix.
+def orbit_expectation(flow: MappingTorusFlow, truncation: Truncation, log_weight, rows,
+                      starts, x, tau):
+    """<v, W H W^{-1} v> on each orbit sector of a weight run, for packets
+    with rank-one coefficients v[p, l, j] = x[p, l] tau[p, j]: shape
+    (sectors, packets), without the coefficients or the matrix.
 
-    log_weight and coeffs have shape (n_cells, 2 j_max + 1), cells ordered
-    as in the sector basis; coeffs may carry leading batch axes (one row
-    set per packet).  The sector generator H is block lower bidiagonal:
-    diag(2 pi j / T) - i kappa/T 11^T on each cell and i kappa/T 11^T one
-    cell below, where kappa is the flux penalty.  With the cell weight
-    applied as y_l = W_l^H v_l and u_l = W_l^{-1} v_l, the expectation is
-    the sum over cells of sum_j conj(y_lj) (2 pi j / T) u_lj
-    - i kappa/T (sum conj y_l)(sum u_l) + i kappa/T (sum conj y_l)(sum u_{l-1}),
-    with no inflow into cell 0.
+    x (packets, cells) holds the run's sectors one after another, cells
+    ordered as in the sector basis, from the cells in starts; tau is
+    (packets, 2 j_max + 1).  Row rows[l] of log_weight weighs cell l.  H is
+    Lambda = diag(2 pi j / T) plus the flux -i kappa/T 11^T on each cell
+    and i kappa/T 11^T one cell below.  W and Lambda are diagonal, so that
+    term is weight free, |x_l|^2 sum_j |tau_j|^2 2 pi j / T.  The flux needs
+    two sums per weighted cell, A_l = sum_j w_lj conj(tau_j) and B_l =
+    sum_j tau_j / w_lj: i kappa/T sum_l conj(x_l) A_l (x_{l-1} B_{l-1} -
+    x_l B_l), with no inflow into a sector's first cell.  The sums are
+    einsum, not BLAS, so they do not depend on the BLAS thread count.
     """
     tbar = flow.period
     omega = 2.0 * np.pi / tbar * np.arange(-truncation.j_max, truncation.j_max + 1)
     w = np.exp(log_weight)
-    y_bar = np.conj(w * coeffs)     # conj(W_l^H v_l): the weight is real and diagonal
-    u = coeffs / w                  # W_l^{-1} v_l
-    y_sum = np.sum(y_bar, axis=-1)
-    u_sum = np.sum(u, axis=-1)
-    inflow = np.zeros_like(u_sum)
-    inflow[..., 1:] = u_sum[..., :-1]
-    flux = 1j * truncation.flux_penalty / tbar * np.sum(y_sum * (inflow - u_sum), axis=-1)
-    return np.sum(y_bar * u * omega, axis=(-2, -1)) + flux
+    a = np.einsum("lj,pj->pl", w, np.conj(tau))
+    b = np.einsum("lj,pj->pl", 1.0 / w, tau)
+    y_sum = np.conj(x) * a[:, rows]     # conj(sum_j W_l v_l): the weight is real
+    u_sum = x * b[:, rows]              # sum_j W_l^{-1} v_l
+    inflow = np.roll(u_sum, 1, axis=1)
+    inflow[:, starts] = 0.0             # no inflow into a sector's first cell
+    flux = np.add.reduceat(y_sum * (inflow - u_sum), starts, axis=1)
+    diag = np.add.reduceat(np.abs(x) ** 2, starts, axis=1) * np.einsum(
+        "pj,j->p", np.abs(tau) ** 2, omega)[:, None]
+    return (diag + 1j * truncation.flux_penalty / tbar * flux).T
 
 
 # ---------------------------------------------------------------------------
@@ -558,18 +564,17 @@ class PacketProfile:
                                     self.xi[:2], self.h, self.gamma)
 
     def project(self, flow, block):
-        """Coefficient vector of the packet on one sector block."""
-        if isinstance(block.sector, NeutralSector):
-            # midpoint sum of g_tau exp(-2 pi i j tau) over taus = (m + 1/2)/N,
-            # i.e. exp(-i pi j / N) times the DFT of g_tau at j mod N
-            js = block.basis[:, 1]
-            n = self.taus.size
-            tau_int = (self.dtau * np.exp(-1j * np.pi * js / n)
-                       * np.fft.fft(self.g_tau)[js % n])
-            return self.torus_overlaps(np.zeros((1, 2)))[0] * tau_int
-        tau_int = self.orbit_tau_integrals(self.phase_table(int(block.basis[:, 1].max())))
-        x_int = self.torus_overlaps(block.sector.freqs)
-        return (x_int[:, None] * tau_int[None, :]).ravel()
+        """Coefficient vector of the packet on the neutral sector block.  An
+        orbit block raises ValueError: see `torus_overlaps`."""
+        if not isinstance(block.sector, NeutralSector):
+            raise ValueError(f"project takes the neutral block, not {block.key}")
+        # midpoint sum of g_tau exp(-2 pi i j tau) over taus = (m + 1/2)/N,
+        # i.e. exp(-i pi j / N) times the DFT of g_tau at j mod N
+        js = block.basis[:, 1]
+        n = self.taus.size
+        tau_int = (self.dtau * np.exp(-1j * np.pi * js / n)
+                   * np.fft.fft(self.g_tau)[js % n])
+        return self.torus_overlaps(np.zeros((1, 2)))[0] * tau_int
 
 
 def _gaussian_x_integral(freqs, x0, xi_x, h, gamma):

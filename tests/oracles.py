@@ -7,8 +7,9 @@ QR eigensolver, their prefix products compared exactly, its exact
 polynomials from Berkowitz's recursion in Python ints, the Weyl audit's
 prefix comparison as a loop, the neutral-sector part of a spectrum, resolvent-quadrature
 projector ranks, the coherent-state projection of a wave packet on a list
-of sector blocks, the weighted expectation on an orbit sector through its
-dense matrix, the coherent symbol study sector by sector, the orbit
+of sector blocks (orbit blocks included), the weighted expectation on an
+orbit sector through its dense matrix and from its packet coefficients,
+the coherent symbol study sector by sector, the orbit
 sectors found point by point, the weights of a run with every mode
 evaluated, the lattice-shell control counted on the full (v1, v2)
 meshgrid, the model's flow map, vector field, splittings and invariant
@@ -287,7 +288,7 @@ def coherent_state(flow: MappingTorusFlow, blocks, alpha_x, alpha_xi, h, mass_to
     coeffs = {}
     captured = 0.0
     for block in blocks:
-        vec = profile.project(flow, block)
+        vec = project_packet(profile, flow, block)
         coeffs[block.key] = vec
         captured += float(np.vdot(vec, vec).real)
     if captured < (1.0 - mass_tol) * profile.ref_norm2:
@@ -297,14 +298,52 @@ def coherent_state(flow: MappingTorusFlow, blocks, alpha_x, alpha_xi, h, mass_to
                          captured, profile.ref_norm2)
 
 
+def project_packet(profile: PacketProfile, flow: MappingTorusFlow, block):
+    """`PacketProfile.project` on any sector block.  On an orbit block the
+    coefficients are the outer product of the packet's cell overlaps with
+    its mode integrals, over a phase table built for this call."""
+    if isinstance(block.sector, op.NeutralSector):
+        return profile.project(flow, block)
+    tau_int = profile.orbit_tau_integrals(profile.phase_table(int(block.basis[:, 1].max())))
+    x_int = profile.torus_overlaps(block.sector.freqs)
+    return (x_int[:, None] * tau_int[None, :]).ravel()
+
+
 def dense_orbit_expectation(block: SectorBlock, escape: EscapeFunction, h, vec):
     """<v, h W H W^{-1} v> on one sector block through its dense matrix.
 
     The block from `build_generator` is conjugated entrywise by the
     diagonal weight and multiplied; `operator.orbit_expectation` sums the
-    same form cell by cell without the matrix.
+    same form from the packet's rank-one factors without the matrix.
     """
     return np.vdot(vec, (h * apply_weight(block, escape, h)) @ vec)
+
+
+def coefficient_orbit_expectation(flow: MappingTorusFlow, truncation, log_weight, coeffs):
+    """<v, W H W^{-1} v> on one orbit sector, in O(n) and without its matrix.
+
+    log_weight and coeffs have shape (n_cells, 2 j_max + 1), cells ordered
+    as in the sector basis; coeffs may carry leading batch axes (one row
+    set per packet).  The sector generator H is block lower bidiagonal:
+    diag(2 pi j / T) - i kappa/T 11^T on each cell and i kappa/T 11^T one
+    cell below, where kappa is the flux penalty.  With the cell weight
+    applied as y_l = W_l^H v_l and u_l = W_l^{-1} v_l, the expectation is
+    the sum over cells of sum_j conj(y_lj) (2 pi j / T) u_lj
+    - i kappa/T (sum conj y_l)(sum u_l) + i kappa/T (sum conj y_l)(sum u_{l-1}),
+    with no inflow into cell 0.  The reference for
+    `operator.orbit_expectation`, which reads a packet's two factors instead.
+    """
+    tbar = flow.period
+    omega = 2.0 * np.pi / tbar * np.arange(-truncation.j_max, truncation.j_max + 1)
+    w = np.exp(log_weight)
+    y_bar = np.conj(w * coeffs)     # conj(W_l^H v_l): the weight is real and diagonal
+    u = coeffs / w                  # W_l^{-1} v_l
+    y_sum = np.sum(y_bar, axis=-1)
+    u_sum = np.sum(u, axis=-1)
+    inflow = np.zeros_like(u_sum)
+    inflow[..., 1:] = u_sum[..., :-1]
+    flux = 1j * truncation.flux_penalty / tbar * np.sum(y_sum * (inflow - u_sum), axis=-1)
+    return np.sum(y_bar * u * omega, axis=(-2, -1)) + flux
 
 
 def coherent_study_per_sector(flow: MappingTorusFlow, params, points, h_list, truncation,
@@ -314,8 +353,9 @@ def coherent_study_per_sector(flow: MappingTorusFlow, params, points, h_list, tr
     One escape_value call per sector (shared by the sectors through k0 and
     -k0) and one torus-overlap call per packet and sector.  The
     rectified-time phases come from the direct formula, not from
-    `PacketProfile.phase_table`.  The sector terms are added in sector
-    order, as the batched study adds them.
+    `PacketProfile.phase_table`, and each sector's term is
+    `coefficient_orbit_expectation` of its packet coefficient arrays.  The
+    sector terms are added in sector order, as the batched study adds them.
     """
     from catspec import harness as hs
     from catspec.cotangent import h0
@@ -348,8 +388,8 @@ def coherent_study_per_sector(flow: MappingTorusFlow, params, points, h_list, tr
                                                   escape, h)
             coeffs = np.stack([prof.torus_overlaps(sector.freqs)[:, None] * t[None, :]
                                for prof, t in zip(profiles, tau_ints)])
-            acc += h * op.orbit_expectation(flow, tr,
-                                            weights[key].reshape(sector.n_cells, -1), coeffs)
+            acc += h * coefficient_orbit_expectation(
+                flow, tr, weights[key].reshape(sector.n_cells, -1), coeffs)
             norms += np.sum(np.abs(coeffs) ** 2, axis=(1, 2))
         for i, prof in enumerate(profiles):
             if norms[i] < (1.0 - hs.COHERENT_MASS_TOL) * prof.ref_norm2:

@@ -37,8 +37,9 @@ flow = cfg.flow()
 tr = replace(cfg.truncation, k_max=3, p_max=2, j_max={j_max})
 block = op.build_generator(flow, op.enumerate_orbits(flow.cat, 3, 2)[0], tr)
 op.apply_weight(block, EscapeFunction(flow, cfg.escape), 0.1)
-op.PacketProfile(flow, (0.5, 0.5, 0.5), (1.0, 0.5, 0.3), 0.1).project(flow, block)
-print(json.dumps({{"dim": block.dim, "metrics": tracer.metrics()}}))
+neutral = op.build_generator(flow, op.NeutralSector(), tr)
+op.PacketProfile(flow, (0.5, 0.5, 0.5), (1.0, 0.5, 0.3), 0.1).project(flow, neutral)
+print(json.dumps({{"dim": block.dim, "neutral_dim": neutral.dim, "metrics": tracer.metrics()}}))
 """
 
 ESCAPE_SCRIPT = """
@@ -90,13 +91,16 @@ def test_tracer_installs_and_counts_one_sector():
     j_max = 4
     out = _traced(SCRIPT.format(src=str(SRC), perfbench=str(PERFBENCH), j_max=j_max))
     m = out["metrics"]
-    assert m["operator.build_generator.calls"] == 1
-    assert m["operator.build_generator.dim_sum"] == out["dim"]
+    assert m["operator.build_generator.calls"] == 2
+    assert m["operator.build_generator.dim_sum"] == out["dim"] + out["neutral_dim"]
+    assert m["operator.build_generator.dim_max"] == max(out["dim"], out["neutral_dim"])
     assert m["operator.apply_weight.modes"] == out["dim"]
     # one stacked coframe solve per weighting
     assert m["cotangent.horizontal_components.calls"] == 1
+    # project() takes the neutral block only; the hook counts one phase
+    # row per basis mode
     assert m["operator.PacketProfile.project.calls"] == 1
-    assert m["operator.PacketProfile.project.phase_bytes"] == (2 * j_max + 1) * 4096 * 16
+    assert m["operator.PacketProfile.project.phase_bytes"] == out["neutral_dim"] * 4096 * 16
 
 
 def test_tracer_counts_escape_points():

@@ -548,24 +548,43 @@ def test_cli_idempotent_outputs(tmp_path):
     assert (out / "spectrum.csv").read_bytes() == first
 
 
+def _campaign_process(cfgfile, out, **env):
+    """`catspec campaign` on cfgfile in a fresh process with env added to
+    the environment; returns the output directory."""
+    src = str(Path(catspec.__file__).parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-m", "catspec.cli", "--config", str(cfgfile),
+                           "--out", str(out), "campaign"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return out
+
+
 def test_cli_campaign_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     # two processes with different str hashes (set and dict orders) write the
     # same campaign.json and counts.csv; an in-process re-run cannot see this
     cfgfile = tmp_path / "c.ini"
     cfgfile.write_text("[solver]\nk_max = 3\n[campaign]\ncoherent_h = 0.1,0.05\n")
-    src = str(Path(catspec.__file__).parents[1])
     outputs = []
     for hash_seed in ("1", "2"):
-        out = tmp_path / f"hash{hash_seed}"
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(
-                       [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-        proc = subprocess.run([sys.executable, "-m", "catspec.cli", "--config", str(cfgfile),
-                               "--out", str(out), "campaign"],
-                              capture_output=True, text=True, env=env, timeout=300)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+        out = _campaign_process(cfgfile, tmp_path / f"hash{hash_seed}",
+                                PYTHONHASHSEED=hash_seed, OPENBLAS_NUM_THREADS="1")
         outputs.append([(out / name).read_bytes() for name in ("campaign.json", "counts.csv")])
     assert outputs[0] == outputs[1]
+
+
+def test_cli_coherent_payload_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # a re-run and a run on two BLAS threads write the same coherent payload
+    # bytes: the orbit-sector sums are einsum contractions, not level-3 BLAS
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text("[campaign]\nchecks = coherent\ncoherent_h = 0.14,0.1\n")
+    payloads = []
+    for i, threads in enumerate(("1", "1", "2")):
+        out = _campaign_process(cfgfile, tmp_path / f"run{i}", OPENBLAS_NUM_THREADS=threads)
+        payload = json.loads((out / "campaign.json").read_text())["checks"]["coherent"]
+        payloads.append(json.dumps(payload).encode())
+    assert payloads[0] == payloads[1] == payloads[2]
 
 
 def test_cli_print_config(capsys):

@@ -7,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
+
 from catspec import charpoly
 from catspec import harness as hs
 from catspec import operator as op
@@ -1075,21 +1077,39 @@ def test_coherent_study_overflow_names_an_orbit_sector(flow, escape):
     assert "neutral" not in str(info.value)
 
 
-@pytest.mark.parametrize("params", [
-    _DEFAULT.escape, ALT_ORDER,
-], ids=["escape", "escape_alt"])
-def test_coherent_study_matches_the_per_sector_loop(flow, params):
-    # bit for bit: a batch moves some log weights by up to 1e-13 (the gemv
-    # rows of OpenBLAS's remainder kernel are other rows), no error or
-    # power; with the second order, adding the sector terms in another
-    # order moves point 8's error at h = 0.1 in the last bit
+@pytest.mark.parametrize("params, weight_rows", [
+    (_DEFAULT.escape, op.WEIGHT_ROWS), (ALT_ORDER, op.WEIGHT_ROWS), (_DEFAULT.escape, 1),
+], ids=["escape", "escape_alt", "one_sector_per_run"])
+def test_coherent_study_matches_the_per_sector_loop(flow, params, weight_rows, monkeypatch):
+    # to 1e-14 relative: the study reads each sector's expectation from the
+    # packets' rank-one factors, the loop from their coefficient arrays, so
+    # the sums run in another order (errors[1] at h = 0.1 moves in the last
+    # bit); perfbench holds the coherent payload to 1e-12.  With one sector
+    # per run, the neutral sector's run holds no orbit sector
+    monkeypatch.setattr(op, "WEIGHT_ROWS", weight_rows)
     points = hs.default_symbol_points(flow)
     h_list = [0.14, 0.1]
     study = hs.coherent_symbol_study(EscapeFunction(flow, params), points, h_list,
                                      _DEFAULT.truncation)
     errors, powers = coherent_study_per_sector(flow, params, points, h_list, _DEFAULT.truncation)
-    assert study.errors == errors
-    assert study.powers == powers
+
+    def gap(errors, powers):
+        values = [(a[h], b[h]) for a, b in zip(study.errors, errors) for h in h_list]
+        return max(abs(a - b) / abs(b) for a, b in values + list(zip(study.powers, powers)))
+
+    assert gap(errors, powers) <= 1e-14
+    # negative control: the loop with the cell-to-cell hop dropped, each
+    # cell summed as a sector of its own, is farther than the bound
+    expectation = oracles.coefficient_orbit_expectation
+
+    def no_hop(flow, truncation, log_weight, coeffs):
+        return sum(expectation(flow, truncation, log_weight[ell:ell + 1],
+                               coeffs[..., ell:ell + 1, :])
+                   for ell in range(len(log_weight)))
+
+    monkeypatch.setattr(oracles, "coefficient_orbit_expectation", no_hop)
+    assert gap(*coherent_study_per_sector(flow, params, points, h_list,
+                                          _DEFAULT.truncation)) > 1e-14
 
 
 def test_coherent_study_weighs_each_h_in_runs(flow, escape, monkeypatch):

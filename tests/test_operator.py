@@ -13,7 +13,8 @@ from catspec.escape import EscapeFunction
 from catspec.model import CatMap
 from oracles import (ContourTooClose, coherent_state, dense_orbit_expectation,
                      enumerate_orbits_per_point, log_weights_every_mode, numerical_range_top,
-                     orbit_representative, singular_values_gram, spectral_projector_rank)
+                     orbit_representative, project_packet, singular_values_gram,
+                     spectral_projector_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +577,11 @@ def test_project_matches_per_call_phase_matrix(flow, defaults):
         tr = replace(defaults.truncation, k_max=4, p_max=2, j_max=j_max)
         for sector in op.enumerate_orbits(flow.cat, 4, 2)[:4]:
             blk = op.build_generator(flow, sector, tr)
-            assert np.array_equal(prof.project(flow, blk),
+            assert np.array_equal(project_packet(prof, flow, blk),
                                   _project_per_call(prof, flow, blk))
+            # the package projects onto the neutral block only
+            with pytest.raises(ValueError, match="neutral block"):
+                prof.project(flow, blk)
     # the neutral projection is the same midpoint sum, taken by FFT
     for j_max in (3, 24):
         blk = op.build_generator(flow, op.NeutralSector(),
@@ -637,34 +641,59 @@ def test_mirror_key_is_sign_canonical():
     assert op.mirror_key(_cells((1, 0))) != op.mirror_key(_cells((0, 1)))
 
 
+def _dense_flux_defect(block, period, log_weight):
+    """The block whose weighted flux reads W F W instead of W F W^-1 (B
+    built with w instead of 1/w); the frequency diagonal is kept."""
+    omega = 2.0 * np.pi / period * block.basis[:, 1]
+    flux = block.matrix - np.diag(omega)
+    return replace(block, matrix=np.diag(omega) + flux * np.exp(2.0 * log_weight)[None, :])
+
+
 @pytest.mark.parametrize("variation, flux", [(0.0, 1.6), (0.2, 1.6), (0.2, 0.7)])
 def test_orbit_expectation_matches_dense_oracle(variation, flux, defaults):
     flow = parse_config(f"[model]\nc_cos = {variation or ''}\n").flow()
     escape = EscapeFunction(flow, defaults.escape)
     tr = replace(defaults.truncation, k_max=4, p_max=2, j_max=3, flux_penalty=flux)
     nj = 2 * tr.j_max + 1
-    # the sectors that carry the packet's mass, with five to eight cells
+    # the sectors that carry the packet's mass, with five to eight cells,
+    # and their mirrors through -k0, which share their weight rows
     keep = {(1, 0), (0, -1), (2, -1), (2, 0), (3, -1)}
-    sectors = [s for s in op.enumerate_orbits(flow.cat, 4, 2) if s.k0 in keep]
-    assert len(sectors) == 5 and min(s.n_cells for s in sectors) >= 5
+    groups = [g for g in op.mirror_groups(op.enumerate_orbits(flow.cat, 4, 2))
+              if keep & {s.k0 for s in g}]
+    sectors = [s for g in groups for s in g]
+    assert len(groups) == 5 and len(sectors) == 10
+    assert min(s.n_cells for s in sectors) >= 5
+    rows = np.concatenate([sum(g[0].n_cells for g in groups[:i]) + np.arange(s.n_cells)
+                           for i, g in enumerate(groups) for s in g])
+    starts = np.cumsum([0] + [s.n_cells for s in sectors[:-1]])
+    cells = [k for s in sectors for k in s.freqs]
     rng = np.random.default_rng(2)
     for h in (0.14, 0.1):
         prof = op.PacketProfile(flow, (0.3, 0.6, 0.4), (1.1, -0.4, 0.3), h)
-        for sector in sectors:
+        logw = np.concatenate([op.mode_log_weight(g[0], op.sector_basis(g[0], tr), escape, h)
+                               for g in groups]).reshape(-1, nj)
+        # the packet's factors, then random rank-one factors
+        x = np.stack([prof.torus_overlaps(cells),
+                      rng.normal(size=len(cells)) + 1j * rng.normal(size=len(cells))])
+        tau = np.stack([prof.orbit_tau_integrals(prof.phase_table(tr.j_max)),
+                        rng.normal(size=nj) + 1j * rng.normal(size=nj)])
+        got = h * op.orbit_expectation(flow, tr, logw, rows, starts, x, tau)
+        assert got.shape == (len(sectors), 2)
+        for sector, first, values in zip(sectors, starts, got):
             blk = op.build_generator(flow, sector, tr)
-            logw = op.mode_log_weight(sector, blk.basis, escape, h)
-            packet = prof.project(flow, blk).reshape(sector.n_cells, nj)
-            noise = rng.normal(size=packet.shape) + 1j * rng.normal(size=packet.shape)
-            got = h * op.orbit_expectation(flow, tr, logw.reshape(sector.n_cells, nj),
-                                           np.stack([packet, noise]))
-            for value, v in zip(got, (packet, noise)):
-                want = dense_orbit_expectation(blk, escape, h, v.ravel())
+            vecs = [np.outer(xp[first:first + sector.n_cells], tp).ravel()
+                    for xp, tp in zip(x, tau)]
+            for value, v in zip(values, vecs):
+                want = dense_orbit_expectation(blk, escape, h, v)
                 assert abs(value - want) <= 1e-13 * abs(want)
-            # negative control: the comparison catches a defective hop
-            for defect in ("sign", "shift"):
-                bad = dense_orbit_expectation(_dense_hop_defect(blk, nj, defect),
-                                              escape, h, noise.ravel())
-                assert abs(got[1] - bad) > 1e-6 * abs(bad)
+            # negative controls: the comparison catches a defective hop, and
+            # a flux sum B taken with w instead of 1/w
+            own = op.mode_log_weight(sector, blk.basis, escape, h)
+            for bad_block in (_dense_hop_defect(blk, nj, "sign"),
+                              _dense_hop_defect(blk, nj, "shift"),
+                              _dense_flux_defect(blk, flow.period, own)):
+                bad = dense_orbit_expectation(bad_block, escape, h, vecs[1])
+                assert abs(values[1] - bad) > 1e-6 * abs(bad)
 
 
 # ---------------------------------------------------------------------------
