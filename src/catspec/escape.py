@@ -185,7 +185,7 @@ class EscapeFunction:
         return (tuple(smoothstep(v) for v in x)
                 + tuple(smoothstep_slope(v) / (1.0 - 2.0 * eps) * dm for v, dm in zip(x, raw[2:])))
 
-    #: rows per gemv of _raw_profiles, a multiple of 4 (see there); with a
+    #: rows per gemv of _averages, a multiple of 4 (see there); with a
     #: 3-row tail a block over all nodes (35 x 384 x 8 B = 105 KB) stays
     #: below glibc's 128 KB mmap threshold, and so do the work arrays of
     #: _average, so they are reused from the heap instead of mapped and
@@ -199,34 +199,17 @@ class EscapeFunction:
     #: nodes added on each side of a row's closed-form transition window
     WINDOW_MARGIN = 2
 
-    def _raw_profiles(self, adapted):
-        """Time-averaged bump profiles for a batch of frame triples.
-
-        Along the flow the squared components are ``(a^2 g, b^2 / g, e^2)``
-        with ``g = exp(2 theta t)``; the bumps only need squared fractions,
-        so normalization is never materialized.  The fraction of ``a^2``
-        increases with ``g`` and that of ``b^2`` decreases, so each bump is
-        exactly 0 before and exactly 1 after a window of nodes that
-        :meth:`_windows` finds in closed form (``smoothstep`` returns 0.0
-        and 1.0 there, and ``1 - 1`` is 0.0).  :meth:`_average` evaluates
-        the bumps on the union of the windows of a few sorted rows only,
-        fills the rest of each row with 0.0 and 1.0, and reduces every row
-        over all nodes with ``@ self._weights``.  The gemv thus sees the
-        values of the one-pass formula, and the profiles equal
-        ``tests/oracles.py`` ``raw_profiles_one_shot`` bit for bit, on one
-        BLAS thread or two.  This needs the blocking rule of OpenBLAS:
-        gemv reduces rows in groups of 4 and the last ``n mod 4`` rows in
-        a remainder kernel that rounds differently.  So blocks hold
-        multiples of 4 rows, only the first ``n - n mod 4`` rows are
-        sorted, and the last ``n mod 4`` rows end the last block in their
-        order (a batch of one row stays on numpy's dot).
-        """
-        return self._averages(adapted, False)
-
     def _averages(self, adapted, rates):
-        """The raw profiles (m1, m2) of :meth:`_raw_profiles`, followed with
-        ``rates`` by their flow derivatives (see :meth:`_average`), from one
-        pass over the batch."""
+        """Time-averaged bump profiles (m1, m2) of a batch of frame triples,
+        followed with ``rates`` by their flow derivatives, from one pass.
+        :meth:`_average` reduces each row over all nodes with ``@
+        self._weights``, exact 0.0 and 1.0 outside its windows, so the
+        profiles equal ``tests/oracles.py`` ``raw_profiles_one_shot`` bit for
+        bit, on one BLAS thread or two, by the blocking rule of OpenBLAS:
+        gemv reduces rows in groups of 4 and the last ``n mod 4`` in a
+        remainder kernel that rounds differently.  So blocks hold multiples
+        of 4 rows, only the first ``n - n mod 4`` are sorted, and the last
+        ``n mod 4`` end the last block in their order (one row: numpy's dot)."""
         d = np.asarray(adapted, dtype=float)
         batch = d.reshape(-1, 3)
         n = len(batch)
@@ -276,7 +259,7 @@ class EscapeFunction:
 
     def _average(self, sq, m):
         """Write the raw profiles of the rows ``sq`` of squared components
-        into ``m[0]`` and ``m[1]`` (see :meth:`_raw_profiles`) and, when
+        into ``m[0]`` and ``m[1]`` (see :meth:`_averages`) and, when
         ``m`` holds four arrays, their flow derivatives into ``m[2]`` and
         ``m[3]``.
 
@@ -402,10 +385,14 @@ class EscapeFunction:
         f = np.where(r > 0.0, w0 * np.abs(d[..., 2]) + (1.0 - w0) * r, 0.0)
         return f if f.shape else float(f)
 
-    def _order_and_escape(self, adapted, orders, rates):
+    def _one_pass(self, d, live, rates):
+        """The profiles of the rows ``d[live]``, from one pass over them."""
+        return self._profiles(d[live], rates)
+
+    def _order_and_escape(self, adapted, orders, rates, profiles):
         """Order function m and escape function G of each set in ``orders``,
-        stacked on a leading axis, from one profile pass; with ``rates``,
-        also X(G) (see :meth:`escape_derivative_adapted`)."""
+        stacked on a leading axis, and with ``rates`` X(G); ``profiles(d, live,
+        rates)`` gives the profiles of the live rows ``d[live]``: `_one_pass`."""
         d = np.asarray(adapted, dtype=float)
         r = np.linalg.norm(d, axis=-1)
         ramp = self._ramp(r)
@@ -419,7 +406,7 @@ class EscapeFunction:
             dramp = np.zeros_like(r)
             dramp[live] = smoothstep_slope(1.0 + np.log2(r[live])) * rate[live] / math.log(2.0)
         if np.any(live):
-            m1, m2, *dm12 = self._profiles(d[live], rates)
+            m1, m2, *dm12 = profiles(d, live, rates)
             for k, p in enumerate(orders):
                 level = p.s + (p.n0 - p.s) * m1 + (p.u - p.n0) * m2
                 m[k, live] = ramp[live] * level
@@ -443,7 +430,8 @@ class EscapeFunction:
     def escape_value(self, adapted, orders=None):
         """G = m * log sqrt(1 + f^2); for a list of ``orders`` (see
         :meth:`_orders`), G of each set stacked, from one profile pass."""
-        return _first_set(self._order_and_escape(adapted, self._orders(orders), False)[1], orders)
+        return _first_set(self._order_and_escape(adapted, self._orders(orders), False,
+                                                 self._one_pass)[1], orders)
 
     def escape_derivative_adapted(self, adapted, orders=None):
         """X(G): the flow derivative of G along the closed-form covector
@@ -458,7 +446,8 @@ class EscapeFunction:
         derivative along the lifted flow itself.  ``orders`` as in
         :meth:`escape_value`: one profile pass serves all sets.
         """
-        return _first_set(self._order_and_escape(adapted, self._orders(orders), True)[2], orders)
+        return _first_set(self._order_and_escape(adapted, self._orders(orders), True,
+                                                 self._one_pass)[2], orders)
 
     # -- CotangentPoint wrappers -------------------------------------------
 
@@ -532,7 +521,7 @@ def verify_escape_estimates(escape: EscapeFunction, sample_count, seed,
     off = np.zeros(xgs.shape, dtype=bool)
     off[:, :len(audit)] = np.abs(fd - xgs[:, :len(audit)]) > AUDIT_TOL * (1.0 + np.abs(fd))
     kept = adapted[:keep_rows]          # only these samples become CSV rows
-    ms, gs = escape._order_and_escape(kept, sets, False)
+    ms, gs = escape._order_and_escape(kept, sets, False, escape._one_pass)
     reports = []
     for p, xg, m, g, mismatch in zip(sets, xgs, ms, gs, off):
         decay_bound = 0.0 - float(np.max(xg[outside]))      # +0.0 when G = 0

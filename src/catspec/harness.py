@@ -608,41 +608,37 @@ def coherent_symbol_study(escape: EscapeFunction, points, h_list,
     ``truncation`` with `coherent_k_max` and `coherent_j_max` in place of
     its cutoffs.
 
-    Each h takes a few batched passes.  The packets share one
-    rectified-time phase table, kept across h and rebuilt only when
-    `coherent_j_max` changes.  Orbit sectors are never built.  Their
-    weights come from `operator.sector_log_weights`, one escape_value call
-    per run of whole sectors, with the neutral sector's weight in the last
-    run.  The sectors through k0 and -k0 share one weight
-    (`operator.mirror_groups`).
-    Sharing is exact: the two weights are equal bit for bit, as the escape
-    function reads only squares, norms and |e| of the frame components,
-    and those of -k are exactly -(a, b) and e.  On an orbit sector a
-    packet's coefficients are rank one and never formed: per run, each
-    packet's overlaps with the run's cells are one call, and
-    `operator.orbit_expectation` reads them and the packet's mode integrals
-    for all the run's sectors at once.  The terms are added in sector order.
+    What depends on neither h nor the packet is computed once: X(G) per
+    pair (x0, +-xi), equal bit for bit as G is even and the lifted flow
+    linear in xi, the `operator.TauGrid`, the phase table per cutoff, and
+    each mode direction's profiles (one `operator.sector_log_weights` memo
+    across h).  Orbit sectors are never built: one per k0, -k0 pair
+    (`operator.mirror_groups`, equal weights) is weighed, in runs with the
+    neutral sector last, and `operator.orbit_expectation` reads the
+    packets' rank-one factors for all the run's sectors at once.  The
+    terms are added in sector order.
     """
     from . import cotangent
     from .model import BasePoint
 
     flow = escape.flow
-    preds = []
+    preds, xgs = [], {}
     for ax, xi in points:
-        q = cotangent.CotangentPoint(BasePoint((ax[0], ax[1]), ax[2]),
-                                     (xi[0], xi[1]), xi[2])
-        preds.append(cotangent.h0(flow, q) + 1j * escape.escape_derivative(q))
+        q = cotangent.CotangentPoint(BasePoint(ax[:2], ax[2]), xi[:2], xi[2])
+        pair = (tuple(ax), max(tuple(xi), tuple(-v for v in xi)))
+        xgs[pair] = xgs[pair] if pair in xgs else escape.escape_derivative(q)
+        preds.append(cotangent.h0(flow, q) + 1j * xgs[pair])
 
     errors = [dict() for _ in points]
-    phases = None
+    grid, phases, memo = op.TauGrid(flow), None, {}
     for h in h_list:
         k_max = coherent_k_max(points, h)
         j_cut = coherent_j_max(flow, points, h)
         tr = replace(truncation, k_max=k_max, j_max=j_cut)
-        profiles = [op.PacketProfile(flow, ax, xi, h) for ax, xi in points]
+        profiles = [op.PacketProfile(grid, ax, xi, h) for ax, xi in points]
         if phases is None or len(phases) != 2 * j_cut + 1:
             phases = None               # free the old table before the new one
-            phases = profiles[0].phase_table(j_cut)
+            phases = grid.phase_table(j_cut)
         tau_ints = np.stack([prof.orbit_tau_integrals(phases) for prof in profiles])
         neutral = op.build_generator(flow, op.NeutralSector(), tr)
         vecs = [prof.project(flow, neutral) for prof in profiles]
@@ -654,7 +650,7 @@ def coherent_symbol_study(escape: EscapeFunction, points, h_list,
         terms = np.empty((len(sectors), len(points)), dtype=complex)
         masses = np.empty((len(sectors), len(points)))
         for logws in op.sector_log_weights(
-                escape, h, ((g[0], op.sector_basis(g[0], tr)) for g in groups)):
+                escape, h, ((g[0], op.sector_basis(g[0], tr)) for g in groups), memo):
             run = [(next(owners), logw) for logw in logws]
             if run[-1][0] == [neutral.sector]:
                 mat = op.conjugate_by_diagonal(neutral.matrix, run.pop()[1])

@@ -320,19 +320,19 @@ def conjugate_by_diagonal(matrix, log_weight):
     return matrix
 
 
-#: modes per escape_value call of `sector_log_weights`; a call holds whole
-#: sectors, so a sector with more modes gets a call of its own
+#: modes per profile pass of `sector_log_weights`; a pass holds whole
+#: sectors, so a sector with more modes gets a pass of its own
 WEIGHT_ROWS = 4096
 
 
-def sector_log_weights(escape: EscapeFunction, h, sectors):
+def sector_log_weights(escape: EscapeFunction, h, sectors, memo):
     """Log of the diagonal escape weight on each of `sectors`, run by run.
 
     sectors holds (sector, basis) pairs.  Runs of whole sectors with at
-    most WEIGHT_ROWS modes in all share one escape_value call, and each run
+    most WEIGHT_ROWS modes in all share one profile pass, and each run
     yields the list of its sectors' log weights, one value per mode of each
     basis.  Only one run is evaluated at a time, so the storage follows
-    WEIGHT_ROWS, not the sector count.
+    WEIGHT_ROWS, not the sector count.  memo: see `_run_log_weights`.
 
     Raises WeightOverflow, naming h and the sector, when a weight or its
     inverse would leave the double range, or when a mode covector already
@@ -341,12 +341,12 @@ def sector_log_weights(escape: EscapeFunction, h, sectors):
     run, rows = [], 0
     for item in sectors:
         if run and rows + len(item[1]) > WEIGHT_ROWS:
-            yield _run_log_weights(escape, h, run)
+            yield _run_log_weights(escape, h, run, memo)
             run, rows = [], 0
         run.append(item)
         rows += len(item[1])
     if run:
-        yield _run_log_weights(escape, h, run)
+        yield _run_log_weights(escape, h, run, memo)
 
 
 def _named(run):
@@ -357,8 +357,8 @@ def _named(run):
             f"|j| <= {max(int(np.abs(b[:, 1]).max()) for b in bases)})")
 
 
-def _run_log_weights(escape, h, run):
-    """One escape_value call for the sectors of a run, split per sector.
+def _run_log_weights(escape, h, run, memo):
+    """One profile pass for the sectors of a run, split per sector.
 
     The escape function reads a covector's frame components only through
     a^2, b^2, e^2, |xi| and |e|, and the e of mode (p, -j) is exactly minus
@@ -366,21 +366,40 @@ def _run_log_weights(escape, h, run):
     j >= 0 are evaluated; the j of an orbit cell and of the neutral sector
     run ascending and symmetric, so the mirror of a mode with j < 0 lies
     2|j| rows further on (ValueError for a basis laid out otherwise).
+
+    memo (a dict, fresh when empty) maps each sign-canonical cell frequency
+    k to the profiles (m1, m2) of its modes j = 0, 1, ... (NaN if not
+    evaluated), homogeneous of degree 0 in the covector 2 pi h (k, c0 j).
+    The pass covers the live modes memo lacks, in row order, and adds them:
+    with a fresh memo and each cell once, that is escape_value's pass.
     """
     ps, js = np.concatenate([basis for _, basis in run]).T
     mirror = np.arange(len(js)) - 2 * np.minimum(js, 0)
     if mirror.max() >= len(js) or np.any(js[mirror] != np.abs(js)) or np.any(ps[mirror] != ps):
         raise ValueError("each cell's j must run ascending and symmetric")
     halves = [(sector, basis[basis[:, 1] >= 0]) for sector, basis in run]
+    keys = [max(k, (-k[0], -k[1])) for sector, _ in halves for k in sector.freqs]
+    widths = [len(basis) // len(sector.freqs) for sector, basis in halves for _ in sector.freqs]
+    m12 = np.full((2, sum(widths)), np.nan)
+    parts = np.split(m12, np.cumsum(widths)[:-1], axis=1)     # one view per cell
+    for part, known in zip(parts, (memo.get(key, np.empty((2, 0))) for key in keys)):
+        part[:, :known.shape[1]] = known[:, :part.shape[1]]
+
+    def profiles(adapted, live, rates):
+        need = live & np.isnan(m12[0])
+        m12[:, need] = escape._profiles(adapted[need], rates)
+        memo.update((key, part.copy()) for key, part in zip(keys, parts))
+        return m12[:, live]
+
     try:
         with np.errstate(over="raise", invalid="raise"):
-            half = np.asarray(escape.escape_value(_mode_adapted(escape.flow, h, halves)),
-                              dtype=float)
+            adapted = _mode_adapted(escape.flow, h, halves)
+            half = escape._order_and_escape(adapted, [escape.params], False, profiles)[1][0]
     except FloatingPointError as exc:
         if len(run) > 1:
             # the rows are independent: the sector's own call raises too
             for item in run:
-                _run_log_weights(escape, h, [item])
+                _run_log_weights(escape, h, [item], memo)
         raise WeightOverflow(
             f"escape weight at h = {h:g} overflows on {_named(run)}: {exc}; "
             "reduce h or the truncation") from exc
@@ -396,8 +415,8 @@ def _run_log_weights(escape, h, run):
 
 def mode_log_weight(sector, basis, escape: EscapeFunction, h):
     """Log of the diagonal escape weight, one value per mode of `basis`:
-    `sector_log_weights` on this one sector."""
-    return next(sector_log_weights(escape, h, [(sector, basis)]))[0]
+    `sector_log_weights` on this one sector, with a fresh memo."""
+    return next(sector_log_weights(escape, h, [(sector, basis)], {}))[0]
 
 
 def apply_weight(block: SectorBlock, escape: EscapeFunction, h: float) -> np.ndarray:
@@ -509,51 +528,57 @@ def singular_values(p: np.ndarray):
 # coherent states
 # ---------------------------------------------------------------------------
 
-#: midpoints of the tau grid on which a `PacketProfile` samples its packet
+#: midpoints of the `TauGrid` on which a `PacketProfile` samples its packet
 PACKET_TAU_GRID = 4096
 
 
-class PacketProfile:
-    """Shared suspension-coordinate data for one Gaussian wave packet."""
+class TauGrid:
+    """The tau grid and c(tau) on it, shared by the packets on one flow."""
 
-    def __init__(self, flow: MappingTorusFlow, alpha_x, alpha_xi, h):
-        self.ax = np.asarray(alpha_x, dtype=float)
-        self.xi = np.asarray(alpha_xi, dtype=float)
-        self.h = float(h)
-        self.gamma = float(np.sqrt(1.0 + self.xi @ self.xi)) / self.h
+    def __init__(self, flow: MappingTorusFlow):
+        self.flow = flow
         self.taus = (np.arange(PACKET_TAU_GRID) + 0.5) / PACKET_TAU_GRID
         self.dtau = 1.0 / PACKET_TAU_GRID
-        dt = (self.taus - self.ax[2] + 0.5) % 1.0 - 0.5
-        self.g_tau = np.exp(1j * self.xi[2] * dt / self.h
-                            - 0.5 * self.gamma * dt * dt)
         self.c_vals = flow.time_change(self.taus)
-        self.time_change = flow.time_change
-        self.tbar = flow.period
-        # continuum packet norm in the rectified measure (the packet lives
-        # on nonzero-frequency sectors, which use that measure)
-        self.ref_norm2 = (np.pi / self.gamma) * float(
-            np.sum(np.abs(self.g_tau) ** 2 / self.c_vals) * self.dtau)
 
     def phase_table(self, j_max):
         """Rectified-time phases exp(-2 pi i j phi(tau) / T), |j| <= j_max,
-        on the tau grid: shape (2 j_max + 1, PACKET_TAU_GRID).  The table
-        depends on the grid only, so packets on one grid can share it.  Rows
-        j >= 0 are computed in place and row -j is their conjugate: bit for
-        bit the direct formula, as the phase of -j is exactly minus that of
-        j, cos is even and sin is odd."""
-        phi = self.time_change.rectified(self.taus)
+        on the grid: shape (2 j_max + 1, PACKET_TAU_GRID).  Rows j >= 0 are
+        computed in place and row -j is their conjugate: bit for bit the
+        direct formula, as the phase of -j is exactly minus that of j, cos
+        is even and sin is odd."""
+        phi = self.flow.time_change.rectified(self.taus)
         table = np.empty((2 * j_max + 1, phi.size), dtype=complex)
         half = table[j_max:]
         np.multiply(-2j * np.pi, np.outer(np.arange(j_max + 1), phi), out=half)
-        np.divide(half, self.tbar, out=half)
+        np.divide(half, self.flow.period, out=half)
         np.exp(half, out=half)
         np.conjugate(table[:j_max:-1], out=table[:j_max])
         return table
 
+
+class PacketProfile:
+    """Suspension-coordinate data for one Gaussian wave packet on a `TauGrid`."""
+
+    def __init__(self, grid: TauGrid, alpha_x, alpha_xi, h):
+        self.ax = np.asarray(alpha_x, dtype=float)
+        self.xi = np.asarray(alpha_xi, dtype=float)
+        self.h = float(h)
+        self.gamma = float(np.sqrt(1.0 + self.xi @ self.xi)) / self.h
+        self.grid, self.taus = grid, grid.taus
+        dt = (self.taus - self.ax[2] + 0.5) % 1.0 - 0.5
+        self.g_tau = np.exp(1j * self.xi[2] * dt / self.h
+                            - 0.5 * self.gamma * dt * dt)
+        # continuum packet norm in the rectified measure (the packet lives
+        # on nonzero-frequency sectors, which use that measure)
+        self.ref_norm2 = (np.pi / self.gamma) * float(
+            np.sum(np.abs(self.g_tau) ** 2 / grid.c_vals) * grid.dtau)
+
     def orbit_tau_integrals(self, phases):
         """Rectified-time integral of each orbit mode against the packet,
-        for a `phase_table`: one value per row."""
-        return (phases @ (self.g_tau / self.c_vals)) * self.dtau / np.sqrt(self.tbar)
+        for a `TauGrid.phase_table`: one value per row."""
+        grid = self.grid
+        return (phases @ (self.g_tau / grid.c_vals)) * grid.dtau / np.sqrt(grid.flow.period)
 
     def torus_overlaps(self, freqs):
         """Closed-form torus overlap of the packet with each row of the
@@ -572,7 +597,7 @@ class PacketProfile:
         # i.e. exp(-i pi j / N) times the DFT of g_tau at j mod N
         js = block.basis[:, 1]
         n = self.taus.size
-        tau_int = (self.dtau * np.exp(-1j * np.pi * js / n)
+        tau_int = (self.grid.dtau * np.exp(-1j * np.pi * js / n)
                    * np.fft.fft(self.g_tau)[js % n])
         return self.torus_overlaps(np.zeros((1, 2)))[0] * tau_int
 

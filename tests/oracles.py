@@ -38,7 +38,7 @@ from catspec.escape import EscapeFunction, composite_gauss_legendre, smoothstep
 from catspec import charpoly, operator as op
 from catspec.harness import _SLACK, WEYL_DPS, WEYL_REL_SLACK, ResonanceSet, WeylAudit
 from catspec.model import BasePoint, MappingTorusFlow
-from catspec.operator import (OrbitSector, PacketProfile, SectorBlock, _mode_adapted,
+from catspec.operator import (OrbitSector, PacketProfile, SectorBlock, TauGrid, _mode_adapted,
                               apply_weight, singular_values)
 
 
@@ -284,7 +284,7 @@ def coherent_state(flow: MappingTorusFlow, blocks, alpha_x, alpha_xi, h, mass_to
     UnresolvedState when more than mass_tol of the packet's squared norm is
     missing from the truncation window.
     """
-    profile = PacketProfile(flow, alpha_x, alpha_xi, h)
+    profile = PacketProfile(TauGrid(flow), alpha_x, alpha_xi, h)
     coeffs = {}
     captured = 0.0
     for block in blocks:
@@ -304,7 +304,7 @@ def project_packet(profile: PacketProfile, flow: MappingTorusFlow, block):
     its mode integrals, over a phase table built for this call."""
     if isinstance(block.sector, op.NeutralSector):
         return profile.project(flow, block)
-    tau_int = profile.orbit_tau_integrals(profile.phase_table(int(block.basis[:, 1].max())))
+    tau_int = profile.orbit_tau_integrals(profile.grid.phase_table(int(block.basis[:, 1].max())))
     x_int = profile.torus_overlaps(block.sector.freqs)
     return (x_int[:, None] * tau_int[None, :]).ravel()
 
@@ -353,7 +353,7 @@ def coherent_study_per_sector(flow: MappingTorusFlow, params, points, h_list, tr
     One escape_value call per sector (shared by the sectors through k0 and
     -k0) and one torus-overlap call per packet and sector.  The
     rectified-time phases come from the direct formula, not from
-    `PacketProfile.phase_table`, and each sector's term is
+    `TauGrid.phase_table`, and each sector's term is
     `coefficient_orbit_expectation` of its packet coefficient arrays.  The
     sector terms are added in sector order, as the batched study adds them.
     """
@@ -370,7 +370,7 @@ def coherent_study_per_sector(flow: MappingTorusFlow, params, points, h_list, tr
     for h in h_list:
         k_max = hs.coherent_k_max(points, h)
         tr = replace(truncation, k_max=k_max, j_max=j_max)
-        profiles = [PacketProfile(flow, ax, xi, h) for ax, xi in points]
+        profiles = [PacketProfile(TauGrid(flow), ax, xi, h) for ax, xi in points]
         phi = flow.time_change.rectified(profiles[0].taus)
         phases = np.exp(-2j * np.pi * np.outer(np.arange(-j_max, j_max + 1), phi)
                         / flow.period)
@@ -463,6 +463,18 @@ def log_weights_every_mode(escape: EscapeFunction, h, run):
     return np.split(logw, np.cumsum([len(basis) for _, basis in run])[:-1])
 
 
+def log_weights_one_pass(escape: EscapeFunction, h, run):
+    """``operator._run_log_weights`` without its memo: one escape_value
+    call on the j >= 0 modes of the run's (sector, basis) pairs, each mode
+    with j < 0 taking the value of its mirror, split per sector."""
+    js = np.concatenate([basis[:, 1] for _, basis in run])
+    mirror = np.arange(len(js)) - 2 * np.minimum(js, 0)
+    halves = [(sector, basis[basis[:, 1] >= 0]) for sector, basis in run]
+    half = np.asarray(escape.escape_value(_mode_adapted(escape.flow, h, halves)), dtype=float)
+    logw = half[(np.cumsum(js >= 0) - 1)[mirror]]
+    return np.split(logw, np.cumsum([len(basis) for _, basis in run])[:-1])
+
+
 def lattice_counts_meshgrid(E, alpha_grid):
     """``harness.synthetic_lattice_counts``'s counts on the full (v1, v2)
     meshgrid at once: O(alpha^2) memory (96 MB at alpha = 640)."""
@@ -534,7 +546,7 @@ def trapped_point(flow: MappingTorusFlow, p: BasePoint, E: float) -> CotangentPo
 def order_value(escape: EscapeFunction, adapted):
     """Full order function m of ``escape``: radial cutoff times the direction
     profile ``s + (n0 - s) m1 + (u - n0) m2``, in [u, s]."""
-    m = escape._order_and_escape(adapted, [escape.params], False)[0][0]
+    m = escape._order_and_escape(adapted, [escape.params], False, escape._one_pass)[0][0]
     return m if m.shape else float(m)
 
 
@@ -635,7 +647,7 @@ def averaged_order(escape: EscapeFunction, direction, bump=stable_bump,
 
 
 def raw_profiles_one_shot(escape: EscapeFunction, adapted, slab_rows=512):
-    """``escape._raw_profiles`` with each profile reduced by one gemv over
+    """``escape._averages`` without rates, with each profile reduced by one gemv over
     the whole batch.
 
     Every bump is evaluated at every node; the rows are evaluated
@@ -686,7 +698,7 @@ def order_profile_flow_derivative(escape: EscapeFunction, adapted):
     minus = direction_flow(escape, nu, -p.t_avg)
     dm1 = (stable_bump(escape, plus) - stable_bump(escape, minus)) / (2.0 * p.t_avg)
     dm2 = (unstable_bump(escape, plus) - unstable_bump(escape, minus)) / (2.0 * p.t_avg)
-    m1_raw, m2_raw = escape._raw_profiles(d)
+    m1_raw, m2_raw = escape._averages(d, False)
     return ((p.n0 - p.s) * saturate_slope(escape, m1_raw) * dm1
             + (p.u - p.n0) * saturate_slope(escape, m2_raw) * dm2)
 

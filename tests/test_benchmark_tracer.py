@@ -38,7 +38,7 @@ tr = replace(cfg.truncation, k_max=3, p_max=2, j_max={j_max})
 block = op.build_generator(flow, op.enumerate_orbits(flow.cat, 3, 2)[0], tr)
 op.apply_weight(block, EscapeFunction(flow, cfg.escape), 0.1)
 neutral = op.build_generator(flow, op.NeutralSector(), tr)
-op.PacketProfile(flow, (0.5, 0.5, 0.5), (1.0, 0.5, 0.3), 0.1).project(flow, neutral)
+op.PacketProfile(op.TauGrid(flow), (0.5, 0.5, 0.5), (1.0, 0.5, 0.3), 0.1).project(flow, neutral)
 print(json.dumps({{"dim": block.dim, "neutral_dim": neutral.dim, "metrics": tracer.metrics()}}))
 """
 

@@ -107,6 +107,18 @@ def test_coherent_h_ceiling_is_on_the_cutoff():
     assert parse_config("[campaign]\ncoherent_h = 0.1,0.0037\n").coherent_h_list == [0.1, 0.0037]
 
 
+def test_smallest_coherent_h_of_the_readme(tmp_path, capsys):
+    # 0.0037 has coherent_k_max 100, the ceiling, and parses; 0.00366 needs
+    # 101 and ends as a config error, not as a campaign
+    assert parse_config("[campaign]\ncoherent_h = 0.0037\n").coherent_h_list == [0.0037]
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text("[campaign]\nchecks = coherent\ncoherent_h = 0.1,0.00366\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfgfile), "--out", str(out), "campaign"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: coherent_h = 0.00366 needs") and not out.exists()
+
+
 def test_cli_non_finite_floor_is_a_config_error(tmp_path, capsys):
     # at floor = nan the intrinsic check compared no entries and passed
     cfgfile = tmp_path / "c.ini"

@@ -253,8 +253,7 @@ def test_escape_check_fails_with_zero_bounds_when_g_vanishes(monkeypatch):
     # ratio; the audit agrees (its difference of G is 0 too)
     order_and_escape = EscapeFunction._order_and_escape
     monkeypatch.setattr(EscapeFunction, "_order_and_escape",
-                        lambda self, adapted, orders, rates:
-                        tuple(0.0 * v for v in order_and_escape(self, adapted, orders, rates)))
+                        lambda self, *args: tuple(0.0 * v for v in order_and_escape(self, *args)))
     cfg = parse_config("[campaign]\nchecks = escape\nescape_samples = 500\n")
     ok, out = hs.CHECKS["escape"](hs.CampaignContext(cfg))
     assert not ok
@@ -429,7 +428,7 @@ def test_quadrature_internal_consistency(escape):
     # the fixed composite rule agrees with the adaptive average
     d = np.array([0.4, 0.7, 0.59])
     d /= np.linalg.norm(d)
-    m1_fixed, _ = escape._raw_profiles(d)
+    m1_fixed, _ = escape._averages(d, False)
     m1_adapt = averaged_order(escape, d, stable_bump)
     assert m1_fixed == pytest.approx(m1_adapt, abs=1e-9)
 
@@ -445,7 +444,7 @@ AXES = np.eye(3)
 
 
 def _matches_one_shot(escape, pts):
-    got, want = escape._raw_profiles(pts), raw_profiles_one_shot(escape, pts)
+    got, want = escape._averages(pts, False), raw_profiles_one_shot(escape, pts)
     return all(g.shape == w.shape == np.shape(pts)[:-1] and np.array_equal(g, w)
                for g, w in zip(got, want))
 
@@ -501,7 +500,7 @@ def test_raw_profiles_match_one_shot_across_chunks():
 
 def test_blocked_raw_profiles_keep_the_batch_shape(escape):
     single = np.array([0.4, -7.0, 2.5])
-    for got, want in zip(escape._raw_profiles(single),
+    for got, want in zip(escape._averages(single, False),
                          raw_profiles_one_shot(escape, single)):
         assert np.shape(got) == () and got == want
     grid = np.random.default_rng(11).normal(size=(7, 9, 3)) * 30.0

@@ -13,9 +13,11 @@ from catspec import charpoly
 from catspec import harness as hs
 from catspec import operator as op
 from catspec.config import parse_config, DEFAULT_CONFIG
+from catspec.cotangent import CotangentPoint, h0
 from catspec.errors import (MultiplicityMismatch, NonConvergence, UnresolvedState,
                             WeightOverflow)
 from catspec.escape import AUDIT_SAMPLES, EscapeFunction
+from catspec.model import BasePoint
 from oracles import (berkowitz, coherent_study_per_sector, gram, lattice_counts_meshgrid,
                      neutral_resonances, spectral_projector_rank, weyl_audit_loop,
                      weyl_oracle_dense, weyl_prefix_ok, weyl_spectra, weyl_spectra_dense)
@@ -1011,13 +1013,13 @@ def test_coherent_study_unresolved_at_small_j_max(flow, escape, monkeypatch):
 
 def test_coherent_study_builds_one_phase_table_per_cutoff(flow, escape, monkeypatch):
     built = []
-    phase_table = op.PacketProfile.phase_table
+    phase_table = op.TauGrid.phase_table
 
     def counted(self, j_max):
         built.append(j_max)
         return phase_table(self, j_max)
 
-    monkeypatch.setattr(op.PacketProfile, "phase_table", counted)
+    monkeypatch.setattr(op.TauGrid, "phase_table", counted)
     points = hs.default_symbol_points(flow)
     hs.coherent_symbol_study(escape, points, [0.14, 0.1], _DEFAULT.truncation)
     assert built == [12]                # the cutoff is 12 at both h
@@ -1113,41 +1115,88 @@ def test_coherent_study_matches_the_per_sector_loop(flow, params, weight_rows, m
 
 
 def test_coherent_study_weighs_each_h_in_runs(flow, escape, monkeypatch):
-    calls = []
-    escape_value = EscapeFunction.escape_value
+    calls, runs, rows, memos = [], [], [], []
+    escape_value, profiles = EscapeFunction.escape_value, EscapeFunction._profiles
+    run_log_weights, sector_log_weights = op._run_log_weights, op.sector_log_weights
 
     def counted(self, adapted, orders=None):
         calls.append(np.size(adapted) // 3)
         return escape_value(self, adapted, orders)
 
+    def profile_rows(self, adapted, rates):
+        if runs:                        # a weight run's pass, not an X(G)'s
+            rows.append(len(adapted))
+        return profiles(self, adapted, rates)
+
+    def run_modes(escape, h, run, memo):
+        runs.append((h, sum(len(basis) for _, basis in run)))
+        return run_log_weights(escape, h, run, memo)
+
+    def with_memo(escape, h, sectors, memo):
+        memos.append(memo)
+        return sector_log_weights(escape, h, sectors, memo)
+
     monkeypatch.setattr(EscapeFunction, "escape_value", counted)
-    modes = []
-    run_log_weights = op._run_log_weights
-
-    def run_modes(escape, h, run):
-        modes.append(sum(len(basis) for _, basis in run))
-        return run_log_weights(escape, h, run)
-
+    monkeypatch.setattr(EscapeFunction, "_profiles", profile_rows)
     monkeypatch.setattr(op, "_run_log_weights", run_modes)
+    monkeypatch.setattr(op, "sector_log_weights", with_memo)
     points = hs.default_symbol_points(flow)
+    hs.coherent_symbol_study(escape, points, [0.14, 0.1], _DEFAULT.truncation)
+    # four single points behind each X(G), one X(G) per +-xi pair of points
+    assert calls == [1] * 24
+    # one memo across h: each (cell, |j|) is evaluated once, and the orbit
+    # modes of h = 0.14 (3,068 rows on their own) are among the 4,004 of 0.1
+    assert len(memos) == 2 and memos[0] is memos[1]
+    known = {(k, j) for k, entry in memos[0].items() for j in np.flatnonzero(~np.isnan(entry[0]))}
+    assert sum(rows) == len(known)
+    assert sum(k != (0, 0) for k, _ in known) == 4004
     for h in (0.14, 0.1):
-        calls.clear()
-        modes.clear()
-        hs.coherent_symbol_study(escape, points, [h], _DEFAULT.truncation)
-        # four single points behind each packet's escape_derivative
-        assert calls[:40] == [1] * 40
-        # each (cell, |j|) weighed once: one sector per k0, -k0 pair, and
-        # the neutral sector, each at j = 0, ..., j_max
+        modes = [n for at, n in runs if at == h]
+        # each (cell, j) weighed once per h: one sector per k0, -k0 pair,
+        # and the neutral sector
         k_max = hs.coherent_k_max(points, h)
         cells = {op.mirror_key(s): s.n_cells
                  for s in op.enumerate_orbits(flow.cat, k_max, 2)}
         neutral = op.build_generator(flow, op.NeutralSector(),
                                      replace(_DEFAULT.truncation, k_max=k_max, j_max=12))
-        assert sum(calls[40:]) == 13 * sum(cells.values()) + (neutral.dim + 1) // 2
+        assert sum(modes) == 25 * sum(cells.values()) + neutral.dim
         # a run of at most WEIGHT_ROWS modes closes only when the next
         # sector does not fit
-        assert len(modes) == len(calls) - 40 and max(modes) <= op.WEIGHT_ROWS
+        assert max(modes) <= op.WEIGHT_ROWS
         assert all(a + b > op.WEIGHT_ROWS for a, b in zip(modes, modes[1:]))
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def test_coherent_study_takes_one_escape_derivative_per_pm_xi_pair(flow, escape, monkeypatch):
+    points = hs.default_symbol_points(flow)
+    qs = [CotangentPoint(BasePoint(ax[:2], ax[2]), xi[:2], xi[2]) for ax, xi in points]
+    pairs = [(i, j) for i in range(len(points)) for j in range(i) if points[i][0] == points[j][0]
+             and np.array_equal(points[i][1], np.negative(points[j][1]))]
+    assert len(pairs) == 4
+    for i, j in pairs:
+        # bit for bit, signed zeros included: h0 is +-0.0 on these points
+        assert _bits(escape.escape_derivative(qs[i])) == _bits(escape.escape_derivative(qs[j]))
+        assert _bits(h0(flow, qs[i])) == _bits(-h0(flow, qs[j])) != _bits(h0(flow, qs[j]))
+    taken = []
+    derivative = EscapeFunction.escape_derivative
+
+    def counted(self, q):
+        taken.append(q)
+        return derivative(self, q)
+
+    monkeypatch.setattr(EscapeFunction, "escape_derivative", counted)
+    _fixed_j_max(monkeypatch, 3)
+    hs.coherent_symbol_study(escape, points, [0.14], _DEFAULT.truncation)
+    assert len(taken) == 6
+    # negative control: point 2, the pair of point 0, moved off tau0
+    taken.clear()
+    i, j = pairs[0]
+    moved = points[:i] + [((0.5, 0.5, 0.6), points[i][1])] + points[i + 1:]
+    hs.coherent_symbol_study(escape, moved, [0.14], _DEFAULT.truncation)
+    assert (i, j) == (2, 0) and len(taken) == 7
 
 
 # ---------------------------------------------------------------------------
@@ -1364,11 +1413,17 @@ DEFECT_CONFIG = "[solver]\nk_max = 3\n[campaign]\ncoherent_h = 0.1,0.05\n"
 def _seeded_defect(monkeypatch, defect):
     """The config of one defect-matrix row, with its defect patched in."""
     if defect in ("zero", "negated"):
+        # G scaled where every G is formed from the profiles, for
+        # escape_value and the weights' memo path alike; X(G) keeps the
+        # unscaled G's
         scale = 0.0 if defect == "zero" else -1.0
-        escape_value = EscapeFunction.escape_value
-        monkeypatch.setattr(EscapeFunction, "escape_value",
-                            lambda self, adapted, orders=None:
-                            scale * escape_value(self, adapted, orders))
+        order_and_escape = EscapeFunction._order_and_escape
+
+        def scaled(self, *args):
+            m, g, *xg = order_and_escape(self, *args)
+            return (m, scale * g, *xg)
+
+        monkeypatch.setattr(EscapeFunction, "_order_and_escape", scaled)
         return parse_config(DEFAULT_CONFIG)
     cfg = parse_config(DEFECT_CONFIG)
     if defect == "period":
@@ -1407,12 +1462,13 @@ def _seeded_defect(monkeypatch, defect):
 def test_campaign_defect_matrix(monkeypatch, defect, failing):
     # a campaign with a seeded defect: G = 0 and G -> -G on the default
     # config; T x 1.01, one cell-block diagonal entry + 0.5/h and a weight
-    # that is not a similarity on DEFECT_CONFIG.  Only the verdicts that
-    # must fail are asserted: the README's "defect x check" table lists the
-    # checks that still pass and the ROADMAP item meant to make each fail
+    # that is not a similarity on DEFECT_CONFIG.  The failing verdicts are
+    # asserted exactly, so a check that starts or stops catching a defect
+    # shows here; the README's "defect x check" table lists the checks that
+    # still pass and the ROADMAP item meant to make each fail
     report = hs.run_campaign(_seeded_defect(monkeypatch, defect))
     checks = report["checks"]
-    assert {name for name, ok in report["verdicts"].items() if not ok} >= failing
+    assert {name for name, ok in report["verdicts"].items() if not ok} == failing
     # every check ends on its own verdict, not through the campaign's guard
     assert not [name for name, payload in checks.items() if "error" in payload]
     if defect in ("zero", "negated"):
@@ -1432,3 +1488,24 @@ def test_campaign_defect_matrix(monkeypatch, defect, failing):
         # k_max = 3 they pass (-4.8e-10)
         assert checks["weyl"]["random_oracle_ok"] is True
         assert checks["weyl"]["worst_margin"] < -1e-5
+
+
+def test_zero_g_seed_reaches_the_memoized_weights(flow, monkeypatch):
+    # the G = 0 row's patch reaches the coherent study's weights, which
+    # read their profiles from the memo and never call escape_value
+    weights = []
+    expectation = op.orbit_expectation
+
+    def recorded(flow, truncation, log_weight, *factors):
+        weights.append(log_weight)
+        return expectation(flow, truncation, log_weight, *factors)
+
+    monkeypatch.setattr(op, "orbit_expectation", recorded)
+    points, h_list = hs.default_symbol_points(flow), [0.14, 0.1]
+    hs.coherent_symbol_study(EscapeFunction(flow, _DEFAULT.escape), points, h_list,
+                             _DEFAULT.truncation)
+    assert any(np.any(w != 0.0) for w in weights)
+    weights.clear()
+    cfg = _seeded_defect(monkeypatch, "zero")
+    hs.coherent_symbol_study(EscapeFunction(flow, cfg.escape), points, h_list, cfg.truncation)
+    assert weights and all(np.all(w == 0.0) for w in weights)

@@ -12,7 +12,8 @@ from catspec.errors import (NonConvergence, TruncationTooSmall, UnresolvedState,
 from catspec.escape import EscapeFunction
 from catspec.model import CatMap
 from oracles import (ContourTooClose, coherent_state, dense_orbit_expectation,
-                     enumerate_orbits_per_point, log_weights_every_mode, numerical_range_top,
+                     enumerate_orbits_per_point, log_weights_every_mode,
+                     log_weights_one_pass, numerical_range_top,
                      orbit_representative, project_packet, singular_values_gram,
                      spectral_projector_rank)
 
@@ -321,7 +322,7 @@ def test_batched_weights_split_into_runs_of_whole_sectors(flow, escape, defaults
     k_max = hs.coherent_k_max(hs.default_symbol_points(flow), h)
     tr = replace(defaults.truncation, k_max=k_max, j_max=j_max)
     items = [(s, op.sector_basis(s, tr)) for s in op.enumerate_orbits(flow.cat, k_max, 2)]
-    runs = list(op.sector_log_weights(escape, h, items))
+    runs = list(op.sector_log_weights(escape, h, items, {}))
     sizes = [sum(map(len, run)) for run in runs]
     assert len(runs) > 1 and max(sizes) <= op.WEIGHT_ROWS
     assert all(a + b > op.WEIGHT_ROWS for a, b in zip(sizes, sizes[1:]))
@@ -343,7 +344,7 @@ def test_batched_weight_overflow_names_the_sector(flow, escape, defaults):
     run = [(neutral.sector, neutral.basis), (sector, op.sector_basis(sector, tr))]
     with pytest.raises(WeightOverflow, match=r"at h = 1e\+150 overflows on sector "
                        r"orbit-2,0 \(54 modes, \|j\| <= 4\)"):
-        list(op.sector_log_weights(escape, 1e150, run))
+        list(op.sector_log_weights(escape, 1e150, run, {}))
 
 
 def _weight_items(flow, truncation, h, j_max=12):
@@ -365,7 +366,7 @@ def test_mirrored_weights_equal_every_mode_evaluated(flow, escape, defaults):
     runs = [[item] for item in items] + [items[i:i + 7] for i in range(0, len(items), 7)]
     moved = 0
     for run in runs:
-        got = np.concatenate(op._run_log_weights(escape, 0.05, run))
+        got = np.concatenate(op._run_log_weights(escape, 0.05, run, {}))
         want = np.concatenate(log_weights_every_mode(escape, 0.05, run))
         js = run[-1][1][:, 1]
         top = int(js.max())
@@ -375,6 +376,87 @@ def test_mirrored_weights_equal_every_mode_evaluated(flow, escape, defaults):
         assert np.max(np.abs(got - want)) <= 1e-13
         moved += tail.size
     assert moved < 0.01 * sum(len(basis) for run in runs for _, basis in run)
+
+
+def _runs(escape, h, items, memo):
+    """`sector_log_weights`'s runs: each run's (sector, basis) pairs and
+    their log weights."""
+    rest = iter(items)
+    return [([next(rest) for _ in logws], logws)
+            for logws in op.sector_log_weights(escape, h, items, memo)]
+
+
+def _memo_weights(escape, h, items, memo):
+    return np.concatenate([w for _, logws in _runs(escape, h, items, memo) for w in logws])
+
+
+def test_fresh_memo_weights_equal_one_pass_per_run(flow, escape, defaults):
+    # the Weyl check's sectors at the campaign's h, one run per sector as
+    # the check weighs them and batched, and the coherent study's sectors
+    # at h = 0.05, one per k0, -k0 pair as the study weighs them: with a
+    # fresh memo, each run's bits are those of one escape_value call on its
+    # live modes
+    tr = defaults.truncation
+    sectors = [op.NeutralSector()] + op.enumerate_orbits(flow.cat, tr.k_max, tr.p_max)
+    weyl = [(g[0], op.sector_basis(g[0], tr)) for g in op.mirror_groups(sectors)]
+    for sector, basis in weyl:
+        assert np.array_equal(op.mode_log_weight(sector, basis, escape, defaults.h),
+                              log_weights_one_pass(escape, defaults.h, [(sector, basis)])[0])
+    coherent = {op.mirror_key(s): (s, basis) for s, basis in _weight_items(flow, tr, 0.05)}
+    for h, items in ((defaults.h, weyl), (0.05, list(coherent.values()))):
+        runs = _runs(escape, h, items, {})
+        assert len(runs) > 1
+        for run, logws in runs:
+            for got, want in zip(logws, log_weights_one_pass(escape, h, run), strict=True):
+                assert np.array_equal(got, want)
+
+
+def _time_reversed(memo):
+    """A memo that serves cell k the entry of its time reversal R k."""
+    def canonical(k):
+        return max(k, (-k[0], -k[1]))
+
+    return {key: memo[canonical((-key[1], key[0]))] for key in memo
+            if canonical((-key[1], key[0])) in memo}
+
+
+def test_memo_shared_across_h_and_j_max_keeps_the_weights(flow, escape, defaults, monkeypatch):
+    # the coherent study's sequence, h = 0.14 then 0.1, then 0.1 with a
+    # larger j_max, which extends each cell's entry: the profiles read from
+    # the memo were evaluated at another h and in other batches, so every
+    # log weight agrees with a fresh evaluation up to round-off only.  The
+    # bound is 1e-13 relative, and absolute below |log weight| = 1, where
+    # the order's level cancels (the worst gap is 7.7e-15 at 0.0746): an
+    # absolute gap in the log weight is the relative gap of the weight
+    rows = []
+    profiles = EscapeFunction._profiles
+
+    def counted(self, adapted, rates):
+        rows.append(len(adapted))
+        return profiles(self, adapted, rates)
+
+    monkeypatch.setattr(EscapeFunction, "_profiles", counted)
+    memo, steps = {}, ((0.14, 12), (0.1, 12), (0.1, 16))
+    for h, j_max in steps:
+        items = _weight_items(flow, defaults.truncation, h, j_max)
+        rows.clear()
+        want = _memo_weights(escape, h, items, {})
+        fresh = sum(rows)
+        rows.clear()
+        got = _memo_weights(escape, h, items, memo)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
+        # the first step evaluates every live row, the later ones only
+        # those the memo lacks: h = 0.1's new cells, then j = 13, ..., 16
+        assert (sum(rows) == fresh) if h == 0.14 else (0 < sum(rows) < fresh)
+        if h == 0.14:
+            reversed_memo = _time_reversed(memo)
+    assert {entry.shape[1] for key, entry in memo.items() if key != (0, 0)} == {17}
+    # negative control: a memo that serves each cell the profiles of its
+    # time reversal R k moves the weights far beyond round-off
+    items = _weight_items(flow, defaults.truncation, 0.1)
+    want = _memo_weights(escape, 0.1, items, {})
+    got = _memo_weights(escape, 0.1, items, reversed_memo)
+    assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300)) > 1e-2
 
 
 def test_mirrored_weights_need_symmetric_cells(flow, escape, defaults):
@@ -543,7 +625,7 @@ def _project_per_call(profile, flow, block):
     if isinstance(block.sector, op.NeutralSector):
         js = block.basis[:, 1]
         tau_int = (np.exp(-2j * np.pi * np.outer(js, profile.taus))
-                   @ profile.g_tau) * profile.dtau
+                   @ profile.g_tau) * profile.grid.dtau
         x_int = op._gaussian_x_integral(np.zeros((1, 2)), profile.ax[:2],
                                         profile.xi[:2], profile.h, profile.gamma)[0]
         return x_int * tau_int
@@ -553,26 +635,26 @@ def _project_per_call(profile, flow, block):
     j_max = block.basis[:, 1].max()
     js = np.arange(-j_max, j_max + 1)
     phi = flow.time_change.rectified(profile.taus)
-    phases = np.exp(-2j * np.pi * np.outer(js, phi) / profile.tbar)
-    tau_int = ((phases @ (profile.g_tau / profile.c_vals)) * profile.dtau
-               / np.sqrt(profile.tbar))
+    phases = np.exp(-2j * np.pi * np.outer(js, phi) / flow.period)
+    tau_int = ((phases @ (profile.g_tau / profile.grid.c_vals)) * profile.grid.dtau
+               / np.sqrt(flow.period))
     return (x_int[:, None] * tau_int[None, :]).ravel()
 
 
 @pytest.mark.parametrize("j_max", [0, 1, 12, 20])
 def test_phase_table_equals_the_direct_formula(flow, j_max):
     # rows -j are conjugates of rows j; bit for bit, signed zeros included
-    prof = op.PacketProfile(flow, (0.3, 0.6, 0.4), (1.1, -0.4, 0.3), 0.1)
+    prof = op.PacketProfile(op.TauGrid(flow), (0.3, 0.6, 0.4), (1.1, -0.4, 0.3), 0.1)
     js = np.arange(-j_max, j_max + 1)
     phi = flow.time_change.rectified(prof.taus)
     want = np.exp(-2j * np.pi * np.outer(js, phi) / flow.period)
-    got = prof.phase_table(j_max)
+    got = prof.grid.phase_table(j_max)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_project_matches_per_call_phase_matrix(flow, defaults):
-    prof = op.PacketProfile(flow, (0.3, 0.6, 0.4), (1.1, -0.4, 0.3), 0.1)
+    prof = op.PacketProfile(op.TauGrid(flow), (0.3, 0.6, 0.4), (1.1, -0.4, 0.3), 0.1)
     for j_max in (3, 5):
         tr = replace(defaults.truncation, k_max=4, p_max=2, j_max=j_max)
         for sector in op.enumerate_orbits(flow.cat, 4, 2)[:4]:
@@ -669,13 +751,13 @@ def test_orbit_expectation_matches_dense_oracle(variation, flux, defaults):
     cells = [k for s in sectors for k in s.freqs]
     rng = np.random.default_rng(2)
     for h in (0.14, 0.1):
-        prof = op.PacketProfile(flow, (0.3, 0.6, 0.4), (1.1, -0.4, 0.3), h)
+        prof = op.PacketProfile(op.TauGrid(flow), (0.3, 0.6, 0.4), (1.1, -0.4, 0.3), h)
         logw = np.concatenate([op.mode_log_weight(g[0], op.sector_basis(g[0], tr), escape, h)
                                for g in groups]).reshape(-1, nj)
         # the packet's factors, then random rank-one factors
         x = np.stack([prof.torus_overlaps(cells),
                       rng.normal(size=len(cells)) + 1j * rng.normal(size=len(cells))])
-        tau = np.stack([prof.orbit_tau_integrals(prof.phase_table(tr.j_max)),
+        tau = np.stack([prof.orbit_tau_integrals(prof.grid.phase_table(tr.j_max)),
                         rng.normal(size=nj) + 1j * rng.normal(size=nj)])
         got = h * op.orbit_expectation(flow, tr, logw, rows, starts, x, tau)
         assert got.shape == (len(sectors), 2)
