@@ -69,13 +69,18 @@ def adapted_components(flow: MappingTorusFlow, q: CotangentPoint):
                      flow.time_change(q.base.tau) * q.eta])
 
 
-def lifted_flow(flow: MappingTorusFlow, q: CotangentPoint, t: float) -> CotangentPoint:
-    """Canonical lift: base moves by the flow, covector by (D phi_{-t})^T."""
-    tau1, crossings = flow.flow_time(q.base, t)
-    x = flow.cat.power(crossings) @ np.array(q.base.x)
+def lifted_flow(flow: MappingTorusFlow, base: BasePoint, t: float):
+    """Canonical lift of the time-t flow from ``base``, a function of the
+    covector there: base moves by the flow, covector by (D phi_{-t})^T."""
+    tau1, crossings = flow.flow_time(base, t)
+    x = flow.cat.power(crossings) @ np.array(base.x)
     base1 = BasePoint((x[0], x[1]), tau1)
     # transpose inverse of the block differential, exact in the crossing count
     at_inv = flow.cat.power(-crossings).astype(float).T
-    xi1 = at_inv @ np.asarray(q.xi_x)
-    eta1 = q.eta * flow.time_change(q.base.tau) / flow.time_change(tau1)
-    return CotangentPoint(base1, (xi1[0], xi1[1]), eta1)
+    c_start, c_end = flow.time_change(base.tau), flow.time_change(tau1)
+
+    def lift(q: CotangentPoint) -> CotangentPoint:
+        xi1 = at_inv @ np.asarray(q.xi_x)
+        return CotangentPoint(base1, (xi1[0], xi1[1]), q.eta * c_start / c_end)
+
+    return lift

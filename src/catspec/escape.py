@@ -15,6 +15,7 @@ obtained by transporting covectors with the lifted flow itself.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -455,10 +456,14 @@ class EscapeFunction:
         return float(self.escape_value(cotangent.adapted_components(self.flow, q)))
 
     def escape_derivative(self, q: CotangentPoint) -> float:
-        """d/dt G(M_t q) at t = 0 by Richardson-extrapolated differences
-        along the lifted flow."""
-        return float(_richardson(
-            lambda t: self.escape(cotangent.lifted_flow(self.flow, q, t))))
+        """`escape_derivatives` of the one point."""
+        return self.escape_derivatives([q])[0]
+
+    def escape_derivatives(self, qs):
+        """d/dt G(M_t q) at t = 0 for each of qs: Richardson differences of
+        one-point `escape`s along the lifted flow, once per (base point, t)."""
+        lift = functools.cache(lambda base, t: cotangent.lifted_flow(self.flow, base, t))
+        return [float(_richardson(lambda t: self.escape(lift(q.base, t)(q)))) for q in qs]
 
     def cone_label(self, adapted):
         """'0' / 'u' / 's' inside the respective aperture cones, else 'mix'."""

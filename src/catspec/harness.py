@@ -545,7 +545,7 @@ SYMBOL_TAU0 = 0.5
 #: largest `coherent_k_max` a config may ask for (35 at the default's
 #: smallest h, 0.0125); the study's work grows like its square times
 #: `coherent_j_max`, and at the smallest h accepted (about 0.0037, j_max
-#: 20) it takes 5.6-6.2 s on one core of a 2-vCPU Xeon host
+#: 20) it takes 4.6-4.9 s on one core of a 2-vCPU Xeon host
 COHERENT_K_CEILING = 100
 #: smallest `coherent_j_max`; it is the cutoff at every h >= 0.0125
 COHERENT_J_FLOOR = 12
@@ -608,29 +608,29 @@ def coherent_symbol_study(escape: EscapeFunction, points, h_list,
     ``truncation`` with `coherent_k_max` and `coherent_j_max` in place of
     its cutoffs.
 
-    What depends on neither h nor the packet is computed once: X(G) per
-    pair (x0, +-xi), equal bit for bit as G is even and the lifted flow
-    linear in xi, the `operator.TauGrid`, the phase table per cutoff, and
-    each mode direction's profiles (one `operator.sector_log_weights` memo
-    across h).  Orbit sectors are never built: one per k0, -k0 pair
-    (`operator.mirror_groups`, equal weights) is weighed, in runs with the
-    neutral sector last, and `operator.orbit_expectation` reads the
-    packets' rank-one factors for all the run's sectors at once.  The
-    terms are added in sector order.
+    Each factor is computed once per distinct input: X(G) per pair (x0,
+    +-xi) (bit for bit equal), with the base flow once per (x0, t); one
+    orbit walk (`operator.restrict_orbits`); a phase table per cutoff; the
+    profiles of each mode direction (`operator.sector_log_weights`); a tau
+    factor per `PacketProfile.tau_key` and a basis per shape at each h; the
+    torus overlaps of all packets per weight run.  Orbit sectors are never
+    built: `operator.orbit_expectation` reads the packets' rank-one factors
+    for all sectors of a run, one per k0, -k0 pair, added in sector order.
     """
     from . import cotangent
     from .model import BasePoint
 
     flow = escape.flow
-    preds, xgs = [], {}
-    for ax, xi in points:
-        q = cotangent.CotangentPoint(BasePoint(ax[:2], ax[2]), xi[:2], xi[2])
-        pair = (tuple(ax), max(tuple(xi), tuple(-v for v in xi)))
-        xgs[pair] = xgs[pair] if pair in xgs else escape.escape_derivative(q)
-        preds.append(cotangent.h0(flow, q) + 1j * xgs[pair])
+    qs = [cotangent.CotangentPoint(BasePoint(ax[:2], ax[2]), xi[:2], xi[2]) for ax, xi in points]
+    pairs = [(tuple(ax), max(tuple(xi), tuple(-v for v in xi))) for ax, xi in points]
+    reps = dict(zip(pairs, qs))
+    xgs = dict(zip(reps, escape.escape_derivatives(reps.values())))
+    preds = [cotangent.h0(flow, q) + 1j * xgs[pair] for pair, q in zip(pairs, qs)]
 
     errors = [dict() for _ in points]
     grid, phases, memo = op.TauGrid(flow), None, {}
+    walked = op.enumerate_orbits(flow.cat, max(coherent_k_max(points, h) for h in h_list),
+                                 truncation.p_max)
     for h in h_list:
         k_max = coherent_k_max(points, h)
         j_cut = coherent_j_max(flow, points, h)
@@ -643,14 +643,17 @@ def coherent_symbol_study(escape: EscapeFunction, points, h_list,
         neutral = op.build_generator(flow, op.NeutralSector(), tr)
         vecs = [prof.project(flow, neutral) for prof in profiles]
 
-        sectors = op.enumerate_orbits(flow.cat, k_max, tr.p_max)
+        sectors = op.restrict_orbits(flow.cat, walked, k_max, tr.p_max)
         groups = op.mirror_groups(sectors + [neutral.sector])
         owners = iter(groups)           # the neutral sector is the last group
         row = {s.key: i for i, s in enumerate(sectors)}
         terms = np.empty((len(sectors), len(points)), dtype=complex)
         masses = np.empty((len(sectors), len(points)))
-        for logws in op.sector_log_weights(
-                escape, h, ((g[0], op.sector_basis(g[0], tr)) for g in groups), memo):
+        bases = {(s.p_hi, s.n_cells): s for s in sectors}      # all an orbit basis reads
+        bases = {shape: op.sector_basis(s, tr) for shape, s in bases.items()}
+        for logws in op.sector_log_weights(escape, h, [
+                (g[0], bases[g[0].p_hi, g[0].n_cells]) for g in groups[:-1]]
+                + [(neutral.sector, neutral.basis)], memo):
             run = [(next(owners), logw) for logw in logws]
             if run[-1][0] == [neutral.sector]:
                 mat = op.conjugate_by_diagonal(neutral.matrix, run.pop()[1])
@@ -665,7 +668,7 @@ def coherent_symbol_study(escape: EscapeFunction, points, h_list,
             rows = np.concatenate([f + np.arange(s.n_cells) for (g, _), f in zip(run, firsts)
                                    for s in g])
             cells = np.reshape([k for s in run_sectors for k in s.freqs], (-1, 2))
-            x_ints = np.stack([prof.torus_overlaps(cells) for prof in profiles])
+            x_ints = op.torus_overlaps(profiles, cells)
             idx = [row[s.key] for s in run_sectors]
             terms[idx] = h * op.orbit_expectation(flow, tr, logw, rows, starts, x_ints, tau_ints)
             masses[idx] = (np.add.reduceat(np.abs(x_ints) ** 2, starts, axis=1).T
@@ -680,9 +683,8 @@ def coherent_symbol_study(escape: EscapeFunction, points, h_list,
             if norms[i] < (1.0 - COHERENT_MASS_TOL) * prof.ref_norm2:
                 raise UnresolvedState(
                     f"point {i}: captured mass {norms[i] / prof.ref_norm2:.4f} at h={h}")
-            expv = acc[i] / norms[i]
             pred = preds[i].real + 1j * h * preds[i].imag
-            errors[i][float(h)] = float(abs(expv - pred))
+            errors[i][float(h)] = float(abs(acc[i] / norms[i] - pred))
 
     logh = np.log(np.asarray(h_list, dtype=float))
     powers = [fit_slope(logh, np.log([err[float(h)] for h in h_list])) for err in errors]

@@ -162,6 +162,18 @@ def enumerate_orbits(cat, k_max, p_max):
     return sectors
 
 
+def restrict_orbits(cat, sectors, k_max, p_max):
+    """`enumerate_orbits(cat, k_max, p_max)` read off the `sectors` it gives
+    at a larger k_max: the sectors with k0 in the smaller ball, less the end
+    cells past the smaller cutoff (the norm grows away from k0)."""
+    cutoff, kept = float(k_max) * cat.lambda_u ** p_max, []
+    for s in (s for s in sectors if s.k0[0] ** 2 + s.k0[1] ** 2 <= k_max * k_max):
+        inside = [i for i, k in enumerate(s.freqs) if math.sqrt(k[0] ** 2 + k[1] ** 2) <= cutoff]
+        lo, hi = inside[0], inside[-1] + 1
+        kept.append(OrbitSector(s.k0, s.p_hi - hi + 1, s.p_hi - lo, s.freqs[lo:hi]))
+    return kept
+
+
 def mirror_key(sector):
     """Sign-canonical form of a sector's cell frequencies.
 
@@ -533,13 +545,14 @@ PACKET_TAU_GRID = 4096
 
 
 class TauGrid:
-    """The tau grid and c(tau) on it, shared by the packets on one flow."""
+    """The tau grid, c(tau) on it and the first packet of each tau key."""
 
     def __init__(self, flow: MappingTorusFlow):
         self.flow = flow
         self.taus = (np.arange(PACKET_TAU_GRID) + 0.5) / PACKET_TAU_GRID
         self.dtau = 1.0 / PACKET_TAU_GRID
         self.c_vals = flow.time_change(self.taus)
+        self.packets = {}
 
     def phase_table(self, j_max):
         """Rectified-time phases exp(-2 pi i j phi(tau) / T), |j| <= j_max,
@@ -558,7 +571,12 @@ class TauGrid:
 
 
 class PacketProfile:
-    """Suspension-coordinate data for one Gaussian wave packet on a `TauGrid`."""
+    """Suspension-coordinate data for one Gaussian wave packet on a `TauGrid`.
+
+    Packets on one grid with equal `tau_key` share the first one's g_tau,
+    ref_norm2 and tau integrals (memoised by route and row count); keys
+    compare by value, as xi_3 = +-0.0 differ only in zero signs no integral
+    reads.  The torus part is each packet's own."""
 
     def __init__(self, grid: TauGrid, alpha_x, alpha_xi, h):
         self.ax = np.asarray(alpha_x, dtype=float)
@@ -566,27 +584,32 @@ class PacketProfile:
         self.h = float(h)
         self.gamma = float(np.sqrt(1.0 + self.xi @ self.xi)) / self.h
         self.grid, self.taus = grid, grid.taus
+        first = grid.packets.setdefault(self.tau_key(), self)
+        if first is not self:
+            self.g_tau, self.ref_norm2, self.tau_ints = first.g_tau, first.ref_norm2, first.tau_ints
+            return
         dt = (self.taus - self.ax[2] + 0.5) % 1.0 - 0.5
-        self.g_tau = np.exp(1j * self.xi[2] * dt / self.h
-                            - 0.5 * self.gamma * dt * dt)
+        self.g_tau = np.exp(1j * self.xi[2] * dt / self.h - 0.5 * self.gamma * dt * dt)
         # continuum packet norm in the rectified measure (the packet lives
         # on nonzero-frequency sectors, which use that measure)
         self.ref_norm2 = (np.pi / self.gamma) * float(
             np.sum(np.abs(self.g_tau) ** 2 / grid.c_vals) * grid.dtau)
+        self.tau_ints = {}
+
+    def tau_key(self):
+        return self.ax[2], self.xi[2], self.gamma, self.h
+
+    def _tau_integrals(self, key, integrate):
+        if key not in self.tau_ints:
+            self.tau_ints[key] = integrate()
+        return self.tau_ints[key]
 
     def orbit_tau_integrals(self, phases):
         """Rectified-time integral of each orbit mode against the packet,
-        for a `TauGrid.phase_table`: one value per row."""
+        for a `TauGrid.phase_table` of its grid: one value per row."""
         grid = self.grid
-        return (phases @ (self.g_tau / grid.c_vals)) * grid.dtau / np.sqrt(grid.flow.period)
-
-    def torus_overlaps(self, freqs):
-        """Closed-form torus overlap of the packet with each row of the
-        (n, 2) frequencies freqs.  On an orbit sector the packet's
-        coefficients are the outer product of the overlaps of its cells
-        (the sector's freqs) with the `orbit_tau_integrals`."""
-        return _gaussian_x_integral(np.asarray(freqs, dtype=float), self.ax[:2],
-                                    self.xi[:2], self.h, self.gamma)
+        return self._tau_integrals(("orbit", len(phases)), lambda: (
+            phases @ (self.g_tau / grid.c_vals)) * grid.dtau / np.sqrt(grid.flow.period))
 
     def project(self, flow, block):
         """Coefficient vector of the packet on the neutral sector block.  An
@@ -597,16 +620,21 @@ class PacketProfile:
         # i.e. exp(-i pi j / N) times the DFT of g_tau at j mod N
         js = block.basis[:, 1]
         n = self.taus.size
-        tau_int = (self.grid.dtau * np.exp(-1j * np.pi * js / n)
-                   * np.fft.fft(self.g_tau)[js % n])
-        return self.torus_overlaps(np.zeros((1, 2)))[0] * tau_int
+        tau_int = self._tau_integrals(("neutral", len(js)), lambda: (
+            self.grid.dtau * np.exp(-1j * np.pi * js / n) * np.fft.fft(self.g_tau)[js % n]))
+        return torus_overlaps([self], np.zeros((1, 2)))[0, 0] * tau_int
 
 
-def _gaussian_x_integral(freqs, x0, xi_x, h, gamma):
-    """Closed-form torus-Gaussian overlaps for a batch of frequencies."""
-    q = xi_x[None, :] / h - 2.0 * np.pi * np.asarray(freqs, dtype=float)
-    phase = np.exp(-2j * np.pi * (freqs @ x0))
-    return (2.0 * np.pi / gamma) * phase * np.exp(-np.sum(q * q, axis=1) / (2.0 * gamma))
+def torus_overlaps(profiles, freqs):
+    """Closed-form torus overlaps of the packets with the rows of the (n, 2)
+    freqs, one broadcast: (packets, n).  On an orbit sector a packet's
+    coefficients are its cells' overlaps times its `orbit_tau_integrals`."""
+    freqs = np.asarray(freqs, dtype=float)
+    x0, xi_x = np.array([(p.ax[:2], p.xi[:2]) for p in profiles]).transpose(1, 0, 2)[:, :, None]
+    h, gamma = np.array([(p.h, p.gamma) for p in profiles]).T[..., None]
+    q = xi_x / h[..., None] - 2.0 * np.pi * freqs
+    phase = np.exp(-2j * np.pi * np.sum(freqs * x0, axis=2))
+    return (2.0 * np.pi / gamma) * phase * np.exp(-np.sum(q * q, axis=2) / (2.0 * gamma))
 
 
 # ---------------------------------------------------------------------------

@@ -305,7 +305,7 @@ def project_packet(profile: PacketProfile, flow: MappingTorusFlow, block):
     if isinstance(block.sector, op.NeutralSector):
         return profile.project(flow, block)
     tau_int = profile.orbit_tau_integrals(profile.grid.phase_table(int(block.basis[:, 1].max())))
-    x_int = profile.torus_overlaps(block.sector.freqs)
+    x_int = op.torus_overlaps([profile], block.sector.freqs)[0]
     return (x_int[:, None] * tau_int[None, :]).ravel()
 
 
@@ -386,7 +386,7 @@ def coherent_study_per_sector(flow: MappingTorusFlow, params, points, h_list, tr
             if key not in weights:
                 weights[key] = op.mode_log_weight(sector, op.sector_basis(sector, tr),
                                                   escape, h)
-            coeffs = np.stack([prof.torus_overlaps(sector.freqs)[:, None] * t[None, :]
+            coeffs = np.stack([op.torus_overlaps([prof], sector.freqs)[0][:, None] * t[None, :]
                                for prof, t in zip(profiles, tau_ints)])
             acc += h * coefficient_orbit_expectation(
                 flow, tr, weights[key].reshape(sector.n_cells, -1), coeffs)

@@ -32,21 +32,21 @@ def test_lifted_flow_symbol_conservation(flow):
                               tuple(rng.normal(size=2)), rng.normal())
         e0 = ct.h0(flow, q)
         for t in (-5.0, 0.7, 5.0):
-            assert abs(ct.h0(flow, ct.lifted_flow(flow, q, t)) - e0) < 1e-9
+            assert abs(ct.h0(flow, ct.lifted_flow(flow, q.base, t)(q)) - e0) < 1e-9
 
 
 def test_lifted_flow_keeps_trapped_section(flow):
     p = BasePoint((0.3, 0.6), 0.45)
     q = trapped_point(flow, p, 1.0)
     for t in (0.8, 2.5, -1.7):
-        qt = ct.lifted_flow(flow, q, t)
+        qt = ct.lifted_flow(flow, q.base, t)(q)
         alpha = anosov_one_form(flow, qt.base)
         assert np.max(np.abs(qt.covector() - alpha)) < 1e-12
 
 
 def test_lifted_flow_vertical_invariance(flow_const):
     q = ct.CotangentPoint(BasePoint((0.2, 0.2), 0.0), (0.0, 0.0), 1.5)
-    qt = ct.lifted_flow(flow_const, q, 1.0)
+    qt = ct.lifted_flow(flow_const, q.base, 1.0)(q)
     assert np.allclose(qt.covector(), q.covector(), atol=1e-12)
 
 
@@ -54,8 +54,8 @@ def test_lifted_flow_linearity_in_fibers(flow):
     q = ct.CotangentPoint(BasePoint((0.7, 0.3), 0.2), (0.5, -1.0), 0.8)
     lam = 3.7
     scaled = ct.CotangentPoint(q.base, (lam * 0.5, lam * -1.0), lam * 0.8)
-    a = ct.lifted_flow(flow, q, 2.1)
-    b = ct.lifted_flow(flow, scaled, 2.1)
+    a = ct.lifted_flow(flow, q.base, 2.1)(q)
+    b = ct.lifted_flow(flow, scaled.base, 2.1)(scaled)
     assert np.allclose(lam * a.covector(), b.covector(), atol=1e-12)
 
 
@@ -65,7 +65,7 @@ def test_stable_coframe_decay_rate(flow):
     cs = flow.cat.coframe_s
     q = ct.CotangentPoint(p, (cs[0], cs[1]), 0.0)
     t = 3.0 * flow.period
-    qt = ct.lifted_flow(flow, q, t)
+    qt = ct.lifted_flow(flow, q.base, t)(q)
     _, crossings = flow.flow_time(p, t)
     ratio = np.linalg.norm(np.asarray(qt.xi_x)) / np.linalg.norm(cs)
     assert ratio == pytest.approx(flow.cat.lambda_s ** crossings, rel=1e-10)
@@ -77,7 +77,7 @@ def test_dichotomy_rates_within_tolerance(flow):
     t = 4.0 * flow.period
     for cof, sign in ((flow.cat.coframe_s, -1.0), (flow.cat.coframe_u, 1.0)):
         q = ct.CotangentPoint(p, (cof[0], cof[1]), 0.0)
-        qt = ct.lifted_flow(flow, q, t)
+        qt = ct.lifted_flow(flow, q.base, t)(q)
         rate = np.log(np.linalg.norm(np.asarray(qt.xi_x))) / t
         target = sign * np.log(flow.cat.lambda_u) / flow.period
         assert abs(rate - target) / abs(target) < 0.05
@@ -102,7 +102,7 @@ def test_adapted_components_evolve_diagonally(flow):
                               tuple(rng.normal(size=2)), rng.normal())
         ad0 = ct.adapted_components(flow, q)
         for t in (0.6, -2.4, 4.0):
-            ad1 = ct.adapted_components(flow, ct.lifted_flow(flow, q, t))
+            ad1 = ct.adapted_components(flow, ct.lifted_flow(flow, q.base, t)(q))
             pred = ad0 * np.array([np.exp(theta * t), np.exp(-theta * t), 1.0])
             assert np.max(np.abs(ad1 - pred)) < 1e-9 * max(1.0, np.max(np.abs(pred)))
 
@@ -125,7 +125,7 @@ def test_cone_convergence_to_unstable_coframe(flow):
         if abs(triple[0]) < 0.1:
             continue
         q = from_adapted(flow, base, triple)
-        qt = ct.lifted_flow(flow, q, 12.0)
+        qt = ct.lifted_flow(flow, q.base, 12.0)(q)
         ad = ct.adapted_components(flow, qt)
         ad /= np.linalg.norm(ad)
         assert abs(abs(ad[0]) - 1.0) < 1e-6

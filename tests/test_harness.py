@@ -13,11 +13,11 @@ from catspec import charpoly
 from catspec import harness as hs
 from catspec import operator as op
 from catspec.config import parse_config, DEFAULT_CONFIG
-from catspec.cotangent import CotangentPoint, h0
+from catspec.cotangent import CotangentPoint, h0, lifted_flow
 from catspec.errors import (MultiplicityMismatch, NonConvergence, UnresolvedState,
                             WeightOverflow)
-from catspec.escape import AUDIT_SAMPLES, EscapeFunction
-from catspec.model import BasePoint
+from catspec.escape import AUDIT_SAMPLES, EscapeFunction, _richardson
+from catspec.model import BasePoint, MappingTorusFlow
 from oracles import (berkowitz, coherent_study_per_sector, gram, lattice_counts_meshgrid,
                      neutral_resonances, spectral_projector_rank, weyl_audit_loop,
                      weyl_oracle_dense, weyl_prefix_ok, weyl_spectra, weyl_spectra_dense)
@@ -1170,7 +1170,7 @@ def _bits(x):
     return np.float64(x).tobytes()
 
 
-def test_coherent_study_takes_one_escape_derivative_per_pm_xi_pair(flow, escape, monkeypatch):
+def test_coherent_study_flows_each_base_point_once_per_time(flow, escape, monkeypatch):
     points = hs.default_symbol_points(flow)
     qs = [CotangentPoint(BasePoint(ax[:2], ax[2]), xi[:2], xi[2]) for ax, xi in points]
     pairs = [(i, j) for i in range(len(points)) for j in range(i) if points[i][0] == points[j][0]
@@ -1180,23 +1180,39 @@ def test_coherent_study_takes_one_escape_derivative_per_pm_xi_pair(flow, escape,
         # bit for bit, signed zeros included: h0 is +-0.0 on these points
         assert _bits(escape.escape_derivative(qs[i])) == _bits(escape.escape_derivative(qs[j]))
         assert _bits(h0(flow, qs[i])) == _bits(-h0(flow, qs[j])) != _bits(h0(flow, qs[j]))
-    taken = []
-    derivative = EscapeFunction.escape_derivative
+    taken, flows = [], []
+    derivatives, flow_time = EscapeFunction.escape_derivatives, MappingTorusFlow.flow_time
 
-    def counted(self, q):
-        taken.append(q)
-        return derivative(self, q)
+    def recorded(self, qs):
+        qs = list(qs)
+        taken.extend(zip(qs, derivatives(self, qs)))
+        return [xg for _, xg in taken[-len(qs):]]
 
-    monkeypatch.setattr(EscapeFunction, "escape_derivative", counted)
+    def counted(self, p, t):
+        flows.append((p, t))
+        return flow_time(self, p, t)
+
+    monkeypatch.setattr(EscapeFunction, "escape_derivatives", recorded)
+    monkeypatch.setattr(MappingTorusFlow, "flow_time", counted)
     _fixed_j_max(monkeypatch, 3)
     hs.coherent_symbol_study(escape, points, [0.14], _DEFAULT.truncation)
-    assert len(taken) == 6
+    # all points share x0, so the base flow runs once per Richardson time
+    assert len(flows) == 4
+    # one X(G) per +-xi pair (points 8 and 9 have no partner), each bit for
+    # bit the Richardson difference of one-point escapes along the point's
+    # own lifted flow
+    partner = dict(pairs) | {j: i for i, j in pairs}
+    got = [q for q, _ in taken]
+    assert len(got) == 6 and all(q in got or qs[partner[i]] in got for i, q in enumerate(qs))
+    for q, xg in list(taken):
+        own = float(_richardson(lambda t: escape.escape(lifted_flow(flow, q.base, t)(q))))
+        assert _bits(xg) == _bits(own) == _bits(escape.escape_derivative(q))
     # negative control: point 2, the pair of point 0, moved off tau0
-    taken.clear()
+    flows.clear()
     i, j = pairs[0]
     moved = points[:i] + [((0.5, 0.5, 0.6), points[i][1])] + points[i + 1:]
     hs.coherent_symbol_study(escape, moved, [0.14], _DEFAULT.truncation)
-    assert (i, j) == (2, 0) and len(taken) == 7
+    assert (i, j) == (2, 0) and len(flows) == 8
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,21 @@ def test_orbit_walk_equals_the_per_point_enumeration(cat, flow):
         assert all(type(k) is int for s in sectors for f in s.freqs for k in f)
 
 
+def test_restricted_orbits_equal_the_walk(flow):
+    # the coherent study walks once, at its largest cutoff (35 at the
+    # default's smallest h), and reads each smaller cutoff's sectors off
+    # that list: order, k0, cells and kept positions as the walk gives them
+    big = op.enumerate_orbits(flow.cat, 35, 2)
+    for k_max in (7, 8, 13, 20, 35):
+        want = op.enumerate_orbits(flow.cat, k_max, 2)
+        assert op.restrict_orbits(flow.cat, big, k_max, 2) == want, k_max
+        # negative control: the sectors of the smaller ball with the walks
+        # kept at the larger cutoff
+        if k_max < 35:
+            in_ball = [s for s in big if s.k0[0] ** 2 + s.k0[1] ** 2 <= k_max ** 2]
+            assert [s.k0 for s in in_ball] == [s.k0 for s in want] and in_ball != want
+
+
 # ---------------------------------------------------------------------------
 # generator blocks
 # ---------------------------------------------------------------------------
@@ -626,12 +641,10 @@ def _project_per_call(profile, flow, block):
         js = block.basis[:, 1]
         tau_int = (np.exp(-2j * np.pi * np.outer(js, profile.taus))
                    @ profile.g_tau) * profile.grid.dtau
-        x_int = op._gaussian_x_integral(np.zeros((1, 2)), profile.ax[:2],
-                                        profile.xi[:2], profile.h, profile.gamma)[0]
+        x_int = op.torus_overlaps([profile], np.zeros((1, 2)))[0, 0]
         return x_int * tau_int
     freqs = np.asarray(block.sector.freqs, dtype=float)
-    x_int = op._gaussian_x_integral(freqs, profile.ax[:2], profile.xi[:2],
-                                    profile.h, profile.gamma)
+    x_int = op.torus_overlaps([profile], freqs)[0]
     j_max = block.basis[:, 1].max()
     js = np.arange(-j_max, j_max + 1)
     phi = flow.time_change.rectified(profile.taus)
@@ -639,6 +652,33 @@ def _project_per_call(profile, flow, block):
     tau_int = ((phases @ (profile.g_tau / profile.grid.c_vals)) * profile.grid.dtau
                / np.sqrt(flow.period))
     return (x_int[:, None] * tau_int[None, :]).ravel()
+
+
+@pytest.mark.parametrize("h", [0.14, 0.1, 0.0125])
+def test_packets_share_tau_factors_bit_for_bit(flow, defaults, h, monkeypatch):
+    # the ten symbol points on one grid share five tau factors (tau_key);
+    # ref_norm2, the neutral projection and the orbit tau integrals equal
+    # those of ten independent profiles, a grid each, bit for bit
+    points = hs.default_symbol_points(flow)
+    neutral = op.build_generator(flow, op.NeutralSector(),
+                                 replace(defaults.truncation, k_max=3, j_max=12))
+    phases = op.TauGrid(flow).phase_table(12)
+
+    def factors(grid):
+        profiles = [op.PacketProfile(grid(), ax, xi, h) for ax, xi in points]
+        return [(np.float64(p.ref_norm2).tobytes(), p.project(flow, neutral).tobytes(),
+                 p.orbit_tau_integrals(phases).tobytes()) for p in profiles]
+
+    alone = factors(lambda: op.TauGrid(flow))
+    shared = op.TauGrid(flow)
+    assert factors(lambda: shared) == alone and len(shared.packets) == 5
+    # negative control: a key without xi_3 merges points 8 and 9, whose
+    # xi_3 are +-0.35, and point 9 then reads point 8's factor
+    monkeypatch.setattr(op.PacketProfile, "tau_key", lambda self: (self.ax[2], self.gamma, self.h))
+    merged = op.TauGrid(flow)
+    got = factors(lambda: merged)
+    assert len(merged.packets) == 4 and got[:9] == alone[:9]
+    assert got[9][0] == alone[9][0] and got[9][1] != alone[9][1] and got[9][2] != alone[9][2]
 
 
 @pytest.mark.parametrize("j_max", [0, 1, 12, 20])
@@ -755,7 +795,7 @@ def test_orbit_expectation_matches_dense_oracle(variation, flux, defaults):
         logw = np.concatenate([op.mode_log_weight(g[0], op.sector_basis(g[0], tr), escape, h)
                                for g in groups]).reshape(-1, nj)
         # the packet's factors, then random rank-one factors
-        x = np.stack([prof.torus_overlaps(cells),
+        x = np.stack([op.torus_overlaps([prof], cells)[0],
                       rng.normal(size=len(cells)) + 1j * rng.normal(size=len(cells))])
         tau = np.stack([prof.orbit_tau_integrals(prof.grid.phase_table(tr.j_max)),
                         rng.normal(size=nj) + 1j * rng.normal(size=nj)])

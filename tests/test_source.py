@@ -12,7 +12,7 @@ DEFAULTED_PARAMETERS = 9
 #: is the only copy of the default configuration
 DATACLASS_FIELD_DEFAULTS = 3
 #: lines over every module of the package; growth is a deliberate edit here
-SOURCE_LINES = 3480
+SOURCE_LINES = 3520
 
 
 def _trees():
