@@ -27,6 +27,9 @@ from .config import DEFAULT_CONFIG, RunConfig, load_config, parse_config
 from .errors import CatspecError, ConfigError
 from .escape import verify_escape_estimates
 
+#: samples of `verify-escape` written as rows of escape.csv
+ESCAPE_CSV_ROWS = 2000
+
 
 class _StderrLog(logging.Handler):
     """The package's log records on the current ``sys.stderr``.  A logged
@@ -94,8 +97,9 @@ def cmd_model_info(cfg):
 
 
 def cmd_verify_escape(cfg):
-    rep = verify_escape_estimates(hs.CampaignContext(cfg).escape,
-                                  sample_count=cfg.escape_samples, seed=cfg.seed)
+    [rep] = verify_escape_estimates(hs.CampaignContext(cfg).escape,
+                                    sample_count=cfg.escape_samples, seed=cfg.seed,
+                                    keep_rows=ESCAPE_CSV_ROWS, orders=[cfg.escape])
     path = _write(cfg, "escape.csv", _header(cfg) + rep.to_csv())
     print(f"escape estimates: c={rep.c_measured:.6g} decay bound="
           f"{rep.decay_bound:.6g} max X(G)={rep.max_everywhere:.3e} "

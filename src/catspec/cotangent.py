@@ -38,19 +38,14 @@ def h0(flow: MappingTorusFlow, q: CotangentPoint) -> float:
 
 
 def horizontal_components(flow: MappingTorusFlow, xi_x):
-    """Coefficients (a, b) of xi_x in the (unstable, stable) coframe.
-
-    A single covector gives two floats; a (..., 2) batch gives a (..., 2)
-    array, solved matrix by matrix so each row equals the single call.
+    """Coefficients (a, b) of xi_x in the (unstable, stable) coframe: a
+    (..., 2) array for a (..., 2) covector or batch, solved matrix by matrix
+    so each row equals the call on that row alone.
     """
     cu, cs = flow.cat.coframe_u, flow.cat.coframe_s
     m = np.array([[cu[0], cs[0]], [cu[1], cs[1]]])
     xi = np.asarray(xi_x, dtype=float)
-    ab = np.linalg.solve(np.broadcast_to(m, xi.shape[:-1] + (2, 2)),
-                         xi[..., None])[..., 0]
-    if xi.ndim == 1:
-        return float(ab[0]), float(ab[1])
-    return ab
+    return np.linalg.solve(np.broadcast_to(m, xi.shape[:-1] + (2, 2)), xi[..., None])[..., 0]
 
 
 def adapted_components(flow: MappingTorusFlow, q: CotangentPoint):

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cotangent
-from .cotangent import CotangentPoint
 from .errors import WeightOverflow
 from .model import MappingTorusFlow
 
@@ -61,14 +60,6 @@ def _richardson(g_at):
         return (g_at(h) - g_at(-h)) / (2.0 * h)
 
     return (4.0 * diff(DERIVATIVE_STEP / 2.0) - diff(DERIVATIVE_STEP)) / 3.0
-
-
-def _first_set(values, orders):
-    """``values`` stacked per set of ``orders``; for None the first set's,
-    a float for one point."""
-    if orders is None:
-        values = values[0] if values[0].shape else float(values[0])
-    return values
 
 
 def composite_gauss_legendre(t_avg, panels, nodes_per_panel):
@@ -111,7 +102,7 @@ class EscapeFunction:
 
     Values depend on phase-space points only through the equivariant frame
     components, so batch evaluation works directly on arrays of those
-    triples; CotangentPoint wrappers are provided for single points.  The
+    triples; only `escape_derivatives` takes CotangentPoints.  The
     construction is even in the covector, so the order is symmetric.
     """
 
@@ -142,11 +133,9 @@ class EscapeFunction:
         self._huge = np.finfo(float).max / (4.0 * reach)
 
     def _orders(self, orders):
-        """The parameter sets to evaluate, ``[self.params]`` for None.  The
-        profiles do not depend on the exponents, so one pass serves every set
-        with this evaluator's ``t_avg``, ``aperture`` and ``radius``."""
-        if orders is None:
-            return [self.params]
+        """The parameter sets to evaluate, a list.  The profiles do not depend
+        on the exponents, so one pass serves every set with this evaluator's
+        ``t_avg``, ``aperture`` and ``radius``."""
         p = self.params
         for q in orders:
             if (q.t_avg, q.aperture, q.radius) != (p.t_avg, p.aperture, p.radius):
@@ -428,13 +417,12 @@ class EscapeFunction:
         # quotient of G gives, not -0.0
         return m, g, dm * (0.5 * np.log1p(f * f)) + m * (f * df / (1.0 + f * f)) + 0.0
 
-    def escape_value(self, adapted, orders=None):
-        """G = m * log sqrt(1 + f^2); for a list of ``orders`` (see
-        :meth:`_orders`), G of each set stacked, from one profile pass."""
-        return _first_set(self._order_and_escape(adapted, self._orders(orders), False,
-                                                 self._one_pass)[1], orders)
+    def escape_value(self, adapted, orders):
+        """G = m * log sqrt(1 + f^2) of each set in ``orders`` (see
+        :meth:`_orders`), one row per set, from one profile pass."""
+        return self._order_and_escape(adapted, self._orders(orders), False, self._one_pass)[1]
 
-    def escape_derivative_adapted(self, adapted, orders=None):
+    def escape_derivative_adapted(self, adapted, orders):
         """X(G): the flow derivative of G along the closed-form covector
         flow, exact for the implemented G.
 
@@ -445,25 +433,22 @@ class EscapeFunction:
         dt = 2 theta (a^2 - b^2) e^2 / |xi|^4`` and ``G = m * log sqrt(1 +
         f^2)``.  Exact transport of the equivariant components makes this a
         derivative along the lifted flow itself.  ``orders`` as in
-        :meth:`escape_value`: one profile pass serves all sets.
+        :meth:`escape_value`: one row per set, one profile pass for all.
         """
-        return _first_set(self._order_and_escape(adapted, self._orders(orders), True,
-                                                 self._one_pass)[2], orders)
-
-    # -- CotangentPoint wrappers -------------------------------------------
-
-    def escape(self, q: CotangentPoint) -> float:
-        return float(self.escape_value(cotangent.adapted_components(self.flow, q)))
-
-    def escape_derivative(self, q: CotangentPoint) -> float:
-        """`escape_derivatives` of the one point."""
-        return self.escape_derivatives([q])[0]
+        return self._order_and_escape(adapted, self._orders(orders), True, self._one_pass)[2]
 
     def escape_derivatives(self, qs):
-        """d/dt G(M_t q) at t = 0 for each of qs: Richardson differences of
-        one-point `escape`s along the lifted flow, once per (base point, t)."""
+        """d/dt G(M_t q) at t = 0 for each CotangentPoint of qs: Richardson
+        differences of one-point `escape_value` calls along the lifted flow,
+        once per (base point, t)."""
         lift = functools.cache(lambda base, t: cotangent.lifted_flow(self.flow, base, t))
-        return [float(_richardson(lambda t: self.escape(lift(q.base, t)(q)))) for q in qs]
+
+        def g_at(q, t):
+            q1 = lift(q.base, t)(q)
+            return float(self.escape_value(cotangent.adapted_components(self.flow, q1),
+                                           [self.params])[0])
+
+        return [float(_richardson(lambda t: g_at(q, t))) for q in qs]
 
     def cone_label(self, adapted):
         """'0' / 'u' / 's' inside the respective aperture cones, else 'mix'."""
@@ -495,8 +480,7 @@ class EscapeReport:
         return buf.getvalue()
 
 
-def verify_escape_estimates(escape: EscapeFunction, sample_count, seed,
-                            keep_rows=2000, orders=None):
+def verify_escape_estimates(escape: EscapeFunction, sample_count, seed, keep_rows, orders):
     """Sample the decay estimates over |xi| in [R, RADIUS_SPAN * R].
 
     Checks (a) strict uniform decay outside the neutral cone and (b) global
@@ -505,10 +489,10 @@ def verify_escape_estimates(escape: EscapeFunction, sample_count, seed,
     ``violations``; so is each of the first AUDIT_SAMPLES samples whose
     exact X(G) differs from a Richardson difference of
     :meth:`EscapeFunction.escape_value` along the flow.  The caller decides
-    the verdict.  For a list of ``orders`` (see
-    :meth:`EscapeFunction._orders`), one report per set, all from the same
-    samples and profile passes (one over all samples, four over the audited
-    ones, plus one for kept rows).
+    the verdict.  One report per set of ``orders`` (see
+    :meth:`EscapeFunction._orders`), all from the same samples and profile
+    passes (one over all samples, four over the audited ones, plus one for
+    the first ``keep_rows``, the reports' CSV rows).
     """
     sets = escape._orders(orders)
     rng = np.random.default_rng(seed)
@@ -517,7 +501,7 @@ def verify_escape_estimates(escape: EscapeFunction, sample_count, seed,
     radii = escape.params.radius * RADIUS_SPAN ** rng.random(sample_count)
     adapted = nu * radii[:, None]
 
-    xgs = escape.escape_derivative_adapted(adapted, orders=sets)
+    xgs = escape.escape_derivative_adapted(adapted, sets)
     labels = escape.cone_label(adapted)
     outside = labels != "0"
     # X(G) is the derivative of the G that escape_value gives
@@ -535,4 +519,4 @@ def verify_escape_estimates(escape: EscapeFunction, sample_count, seed,
             c_measured=decay_bound / min(abs(p.u), p.s), decay_bound=decay_bound,
             max_everywhere=float(np.max(xg)), violations=int(np.count_nonzero(bad)),
             rows=list(zip(*kept.T, m, g, xg, labels))))
-    return reports if orders is not None else reports[0]
+    return reports

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -37,7 +37,7 @@ class ResonanceEntry:
 @dataclass
 class ResonanceSet:
     entries: list
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
     def values(self):
         return np.array([e.value for e in self.entries])
@@ -388,13 +388,13 @@ WEYL_DPS = 40
 WEYL_FILTER_DPS = 8
 
 
-def weyl_audit(p: np.ndarray, z_e, eigenvalues=None) -> WeylAudit:
+def weyl_audit(p: np.ndarray, z_e) -> WeylAudit:
     """Prefix products of singular values against eigenvalue distances.
 
     Checks prod_{j<=N} s_j <= prod_{j<=N} |lambda_j - z_e| for every N in
     log space (relative slack WEYL_REL_SLACK), on a copy of p.
     """
-    return _audit_in_place(np.array(p, dtype=complex), z_e, eigenvalues)
+    return _audit_in_place(np.array(p, dtype=complex), z_e, None)
 
 
 def _audit_in_place(a, z_e, eigenvalues) -> WeylAudit:
@@ -899,8 +899,8 @@ def _check_garding(ctx):
     for k in (k0, k0 + 2, k0 + 4):
         tr = replace(cfg.truncation, k_max=k)
         sector = ctx.orbits(k, tr.p_max)[0]
-        hp = cfg.h * op.apply_weight(op.build_generator(flow, sector, tr),
-                                     ctx.escape, cfg.h)
+        hp = op.apply_weight(op.build_generator(flow, sector, tr), ctx.escape, cfg.h)
+        hp *= cfg.h
         sweep[k] = op.garding_upper_check(hp, trials=200, seed=cfg.seed)
     return max(sweep.values()) <= 1.0, {"sweep": {str(k): v for k, v in sweep.items()}}
 

@@ -24,6 +24,8 @@ _TAU_GRID = 4096
 #: short of whole return times some orbits have not crossed their last seam,
 #: so c_hyp also bounds the slowest contraction between the sampled times
 HYPERBOLICITY_TIMES = (0.49, 0.98, 1.96, 2.94, 4.9)
+#: sampled base points of that fit
+HYPERBOLICITY_POINTS = 40
 
 
 class TimeChange:
@@ -202,9 +204,10 @@ class MappingTorusFlow:
 
     # -- measured hyperbolicity ------------------------------------------
 
-    def measure_hyperbolicity(self, n_points=40, seed=0):
-        """Fit |D phi_t e_s| ~ c_hyp * exp(-theta t) over sampled orbits,
-        at the times HYPERBOLICITY_TIMES times the return time.
+    def measure_hyperbolicity(self, seed):
+        """Fit |D phi_t e_s| ~ c_hyp * exp(-theta t) over the orbits of
+        HYPERBOLICITY_POINTS sampled base points, at the times
+        HYPERBOLICITY_TIMES times the return time.
 
         Returns (c_hyp, theta_fit).  The fitted rate should match
         log(lambda_u)/period.
@@ -212,7 +215,7 @@ class MappingTorusFlow:
         rng = np.random.default_rng(seed)
         e_s3 = np.array([self.cat.e_s[0], self.cat.e_s[1], 0.0])
         ts, logs = [], []
-        for _ in range(n_points):
+        for _ in range(HYPERBOLICITY_POINTS):
             p = BasePoint((rng.random(), rng.random()), rng.random())
             for t in HYPERBOLICITY_TIMES:
                 g = np.linalg.norm(self.differential(p, t * self.period) @ e_s3)

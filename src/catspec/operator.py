@@ -46,8 +46,8 @@ from .model import MappingTorusFlow
 class NeutralSector:
     """The k = 0 frequency sector: one cell, at frequency (0, 0)."""
 
-    key: str = "neutral"
-    freqs: tuple = ((0, 0),)
+    key = "neutral"
+    freqs = ((0, 0),)
 
 
 @dataclass(frozen=True)

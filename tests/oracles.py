@@ -364,7 +364,7 @@ def coherent_study_per_sector(flow: MappingTorusFlow, params, points, h_list, tr
     preds = []
     for ax, xi in points:
         q = CotangentPoint(BasePoint((ax[0], ax[1]), ax[2]), (xi[0], xi[1]), xi[2])
-        preds.append(h0(flow, q) + 1j * escape.escape_derivative(q))
+        preds.append(h0(flow, q) + 1j * escape.escape_derivatives([q])[0])
 
     errors = [dict() for _ in points]
     for h in h_list:
@@ -459,7 +459,7 @@ def log_weights_every_mode(escape: EscapeFunction, h, run):
     """``operator._run_log_weights`` without the +-j mirror: one
     escape_value call on every mode of the run's (sector, basis) pairs,
     split per sector."""
-    logw = np.asarray(escape.escape_value(_mode_adapted(escape.flow, h, run)), dtype=float)
+    logw = escape.escape_value(_mode_adapted(escape.flow, h, run), [escape.params])[0]
     return np.split(logw, np.cumsum([len(basis) for _, basis in run])[:-1])
 
 
@@ -470,7 +470,7 @@ def log_weights_one_pass(escape: EscapeFunction, h, run):
     js = np.concatenate([basis[:, 1] for _, basis in run])
     mirror = np.arange(len(js)) - 2 * np.minimum(js, 0)
     halves = [(sector, basis[basis[:, 1] >= 0]) for sector, basis in run]
-    half = np.asarray(escape.escape_value(_mode_adapted(escape.flow, h, halves)), dtype=float)
+    half = escape.escape_value(_mode_adapted(escape.flow, h, halves), [escape.params])[0]
     logw = half[(np.cumsum(js >= 0) - 1)[mirror]]
     return np.split(logw, np.cumsum([len(basis) for _, basis in run])[:-1])
 

@@ -6,14 +6,14 @@ a benchmark run.  The traced run happens in a subprocess because the
 tracer replaces module attributes for the rest of the process.
 """
 
-import inspect
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import catspec
-from catspec.escape import AUDIT_SAMPLES, verify_escape_estimates
+from catspec.cli import ESCAPE_CSV_ROWS
+from catspec.escape import AUDIT_SAMPLES
 
 SRC = Path(catspec.__file__).resolve().parents[1]
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -56,7 +56,8 @@ from catspec.escape import EscapeFunction, verify_escape_estimates
 
 cfg = parse_config("")
 escape = EscapeFunction(cfg.flow(), cfg.escape)
-verify_escape_estimates(escape, sample_count={samples}, seed=0)
+verify_escape_estimates(escape, sample_count={samples}, seed=0, keep_rows={keep_rows},
+                        orders=[cfg.escape])
 print(json.dumps(tracer.metrics()))
 """
 
@@ -107,9 +108,9 @@ def test_tracer_counts_escape_points():
     # the hooks read the batch as the second positional argument of
     # escape_value and escape_derivative_adapted
     samples = 600
-    keep_rows = inspect.signature(verify_escape_estimates).parameters["keep_rows"].default
+    keep_rows = ESCAPE_CSV_ROWS
     m = _traced(ESCAPE_SCRIPT.format(src=str(SRC), perfbench=str(PERFBENCH),
-                                     samples=samples))
+                                     samples=samples, keep_rows=keep_rows))
     assert m["escape.EscapeFunction.calls"] == 1
     assert m["escape.escape_derivative_adapted.points"] == samples
     # escape_value serves only the audit's four shifted passes; the kept CSV

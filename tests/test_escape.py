@@ -81,9 +81,9 @@ def test_escape_value_is_even_in_e(escape):
     d[::7, 2] = 0.0
     d *= 10.0 ** rng.uniform(-150.0, 150.0, size=(600, 1))
     d[-4:] = [[0.0, 0.0, 1e-300], [1e150, 0.0, -1e150], [0.0, 3.0, 0.0], [2.0, -1.0, 1e-200]]
-    g = escape.escape_value(d)
+    g = escape.escape_value(d, [escape.params])
     assert np.all(np.isfinite(g)) and np.count_nonzero(g)
-    assert np.array_equal(escape.escape_value(d * [1.0, 1.0, -1.0]), g)
+    assert np.array_equal(escape.escape_value(d * [1.0, 1.0, -1.0], [escape.params]), g)
 
 
 def test_order_values_in_designated_cones(escape):
@@ -133,39 +133,40 @@ def test_interpolant_cases(flow, escape):
 
 def test_escape_value_formula(escape):
     p = escape.params
-    assert escape.escape_value(adapted_point(0.4, [1, 1, 1])) == 0.0
-    val = escape.escape_value(adapted_point(np.e, [0, 1, 0]))
+    assert escape.escape_value(adapted_point(0.4, [1, 1, 1]), [p])[0] == 0.0
+    val = escape.escape_value(adapted_point(np.e, [0, 1, 0]), [p])[0]
     assert val == pytest.approx(p.s * np.log(np.sqrt(1 + np.e ** 2)), abs=1e-4)
     # matches order * log sqrt(1 + f^2) exactly as evaluated
     pt = adapted_point(12.0, [0.3, 0.5, 0.4])
     m = order_value(escape, pt)
     f = escape.radial_interpolant(pt)
-    assert escape.escape_value(pt) == pytest.approx(m * np.log(np.sqrt(1 + f * f)),
-                                                    abs=1e-13)
+    assert escape.escape_value(pt, [p])[0] == pytest.approx(m * np.log(np.sqrt(1 + f * f)),
+                                                            abs=1e-13)
 
 
 def test_escape_value_symmetric(escape):
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(200, 3)) * 20.0
-    assert np.max(np.abs(escape.escape_value(pts) - escape.escape_value(-pts))) < 1e-12
+    sets = [escape.params]
+    assert np.max(np.abs(escape.escape_value(pts, sets) - escape.escape_value(-pts, sets))) < 1e-12
 
 
 def test_escape_derivative_on_trapped_set(flow, escape):
     q = trapped_point(flow, BasePoint((0.1, 0.8), 0.0), 25.0)
-    assert abs(escape.escape_derivative(q)) < 1e-6
+    assert abs(escape.escape_derivatives([q])[0]) < 1e-6
 
 
 def test_escape_derivative_in_deep_cones(flow, escape):
     p = escape.params
     theta = flow.theta
-    deep_u = escape.escape_derivative_adapted(adapted_point(50.0, [1, 0, 0]))
-    deep_s = escape.escape_derivative_adapted(adapted_point(50.0, [0, 1, 0]))
+    [deep_u] = escape.escape_derivative_adapted(adapted_point(50.0, [1, 0, 0]), [p])
+    [deep_s] = escape.escape_derivative_adapted(adapted_point(50.0, [0, 1, 0]), [p])
     assert deep_u < -0.5 * abs(p.u) * theta
     assert deep_s < -0.5 * p.s * theta
     # and the two agree with the cotangent-flow finite difference route
     base = BasePoint((0.6, 0.1), 0.0)
     q = from_adapted(flow, base, adapted_point(50.0, [1, 0, 0]))
-    assert escape.escape_derivative(q) == pytest.approx(float(deep_u), abs=1e-7)
+    assert escape.escape_derivatives([q])[0] == pytest.approx(float(deep_u), abs=1e-7)
 
 
 def test_profile_flow_derivative_nonpositive(escape):
@@ -205,22 +206,25 @@ def _derivative_points(escape):
 
 
 def _finite_difference_error(escape, pts):
-    fd = _richardson(lambda t: escape.escape_value(escape.covector_flow(pts, t)))
-    return np.max(np.abs(escape.escape_derivative_adapted(pts) - fd))
+    sets = [escape.params]
+    fd = _richardson(lambda t: escape.escape_value(escape.covector_flow(pts, t), sets)[0])
+    return np.max(np.abs(escape.escape_derivative_adapted(pts, sets)[0] - fd))
 
 
 def test_escape_derivative_matches_every_node_oracle(escape):
     pts = _derivative_points(escape)
     assert set(escape.cone_label(pts)) == {"0", "u", "s", "mix"}
-    got, want = escape.escape_derivative_adapted(pts), escape_derivative_one_shot(escape, pts)
+    sets = [escape.params]
+    [got] = escape.escape_derivative_adapted(pts, sets)
+    want = escape_derivative_one_shot(escape, pts)
     assert np.all(np.isfinite(want)) and np.count_nonzero(want) > len(pts) // 2
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
-    # one point gives a float, a grid keeps its shape
-    one = escape.escape_derivative_adapted(pts[7])
-    assert isinstance(one, float) and one == pytest.approx(float(want[7]), rel=1e-12)
+    # one point gives one value per set, a grid keeps its shape
+    one = escape.escape_derivative_adapted(pts[7], sets)
+    assert one.shape == (1,) and one[0] == pytest.approx(float(want[7]), rel=1e-12)
     grid = pts[:60].reshape(3, 20, 3)
-    assert np.array_equal(escape.escape_derivative_adapted(grid),
-                          escape.escape_derivative_adapted(pts[:60]).reshape(3, 20))
+    assert np.array_equal(escape.escape_derivative_adapted(grid, sets),
+                          escape.escape_derivative_adapted(pts[:60], sets).reshape(1, 3, 20))
 
 
 def test_escape_derivative_matches_finite_differences(escape):
@@ -241,10 +245,12 @@ def test_a_defect_in_the_fraction_rates_fails_the_cross_check(escape, monkeypatc
 
     monkeypatch.setattr(EscapeFunction, "_average", defective)
     assert _finite_difference_error(escape, pts) > 1e-8
-    got, want = escape.escape_derivative_adapted(pts), escape_derivative_one_shot(escape, pts)
+    [got], want = (escape.escape_derivative_adapted(pts, [escape.params]),
+                   escape_derivative_one_shot(escape, pts))
     assert not np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
     # the escape check's own audit sees it too
-    rep = verify_escape_estimates(escape, sample_count=300, seed=2, keep_rows=0)
+    [rep] = verify_escape_estimates(escape, sample_count=300, seed=2, keep_rows=0,
+                                    orders=[escape.params])
     assert rep.violations == AUDIT_SAMPLES
 
 
@@ -261,8 +267,8 @@ def test_escape_check_fails_with_zero_bounds_when_g_vanishes(monkeypatch):
         assert out[key] == 0.0 and math.copysign(1.0, out[key]) == 1.0
     assert out["doubling_ratio"] is None
     # every sample outside the neutral cone fails X(G) < 0, no more
-    rep = verify_escape_estimates(EscapeFunction(cfg.flow(), cfg.escape), sample_count=500,
-                                  seed=cfg.seed, keep_rows=500)
+    [rep] = verify_escape_estimates(EscapeFunction(cfg.flow(), cfg.escape), sample_count=500,
+                                    seed=cfg.seed, keep_rows=500, orders=[cfg.escape])
     assert out["violations"] == rep.violations == sum(row[6] != "0" for row in rep.rows) > 0
 
 
@@ -276,7 +282,7 @@ cfg = parse_config("[campaign]\\nchecks = escape\\nescape_samples = 4099\\n")
 ctx = hs.CampaignContext(cfg)
 ok, payload = hs.CHECKS["escape"](ctx)
 pts = np.random.default_rng(3).normal(size=(4099, 3)) * 30.0
-xg = ctx.escape.escape_derivative_adapted(pts)
+[xg] = ctx.escape.escape_derivative_adapted(pts, [cfg.escape])
 print(ok, json.dumps(payload), hashlib.sha256(xg.tobytes()).hexdigest())
 """
 
@@ -309,7 +315,8 @@ def test_default_escape_check_keeps_its_finite_difference_values():
 
 
 def test_verify_escape_estimates_report(escape):
-    rep = verify_escape_estimates(escape, sample_count=2000, seed=5)
+    [rep] = verify_escape_estimates(escape, sample_count=2000, seed=5, keep_rows=2000,
+                                    orders=[escape.params])
     assert rep.violations == 0
     assert rep.c_measured > 0
     assert rep.max_everywhere <= 1e-9
@@ -327,14 +334,16 @@ def test_verify_escape_estimates_skips_the_rows_it_does_not_keep(escape, monkeyp
         return averages(self, adapted, rates)
 
     monkeypatch.setattr(EscapeFunction, "_averages", spy)
-    none = verify_escape_estimates(escape, sample_count=300, seed=2, keep_rows=0)
+    [none] = verify_escape_estimates(escape, sample_count=300, seed=2, keep_rows=0,
+                                     orders=[escape.params])
     # one pass with the profiles' flow derivatives, four shifted passes of
     # the audited samples, no empty row batch; the kept rows' m and G come
     # from one more pass
     audit = [(AUDIT_SAMPLES, False)] * 4
     assert batches == [(300, True)] + audit
     batches.clear()
-    some = verify_escape_estimates(escape, sample_count=300, seed=2, keep_rows=50)
+    [some] = verify_escape_estimates(escape, sample_count=300, seed=2, keep_rows=50,
+                                     orders=[escape.params])
     assert batches == [(300, True)] + audit + [(50, False)]
     assert none.rows == [] and none.to_csv() == "a,b,e,m,g,xg,cone\n"
     assert len(some.rows) == 50
@@ -345,20 +354,19 @@ def test_verify_escape_estimates_skips_the_rows_it_does_not_keep(escape, monkeyp
 def test_verify_escape_estimates_two_parameter_sets(flow, defaults):
     for u, s, aperture in ((-4.0, 4.0, 0.1), (-6.0, 12.0, 0.08)):
         params = dataclasses.replace(defaults.escape, u=u, s=s, aperture=aperture)
-        rep = verify_escape_estimates(EscapeFunction(flow, params),
-                                      sample_count=1500, seed=6)
+        [rep] = verify_escape_estimates(EscapeFunction(flow, params), sample_count=1500,
+                                        seed=6, keep_rows=2000, orders=[params])
         assert rep.violations == 0 and rep.c_measured > 0
 
 
-def _increasing_everywhere(self, a, orders=None):
-    shape = np.shape(a)[:-1]
-    return np.ones(shape if orders is None else (len(orders),) + shape)
+def _increasing_everywhere(self, a, orders):
+    return np.ones((len(orders),) + np.shape(a)[:-1])
 
 
 _true_derivative = EscapeFunction.escape_derivative_adapted
 
 
-def _increasing_on_neutral_cone(self, a, orders=None):
+def _increasing_on_neutral_cone(self, a, orders):
     # correct outside the neutral cone, so only the violation count can fail
     return np.where(self.cone_label(a) == "0", 1.0, _true_derivative(self, a, orders))
 
@@ -367,7 +375,8 @@ def test_verify_escape_estimates_detects_violations(flow, escape, monkeypatch):
     # sanity-check the violation path by corrupting the derivative
     monkeypatch.setattr(EscapeFunction, "escape_derivative_adapted",
                         _increasing_everywhere)
-    rep = verify_escape_estimates(escape, sample_count=100, seed=0)
+    [rep] = verify_escape_estimates(escape, sample_count=100, seed=0, keep_rows=2000,
+                                    orders=[escape.params])
     assert rep.violations > 0
 
 
@@ -395,7 +404,7 @@ def test_neutral_cone_only_nonpositivity(escape):
     nu = np.stack([np.sin(ang) * np.cos(az), np.sin(ang) * np.sin(az),
                    np.cos(ang) * np.sign(rng.normal(size=n))], axis=-1)
     r = 10.0 * 100.0 ** rng.random(n)
-    xg = escape.escape_derivative_adapted(nu * r[:, None])
+    xg = escape.escape_derivative_adapted(nu * r[:, None], [escape.params])
     assert np.max(xg) <= 1e-9
 
 
@@ -418,10 +427,11 @@ def test_sampled_points_agree_across_evaluation_routes(flow, escape):
     # closed-form equivariant-coordinate route used by the batch sweep
     for q in sample_cotangent_points(escape, 12, seed=9):
         ad = ct.adapted_components(flow, q)
-        assert escape.escape(q) == pytest.approx(float(escape.escape_value(ad)),
-                                                 abs=1e-12)
-        assert escape.escape_derivative(q) == pytest.approx(
-            float(escape.escape_derivative_adapted(ad)), abs=1e-6)
+        g_lifted = escape.escape_value(ct.adapted_components(flow, q), [escape.params])[0]
+        assert g_lifted == pytest.approx(float(escape.escape_value(ad, [escape.params])[0]),
+                                         abs=1e-12)
+        assert escape.escape_derivatives([q])[0] == pytest.approx(
+            float(escape.escape_derivative_adapted(ad, [escape.params])[0]), abs=1e-6)
 
 
 def test_quadrature_internal_consistency(escape):
@@ -580,14 +590,14 @@ def _counting_passes(monkeypatch):
 def test_orders_reports_equal_a_fresh_evaluator(flow, monkeypatch, order):
     calls = _counting_passes(monkeypatch)
     base = EscapeFunction(flow, order)
-    primary, shared = verify_escape_estimates(base, sample_count=1500, seed=4,
+    primary, shared = verify_escape_estimates(base, sample_count=1500, seed=4, keep_rows=2000,
                                               orders=[order, _doubled(order)])
     # same seed, same samples: the derivative's pass, the audit's four and
     # the kept rows' serve both sets
     assert calls == [1500] + [AUDIT_SAMPLES] * 4 + [1500]
     for report, params in ((primary, order), (shared, _doubled(order))):
-        fresh = verify_escape_estimates(EscapeFunction(flow, params),
-                                        sample_count=1500, seed=4)
+        [fresh] = verify_escape_estimates(EscapeFunction(flow, params), sample_count=1500,
+                                          seed=4, keep_rows=2000, orders=[params])
         for field in dataclasses.fields(fresh):
             assert getattr(report, field.name) == getattr(fresh, field.name), field.name
         assert report.to_csv() == fresh.to_csv()
@@ -599,14 +609,14 @@ def test_orders_reject_other_geometry(escape):
         with pytest.raises(ValueError):
             escape.escape_value(np.ones(3), orders=[p, dataclasses.replace(p, **change)])
         with pytest.raises(ValueError):
-            verify_escape_estimates(escape, sample_count=10, seed=0,
+            verify_escape_estimates(escape, sample_count=10, seed=0, keep_rows=2000,
                                     orders=[dataclasses.replace(p, **change)])
     other = dataclasses.replace(p, u=-3.0, n0=0.5, s=5.0)
     pts = np.random.default_rng(18).normal(size=(40, 3)) * 20.0
     both = escape.escape_value(pts, orders=[p, other])
     assert both.shape == (2, 40)
-    assert np.array_equal(both[0], escape.escape_value(pts))
-    assert np.array_equal(both[1], EscapeFunction(escape.flow, other).escape_value(pts))
+    assert np.array_equal(both[0], escape.escape_value(pts, [p])[0])
+    assert np.array_equal(both[1], EscapeFunction(escape.flow, other).escape_value(pts, [other])[0])
     assert escape.params is p
 
 
@@ -618,7 +628,8 @@ def test_escape_check_passes_over_the_profiles_once(monkeypatch):
     # one pass over all samples; the audit's four cover only its samples
     assert calls == [500] + [AUDIT_SAMPLES] * 4
     calls.clear()
-    verify_escape_estimates(EscapeFunction(cfg.flow(), cfg.escape), sample_count=500, seed=0)
+    verify_escape_estimates(EscapeFunction(cfg.flow(), cfg.escape), sample_count=500, seed=0,
+                            keep_rows=2000, orders=[cfg.escape])
     assert calls == [500] + [AUDIT_SAMPLES] * 4 + [500]
 
 
@@ -628,7 +639,7 @@ def test_escape_check_doubling_ratio_equals_fresh_evaluators():
     cfg = parse_config("[campaign]\nchecks = escape\nescape_samples = 1500\n")
     ok, payload = hs.CHECKS["escape"](hs.CampaignContext(cfg))
     fresh = [verify_escape_estimates(EscapeFunction(cfg.flow(), params), sample_count=1500,
-                                     seed=cfg.seed, keep_rows=0)
+                                     seed=cfg.seed, keep_rows=0, orders=[params])[0]
              for params in (cfg.escape, _doubled(cfg.escape))]
     assert payload["doubling_ratio"] == fresh[1].decay_bound / fresh[0].decay_bound
     assert ok
@@ -655,7 +666,7 @@ def test_escape_derivative_memory_stays_blocked(flow, defaults):
     pts = np.random.default_rng(13).normal(size=(20000, 3)) * 30.0
     tracemalloc.start()
     try:
-        escape.escape_derivative_adapted(pts)
+        escape.escape_derivative_adapted(pts, [escape.params])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -13,7 +13,7 @@ from catspec import charpoly
 from catspec import harness as hs
 from catspec import operator as op
 from catspec.config import parse_config, DEFAULT_CONFIG
-from catspec.cotangent import CotangentPoint, h0, lifted_flow
+from catspec.cotangent import CotangentPoint, adapted_components, h0, lifted_flow
 from catspec.errors import (MultiplicityMismatch, NonConvergence, UnresolvedState,
                             WeightOverflow)
 from catspec.escape import AUDIT_SAMPLES, EscapeFunction, _richardson
@@ -49,7 +49,7 @@ def synthetic(values, mults=None, sector="synthetic"):
     mults = mults or [1] * len(values)
     entries = [hs.ResonanceEntry(complex(v), m, 0.0, sector)
                for v, m in zip(values, mults)]
-    return hs.ResonanceSet(entries)
+    return hs.ResonanceSet(entries, {})
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +212,7 @@ def test_min_cost_matching_rejects_bad_costs():
 def test_upper_half_check_cases():
     assert hs.upper_half_check(synthetic([2 * np.pi * j for j in range(3)])) == 0.0
     assert hs.upper_half_check(synthetic([0.1j])) == pytest.approx(0.1)
-    assert hs.upper_half_check(hs.ResonanceSet([])) == float("-inf")
+    assert hs.upper_half_check(hs.ResonanceSet([], {})) == float("-inf")
 
 
 def test_intrinsic_check_same_set(base_res):
@@ -251,7 +251,7 @@ def test_intrinsic_trend_over_truncation_levels(flow):
 
 
 def test_intrinsic_check_multiplicity_mismatch(base_res):
-    other = hs.ResonanceSet(list(base_res.entries[:-1]))
+    other = hs.ResonanceSet(list(base_res.entries[:-1]), {})
     with pytest.raises(MultiplicityMismatch):
         hs.intrinsic_check(base_res, other, floor=-1e9)
 
@@ -391,8 +391,8 @@ def test_weyl_audit_normal_matrix_equality():
 
 
 def test_weyl_audit_jordan_block():
-    audit = hs.weyl_audit(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0,
-                          eigenvalues=[0.0, 0.0])
+    audit = hs._audit_in_place(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), 0.0,
+                               [0.0, 0.0])
     assert audit.verdict
 
 
@@ -624,7 +624,7 @@ def test_weyl_audit_prefix_sums_repeat_the_loop(flow, escape):
         block = op.build_generator(cfg.flow(), sector, cfg.truncation)
         cases.append((cfg.h * op.apply_weight(block, ctx.escape, cfg.h), complex(cfg.E, 1.0),
                       evs))
-    audits = [hs.weyl_audit(p, z_e, evs) for p, z_e, evs in cases]
+    audits = [hs._audit_in_place(np.array(p, dtype=complex), z_e, evs) for p, z_e, evs in cases]
     assert audits == [weyl_audit_loop(p, z_e, evs) for p, z_e, evs in cases]
     assert audits[1] == hs.WeylAudit(False, float("-inf"))
     assert all(a.verdict for a in audits[:1] + audits[2:])
@@ -640,7 +640,7 @@ def test_weyl_audit_raises_non_convergence_on_non_finite_input(bad):
     m[0, 3] = bad
     for evs in (None, np.ones(4)):
         with pytest.raises(NonConvergence):
-            hs.weyl_audit(m, 1 + 1j, evs)
+            hs._audit_in_place(m.copy(), 1 + 1j, evs)
 
 
 def test_weyl_audit_counts_reported(flow, escape):
@@ -649,7 +649,7 @@ def test_weyl_audit_counts_reported(flow, escape):
     hp = 0.05 * op.apply_weight(op.build_generator(flow, sector, tr), escape, 0.05)
     cell_vals = np.linalg.eigvals(op.orbit_cell_block(flow, tr))
     evs = np.concatenate([cell_vals] * sector.n_cells) * 0.05
-    audit = hs.weyl_audit(hp, 1 + 1j, eigenvalues=evs)
+    audit = hs._audit_in_place(hp.copy(), 1 + 1j, evs)
     assert audit.verdict
 
 
@@ -685,7 +685,7 @@ def test_sector_weyl_audit_chain_is_exact(flow, escape, orbit):
     a *= h
     audit = hs._audit_in_place(a, z_e, evs)
     assert np.array_equal(a, ref)
-    assert audit == hs.weyl_audit(hp, z_e, eigenvalues=evs)
+    assert audit == hs._audit_in_place(hp.copy(), z_e, evs)
 
 
 def _without_reversal(monkeypatch):
@@ -706,8 +706,7 @@ def test_weyl_check_matches_the_out_of_place_audits(monkeypatch):
     audits = []
     for sector, evs in _weyl_sectors(cfg):
         block = op.build_generator(cfg.flow(), sector, cfg.truncation)
-        audits.append(hs.weyl_audit(h * op.apply_weight(block, ctx.escape, h), z_e,
-                                    eigenvalues=evs))
+        audits.append(hs._audit_in_place(h * op.apply_weight(block, ctx.escape, h), z_e, evs))
     ok, payload = hs.CHECKS["weyl"](ctx)
     assert ok is all(a.verdict for a in audits) is True
     assert payload["sectors_audited"] == len(audits)
@@ -873,8 +872,8 @@ def test_weyl_check_certifies_time_reversal_pairs(monkeypatch, config):
         evs = np.concatenate([cell_vals] * rep.n_cells) * h
         rep_p, partner_p = (h * op.apply_weight(op.build_generator(flow, s, tr), ctx.escape, h)
                             for s in (rep, partner))
-        margins.append(hs.weyl_audit(rep_p, z_e, eigenvalues=evs).worst_margin)
-        assert hs.weyl_audit(partner_p, z_e, eigenvalues=evs).verdict
+        margins.append(hs._audit_in_place(rep_p.copy(), z_e, evs).worst_margin)
+        assert hs._audit_in_place(partner_p.copy(), z_e, evs).verdict
         eye = np.eye(len(rep_p))
         np.testing.assert_allclose(
             np.linalg.svd(partner_p - z_e * eye, compute_uv=False),
@@ -979,7 +978,7 @@ def test_min_singular_value_resolvent_bound():
 # ---------------------------------------------------------------------------
 
 def test_disk_box_check_cases():
-    empty = hs.ResonanceSet([])
+    empty = hs.ResonanceSet([], {})
     out = hs.disk_box_check(empty, 1.0, 1.0, 2.5, 0.05)
     assert out.ok and out.precondition_ok and out.n_in_box == 0
     # synthetic eigenvalue at E / h sits on the real axis inside the disk
@@ -1119,7 +1118,7 @@ def test_coherent_study_weighs_each_h_in_runs(flow, escape, monkeypatch):
     escape_value, profiles = EscapeFunction.escape_value, EscapeFunction._profiles
     run_log_weights, sector_log_weights = op._run_log_weights, op.sector_log_weights
 
-    def counted(self, adapted, orders=None):
+    def counted(self, adapted, orders):
         calls.append(np.size(adapted) // 3)
         return escape_value(self, adapted, orders)
 
@@ -1178,7 +1177,8 @@ def test_coherent_study_flows_each_base_point_once_per_time(flow, escape, monkey
     assert len(pairs) == 4
     for i, j in pairs:
         # bit for bit, signed zeros included: h0 is +-0.0 on these points
-        assert _bits(escape.escape_derivative(qs[i])) == _bits(escape.escape_derivative(qs[j]))
+        assert _bits(escape.escape_derivatives([qs[i]])[0]) == _bits(
+            escape.escape_derivatives([qs[j]])[0])
         assert _bits(h0(flow, qs[i])) == _bits(-h0(flow, qs[j])) != _bits(h0(flow, qs[j]))
     taken, flows = [], []
     derivatives, flow_time = EscapeFunction.escape_derivatives, MappingTorusFlow.flow_time
@@ -1205,8 +1205,9 @@ def test_coherent_study_flows_each_base_point_once_per_time(flow, escape, monkey
     got = [q for q, _ in taken]
     assert len(got) == 6 and all(q in got or qs[partner[i]] in got for i, q in enumerate(qs))
     for q, xg in list(taken):
-        own = float(_richardson(lambda t: escape.escape(lifted_flow(flow, q.base, t)(q))))
-        assert _bits(xg) == _bits(own) == _bits(escape.escape_derivative(q))
+        own = float(_richardson(lambda t: escape.escape_value(
+            adapted_components(flow, lifted_flow(flow, q.base, t)(q)), [escape.params])[0]))
+        assert _bits(xg) == _bits(own) == _bits(escape.escape_derivatives([q])[0])
     # negative control: point 2, the pair of point 0, moved off tau0
     flows.clear()
     i, j = pairs[0]

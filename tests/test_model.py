@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
+from catspec import model
 from catspec.errors import CatspecError, NonConvergence
 from catspec.model import BasePoint, CatMap, MappingTorusFlow, TimeChange
 from oracles import (DegenerateSeed, anosov_one_form, anosov_splitting, coords, flow_map,
@@ -147,8 +148,9 @@ def test_differential_contracts_stable_direction(flow_const):
                                                   abs=1e-12)
 
 
-def test_hyperbolicity_rate_matches_model(flow):
-    c_hyp, theta_fit = flow.measure_hyperbolicity(n_points=100, seed=1)
+def test_hyperbolicity_rate_matches_model(flow, monkeypatch):
+    monkeypatch.setattr(model, "HYPERBOLICITY_POINTS", 100)
+    c_hyp, theta_fit = flow.measure_hyperbolicity(seed=1)
     target = np.log(flow.cat.lambda_u) / flow.period
     assert abs(theta_fit - target) / target < 0.05
     assert c_hyp > 0

@@ -257,7 +257,7 @@ def test_horizontal_components_batch_equals_scalar_calls(flow):
                         for row in xi])
     assert np.array_equal(batch, stacked)
     single = cotangent.horizontal_components(flow, xi[0, 0])
-    assert isinstance(single, tuple) and all(type(v) is float for v in single)
+    assert single.shape == (2,) and np.array_equal(single, batch[0, 0])
 
 
 # ---------------------------------------------------------------------------

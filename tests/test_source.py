@@ -7,12 +7,12 @@ import catspec
 
 #: defaulted parameters over every function of the package; new options go
 #: in the config, not in signatures
-DEFAULTED_PARAMETERS = 9
+DEFAULTED_PARAMETERS = 2
 #: field defaults over every dataclass of the package; config.DEFAULT_CONFIG
 #: is the only copy of the default configuration
-DATACLASS_FIELD_DEFAULTS = 3
+DATACLASS_FIELD_DEFAULTS = 0
 #: lines over every module of the package; growth is a deliberate edit here
-SOURCE_LINES = 3520
+SOURCE_LINES = 3506
 
 
 def _trees():
