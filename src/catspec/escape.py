@@ -91,8 +91,10 @@ class OrderParams:
             raise ValueError("need u < 0 < s for a nontrivial escape rate")
         if self.t_avg <= 0.0:
             raise ValueError("averaging time must be positive")
-        if not (0.0 < self.aperture < np.pi / 4.0):
-            raise ValueError("aperture must lie in (0, pi/4)")
+        # the profile windows and the radial blend divide by sin(aperture)^2
+        if not (0.0 < self.aperture < np.pi / 4.0
+                and np.sin(self.aperture) ** 2 >= np.finfo(float).tiny):
+            raise ValueError("aperture must lie in (0, pi/4), with sin(aperture)^2 a normal float")
         if self.radius <= 1.0:
             raise ValueError("sampling radius must exceed the cutoff scale 1")
 
@@ -175,14 +177,16 @@ class EscapeFunction:
         return (tuple(smoothstep(v) for v in x)
                 + tuple(smoothstep_slope(v) / (1.0 - 2.0 * eps) * dm for v, dm in zip(x, raw[2:])))
 
-    #: rows per gemv of _averages, a multiple of 4 (see there); with a
-    #: 3-row tail a block over all nodes (35 x 384 x 8 B = 105 KB) stays
-    #: below glibc's 128 KB mmap threshold, and so do the work arrays of
-    #: _average, so they are reused from the heap instead of mapped and
-    #: page-faulted afresh on every call
-    BLOCK_ROWS = 32
-    #: rows whose windows are computed and sorted together
-    SORT_ROWS = 2048
+    #: rows per gemv of _averages, a multiple of 4 (see there).  A block
+    #: with the 3-row tail over all nodes, and so each work array of
+    #: _average, holds 67 x 384 x 8 B = 206 KB, past glibc's initial 128 KB
+    #: mmap threshold.  OpenBLAS still runs each such gemv on one thread:
+    #: it splits none below about 460,800 entries (0.3.31: 1,199 rows of
+    #: 384 nodes stay whole, 1,201 do not)
+    BLOCK_ROWS = 64
+    #: rows whose windows are computed at once, which bounds the windows'
+    #: temporaries; a pass keeps only the four window bounds of each row
+    WINDOW_ROWS = 2048
     #: rows are sorted by their m1 window start in bands of this many
     #: nodes, and by their m2 window start within a band
     SORT_BAND = 16
@@ -202,81 +206,71 @@ class EscapeFunction:
         ``n mod 4`` end the last block in their order (one row: numpy's dot)."""
         d = np.asarray(adapted, dtype=float)
         batch = d.reshape(-1, 3)
-        n = len(batch)
-        body = n - n % 4
-        out = [np.empty(n) for _ in range(4 if rates else 2)]
-        for c0 in range(0, max(body, 1), self.SORT_ROWS):
-            c1 = c0 + self.SORT_ROWS if c0 + self.SORT_ROWS < body else n
-            self._average(batch[c0:c1] ** 2, [o[c0:c1] for o in out])
+        out = [np.empty(len(batch)) for _ in range(4 if rates else 2)]
+        if len(batch):
+            self._average(batch, out)
         return tuple(o.reshape(d.shape[:-1]) for o in out)
 
-    def _windows(self, sq):
-        """Nodes ``[start, stop)`` outside which the bumps of m1 (row 0)
-        and m2 (row 1) are exactly 0 (before) or 1 (after).
+    def _windows(self, batch):
+        """Nodes ``[start, stop)`` outside which the bumps of m1 and m2 are
+        exactly 0 (before) or 1 (after), as four rows of node indices: the
+        starts of m1 and m2, then their stops.
 
         The fraction ``a^2 g^2 / (a^2 g^2 + e^2 g + b^2)`` equals ``c`` at
         the positive root of ``(1 - c) a^2 g^2 - c e^2 g - c b^2``; the
         fraction of ``b^2`` at ``g`` is that of ``a^2`` at ``1 / g`` with
         ``a`` and ``b`` swapped.  The roots for ``c = lo`` and ``1 - lo``
         are taken in ``log g`` from the squares divided by the row
-        maximum, so nothing overflows, and widened by WINDOW_MARGIN nodes.
-        A root that is 0/0 (a row on an axis) or a row whose largest square
-        could overflow or lose bits to underflow at some node opens the
-        window to every node.
+        maximum, so nothing overflows, and widened by WINDOW_MARGIN nodes;
+        each root takes its complement ``1 - c`` as given, since ``1 - (1 -
+        lo)`` is 0.0 for a tiny ``lo``.  A root that is 0/0 (a row on an
+        axis) or a row whose largest square could overflow or lose bits to
+        underflow at some node opens the window to every node.  The rows
+        are taken WINDOW_ROWS at a time.
         """
-        n_nodes = len(self._nodes)
         lo = self._cone2
-        top = np.maximum(np.maximum(sq[:, 0], sq[:, 1]), sq[:, 2])
-        with np.errstate(all="ignore"):
-            a, b, e = (sq / top[:, None]).T
-            log_a, log_b = np.log(a), np.log(b)
-            disc = 4.0 * lo * (1.0 - lo) * a * b
-            low, high = (np.log(c * e + np.sqrt((c * e) ** 2 + disc)) - math.log(2.0 * (1.0 - c))
-                         for c in (lo, 1.0 - lo))
-            # starts of m1 and m2, then their stops
-            ends = np.stack([log_b - high, low - log_a, log_b - low, high - log_a])
-        ends[:, ~((top > self._tiny) & (top < self._huge))] = np.nan
-        # a NaN edge opens the window to every node
-        np.fmax(ends[:2], -np.inf, out=ends[:2])
-        np.fmin(ends[2:], np.inf, out=ends[2:])
-        nodes = np.searchsorted(self._log_ga, ends)
-        start, stop = nodes[:2], nodes[2:]
+        windows = np.empty((4, len(batch)), dtype=np.intp)
+        for r0 in range(0, len(batch), self.WINDOW_ROWS):
+            sq = batch[r0:r0 + self.WINDOW_ROWS] ** 2
+            top = np.maximum(np.maximum(sq[:, 0], sq[:, 1]), sq[:, 2])
+            with np.errstate(all="ignore"):
+                a, b, e = (sq / top[:, None]).T
+                log_a, log_b = np.log(a), np.log(b)
+                disc = 4.0 * lo * (1.0 - lo) * a * b
+                low, high = (np.log(c * e + np.sqrt((c * e) ** 2 + disc)) - math.log(2.0 * rest)
+                             for c, rest in ((lo, 1.0 - lo), (1.0 - lo, lo)))
+                # starts of m1 and m2, then their stops
+                ends = np.stack([log_b - high, low - log_a, log_b - low, high - log_a])
+            ends[:, ~((top > self._tiny) & (top < self._huge))] = np.nan
+            # a NaN edge opens the window to every node
+            np.fmax(ends[:2], -np.inf, out=ends[:2])
+            np.fmin(ends[2:], np.inf, out=ends[2:])
+            windows[:, r0:r0 + len(sq)] = np.searchsorted(self._log_ga, ends)
+        start, stop = windows[:2], windows[2:]
         start -= self.WINDOW_MARGIN
         stop += self.WINDOW_MARGIN
         np.maximum(start, 0, out=start)
-        np.minimum(stop, n_nodes, out=stop)
-        return start, stop
+        np.minimum(stop, len(self._nodes), out=stop)
+        return windows
 
-    def _average(self, sq, m):
-        """Write the raw profiles of the rows ``sq`` of squared components
-        into ``m[0]`` and ``m[1]`` (see :meth:`_averages`) and, when
-        ``m`` holds four arrays, their flow derivatives into ``m[2]`` and
-        ``m[3]``.
-
-        With ``A = a^2 g``, ``B = b^2 / g`` and ``T = A + B + e^2`` the
-        fractions move as ``d(A/T)/dt = 2 theta (A/T) (2B + e^2) / T`` and
-        ``d(B/T)/dt = -2 theta (B/T) (2A + e^2) / T``; each node's bump
-        moves as that times ``smoothstep_slope`` of its argument over the
-        ramp's span.  The slope is exactly 0 outside the windows, so each
-        derivative is reduced over the window alone, one block at a time.
-        """
-        n = len(sq)
-        if not n:
-            return
+    def _plan(self, windows):
+        """The row order, block bounds and runs of :meth:`_average` for rows
+        with these :meth:`_windows`.  The first ``n - n mod 4`` rows are
+        sorted (see SORT_BAND) and cut into blocks of BLOCK_ROWS, the last
+        with the tail; blocks join a run, ``[first block, last block + 1,
+        m1 start, m2 start, m1 stop, m2 stop]``, while its rows times the
+        union of their windows fit one block over all nodes."""
         n_nodes = len(self._nodes)
+        n = windows.shape[1]
         body = n - n % 4
-        start, stop = self._windows(sq)
         order = np.arange(n)
         if body > self.BLOCK_ROWS:
-            key = start[0] // self.SORT_BAND * n_nodes + start[1]
-            order[:body] = np.argsort(key[:body], kind="stable")
-        # blocks of BLOCK_ROWS sorted rows, the last one with the tail
+            start = windows[:2, :body]
+            order[:body] = np.argsort(start[0] // self.SORT_BAND * n_nodes + start[1],
+                                      kind="stable")
         bounds = (list(range(0, body, self.BLOCK_ROWS)) or [0]) + [n]
-        first = np.minimum.reduceat(start[:, order], bounds[:-1], axis=1).T.tolist()
-        last = np.maximum.reduceat(stop[:, order], bounds[:-1], axis=1).T.tolist()
-        # runs of blocks share the elementwise work while its arrays are no
-        # larger than one block's over all nodes: [first block, last block
-        # + 1, m1 window start, m2 window start, m1 window stop, m2 stop]
+        first = np.minimum.reduceat(windows[:2, order], bounds[:-1], axis=1).T.tolist()
+        last = np.maximum.reduceat(windows[2:, order], bounds[:-1], axis=1).T.tolist()
         cells = (self.BLOCK_ROWS + 3) * n_nodes
         runs = []
         for i, ((p0, q0), (p1, q1)) in enumerate(zip(first, last)):
@@ -287,6 +281,24 @@ class EscapeFunction:
                     runs[-1] = merged
                     continue
             runs.append([i, i + 1, p0, q0, p1, q1])
+        return order, bounds, runs
+
+    def _average(self, batch, m):
+        """Write the raw profiles of the rows ``batch`` of frame triples
+        into ``m[0]`` and ``m[1]`` (see :meth:`_averages`) and, when
+        ``m`` holds four arrays, their flow derivatives into ``m[2]`` and
+        ``m[3]``, one run of blocks of :meth:`_plan` at a time.
+
+        With ``A = a^2 g``, ``B = b^2 / g`` and ``T = A + B + e^2`` the
+        fractions move as ``d(A/T)/dt = 2 theta (A/T) (2B + e^2) / T`` and
+        ``d(B/T)/dt = -2 theta (B/T) (2A + e^2) / T``; each node's bump
+        moves as that times ``smoothstep_slope`` of its argument over the
+        ramp's span.  The slope is exactly 0 outside the windows, so each
+        derivative is reduced over its run's window alone.
+        """
+        n = len(batch)
+        n_nodes = len(self._nodes)
+        order, bounds, runs = self._plan(self._windows(batch))
         lo, span = self._cone2, 1.0 - 2.0 * self._cone2
         rates = len(m) > 2
         work = [np.empty(min(n, self.BLOCK_ROWS + 3) * n_nodes) for _ in range(6 if rates else 4)]
@@ -296,7 +308,7 @@ class EscapeFunction:
 
         for i0, i1, p0, q0, p1, q1 in runs:
             rows = order[bounds[i0]:bounds[i1]]
-            blk = sq[rows]
+            blk = batch[rows] ** 2
             u0, u1 = min(p0, q0), max(p1, q1)
             g = self._ga[u0:u1]
             a2, b2, tot = (view(k, (len(rows), u1 - u0)) for k in range(3))
@@ -344,15 +356,21 @@ class EscapeFunction:
                     poly *= x
                     poly *= poly
                     dx *= poly
+                # one gemv per block over all nodes; the saturated ends of
+                # the block array outlast a block of the same size
+                got, shape = np.empty(len(rows)), None
                 for b0, b1 in zip(bounds[i0:i1], bounds[i0 + 1:i1 + 1]):
-                    vals = view(2, (b1 - b0, n_nodes))
-                    vals[:, :w0] = 0.0
-                    vals[:, w0:w1] = bump[b0 - bounds[i0]:b1 - bounds[i0]]
-                    vals[:, w1:] = 1.0
-                    m[profile][order[b0:b1]] = vals @ self._weights
-                    if rates:
-                        m[2 + profile][order[b0:b1]] = (dx[b0 - bounds[i0]:b1 - bounds[i0]]
-                                                        @ self._weights[w0:w1])
+                    k0, k1 = b0 - bounds[i0], b1 - bounds[i0]
+                    if shape != (k1 - k0, n_nodes):
+                        shape = (k1 - k0, n_nodes)
+                        vals = view(2, shape)
+                        vals[:, :w0] = 0.0
+                        vals[:, w1:] = 1.0
+                    vals[:, w0:w1] = bump[k0:k1]
+                    np.matmul(vals, self._weights, out=got[k0:k1])
+                m[profile][rows] = got
+                if rates:
+                    m[2 + profile][rows] = dx @ self._weights[w0:w1]
         for dm in m[2:]:
             dm *= 60.0 * self.theta / span
 
@@ -495,11 +513,15 @@ def verify_escape_estimates(escape: EscapeFunction, sample_count, seed, keep_row
     the first ``keep_rows``, the reports' CSV rows).
     """
     sets = escape._orders(orders)
+    if RADIUS_SPAN * escape.params.radius >= math.sqrt(escape._huge):
+        raise WeightOverflow(
+            f"the samples reach |xi| = {RADIUS_SPAN * escape.params.radius:.4g}, whose "
+            "squares could overflow along the time average; reduce the radius")
     rng = np.random.default_rng(seed)
-    nu = rng.normal(size=(sample_count, 3))
-    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
-    radii = escape.params.radius * RADIUS_SPAN ** rng.random(sample_count)
-    adapted = nu * radii[:, None]
+    # unit directions scaled in place: no second batch-sized copy
+    adapted = rng.normal(size=(sample_count, 3))
+    adapted /= np.linalg.norm(adapted, axis=1, keepdims=True)
+    adapted *= escape.params.radius * RADIUS_SPAN ** rng.random(sample_count)[:, None]
 
     xgs = escape.escape_derivative_adapted(adapted, sets)
     labels = escape.cone_label(adapted)

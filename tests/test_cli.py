@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import catspec
+from catspec import errors
 from catspec import harness as hs
 from catspec.cli import main
 from catspec.config import DEFAULT_CONFIG, parse_config
@@ -248,6 +250,50 @@ def test_cli_campaign_at_a_huge_flux_penalty_keeps_the_exit_promise(tmp_path, va
     assert proc.returncode == 1
     report = json.loads((tmp_path / "o" / "campaign.json").read_text())
     assert report["verdicts"]["garding"] is False and report["verdicts"]["weyl"] is False
+
+
+#: the keys the escape layer reads, each with the legal value at the edge
+#: of its range, the first illegal value past that edge, a large value and
+#: a tiny positive one
+ESCAPE_KEY_VALUES = {
+    ("escape", "u"): ["-5e-324", "0", "-1e300", "1e-300"],
+    ("escape", "n0"): ["-7.999999999999999", "-8", "7.999999999999999", "1e-300"],
+    ("escape", "s"): ["5e-324", "0", "1e300", "1e-300"],
+    ("escape", "t_avg"): ["5e-324", "0", "1e300", "1e-300"],
+    ("escape", "aperture"): ["1.5e-154", "1.4e-154", "0.7853981633974482", "1e-9"],
+    ("escape", "radius"): ["1.0000000000000002", "1", "1e300", "1e-300"],
+    ("campaign", "escape_samples"): ["1", "0", "40000", "0.001"],
+}
+
+
+def test_escape_keys_keep_the_exit_promise(tmp_path, capsys):
+    # checks = escape in process on each value: exit 0, 1 or 2, 2 exactly
+    # on a config error (always on the first illegal value, never on the
+    # edge value), no traceback, no RuntimeWarning, and a check that raised
+    # names a CatspecError
+    for (section, key), values in ESCAPE_KEY_VALUES.items():
+        for k, value in enumerate(values):
+            entry = f"{key} = {value}\n"
+            text = ("[campaign]\nchecks = escape\n"
+                    + (entry if section == "campaign" else f"[{section}]\n{entry}"))
+            cfgfile, out = tmp_path / "c.ini", tmp_path / f"{key}{k}"
+            cfgfile.write_text(text)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                status = main(["--config", str(cfgfile), "--out", str(out), "campaign"])
+            err = capsys.readouterr().err
+            case = f"{key} = {value}: {err}"
+            assert status in (0, 1, 2), case
+            assert (status == 2) == err.startswith("config error:"), case
+            if k < 2:       # the edge value parses, the first illegal one does not
+                assert (status == 2) == (k == 1), case
+            assert "Traceback" not in err and "RuntimeWarning" not in err, case
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], case
+            if status != 2:
+                payload = json.loads((out / "campaign.json").read_text())["checks"]["escape"]
+                if "error" in payload:
+                    name = payload["error"].split(":")[0]
+                    assert issubclass(getattr(errors, name, type(None)), errors.CatspecError), case
 
 
 def test_cli_campaign_logs_a_failed_shared_build_once(tmp_path, capsys):

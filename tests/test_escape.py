@@ -30,6 +30,7 @@ def test_order_params_validation(defaults):
     for bad in ({"u": 1.0, "n0": 2.0, "s": 3.0},        # u not negative
                 {"u": -1.0, "n0": -2.0, "s": 3.0},      # not ordered
                 {"aperture": 1.0},                      # aperture too wide
+                {"aperture": 1.4e-154},                 # its squared sine is subnormal
                 {"t_avg": 0.0}):
         with pytest.raises(ValueError):
             dataclasses.replace(defaults.escape, **bad)
@@ -288,8 +289,9 @@ print(ok, json.dumps(payload), hashlib.sha256(xg.tobytes()).hexdigest())
 
 
 def test_escape_payload_is_independent_of_the_blas_thread_count():
-    # the derivative reduces its windows per block of at most 35 rows, as
-    # the profiles do, which OpenBLAS does not split between threads
+    # the derivative reduces its windows per run of at most 67 x 384
+    # entries, and the profiles per block of at most 67 rows: OpenBLAS runs
+    # a gemv below about 460,800 entries on one thread
     src = str(Path(catspec.escape.__file__).parents[1])
     outs = []
     for threads in ("1", "2"):
@@ -447,8 +449,8 @@ def test_quadrature_internal_consistency(escape):
 
 #: every n mod 4 within one block and a few
 SIZES = list(range(41)) + [97, 101]
-#: every n mod 4 across the chunk boundaries at 2,048 and 4,096 rows
-#: (EscapeFunction.SORT_ROWS), and many chunks
+#: every n mod 4 across the window slabs' boundaries at 2,048 and 4,096
+#: rows (EscapeFunction.WINDOW_ROWS), and a pass of many slabs
 CHUNKED = list(range(2047, 2054)) + list(range(4095, 4102)) + [20001]
 AXES = np.eye(3)
 
@@ -558,6 +560,45 @@ def test_raw_profiles_at_extreme_scales(escape, scale):
             one = pts.copy()
             one[:, col] *= scale
             assert _matches_one_shot(escape, one)
+
+
+def test_a_tiny_aperture_keeps_its_windows():
+    # at aperture 1e-9, 1 - lo rounds to 1.0, so each window root takes its
+    # complement as given instead of 1 - (1 - lo) = 0.0, whose log raised
+    cfg = parse_config("[campaign]\nchecks = escape\nescape_samples = 500\n"
+                       "[escape]\naperture = 1e-9\n")
+    ok, payload = hs.CHECKS["escape"](hs.CampaignContext(cfg))
+    assert ok in (True, False) and payload["violations"] >= 0
+    escape = EscapeFunction(cfg.flow(), cfg.escape)
+    assert escape._cone2 > 0.0 and 1.0 - escape._cone2 == 1.0
+    pts = np.random.default_rng(19).normal(size=(203, 3)) * 30.0
+    assert _matches_one_shot(escape, pts) and _matches_one_shot(escape, _with_axes_last(pts))
+
+
+def _planned_over_own_nodes(escape, windows, rows):
+    """The window nodes the runs of ``_plan`` evaluate over the rows' own
+    window nodes, planning ``rows`` rows at a time."""
+    planned = 0
+    for r0 in range(0, windows.shape[1], rows):
+        _, bounds, runs = escape._plan(windows[:, r0:r0 + rows])
+        planned += sum((bounds[i1] - bounds[i0]) * (p1 - p0 + q1 - q0)
+                       for i0, i1, p0, q0, p1, q1 in runs)
+    return planned / int(np.sum(windows[2:] - windows[:2]))
+
+
+def test_a_pass_is_planned_once_with_tight_windows(escape, monkeypatch):
+    pts = np.random.default_rng(20).normal(size=(20000, 3))
+    plans = []
+    plan = EscapeFunction._plan
+    monkeypatch.setattr(EscapeFunction, "_plan",
+                        lambda self, windows: plans.append(windows.shape) or plan(self, windows))
+    escape._averages(pts, True)
+    assert plans == [(4, 20000)]
+    windows = escape._windows(pts)
+    assert _planned_over_own_nodes(escape, windows, 20000) <= 1.2
+    # negative control: each 2,048-row slice planned on its own, as when
+    # every chunk of that many rows was sorted apart
+    assert _planned_over_own_nodes(escape, windows, 2048) >= 1.3
 
 
 def test_narrowed_windows_break_the_equality(escape, monkeypatch):
