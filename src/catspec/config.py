@@ -202,6 +202,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"invalid config value: {exc}") from exc
     if cfg.beta <= 0 or cfg.h <= 0:
         raise ConfigError("beta and h must be positive")
+    if cfg.E == 0:
+        raise ConfigError("e must be nonzero: E = 0 is the excluded counting box")
     if any(a <= 0 for a in cfg.alpha_grid):
         raise ConfigError("alpha_grid entries must be positive")
     if any(h <= 0 for h in cfg.coherent_h_list):

@@ -177,12 +177,12 @@ class EscapeFunction:
         return (tuple(smoothstep(v) for v in x)
                 + tuple(smoothstep_slope(v) / (1.0 - 2.0 * eps) * dm for v, dm in zip(x, raw[2:])))
 
-    #: rows per gemv of _averages, a multiple of 4 (see there).  A block
-    #: with the 3-row tail over all nodes, and so each work array of
-    #: _average, holds 67 x 384 x 8 B = 206 KB, past glibc's initial 128 KB
-    #: mmap threshold.  OpenBLAS still runs each such gemv on one thread:
-    #: it splits none below about 460,800 entries (0.3.31: 1,199 rows of
-    #: 384 nodes stay whole, 1,201 do not)
+    #: rows per gemv of _averages, a multiple of 4 (see there).  A run of
+    #: blocks holds up to BLOCK_ROWS + 3 rows over all nodes (see _plan),
+    #: and so each work array of _average 67 x 384 x 8 B = 206 KB, past
+    #: glibc's initial 128 KB mmap threshold.  OpenBLAS still runs each
+    #: gemv on one thread: it splits none below about 460,800 entries
+    #: (0.3.31: 1,199 rows of 384 nodes stay whole, 1,201 do not)
     BLOCK_ROWS = 64
     #: rows whose windows are computed at once, which bounds the windows'
     #: temporaries; a pass keeps only the four window bounds of each row
@@ -201,9 +201,10 @@ class EscapeFunction:
         profiles equal ``tests/oracles.py`` ``raw_profiles_one_shot`` bit for
         bit, on one BLAS thread or two, by the blocking rule of OpenBLAS:
         gemv reduces rows in groups of 4 and the last ``n mod 4`` in a
-        remainder kernel that rounds differently.  So blocks hold multiples
-        of 4 rows, only the first ``n - n mod 4`` are sorted, and the last
-        ``n mod 4`` end the last block in their order (one row: numpy's dot)."""
+        remainder kernel that rounds differently.  So every gemv holds a
+        multiple of 4 rows, the last block padded with zero rows, and a
+        row's profiles do not depend on its batch or its place in it; only
+        a pass of one row keeps numpy's dot, which rounds differently."""
         d = np.asarray(adapted, dtype=float)
         batch = d.reshape(-1, 3)
         out = [np.empty(len(batch)) for _ in range(4 if rates else 2)]
@@ -255,20 +256,18 @@ class EscapeFunction:
 
     def _plan(self, windows):
         """The row order, block bounds and runs of :meth:`_average` for rows
-        with these :meth:`_windows`.  The first ``n - n mod 4`` rows are
-        sorted (see SORT_BAND) and cut into blocks of BLOCK_ROWS, the last
-        with the tail; blocks join a run, ``[first block, last block + 1,
-        m1 start, m2 start, m1 stop, m2 stop]``, while its rows times the
-        union of their windows fit one block over all nodes."""
+        with these :meth:`_windows`.  The rows are sorted (see SORT_BAND)
+        and cut into blocks of BLOCK_ROWS; blocks join a run, ``[first
+        block, last block + 1, m1 start, m2 start, m1 stop, m2 stop]``,
+        while its rows times the union of their windows fit BLOCK_ROWS + 3
+        rows over all nodes.  The derivatives are reduced over their run's
+        window, so this budget fixes their last bits."""
         n_nodes = len(self._nodes)
         n = windows.shape[1]
-        body = n - n % 4
         order = np.arange(n)
-        if body > self.BLOCK_ROWS:
-            start = windows[:2, :body]
-            order[:body] = np.argsort(start[0] // self.SORT_BAND * n_nodes + start[1],
-                                      kind="stable")
-        bounds = (list(range(0, body, self.BLOCK_ROWS)) or [0]) + [n]
+        if n > self.BLOCK_ROWS:
+            order = np.argsort(windows[0] // self.SORT_BAND * n_nodes + windows[1], kind="stable")
+        bounds = list(range(0, n, self.BLOCK_ROWS)) + [n]
         first = np.minimum.reduceat(windows[:2, order], bounds[:-1], axis=1).T.tolist()
         last = np.maximum.reduceat(windows[2:, order], bounds[:-1], axis=1).T.tolist()
         cells = (self.BLOCK_ROWS + 3) * n_nodes
@@ -301,7 +300,8 @@ class EscapeFunction:
         order, bounds, runs = self._plan(self._windows(batch))
         lo, span = self._cone2, 1.0 - 2.0 * self._cone2
         rates = len(m) > 2
-        work = [np.empty(min(n, self.BLOCK_ROWS + 3) * n_nodes) for _ in range(6 if rates else 4)]
+        padded = n if n == 1 else n + -n % 4       # the pass's rows with their pad
+        work = [np.empty(min(padded, self.BLOCK_ROWS + 3) * n_nodes) for _ in range(len(m) + 2)]
 
         def view(k, shape):
             return work[k][:shape[0] * shape[1]].reshape(shape)
@@ -356,19 +356,21 @@ class EscapeFunction:
                     poly *= x
                     poly *= poly
                     dx *= poly
-                # one gemv per block over all nodes; the saturated ends of
-                # the block array outlast a block of the same size
-                got, shape = np.empty(len(rows)), None
+                # one gemv per block over all nodes, of 4k rows (one row: a
+                # dot), the last block padded with zero rows whose outputs
+                # are dropped; the saturated ends outlast a block of its size
+                got, size = np.empty(len(rows) + 3), None
                 for b0, b1 in zip(bounds[i0:i1], bounds[i0 + 1:i1 + 1]):
                     k0, k1 = b0 - bounds[i0], b1 - bounds[i0]
-                    if shape != (k1 - k0, n_nodes):
-                        shape = (k1 - k0, n_nodes)
-                        vals = view(2, shape)
+                    if size != k1 - k0:
+                        size = k1 - k0
+                        vals = view(2, (size if n == 1 else size + -size % 4, n_nodes))
                         vals[:, :w0] = 0.0
                         vals[:, w1:] = 1.0
-                    vals[:, w0:w1] = bump[k0:k1]
-                    np.matmul(vals, self._weights, out=got[k0:k1])
-                m[profile][rows] = got
+                        vals[size:] = 0.0
+                    vals[:size, w0:w1] = bump[k0:k1]
+                    np.matmul(vals, self._weights, out=got[k0:k0 + len(vals)])
+                m[profile][rows] = got[:len(rows)]
                 if rates:
                     m[2 + profile][rows] = dx @ self._weights[w0:w1]
         for dm in m[2:]:

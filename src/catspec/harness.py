@@ -799,13 +799,15 @@ def _check_weyl(ctx):
     exact characteristic polynomials; no audited sector is a failure.
 
     A sector's dimension is read off its basis before any block is built.
-    Each audited block is weighted, multiplied by h and shifted by z_e in
-    its own buffer, h P - z_e with P = W H W^{-1}.  The orbit sectors
-    through k0 and -k0 are audited once (``operator.mirror_groups``) and
-    counted twice.  This is exact, not an approximation: the two generator
-    blocks and eigenvalue lists depend on the cell count alone and the two
-    weights are equal bit for bit, so the weighted matrices and their
-    audits are identical.
+    The weights of every group it may audit come from one
+    ``operator.sector_log_weights`` pass, bit for bit those of each sector
+    alone (``EscapeFunction._averages``).  Each audited block is weighted,
+    multiplied by h and shifted by z_e in its own buffer, h P - z_e with P
+    = W H W^{-1}.  The orbit sectors through k0 and -k0 are audited once
+    (``operator.mirror_groups``) and counted twice.  This is exact, not an
+    approximation: the two generator blocks and eigenvalue lists depend on
+    the cell count alone and the two weights are equal bit for bit, so the
+    weighted matrices and their audits are identical.
 
     A group whose time reversal (``operator.reversal_key``) comes later
     certifies it instead: with J the cell reversal, J H^T J = H, so the
@@ -816,57 +818,55 @@ def _check_weyl(ctx):
     passed), the partner counts as audited, else it is audited in turn.
     The bound holds for exact singular values; on an ill-conditioned block
     the float64 SVDs of two partners can differ by far more, so a run in
-    which any audit fails audits the certified partners too and reports
-    the numbers of a full audit."""
+    which any audit fails audits the certified partners too, with the same
+    weights, and reports the numbers of a full audit."""
     cfg, flow = ctx.cfg, ctx.cfg.flow()
     z_e = complex(cfg.E, 1.0)
     cell_vals = np.array([p.value for p in ctx.cell_pairs(cfg.truncation)])
     sectors = [op.NeutralSector()] + ctx.orbits(cfg.truncation.k_max, cfg.truncation.p_max)
     groups = {op.mirror_key(group[0]): group for group in op.mirror_groups(sectors)}
+    dims = {key: len(op.sector_basis(group[0], cfg.truncation)) for key, group in groups.items()}
+    weighed = [key for key in groups if dims[key] <= WEYL_DIM_LIMIT]
+    # one run's bases at a time; the pass runs to its end, which drops its memo
+    items = ((groups[k][0], op.sector_basis(groups[k][0], cfg.truncation)) for k in weighed)
+    runs = op.sector_log_weights(ctx.escape, cfg.h, items, {})
+    logws = dict(zip(weighed, [logw for run in runs for logw in run]))
 
-    def audit_group(sector):
-        """The audit and log weight of one sector's block, built, weighted,
+    def audit_group(key):
+        """The audit of a group's first sector, its block built, weighted,
         scaled and shifted in its own buffer."""
-        if isinstance(sector, op.NeutralSector):
-            evs = None
-        else:
-            evs = np.concatenate([cell_vals] * sector.n_cells) * cfg.h
-        block = op.build_generator(flow, sector, cfg.truncation)
-        logw = op.mode_log_weight(sector, block.basis, ctx.escape, cfg.h)
-        a = op.conjugate_by_diagonal(block.matrix, logw)
+        sector = groups[key][0]
+        evs = (None if isinstance(sector, op.NeutralSector)
+               else np.concatenate([cell_vals] * sector.n_cells) * cfg.h)
+        a = op.conjugate_by_diagonal(op.build_generator(flow, sector, cfg.truncation).matrix,
+                                     logws[key])
         a *= cfg.h
-        return _audit_in_place(a, z_e, evs), logw
+        return _audit_in_place(a, z_e, evs)
 
-    audits, skipped, seen, certified, bound_max = [], [], set(), [], 0.0
-    for key, group in groups.items():
+    audits, seen, certified, bound_max = [], set(), [], 0.0
+    for key in weighed:
         seen.add(key)
         if key in certified:
             continue
-        sector = group[0]
-        dim = len(op.sector_basis(sector, cfg.truncation))
-        if dim > WEYL_DIM_LIMIT:
-            skipped += [dim] * len(group)
-            continue
-        audit, logw = audit_group(sector)
-        audits.append((audit, len(group)))
+        audit = audit_group(key)
+        audits.append((audit, len(groups[key])))
+        sector = groups[key][0]
         partner = op.reversal_key(sector)
-        if partner in groups and partner not in seen:
-            other = groups[partner][0]
-            delta = op.mode_log_weight(other, op.sector_basis(other, cfg.truncation),
-                                       ctx.escape, cfg.h)
-            delta += logw.reshape(sector.n_cells, -1)[::-1].ravel()
-            bound = dim * float(np.ptp(delta))
+        if partner in logws and partner not in seen:
+            delta = logws[partner] + logws[key].reshape(sector.n_cells, -1)[::-1].ravel()
+            bound = len(delta) * float(np.ptp(delta))
             bound_max = max(bound_max, bound)
             if audit.worst_margin - bound >= -WEYL_REL_SLACK:
                 certified.append(partner)
     sectors_ok = all(audit.verdict for audit, _ in audits)
     if not sectors_ok:          # a failing run reports the numbers of a full audit
-        audits += [(audit_group(groups[key][0])[0], len(groups[key])) for key in certified]
+        audits += [(audit_group(key), len(groups[key])) for key in certified]
         certified = []
     LOG.debug("weyl: %d sector SVDs, %d time-reversal pairs certified (largest n spread %.3g)",
               len(audits), len(certified), bound_max)
     audited = sum(n for _, n in audits) + sum(len(groups[key]) for key in certified)
     worst = min((audit.worst_margin for audit, _ in audits), default=None)
+    skipped = [dims[key] for key in groups if key not in logws for _ in groups[key]]
     if skipped:
         LOG.warning("weyl: %d sectors above %d modes not audited (largest %d)",
                     len(skipped), WEYL_DIM_LIMIT, max(skipped))
@@ -887,8 +887,10 @@ def _check_ims(ctx):
     res = op.partition_ims_check(block, ctx.escape, complex(cfg.E, 1.0),
                                  h_list, trials=20, r0=cfg.ims_band[0],
                                  r1=cfg.ims_band[1], seed=cfg.seed)
-    ratios = [res[h_list[i]] / res[h_list[i + 1]] for i in range(3)]
-    return all(3.0 <= r <= 5.0 for r in ratios), {
+    # a zero residual fails the verdict, and a ratio over it is null
+    values = [res[h] for h in h_list]
+    ratios = [a / b if b else None for a, b in zip(values, values[1:])]
+    return all(r is not None and 3.0 <= r <= 5.0 for r in ratios), {
         "residuals": {str(k): v for k, v in res.items()}, "ratios": ratios}
 
 

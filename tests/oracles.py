@@ -646,20 +646,24 @@ def averaged_order(escape: EscapeFunction, direction, bump=stable_bump,
         f"bump average did not settle to rtol={rtol} after {max_refine} refinements")
 
 
-def raw_profiles_one_shot(escape: EscapeFunction, adapted, slab_rows=512):
+def raw_profiles_one_shot(escape: EscapeFunction, adapted, slab_rows=512, pad=True):
     """``escape._averages`` without rates, with each profile reduced by one gemv over
     the whole batch.
 
     Every bump is evaluated at every node; the rows are evaluated
     ``slab_rows`` at a time into one rows x nodes matrix, which bounds the
-    temporaries and changes no value (the bumps are elementwise).
+    temporaries and changes no value (the bumps are elementwise).  The
+    matrix is padded with zero rows to a multiple of 4 rows (one row alone
+    is not), so that the gemv reduces every row in its 4-row kernel; with
+    ``pad`` false it is not, and the last ``n mod 4`` rows take the gemv's
+    remainder kernel.
     """
     d = np.asarray(adapted, dtype=float)
     batch = d.reshape(-1, 3)
     t = escape._nodes
     ga = np.exp(2.0 * escape.theta * t)
     lo, span = escape._cone2, 1.0 - 2.0 * escape._cone2
-    bumps = np.empty((len(batch), len(t)))
+    bumps = np.zeros((len(batch) + (-len(batch) % 4 if pad and len(batch) > 1 else 0), len(t)))
     profiles = []
     for stable in (True, False):
         for s in range(0, len(batch), slab_rows):
@@ -669,10 +673,10 @@ def raw_profiles_one_shot(escape: EscapeFunction, adapted, slab_rows=512):
             e2 = rows[:, 2:3] ** 2 * np.ones_like(t)[None, :]
             tot = a2 + b2 + e2
             if stable:
-                bumps[s:s + slab_rows] = 1.0 - smoothstep((b2 / tot - lo) / span)
+                bumps[s:s + len(rows)] = 1.0 - smoothstep((b2 / tot - lo) / span)
             else:
-                bumps[s:s + slab_rows] = smoothstep((a2 / tot - lo) / span)
-        profiles.append((bumps @ escape._weights).reshape(d.shape[:-1]))
+                bumps[s:s + len(rows)] = smoothstep((a2 / tot - lo) / span)
+        profiles.append((bumps @ escape._weights)[:len(batch)].reshape(d.shape[:-1]))
     return tuple(profiles)
 
 

@@ -181,6 +181,7 @@ def test_cli_model_info(capsys):
     "[solver]\np_max = 1\n",
     "[campaign]\nseed = -3\n",
     "[campaign]\nims_j_max = -1\n",
+    "[campaign]\ne = 0\n",                         # the excluded counting box
     "[solver]\nk_max = 3\nedge_guard = 40\n",       # the orbit window would be empty
     "[solver]\nk_max = 3\nedge_guard = -3\n",       # it would hold the edge artefacts
     "[solver]\nj_buffer = -5\n",                    # not "automatic", which is 0
@@ -188,7 +189,7 @@ def test_cli_model_info(capsys):
     "[escape_alt]\nu = -3\n",                       # only n0 of that set reaches a spectrum
 ], ids=["unknown_key", "identity_matrix", "negative_time_change",
         "negative_flux", "no_escape_samples", "negative_j_max", "p_max_1",
-        "negative_seed", "negative_ims_j_max", "edge_guard_above_j_max",
+        "negative_seed", "negative_ims_j_max", "zero_e", "edge_guard_above_j_max",
         "negative_edge_guard", "negative_j_buffer", "removed_symmetric",
         "removed_escape_alt_u"])
 def test_cli_bad_config_exit_code(tmp_path, capsys, text, command):
@@ -250,6 +251,24 @@ def test_cli_campaign_at_a_huge_flux_penalty_keeps_the_exit_promise(tmp_path, va
     assert proc.returncode == 1
     report = json.loads((tmp_path / "o" / "campaign.json").read_text())
     assert report["verdicts"]["garding"] is False and report["verdicts"]["weyl"] is False
+
+
+@pytest.mark.parametrize("entry,code", [("e = 0", 2), ("ims_j_max = 0", 1)],
+                         ids=["zero_e", "zero_ims_j_max"])
+def test_cli_campaign_zero_values_keep_the_exit_promise(tmp_path, entry, code):
+    # e = 0 is the excluded counting box, a config error.  At ims_j_max = 0
+    # the residual of the smallest h is 0.0: the ims verdict fails, the
+    # ratio over it is null, and nothing divides by it
+    proc = _run_keeping_the_exit_promise(
+        tmp_path, f"[campaign]\nchecks = counting,ims\n{entry}\n[solver]\nk_max = 3\n",
+        "campaign")
+    assert proc.returncode == code
+    if code == 1:
+        report = json.loads((tmp_path / "o" / "campaign.json").read_text())
+        assert report["verdicts"] == {"counting": True, "ims": False}
+        ims = report["checks"]["ims"]
+        assert ims["residuals"]["0.0125"] == 0.0 and ims["ratios"][2] is None
+        assert all(r > 0.0 for r in ims["ratios"][:2])
 
 
 #: the keys the escape layer reads, each with the legal value at the edge
@@ -381,10 +400,11 @@ def test_cli_campaign_subset_and_failure_exit(tmp_path, capsys):
     # every sector is over the 500-dim audit limit: nothing is audited
     ("weyl", "[solver]\nk_max = 1\nj_max = 250\n[campaign]\nchecks = weyl\n",
      {"sectors_audited": 0, "worst_margin": None}),
-    # E = 0 is the excluded counting box: the check raises inside
-    ("counting", "[campaign]\nchecks = counting\ne = 0\n",
-     {"error": "ValueError: E = 0 is excluded"}),
-], ids=["weyl_empty_audit", "counting_e0"])
+    # a weighted entry leaves the double range: the check raises inside
+    ("garding", "[campaign]\nchecks = garding\n[solver]\nk_max = 4\nflux_penalty = 1e308\n",
+     {"error": "WeightOverflow: a weighted entry leaves the double range: "
+               "overflow encountered in multiply"}),
+], ids=["weyl_empty_audit", "garding_weight_overflow"])
 def test_cli_campaign_check_failure_is_reported(tmp_path, capsys, name, text,
                                                 payload):
     cfgfile = tmp_path / "c.ini"
@@ -403,16 +423,16 @@ def test_cli_campaign_check_failure_is_reported(tmp_path, capsys, name, text,
 def test_cli_campaign_logs_the_raising_frame(tmp_path, capsys):
     # the guard keeps the run going and logs the frames to stderr only
     cfgfile = tmp_path / "c.ini"
-    cfgfile.write_text("[campaign]\nchecks = counting\ne = 0\n")
+    cfgfile.write_text("[campaign]\nchecks = garding\n[solver]\nk_max = 4\nflux_penalty = 1e308\n")
     assert main(["--config", str(cfgfile), "--out", str(tmp_path / "o"),
                  "campaign"]) == 1
     captured = capsys.readouterr()
-    assert "check counting raised" in captured.err
-    assert "in __post_init__" in captured.err
-    assert 'raise ValueError("E = 0 is excluded")' in captured.err
-    assert "__post_init__" not in captured.out
+    assert "check garding raised" in captured.err
+    assert "in conjugate_by_diagonal" in captured.err
+    assert 'raise WeightOverflow(f"a weighted entry leaves the double range' in captured.err
+    assert "conjugate_by_diagonal" not in captured.out
     report = (tmp_path / "o" / "campaign.json").read_text()
-    assert "__post_init__" not in report
+    assert "conjugate_by_diagonal" not in report
 
 
 @pytest.mark.parametrize("text,check,field", [

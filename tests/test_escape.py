@@ -463,7 +463,7 @@ def _matches_one_shot(escape, pts):
 
 def _with_axes_last(pts):
     # rows whose bumps are 0 or 1 at every node, also in the last n mod 4
-    # places, which the gemv reduces in its remainder kernel
+    # places, the last block's rows before its zero pad
     pts = pts.copy()
     n = len(pts)
     pts[n - n % 4:] = AXES[:n % 4]
@@ -481,6 +481,22 @@ def test_blocked_raw_profiles_match_one_shot(escape, rows):
 def test_saturated_rows_in_the_gemv_tail(escape, rows):
     assert _matches_one_shot(escape, _with_axes_last(
         np.random.default_rng(rows).normal(size=(rows, 3))))
+
+
+def test_unpadded_gemv_moves_only_the_last_rows(escape):
+    # negative control of the zero pad: without it the gemv reduces the
+    # last n mod 4 rows in its remainder kernel, which moves some of them
+    # (in 20 of the 31 batches of SIZES above one row that are not a
+    # multiple of 4 rows, and in each residue), and nothing else
+    moved = []
+    for rows in SIZES[2:]:
+        pts = np.random.default_rng(rows).normal(size=(rows, 3)) * 30.0
+        padded = raw_profiles_one_shot(escape, pts)
+        bare = raw_profiles_one_shot(escape, pts, pad=False)
+        off = np.flatnonzero(np.any([p != b for p, b in zip(padded, bare)], axis=0))
+        assert np.all(off >= rows - rows % 4), (rows, off)
+        moved += [rows] * bool(off.size)
+    assert moved and {rows % 4 for rows in moved} == {1, 2, 3}
 
 
 _ONE_BLAS_THREAD = """

@@ -847,6 +847,29 @@ def _reversal_pairs(cfg):
             if index.get(op.reversal_key(sector), -1) > i]
 
 
+def test_weyl_check_weighs_every_group_in_one_pass(monkeypatch):
+    # on the default config the check's 31 groups are weighed by one
+    # sector_log_weights call of 3 runs (WEIGHT_ROWS modes each at most),
+    # not by one mode_log_weight call per sector
+    calls, runs = [], []
+    sector_log_weights, run_log_weights = op.sector_log_weights, op._run_log_weights
+
+    def counted(escape, h, sectors, memo):
+        sectors = list(sectors)
+        calls.append(len(sectors))
+        return sector_log_weights(escape, h, sectors, memo)
+
+    def counted_run(escape, h, run, memo):
+        runs.append(len(run))
+        return run_log_weights(escape, h, run, memo)
+
+    monkeypatch.setattr(op, "sector_log_weights", counted)
+    monkeypatch.setattr(op, "_run_log_weights", counted_run)
+    ok, _ = hs.CHECKS["weyl"](hs.CampaignContext(parse_config("[campaign]\nchecks = weyl\n")))
+    assert ok is True
+    assert calls == [31] and len(runs) == 3 and sum(runs) == 31
+
+
 @pytest.mark.parametrize("config", [K_MAX_3, ""], ids=["k_max_3", "default"])
 def test_weyl_check_certifies_time_reversal_pairs(monkeypatch, config):
     # on the symmetric cat matrix every mirror group pairs with its time
@@ -891,23 +914,28 @@ def test_weyl_check_audits_every_group_without_a_certificate(monkeypatch, contro
     # no partner is certified when the weight is not odd under the reversal
     # (u = -6, s = 12: n spread(delta) up to 6.7e3), when A is not symmetric
     # (no group's reversal is a group) or when each partner's log weight is
-    # off by 1e-6 at one mode: the check audits every mirror group, and its
-    # payload is that of a run without the reversal lookup, bit for bit
+    # off by 1e-6 at one mode, in the check's one weight pass: the check
+    # audits every mirror group, and its payload is that of a run without
+    # the reversal lookup, bit for bit
     config = K_MAX_3 + {"weight_not_odd": "[escape]\nu = -6.0\ns = 12.0\n",
                         "non_symmetric": "[model]\na11 = 3\na12 = 2\na21 = 1\na22 = 1\n",
                         "perturbed": ""}[control]
     if control == "perturbed":
         partners = {op.mirror_key(p) for _, p in _reversal_pairs(parse_config(config))}
         assert partners
-        log_weight = op.mode_log_weight
+        sector_log_weights = op.sector_log_weights
 
-        def perturbed(sector, basis, escape, h):
-            logw = log_weight(sector, basis, escape, h)
-            if op.mirror_key(sector) in partners:
-                logw[0] += 1e-6
-            return logw
+        def perturbed(escape, h, sectors, memo):
+            sectors = list(sectors)
+            done = 0
+            for run in sector_log_weights(escape, h, sectors, memo):
+                for (sector, _), logw in zip(sectors[done:], run):
+                    if op.mirror_key(sector) in partners:
+                        logw[0] += 1e-6
+                done += len(run)
+                yield run
 
-        monkeypatch.setattr(op, "mode_log_weight", perturbed)
+        monkeypatch.setattr(op, "sector_log_weights", perturbed)
     ok, payload, n_svd, n_orbit = _weyl_counted(monkeypatch, config)
     _without_reversal(monkeypatch)
     ok_audited, audited, n_audited, _ = _weyl_counted(monkeypatch, config)

@@ -330,9 +330,7 @@ def test_weight_overflow(flow, escape, defaults):
 def test_batched_weights_split_into_runs_of_whole_sectors(flow, escape, defaults):
     # the coherent study's sectors at h = 0.05: runs of at most WEIGHT_ROWS
     # modes, each sector in one run, and the values of one call per sector
-    # up to the last bits: OpenBLAS's gemv reduces the last n mod 4 rows of
-    # a call in a kernel that rounds differently, and in a run a sector's
-    # last rows need not be there
+    # bit for bit: a profile does not depend on its batch
     h, j_max = 0.05, 12
     k_max = hs.coherent_k_max(hs.default_symbol_points(flow), h)
     tr = replace(defaults.truncation, k_max=k_max, j_max=j_max)
@@ -345,8 +343,25 @@ def test_batched_weights_split_into_runs_of_whole_sectors(flow, escape, defaults
     assert len(batched) == len(items)
     for (sector, basis), w in zip(items, batched):
         one = op.mode_log_weight(sector, basis, escape, h)
-        assert w.shape == one.shape
-        assert np.max(np.abs(w - one)) <= 1e-12
+        assert np.array_equal(w, one)
+
+
+def test_weyl_groups_weigh_in_one_pass_as_each_sector_alone(flow, escape, defaults):
+    # the weyl check's groups on the default config, weighed in one
+    # sector_log_weights pass in check order and in reverse: each sector's
+    # log weights are those of mode_log_weight on it alone, bit for bit
+    tr, h = defaults.truncation, defaults.h
+    sectors = [op.NeutralSector()] + op.enumerate_orbits(flow.cat, tr.k_max, tr.p_max)
+    items = [(g[0], op.sector_basis(g[0], tr)) for g in op.mirror_groups(sectors)]
+    items = [item for item in items if len(item[1]) <= hs.WEYL_DIM_LIMIT]
+    assert len(items) == 31
+    alone = [op.mode_log_weight(sector, basis, escape, h) for sector, basis in items]
+    for order in (items, items[::-1]):
+        batched = [w for run in op.sector_log_weights(escape, h, order, {}) for w in run]
+        if order is not items:
+            batched.reverse()
+        assert len(batched) == len(alone)
+        assert all(np.array_equal(w, one) for w, one in zip(batched, alone))
 
 
 def test_batched_weight_overflow_names_the_sector(flow, escape, defaults):
@@ -373,24 +388,13 @@ def _weight_items(flow, truncation, h, j_max=12):
 
 def test_mirrored_weights_equal_every_mode_evaluated(flow, escape, defaults):
     # only the j >= 0 modes are evaluated, and each j < 0 mode takes its
-    # mirror's value.  Against a call on every mode, rows may move only in
-    # the last cell of a call at its three largest |j|: OpenBLAS's gemv
-    # reduces the last n mod 4 rows of each call in a kernel that rounds
-    # differently, and a mirror copies the value of such a row
+    # mirror's value: the weights of a call on every mode, bit for bit,
+    # since a profile does not depend on its batch or its place in it
     items = _weight_items(flow, defaults.truncation, 0.05)
     runs = [[item] for item in items] + [items[i:i + 7] for i in range(0, len(items), 7)]
-    moved = 0
     for run in runs:
         got = np.concatenate(op._run_log_weights(escape, 0.05, run, {}))
-        want = np.concatenate(log_weights_every_mode(escape, 0.05, run))
-        js = run[-1][1][:, 1]
-        top = int(js.max())
-        tail = np.flatnonzero(got != want) - (len(got) - len(js))
-        assert np.all(tail >= len(js) - (2 * top + 1)), tail
-        assert np.all(np.abs(js[tail]) > top - 3), js[tail]
-        assert np.max(np.abs(got - want)) <= 1e-13
-        moved += tail.size
-    assert moved < 0.01 * sum(len(basis) for run in runs for _, basis in run)
+        assert np.array_equal(got, np.concatenate(log_weights_every_mode(escape, 0.05, run)))
 
 
 def _runs(escape, h, items, memo):
