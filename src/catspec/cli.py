@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness as hs
-from .config import DEFAULT_CONFIG, RunConfig, load_config, parse_config
+from .config import DEFAULT_CONFIG, RunConfig, load_config, parse_config, read_value
 from .errors import CatspecError, ConfigError
 from .escape import verify_escape_estimates
 
@@ -49,9 +49,7 @@ def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else parse_config(DEFAULT_CONFIG)
     if args.out:
         cfg.out_dir = args.out
-    seed = cfg.seed if args.seed is None else int(args.seed)
-    if seed < 0:
-        raise ConfigError("seed must be non-negative")
+    seed = cfg.seed if args.seed is None else read_value("campaign", "seed", str(args.seed))
     if seed != cfg.seed:
         cfg.seed = seed
         # in the hashed text, so the output headers tell the seeds apart

@@ -1,9 +1,9 @@
 """Run configuration: strict INI schema, defaults and hashing.
 
-Sections and keys are whitelisted; unknown keys are rejected so a config
-file cannot silently misspell a knob.  The SHA-256 of the canonical file
-text, with the seed override the CLI appends to it, is stamped into every
-output artifact.
+`KEYS` whitelists the keys and holds the legal range of each value; unknown
+keys are rejected so a config file cannot silently misspell a knob.  The
+SHA-256 of the canonical file text, with the seed override the CLI appends
+to it, is stamped into every output artifact.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, TruncationTooSmall
+from .errors import ConfigError
 from .escape import OrderParams
 from .harness import CHECKS, COHERENT_K_CEILING, coherent_k_max, default_symbol_points
 from .model import CatMap, MappingTorusFlow, TimeChange
@@ -71,16 +71,6 @@ out_dir = out
 """
 
 
-def _schema():
-    """Allowed keys per section: those of DEFAULT_CONFIG."""
-    defaults = configparser.ConfigParser()
-    defaults.read_string(DEFAULT_CONFIG)
-    return {section: set(defaults[section]) for section in defaults.sections()}
-
-
-_SCHEMA = _schema()
-
-
 @dataclass
 class RunConfig:
     """A parsed configuration; `parse_config` fills every field."""
@@ -98,7 +88,7 @@ class RunConfig:
     seed: int
     escape_samples: int
     ims_j_max: int
-    ims_band: tuple
+    ims_band: list
     coherent_h_list: list
     residual_tol: float
     cluster_radius: float
@@ -123,116 +113,102 @@ def _float(raw):
 
 
 def _floats(raw):
-    raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(_float(v) for v in raw.split(","))
+    return [_float(v) for v in raw.split(",")] if raw.strip() else []
+
+
+_POSITIVE = (lambda v: v > 0), "positive"
+_NON_NEGATIVE = (lambda v: v >= 0), "non-negative"
+_POSITIVE_ENTRIES = (lambda v: all(x > 0 for x in v)), "a list of positive entries"
+
+#: (section, key) -> (reader, rule, what the rule asks for), one row per key of
+#: DEFAULT_CONFIG.  A rule of None leaves the value to the constructor that takes
+#: it: CatMap, TimeChange and OrderParams check their own arguments, since library
+#: callers build them directly.  The rules that tie two keys follow in parse_config.
+KEYS = {
+    **{("model", key): (int, None, None) for key in ("a11", "a12", "a21", "a22")},
+    ("model", "c0"): (_float, None, None),
+    **{("model", key): (_floats, None, None) for key in ("c_cos", "c_sin")},
+    **{("escape", key): (_float, None, None)
+       for key in ("u", "n0", "s", "t_avg", "aperture", "radius")},
+    ("escape_alt", "n0"): (_float, None, None),
+    ("solver", "k_max"): (int, *_POSITIVE),
+    ("solver", "p_max"): (int, (lambda v: v >= 2), "at least 2"),
+    **{("solver", key): (int, *_NON_NEGATIVE) for key in ("j_max", "j_buffer", "edge_guard")},
+    **{("solver", key): (_float, *_POSITIVE)
+       for key in ("flux_penalty", "residual_tol", "cluster_radius")},
+    ("campaign", "checks"): (lambda raw: [name.strip() for name in raw.split(",") if name.strip()],
+                             lambda v: bool(v) and set(v) <= set(CHECKS),
+                             f"a nonempty list of {', '.join(CHECKS)}"),
+    ("campaign", "e"): (_float, (lambda v: v != 0), "nonzero: E = 0 is the excluded counting box"),
+    **{("campaign", key): (_float, *_POSITIVE) for key in ("beta", "h")},
+    **{("campaign", key): (_float, None, None) for key in ("disk_b", "floor")},
+    **{("campaign", key): (_floats, *_POSITIVE_ENTRIES) for key in ("alpha_grid", "coherent_h")},
+    **{("campaign", key): (int, *_NON_NEGATIVE) for key in ("seed", "ims_j_max")},
+    ("campaign", "escape_samples"): (int, *_POSITIVE),
+    ("campaign", "ims_band"): (_floats, (lambda v: len(v) == 2 and v[0] < v[1]),
+                               "'lo,hi' with lo < hi"),
+    ("output", "out_dir"): (str, None, None),
+}
+
+
+def read_value(section, key, raw):
+    """The value of ``raw`` for ``key`` of ``section``, read and checked by its KEYS row."""
+    reader, rule, what = KEYS[section, key]
+    try:
+        value = reader(raw)
+    except ValueError as exc:
+        raise ConfigError(f"invalid config value for {key} in [{section}]: {exc}") from exc
+    if rule is not None and not rule(value):
+        raise ConfigError(f"{key} must be {what}, got {raw.strip()!r}")
+    return value
 
 
 def parse_config(text: str) -> RunConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no interpolation: a '%' in a value is a character, not a syntax error
+    merged = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    merged.read_string(DEFAULT_CONFIG)
     try:
-        parser.read_string(text)
+        merged.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
-
-    merged = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    merged.read_string(DEFAULT_CONFIG)
-    for section in parser.sections():
-        if section not in _SCHEMA:
+    sections = {section for section, _ in KEYS}
+    for section in merged.sections():
+        if section not in sections:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, value in parser.items(section):
-            if key not in _SCHEMA[section]:
+        for key in merged[section]:
+            if (section, key) not in KEYS:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            merged.set(section, key, value)
 
+    values = {name: {key: read_value(name, key, raw) for key, raw in merged[name].items()}
+              for name in merged.sections()}
+    m, sv, cp = values["model"], values["solver"], values["campaign"]
     try:
-        m = merged["model"]
-        # CatMap and TimeChange reject a bad model
         model = MappingTorusFlow(
-            cat=CatMap(*(int(m[k]) for k in ("a11", "a12", "a21", "a22"))),
-            time_change=TimeChange(_float(m["c0"]), _floats(m["c_cos"]),
-                                   _floats(m["c_sin"])))
-
-        es = merged["escape"]
-        escape = OrderParams(
-            u=_float(es["u"]), n0=_float(es["n0"]), s=_float(es["s"]),
-            t_avg=_float(es["t_avg"]), aperture=_float(es["aperture"]),
-            radius=_float(es["radius"]))
-
-        sv = merged["solver"]
-        trunc = Truncation(
-            k_max=int(sv["k_max"]), p_max=int(sv["p_max"]),
-            j_max=int(sv["j_max"]), j_buffer=int(sv["j_buffer"]),
-            flux_penalty=_float(sv["flux_penalty"]),
-            edge_guard=int(sv["edge_guard"]))
-        residual_tol = _float(sv["residual_tol"])
-        cluster_radius = _float(sv["cluster_radius"])
-        if residual_tol <= 0 or cluster_radius <= 0:
-            raise ConfigError("tolerances must be positive")
-
-        cp = merged["campaign"]
-        checks = [c.strip() for c in cp["checks"].split(",") if c.strip()]
-        if not checks:
-            raise ConfigError("no checks enabled")
-        bad = set(checks) - set(CHECKS)
-        if bad:
-            raise ConfigError(f"unknown checks: {sorted(bad)}")
-        band = _floats(cp["ims_band"])
-        if len(band) != 2 or band[0] >= band[1]:
-            raise ConfigError("ims_band must be 'lo,hi' with lo < hi")
-
-        cfg = RunConfig(
-            escape=escape,
-            escape_alt=replace(escape, n0=_float(merged["escape_alt"]["n0"])),
-            truncation=trunc, checks=checks,
-            E=_float(cp["e"]), beta=_float(cp["beta"]),
-            disk_b=_float(cp["disk_b"]),
-            alpha_grid=list(_floats(cp["alpha_grid"])),
-            floor=_float(cp["floor"]), h=_float(cp["h"]),
-            seed=int(cp["seed"]), escape_samples=int(cp["escape_samples"]),
-            ims_j_max=int(cp["ims_j_max"]), ims_band=(band[0], band[1]),
-            coherent_h_list=list(_floats(cp["coherent_h"])),
-            residual_tol=residual_tol, cluster_radius=cluster_radius,
-            out_dir=merged["output"]["out_dir"],
-            model=model, text=text)
-    except ConfigError:
-        raise
-    except (KeyError, ValueError, TruncationTooSmall) as exc:
+            cat=CatMap(m["a11"], m["a12"], m["a21"], m["a22"]),
+            time_change=TimeChange(m["c0"], m["c_cos"], m["c_sin"]))
+        escape = OrderParams(**values["escape"])
+        escape_alt = replace(escape, **values["escape_alt"])
+    except (ValueError, OverflowError) as exc:     # OverflowError: an entry past int64
         raise ConfigError(f"invalid config value: {exc}") from exc
-    if cfg.beta <= 0 or cfg.h <= 0:
-        raise ConfigError("beta and h must be positive")
-    if cfg.E == 0:
-        raise ConfigError("e must be nonzero: E = 0 is the excluded counting box")
-    if any(a <= 0 for a in cfg.alpha_grid):
-        raise ConfigError("alpha_grid entries must be positive")
-    if any(h <= 0 for h in cfg.coherent_h_list):
-        raise ConfigError("coherent_h entries must be positive")
+    tolerances = {key: sv.pop(key) for key in ("residual_tol", "cluster_radius")}
+    trunc = Truncation(**sv)
+    # the other [campaign] keys are RunConfig fields of the same name
+    cfg = RunConfig(escape=escape, escape_alt=escape_alt, truncation=trunc, E=cp.pop("e"),
+                    coherent_h_list=cp.pop("coherent_h"), **tolerances, **cp,
+                    out_dir=values["output"]["out_dir"], model=model, text=text)
+
+    if trunc.edge_guard > trunc.j_max:      # the orbit window keeps |j| <= j_max - edge_guard
+        raise ConfigError(f"edge_guard must lie in [0, j_max = {trunc.j_max}]")
     points = default_symbol_points(model)
     for h in cfg.coherent_h_list:
-        # a cutoff that overflows on the way is over the ceiling too
-        try:
+        try:        # a cutoff that overflows on the way is over the ceiling too
             with np.errstate(over="raise"):
-                fine = coherent_k_max(points, h) <= COHERENT_K_CEILING
+                if coherent_k_max(points, h) <= COHERENT_K_CEILING:
+                    continue
         except (FloatingPointError, OverflowError):
-            fine = False
-        if not fine:
-            raise ConfigError(
-                f"coherent_h = {h:g} needs a frequency cutoff above {COHERENT_K_CEILING}; "
-                "use a larger coherent_h")
-    if cfg.escape_samples < 1:
-        raise ConfigError("escape_samples must be at least 1")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be non-negative")
-    if cfg.ims_j_max < 0:
-        raise ConfigError("ims_j_max must be at least 0")
-    # the orbit window keeps |j| <= j_max - edge_guard; the guard is checked
-    # here, not in Truncation, which also serves truncations whose j_max lies
-    # below the guard (the ims and coherent checks, the tests)
-    if not 0 <= trunc.edge_guard <= trunc.j_max:
-        raise ConfigError(f"edge_guard must lie in [0, j_max = {trunc.j_max}]")
-    if trunc.j_buffer < 0:
-        raise ConfigError("j_buffer must be at least 0 (0 picks the buffer automatically)")
+            pass
+        raise ConfigError(f"coherent_h = {h:g} needs a frequency cutoff above "
+                          f"{COHERENT_K_CEILING}; use a larger coherent_h")
     return cfg
 
 

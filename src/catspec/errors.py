@@ -13,8 +13,8 @@ class NonConvergence(CatspecError):
     """An iterative procedure failed to reach its tolerance."""
 
 
-class TruncationTooSmall(CatspecError):
-    """Requested truncation cannot support the discretization."""
+class TruncationTooLarge(CatspecError):
+    """A dense block past `operator.DENSE_DIM_CEILING`, or an orbit window past doubles."""
 
 
 class WeightOverflow(CatspecError):

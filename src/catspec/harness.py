@@ -154,21 +154,14 @@ def extract_resonances(solves: SolveStore, escape: EscapeFunction, truncation: o
 
 @dataclass(frozen=True)
 class CountingBox:
-    """Spectral box |Re - E*alpha| <= sqrt(alpha), Im > -beta.
+    """Spectral box |Re - E*alpha| <= sqrt(alpha), Im > -beta, for alpha > 0 and E != 0.
 
-    The real window is closed, the imaginary floor strict; E = 0 is the
-    excluded degenerate case.
+    The real window is closed, the imaginary floor strict.
     """
 
     E: float
     alpha: float
     beta: float
-
-    def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
-        if self.E == 0.0:
-            raise ValueError("E = 0 is excluded")
 
     def contains(self, value):
         half = np.sqrt(self.alpha)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -9,12 +10,14 @@ import numpy as np
 import pytest
 
 import catspec
-from catspec import errors
+from catspec import config, errors
 from catspec import harness as hs
+from catspec import operator as op
 from catspec.cli import main
 from catspec.config import DEFAULT_CONFIG, parse_config
 from catspec.errors import ConfigError
 from catspec.escape import EscapeFunction
+from test_config_keys import MOVES
 
 
 def test_default_config_parses():
@@ -187,11 +190,17 @@ def test_cli_model_info(capsys):
     "[solver]\nj_buffer = -5\n",                    # not "automatic", which is 0
     "[escape]\nsymmetric = false\n",                # a flag that would move no output
     "[escape_alt]\nu = -3\n",                       # only n0 of that set reaches a spectrum
+    "[solver]\nk_max = 0\n",
+    "[solver]\nflux_penalty = 0\n",
+    "[campaign]\nalpha_grid = 10,-1\n",
+    "[model]\nc0 = 1%\n",                          # a '%' is no interpolation syntax
+    "[DEFAULT]\nc0 = 2\n",                         # a key in every section
 ], ids=["unknown_key", "identity_matrix", "negative_time_change",
         "negative_flux", "no_escape_samples", "negative_j_max", "p_max_1",
         "negative_seed", "negative_ims_j_max", "zero_e", "edge_guard_above_j_max",
         "negative_edge_guard", "negative_j_buffer", "removed_symmetric",
-        "removed_escape_alt_u"])
+        "removed_escape_alt_u", "zero_k_max", "zero_flux_penalty", "negative_alpha",
+        "percent_sign", "default_section"])
 def test_cli_bad_config_exit_code(tmp_path, capsys, text, command):
     bad = tmp_path / "bad.ini"
     bad.write_text(text)
@@ -199,6 +208,25 @@ def test_cli_bad_config_exit_code(tmp_path, capsys, text, command):
                  command]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_config_reads_a_percent_sign_literally():
+    assert parse_config("[output]\nout_dir = 100%\n").out_dir == "100%"
+
+
+@pytest.mark.parametrize("entry", ["e = 1e6", "ims_j_max = 1000000", "alpha_grid = 10,1e5"])
+def test_cli_campaign_past_the_dense_ceiling_exits_1(tmp_path, capsys, entry):
+    # each asked numpy for 28.9 GiB to 280 TiB and ended with a MemoryError
+    t0 = time.perf_counter()
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(f"[campaign]\nchecks = counting,ims\n{entry}\n[solver]\nk_max = 3\n")
+    assert main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "campaign"]) == 1
+    assert time.perf_counter() - t0 < 5.0
+    checks = json.loads((tmp_path / "o" / "campaign.json").read_text())["checks"]
+    assert [payload["error"] for payload in checks.values() if "error" in payload] == [
+        f"TruncationTooLarge: a dense block of dimension {n} is above {op.DENSE_DIM_CEILING}"
+        for n in {"e": [4385829], "ims_j_max": [2000033], "alpha_grid": [44031]}[entry.split()[0]]]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def _run_keeping_the_exit_promise(tmp_path, text, command):
@@ -271,48 +299,94 @@ def test_cli_campaign_zero_values_keep_the_exit_promise(tmp_path, entry, code):
         assert all(r > 0.0 for r in ims["ratios"][:2])
 
 
-#: the keys the escape layer reads, each with the legal value at the edge
-#: of its range, the first illegal value past that edge, a large value and
-#: a tiny positive one
-ESCAPE_KEY_VALUES = {
+#: every key of config.KEYS with four values: the legal value at the edge of
+#: its range, the first illegal value past that edge, a large value and a tiny
+#: one.  A matrix entry with the others at their defaults is legal only at its
+#: default, and j_max only from edge_guard = 6 up; an integer key's tiny value
+#: is not an integer.  Without the dense ceiling, the large j_max, j_buffer,
+#: e, alpha_grid and ims_j_max ask numpy for up to 280 TiB.  The large k_max,
+#: 100, enumerates its orbits in about 0.2 s: how long
+#: `operator.enumerate_orbits` takes at a huge k_max is not bounded.  Any
+#: out_dir parses; {run} is the case's own directory
+KEY_VALUES = {
+    ("model", "a11"): ["2", "3", "100000000000000000000", "1"],
+    ("model", "a12"): ["1", "2", "100000000000000000000", "0"],
+    ("model", "a21"): ["1", "2", "100000000000000000000", "0"],
+    ("model", "a22"): ["1", "2", "100000000000000000000", "0"],
+    ("model", "c0"): ["0.20000000000000004", "0.2", "1e300", "1e-300"],
+    ("model", "c_cos"): ["0.9999999999999999", "1", "1e300", "1e-300"],
+    ("model", "c_sin"): ["0.9797959814052203", "0.9797959814052204", "1e300", "1e-300"],
     ("escape", "u"): ["-5e-324", "0", "-1e300", "1e-300"],
     ("escape", "n0"): ["-7.999999999999999", "-8", "7.999999999999999", "1e-300"],
     ("escape", "s"): ["5e-324", "0", "1e300", "1e-300"],
     ("escape", "t_avg"): ["5e-324", "0", "1e300", "1e-300"],
     ("escape", "aperture"): ["1.5e-154", "1.4e-154", "0.7853981633974482", "1e-9"],
     ("escape", "radius"): ["1.0000000000000002", "1", "1e300", "1e-300"],
+    ("escape_alt", "n0"): ["-7.999999999999999", "-8", "7.999999999999999", "1e-300"],
+    ("solver", "k_max"): ["1", "0", "100", "0.001"],
+    ("solver", "p_max"): ["2", "1", "1000", "0.001"],
+    ("solver", "j_max"): ["6", "5", "1000000", "0.001"],
+    ("solver", "j_buffer"): ["0", "-1", "1000000", "0.001"],
+    ("solver", "flux_penalty"): ["5e-324", "0", "1e308", "1e-300"],
+    ("solver", "edge_guard"): ["24", "25", "1000000", "0.001"],
+    ("solver", "residual_tol"): ["5e-324", "0", "1e308", "1e-300"],
+    ("solver", "cluster_radius"): ["5e-324", "0", "1e308", "1e-300"],
+    ("campaign", "checks"): ["disk", "", ",".join(hs.CHECKS), "garding, escape"],
+    ("campaign", "e"): ["5e-324", "0", "1e6", "1e-300"],
+    ("campaign", "beta"): ["5e-324", "0", "1e308", "1e-300"],
+    ("campaign", "disk_b"): ["-1.7976931348623157e308", "-inf", "1.7976931348623157e308",
+                             "1e-300"],
+    ("campaign", "alpha_grid"): ["5e-324", "0", "10,1e5", "10,1e-300"],
+    ("campaign", "floor"): ["-1.7976931348623157e308", "-inf", "1.7976931348623157e308",
+                            "1e-300"],
+    ("campaign", "h"): ["5e-324", "0", "1e308", "1e-300"],
+    ("campaign", "seed"): ["0", "-1", "18446744073709551616", "0.001"],
     ("campaign", "escape_samples"): ["1", "0", "40000", "0.001"],
+    ("campaign", "ims_j_max"): ["0", "-1", "1000000", "0.001"],
+    ("campaign", "ims_band"): ["2,2.0000000000000004", "2,2", "0,1e308", "0,1e-300"],
+    ("campaign", "coherent_h"): ["0.0036616507675396753", "0.003661650767539675", "1e300",
+                                 "1e-300"],
+    ("output", "out_dir"): ["{run}/o", "{run}/c.ini", "{run}/" + "x" * 300, "{run}"],
 }
 
 
-def test_escape_keys_keep_the_exit_promise(tmp_path, capsys):
-    # checks = escape in process on each value: exit 0, 1 or 2, 2 exactly
-    # on a config error (always on the first illegal value, never on the
-    # edge value), no traceback, no RuntimeWarning, and a check that raised
-    # names a CatspecError
-    for (section, key), values in ESCAPE_KEY_VALUES.items():
+def test_every_key_keeps_the_exit_promise(tmp_path, capsys):
+    # campaign in process on each value, at k_max = 3 with the checks that
+    # MOVES names for the key (escape for out_dir): exit 0, 1 or 2, 2 exactly
+    # on a config error (always on the first illegal value, never on the edge
+    # value), no traceback, no RuntimeWarning, and a check that raised names a
+    # CatspecError
+    assert set(KEY_VALUES) == set(config.KEYS)
+    t0 = time.perf_counter()
+    for (section, key), values in KEY_VALUES.items():
+        checks = [check for check, _ in MOVES.get((section, key), ({}, [("escape", None)]))[1]]
         for k, value in enumerate(values):
-            entry = f"{key} = {value}\n"
-            text = ("[campaign]\nchecks = escape\n"
-                    + (entry if section == "campaign" else f"[{section}]\n{entry}"))
-            cfgfile, out = tmp_path / "c.ini", tmp_path / f"{key}{k}"
-            cfgfile.write_text(text)
+            run = tmp_path / f"{section}.{key}{k}"
+            run.mkdir()
+            sections = {"solver": {"k_max": "3"}, "campaign": {"checks": ",".join(checks)}}
+            sections.setdefault(section, {})[key] = value.format(run=run)
+            (run / "c.ini").write_text("".join(
+                f"[{name}]\n" + "".join(f"{option} = {text}\n" for option, text in keys.items())
+                for name, keys in sections.items()))
+            out = [] if section == "output" else ["--out", str(run / "o")]
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                status = main(["--config", str(cfgfile), "--out", str(out), "campaign"])
+                status = main(["--config", str(run / "c.ini"), *out, "campaign"])
             err = capsys.readouterr().err
-            case = f"{key} = {value}: {err}"
+            case = f"[{section}] {key} = {value}: {err}"
             assert status in (0, 1, 2), case
             assert (status == 2) == err.startswith("config error:"), case
-            if k < 2:       # the edge value parses, the first illegal one does not
+            if k < 2 and section != "output":   # the edge value parses, the illegal one not
                 assert (status == 2) == (k == 1), case
             assert "Traceback" not in err and "RuntimeWarning" not in err, case
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], case
-            if status != 2:
-                payload = json.loads((out / "campaign.json").read_text())["checks"]["escape"]
+            report = run / "o" / "campaign.json"
+            payloads = json.loads(report.read_text())["checks"] if report.exists() else {}
+            for payload in payloads.values():
                 if "error" in payload:
                     name = payload["error"].split(":")[0]
                     assert issubclass(getattr(errors, name, type(None)), errors.CatspecError), case
+    assert time.perf_counter() - t0 < 15.0
 
 
 def test_cli_campaign_logs_a_failed_shared_build_once(tmp_path, capsys):

@@ -7,6 +7,7 @@ threshold key gets a value across its threshold; a cat-matrix entry
 moves with a partner so that the determinant stays 1.
 """
 
+import configparser
 import time
 from dataclasses import replace
 
@@ -84,8 +85,17 @@ def dead_keys():
 
 
 def test_every_schema_key_has_a_moving_value():
-    keys = {(section, key) for section, keys in config._SCHEMA.items() for key in keys}
-    assert set(MOVES) == keys - {("campaign", "checks"), ("output", "out_dir")}
+    assert set(MOVES) == set(config.KEYS) - {("campaign", "checks"), ("output", "out_dir")}
+
+
+def test_key_table_is_the_default_config():
+    # one row per key of DEFAULT_CONFIG, and every default passes its rule
+    defaults = configparser.ConfigParser(interpolation=None)
+    defaults.read_string(config.DEFAULT_CONFIG)
+    assert set(config.KEYS) == {(section, key) for section in defaults.sections()
+                                for key in defaults[section]}
+    for (section, key), (reader, rule, _) in config.KEYS.items():
+        assert rule is None or rule(reader(defaults[section][key])), (section, key)
 
 
 def test_every_key_moves_its_output():

@@ -56,13 +56,6 @@ def synthetic(values, mults=None, sector="synthetic"):
 # counting
 # ---------------------------------------------------------------------------
 
-def test_counting_box_validation():
-    with pytest.raises(ValueError):
-        hs.CountingBox(E=0.0, alpha=10.0, beta=1.0)
-    with pytest.raises(ValueError):
-        hs.CountingBox(E=1.0, alpha=-1.0, beta=1.0)
-
-
 def test_count_in_box_cases():
     box = hs.CountingBox(E=1.0, alpha=20.0, beta=1.0)
     assert hs.count_in_box(synthetic([]), box) == 0

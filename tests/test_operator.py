@@ -7,7 +7,7 @@ from catspec import cotangent
 from catspec import harness as hs
 from catspec import operator as op
 from catspec.config import DEFAULT_CONFIG, parse_config
-from catspec.errors import (NonConvergence, TruncationTooSmall, UnresolvedState,
+from catspec.errors import (NonConvergence, TruncationTooLarge, UnresolvedState,
                             WeightOverflow)
 from catspec.escape import EscapeFunction
 from catspec.model import CatMap
@@ -129,12 +129,24 @@ def test_neutral_block_is_banded_by_cosine(flow, defaults):
                 assert h[a, b] == pytest.approx(2 * np.pi * jb, abs=1e-14)
 
 
-def test_truncation_too_small(defaults):
-    with pytest.raises(TruncationTooSmall):
-        replace(defaults.truncation, p_max=1)
-    for bad in ({"k_max": 0}, {"j_max": -1}, {"flux_penalty": 0.0}):
-        with pytest.raises(ValueError):
-            replace(defaults.truncation, **bad)
+def test_dense_blocks_stop_at_the_ceiling(flow, defaults):
+    # each dense block is built up to DENSE_DIM_CEILING modes and refused past
+    # it, before anything of its size is allocated
+    ceiling, tr = op.DENSE_DIM_CEILING, defaults.truncation
+    sector = op.enumerate_orbits(flow.cat, 3, 2)[0]
+    j_orbit = next(j for j in range(ceiling) if sector.n_cells * (2 * j + 1) > ceiling)
+    j_buffer = (ceiling - 2 * tr.j_max - 1) // 2    # the neutral sector's modes
+    cases = [(lambda t: op.orbit_cell_block(flow, t), {"j_max": (ceiling - 1) // 2}),
+             (lambda t: op.build_generator(flow, op.NeutralSector(), t).matrix,
+              {"j_buffer": j_buffer}),
+             (lambda t: op.build_generator(flow, sector, t).matrix, {"j_max": j_orbit - 1})]
+    for build, fits in cases:
+        key, value = fits.popitem()
+        assert len(build(replace(tr, **{key: value}))) <= ceiling
+        with pytest.raises(TruncationTooLarge, match=f"above {ceiling}$"):
+            build(replace(tr, **{key: value + 1}))
+    with pytest.raises(TruncationTooLarge, match="p_max = 1000 overflows"):
+        op.enumerate_orbits(flow.cat, 3, 1000)
 
 
 def test_orbit_block_structure(flow, defaults):

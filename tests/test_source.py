@@ -12,7 +12,7 @@ DEFAULTED_PARAMETERS = 2
 #: is the only copy of the default configuration
 DATACLASS_FIELD_DEFAULTS = 0
 #: lines over every module of the package; growth is a deliberate edit here
-SOURCE_LINES = 3534
+SOURCE_LINES = 3509
 
 
 def _trees():
